@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local CI gate, fail-fast ordered: the cheap source-level checks (format,
-# unsafe audit) run before anything compiles, lint (clippy) runs before the
+# unsafe audit, single-launcher audit) run before anything compiles, lint (clippy) runs before the
 # release build it shares artifacts with, and the measured-run gates come
 # last: the static verification sweep (run twice, byte-identical JSON),
 # the static-vs-model differential soundness gate (every grid schedule and
@@ -77,6 +77,22 @@ unsafe_audit() {
     echo "unsafe audit OK: confined to [$allowed]"
 }
 
+launcher_audit() {
+    # One launcher: `device_loop` is called from one place and one
+    # `std::thread::scope` spawns training device threads, so a second
+    # launcher cannot grow back beside `vp_runtime::train` unnoticed.
+    local calls scopes
+    calls=$(grep -rhE '\bdevice_loop\(' crates/runtime/src | grep -vc 'fn device_loop(' || true)
+    scopes=$(for f in crates/runtime/src/*.rs crates/runtime/src/serve/*.rs; do
+        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
+    done | grep -c 'std::thread::scope' || true)
+    if [ "$calls" != 1 ] || [ "$scopes" != 1 ]; then
+        echo "crates/runtime/src: $calls device_loop call sites and $scopes thread scopes, want 1 and 1" >&2
+        exit 1
+    fi
+    echo "launcher audit OK: one device_loop call site, one thread scope"
+}
+
 # --- lint, build, test -----------------------------------------------------
 
 clippy_lint() {
@@ -92,6 +108,12 @@ build_release() {
 
 test_release() {
     cargo test --workspace --release --quiet
+}
+
+benchmark_test() {
+    # benchmark/ is its own workspace with path dependencies on crates/*, so
+    # the workspace suite never notices a runtime API change that breaks it.
+    cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
 }
 
 # --- measured-run gates ----------------------------------------------------
@@ -703,9 +725,11 @@ PY
 
 stage "cargo fmt --check" fmt_check
 stage "unsafe audit (token match, allowlisted files only)" unsafe_audit
+stage "launcher audit (one device_loop call site, one thread scope)" launcher_audit
 stage "cargo clippy --workspace --all-targets -- -D warnings (+ pedantic subset)" clippy_lint
 stage "cargo build --workspace --release" build_release
 stage "cargo test --workspace --release" test_release
+stage "cargo test --manifest-path benchmark/Cargo.toml (the frozen benchmark against crates/*)" benchmark_test
 stage "repro check (static schedule verification sweep, double-run determinism)" check_sweep
 stage "repro modelcheck (static-vs-model differential soundness gate)" modelcheck_gate
 stage "repro tpsweep (PP x TP crossover) + gate" tpsweep_gate

@@ -6,7 +6,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 use vp_model::cost::VocabAlgo;
-use vp_runtime::{train_pipeline, train_reference, Mode, TinyConfig};
+use vp_runtime::{
+    schedule_for, train_reference, train_schedule, DataSource, Mode, ScheduleFamily, TinyConfig,
+};
 
 fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
     let mut samples: Vec<f64> = (0..5)
@@ -36,9 +38,17 @@ fn main() {
         ("pipeline-vocab-1", Mode::Vocab(VocabAlgo::Alg1)),
         ("pipeline-vocab-2", Mode::Vocab(VocabAlgo::Alg2)),
     ];
+    let corpus = DataSource::synthetic(&config);
     for (name, mode) in modes {
+        let schedule = schedule_for(
+            mode,
+            ScheduleFamily::OneFOneB,
+            4,
+            config.microbatches as u32,
+        )
+        .expect("streamed mode");
         bench(&format!("fig17_one_iteration/{name}"), 3, || {
-            black_box(train_pipeline(&config, 4, mode, 1).expect("trains"));
+            black_box(train_schedule(&config, &schedule, 1, &corpus).expect("trains"));
         });
     }
 }

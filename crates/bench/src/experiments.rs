@@ -4,7 +4,9 @@
 use vp_model::config::{ModelConfig, ModelPreset};
 use vp_model::cost::{CostModel, Hardware, VocabAlgo};
 use vp_model::partition::{StageLayout, VocabPartition};
-use vp_runtime::{train_pipeline, train_reference, Mode, TinyConfig};
+use vp_runtime::{
+    schedule_for, train_reference, train_schedule, DataSource, Mode, ScheduleFamily, TinyConfig,
+};
 use vp_schedule::block::PassTimes;
 use vp_schedule::exec::{Executor, UnitCosts};
 use vp_schedule::generators;
@@ -481,25 +483,22 @@ pub fn padding_example() -> (usize, usize, usize) {
 /// Panics if any trainer fails (configuration is fixed and valid).
 pub fn fig17_curves(iterations: usize) -> Vec<(&'static str, Vec<f64>)> {
     let config = TinyConfig::default();
+    let corpus = DataSource::synthetic(&config);
+    let pipeline = |mode| {
+        let m = config.microbatches as u32;
+        let schedule = schedule_for(mode, ScheduleFamily::OneFOneB, 4, m).expect("streamed mode");
+        train_schedule(&config, &schedule, iterations, &corpus)
+            .expect("pipeline trains")
+            .losses
+    };
     vec![
         (
             "reference",
             train_reference(&config, iterations).expect("reference trains"),
         ),
-        (
-            "pipeline-baseline",
-            train_pipeline(&config, 4, Mode::Baseline, iterations).expect("baseline trains"),
-        ),
-        (
-            "pipeline-vocab-1",
-            train_pipeline(&config, 4, Mode::Vocab(VocabAlgo::Alg1), iterations)
-                .expect("vocab-1 trains"),
-        ),
-        (
-            "pipeline-vocab-2",
-            train_pipeline(&config, 4, Mode::Vocab(VocabAlgo::Alg2), iterations)
-                .expect("vocab-2 trains"),
-        ),
+        ("pipeline-baseline", pipeline(Mode::Baseline)),
+        ("pipeline-vocab-1", pipeline(Mode::Vocab(VocabAlgo::Alg1))),
+        ("pipeline-vocab-2", pipeline(Mode::Vocab(VocabAlgo::Alg2))),
     ]
 }
 
@@ -514,8 +513,6 @@ pub fn fig17_curves(iterations: usize) -> Vec<(&'static str, Vec<f64>)> {
 ///
 /// Panics if any trainer fails (configurations are fixed and valid).
 pub fn generality_numeric_rows(iterations: usize) -> Vec<(String, f64, f64, f64)> {
-    use vp_runtime::{train_schedule, DataSource, SyntheticCorpus};
-
     let base = TinyConfig::default();
     let m = base.microbatches as u32;
     let zb_times = PassTimes {
@@ -552,13 +549,13 @@ pub fn generality_numeric_rows(iterations: usize) -> Vec<(String, f64, f64, f64)
     let mut rows = Vec::new();
     for (name, config, schedule) in runs {
         let reference = train_reference(&config, iterations).expect("reference trains");
-        let corpus = DataSource::Synthetic(SyntheticCorpus::new(
-            config.vocab,
-            config.seq_len,
-            config.seed,
-        ));
-        let report = train_schedule(&config, &schedule, iterations, &corpus)
-            .expect("schedule interprets numerically");
+        let report = train_schedule(
+            &config,
+            &schedule,
+            iterations,
+            &DataSource::synthetic(&config),
+        )
+        .expect("schedule interprets numerically");
         let max_dev = report
             .losses
             .iter()

@@ -13,7 +13,7 @@
 
 use crate::table::{json_escape, json_f64};
 use std::path::{Path, PathBuf};
-use vp_runtime::{train_schedule_traced, DataSource, SyntheticCorpus, TimelineReport, TinyConfig};
+use vp_runtime::{train_schedule_traced, DataSource, TimelineReport, TinyConfig};
 use vp_schedule::block::PassTimes;
 use vp_schedule::exec::{Executor, UnitCosts};
 use vp_schedule::generators;
@@ -62,11 +62,7 @@ fn cases(config: &TinyConfig) -> Vec<(&'static str, Schedule)> {
 /// error.
 pub fn run(iterations: usize) -> Vec<TimelineCase> {
     let config = TinyConfig::default();
-    let corpus = DataSource::Synthetic(SyntheticCorpus::new(
-        config.vocab,
-        config.seq_len,
-        config.seed,
-    ));
+    let corpus = DataSource::synthetic(&config);
     cases(&config)
         .into_iter()
         .map(|(name, schedule)| {

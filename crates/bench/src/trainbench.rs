@@ -17,7 +17,7 @@
 //! start to latest device end, gradient sync and optimizer step included),
 //! which is the wall-time figure the CI regression gate tracks.
 
-use vp_runtime::{DataSource, SyntheticCorpus, TinyConfig};
+use vp_runtime::{DataSource, TinyConfig};
 use vp_schedule::block::PassTimes;
 use vp_schedule::generators;
 use vp_schedule::pass::{Schedule, VocabVariant};
@@ -85,14 +85,6 @@ fn schedules(config: &TinyConfig) -> Vec<(&'static str, Schedule)> {
     ]
 }
 
-fn source(config: &TinyConfig) -> DataSource {
-    DataSource::Synthetic(SyntheticCorpus::new(
-        config.vocab,
-        config.seq_len,
-        config.seed,
-    ))
-}
-
 fn bits(losses: &[f64]) -> Vec<u64> {
     losses.iter().map(|l| l.to_bits()).collect()
 }
@@ -106,7 +98,7 @@ fn bits(losses: &[f64]) -> Vec<u64> {
 /// configurations only.
 pub fn run(iterations: usize) -> Vec<TrainTiming> {
     let config = TinyConfig::default();
-    let corpus = source(&config);
+    let corpus = DataSource::synthetic(&config);
     let mut results = Vec::new();
     for (name, schedule) in schedules(&config) {
         // Phase 1: fresh — the system-allocator reference trajectory.

@@ -14,6 +14,43 @@ use vp_tensor::{Result, TensorError};
 
 const MAGIC: u32 = 0x5650_434B; // "VPCK"
 
+/// Appends a parameter list — count, then value and both Adam moments per
+/// parameter — the body of both the single-device checkpoint and every
+/// shard of a [`crate::PipelineCheckpoint`].
+pub(crate) fn write_params(buf: &mut Vec<u8>, params: Vec<&mut Param>) {
+    write_u32(buf, params.len() as u32);
+    for p in params {
+        write_tensor(buf, p.value());
+        let (m, v) = p.moments();
+        write_tensor(buf, m);
+        write_tensor(buf, v);
+    }
+}
+
+/// Restores `params` from a list [`write_params`] produced, rejecting a
+/// different parameter count or shape.
+pub(crate) fn read_params(input: &mut &[u8], params: Vec<&mut Param>) -> Result<()> {
+    let n = read_u32(input)? as usize;
+    if params.len() != n {
+        return Err(TensorError::InvalidArgument(format!(
+            "bad checkpoint: {n} parameters, expected {}",
+            params.len()
+        )));
+    }
+    for p in params {
+        let value = read_tensor(input)?;
+        let m = read_tensor(input)?;
+        let v = read_tensor(input)?;
+        if value.shape() != p.value().shape() {
+            return Err(TensorError::InvalidArgument(
+                "bad checkpoint: parameter shape mismatch".into(),
+            ));
+        }
+        *p = Param::from_state(value, m, v)?;
+    }
+    Ok(())
+}
+
 /// A single-device trainer whose state can be checkpointed and restored.
 #[derive(Debug, Clone)]
 pub struct ReferenceTrainer {
@@ -147,14 +184,7 @@ impl ReferenceTrainer {
         write_u32(&mut buf, self.adam.timestep() as u32);
         write_u32(&mut buf, self.iterations_done as u32);
         write_u32(&mut buf, u32::from(self.config.tied));
-        let params = self.params_mut();
-        write_u32(&mut buf, params.len() as u32);
-        for p in params {
-            write_tensor(&mut buf, p.value());
-            let (m, v) = p.moments();
-            write_tensor(&mut buf, m);
-            write_tensor(&mut buf, v);
-        }
+        write_params(&mut buf, self.params_mut());
         buf
     }
 
@@ -183,25 +213,10 @@ impl ReferenceTrainer {
         if tied != config.tied {
             return Err(bad("tied flag differs from the provided config"));
         }
-        let n = read_u32(&mut input)? as usize;
         let mut trainer = ReferenceTrainer::new(config);
         trainer.adam.set_timestep(timestep);
         trainer.iterations_done = iterations_done;
-        {
-            let params = trainer.params_mut();
-            if params.len() != n {
-                return Err(bad("parameter count mismatch"));
-            }
-            for p in params {
-                let value = read_tensor(&mut input)?;
-                let m = read_tensor(&mut input)?;
-                let v = read_tensor(&mut input)?;
-                if value.shape() != p.value().shape() {
-                    return Err(bad("parameter shape mismatch"));
-                }
-                *p = Param::from_state(value, m, v)?;
-            }
-        }
+        read_params(&mut input, trainer.params_mut())?;
         Ok(trainer)
     }
 }
@@ -209,29 +224,11 @@ impl ReferenceTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::SyntheticCorpus;
-
-    fn source(config: &TinyConfig) -> DataSource {
-        DataSource::Synthetic(SyntheticCorpus::new(
-            config.vocab,
-            config.seq_len,
-            config.seed,
-        ))
-    }
-
-    #[test]
-    fn trainer_matches_free_function() {
-        let config = TinyConfig::default();
-        let mut trainer = ReferenceTrainer::new(&config);
-        let a = trainer.train(5, &source(&config)).unwrap();
-        let b = crate::reference::train_reference(&config, 5).unwrap();
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn save_load_resume_is_bit_identical() {
         let config = TinyConfig::default();
-        let src = source(&config);
+        let src = DataSource::synthetic(&config);
         // Straight run: 8 iterations.
         let mut straight = ReferenceTrainer::new(&config);
         let full = straight.train(8, &src).unwrap();
@@ -274,7 +271,7 @@ mod tests {
             tied: true,
             ..TinyConfig::default()
         };
-        let src = source(&config);
+        let src = DataSource::synthetic(&config);
         let mut straight = ReferenceTrainer::new(&config);
         let full = straight.train(6, &src).unwrap();
         let mut first = ReferenceTrainer::new(&config);

@@ -15,9 +15,10 @@
 //!   to the first virtual stage) and [`TAG_INGRAD`] (embedding-gradient
 //!   fan-out back to the shards).
 
-use vp_collectives::Packet;
+use vp_collectives::{P2pEndpoint, Packet};
 use vp_schedule::pass::{placement_device_of, placement_stage_of, ChunkPlacement};
-use vp_tensor::Tensor;
+use vp_tensor::{Result, Tensor, TensorError};
+use vp_trace::Tracer;
 
 /// Stage-boundary activation traffic.
 pub(crate) const TAG_ACT: u64 = 1 << 40;
@@ -39,7 +40,7 @@ pub(crate) fn stage_tag(base: u64, vs: usize, k: u32) -> u64 {
 }
 
 /// Wraps a tensor into a tagged packet.
-pub(crate) fn to_packet(tag: u64, t: &Tensor) -> Packet {
+fn to_packet(tag: u64, t: &Tensor) -> Packet {
     Packet::new(tag, t.rows(), t.cols(), t.data().to_vec())
 }
 
@@ -50,9 +51,49 @@ pub(crate) fn to_packet(tag: u64, t: &Tensor) -> Packet {
 /// the packet's own (never-taken) vec would over-count releases and let
 /// `taken − released` saturate to zero — masking genuine KV leaks on any
 /// world with p2p traffic while single-device runs report them honestly.
-pub(crate) fn from_packet(p: &Packet) -> Tensor {
+fn from_packet(p: &Packet) -> Tensor {
     Tensor::from_vec(p.rows, p.cols, vp_tensor::alloc::take_copy(&p.data))
         .expect("packet carries a consistent shape")
+}
+
+/// One device's tensor channel to the stages of its own pipeline: the p2p
+/// endpoint plus the map from a pipeline rank to that stage's global
+/// address in this device's column (`base + stage · stride`), so
+/// stage-boundary and vocabulary traffic never crosses tensor-parallel
+/// columns or data-parallel replicas. Serving uses the identity map.
+pub(crate) struct Link {
+    endpoint: P2pEndpoint,
+    base: usize,
+    stride: usize,
+}
+
+impl Link {
+    pub(crate) fn new(endpoint: P2pEndpoint, base: usize, stride: usize) -> Self {
+        Link {
+            endpoint,
+            base,
+            stride,
+        }
+    }
+
+    /// Records blocking receives and sends on `tracer`'s comm-wait track.
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
+        self.endpoint.set_tracer(tracer);
+    }
+
+    pub(crate) fn send(&self, stage: usize, tag: u64, t: &Tensor) -> Result<()> {
+        self.endpoint
+            .send(self.base + stage * self.stride, to_packet(tag, t))
+            .map_err(|e| TensorError::InvalidArgument(format!("p2p send failed: {e}")))
+    }
+
+    pub(crate) fn recv(&mut self, stage: usize, tag: u64) -> Result<Tensor> {
+        let packet = self
+            .endpoint
+            .recv_tag(self.base + stage * self.stride, tag)
+            .map_err(|e| TensorError::InvalidArgument(format!("p2p recv failed: {e}")))?;
+        Ok(from_packet(&packet))
+    }
 }
 
 /// Virtual-stage geometry shared by all pass handlers: how many devices

@@ -5,6 +5,7 @@
 //! as long as both sides see identical tokens, and a structured synthetic
 //! stream gives the model something learnable so the loss actually falls.
 
+use crate::model::TinyConfig;
 use vp_tensor::init::seeded_rng;
 use vp_tensor::rng::Rng;
 
@@ -88,6 +89,16 @@ pub enum DataSource {
 }
 
 impl DataSource {
+    /// The synthetic corpus matching `config`'s vocabulary, sequence length
+    /// and seed — the stream [`crate::train_reference`] trains on.
+    pub fn synthetic(config: &TinyConfig) -> Self {
+        DataSource::Synthetic(SyntheticCorpus::new(
+            config.vocab,
+            config.seq_len,
+            config.seed,
+        ))
+    }
+
     /// The microbatches of one iteration.
     ///
     /// # Panics

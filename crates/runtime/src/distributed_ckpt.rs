@@ -1,22 +1,16 @@
 //! Distributed checkpointing for the pipelined trainer: every device
 //! serializes its own shard (transformer chunks, vocabulary shards, Adam
-//! moments), and a run restores from the shard set and the completed
-//! iteration count — resuming bit-identically, which the tests verify
-//! against an uninterrupted run.
+//! moments). Every [`crate::train`] run returns one, and a run given one as
+//! [`crate::TrainSpec::resume`] continues bit-identically — which the tests
+//! verify against an uninterrupted run.
 
-use crate::data::{DataSource, Microbatch};
-use crate::engine::{check_schedule, device_loop, DeviceOutcome, TpEnv};
-use crate::model::TinyConfig;
-use crate::pipeline::{build_schedule, Mode, ScheduleFamily};
-use std::time::Instant;
-use vp_collectives::{Collective, CollectiveGroup, P2pNetwork};
-use vp_tensor::{Result, TensorError};
-
-/// A distributed checkpoint: one opaque shard per pipeline device plus the
+/// A distributed checkpoint: one opaque shard per device plus the
 /// completed iteration count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineCheckpoint {
-    /// Per-device serialized state, indexed by pipeline rank.
+    /// Per-device serialized state, indexed by global rank (replica-major,
+    /// then pipeline rank, tensor rank innermost — the pipeline rank on a
+    /// flat pipeline).
     pub shards: Vec<Vec<u8>>,
     /// Iterations completed when the checkpoint was taken.
     pub iterations_done: u64,
@@ -29,162 +23,74 @@ impl PipelineCheckpoint {
     }
 }
 
-/// Trains for `iterations`, optionally resuming from `checkpoint`, and
-/// returns the losses together with an end-of-run [`PipelineCheckpoint`].
-///
-/// # Errors
-///
-/// Returns an error for invalid configurations or mismatched checkpoints,
-/// as in [`crate::pipeline::train_pipeline_with`].
-///
-/// # Panics
-///
-/// Panics if a device thread panics.
-pub fn train_pipeline_checkpointed(
-    config: &TinyConfig,
-    devices: usize,
-    mode: Mode,
-    family: ScheduleFamily,
-    iterations: usize,
-    corpus: &DataSource,
-    checkpoint: Option<&PipelineCheckpoint>,
-) -> Result<(Vec<f64>, PipelineCheckpoint)> {
-    if let Some(ckpt) = checkpoint {
-        if ckpt.shards.len() != devices {
-            return Err(TensorError::InvalidArgument(format!(
-                "checkpoint has {} shards for {} devices",
-                ckpt.shards.len(),
-                devices
-            )));
-        }
-    }
-    let schedule = build_schedule(mode, family, devices, config.microbatches as u32)?;
-    let schedule = &schedule;
-    check_schedule(config, schedule)?;
-    let epoch = Instant::now();
-    let endpoints = P2pNetwork::new(devices);
-    let c1_comms: Vec<Collective> = CollectiveGroup::new(devices);
-    let iterations_done = checkpoint.map(|c| c.iterations_done).unwrap_or(0);
-    let results: Vec<Result<DeviceOutcome>> = std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for (endpoint, comm) in endpoints.into_iter().zip(c1_comms) {
-            let rank = endpoint.rank();
-            let corpus = corpus.clone();
-            let restore = checkpoint.map(|c| (c.shards[rank].as_slice(), c.iterations_done));
-            joins.push(scope.spawn(move || {
-                let select =
-                    move |iter: u64, m: usize| -> Vec<Microbatch> { corpus.iteration(iter, m) };
-                device_loop(
-                    config,
-                    schedule,
-                    iterations,
-                    rank,
-                    endpoint,
-                    comm,
-                    TpEnv::solo(),
-                    None,
-                    &select,
-                    restore,
-                    &vp_trace::Tracer::off(),
-                    epoch,
-                )
-            }));
-        }
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("device thread panicked"))
-            .collect()
-    });
-    let mut losses = Vec::new();
-    let mut shards = Vec::with_capacity(devices);
-    for r in results {
-        let outcome = r?;
-        if !outcome.losses.is_empty() {
-            losses = outcome.losses;
-        }
-        shards.push(outcome.shard);
-    }
-    Ok((
-        losses,
-        PipelineCheckpoint {
-            shards,
-            iterations_done: iterations_done + iterations as u64,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::data::SyntheticCorpus;
+    use crate::data::DataSource;
+    use crate::launch::{train, TrainSpec};
+    use crate::model::TinyConfig;
+    use crate::pipeline::{schedule_for, Mode, ScheduleFamily};
     use vp_core::VocabAlgo;
 
-    fn source(config: &TinyConfig) -> DataSource {
-        DataSource::Synthetic(SyntheticCorpus::new(
-            config.vocab,
-            config.seq_len,
-            config.seed,
-        ))
-    }
-
-    fn run_split(mode: Mode, family: ScheduleFamily, devices: usize) {
+    /// 6 straight iterations against 3 + checkpoint + 3 resumed, bitwise.
+    fn run_split(mode: Mode, family: ScheduleFamily, devices: usize, tp: usize) {
         let config = TinyConfig::default();
-        let src = source(&config);
-        // Straight run.
-        let (full, _) =
-            train_pipeline_checkpointed(&config, devices, mode, family, 6, &src, None).unwrap();
-        // Interrupted run: 3 iterations, checkpoint, restore, 3 more.
-        let (head, ckpt) =
-            train_pipeline_checkpointed(&config, devices, mode, family, 3, &src, None).unwrap();
-        assert_eq!(ckpt.iterations_done, 3);
-        assert!(ckpt.total_bytes() > 0);
-        let (tail, ckpt2) =
-            train_pipeline_checkpointed(&config, devices, mode, family, 3, &src, Some(&ckpt))
-                .unwrap();
-        assert_eq!(ckpt2.iterations_done, 6);
-        let stitched: Vec<f64> = head.into_iter().chain(tail).collect();
+        let src = DataSource::synthetic(&config);
+        let schedule = schedule_for(mode, family, devices, config.microbatches as u32).unwrap();
+        let spec = TrainSpec {
+            tp,
+            ..TrainSpec::new(&schedule)
+        };
+        let full = train(&config, &spec, 6, &src).unwrap().report.losses;
+        let head = train(&config, &spec, 3, &src).unwrap();
+        assert_eq!(head.checkpoint.iterations_done, 3);
+        assert!(head.checkpoint.total_bytes() > 0);
+        let resumed = TrainSpec {
+            resume: Some(&head.checkpoint),
+            ..spec
+        };
+        let tail = train(&config, &resumed, 3, &src).unwrap();
+        assert_eq!(tail.checkpoint.iterations_done, 6);
+        let stitched: Vec<f64> = [head.report.losses, tail.report.losses].concat();
         assert_eq!(stitched, full, "{mode:?}/{family:?}: resume must be exact");
     }
 
     #[test]
     fn vocab_pipeline_checkpoint_resumes_exactly() {
-        run_split(Mode::Vocab(VocabAlgo::Alg2), ScheduleFamily::OneFOneB, 2);
+        run_split(Mode::Vocab(VocabAlgo::Alg2), ScheduleFamily::OneFOneB, 2, 1);
     }
 
     #[test]
     fn baseline_pipeline_checkpoint_resumes_exactly() {
-        run_split(Mode::Baseline, ScheduleFamily::OneFOneB, 4);
+        run_split(Mode::Baseline, ScheduleFamily::OneFOneB, 4, 1);
     }
 
     #[test]
     fn vhalf_pipeline_checkpoint_resumes_exactly() {
-        run_split(Mode::Vocab(VocabAlgo::Alg1), ScheduleFamily::VHalf, 2);
+        run_split(Mode::Vocab(VocabAlgo::Alg1), ScheduleFamily::VHalf, 2, 1);
+    }
+
+    /// Only the single launcher can express this: the sharded blocks of a
+    /// `pp × tp` grid checkpoint and resume like the flat pipeline.
+    #[test]
+    fn tp_grid_checkpoint_resumes_exactly() {
+        run_split(Mode::Vocab(VocabAlgo::Alg2), ScheduleFamily::OneFOneB, 2, 2);
     }
 
     #[test]
     fn mismatched_shard_count_rejected() {
         let config = TinyConfig::default();
-        let src = source(&config);
-        let (_, ckpt) = train_pipeline_checkpointed(
-            &config,
-            2,
-            Mode::Baseline,
-            ScheduleFamily::OneFOneB,
-            1,
-            &src,
-            None,
-        )
-        .unwrap();
-        let err = train_pipeline_checkpointed(
-            &config,
-            4,
-            Mode::Baseline,
-            ScheduleFamily::OneFOneB,
-            1,
-            &src,
-            Some(&ckpt),
-        )
-        .unwrap_err();
+        let src = DataSource::synthetic(&config);
+        let m = config.microbatches as u32;
+        let two = schedule_for(Mode::Baseline, ScheduleFamily::OneFOneB, 2, m).unwrap();
+        let four = schedule_for(Mode::Baseline, ScheduleFamily::OneFOneB, 4, m).unwrap();
+        let ckpt = train(&config, &TrainSpec::new(&two), 1, &src)
+            .unwrap()
+            .checkpoint;
+        let spec = TrainSpec {
+            resume: Some(&ckpt),
+            ..TrainSpec::new(&four)
+        };
+        let err = train(&config, &spec, 1, &src).unwrap_err();
         assert!(err.to_string().contains("shards"));
     }
 }

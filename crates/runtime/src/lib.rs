@@ -16,31 +16,35 @@
 //! * [`model`] — full-model construction from a seed, shared by the
 //!   reference and the sharded runtimes so initial weights are
 //!   bit-identical.
-//! * [`mod@reference`] — the single-device trainer.
-//! * [`checkpoint`] — a resumable single-device trainer with exact
-//!   save/restore of weights, Adam moments and step count.
-//! * [`distributed_ckpt`] — per-device shard checkpointing of the
-//!   *pipelined* trainer, resuming bit-identically.
-//! * [`dp`] — data-parallel composition (§6.2's orthogonality claim).
-//! * [`engine`] — the generic schedule interpreter (pass-VM): per-device
-//!   threads walk *any* validated `vp-schedule` pass list, dispatching on
-//!   pass kind alone — `F`/`B`/`W` transformer passes, the vocabulary
-//!   `S`/`T` passes, sharded input passes — exchange activations over
-//!   `vp-collectives` point-to-point channels, overlap the `C1` barrier on
-//!   a per-device communication stream, and step Adam locally. Its
-//!   [`train_schedule`] entry point reports real
-//!   pass timings in the simulator's `ExecReport` shape.
-//! * [`grid`] — 2D grid execution: the schedule's pipeline axis × a
-//!   Megatron-style tensor-parallel axis, with each stage's transformer
-//!   blocks sharded over its grid row (all-reduce or PSA synchronization).
-//! * [`pipeline`] — schedule-family front end over the engine: maps a
+//! * [`mod@reference`] / [`checkpoint`] — the single-device
+//!   [`ReferenceTrainer`], resumable with exact save/restore of weights,
+//!   Adam moments and step count.
+//! * [`pipeline`] — the schedule front end: [`schedule_for`] maps a
 //!   `(Mode, ScheduleFamily)` selection onto the matching generator.
+//! * [`train`] — **the one way to start a training run**: a [`TrainSpec`]
+//!   names the schedule and its place in a `dp × pp × tp` device layout
+//!   (tensor-parallel width and row-sync style, data-parallel replicas, a
+//!   [`PipelineCheckpoint`] to resume from, whether to trace), and the
+//!   [`TrainOutcome`] carries the [`TrainReport`] (losses plus real pass
+//!   timings in the simulator's `ExecReport` shape), the end-of-run
+//!   checkpoint ([`distributed_ckpt`]) and the optional [`TraceLog`].
+//!   [`train_schedule`] / [`train_schedule_traced`] are its flat-pipeline
+//!   projections.
+//! * [`engine`] — the generic schedule interpreter (pass-VM) every device
+//!   thread of a run executes: it walks *any* validated `vp-schedule` pass
+//!   list, dispatching on pass kind alone — `F`/`B`/`W` transformer
+//!   passes, the vocabulary `S`/`T` passes, sharded input passes —
+//!   exchanges activations over `vp-collectives` point-to-point channels,
+//!   overlaps the `C1` barrier on a per-device communication stream, and
+//!   steps Adam locally.
 //! * [`serve`] — forward-only inference serving: per-layer KV caches from
 //!   the buffer arena, continuous batching, and the Algorithm-2 output
 //!   layer repurposed as a single-barrier sampling merge, bitwise equal
 //!   to a single-device full-context reference under greedy decoding.
 //!
-//! Internal engine modules: `comm` (tag spaces, stage geometry), `state`
+//! Internal modules: `launch` (the device-thread launcher behind
+//! [`train`]), `stage` (full or tensor-parallel transformer blocks behind
+//! one type), `comm` (tag spaces, stage geometry, the p2p `Link`), `state`
 //! (activation/vocabulary stores, barrier slots), `vocab`
 //! (vocabulary-layer pass handlers).
 
@@ -48,28 +52,30 @@ pub mod checkpoint;
 mod comm;
 pub mod data;
 pub mod distributed_ckpt;
-pub mod dp;
 pub mod engine;
 pub mod eval;
-pub mod grid;
+mod launch;
 pub mod model;
 pub mod pipeline;
 pub mod reference;
 pub mod serve;
+mod stage;
 mod state;
+#[cfg(test)]
+mod testutil;
 mod vocab;
 
 pub use checkpoint::ReferenceTrainer;
 pub use data::{DataSource, SyntheticCorpus};
-pub use distributed_ckpt::{train_pipeline_checkpointed, PipelineCheckpoint};
-pub use dp::train_pipeline_dp;
-pub use engine::{mode_of_schedule, train_schedule, train_schedule_traced, TrainReport};
+pub use distributed_ckpt::PipelineCheckpoint;
+pub use engine::mode_of_schedule;
 pub use eval::EvalReport;
-pub use grid::train_schedule_grid;
+pub use launch::{
+    train, train_schedule, train_schedule_traced, TrainOutcome, TrainReport, TrainSpec,
+};
 pub use model::{FullModel, TinyConfig};
-pub use pipeline::{train_pipeline, train_pipeline_on, train_pipeline_with, Mode, ScheduleFamily};
+pub use pipeline::{schedule_for, Mode, ScheduleFamily};
 pub use reference::{train_reference, train_reference_on};
 pub use serve::{greedy_matches_reference, reference_decode, ServeConfig, ServeEngine};
 pub use vp_model::TpSyncStyle;
-pub use vp_schedule::grid::DeviceGrid;
 pub use vp_trace::{TimelineReport, TraceLog, Tracer};

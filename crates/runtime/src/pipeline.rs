@@ -1,14 +1,9 @@
-//! Schedule-family front end over the generic interpreter in
-//! [`crate::engine`]: maps a `(Mode, ScheduleFamily)` selection onto the
-//! matching `vp-schedule` generator and delegates execution to
-//! [`train_schedule`]. The interpreter
-//! itself is family-agnostic — these wrappers only exist so callers can
-//! ask for "1F1B with Vocab-2" without touching generators.
+//! The schedule-family front end: maps a `(Mode, ScheduleFamily)`
+//! selection onto the matching `vp-schedule` generator, so callers can ask
+//! for "1F1B with Vocab-2" without touching generators. Pure — execution is
+//! [`crate::train`]'s job, and the interpreter itself is family-agnostic.
 
-use crate::data::{DataSource, SyntheticCorpus};
-use crate::engine::train_schedule;
 pub use crate::engine::Mode;
-use crate::model::TinyConfig;
 use vp_core::VocabAlgo;
 use vp_schedule::block::PassTimes;
 use vp_schedule::generators;
@@ -24,10 +19,16 @@ pub enum ScheduleFamily {
     VHalf,
 }
 
-/// Builds the concrete schedule for a `(mode, family)` selection. The
-/// schedule is the single source of truth downstream: device count, chunk
-/// count, placement and microbatches are all read back from it.
-pub(crate) fn build_schedule(
+/// Builds the concrete schedule for a `(mode, family)` selection over
+/// `devices` pipeline stages and `m` microbatches. The schedule is the
+/// single source of truth downstream: device count, chunk count, placement
+/// and microbatches are all read back from it.
+///
+/// # Errors
+///
+/// Returns an error for the naive 3-barrier grouping, which the streamed
+/// runtime does not execute.
+pub fn schedule_for(
     mode: Mode,
     family: ScheduleFamily,
     devices: usize,
@@ -52,88 +53,35 @@ pub(crate) fn build_schedule(
     })
 }
 
-/// Trains the tiny model with 1F1B pipeline parallelism across `devices`
-/// threads and returns the per-iteration mean loss. See
-/// [`train_pipeline_with`] for schedule selection.
-///
-/// # Errors
-///
-/// As in [`train_pipeline_with`].
-pub fn train_pipeline(
-    config: &TinyConfig,
-    devices: usize,
-    mode: Mode,
-    iterations: usize,
-) -> Result<Vec<f64>> {
-    train_pipeline_with(config, devices, mode, ScheduleFamily::OneFOneB, iterations)
-}
-
-/// Trains the tiny model with pipeline parallelism under the chosen
-/// schedule family and vocabulary placement, returning the per-iteration
-/// mean loss. With identical `config`, the trajectory matches
-/// [`crate::reference::train_reference`] up to `f32` accumulation-order
-/// noise (the Appendix E claim) for every combination.
-///
-/// # Errors
-///
-/// Returns an error for invalid configurations (layer count not divisible
-/// by the virtual stage count, unsupported mode) or if any shard fails
-/// numerically.
-///
-/// # Panics
-///
-/// Panics if a device thread panics.
-pub fn train_pipeline_with(
-    config: &TinyConfig,
-    devices: usize,
-    mode: Mode,
-    family: ScheduleFamily,
-    iterations: usize,
-) -> Result<Vec<f64>> {
-    let corpus = DataSource::Synthetic(SyntheticCorpus::new(
-        config.vocab,
-        config.seq_len,
-        config.seed,
-    ));
-    train_pipeline_on(config, devices, mode, family, iterations, &corpus)
-}
-
-/// Like [`train_pipeline_with`], with an explicit [`DataSource`] (e.g. a
-/// BPE-tokenized corpus packed by `vp-data`). Every device reads the same
-/// source, mirroring replicated data loaders.
-///
-/// # Errors
-///
-/// As in [`train_pipeline_with`].
-///
-/// # Panics
-///
-/// Panics if a device thread panics.
-pub fn train_pipeline_on(
-    config: &TinyConfig,
-    devices: usize,
-    mode: Mode,
-    family: ScheduleFamily,
-    iterations: usize,
-    corpus: &DataSource,
-) -> Result<Vec<f64>> {
-    let schedule = build_schedule(mode, family, devices, config.microbatches as u32)?;
-    Ok(train_schedule(config, &schedule, iterations, corpus)?.losses)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::DataSource;
+    use crate::launch::train_schedule;
+    use crate::model::TinyConfig;
     use crate::reference::train_reference;
+    use crate::testutil::assert_close;
 
-    fn assert_close(a: &[f64], b: &[f64], tol: f64) {
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!(
-                (x - y).abs() < tol * (1.0 + x.abs()),
-                "iteration {i}: {x} vs {y} (full: {a:?} vs {b:?})"
-            );
-        }
+    /// Trains `family` on the config's synthetic corpus; returns the losses.
+    fn train_pipeline_with(
+        config: &TinyConfig,
+        devices: usize,
+        mode: Mode,
+        family: ScheduleFamily,
+        iterations: usize,
+    ) -> Result<Vec<f64>> {
+        let schedule = schedule_for(mode, family, devices, config.microbatches as u32)?;
+        let corpus = DataSource::synthetic(config);
+        Ok(train_schedule(config, &schedule, iterations, &corpus)?.losses)
+    }
+
+    fn train_pipeline(
+        config: &TinyConfig,
+        devices: usize,
+        mode: Mode,
+        iterations: usize,
+    ) -> Result<Vec<f64>> {
+        train_pipeline_with(config, devices, mode, ScheduleFamily::OneFOneB, iterations)
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! The single-device reference trainer: forward/backward over the full
-//! model per microbatch, gradient accumulation, one Adam step per
-//! iteration. The pipeline runtimes must reproduce its loss trajectory.
+//! The single-device reference: the loss trajectory the pipeline runtime
+//! must reproduce (trained by [`ReferenceTrainer`]: forward/backward over
+//! the full model per microbatch, gradient accumulation, one Adam step per
+//! iteration) and the block-slice forward/backward both share.
 
-use crate::data::{DataSource, SyntheticCorpus};
-use crate::model::{FullModel, TinyConfig};
+use crate::checkpoint::ReferenceTrainer;
+use crate::data::DataSource;
+use crate::model::TinyConfig;
 use vp_model::block::{BlockCache, TransformerBlock};
-use vp_tensor::nn::{softmax_cross_entropy, Embedding};
-use vp_tensor::optim::{Adam, Optimizer, Param};
 use vp_tensor::{Result, Tensor};
 
 /// Forward through a slice of transformer blocks, collecting caches.
@@ -38,23 +38,20 @@ pub(crate) fn backward_blocks(
     Ok(grad)
 }
 
-/// Trains the full model on one device and returns the per-iteration mean
-/// loss — the reference curve of the Appendix E comparison.
+/// Trains the full model on one device over the config's synthetic corpus
+/// and returns the per-iteration mean loss — the reference curve of the
+/// Appendix E comparison.
 ///
 /// # Errors
 ///
 /// Propagates tensor-shape errors (which indicate a configuration bug).
 pub fn train_reference(config: &TinyConfig, iterations: usize) -> Result<Vec<f64>> {
-    let corpus = DataSource::Synthetic(SyntheticCorpus::new(
-        config.vocab,
-        config.seq_len,
-        config.seed,
-    ));
-    train_reference_on(config, iterations, &corpus)
+    train_reference_on(config, iterations, &DataSource::synthetic(config))
 }
 
 /// Like [`train_reference`], with an explicit [`DataSource`] (e.g. a
-/// BPE-tokenized corpus packed by `vp-data`).
+/// BPE-tokenized corpus packed by `vp-data`): a fresh
+/// [`ReferenceTrainer`] run for `iterations`.
 ///
 /// # Errors
 ///
@@ -64,62 +61,7 @@ pub fn train_reference_on(
     iterations: usize,
     corpus: &DataSource,
 ) -> Result<Vec<f64>> {
-    let full = FullModel::build(config);
-    // Untied: separate input table and output matrix. Tied (§6.1): one
-    // shared parameter serves both; `input` is unused.
-    let mut input = Embedding::from_weight(full.input_weight.clone());
-    let mut pos = Param::new(full.pos_weight.clone());
-    let mut blocks = full.blocks.clone();
-    let mut output_w = Param::new(full.output_weight);
-    let mut adam = Adam::new(config.lr);
-    let mut losses = Vec::with_capacity(iterations);
-
-    for iter in 0..iterations {
-        let mut iter_loss = 0.0;
-        for mb in corpus.iteration(iter as u64, config.microbatches) {
-            // Forward.
-            let (embedded, emb_cache) = if config.tied {
-                let shared = Embedding::from_weight(output_w.value().clone());
-                shared.forward(&mb.tokens)?
-            } else {
-                input.forward(&mb.tokens)?
-            };
-            let x0 = embedded.add(pos.value())?;
-            let (h, caches) = forward_blocks(&blocks, &x0)?;
-            let logits = h.matmul_nt(output_w.value())?;
-            let (out, grad) = softmax_cross_entropy(&logits, &mb.labels)?;
-            iter_loss += out.loss;
-            // Backward.
-            let dw_out = grad.dlogits.matmul_tn(&h)?;
-            output_w.accumulate(&dw_out)?;
-            let dh = grad.dlogits.matmul(output_w.value())?;
-            let dx0 = backward_blocks(&mut blocks, &caches, &dh)?;
-            pos.accumulate(&dx0)?;
-            if config.tied {
-                let mut scatter = Embedding::from_weight(output_w.value().clone());
-                scatter.backward(&emb_cache, &dx0)?;
-                output_w.accumulate(scatter.params_mut()[0].grad())?;
-            } else {
-                input.backward(&emb_cache, &dx0)?;
-            }
-        }
-        losses.push(iter_loss / config.microbatches as f64);
-        // Step every parameter.
-        adam.step(&mut output_w)?;
-        adam.step(&mut pos)?;
-        for block in &mut blocks {
-            for p in block.params_mut() {
-                adam.step(p)?;
-            }
-        }
-        if !config.tied {
-            for p in input.params_mut() {
-                adam.step(p)?;
-            }
-        }
-        adam.next_iteration();
-    }
-    Ok(losses)
+    ReferenceTrainer::new(config).train(iterations, corpus)
 }
 
 #[cfg(test)]

@@ -38,9 +38,11 @@
 //! retirement; a request that does not fit waits in the queue instead of
 //! exhausting a device's [`KvBlockPool`] mid-flight.
 //!
-//! The pass lists are the same ones [`vp_check::check_decode`] verifies at
-//! engine start, so the executed communication pattern is statically known
-//! deadlock- and race-free before the first request arrives.
+//! The pass lists a step walks are the very objects
+//! [`vp_check::check_decode`] verified at engine start (one per batch size,
+//! for the family [`ServeConfig::overlap`] selects), so the executed
+//! communication pattern is statically known deadlock- and race-free before
+//! the first request arrives.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -48,7 +50,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use vp_collectives::{Collective, CollectiveGroup, CommStream, JobHandle, P2pEndpoint, P2pNetwork};
+use vp_collectives::{Collective, CollectiveGroup, CommStream, JobHandle, P2pNetwork};
 use vp_core::{merge_decode, InputShard, OutputShard, TokenChoice};
 use vp_model::block::TransformerBlock;
 use vp_model::partition::VocabPartition;
@@ -58,7 +60,7 @@ use vp_schedule::Schedule;
 use vp_tensor::nn::{KvBlockPool, KvCache, DEFAULT_BLOCK_TOKENS};
 use vp_tensor::{Result, Tensor, TensorError};
 
-use crate::comm::{stage_tag, to_packet, TAG_ACT, TAG_C0, TAG_INPART};
+use crate::comm::{stage_tag, Link, TAG_ACT, TAG_C0, TAG_INPART};
 use crate::model::{FullModel, TinyConfig};
 use crate::serve::workload::Request;
 
@@ -237,9 +239,10 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Builds the sharded model, statically verifies the decode pass list
-    /// for every possible batch size (both the inline and the overlapped
-    /// family), and spawns the device threads.
+    /// Builds the sharded model, generates and statically verifies the
+    /// decode pass list of every possible batch size (of the inline or the
+    /// overlapped family, as `config.overlap` selects), and spawns the
+    /// device threads that will walk exactly those lists.
     ///
     /// # Errors
     ///
@@ -268,26 +271,26 @@ impl ServeEngine {
                 config.model.layers
             )));
         }
-        // Every batch size the driver can submit must be statically clean,
-        // for both pass-list families the engine can walk.
+        // Every batch size the driver can submit must be statically clean;
+        // `schedules[m - 1]` is what a step of `m` entries executes.
+        let (name, generate): (&str, fn(usize, u32) -> Schedule) = if config.overlap {
+            ("decode-pipeline-overlap", decode_pipeline_overlap)
+        } else {
+            ("decode-pipeline", decode_pipeline)
+        };
+        let mut schedules = Vec::with_capacity(config.max_batch);
         for m in 1..=config.max_batch {
-            let families: [(&str, Schedule); 2] = [
-                ("decode-pipeline", decode_pipeline(p, m as u32)),
-                (
-                    "decode-pipeline-overlap",
-                    decode_pipeline_overlap(p, m as u32),
-                ),
-            ];
-            for (name, sched) in families {
-                let report = vp_check::check_decode(&sched);
-                if !report.is_clean() {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "{name} schedule (p={p}, m={m}) failed vp-check: {:?}",
-                        report.codes()
-                    )));
-                }
+            let schedule = generate(p, m as u32);
+            let report = vp_check::check_decode(&schedule);
+            if !report.is_clean() {
+                return Err(TensorError::InvalidArgument(format!(
+                    "{name} schedule (p={p}, m={m}) failed vp-check: {:?}",
+                    report.codes()
+                )));
             }
+            schedules.push(schedule);
         }
+        let schedules = Arc::new(schedules);
         let layers_per_dev = config.model.layers / p;
         let per_device_blocks = config.kv_capacity_blocks.unwrap_or(
             config.max_batch * layers_per_dev * config.model.seq_len.div_ceil(config.kv_block),
@@ -314,6 +317,7 @@ impl ServeEngine {
             let device = DeviceState {
                 rank,
                 world: p,
+                schedules: Arc::clone(&schedules),
                 blocks: full.blocks[b0..b1].to_vec(),
                 input: InputShard::from_full(&full.input_weight, partition, rank)
                     .expect("partition matches the weight"),
@@ -326,7 +330,7 @@ impl ServeEngine {
                     .collect(),
                 top_k: config.top_k,
                 overlap: config.overlap,
-                endpoint,
+                link: Link::new(endpoint, 0, 1),
                 comm: Arc::new(comm),
                 stream: CommStream::new(),
             };
@@ -537,6 +541,10 @@ impl ServeEngine {
 struct DeviceState {
     rank: usize,
     world: usize,
+    /// The verified pass lists, indexed by batch size − 1: S merges inline
+    /// ([`decode_pipeline`]) or S submits and T merges
+    /// ([`decode_pipeline_overlap`]).
+    schedules: Arc<Vec<Schedule>>,
     blocks: Vec<TransformerBlock>,
     input: InputShard,
     output: OutputShard,
@@ -546,10 +554,9 @@ struct DeviceState {
     /// `kv[slot][local_layer]`, all paging from one per-device pool.
     kv: Vec<Vec<KvCache>>,
     top_k: usize,
-    /// Walk [`decode_pipeline_overlap`] (S submits, T merges) instead of
-    /// [`decode_pipeline`] (S merges inline).
+    /// Whether `schedules` split S from T, so S only submits its barrier.
     overlap: bool,
-    endpoint: P2pEndpoint,
+    link: Link,
     comm: Arc<Collective>,
     /// Communication stream for overlapped sampling barriers (§6.1).
     stream: CommStream,
@@ -589,11 +596,7 @@ impl DeviceState {
             // driver's step/result pairing stays intact.
             return Ok(choices);
         }
-        let schedule = if self.overlap {
-            decode_pipeline_overlap(self.world, m as u32)
-        } else {
-            decode_pipeline(self.world, m as u32)
-        };
+        let schedules = Arc::clone(&self.schedules);
         // Last-stage F outputs waiting for their S pass (this device only).
         let mut final_hidden: Vec<Option<Tensor>> = vec![None; m];
         // Stage-0 embedding rows owned locally, waiting for F.
@@ -601,7 +604,7 @@ impl DeviceState {
         // Overlap mode: in-flight sampling all_gathers, joined by T.
         let mut pending: Vec<Option<JobHandle<Vec<Vec<f32>>>>> = (0..m).map(|_| None).collect();
         let last = self.world - 1;
-        for pass in schedule.passes(self.rank).to_vec() {
+        for pass in schedules[m - 1].passes(self.rank) {
             let k = pass.microbatch as usize;
             let entry = &plan.entries[k];
             match pass.kind {
@@ -620,12 +623,8 @@ impl DeviceState {
                         if self.rank == 0 {
                             local_embed[k] = Some(rows);
                         } else {
-                            self.endpoint
-                                .send(
-                                    0,
-                                    to_packet(stage_tag(TAG_INPART, 0, pass.microbatch), &rows),
-                                )
-                                .map_err(|e| p2p_err(&e))?;
+                            let tag = stage_tag(TAG_INPART, 0, pass.microbatch);
+                            self.link.send(0, tag, &rows)?;
                         }
                     }
                 }
@@ -633,40 +632,23 @@ impl DeviceState {
                     let x = if self.rank == 0 {
                         self.assemble_chunk(entry, pass.microbatch, local_embed[k].take())?
                     } else {
-                        crate::comm::from_packet(
-                            &self
-                                .endpoint
-                                .recv_tag(
-                                    self.rank - 1,
-                                    stage_tag(TAG_ACT, self.rank, pass.microbatch),
-                                )
-                                .map_err(|e| p2p_err(&e))?,
-                        )
+                        let tag = stage_tag(TAG_ACT, self.rank, pass.microbatch);
+                        self.link.recv(self.rank - 1, tag)?
                     };
                     let mut h = x;
                     for (li, block) in self.blocks.iter().enumerate() {
                         h = block.forward_decode(&h, &mut self.kv[entry.slot][li])?;
                     }
                     if self.rank < last {
-                        self.endpoint
-                            .send(
-                                self.rank + 1,
-                                to_packet(stage_tag(TAG_ACT, self.rank + 1, pass.microbatch), &h),
-                            )
-                            .map_err(|e| p2p_err(&e))?;
+                        let tag = stage_tag(TAG_ACT, self.rank + 1, pass.microbatch);
+                        self.link.send(self.rank + 1, tag, &h)?;
                     } else {
                         // Only the chunk's final token is sampled; C0 fans
                         // its hidden row out to every shard.
                         let tail = h.slice_rows(h.rows() - 1, h.rows())?;
-                        for dst in 0..self.world {
-                            if dst != self.rank {
-                                self.endpoint
-                                    .send(
-                                        dst,
-                                        to_packet(stage_tag(TAG_C0, 0, pass.microbatch), &tail),
-                                    )
-                                    .map_err(|e| p2p_err(&e))?;
-                            }
+                        let tag = stage_tag(TAG_C0, 0, pass.microbatch);
+                        for dst in (0..self.world).filter(|&dst| dst != self.rank) {
+                            self.link.send(dst, tag, &tail)?;
                         }
                         final_hidden[k] = Some(tail);
                     }
@@ -674,12 +656,9 @@ impl DeviceState {
                 PassKind::S => {
                     let h = match final_hidden[k].take() {
                         Some(h) => h,
-                        None => crate::comm::from_packet(
-                            &self
-                                .endpoint
-                                .recv_tag(last, stage_tag(TAG_C0, 0, pass.microbatch))
-                                .map_err(|e| p2p_err(&e))?,
-                        ),
+                        None => self
+                            .link
+                            .recv(last, stage_tag(TAG_C0, 0, pass.microbatch))?,
                     };
                     let state = self.output.s_pass_decode(&h, self.top_k)?;
                     if self.overlap {
@@ -734,12 +713,9 @@ impl DeviceState {
                 .owner_of(tok)
                 .expect("token is in-vocabulary");
             if packed[owner].is_none() {
-                let rows = crate::comm::from_packet(
-                    &self
-                        .endpoint
-                        .recv_tag(owner, stage_tag(TAG_INPART, 0, microbatch))
-                        .map_err(|e| p2p_err(&e))?,
-                );
+                let rows = self
+                    .link
+                    .recv(owner, stage_tag(TAG_INPART, 0, microbatch))?;
                 packed[owner] = Some((rows, 0));
             }
             let (rows, cursor) = packed[owner].as_mut().expect("owner packet present");
@@ -749,8 +725,4 @@ impl DeviceState {
         let pos = self.pos.as_ref().expect("stage 0 holds the positions");
         x.add(&pos.slice_rows(entry.pos0, entry.pos0 + c)?)
     }
-}
-
-fn p2p_err(e: &vp_collectives::P2pError) -> TensorError {
-    TensorError::InvalidArgument(format!("p2p failed: {e}"))
 }

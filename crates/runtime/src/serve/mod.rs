@@ -10,9 +10,10 @@
 //!   [`vp_schedule::generators::decode_pipeline`] (inline barrier) or
 //!   [`vp_schedule::generators::decode_pipeline_overlap`] (S/T
 //!   split-batch overlap via a per-device comm stream) pass lists —
-//!   both families statically verified by `vp_check::check_decode` at
-//!   startup — plus the continuous-batching driver with paged-KV
-//!   admission backpressure.
+//!   generated once per batch size and statically verified by
+//!   `vp_check::check_decode` at startup, then executed as verified —
+//!   plus the continuous-batching driver with paged-KV admission
+//!   backpressure.
 //! * [`workload`] — deterministic synthetic request streams with Poisson
 //!   (open-loop) or closed-loop arrivals.
 //! * [`reference_decode`] — the single-device oracle: full-context

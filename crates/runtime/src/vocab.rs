@@ -19,24 +19,107 @@
 use crate::comm::{TAG_C0, TAG_C2, TAG_INGRAD, TAG_INPART};
 use crate::data::Microbatch;
 use crate::engine::{Device, Mode};
+use crate::model::FullModel;
 use crate::state::BarrierSlot;
 use std::sync::Arc;
-use vp_core::output::{BarrierOutput, SState};
-use vp_core::VocabAlgo;
+use vp_core::output::{BarrierOutput, OutputShard, SState};
+use vp_core::{InputShard, TiedShard, VocabAlgo};
+use vp_model::partition::VocabPartition;
+use vp_tensor::optim::Param;
 use vp_tensor::{Result, Tensor, TensorError};
 
+/// One device's shard of the vocabulary layers: separate input and output
+/// shards, or the single tied weight serving both (§6.1). The only place
+/// the runtime distinguishes the two.
+pub(crate) enum VocabShard {
+    Split {
+        input: InputShard,
+        output: OutputShard,
+    },
+    Tied(TiedShard),
+}
+
+impl VocabShard {
+    pub(crate) fn from_full(
+        full: &FullModel,
+        tied: bool,
+        part: VocabPartition,
+        rank: usize,
+    ) -> Result<Self> {
+        Ok(if tied {
+            VocabShard::Tied(TiedShard::from_full(&full.output_weight, part, rank)?)
+        } else {
+            VocabShard::Split {
+                input: InputShard::from_full(&full.input_weight, part, rank)?,
+                output: OutputShard::from_full(&full.output_weight, part, rank)?,
+            }
+        })
+    }
+
+    fn input_forward(&self, tokens: &[usize]) -> Result<Tensor> {
+        match self {
+            VocabShard::Split { input, .. } => input.forward_local(tokens),
+            VocabShard::Tied(tied) => tied.input_forward_local(tokens),
+        }
+    }
+
+    fn input_backward(&mut self, tokens: &[usize], dy: &Tensor) -> Result<()> {
+        match self {
+            VocabShard::Split { input, .. } => input.backward(tokens, dy),
+            VocabShard::Tied(tied) => tied.input_backward(tokens, dy),
+        }
+    }
+
+    fn s_pass(&self, algo: VocabAlgo, x: &Tensor, labels: &[usize]) -> Result<SState> {
+        match self {
+            VocabShard::Split { output, .. } => output.s_pass(algo, x, labels),
+            VocabShard::Tied(tied) => tied.s_pass(algo, x, labels),
+        }
+    }
+
+    /// Accumulates the shard's weight gradient; Algorithm 1 also returns
+    /// its partial `∇X` (Algorithm 2 reduced `∇X` inside the barrier).
+    fn t_pass(&mut self, algo: VocabAlgo, state: &SState, x: &Tensor) -> Result<Option<Tensor>> {
+        match (self, algo) {
+            (_, VocabAlgo::Naive) => Err(TensorError::InvalidArgument(
+                "naive grouping is not streamed".into(),
+            )),
+            (VocabShard::Split { output, .. }, VocabAlgo::Alg1) => {
+                output.t_pass_alg1(state, x).map(Some)
+            }
+            (VocabShard::Split { output, .. }, VocabAlgo::Alg2) => {
+                output.t_pass_alg2(state, x).map(|()| None)
+            }
+            (VocabShard::Tied(tied), VocabAlgo::Alg1) => tied.t_pass_alg1(state, x).map(Some),
+            (VocabShard::Tied(tied), VocabAlgo::Alg2) => tied.t_pass_alg2(state, x).map(|()| None),
+        }
+    }
+
+    /// The shard's trainable weights: input then output, or the tied one.
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
+        match self {
+            VocabShard::Split { input, output } => vec![input.weight_mut(), output.weight_mut()],
+            VocabShard::Tied(tied) => vec![tied.weight_mut()],
+        }
+    }
+}
+
 impl Device {
+    fn shard(&mut self) -> Result<&mut VocabShard> {
+        self.vocab.as_mut().ok_or_else(|| {
+            TensorError::InvalidArgument(
+                "vocabulary pass in a schedule without vocabulary shards".into(),
+            )
+        })
+    }
+
     /// Sharded input-layer forward: embed this shard's slice of the
     /// vocabulary and fan the partial embedding in to the first virtual
     /// stage's device (the input all-reduce of §6.1).
     pub(crate) fn input_f(&mut self, k: u32, mb: &Microbatch) -> Result<()> {
-        let partial = match (&self.tied_shard, &self.input_shard) {
-            (Some(tied), _) => tied.input_forward_local(&mb.tokens)?,
-            (None, Some(shard)) => shard.forward_local(&mb.tokens)?,
-            (None, None) => unreachable!("vocab mode has input shards"),
-        };
+        let partial = self.shard()?.input_forward(&mb.tokens)?;
         let first_dev = self.map.device_of(0).0;
-        self.send(first_dev, TAG_INPART | k as u64, &partial)
+        self.link.send(first_dev, TAG_INPART | k as u64, &partial)
     }
 
     /// Produces the first virtual stage's input: the full embedding in
@@ -57,7 +140,7 @@ impl Device {
                 // Sum the p partial embeddings (the input all-reduce).
                 let mut acc = Tensor::zeros(mb.tokens.len(), self.config.hidden);
                 for src in 0..self.map.devices {
-                    let part = self.recv(src, TAG_INPART | k as u64)?;
+                    let part = self.link.recv(src, TAG_INPART | k as u64)?;
                     acc.add_assign(&part)?;
                 }
                 acc
@@ -77,13 +160,8 @@ impl Device {
     pub(crate) fn s_pass(&mut self, k: u32, mb: &Microbatch) -> Result<()> {
         let algo = self.algo();
         let root = self.c0_root();
-        let x = self.recv(root, TAG_C0 | k as u64)?;
-        let labels = mb.labels.clone();
-        let mut state = Some(match (&self.tied_shard, &self.output_shard) {
-            (Some(tied), _) => tied.s_pass(algo, &x, &labels)?,
-            (None, Some(shard)) => shard.s_pass(algo, &x, &labels)?,
-            (None, None) => unreachable!("vocab mode has output shards"),
-        });
+        let x = self.link.recv(root, TAG_C0 | k as u64)?;
+        let mut state = Some(self.shard()?.s_pass(algo, &x, &mb.labels)?);
         let comm = Arc::clone(&self.c1_comm);
         let handle = self
             .c1_stream
@@ -112,29 +190,15 @@ impl Device {
     /// Algorithm 2).
     pub(crate) fn t_pass(&mut self, k: u32) -> Result<()> {
         let algo = self.algo();
-        let record_loss = self.rank == 0;
         let st = self.states.get_mut(&k).expect("T after S");
         let (state, loss) = st.barrier.take_state()?;
         let x = st.x_c0.take().expect("S stored the broadcast activation");
-        if record_loss {
+        if self.rank == 0 {
             self.losses.push(loss);
         }
-        match algo {
-            VocabAlgo::Alg1 => {
-                let dx_partial = match (&mut self.tied_shard, &mut self.output_shard) {
-                    (Some(tied), _) => tied.t_pass_alg1(&state, &x)?,
-                    (None, Some(shard)) => shard.t_pass_alg1(&state, &x)?,
-                    (None, None) => unreachable!("vocab mode has output shards"),
-                };
-                let root = self.c0_root();
-                self.send(root, TAG_C2 | k as u64, &dx_partial)?;
-            }
-            VocabAlgo::Alg2 => match (&mut self.tied_shard, &mut self.output_shard) {
-                (Some(tied), _) => tied.t_pass_alg2(&state, &x)?,
-                (None, Some(shard)) => shard.t_pass_alg2(&state, &x)?,
-                (None, None) => unreachable!("vocab mode has output shards"),
-            },
-            VocabAlgo::Naive => unreachable!("rejected at submission"),
+        if let Some(dx_partial) = self.shard()?.t_pass(algo, &state, &x)? {
+            let root = self.c0_root();
+            self.link.send(root, TAG_C2 | k as u64, &dx_partial)?;
         }
         Ok(())
     }
@@ -143,11 +207,7 @@ impl Device {
     /// gradient and scatter it into this shard's rows.
     pub(crate) fn input_b(&mut self, k: u32, mb: &Microbatch) -> Result<()> {
         let first_dev = self.map.device_of(0).0;
-        let dy = self.recv(first_dev, TAG_INGRAD | k as u64)?;
-        match (&mut self.tied_shard, &mut self.input_shard) {
-            (Some(tied), _) => tied.input_backward(&mb.tokens, &dy),
-            (None, Some(shard)) => shard.backward(&mb.tokens, &dy),
-            (None, None) => unreachable!("vocab mode has input shards"),
-        }
+        let dy = self.link.recv(first_dev, TAG_INGRAD | k as u64)?;
+        self.shard()?.input_backward(&mb.tokens, &dy)
     }
 }

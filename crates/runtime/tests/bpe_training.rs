@@ -8,7 +8,24 @@ use std::sync::Arc;
 use vp_core::VocabAlgo;
 use vp_data::{BpeTokenizer, PackedDataset, TextCorpus};
 use vp_runtime::data::{DataSource, Microbatch};
-use vp_runtime::{train_pipeline_on, train_reference_on, Mode, ScheduleFamily, TinyConfig};
+use vp_runtime::{
+    schedule_for, train_reference_on, train_schedule, Mode, ScheduleFamily, TinyConfig,
+};
+
+/// 1F1B Vocab-`algo` over `devices` stages on `source`; returns the losses.
+fn train_1f1b(
+    config: &TinyConfig,
+    devices: usize,
+    algo: VocabAlgo,
+    iterations: usize,
+    source: &DataSource,
+) -> Vec<f64> {
+    let m = config.microbatches as u32;
+    let schedule = schedule_for(Mode::Vocab(algo), ScheduleFamily::OneFOneB, devices, m).unwrap();
+    train_schedule(config, &schedule, iterations, source)
+        .unwrap()
+        .losses
+}
 
 fn bpe_source(seq_len: usize, vocab_target: usize) -> (DataSource, usize) {
     let corpus = TextCorpus::new(21);
@@ -36,15 +53,7 @@ fn pipelined_training_on_bpe_data_matches_reference() {
     };
     let reference = train_reference_on(&config, 5, &source).unwrap();
     for algo in [VocabAlgo::Alg1, VocabAlgo::Alg2] {
-        let pipeline = train_pipeline_on(
-            &config,
-            4,
-            Mode::Vocab(algo),
-            ScheduleFamily::OneFOneB,
-            5,
-            &source,
-        )
-        .unwrap();
+        let pipeline = train_1f1b(&config, 4, algo, 5, &source);
         for (i, (r, p)) in reference.iter().zip(&pipeline).enumerate() {
             assert!(
                 (r - p).abs() < 1e-3 * (1.0 + r.abs()),
@@ -61,15 +70,7 @@ fn loss_decreases_on_real_text() {
         vocab,
         ..TinyConfig::default()
     };
-    let losses = train_pipeline_on(
-        &config,
-        2,
-        Mode::Vocab(VocabAlgo::Alg2),
-        ScheduleFamily::OneFOneB,
-        12,
-        &source,
-    )
-    .unwrap();
+    let losses = train_1f1b(&config, 2, VocabAlgo::Alg2, 12, &source);
     assert!(
         losses.last().unwrap() < &losses[0],
         "loss should fall on structured text: {losses:?}"

@@ -5,7 +5,7 @@
 //! per-device program order, so the equality is exact — any drift means
 //! the runtime holds activations longer than the §5.2 analysis claims.
 
-use vp_runtime::{train_schedule, DataSource, SyntheticCorpus, TinyConfig};
+use vp_runtime::{train_schedule, DataSource, TinyConfig};
 use vp_schedule::block::PassTimes;
 use vp_schedule::exec::{Executor, UnitCosts};
 use vp_schedule::generators;
@@ -23,12 +23,7 @@ fn numeric_peaks(schedule: &Schedule) -> Vec<usize> {
         microbatches: schedule.num_microbatches() as usize,
         ..TinyConfig::default()
     };
-    let corpus = DataSource::Synthetic(SyntheticCorpus::new(
-        config.vocab,
-        config.seq_len,
-        config.seed,
-    ));
-    let report = train_schedule(&config, schedule, 1, &corpus).unwrap();
+    let report = train_schedule(&config, schedule, 1, &DataSource::synthetic(&config)).unwrap();
     report.exec.peak_resident_microbatches
 }
 

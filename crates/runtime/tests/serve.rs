@@ -1,23 +1,13 @@
 //! Serving-path integration tests: the pipelined, KV-cached,
 //! vocabulary-sharded decode engine against the single-device
-//! full-context reference, and KV-cache arena hygiene across request
-//! retirement.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! full-context reference. (KV-cache arena hygiene across request
+//! retirement reads process-global counters and lives in its own binary,
+//! `serve_arena.rs`.)
 
 use vp_runtime::serve::{
     greedy_matches_reference, reference_decode, Request, ServeConfig, ServeEngine, WorkloadSpec,
 };
 use vp_runtime::TinyConfig;
-use vp_tensor::alloc;
-
-/// Serializes tests that read the process-global arena counters.
-fn arena_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn serve_config(devices: usize, max_batch: usize) -> ServeConfig {
     ServeConfig {
@@ -102,28 +92,6 @@ fn tiny_kv_pool_applies_backpressure_and_still_completes_every_request() {
 }
 
 #[test]
-fn kv_outstanding_returns_to_baseline_at_every_pipeline_depth() {
-    // Regression: at p=1 the old engine leaked one buffer per retired
-    // request (masked at p≥2 by release over-counting in the packet
-    // path). Every depth must now return to its post-warmup baseline.
-    let _guard = arena_lock();
-    for devices in [1, 2, 4] {
-        let config = serve_config(devices, 2);
-        let mut engine = ServeEngine::start(config).unwrap();
-        engine.serve(&closed_loop(4, 50 + devices as u64));
-        let baseline = alloc::stats().outstanding;
-        let run = engine.serve(&closed_loop(6, 60 + devices as u64));
-        assert_eq!(run.completions.len(), 6);
-        assert_eq!(
-            alloc::stats().outstanding,
-            baseline,
-            "serving at p={devices} leaked arena buffers"
-        );
-        engine.shutdown();
-    }
-}
-
-#[test]
 fn continuous_batching_completes_every_request_under_poisson_load() {
     let config = serve_config(2, 4);
     let requests = WorkloadSpec {
@@ -156,32 +124,6 @@ fn logprobs_are_finite_and_nonpositive() {
             assert!(lp.is_finite() && lp <= 0.0, "logprob {lp}");
         }
     }
-}
-
-#[test]
-fn retired_requests_release_their_kv_caches_back_to_the_arena() {
-    let _guard = arena_lock();
-    let config = serve_config(2, 2);
-    let mut engine = ServeEngine::start(config).unwrap();
-    // Warm up: first wave of requests grows the caches.
-    engine.serve(&closed_loop(4, 41));
-    let baseline = alloc::stats().outstanding;
-    alloc::reset_counters();
-    // Steady state: every retirement must return its buffers, so
-    // outstanding ends where it started and readmissions reuse the pool.
-    let run = engine.serve(&closed_loop(8, 42));
-    assert_eq!(run.completions.len(), 8);
-    let after = alloc::stats();
-    assert_eq!(
-        after.outstanding, baseline,
-        "request retirement leaked arena buffers"
-    );
-    assert!(
-        after.reuse_ratio() > 0.5,
-        "steady-state serving should reuse pooled buffers, ratio {}",
-        after.reuse_ratio()
-    );
-    engine.shutdown();
 }
 
 #[test]

@@ -4,19 +4,11 @@
 //! the bubbles of the transformer timeline, every microbatch appears, and
 //! the exported Chrome trace is well-formed.
 
-use vp_runtime::{train_schedule, train_schedule_traced, DataSource, SyntheticCorpus, TinyConfig};
+use vp_runtime::{train_schedule, train_schedule_traced, DataSource, TinyConfig};
 use vp_schedule::block::PassTimes;
 use vp_schedule::generators;
 use vp_schedule::pass::VocabVariant;
 use vp_trace::{TraceEvent, Track};
-
-fn source(config: &TinyConfig) -> DataSource {
-    DataSource::Synthetic(SyntheticCorpus::new(
-        config.vocab,
-        config.seq_len,
-        config.seed,
-    ))
-}
 
 fn traced_vocab_run() -> (Vec<TraceEvent>, vp_trace::TimelineReport, String) {
     let config = TinyConfig::default();
@@ -27,8 +19,9 @@ fn traced_vocab_run() -> (Vec<TraceEvent>, vp_trace::TimelineReport, String) {
         PassTimes::default(),
         true,
     );
-    let (report, log) = train_schedule_traced(&config, &schedule, 2, &source(&config))
-        .expect("traced vocab schedule trains");
+    let (report, log) =
+        train_schedule_traced(&config, &schedule, 2, &DataSource::synthetic(&config))
+            .expect("traced vocab schedule trains");
     assert!(report.losses.iter().all(|l| l.is_finite()));
     assert_eq!(log.dropped(), 0, "event buffers overflowed");
     let timeline = log.report();
@@ -163,12 +156,12 @@ fn pooled_and_fresh_runs_train_identically() {
         true,
     );
     vp_tensor::alloc::set_enabled(false);
-    let fresh = train_schedule(&config, &schedule, 3, &source(&config)).unwrap();
+    let fresh = train_schedule(&config, &schedule, 3, &DataSource::synthetic(&config)).unwrap();
     vp_tensor::alloc::set_enabled(true);
     // Warm-up run populates the pool; the second run reads recycled buffers.
-    let warm = train_schedule(&config, &schedule, 3, &source(&config)).unwrap();
+    let warm = train_schedule(&config, &schedule, 3, &DataSource::synthetic(&config)).unwrap();
     vp_tensor::alloc::reset_counters();
-    let pooled = train_schedule(&config, &schedule, 3, &source(&config)).unwrap();
+    let pooled = train_schedule(&config, &schedule, 3, &DataSource::synthetic(&config)).unwrap();
     let stats = vp_tensor::alloc::stats();
     assert!(stats.reuse > 0, "pooled run never recycled: {stats:?}");
     let bits = |r: &vp_runtime::TrainReport| -> Vec<u64> {
@@ -193,8 +186,9 @@ fn traced_and_untraced_runs_train_identically() {
         PassTimes::default(),
         true,
     );
-    let plain = train_schedule(&config, &schedule, 2, &source(&config)).unwrap();
-    let (traced, log) = train_schedule_traced(&config, &schedule, 2, &source(&config)).unwrap();
+    let plain = train_schedule(&config, &schedule, 2, &DataSource::synthetic(&config)).unwrap();
+    let (traced, log) =
+        train_schedule_traced(&config, &schedule, 2, &DataSource::synthetic(&config)).unwrap();
     assert_eq!(plain.losses, traced.losses, "tracing changed the numerics");
     assert!(!log.is_empty());
 }

@@ -11,8 +11,7 @@ use std::sync::Arc;
 use vocab_parallelism::prelude::*;
 use vp_core::VocabAlgo;
 use vp_data::{BpeTokenizer, PackedDataset, TextCorpus, TokenFile};
-use vp_runtime::data::{DataSource, Microbatch};
-use vp_runtime::{train_pipeline_on, ScheduleFamily};
+use vp_runtime::data::Microbatch;
 
 fn main() {
     // 1. Corpus + tokenizer (the paper sweeps exactly this vocabulary size).
@@ -60,15 +59,16 @@ fn main() {
         ..TinyConfig::default()
     };
     let source = DataSource::Fixed(Arc::new(samples));
-    let losses = train_pipeline_on(
-        &config,
-        4,
+    let schedule = schedule_for(
         Mode::Vocab(VocabAlgo::Alg2),
         ScheduleFamily::OneFOneB,
-        15,
-        &source,
+        4,
+        config.microbatches as u32,
     )
-    .expect("training succeeds");
+    .expect("Vocab-2 1F1B is a supported schedule");
+    let losses = train_schedule(&config, &schedule, 15, &source)
+        .expect("training succeeds")
+        .losses;
     println!("\niter  loss");
     for (i, l) in losses.iter().enumerate() {
         println!("{i:>4}  {l:.4}");

@@ -19,10 +19,14 @@ fn main() {
     );
 
     let reference = train_reference(&config, iterations).expect("reference training");
-    let baseline =
-        train_pipeline(&config, 4, Mode::Baseline, iterations).expect("baseline pipeline");
-    let vocab2 = train_pipeline(&config, 4, Mode::Vocab(VocabAlgo::Alg2), iterations)
-        .expect("vocab-2 pipeline");
+    let corpus = DataSource::synthetic(&config);
+    let pipeline = |mode| {
+        let m = config.microbatches as u32;
+        let schedule = schedule_for(mode, ScheduleFamily::OneFOneB, 4, m)?;
+        train_schedule(&config, &schedule, iterations, &corpus).map(|r| r.losses)
+    };
+    let baseline = pipeline(Mode::Baseline).expect("baseline pipeline");
+    let vocab2 = pipeline(Mode::Vocab(VocabAlgo::Alg2)).expect("vocab-2 pipeline");
 
     println!(
         "{:>5} {:>12} {:>12} {:>12}",

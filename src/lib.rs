@@ -67,7 +67,8 @@ pub mod prelude {
     pub use vp_model::cost::{CostModel, Hardware};
     pub use vp_model::partition::{StageLayout, VocabPartition};
     pub use vp_runtime::{
-        train_pipeline, train_reference, train_schedule, Mode, TinyConfig, TrainReport,
+        schedule_for, train, train_reference, train_schedule, DataSource, Mode, ScheduleFamily,
+        TinyConfig, TrainReport, TrainSpec,
     };
     pub use vp_schedule::generators;
     pub use vp_schedule::pass::{PassKind, Schedule, VocabVariant};

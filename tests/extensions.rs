@@ -56,7 +56,7 @@ fn interleaved_vocab_schedules_validate() {
 #[test]
 fn tied_training_on_bpe_text_matches_reference() {
     use vp_data::{BpeTokenizer, PackedDataset, TextCorpus};
-    use vp_runtime::data::{DataSource, Microbatch};
+    use vp_runtime::data::Microbatch;
     let text = TextCorpus::new(5).text(100);
     let tok = BpeTokenizer::train(&text, 300);
     let ds = PackedDataset::new(tok.encode(&text), 16).unwrap();
@@ -75,15 +75,12 @@ fn tied_training_on_bpe_text_matches_reference() {
         ..TinyConfig::default()
     };
     let reference = vp_runtime::train_reference_on(&config, 4, &source).unwrap();
-    let pipeline = vp_runtime::train_pipeline_on(
-        &config,
-        2,
-        Mode::Vocab(VocabAlgo::Alg2),
-        vp_runtime::ScheduleFamily::OneFOneB,
-        4,
-        &source,
-    )
-    .unwrap();
+    let m = config.microbatches as u32;
+    let schedule =
+        schedule_for(Mode::Vocab(VocabAlgo::Alg2), ScheduleFamily::OneFOneB, 2, m).unwrap();
+    let pipeline = train_schedule(&config, &schedule, 4, &source)
+        .unwrap()
+        .losses;
     for (r, p) in reference.iter().zip(&pipeline) {
         assert!((r - p).abs() < 1e-3 * (1.0 + r.abs()), "{r} vs {p}");
     }
@@ -94,22 +91,15 @@ fn tied_training_on_bpe_text_matches_reference() {
 #[test]
 fn dp_vhalf_vocab_matches_reference() {
     let config = TinyConfig::default(); // 4 layers = 2 devices × 2 chunks
-    let src = vp_runtime::DataSource::Synthetic(vp_runtime::SyntheticCorpus::new(
-        config.vocab,
-        config.seq_len,
-        config.seed,
-    ));
+    let src = DataSource::synthetic(&config);
     let reference = train_reference(&config, 4).unwrap();
-    let dp_run = vp_runtime::train_pipeline_dp(
-        &config,
-        2,
-        2,
-        Mode::Vocab(VocabAlgo::Alg1),
-        vp_runtime::ScheduleFamily::VHalf,
-        4,
-        &src,
-    )
-    .unwrap();
+    let m = (config.microbatches / 2) as u32;
+    let schedule = schedule_for(Mode::Vocab(VocabAlgo::Alg1), ScheduleFamily::VHalf, 2, m).unwrap();
+    let spec = TrainSpec {
+        dp: 2,
+        ..TrainSpec::new(&schedule)
+    };
+    let dp_run = train(&config, &spec, 4, &src).unwrap().report.losses;
     for (i, (r, p)) in reference.iter().zip(&dp_run).enumerate() {
         assert!(
             (r - p).abs() < 1e-3 * (1.0 + r.abs()),
@@ -122,11 +112,7 @@ fn dp_vhalf_vocab_matches_reference() {
 #[test]
 fn checkpoint_resume_via_facade() {
     let config = TinyConfig::default();
-    let src = vp_runtime::DataSource::Synthetic(vp_runtime::SyntheticCorpus::new(
-        config.vocab,
-        config.seq_len,
-        config.seed,
-    ));
+    let src = DataSource::synthetic(&config);
     let mut full = vp_runtime::ReferenceTrainer::new(&config);
     let all = full.train(6, &src).unwrap();
     let mut head = vp_runtime::ReferenceTrainer::new(&config);

@@ -80,7 +80,16 @@ fn numeric_equivalence_end_to_end() {
         Mode::Vocab(VocabAlgo::Alg1),
         Mode::Vocab(VocabAlgo::Alg2),
     ] {
-        let pipeline = train_pipeline(&config, 2, mode, 4).expect("pipeline");
+        let schedule = schedule_for(
+            mode,
+            ScheduleFamily::OneFOneB,
+            2,
+            config.microbatches as u32,
+        )
+        .unwrap();
+        let pipeline = train_schedule(&config, &schedule, 4, &DataSource::synthetic(&config))
+            .expect("pipeline")
+            .losses;
         for (i, (r, p)) in reference.iter().zip(&pipeline).enumerate() {
             assert!(
                 (r - p).abs() < 1e-3 * (1.0 + r.abs()),
@@ -131,4 +140,25 @@ fn vocabulary_layers_verify_via_public_api() {
     }
     let err = vp_core::verify::compare_input_layer(5, &w, &[0, 39, 13]).unwrap();
     assert!(err < 1e-6);
+}
+
+/// Serving smoke: the 2-stage pipelined, KV-cached, vocabulary-sharded
+/// decode engine greedy-decodes exactly the tokens of the single-device
+/// full-context `reference_decode`.
+#[test]
+fn pp2_greedy_decode_matches_reference_decode() {
+    use vp_runtime::serve::{ServeConfig, WorkloadSpec};
+    let config = ServeConfig {
+        devices: 2,
+        ..ServeConfig::default()
+    };
+    let requests = WorkloadSpec {
+        requests: 5,
+        rate: None,
+        prompt_len: (2, 6),
+        output_len: (1, 8),
+        seed: 9,
+    }
+    .generate(config.model.vocab, config.model.seq_len);
+    assert!(vp_runtime::greedy_matches_reference(&config, &requests).unwrap());
 }

@@ -15,9 +15,10 @@
 # to serial), bitwise training determinism, the buffer-arena train bench
 # (steady-state recycling + pooled-vs-fresh numerics), the serving bench
 # (open-loop decode SLO floors + greedy-decode bitwise equivalence, the
-# paged-KV leak gate, the chunked-prefill tail ceiling, the split-batch
-# overlap throughput gate, and double-run determinism modulo wall-clock
-# fields), Chrome-trace schema checks (simulated and measured), and the
+# paged-KV leak gate, the chunked-prefill tail ceiling, the structural
+# overlap gate — same token streams as inline, one output-layer GEMM and
+# one all-gather per device per step — and double-run determinism modulo
+# wall-clock fields), Chrome-trace schema checks (simulated and measured), and the
 # sim-vs-measured timeline drift gate.
 # Runs fully offline (the workspace has no external dependencies).
 # JSON artifacts land in target/ so the working tree stays clean.
@@ -140,7 +141,18 @@ check_sweep() {
         echo "vp-check sweep is missing the overlapped decode family" >&2
         exit 1
     }
-    echo "CHECK.json OK: zero failing cases, decode families present, byte-identical reruns"
+    # The one generator's other group sizes: per-slot (g=1), pairs (g=2)
+    # and the two-half weave (g=ceil(b/2)), inline and overlapped.
+    local name
+    for name in "decode-grouped g=1 p=2 b=2" "decode-grouped g=2 p=4 b=8" \
+        "decode-grouped g=12 p=8 b=24" "decode-grouped-overlap g=1 p=2 b=2" \
+        "decode-grouped-overlap g=4 p=4 b=8"; do
+        grep -q "\"name\": \"$name\"" target/CHECK.json || {
+            echo "vp-check sweep is missing the grouped decode case '$name'" >&2
+            exit 1
+        }
+    done
+    echo "CHECK.json OK: zero failing cases, decode families present at every group size, byte-identical reruns"
 }
 
 modelcheck_gate() {
@@ -195,11 +207,28 @@ missplit = [r for r in results
             and r["outcome"] == "agree_deadlock"
             and "VP0001" in r["static_codes"]]
 assert missplit, "no mis-split overlap mutant was killed as VP0001"
+# Both hazard operators run on the per-slot (g=1) bases; grouping S must
+# not thin out their kills (48 each on the per-slot grid).
+assert len(unhoist) >= 48, f"only {len(unhoist)} VP0017 unhoist kills, want >= 48"
+assert len(missplit) >= 48, f"only {len(missplit)} VP0001 mis-split kills, want >= 48"
+# The grouped family is on the grid, at every group size, and pristine.
+for name in ("decode-grouped g=1 p=2 b=2", "decode-grouped g=2 p=4 b=8",
+             "decode-grouped g=12 p=8 b=24", "decode-grouped-overlap g=1 p=2 b=2",
+             "decode-grouped-overlap g=4 p=4 b=8"):
+    assert any(r["name"] == name for r in grid), f"grid is missing '{name}'"
+# A group boundary skewed on one device: every such mutant dies, as a
+# missing participant statically and a stuck rendezvous in the VM.
+skew = [r for r in results if r["name"].startswith("mutant/skew-boundary")]
+assert skew, "no boundary-skew mutants in the corpus"
+for r in skew:
+    assert r["outcome"] == "agree_deadlock" and "VP0005" in r["static_codes"], \
+        f"{r['name']}: {r['outcome']} {r['static_codes']}"
 deadlocks = sum(1 for r in results if r["outcome"] == "agree_deadlock")
 print(f"MODELCHECK.json OK: {doc['cases']} cases ({doc['grid_cases']} grid + "
       f"{doc['mutants']} mutants), 0 disagreements, {deadlocks} agreed deadlocks "
       f"({len(unhoist)} VP0017 unhoist kills, {len(missplit)} VP0001 mis-split "
-      f"kills), max {doc['max_states']} states, all within budget")
+      f"kills, {len(skew)} VP0005 boundary-skew kills), max {doc['max_states']} "
+      f"states, all within budget")
 PY
     else
         grep -q '"disagreements": 0' target/MODELCHECK.json || {
@@ -218,6 +247,19 @@ PY
             echo "no mis-split overlap mutants in the corpus" >&2
             exit 1
         }
+        grep -q '"name": "decode-grouped g=2 p=4 b=8"' target/MODELCHECK.json || {
+            echo "the grouped decode family is missing from the corpus" >&2
+            exit 1
+        }
+        grep -q '"name": "mutant/skew-boundary' target/MODELCHECK.json || {
+            echo "no boundary-skew mutants in the corpus" >&2
+            exit 1
+        }
+        if grep '"name": "mutant/skew-boundary' target/MODELCHECK.json |
+            grep -qv '"outcome": "agree_deadlock"'; then
+            echo "a boundary-skew mutant survived" >&2
+            exit 1
+        fi
         # Mutant floor via awk (the summary counter is on its own line).
         awk '
             /"mutants":/ {
@@ -501,12 +543,9 @@ servebench_gate() {
     cargo run -p vp-bench --release --bin repro -- servebench --json --quick --out target/BENCH_serve.json
     cargo run -p vp-bench --release --bin repro -- servebench --json --quick --out target/BENCH_serve_run2.json >/dev/null
     if command -v python3 >/dev/null 2>&1; then
-        python3 - "$(nproc 2>/dev/null || echo 1)" <<'PY'
+        python3 - <<'PY'
 import json
 import math
-import sys
-
-cores = int(sys.argv[1])
 
 VOLATILE = {"tokens_per_sec", "p50_token_latency_ms", "p99_token_latency_ms",
             "batch_occupancy", "steps", "arena"}
@@ -565,27 +604,32 @@ for name, p in pipelines.items():
     # recycle, not allocate.
     assert p["arena"]["reuse_ratio"] >= 0.5, \
         f"{name}: serve-path arena reuse ratio {p['arena']['reuse_ratio']:.3f} < 0.5"
+    # One output-layer GEMM and one sampling all-gather per device per
+    # step, whatever the batch: the shard is read once per step.
+    assert p["s_passes_per_device_step"] == 1, \
+        f"{name}: {p['s_passes_per_device_step']} output-layer GEMMs per device per step"
+    assert p["gathers_per_device_step"] == 1, \
+        f"{name}: {p['gathers_per_device_step']} all-gathers per device per step"
     print(f"{name}: {p['tokens_per_sec']:.0f} tok/s, "
           f"p50 {p50:.3f} ms / p99 {p99:.3f} ms, "
           f"occupancy {p['batch_occupancy']:.2f}, "
           f"reuse {p['arena']['reuse_ratio']:.3f}, kv_leaked 0, greedy bitwise OK")
-# Split-batch overlap gate: both modes serve identical streams (same
-# seeds), so the series are directly comparable. With real parallelism
-# the overlapped barrier must not lose to the inline one; on a single
-# core (and at pp1, where the all-gather is a no-op and there is nothing
-# to hide) the stream handoff is pure overhead — allow 5%.
+# Structural overlap gate: splitting S from T moves when the barrier
+# resolves, never what it computes, so both modes serve the same streams
+# (same seeds) bit for bit. Which one is faster is not gated here: one
+# single-shot timing ratio flaps with scheduler noise, and the benchmark's
+# runtime.serve.overlap_over_inline measures it with repetitions.
 for d in (1, 2, 4):
     off, ov = pipelines[f"pp{d}"], pipelines[f"pp{d}-ov"]
-    ratio = ov["tokens_per_sec"] / off["tokens_per_sec"]
-    floor = 1.0 if cores > 1 and d > 1 else 0.95
-    assert ratio >= floor, \
-        f"pp{d}-ov throughput is {ratio:.3f}x the inline barrier (floor {floor})"
-    print(f"pp{d} overlap ratio {ratio:.3f} (floor {floor})")
+    assert off["tokens_digest"] == ov["tokens_digest"], \
+        f"pp{d}-ov served different tokens than pp{d}"
+    assert off["tokens"] == ov["tokens"], f"pp{d}-ov: token count differs"
+    print(f"pp{d} overlap: same token streams ({ov['tokens_digest']})")
 print("BENCH_serve.json OK")
 PY
     else
         # Fallback when python3 is unavailable: structural greps (the
-        # filtered double-run comparison and the overlap throughput gate
+        # filtered double-run comparison and the overlap stream comparison
         # need python3).
         grep -q '"bench": "serve"' target/BENCH_serve.json
         local p
@@ -611,6 +655,12 @@ PY
         grep -q '"tokens_per_sec"' target/BENCH_serve.json
         grep -q '"p99_token_latency_ms"' target/BENCH_serve.json
         grep -q '"reuse_ratio"' target/BENCH_serve.json
+        if grep -oE '"(s_passes|gathers)_per_device_step": [^,}]*' target/BENCH_serve.json |
+            grep -qv ': 1\.000$'; then
+            echo "more than one output-layer GEMM or all-gather per device per step" >&2
+            exit 1
+        fi
+        grep -q '"gathers_per_device_step": 1.000' target/BENCH_serve.json
         grep -q '"kv_block"' target/BENCH_serve.json
         grep -q '"prefill_chunk"' target/BENCH_serve.json
         echo "BENCH_serve.json OK (grep check)"

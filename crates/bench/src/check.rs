@@ -113,7 +113,7 @@ fn synth_direct(p: usize, m: u32, variant: VocabVariant) -> (Schedule, CheckConf
 /// Enumerates the full sweep grid: every generator family across the
 /// `(p, m)` grid, all vocabulary variants, with and without sharded input
 /// layers, the synthesizer-direct cases, and the forward-only
-/// decode-pipeline family across `(p, batch)`.
+/// decode-pipeline family across `(p, batch, group size)`.
 pub fn sweep_cases() -> Vec<SweepCase> {
     let mut cases = Vec::new();
     let mut push = |name: String, schedule: &Schedule, config: &CheckConfig| {
@@ -210,23 +210,48 @@ pub fn sweep_cases() -> Vec<SweepCase> {
     };
     for &p in &[2usize, 4, 8] {
         for &b in &[1u32, 2, 4, 8, 24] {
+            // What the engine walks: one S over the whole batch (g = b),
+            // merged inline or split off into a deferred T whose S is
+            // stream-offloaded rather than a rendezvous — which the
+            // per-S classification in `sync_collectives` picks up from
+            // the presence of the T.
             push(
                 format!("decode-pipeline p={p} b={b}"),
                 &generators::decode_pipeline(p, b),
                 &decode_cfg,
             );
-            // The overlapped family splits each S from its deferred T
-            // merge; its S slots are stream-offloaded rather than
-            // rendezvous, which the per-slot classification in
-            // `sync_collectives` picks up from the presence of T.
             push(
                 format!("decode-pipeline-overlap p={p} b={b}"),
                 &generators::decode_pipeline_overlap(p, b),
                 &decode_cfg,
             );
+            // The rest of the one generator: per-slot (the lists the
+            // hazard fixtures and mutation operators were written
+            // against), pairs, and the two-half weave.
+            for g in decode_group_sizes(b) {
+                for (family, overlap) in
+                    [("decode-grouped", false), ("decode-grouped-overlap", true)]
+                {
+                    push(
+                        format!("{family} g={g} p={p} b={b}"),
+                        &generators::decode_pipeline_grouped(p, b, g, overlap),
+                        &decode_cfg,
+                    );
+                }
+            }
         }
     }
     cases
+}
+
+/// The group sizes the sweep adds beside `g = b`: `1`, `2` and `⌈b/2⌉`,
+/// each once and only below `b`.
+fn decode_group_sizes(b: u32) -> Vec<u32> {
+    let mut gs = vec![1, 2, b.div_ceil(2)];
+    gs.sort_unstable();
+    gs.dedup();
+    gs.retain(|&g| g < b);
+    gs
 }
 
 /// Runs the static analyzer over every [`sweep_cases`] entry.
@@ -347,6 +372,16 @@ mod tests {
             .filter(|c| c.name.starts_with("decode-pipeline-overlap"))
             .count();
         assert_eq!(overlap, 15, "overlap family covers the same grid");
+        // … and at every group size below the batch: g ∈ {1, 2, ⌈b/2⌉}
+        // gives 0 + 1 + 2 + 3 + 3 sizes over b ∈ {1, 2, 4, 8, 24}.
+        for (family, g1) in [
+            ("decode-grouped g=", "decode-grouped g=1 "),
+            ("decode-grouped-overlap g=", "decode-grouped-overlap g=1 "),
+        ] {
+            let of = |prefix: &str| cases.iter().filter(|c| c.name.starts_with(prefix)).count();
+            assert_eq!(of(family), 3 * 9, "{family}");
+            assert_eq!(of(g1), 3 * 4, "per-slot lists exist wherever b ≥ 2");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::check::{sweep_cases, SweepCase};
 /// barrier whose `S` pass merges inline. An `S` whose microbatch also has
 /// a deferred `T` merge somewhere in the schedule (the overlapped decode
 /// family) is *stream-offloaded* — the submitting thread never blocks in
-/// the barrier, matching `sync_collectives`' per-slot classification — so
+/// the barrier, matching `sync_collectives`' per-`S` classification — so
 /// order/membership skew on it is a backend-data hazard, not a VM hang.
 /// The non-rendezvous cases are deliberate over-approximations of backend
 /// behavior the model cannot exhibit ([`Outcome::OutOfModel`]).
@@ -71,7 +71,7 @@ fn is_hang_prediction(d: &Diagnostic, forward_only: bool, deferred: &HashSet<u32
 }
 
 /// Microbatches whose sampling merge is deferred to a `T` pass somewhere
-/// in the schedule — mirrors the per-slot rendezvous rule of
+/// in the schedule — mirrors the per-`S` rendezvous rule of
 /// `vp_schedule`'s `sync_collectives`.
 fn deferred_merges(schedule: &Schedule) -> HashSet<u32> {
     (0..schedule.devices())
@@ -310,13 +310,14 @@ type Operator = fn(&Schedule, &mut Lcg) -> Option<Schedule>;
 
 /// The mutation operators. They mirror the hand-written mutants of the
 /// `vp-check` test suites but run across the *whole* grid, seeded.
-const OPERATORS: [(&str, Operator); 6] = [
+const OPERATORS: [(&str, Operator); 7] = [
     ("swap-adjacent", mutate_swap_adjacent),
     ("drop-pass", mutate_drop_pass),
     ("dup-pass", mutate_dup_pass),
     ("unhoist-inputf", mutate_unhoist_inputf),
     ("insert-backward", mutate_insert_backward),
     ("missplit-overlap", mutate_missplit_overlap),
+    ("skew-boundary", mutate_skew_boundary),
 ];
 
 /// Swaps two adjacent passes on a random device — order skews, cycles,
@@ -375,7 +376,10 @@ fn mutate_dup_pass(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedule> {
 /// *after* an `S` rendezvous. The exact PR-8 regression shape: the row is
 /// still unsent when the device enters the sampling barrier, while stage
 /// 0 needs it to reach the same barrier. Only sender devices (`d > 0`)
-/// qualify — stage 0 consumes its own row locally.
+/// qualify — stage 0 consumes its own row locally — and only lists with
+/// an `S` between forwards have a site: the per-slot (`g = 1`) bases give
+/// exactly the mutants the operator always gave, the engine's `g = b`
+/// lists (every `S` behind the last forward) none.
 fn mutate_unhoist_inputf(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedule> {
     let mut passes = device_passes(schedule);
     let mut sites: Vec<(usize, usize, usize)> = Vec::new();
@@ -408,16 +412,19 @@ fn mutate_unhoist_inputf(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedule>
 /// S→T lag) while every other device defers its merge by a seeded lag of
 /// two or three forwards — the `decode_pipeline_overlap_missplit` shape.
 /// For `p ≥ 2`, `m ≥ 2` the asymmetric happens-before graph cycles
-/// (`VP0001`) and the VM reaches the same stuck state. Applies only to
-/// forward-only schedules that actually defer merges (contain `T`).
+/// (`VP0001`) and the VM reaches the same stuck state. The mutant is a
+/// per-slot list, so it applies only to forward-only schedules that defer
+/// one merge per slot (the `g = 1` overlap bases).
 fn mutate_missplit_overlap(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedule> {
     let passes = device_passes(schedule);
-    let has_t = passes.iter().flatten().any(|pass| pass.kind == PassKind::T);
+    let m = schedule.num_microbatches();
+    let merge_per_slot = passes
+        .iter()
+        .all(|list| list.iter().filter(|pass| pass.kind == PassKind::T).count() == m as usize);
     let decode_only = passes.iter().flatten().all(|pass| pass.kind.decode_safe());
-    if !has_t || !decode_only || passes.len() < 2 {
+    if !merge_per_slot || !decode_only || passes.len() < 2 {
         return None;
     }
-    let m = schedule.num_microbatches();
     let lag = 2 + rng.below(2) as u32;
     let mut mutated = Vec::with_capacity(passes.len());
     for d in 0..passes.len() {
@@ -452,6 +459,40 @@ fn mutate_missplit_overlap(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedul
     Some(rebuild(schedule, mutated))
 }
 
+/// Moves one group boundary of one device a slot later: an `S(k)` that
+/// ends a group before the batch does becomes `S(k + 1)`. The device still
+/// samples every slot, but in groups no peer has — it enters a barrier
+/// they never do and misses theirs: `VP0005` statically, a rendezvous
+/// short of participants forever in the VM. Applies to forward-only lists
+/// that merge inline (no `T`) and leave room behind a boundary (`g ≥ 2`).
+fn mutate_skew_boundary(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedule> {
+    let mut passes = device_passes(schedule);
+    let inline_decode = passes
+        .iter()
+        .flatten()
+        .all(|pass| pass.kind.decode_safe() && pass.kind != PassKind::T);
+    if !inline_decode {
+        return None;
+    }
+    let mut sites: Vec<(usize, usize)> = Vec::new();
+    for (d, list) in passes.iter().enumerate() {
+        let ends: Vec<usize> = (0..list.len())
+            .filter(|&i| list[i].kind == PassKind::S)
+            .collect();
+        for w in ends.windows(2) {
+            if list[w[0]].microbatch + 1 < list[w[1]].microbatch {
+                sites.push((d, w[0]));
+            }
+        }
+    }
+    if sites.is_empty() {
+        return None;
+    }
+    let (d, i) = sites[rng.below(sites.len())];
+    passes[d][i].microbatch += 1;
+    Some(rebuild(schedule, passes))
+}
+
 /// Appends a backward pass to a random device — a mode violation in
 /// decode (`VP0016`), a structure error or harmless extra in training.
 fn mutate_insert_backward(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedule> {
@@ -462,8 +503,8 @@ fn mutate_insert_backward(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedule
     Some(rebuild(schedule, passes))
 }
 
-/// Seeds per (operator, base case) pair. 6 operators x 4 seeds over the
-/// decode sub-grid plus 6 x 1 over a training sample comfortably clears
+/// Seeds per (operator, base case) pair. 7 operators x 4 seeds over the
+/// decode sub-grid plus 7 x 1 over a training sample comfortably clears
 /// the 240-mutant floor while keeping the run in CI time.
 const DECODE_SEEDS: u64 = 4;
 const TRAINING_SEEDS: u64 = 1;
@@ -679,6 +720,20 @@ mod tests {
             .any(|c| c.mutant && c.outcome == Outcome::AgreeDeadlock));
         // Every model run stayed inside its explored-state budget.
         assert!(cases.iter().all(|c| c.states <= c.budget));
+        // A group boundary skewed on one device always dies, as a missing
+        // participant statically and a stuck rendezvous in the VM. Bases:
+        // inline grouped lists with room behind a boundary — g = 2 at
+        // b ∈ {4, 8, 24} and g = ⌈b/2⌉ at b ∈ {8, 24}, 3 depths, 4 seeds.
+        let skewed: Vec<&ModelCase> = cases
+            .iter()
+            .filter(|c| c.name.starts_with("mutant/skew-boundary"))
+            .collect();
+        assert_eq!(skewed.len(), 3 * 5 * 4);
+        for c in skewed {
+            assert!(c.name.contains(" of decode-grouped g="), "{}", c.name);
+            assert_eq!(c.outcome, Outcome::AgreeDeadlock, "{}", c.name);
+            assert!(c.static_codes.contains(&"VP0005"), "{}", c.name);
+        }
     }
 
     #[test]
@@ -690,10 +745,16 @@ mod tests {
             .collect();
         assert!(!unhoisted.is_empty());
         // The PR-8 shape: both oracles call the un-hoisted decode
-        // schedule a deadlock, and the static side names VP0017.
-        assert!(unhoisted
+        // schedule a deadlock, and the static side names VP0017. The
+        // operator bites on the per-slot (g = 1) bases — the lists the
+        // engine walked before S was grouped — so grouping must not thin
+        // out its kills: 48 on that grid (3 depths x 4 batch sizes ≥ 2 x
+        // 4 seeds).
+        let kills = unhoisted
             .iter()
-            .any(|c| c.outcome == Outcome::AgreeDeadlock && c.static_codes.contains(&"VP0017")));
+            .filter(|c| c.outcome == Outcome::AgreeDeadlock && c.static_codes.contains(&"VP0017"))
+            .count();
+        assert!(kills >= 48, "{kills} VP0017 un-hoist kills");
     }
 
     #[test]
@@ -703,20 +764,24 @@ mod tests {
             .iter()
             .filter(|c| {
                 c.name.starts_with("mutant/missplit-overlap")
-                    && c.name.contains("decode-pipeline-overlap")
+                    && c.name.contains("decode-grouped-overlap g=1 ")
             })
             .collect();
         assert!(!missplit.is_empty());
         // The inconsistent S/T split: both oracles call it a deadlock,
-        // and the static side names the happens-before cycle.
-        assert!(missplit
+        // and the static side names the happens-before cycle — as often
+        // as on the per-slot grid it has always run on.
+        let kills = missplit
             .iter()
-            .any(|c| c.outcome == Outcome::AgreeDeadlock && c.static_codes.contains(&"VP0001")));
+            .filter(|c| c.outcome == Outcome::AgreeDeadlock && c.static_codes.contains(&"VP0001"))
+            .count();
+        assert!(kills >= 48, "{kills} VP0001 mis-split kills");
         // The mis-split only applies where merges are actually deferred:
         // the inline decode family must yield no such mutants.
         assert!(!cases.iter().any(|c| {
             c.name.starts_with("mutant/missplit-overlap")
-                && c.name.contains(" of decode-pipeline p=")
+                && (c.name.contains(" of decode-pipeline p=")
+                    || c.name.contains(" of decode-grouped g="))
         }));
     }
 

@@ -14,7 +14,10 @@
 //!    configurable prompt/output length mix) and reports tokens/s, p50/p99
 //!    per-token latency, mean batch occupancy, the arena reuse ratio and
 //!    the outstanding-buffer delta against the baseline (`kv_leaked`,
-//!    which must be zero: every retirement returns its blocks).
+//!    which must be zero: every retirement returns its blocks), plus the
+//!    structural facts the overlap comparison rests on: output-layer GEMMs
+//!    and sampling all-gathers per device per step (one each) and a digest
+//!    of the served token streams (equal for `pp<d>` and `pp<d>-ov`).
 //!
 //! The model here is deliberately larger than [`TinyConfig::default`]
 //! (8 layers, hidden 128, 128-token context, 16 slots): the serving SLO
@@ -29,9 +32,14 @@
 //!
 //! The CI serving gate reads the emitted JSON: generation throughput must
 //! be positive, tail latency bounded (p99/p50 within the SLO ceiling),
-//! the equivalence flag true and every `kv_leaked` zero.
+//! the equivalence flag true, every `kv_leaked` zero, one GEMM and one
+//! gather per device per step, and the two modes' digests equal. It does
+//! not compare the two modes' speed: that is `benchmark/`'s job
+//! (`runtime.serve.overlap_over_inline`), with repetitions.
 
-use vp_runtime::serve::{greedy_matches_reference, ServeConfig, ServeEngine, WorkloadSpec};
+use vp_runtime::serve::{
+    greedy_matches_reference, ServeConfig, ServeEngine, ServeRun, WorkloadSpec,
+};
 use vp_runtime::TinyConfig;
 use vp_tensor::alloc::{self, ArenaStats};
 
@@ -128,6 +136,29 @@ pub struct ServeTiming {
     /// Whether the engine's greedy token streams matched the
     /// single-device full-context reference bitwise.
     pub greedy_matches_reference: bool,
+    /// Output-layer GEMMs per device per step of the measured run.
+    pub s_passes_per_device_step: f64,
+    /// Sampling all-gathers per device per step of the measured run.
+    pub gathers_per_device_step: f64,
+    /// FNV-1a digest of the measured run's token streams in request
+    /// order: what was served, independent of when.
+    pub tokens_digest: u64,
+}
+
+/// FNV-1a over every completion's id and tokens, in request order.
+fn tokens_digest(run: &ServeRun) -> u64 {
+    let mut streams: Vec<(usize, &[usize])> = run
+        .completions
+        .iter()
+        .map(|c| (c.id, c.tokens.as_slice()))
+        .collect();
+    streams.sort_unstable();
+    let words = streams
+        .iter()
+        .flat_map(|(id, tokens)| std::iter::once(id).chain(tokens.iter()));
+    words.fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Pipeline depths to measure; all must divide the bench model's layers.
@@ -234,6 +265,9 @@ pub fn run(workload: &ServeWorkload) -> Vec<ServeTiming> {
                 arena,
                 kv_leaked: arena.outstanding as i64 - baseline as i64,
                 greedy_matches_reference: greedy,
+                s_passes_per_device_step: run.s_passes as f64 / (run.steps * devices) as f64,
+                gathers_per_device_step: run.gathers as f64 / (run.steps * devices) as f64,
+                tokens_digest: tokens_digest(&run),
             });
         }
     }
@@ -293,7 +327,7 @@ pub fn to_json(workload: &ServeWorkload, results: &[ServeTiming]) -> String {
     out.push_str("  \"pipelines\": [\n");
     for (i, t) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"devices\": {}, \"overlap\": {}, \"requests\": {}, \"tokens\": {}, \"steps\": {}, \"tokens_per_sec\": {}, \"p50_token_latency_ms\": {}, \"p99_token_latency_ms\": {}, \"batch_occupancy\": {}, \"arena\": {}, \"kv_leaked\": {}, \"greedy_matches_reference\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"devices\": {}, \"overlap\": {}, \"requests\": {}, \"tokens\": {}, \"steps\": {}, \"tokens_per_sec\": {}, \"p50_token_latency_ms\": {}, \"p99_token_latency_ms\": {}, \"batch_occupancy\": {}, \"arena\": {}, \"kv_leaked\": {}, \"greedy_matches_reference\": {}, \"s_passes_per_device_step\": {}, \"gathers_per_device_step\": {}, \"tokens_digest\": \"{:016x}\"}}{}\n",
             json_escape(&t.name),
             t.devices,
             t.overlap,
@@ -307,6 +341,9 @@ pub fn to_json(workload: &ServeWorkload, results: &[ServeTiming]) -> String {
             stats_json(&t.arena),
             t.kv_leaked,
             t.greedy_matches_reference,
+            json_f64(t.s_passes_per_device_step),
+            json_f64(t.gathers_per_device_step),
+            t.tokens_digest,
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
@@ -352,6 +389,15 @@ mod tests {
                 t.name,
                 t.arena
             );
+            // One output-layer GEMM and one all-gather per device per step.
+            assert_eq!(t.s_passes_per_device_step, 1.0, "{}", t.name);
+            assert_eq!(t.gathers_per_device_step, 1.0, "{}", t.name);
+        }
+        // The overlapped series serves what the inline one serves.
+        for pair in results.chunks(2) {
+            assert_eq!(pair[0].devices, pair[1].devices);
+            assert!(!pair[0].overlap && pair[1].overlap);
+            assert_eq!(pair[0].tokens_digest, pair[1].tokens_digest);
         }
     }
 
@@ -370,6 +416,8 @@ mod tests {
         assert!(doc.contains("\"kv_block\"") && doc.contains("\"prefill_chunk\""));
         assert!(doc.contains("\"cores\""));
         assert!(doc.contains("\"kv_leaked\": 0"));
+        assert!(doc.contains("\"gathers_per_device_step\": 1.000"));
+        assert!(doc.contains("\"tokens_digest\": \""));
         assert!(doc.contains("\"pp1\"") && doc.contains("\"pp2\"") && doc.contains("\"pp4\""));
         assert!(doc.contains("\"pp2-ov\"") && doc.contains("\"overlap\": true"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());

@@ -48,10 +48,15 @@ fn format_mbs(mbs: &[u32]) -> String {
 /// microbatch. A dropped send/recv shows up as a hole in the coverage of
 /// its kind: the device runs `F` for microbatches 0–5 and 7, say, and the
 /// partner's mb-6 pass waits forever.
+///
+/// An `S` covers every slot it samples and a `T` every slot it merges
+/// ([`Schedule::s_groups`]): the grouped decode lists schedule one `S` per
+/// group, not per slot, and are whole as long as the groups reach the last
+/// slot. With one `S` per microbatch that is the microbatch itself.
 pub fn check_coverage(schedule: &Schedule) -> Vec<Diagnostic> {
     let m = schedule.num_microbatches();
     let mut groups: HashMap<(usize, PassKind, u8), (Vec<u32>, Site)> = HashMap::new();
-    for (d, i, pass) in schedule.iter_all() {
+    for (d, i, pass, group) in schedule.iter_all_grouped() {
         let entry = groups.entry((d, pass.kind, pass.chunk)).or_insert_with(|| {
             (
                 Vec::new(),
@@ -62,7 +67,10 @@ pub fn check_coverage(schedule: &Schedule) -> Vec<Diagnostic> {
                 },
             )
         });
-        entry.0.push(pass.microbatch);
+        match pass.kind {
+            PassKind::S | PassKind::T => entry.0.extend(group),
+            _ => entry.0.push(pass.microbatch),
+        }
     }
     let mut keys: Vec<_> = groups.keys().copied().collect();
     keys.sort_by_key(|&(d, kind, chunk)| (d, chunk, kind_rank(kind)));
@@ -78,7 +86,7 @@ pub fn check_coverage(schedule: &Schedule) -> Vec<Diagnostic> {
                     format!(
                         "device {d} schedules {kind:?} (chunk {chunk}) for {} of {m} \
                          microbatches but not for mb {}",
-                        mbs.len(),
+                        m as usize - missing.len(),
                         format_mbs(&missing)
                     ),
                 )
@@ -106,7 +114,9 @@ fn kind_rank(kind: PassKind) -> usize {
 /// `VP0005`: collective participation sets must be identical across
 /// vocabulary shards. If any device runs a sharded pass for a microbatch,
 /// every device must — the barrier it enters blocks until all `p` shards
-/// arrive.
+/// arrive. For a grouped `S` the microbatch is the group's last slot, so
+/// equal sets mean equal group boundaries: a device that cuts its groups
+/// elsewhere enters barriers its peers never do, and misses theirs.
 pub fn check_participation(schedule: &Schedule) -> Vec<Diagnostic> {
     let ctx = DepContext::of(schedule);
     let p = schedule.devices();

@@ -10,7 +10,7 @@
 //! cycle extracted by [`vp_schedule::hb::HbGraph::minimal_cycle`].
 
 use std::collections::{HashMap, HashSet};
-use vp_schedule::deps::{DepContext, Key};
+use vp_schedule::deps::{device_preds, DepContext, Key};
 use vp_schedule::hb::{CycleStep, HbEdge};
 use vp_schedule::pass::Schedule;
 
@@ -52,8 +52,9 @@ pub fn check_structure(schedule: &Schedule) -> Vec<Diagnostic> {
     }
     let ctx = DepContext::of(schedule);
     let mut reported: HashSet<Key> = HashSet::new();
-    for (d, i, pass) in schedule.iter_all() {
-        for (key, edge) in ctx.logical_preds(pass, d) {
+    let preds = (0..schedule.devices()).flat_map(|d| device_preds(&ctx, schedule, d));
+    for ((d, i, pass), preds) in schedule.iter_all().zip(preds) {
+        for (key, edge) in preds {
             if !index.contains_key(&key) && reported.insert(key) {
                 let (kind, mb, chunk, src) = key;
                 diags.push(

@@ -301,29 +301,48 @@ mod tests {
 
     #[test]
     fn decode_schedules_are_clean_under_check_decode() {
-        use vp_schedule::generators::decode_pipeline;
+        use vp_schedule::generators::{
+            decode_pipeline, decode_pipeline_grouped, decode_pipeline_overlap,
+        };
         for p in [1, 2, 4] {
             for m in [1u32, 3, 8] {
-                let sched = decode_pipeline(p, m);
-                // Training liveness would leak every F; decode mode accepts.
-                let report = check_decode(&sched);
-                assert!(report.is_clean(), "p={p} m={m}: {:#?}", report.diagnostics);
-                assert!(report.races_checked);
+                // Per-slot, pairs, the two-half weave and the whole batch,
+                // with the inline barrier and with the deferred merge.
+                let mut family = vec![decode_pipeline(p, m), decode_pipeline_overlap(p, m)];
+                for g in [1, 2, m.div_ceil(2)] {
+                    family.push(decode_pipeline_grouped(p, m, g, false));
+                    family.push(decode_pipeline_grouped(p, m, g, true));
+                }
+                for sched in family {
+                    // Training liveness would leak every F; decode mode
+                    // accepts.
+                    let report = check_decode(&sched);
+                    assert!(report.is_clean(), "p={p} m={m}: {:#?}", report.diagnostics);
+                    assert!(report.races_checked);
+                }
             }
         }
     }
 
     #[test]
-    fn overlap_decode_schedules_are_clean_under_check_decode() {
-        use vp_schedule::generators::decode_pipeline_overlap;
-        for p in [1, 2, 4] {
-            for m in [1u32, 3, 8] {
-                let sched = decode_pipeline_overlap(p, m);
-                let report = check_decode(&sched);
-                assert!(report.is_clean(), "p={p} m={m}: {:#?}", report.diagnostics);
-                assert!(report.races_checked);
-            }
-        }
+    fn a_skewed_group_boundary_is_a_missing_participant() {
+        use vp_schedule::generators::decode_pipeline_grouped;
+        // Every device cuts the batch {0, 1} {2, 3}; device 1 cuts it
+        // {0, 1, 2} {3}. Its S(2) and the others' S(1) never meet.
+        let sched = decode_pipeline_grouped(2, 4, 2, false);
+        let mut passes: Vec<Vec<ScheduledPass>> =
+            (0..2).map(|d| sched.passes(d).to_vec()).collect();
+        let s = passes[1]
+            .iter()
+            .position(|p| p.kind == PassKind::S && p.microbatch == 1)
+            .unwrap();
+        passes[1][s].microbatch = 2;
+        let mutated = Schedule::new(sched.kind(), 4, 1, passes);
+        assert_eq!(mutated.s_groups(1)[s], 0..3);
+        let report = check_decode(&mutated);
+        assert!(report.has(Code::MissingParticipant), "{:?}", report.codes());
+        // Both devices still sample every slot: no coverage hole.
+        assert!(!report.has(Code::CoverageHole), "{:?}", report.codes());
     }
 
     #[test]
@@ -447,7 +466,8 @@ mod tests {
 
     #[test]
     fn decode_mode_still_catches_comm_and_deadlock_defects() {
-        use vp_schedule::generators::decode_pipeline;
+        use vp_schedule::generators::decode_pipeline_grouped;
+        let decode_pipeline = |p, m| decode_pipeline_grouped(p, m, 1, false);
         // Drop one S on device 0: participation hole.
         let sched = decode_pipeline(2, 4);
         let mut passes: Vec<Vec<ScheduledPass>> =

@@ -550,7 +550,7 @@ mod tests {
     use super::*;
     use vp_schedule::block::PassTimes;
     use vp_schedule::generators::{
-        decode_pipeline, decode_pipeline_natural, decode_pipeline_overlap,
+        decode_pipeline, decode_pipeline_grouped, decode_pipeline_natural, decode_pipeline_overlap,
         decode_pipeline_overlap_missplit, one_f_one_b, vocab_1f1b,
     };
     use vp_schedule::pass::{PassKind, VocabVariant};
@@ -576,8 +576,11 @@ mod tests {
         let cfg = ModelConfig::decode();
         for p in [1usize, 2, 4] {
             for m in [1u32, 2, 3, 8] {
-                let verdict = model_check(&decode_pipeline(p, m), &cfg).unwrap();
-                assert!(!verdict.deadlocked(), "p={p} m={m}: {verdict:?}");
+                for g in [1, 2, m.div_ceil(2), m] {
+                    let sched = decode_pipeline_grouped(p, m, g, false);
+                    let verdict = model_check(&sched, &cfg).unwrap();
+                    assert!(!verdict.deadlocked(), "p={p} m={m} g={g}: {verdict:?}");
+                }
             }
         }
     }
@@ -590,9 +593,11 @@ mod tests {
         let cfg = ModelConfig::decode();
         for p in [1usize, 2, 4] {
             for m in [1u32, 2, 3, 8] {
-                let sched = decode_pipeline_overlap(p, m);
-                let verdict = model_check(&sched, &cfg).unwrap();
-                assert!(!verdict.deadlocked(), "p={p} m={m}: {verdict:?}");
+                for g in [1, 2, m.div_ceil(2), m] {
+                    let sched = decode_pipeline_grouped(p, m, g, true);
+                    let verdict = model_check(&sched, &cfg).unwrap();
+                    assert!(!verdict.deadlocked(), "p={p} m={m} g={g}: {verdict:?}");
+                }
             }
         }
     }
@@ -680,11 +685,18 @@ mod tests {
             (decode_pipeline(2, 2), true),
             (decode_pipeline(2, 3), true),
             (decode_pipeline(3, 2), true),
+            (decode_pipeline_grouped(2, 2, 1, false), true),
+            (decode_pipeline_grouped(2, 3, 1, false), true),
+            (decode_pipeline_grouped(3, 2, 1, false), true),
+            (decode_pipeline_grouped(2, 3, 2, false), true),
+            (skewed_boundary(2, 4), true),
             (decode_pipeline_natural(2, 2), true),
             (decode_pipeline_natural(2, 3), true),
             (decode_pipeline_natural(3, 2), true),
             (decode_pipeline_overlap(2, 2), true),
             (decode_pipeline_overlap(3, 2), true),
+            (decode_pipeline_grouped(2, 2, 1, true), true),
+            (decode_pipeline_grouped(3, 2, 1, true), true),
             (decode_pipeline_overlap_missplit(2, 2), true),
             (decode_pipeline_overlap_missplit(2, 3), true),
             (one_f_one_b(2, 2, PassTimes::default()), false),
@@ -718,7 +730,7 @@ mod tests {
         // Remove device 0's S of mb 1: the world-sized all-gather can
         // never complete, so every arriver hangs — the model sees what
         // VP0005 predicts statically.
-        let sched = decode_pipeline(2, 4);
+        let sched = decode_pipeline_grouped(2, 4, 1, false);
         let mut passes: Vec<Vec<ScheduledPass>> =
             (0..2).map(|d| sched.passes(d).to_vec()).collect();
         let s = passes[0]
@@ -736,6 +748,39 @@ mod tests {
                 .blocked
                 .iter()
                 .any(|b| b.reason.contains("never complete")),
+            "{report:?}"
+        );
+    }
+
+    /// `decode_pipeline_grouped(p, m, 2, false)` with the last device's
+    /// first group one slot longer than everyone else's.
+    fn skewed_boundary(p: usize, m: u32) -> Schedule {
+        let sched = decode_pipeline_grouped(p, m, 2, false);
+        let mut passes: Vec<Vec<ScheduledPass>> =
+            (0..p).map(|d| sched.passes(d).to_vec()).collect();
+        let s = passes[p - 1]
+            .iter()
+            .position(|x| x.kind == PassKind::S && x.microbatch == 1)
+            .unwrap();
+        passes[p - 1][s].microbatch = 2;
+        Schedule::new(sched.kind(), m, 1, passes)
+    }
+
+    #[test]
+    fn a_skewed_group_boundary_is_a_stuck_rendezvous() {
+        // Device 1 samples {0, 1, 2} where device 0 samples {0, 1}: each
+        // sits in a barrier the other never enters.
+        let cfg = ModelConfig::decode();
+        let sched = skewed_boundary(2, 4);
+        let Verdict::Deadlock(report) = model_check(&sched, &cfg).unwrap() else {
+            panic!("skewed group boundary must hang");
+        };
+        assert!(replay(&sched, &cfg, &report.trace).unwrap());
+        assert!(
+            report
+                .blocked
+                .iter()
+                .any(|b| b.pass.kind == PassKind::S && b.reason.contains("never complete")),
             "{report:?}"
         );
     }

@@ -63,8 +63,8 @@ pub fn check_races(schedule: &Schedule, hb: &HbGraph, reach: &Reachability) -> V
     // Insertion-ordered buffer table for deterministic reports.
     let mut order: Vec<Buffer> = Vec::new();
     let mut accesses: HashMap<Buffer, Vec<(usize, Access)>> = HashMap::new();
-    for (d, i, pass) in schedule.iter_all() {
-        for (buffer, access) in buffer_accesses(&ctx, d, pass) {
+    for (d, i, pass, group) in schedule.iter_all_grouped() {
+        for (buffer, access) in buffer_accesses(&ctx, d, pass, &group) {
             let entry = accesses.entry(buffer).or_insert_with(|| {
                 order.push(buffer);
                 Vec::new()

@@ -3,8 +3,8 @@
 //! be killed by `vp-check` with the expected code — and the unmutated
 //! schedules asserted clean.
 //!
-//! The three operators are the three ways the serving path has actually
-//! broken (or nearly broken):
+//! The operators are the ways the serving path has actually broken (or
+//! nearly broken):
 //!
 //! * **insert-backward** — a gradient-family pass leaks into a decode
 //!   schedule (`VP0016`);
@@ -12,10 +12,17 @@
 //!   sampling rendezvous into its "natural" position, the exact shape of
 //!   the PR-8 serving deadlock (`VP0017`);
 //! * **drop sampling-barrier participant** — a device loses one `S`
-//!   call, so the world-sized all-gather can never complete (`VP0005`).
+//!   call, so the world-sized all-gather can never complete (`VP0005`);
+//! * **skew a group boundary** — one device cuts its `S` groups at a
+//!   different slot than its peers, so each side enters a barrier the
+//!   other never does (`VP0005`).
+//!
+//! The first three run on the per-slot (`g = 1`) lists they were written
+//! against — the only ones with an `S` between forwards to un-hoist past —
+//! the last on the grouped ones.
 
 use vp_check::{check_decode, Code};
-use vp_schedule::generators::decode_pipeline;
+use vp_schedule::generators::decode_pipeline_grouped;
 use vp_schedule::pass::{PassKind, Schedule, ScheduledPass};
 
 /// Deterministic LCG (Knuth's MMIX constants) so every mutation site is
@@ -62,7 +69,26 @@ fn base_schedules() -> Vec<(String, Schedule)> {
     for (p, b) in [(2usize, 4u32), (4, 4), (4, 8), (8, 8)] {
         out.push((
             format!("decode-pipeline p={p} b={b}"),
-            decode_pipeline(p, b),
+            decode_pipeline_grouped(p, b, 1, false),
+        ));
+    }
+    out
+}
+
+/// Grouped bases with room between group boundaries (`g ≥ 2`, at least
+/// two groups): a boundary can move without landing on the next one.
+fn grouped_bases() -> Vec<(String, Schedule)> {
+    let mut out = Vec::new();
+    for (p, b, g) in [
+        (2usize, 4u32, 2u32),
+        (4, 4, 2),
+        (4, 8, 2),
+        (4, 8, 4),
+        (8, 8, 4),
+    ] {
+        out.push((
+            format!("decode-pipeline p={p} b={b} g={g}"),
+            decode_pipeline_grouped(p, b, g, false),
         ));
     }
     out
@@ -84,7 +110,7 @@ fn assert_killed(name: &str, schedule: &Schedule, code: Code) {
 
 #[test]
 fn unmutated_decode_bases_are_accepted() {
-    for (name, sched) in base_schedules() {
+    for (name, sched) in base_schedules().into_iter().chain(grouped_bases()) {
         let report = check_decode(&sched);
         assert!(
             report.is_clean(),
@@ -173,6 +199,42 @@ fn dropped_sampling_participants_are_killed_as_vp0005() {
             let mutated = rebuild(&sched, passes);
             assert_killed(
                 &format!("{name} drop-S d={d} seed={seed}"),
+                &mutated,
+                Code::MissingParticipant,
+            );
+        }
+    }
+}
+
+#[test]
+fn skewed_group_boundaries_are_killed_as_vp0005() {
+    for (name, sched) in grouped_bases() {
+        for seed in 0..4u64 {
+            let mut rng = Lcg::new(seed);
+            let mut passes = device_passes(&sched);
+            let d = rng.below(passes.len());
+            // Every S but the last ends a group before the batch does;
+            // move one such boundary a slot later. The device still
+            // samples every slot, in groups nobody else has.
+            let boundaries: Vec<usize> = passes[d]
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| {
+                    p.kind == PassKind::S && p.microbatch + 1 < sched.num_microbatches()
+                })
+                .map(|(i, _)| i)
+                .collect();
+            let slot = boundaries[rng.below(boundaries.len())];
+            passes[d][slot].microbatch += 1;
+            let mutated = rebuild(&sched, passes);
+            let report = check_decode(&mutated);
+            assert!(
+                !report.has(Code::CoverageHole) && !report.has(Code::DuplicatePass),
+                "{name} seed={seed}: {:?}",
+                report.codes()
+            );
+            assert_killed(
+                &format!("{name} skew-boundary d={d} seed={seed}"),
                 &mutated,
                 Code::MissingParticipant,
             );

@@ -570,9 +570,10 @@ pub struct DecodeSState {
     max: Vec<f32>,
     /// Per-row local `sum' = Σ exp(y − m')`.
     sum: Vec<f32>,
-    /// Per-row top-`k` `(logit, global token id)`, best first. Padded with
-    /// `(−∞, 0)` when the shard has fewer than `k` columns.
-    topk: Vec<Vec<(f32, usize)>>,
+    /// Top-`k` `(logit, global token id)` of every row, best first, rows
+    /// back to back (`k` entries each). Padded with `(−∞, 0)` when the
+    /// shard has fewer than `k` selectable columns.
+    topk: Vec<(f32, usize)>,
     /// Candidates per row (identical on every rank).
     k: usize,
 }
@@ -600,7 +601,7 @@ impl DecodeSState {
         for r in 0..n {
             payload.push(self.max[r]);
             payload.push(self.sum[r]);
-            for &(logit, id) in &self.topk[r] {
+            for &(logit, id) in &self.topk[r * self.k..(r + 1) * self.k] {
                 payload.push(logit);
                 // Token ids are exact in f32 for any realistic vocabulary
                 // (< 2^24); debug-checked below.
@@ -627,7 +628,9 @@ pub struct TokenChoice {
 /// `true` when candidate `(logit_a, id_a)` beats `(logit_b, id_b)` under
 /// greedy decoding: strictly larger logit, ties to the lowest token id —
 /// exactly [`vp_tensor::ops::argmax_rows`]'s first-maximum rule, so the
-/// merged pick is bitwise the single-device argmax.
+/// merged pick is bitwise the single-device argmax. A `NaN` logit beats
+/// nothing and nothing beats it (every comparison is false), the way
+/// `f32::max` and the strict `>` of `argmax_rows` pass over it.
 fn beats(a: (f32, usize), b: (f32, usize)) -> bool {
     a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
 }
@@ -636,6 +639,13 @@ impl OutputShard {
     /// The forward-only `S` pass: sharded logits `y = X·Wᵀ` plus local
     /// softmax statistics and the shard's top-`k` candidates. No labels,
     /// no gradients — this is the decode half of §4.2's `S` pass.
+    ///
+    /// Rows are independent: `m` stacked rows give bitwise the states of
+    /// `m` one-row calls, from one GEMM that reads the shard once. Each
+    /// logits row is then swept once for its running max and its `k` best
+    /// candidates (a fixed-size insertion buffer under [`beats`], so no
+    /// sort and nothing allocated per row) and once more, in ascending
+    /// column order, for the exp-sum. A `NaN` logit is never a candidate.
     ///
     /// # Errors
     ///
@@ -652,32 +662,32 @@ impl OutputShard {
         let n = y.rows();
         let mut max = Vec::with_capacity(n);
         let mut sum = Vec::with_capacity(n);
-        let mut topk = Vec::with_capacity(n);
-        for r in 0..n {
+        let mut topk = vec![(f32::NEG_INFINITY, 0); n * k];
+        for (r, best) in topk.chunks_exact_mut(k).enumerate() {
             let row = y.row(r);
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            // The stats feed only the logprob metric, so plain `exp` is
-            // fine here; the token choice below never touches them.
-            let s: f32 = row.iter().map(|&v| (v - m).exp()).sum();
-            let mut cands: Vec<(f32, usize)> = row
-                .iter()
-                .enumerate()
-                .map(|(c, &v)| (v, start + c))
-                .collect();
-            cands.sort_by(|a, b| {
-                if beats(*a, *b) {
-                    std::cmp::Ordering::Less
-                } else if beats(*b, *a) {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Equal
+            let mut m = f32::NEG_INFINITY;
+            // `best[..held]` are the row's best candidates so far, best
+            // first; the rest is still the `(−∞, 0)` padding.
+            let mut held = 0;
+            for (c, &v) in row.iter().enumerate() {
+                m = m.max(v);
+                let cand = (v, start + c);
+                if v.is_nan() || (held == k && !beats(cand, best[k - 1])) {
+                    continue;
                 }
-            });
-            cands.truncate(k);
-            cands.resize(k, (f32::NEG_INFINITY, 0));
+                let mut at = held.min(k - 1);
+                held = (held + 1).min(k);
+                while at > 0 && beats(cand, best[at - 1]) {
+                    best[at] = best[at - 1];
+                    at -= 1;
+                }
+                best[at] = cand;
+            }
+            // The stats feed only the logprob metric, so plain `exp` is
+            // fine here; the token choice above never touches them.
+            let s: f32 = row.iter().map(|&v| (v - m).exp()).sum();
             max.push(m);
             sum.push(s);
-            topk.push(cands);
         }
         Ok(DecodeSState { max, sum, topk, k })
     }
@@ -979,6 +989,195 @@ mod tests {
                 .collect();
             assert_eq!(tokens, expected, "p={p}");
         }
+    }
+
+    /// The routine the streaming sweep replaced, kept as its oracle:
+    /// collect every `(logit, id)` of a row, sort under `beats`, keep `k`.
+    fn sorted_oracle(shard: &OutputShard, x: &Tensor, k: usize) -> DecodeSState {
+        let y = x.matmul_nt(shard.weight.value()).unwrap();
+        let start = shard.shard_start();
+        let (mut max, mut sum, mut topk) = (Vec::new(), Vec::new(), Vec::new());
+        for r in 0..y.rows() {
+            let row = y.row(r);
+            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut cands: Vec<(f32, usize)> = row
+                .iter()
+                .enumerate()
+                .map(|(c, &v)| (v, start + c))
+                .collect();
+            cands.sort_by(|a, b| {
+                if beats(*a, *b) {
+                    std::cmp::Ordering::Less
+                } else if beats(*b, *a) {
+                    std::cmp::Ordering::Greater
+                } else {
+                    std::cmp::Ordering::Equal
+                }
+            });
+            cands.truncate(k);
+            cands.resize(k, (f32::NEG_INFINITY, 0));
+            max.push(m);
+            sum.push(row.iter().map(|&v| (v - m).exp()).sum());
+            topk.extend(cands);
+        }
+        DecodeSState { max, sum, topk, k }
+    }
+
+    /// A state down to the bit: `max`, `sum` and every `(logit, id)`.
+    fn state_bits(s: &DecodeSState) -> (Vec<u32>, Vec<u32>, Vec<(u32, usize)>) {
+        (
+            s.max.iter().map(|v| v.to_bits()).collect(),
+            s.sum.iter().map(|v| v.to_bits()).collect(),
+            s.topk.iter().map(|&(v, id)| (v.to_bits(), id)).collect(),
+        )
+    }
+
+    /// A `[vocab, h]` weight built to tie: rows 1, `vocab/2` and
+    /// `vocab − 2` repeat row 0 (ties inside a shard and across shards),
+    /// and one column of the last row is `+∞`, one of row 3 `−∞`.
+    fn tie_heavy_weight(vocab: usize, h: usize, seed: u64) -> Tensor {
+        let mut w = normal(&mut seeded_rng(seed), vocab, h, 0.6);
+        let first = w.row(0).to_vec();
+        for r in [1, vocab / 2, vocab - 2] {
+            w.row_mut(r).copy_from_slice(&first);
+        }
+        w.row_mut(vocab - 1)[0] = f32::INFINITY;
+        w.row_mut(3)[1] = f32::NEG_INFINITY;
+        w
+    }
+
+    /// `m` rows with rows 0 and `m − 1` identical (an in-group duplicate)
+    /// and no zero entry (so `0·∞` cannot poison the infinite logits).
+    fn group_rows(m: usize, h: usize, seed: u64) -> Tensor {
+        let mut x = normal(&mut seeded_rng(seed), m, h, 1.0);
+        for v in x.data_mut() {
+            if *v == 0.0 {
+                *v = 0.5;
+            }
+        }
+        let first = x.row(0).to_vec();
+        x.row_mut(m - 1).copy_from_slice(&first);
+        x
+    }
+
+    #[test]
+    fn streaming_sweep_is_bitwise_the_sort_based_oracle() {
+        // vocab 11 over 4 shards leaves widths 3/3/3/2, narrower than k.
+        for (vocab, k) in [(64, 4), (11, 4), (11, 1), (64, 7)] {
+            let w = tie_heavy_weight(vocab, 8, 94);
+            let x = group_rows(5, 8, 95);
+            for p in [1, 2, 4] {
+                let part = VocabPartition::new(vocab, p);
+                for rank in 0..p {
+                    let shard = OutputShard::from_full(&w, part, rank).unwrap();
+                    let swept = shard.s_pass_decode(&x, k).unwrap();
+                    assert_eq!(
+                        state_bits(&swept),
+                        state_bits(&sorted_oracle(&shard, &x, k)),
+                        "vocab={vocab} k={k} p={p} rank={rank}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_s_pass_and_merge_are_bitwise_the_per_slot_ones() {
+        let (m, k, vocab) = (6, 4, 64);
+        let w = tie_heavy_weight(vocab, 8, 96);
+        let x = group_rows(m, 8, 97);
+        let want = vp_tensor::ops::argmax_rows(&x.matmul_nt(&w).unwrap());
+        for p in [1, 2, 4] {
+            let part = VocabPartition::new(vocab, p);
+            let shards: Vec<OutputShard> = (0..p)
+                .map(|rank| OutputShard::from_full(&w, part, rank).unwrap())
+                .collect();
+            // One S over the stacked group against one S per slot.
+            let grouped: Vec<DecodeSState> = shards
+                .iter()
+                .map(|s| s.s_pass_decode(&x, k).unwrap())
+                .collect();
+            let mut per_slot = Vec::new();
+            for r in 0..m {
+                let row = x.slice_rows(r, r + 1).unwrap();
+                let states: Vec<DecodeSState> = shards
+                    .iter()
+                    .map(|s| s.s_pass_decode(&row, k).unwrap())
+                    .collect();
+                for (rank, one) in states.iter().enumerate() {
+                    let (gmax, gsum, gtop) = state_bits(&grouped[rank]);
+                    assert_eq!(
+                        state_bits(one),
+                        (
+                            vec![gmax[r]],
+                            vec![gsum[r]],
+                            gtop[r * k..(r + 1) * k].to_vec()
+                        ),
+                        "p={p} rank={rank} row={r}"
+                    );
+                }
+                // One merge per slot …
+                let gathered: Vec<Vec<f32>> = states.iter().map(DecodeSState::payload).collect();
+                per_slot.extend(merge_decode(&gathered, 1, k).unwrap());
+            }
+            // … against one merge over the gathered group.
+            let gathered: Vec<Vec<f32>> = grouped.iter().map(DecodeSState::payload).collect();
+            let merged = merge_decode(&gathered, m, k).unwrap();
+            assert_eq!(merged.len(), m);
+            for (a, b) in merged.iter().zip(&per_slot) {
+                assert_eq!(
+                    (a.token, a.logprob.to_bits()),
+                    (b.token, b.logprob.to_bits())
+                );
+            }
+            let tokens: Vec<usize> = merged.iter().map(|c| c.token).collect();
+            assert_eq!(tokens, want, "p={p}");
+            assert_eq!(tokens[0], tokens[m - 1], "duplicate rows sample alike");
+        }
+    }
+
+    #[test]
+    fn nan_logits_are_never_selected_and_never_panic() {
+        // Regression: a NaN weight used to abort the S pass inside
+        // `sort_by` ("does not correctly implement a total order"), and the
+        // device's peers then parked forever in the all-gather.
+        let (vocab, h, k) = (24, 4, 4);
+        let mut w = normal(&mut seeded_rng(98), vocab, h, 0.8);
+        for r in [2, 9, 10, 23] {
+            w.row_mut(r)[1] = f32::NAN;
+        }
+        let x = group_rows(3, h, 99);
+        let logits = x.matmul_nt(&w).unwrap();
+        assert!(logits.row(0)[9].is_nan());
+        let want = vp_tensor::ops::argmax_rows(&logits);
+        for p in [1, 2, 4] {
+            let part = VocabPartition::new(vocab, p);
+            let states: Vec<DecodeSState> = (0..p)
+                .map(|rank| {
+                    OutputShard::from_full(&w, part, rank)
+                        .unwrap()
+                        .s_pass_decode(&x, k)
+                        .unwrap()
+                })
+                .collect();
+            for s in &states {
+                assert!(s.topk.iter().all(|(v, _)| !v.is_nan()));
+                assert!(s.max.iter().all(|m| !m.is_nan()), "f32::max skips NaN");
+            }
+            let gathered: Vec<Vec<f32>> = states.iter().map(DecodeSState::payload).collect();
+            let tokens: Vec<usize> = merge_decode(&gathered, 3, k)
+                .unwrap()
+                .iter()
+                .map(|c| c.token)
+                .collect();
+            assert_eq!(tokens, want, "p={p}");
+        }
+        // A shard of nothing but NaN offers only padding.
+        let all_nan = Tensor::full(3, h, f32::NAN);
+        let shard = OutputShard::new(all_nan, VocabPartition::new(3, 1), 0).unwrap();
+        let state = shard.s_pass_decode(&x, 2).unwrap();
+        assert!(state.topk.iter().all(|&c| c == (f32::NEG_INFINITY, 0)));
+        assert!(merge_decode(&[state.payload()], 3, 2).is_err());
     }
 
     #[test]

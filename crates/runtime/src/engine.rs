@@ -28,7 +28,7 @@ use vp_schedule::pass::{PassKind, Schedule, ScheduleKind, VocabVariant};
 use vp_tensor::io::{read_u32, write_u32};
 use vp_tensor::nn::{softmax_cross_entropy, Embedding};
 use vp_tensor::optim::{Adam, Optimizer, Param};
-use vp_tensor::{Result, Tensor, TensorError};
+use vp_tensor::{pool, Result, Tensor, TensorError};
 use vp_trace::{Tracer, Track};
 
 /// How the vocabulary layers are placed and executed.
@@ -459,6 +459,11 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
     // comm-wait spans, overlapped barrier jobs as comm-stream spans.
     link.set_tracer(tracer.clone());
     let mut c1_stream = CommStream::new();
+    // The stream's jobs (the barrier's softmax rescale) run on this
+    // device's kernel lanes, not on lanes of their own.
+    if let Some(lanes) = pool::lane_budget() {
+        c1_stream.submit(move || pool::set_lane_budget(lanes));
+    }
     c1_stream.set_tracer(tracer.clone());
     let baseline = mode == Mode::Baseline;
     let mut device = Device {

@@ -2,7 +2,9 @@
 //! schedule out over a `dp × pp × tp` device layout, cuts the communicators
 //! along each axis, and runs one [`device_loop`] thread per device — the
 //! front-end/runtime split of `torch.distributed.pipelining`, with the
-//! PTD-P rank layout (tensor ranks innermost, replicas outermost).
+//! PTD-P rank layout (tensor ranks innermost, replicas outermost). As a
+//! PTD-P rank owns its execution resources, each device thread owns
+//! [`vp_tensor::pool::lanes_per_device`] kernel lanes.
 //!
 //! * the **pipeline** axis is the schedule itself: each column of `pp`
 //!   devices runs its pass lists verbatim, vocabulary `S`/`T` passes and
@@ -35,7 +37,7 @@ use vp_schedule::exec::ExecReport;
 use vp_schedule::grid::DeviceGrid;
 use vp_schedule::pass::Schedule;
 use vp_schedule::trace::to_chrome_trace;
-use vp_tensor::{Result, TensorError};
+use vp_tensor::{pool, Result, TensorError};
 use vp_trace::{TraceLog, Tracer};
 
 /// What to run: a schedule and its place in the `dp × pp × tp` layout.
@@ -197,6 +199,9 @@ pub fn train(
     let mut rows = comm_groups(if tp > 1 { dp * pp } else { 0 }, tp);
     let mut syncs = comm_groups(if dp > 1 { per_replica } else { 0 }, dp);
     let epoch = Instant::now();
+    // The launcher owns the core count: every device thread gets an equal
+    // share of the kernel lanes instead of the whole pool each.
+    let lanes = pool::lanes_per_device(world);
     let results: Vec<Result<DeviceOutcome>> = std::thread::scope(|scope| {
         let joins: Vec<_> = P2pNetwork::new(world)
             .into_iter()
@@ -224,7 +229,10 @@ pub fn train(
                     tracer: log.as_ref().map_or_else(Tracer::off, |l| l.tracer(global)),
                     epoch,
                 };
-                scope.spawn(move || device_loop(ctx))
+                scope.spawn(move || {
+                    pool::set_lane_budget(lanes);
+                    device_loop(ctx)
+                })
             })
             .collect();
         joins

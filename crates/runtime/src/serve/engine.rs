@@ -17,15 +17,19 @@
 //!   [`TransformerBlock::forward_decode`] against the slot's KV caches
 //!   and forwards the activation (`TAG_ACT`); the last stage broadcasts
 //!   the final token's hidden row to every shard (`C0`);
-//! * `S k` — every shard computes its sharded logits, local softmax stats
-//!   and local top-k (Algorithm 2's single-barrier decode). Inline mode
-//!   completes the merge immediately ([`OutputShard::barrier_decode`]);
-//!   overlap mode only *submits* the `all_gather` to the device's
-//!   [`CommStream`] and keeps computing (§6.1's stream trick);
-//! * `T k` — overlap mode only: joins the stream job for microbatch `k`
-//!   and runs the deterministic merge ([`merge_decode`]) on the gathered
-//!   payloads. The merge is bitwise identical to the inline path — only
-//!   *when* the barrier resolves moves.
+//! * `S k` — every shard stacks the final hidden rows of the slots the
+//!   pass samples ([`Schedule::s_groups`]; the engine's schedules run one
+//!   `S` over the whole batch) and computes their sharded logits, local
+//!   softmax stats and local top-k in one GEMM
+//!   ([`OutputShard::s_pass_decode`]: Algorithm 2's single-barrier decode,
+//!   the shard read once per step). Inline mode completes the merge
+//!   immediately ([`OutputShard::barrier_decode`], one all-gather of all
+//!   the rows); overlap mode only *submits* that `all_gather` to the
+//!   device's [`CommStream`] (§6.1's stream trick);
+//! * `T k` — overlap mode only: joins the stream job of `S k` and runs
+//!   the deterministic merge ([`merge_decode`]) on the gathered payloads.
+//!   The merge is bitwise identical to the inline path — only *when* the
+//!   barrier resolves moves.
 //!
 //! **Chunked prefill**: prompts are admitted in chunks of at most
 //! [`ServeConfig::prefill_chunk`] tokens per step, so a long prompt never
@@ -43,8 +47,14 @@
 //! for the family [`ServeConfig::overlap`] selects), so the executed
 //! communication pattern is statically known deadlock- and race-free before
 //! the first request arrives.
+//!
+//! Each device thread (and its communication stream) runs its kernels on
+//! [`vp_tensor::pool::lanes_per_device`] lanes: the engine owns the core
+//! count and shares it out, so `p` devices do not each dispatch into the
+//! whole kernel pool.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -58,7 +68,7 @@ use vp_schedule::generators::{decode_pipeline, decode_pipeline_overlap};
 use vp_schedule::pass::PassKind;
 use vp_schedule::Schedule;
 use vp_tensor::nn::{KvBlockPool, KvCache, DEFAULT_BLOCK_TOKENS};
-use vp_tensor::{Result, Tensor, TensorError};
+use vp_tensor::{pool, Result, Tensor, TensorError};
 
 use crate::comm::{stage_tag, Link, TAG_ACT, TAG_C0, TAG_INPART};
 use crate::model::{FullModel, TinyConfig};
@@ -86,9 +96,10 @@ pub struct ServeConfig {
     /// Maximum prompt tokens fed per request per decode step during
     /// prefill (chunked prefill; decode steps always feed one token).
     pub prefill_chunk: usize,
-    /// Overlap the sampling `all_gather` with transformer compute by
-    /// splitting each step's S pass from its merge (T pass) and running
-    /// the collective on a per-device communication stream.
+    /// Split each step's S pass from its merge (T pass) and run the
+    /// sampling `all_gather` on a per-device communication stream. With
+    /// one S over the whole batch no forward is left to hide the gather
+    /// behind, so this mode is kept correct rather than fast.
     pub overlap: bool,
 }
 
@@ -162,6 +173,12 @@ pub struct ServeRun {
     /// Sum over steps of `active slots / max_batch`; divide by `steps`
     /// for mean batch occupancy.
     pub occupancy_sum: f64,
+    /// Output-layer GEMMs ([`OutputShard::s_pass_decode`] calls), summed
+    /// over devices: one per step per device.
+    pub s_passes: usize,
+    /// Sampling all-gathers entered (inline) or submitted (overlap),
+    /// summed over devices: one per step per device.
+    pub gathers: usize,
 }
 
 impl ServeRun {
@@ -236,6 +253,15 @@ pub struct ServeEngine {
     cmds: Vec<Sender<Cmd>>,
     results: Receiver<Vec<TokenChoice>>,
     handles: Vec<JoinHandle<()>>,
+    counters: Arc<Counters>,
+}
+
+/// What the device threads count for [`ServeRun`] (statistics: every
+/// increment happens-before the step result the driver reads them after).
+#[derive(Default)]
+struct Counters {
+    s_passes: AtomicUsize,
+    gathers: AtomicUsize,
 }
 
 impl ServeEngine {
@@ -305,6 +331,10 @@ impl ServeEngine {
         let endpoints = P2pNetwork::new(p);
         let comms = CollectiveGroup::new(p);
         let (res_tx, res_rx) = channel();
+        let counters = Arc::new(Counters::default());
+        // The engine owns the core count: every device thread (and its
+        // comm stream) gets an equal share of the kernel lanes.
+        let lanes = pool::lanes_per_device(p);
         let mut cmds = Vec::with_capacity(p);
         let mut handles = Vec::with_capacity(p);
         for (endpoint, comm) in endpoints.into_iter().zip(comms) {
@@ -312,7 +342,7 @@ impl ServeEngine {
             let (tx, rx) = channel();
             cmds.push(tx);
             let (b0, b1) = full.stage_blocks(rank, p);
-            let pool =
+            let kv_pool =
                 KvBlockPool::bounded(config.model.hidden, config.kv_block, per_device_blocks);
             let device = DeviceState {
                 rank,
@@ -326,16 +356,21 @@ impl ServeEngine {
                 pos: (rank == 0).then(|| full.pos_weight.clone()),
                 partition,
                 kv: (0..config.max_batch)
-                    .map(|_| (0..b1 - b0).map(|_| KvCache::with_pool(&pool)).collect())
+                    .map(|_| (0..b1 - b0).map(|_| KvCache::with_pool(&kv_pool)).collect())
                     .collect(),
                 top_k: config.top_k,
                 overlap: config.overlap,
                 link: Link::new(endpoint, 0, 1),
                 comm: Arc::new(comm),
                 stream: CommStream::new(),
+                counters: Arc::clone(&counters),
             };
             let res_tx = res_tx.clone();
-            handles.push(std::thread::spawn(move || device.run(&rx, &res_tx)));
+            handles.push(std::thread::spawn(move || {
+                pool::set_lane_budget(lanes);
+                device.stream.submit(move || pool::set_lane_budget(lanes));
+                device.run(&rx, &res_tx);
+            }));
         }
         Ok(ServeEngine {
             config,
@@ -343,6 +378,7 @@ impl ServeEngine {
             cmds,
             results: res_rx,
             handles,
+            counters,
         })
     }
 
@@ -405,7 +441,14 @@ impl ServeEngine {
             wall: Duration::ZERO,
             latency: Vec::new(),
             occupancy_sum: 0.0,
+            s_passes: 0,
+            gathers: 0,
         };
+        let counted = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+        let (s_passes0, gathers0) = (
+            counted(&self.counters.s_passes),
+            counted(&self.counters.gathers),
+        );
         let start = Instant::now();
         loop {
             // Admission: next arrived-and-fitting request into each free
@@ -519,6 +562,8 @@ impl ServeEngine {
             }
         }
         run.wall = start.elapsed();
+        run.s_passes = counted(&self.counters.s_passes) - s_passes0;
+        run.gathers = counted(&self.counters.gathers) - gathers0;
         run
     }
 
@@ -541,9 +586,9 @@ impl ServeEngine {
 struct DeviceState {
     rank: usize,
     world: usize,
-    /// The verified pass lists, indexed by batch size − 1: S merges inline
-    /// ([`decode_pipeline`]) or S submits and T merges
-    /// ([`decode_pipeline_overlap`]).
+    /// The verified pass lists, indexed by batch size − 1: one S over the
+    /// batch that merges inline ([`decode_pipeline`]), or submits for T to
+    /// merge ([`decode_pipeline_overlap`]).
     schedules: Arc<Vec<Schedule>>,
     blocks: Vec<TransformerBlock>,
     input: InputShard,
@@ -560,6 +605,7 @@ struct DeviceState {
     comm: Arc<Collective>,
     /// Communication stream for overlapped sampling barriers (§6.1).
     stream: CommStream,
+    counters: Arc<Counters>,
 }
 
 impl DeviceState {
@@ -597,6 +643,7 @@ impl DeviceState {
             return Ok(choices);
         }
         let schedules = Arc::clone(&self.schedules);
+        let schedule = &schedules[m - 1];
         // Last-stage F outputs waiting for their S pass (this device only).
         let mut final_hidden: Vec<Option<Tensor>> = vec![None; m];
         // Stage-0 embedding rows owned locally, waiting for F.
@@ -604,9 +651,11 @@ impl DeviceState {
         // Overlap mode: in-flight sampling all_gathers, joined by T.
         let mut pending: Vec<Option<JobHandle<Vec<Vec<f32>>>>> = (0..m).map(|_| None).collect();
         let last = self.world - 1;
-        for pass in schedules[m - 1].passes(self.rank) {
+        let groups = schedule.s_groups(self.rank);
+        for (pass, group) in schedule.passes(self.rank).iter().zip(groups) {
             let k = pass.microbatch as usize;
             let entry = &plan.entries[k];
+            let slots = group.start as usize..group.end as usize;
             match pass.kind {
                 PassKind::InputF => {
                     // Every shard owning tokens of the chunk embeds them
@@ -654,13 +703,19 @@ impl DeviceState {
                     }
                 }
                 PassKind::S => {
-                    let h = match final_hidden[k].take() {
-                        Some(h) => h,
-                        None => self
-                            .link
-                            .recv(last, stage_tag(TAG_C0, 0, pass.microbatch))?,
-                    };
+                    // One GEMM over the stacked final hidden rows of every
+                    // slot the pass samples: the shard is read once.
+                    let mut h = Tensor::zeros(slots.len(), self.input.hidden());
+                    for (r, j) in slots.clone().enumerate() {
+                        let row = match final_hidden[j].take() {
+                            Some(row) => row,
+                            None => self.link.recv(last, stage_tag(TAG_C0, 0, j as u32))?,
+                        };
+                        h.row_mut(r).copy_from_slice(row.row(0));
+                    }
+                    self.counters.s_passes.fetch_add(1, Ordering::Relaxed);
                     let state = self.output.s_pass_decode(&h, self.top_k)?;
+                    self.counters.gathers.fetch_add(1, Ordering::Relaxed);
                     if self.overlap {
                         // Submit the single Algorithm-2 barrier to the
                         // communication stream and keep computing; the
@@ -673,7 +728,7 @@ impl DeviceState {
                         pending[k] = Some(self.stream.submit(move || comm.all_gather(&payload)));
                     } else {
                         let merged = self.output.barrier_decode(&self.comm, &state)?;
-                        choices[k] = merged[0];
+                        choices[slots].copy_from_slice(&merged);
                     }
                 }
                 PassKind::T => {
@@ -684,8 +739,8 @@ impl DeviceState {
                         .take()
                         .expect("schedule orders T after its own S")
                         .wait();
-                    let merged = merge_decode(&gathered, 1, self.top_k)?;
-                    choices[k] = merged[0];
+                    let merged = merge_decode(&gathered, slots.len(), self.top_k)?;
+                    choices[slots].copy_from_slice(&merged);
                 }
                 other => unreachable!("decode schedule contains {other:?}"),
             }

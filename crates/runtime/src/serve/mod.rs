@@ -3,13 +3,13 @@
 //! over request slots, and the paper's Algorithm-2 output layer
 //! repurposed as a single-barrier sampling merge (sharded logits → local
 //! top-k/softmax stats → one `all_gather` → identical greedy pick on
-//! every rank), optionally split into a submit/deferred-merge pair so the
-//! barrier overlaps the next slot's forward.
+//! every rank) over the whole batch — one output-layer GEMM and one
+//! barrier per step — optionally split into a submit/deferred-merge pair.
 //!
 //! * [`engine`] — the [`ServeEngine`]: persistent device threads walking
 //!   [`vp_schedule::generators::decode_pipeline`] (inline barrier) or
-//!   [`vp_schedule::generators::decode_pipeline_overlap`] (S/T
-//!   split-batch overlap via a per-device comm stream) pass lists —
+//!   [`vp_schedule::generators::decode_pipeline_overlap`] (S submits to a
+//!   per-device comm stream, T merges) pass lists —
 //!   generated once per batch size and statically verified by
 //!   `vp_check::check_decode` at startup, then executed as verified —
 //!   plus the continuous-batching driver with paged-KV admission

@@ -58,6 +58,75 @@ fn overlapped_decode_is_bitwise_equal_to_reference_across_shard_counts() {
 }
 
 #[test]
+fn every_step_runs_one_output_gemm_and_one_gather_per_device() {
+    // The engine's schedules group the whole batch under one S: however
+    // many slots a step carries, each device reads its vocabulary shard
+    // once and the devices rendezvous once.
+    for devices in [1, 2, 4] {
+        for overlap in [false, true] {
+            let mut config = serve_config(devices, 3);
+            config.overlap = overlap;
+            let mut engine = ServeEngine::start(config).unwrap();
+            for seed in [7, 8] {
+                let run = engine.serve(&closed_loop(7, seed));
+                assert!(run.steps > 7, "several slots per step");
+                assert_eq!(
+                    run.s_passes,
+                    run.steps * devices,
+                    "p={devices} ov={overlap}"
+                );
+                assert_eq!(run.gathers, run.steps * devices, "p={devices} ov={overlap}");
+            }
+            engine.shutdown();
+        }
+    }
+}
+
+#[test]
+fn a_step_mixing_prefill_decode_and_a_retirement_samples_all_three_right() {
+    // Step 2 of this stream carries, under its one S: slot 0 in the middle
+    // of a chunked prefill (its sample is discarded), slot 1 decoding, and
+    // slot 2 — whose first request retired after step 1, so the step
+    // releases its caches — prefilling the request admitted in its place.
+    let prompts: [&[usize]; 4] = [&[5, 11, 2, 90, 33, 7, 41], &[17], &[63], &[8, 29, 54]];
+    let outputs = [2, 5, 1, 2];
+    let requests: Vec<Request> = prompts
+        .iter()
+        .zip(outputs)
+        .enumerate()
+        .map(|(id, (prompt, output_len))| Request {
+            id,
+            prompt: prompt.to_vec(),
+            output_len,
+            arrival: std::time::Duration::ZERO,
+        })
+        .collect();
+    for devices in [1, 2, 4] {
+        for overlap in [false, true] {
+            let mut config = serve_config(devices, 3);
+            config.prefill_chunk = 2;
+            config.overlap = overlap;
+            let model = config.model.clone();
+            let mut engine = ServeEngine::start(config).unwrap();
+            let run = engine.serve(&requests);
+            engine.shutdown();
+            // 4 + 1 steps for request 0's prompt and outputs; everything
+            // else fits beside it.
+            assert_eq!(run.steps, 5, "p={devices} ov={overlap}");
+            assert_eq!(run.s_passes, 5 * devices);
+            assert_eq!(run.gathers, 5 * devices);
+            assert_eq!(run.completions.len(), 4);
+            assert_eq!(run.completions[0].id, 2, "request 2 retires after step 1");
+            for c in &run.completions {
+                let r = &requests[c.id];
+                let want = reference_decode(&model, &r.prompt, r.output_len).unwrap();
+                assert_eq!(c.tokens, want, "request {} p={devices} ov={overlap}", c.id);
+            }
+        }
+    }
+}
+
+#[test]
 fn chunked_prefill_matches_the_reference_at_every_chunk_size() {
     // Prompts fed 1, 3 or 8 tokens at a time must land on the same
     // greedy continuation (attention over a chunk is bitwise equal to

@@ -3,7 +3,9 @@
 //! The constraints encoded here are exactly the paper's:
 //!
 //! * `S` passes run after the forward of the last (virtual) transformer
-//!   stage completes (`C0` broadcast of `X`).
+//!   stage completes (`C0` broadcast of `X`) — for every slot the `S`
+//!   samples ([`Schedule::s_groups`]; one slot in training, a group of
+//!   them in the grouped decode schedules).
 //! * `T` passes run after *all* `S` passes (`C1` barrier; the naive
 //!   grouping interposes `S2` with its extra barrier).
 //! * For Algorithm 1 (and naive), the backward of the last transformer
@@ -297,6 +299,31 @@ impl DepContext {
     }
 }
 
+/// The prerequisites of every pass of device `d` in a concrete schedule,
+/// by pass index: [`DepContext::logical_preds`], plus — for an `S` that
+/// samples more than its own slot ([`Schedule::s_groups`]) — the `C0`
+/// broadcast of every other slot of its group. On a schedule with one `S`
+/// per microbatch this is `logical_preds` of each pass, nothing more.
+pub fn device_preds(ctx: &DepContext, schedule: &Schedule, d: usize) -> Vec<Vec<(Key, EdgeKind)>> {
+    let (ld, lc) = ctx.device_of_virtual_stage(ctx.virtual_stages() - 1);
+    schedule
+        .passes(d)
+        .iter()
+        .zip(schedule.s_groups(d))
+        .map(|(pass, group)| {
+            let mut preds = ctx.logical_preds(pass, d);
+            if pass.kind == PassKind::S {
+                preds.extend(
+                    group
+                        .filter(|&slot| slot != pass.microbatch)
+                        .map(|slot| ((PassKind::F, slot, lc, ld), EdgeKind::C0Broadcast)),
+                );
+            }
+            preds
+        })
+        .collect()
+}
+
 /// One synchronous (rendezvous) collective instance: every participant's
 /// call runs *inline on its device thread* and blocks until all
 /// participants arrive — unlike the stream-offloaded barriers of training,
@@ -317,7 +344,8 @@ impl DepContext {
 pub struct SyncCollective {
     /// The collective class of the instance.
     pub class: crate::facts::CollectiveClass,
-    /// The microbatch (request slot) the instance serves.
+    /// The microbatch (request slot) that names the instance: the last
+    /// slot of the group its `S` calls sample ([`Schedule::s_groups`]).
     pub microbatch: u32,
     /// Participating calls as `(device, slot)`, ascending by device.
     pub sites: Vec<(usize, usize)>,
@@ -331,17 +359,20 @@ pub struct SyncCollective {
 /// `T` consumes it later), so the asymmetric dependency edges are already
 /// faithful. In forward-only decode mode, each `S` pass performs the
 /// sampling barrier (`C1`, an all-gather of shard top-k stats) inline in
-/// the device thread — one rendezvous instance per request slot, entered
-/// by every device's `S` of that slot.
+/// the device thread — one rendezvous instance per `S(k)`, carrying every
+/// slot of its group and entered by every device's `S(k)`. Devices that
+/// cut their groups at different slots therefore never meet: the instance
+/// of a boundary only some devices have is short of participants forever
+/// (`VP0005`).
 ///
 /// The exception inside decode mode is the *overlapped* family
-/// ([`crate::generators::decode_pipeline_overlap`]): a slot that also
-/// schedules a `T` pass runs its `S` exactly like training — submit to the
+/// ([`crate::generators::decode_pipeline_overlap`]): an `S(k)` whose slot
+/// also schedules a `T(k)` runs exactly like training — submit to the
 /// comm stream, return immediately — and the deferred `T` merge blocks on
-/// the result. For those slots the asymmetric `T ← every S` edges are
-/// faithful, so no rendezvous instance is emitted; slots without a `T`
+/// the result. For those groups the asymmetric `T ← every S` edges are
+/// faithful, so no rendezvous instance is emitted; groups without a `T`
 /// keep the inline-barrier semantics. The two styles can in principle
-/// coexist in one schedule, which is why the decision is per slot rather
+/// coexist in one schedule, which is why the decision is per `S` rather
 /// than per schedule.
 pub fn sync_collectives(schedule: &Schedule, forward_only: bool) -> Vec<SyncCollective> {
     if !forward_only {
@@ -399,27 +430,34 @@ fn index_schedule(schedule: &Schedule) -> Result<HashMap<Key, (usize, usize)>, D
 pub fn build_deps(schedule: &Schedule) -> Result<DepGraph, DepError> {
     let map = index_schedule(schedule)?;
     let ctx = DepContext::of(schedule);
-    let p = schedule.devices();
-    let mut preds: Vec<Vec<Vec<Dep>>> = (0..p)
-        .map(|d| vec![Vec::new(); schedule.passes(d).len()])
-        .collect();
-    for (d, i, pass) in schedule.iter_all() {
-        for (key, kind) in ctx.logical_preds(pass, d) {
-            let (pd, pi) = map
-                .get(&key)
-                .copied()
-                .ok_or_else(|| DepError::MissingPass {
-                    what: format!(
-                        "{:?} mb={} chunk={} on device {} (needed by {pass} on device {d})",
-                        key.0, key.1, key.2, key.3
-                    ),
-                })?;
-            preds[d][i].push(Dep {
-                device: pd,
-                index: pi,
-                kind,
-            });
+    let mut preds = Vec::with_capacity(schedule.devices());
+    for d in 0..schedule.devices() {
+        let mut device = Vec::with_capacity(schedule.passes(d).len());
+        for (pass, logical) in schedule
+            .passes(d)
+            .iter()
+            .zip(device_preds(&ctx, schedule, d))
+        {
+            let mut deps = Vec::with_capacity(logical.len());
+            for (key, kind) in logical {
+                let (pd, pi) = map
+                    .get(&key)
+                    .copied()
+                    .ok_or_else(|| DepError::MissingPass {
+                        what: format!(
+                            "{:?} mb={} chunk={} on device {} (needed by {pass} on device {d})",
+                            key.0, key.1, key.2, key.3
+                        ),
+                    })?;
+                deps.push(Dep {
+                    device: pd,
+                    index: pi,
+                    kind,
+                });
+            }
+            device.push(deps);
         }
+        preds.push(device);
     }
     Ok(DepGraph { preds })
 }
@@ -492,6 +530,78 @@ mod tests {
     fn vhalf_vocab_validates_with_input() {
         let sched = vhalf_vocab(4, 8, VocabVariant::Alg1, PassTimes::default(), true);
         validate(&sched).unwrap();
+    }
+
+    #[test]
+    fn a_grouped_s_waits_for_the_c0_of_every_slot_it_samples() {
+        use crate::generators::decode_pipeline_grouped;
+        // Groups {0, 1}, {2, 3}, {4}; the last stage is device 2.
+        let sched = decode_pipeline_grouped(3, 5, 2, false);
+        let graph = build_deps(&sched).unwrap();
+        let mut s_passes = 0;
+        for d in 0..3 {
+            for (i, (pass, group)) in sched.passes(d).iter().zip(sched.s_groups(d)).enumerate() {
+                if pass.kind != PassKind::S {
+                    continue;
+                }
+                let mut producers: Vec<u32> = graph
+                    .preds(d, i)
+                    .iter()
+                    .map(|dep| {
+                        assert_eq!((dep.kind, dep.device), (EdgeKind::C0Broadcast, 2));
+                        let f = sched.passes(2)[dep.index];
+                        assert_eq!(f.kind, PassKind::F);
+                        f.microbatch
+                    })
+                    .collect();
+                producers.sort_unstable();
+                assert_eq!(producers, group.collect::<Vec<_>>(), "{pass} device {d}");
+                s_passes += 1;
+            }
+        }
+        assert_eq!(s_passes, 3 * 3);
+        // One rendezvous per group, named by the group's last slot.
+        let named: Vec<u32> = sync_collectives(&sched, true)
+            .iter()
+            .map(|c| c.microbatch)
+            .collect();
+        assert_eq!(named, [1, 3, 4]);
+    }
+
+    #[test]
+    fn training_families_sample_one_slot_per_s() {
+        use crate::generators::{interleaved_vocab_1f1b, zb_vocab_1f1b};
+        // One S per microbatch in ascending order: the grouping rule
+        // degenerates to the per-microbatch one, edge for edge.
+        let zb = PassTimes {
+            b: 1.0,
+            w: 1.0,
+            ..PassTimes::default()
+        };
+        for variant in [VocabVariant::Naive, VocabVariant::Alg1, VocabVariant::Alg2] {
+            for sched in [
+                vocab_1f1b(4, 8, variant, PassTimes::default(), true),
+                zb_vocab_1f1b(4, 8, variant, zb, true),
+                interleaved_vocab_1f1b(4, 2, 8, variant, PassTimes::default(), true),
+                vhalf_vocab(4, 8, variant, PassTimes::default(), true),
+            ] {
+                let ctx = DepContext::of(&sched);
+                for d in 0..sched.devices() {
+                    let preds = device_preds(&ctx, &sched, d);
+                    for (i, (pass, group)) in
+                        sched.passes(d).iter().zip(sched.s_groups(d)).enumerate()
+                    {
+                        let own = pass.microbatch..pass.microbatch + 1;
+                        let want = match pass.kind {
+                            PassKind::S | PassKind::T => own,
+                            _ => 0..0,
+                        };
+                        assert_eq!(group, want, "{variant:?} {pass} device {d}");
+                        assert_eq!(preds[i], ctx.logical_preds(pass, d));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

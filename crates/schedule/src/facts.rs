@@ -13,6 +13,7 @@
 use crate::deps::{DepContext, EdgeKind};
 use crate::pass::{PassKind, ScheduleKind, ScheduledPass, VocabVariant};
 use std::fmt;
+use std::ops::Range;
 
 /// The collective-communication classes of the paper (§4, Appendix B/C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,7 +186,10 @@ pub enum Access {
 }
 
 /// The logical buffers `pass` (running on `device`) reads and writes,
-/// under the schedule family described by `ctx`.
+/// under the schedule family described by `ctx`. `group` is the pass's
+/// entry of [`crate::pass::Schedule::s_groups`]: an `S` writes, and the
+/// `T` that finishes its barrier reads, the shard state of every slot of
+/// the group (one slot in training; other kinds ignore it).
 ///
 /// Cross-device entries appear where a pass consumes another shard's
 /// contribution through a collective: the last stage's `B` reads every
@@ -194,6 +198,7 @@ pub fn buffer_accesses(
     ctx: &DepContext,
     device: usize,
     pass: &ScheduledPass,
+    group: &Range<u32>,
 ) -> Vec<(Buffer, Access)> {
     let mb = pass.microbatch;
     let mut out = Vec::new();
@@ -256,22 +261,12 @@ pub fn buffer_accesses(
             ));
         }
         PassKind::S => {
-            out.push((
-                Buffer::VocabShard {
-                    device,
-                    microbatch: mb,
-                },
-                Access::Write,
-            ));
-            if ctx.kind == ScheduleKind::Vocab(VocabVariant::Alg2) {
-                // Algorithm 2 assembles ∇X̂ inside the single C1 barrier.
-                out.push((
-                    Buffer::GradXShard {
-                        device,
-                        microbatch: mb,
-                    },
-                    Access::Write,
-                ));
+            for microbatch in group.clone() {
+                out.push((Buffer::VocabShard { device, microbatch }, Access::Write));
+                if ctx.kind == ScheduleKind::Vocab(VocabVariant::Alg2) {
+                    // Algorithm 2 assembles ∇X̂ inside the single C1 barrier.
+                    out.push((Buffer::GradXShard { device, microbatch }, Access::Write));
+                }
             }
         }
         PassKind::S2 => {
@@ -291,26 +286,16 @@ pub fn buffer_accesses(
             ));
         }
         PassKind::T => {
-            out.push((
-                Buffer::VocabShard {
-                    device,
-                    microbatch: mb,
-                },
-                Access::Read,
-            ));
-            match ctx.kind {
-                ScheduleKind::Vocab(VocabVariant::Alg1)
-                | ScheduleKind::Vocab(VocabVariant::Naive) => {
+            let produces_grad_x = matches!(
+                ctx.kind,
+                ScheduleKind::Vocab(VocabVariant::Alg1) | ScheduleKind::Vocab(VocabVariant::Naive)
+            );
+            for microbatch in group.clone() {
+                out.push((Buffer::VocabShard { device, microbatch }, Access::Read));
+                if produces_grad_x {
                     // T produces the ∇X′ shard the C2 reduce combines.
-                    out.push((
-                        Buffer::GradXShard {
-                            device,
-                            microbatch: mb,
-                        },
-                        Access::Write,
-                    ));
+                    out.push((Buffer::GradXShard { device, microbatch }, Access::Write));
                 }
-                _ => {}
             }
         }
         PassKind::InputF => {
@@ -408,24 +393,44 @@ mod tests {
         // on the backward chain conflicts with an arbitrarily delayed T.
         let c = ctx(ScheduleKind::Vocab(VocabVariant::Alg2), 4);
         let t = ScheduledPass::new(PassKind::T, 0);
-        let accesses = buffer_accesses(&c, 1, &t);
+        let accesses = buffer_accesses(&c, 1, &t, &(0..1));
         assert!(accesses
             .iter()
             .all(|(b, _)| !matches!(b, Buffer::GradXShard { .. })));
         // While under Algorithm 1 it writes the ∇X′ shard the backward
         // reads after the C2 reduce.
         let c1 = ctx(ScheduleKind::Vocab(VocabVariant::Alg1), 4);
-        let accesses = buffer_accesses(&c1, 1, &t);
+        let accesses = buffer_accesses(&c1, 1, &t, &(0..1));
         assert!(accesses
             .iter()
             .any(|(b, a)| matches!(b, Buffer::GradXShard { .. }) && *a == Access::Write));
     }
 
     #[test]
+    fn a_grouped_s_writes_and_its_t_reads_every_slot_of_the_group() {
+        let c = ctx(ScheduleKind::Vocab(VocabVariant::Alg2), 2);
+        let slots = |pass: PassKind, access: Access| -> Vec<u32> {
+            buffer_accesses(&c, 1, &ScheduledPass::new(pass, 4), &(2..5))
+                .into_iter()
+                .filter_map(|(b, a)| match b {
+                    Buffer::VocabShard {
+                        device: 1,
+                        microbatch,
+                    } if a == access => Some(microbatch),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(slots(PassKind::S, Access::Write), [2, 3, 4]);
+        assert_eq!(slots(PassKind::T, Access::Read), [2, 3, 4]);
+        assert!(slots(PassKind::S, Access::Read).is_empty());
+    }
+
+    #[test]
     fn last_stage_backward_reads_every_grad_x_shard() {
         let c = ctx(ScheduleKind::Vocab(VocabVariant::Alg2), 3);
         let b = ScheduledPass::new(PassKind::B, 2);
-        let reads: Vec<usize> = buffer_accesses(&c, 2, &b)
+        let reads: Vec<usize> = buffer_accesses(&c, 2, &b, &(0..0))
             .into_iter()
             .filter_map(|(buf, _)| match buf {
                 Buffer::GradXShard { device, .. } => Some(device),

@@ -701,21 +701,45 @@ pub fn vhalf_vocab(
 // Forward-only decode pipeline (inference serving)
 // ---------------------------------------------------------------------------
 
-/// Forward-only decode schedule: the pass list one decode step of the
-/// serving engine walks.
+/// The forward-only decode family, one generator over the group size `g`:
+/// the pass list one decode step of the serving engine walks.
 ///
 /// Each "microbatch" is one active request slot's next token. Per slot the
-/// pipeline runs the sharded input embedding (`InputF`, Appendix C), the
-/// transformer forwards (`F`, stage by stage), and the Algorithm-2 `S` pass
-/// (sharded logits + local softmax stats + local top-k) whose **single**
-/// `C1` barrier merges the shards; sampling happens identically on every
-/// device after the barrier, so no `T` pass (and no backward of any kind)
-/// exists. The structure is the §4.2 schedule with everything after the
-/// output layer's only barrier deleted.
+/// pipeline runs the sharded input embedding (`InputF`, Appendix C) and the
+/// transformer forwards (`F`, stage by stage). The Algorithm-2 `S` pass
+/// (sharded logits + local softmax stats + local top-k) then runs once per
+/// **group** of `g` consecutive slots: `S(k)` is scheduled for the last
+/// slot `k` of each group and samples every slot `≤ k` that no earlier `S`
+/// on its device sampled ([`Schedule::s_groups`]) — one `m = g` GEMM over
+/// the stacked hidden rows and one **single** `C1` barrier of `g` rows.
+/// Sampling happens identically on every device after the barrier, so no
+/// backward of any kind exists. The structure is the §4.2 schedule with
+/// everything after the output layer's only barrier deleted.
 ///
-/// Devices warm up exactly like 1F1B — device `d` runs `p − d` forwards
-/// before its first `S` — then alternate `S`/`F` in steady state, so `m`
-/// slots keep all `p` devices busy once `m ≥ p`.
+/// `g = 1` is the per-slot schedule (one `S` per slot, as in training);
+/// `g = m` is one output-layer GEMM and one barrier per step, which is
+/// what the engine runs ([`decode_pipeline`]); `g = ⌈m/2⌉` is TokenWeave's
+/// two-half-batch weave. The last group is short when `g ∤ m`.
+///
+/// Devices warm up exactly like 1F1B: device `d` runs `S(k)` once it is
+/// `p − d − 1` forwards ahead of slot `k` (or out of forwards), so at
+/// `g = 1` and `m ≥ p` all `p` devices alternate `S`/`F` in steady state.
+///
+/// With `overlap`, each `S` only *submits* its all-gather to the device's
+/// communication stream and a `T` pass of the same slot — placed after the
+/// next forward, or right behind the `S` when no forward is left — waits
+/// on it and runs the identical merge (TokenWeave-style split):
+///
+/// ```text
+/// g = 1:  InputF*, F(0..warm), [S(k−warm) F(k) T(k−warm)].., [S(k) T(k)]..
+/// g = m:  InputF*, F(0..m), S(m−1), T(m−1)
+/// ```
+///
+/// `S` and `T` orders ascend on every device and each `T(k)` sits after
+/// its own `S(k)`, so the protocol lints (`VP0006`, `VP0007`) hold by
+/// construction. A group that schedules a `T` is stream-offloaded in
+/// `vp_schedule::deps::sync_collectives` (the wait is modelled at `T`); a
+/// group without one is a rendezvous on the device thread.
 ///
 /// All `InputF` passes are hoisted to the head of every device's list.
 /// `InputF` only *sends* (the owning shard pushes its embedding row to
@@ -723,9 +747,7 @@ pub fn vhalf_vocab(
 /// up front costs nothing — whereas interleaving them into the steady
 /// state deadlocks the real rendezvous runtime: the token owner can sit
 /// inside an `S` collective (waiting on stage 0) while stage 0's next `F`
-/// waits on the owner's not-yet-sent embedding row.
-///
-/// The hoist is no longer just a convention: `vp-check`'s
+/// waits on the owner's not-yet-sent embedding row. `vp-check`'s
 /// rendezvous-faithful deadlock analysis rejects the un-hoisted layout
 /// ([`decode_pipeline_natural`]) with `VP0017`, and the exhaustive model
 /// checker (`vp_check::model`) confirms the blocked interleaving — so a
@@ -733,28 +755,35 @@ pub fn vhalf_vocab(
 ///
 /// # Panics
 ///
-/// Panics if `p == 0` or `m == 0`.
-pub fn decode_pipeline(p: usize, m: u32) -> Schedule {
+/// Panics if `p == 0`, `m == 0` or `g == 0`.
+pub fn decode_pipeline_grouped(p: usize, m: u32, g: u32, overlap: bool) -> Schedule {
     assert!(p > 0, "need at least one device");
     assert!(m > 0, "need at least one slot");
+    assert!(g > 0, "need at least one slot per group");
     let device_passes = (0..p)
         .map(|d| {
-            // 1F1B-style warmup depth with S in place of B: device d may
-            // run `p − d` forwards ahead of its first S.
             let warm = (p - d) as u32;
-            let mut v = Vec::new();
+            let mut v: Vec<ScheduledPass> = (0..m)
+                .map(|k| ScheduledPass::new(PassKind::InputF, k))
+                .collect();
+            // Last slots of the groups still waiting for their S.
+            let mut ends = (0..m).filter(|k| (k + 1) % g == 0 || k + 1 == m).peekable();
+            // Overlap: the S whose merge waits behind the next forward.
+            let mut in_flight = None;
             for k in 0..m {
-                v.push(ScheduledPass::new(PassKind::InputF, k));
-            }
-            for k in 0..m.min(warm) {
                 v.push(ScheduledPass::new(PassKind::F, k));
-            }
-            for k in warm..m {
-                v.push(ScheduledPass::new(PassKind::S, k - warm));
-                v.push(ScheduledPass::new(PassKind::F, k));
-            }
-            for k in m.saturating_sub(warm)..m {
-                v.push(ScheduledPass::new(PassKind::S, k));
+                if let Some(e) = in_flight.take() {
+                    v.push(ScheduledPass::new(PassKind::T, e));
+                }
+                let last = k + 1 == m;
+                while let Some(e) = ends.next_if(|e| last || e + warm <= k + 1) {
+                    v.push(ScheduledPass::new(PassKind::S, e));
+                    if overlap && last {
+                        v.push(ScheduledPass::new(PassKind::T, e));
+                    } else if overlap {
+                        in_flight = Some(e);
+                    }
+                }
             }
             v
         })
@@ -762,8 +791,21 @@ pub fn decode_pipeline(p: usize, m: u32) -> Schedule {
     Schedule::new(ScheduleKind::Vocab(VocabVariant::Alg2), m, 1, device_passes)
 }
 
-/// The *un-hoisted* decode layout: each `InputF` send sits in its natural
-/// position, immediately before the device's own `F` of the same slot.
+/// The decode schedule the serving engine walks with its inline sampling
+/// barrier: [`decode_pipeline_grouped`] at `g = m`, i.e.
+/// `InputF*, F(0..m), S(m−1)` on every device — the shard is read once and
+/// the devices rendezvous once per step.
+///
+/// # Panics
+///
+/// Panics if `p == 0` or `m == 0`.
+pub fn decode_pipeline(p: usize, m: u32) -> Schedule {
+    decode_pipeline_grouped(p, m, m, false)
+}
+
+/// The *un-hoisted* decode layout at `g = 1`: each `InputF` send sits in
+/// its natural position, immediately before the device's own `F` of the
+/// same slot.
 ///
 /// This is the schedule the serving engine originally walked, kept as the
 /// regression fixture for the rendezvous deadlock it causes: for `p ≥ 2`
@@ -802,71 +844,24 @@ pub fn decode_pipeline_natural(p: usize, m: u32) -> Schedule {
     Schedule::new(ScheduleKind::Vocab(VocabVariant::Alg2), m, 1, device_passes)
 }
 
-/// Overlapped decode schedule: split-batch software pipelining of
-/// transformer compute against the sampling all-gather.
-///
-/// [`decode_pipeline`] executes the `S` sampling barrier *inline*: the
-/// device thread sits inside the collective while every other slot's
-/// transformer compute waits behind it. This family splits the merge off
-/// into a `T` pass, TokenWeave-style: `S` computes the shard's logits,
-/// softmax stats and local top-k, then *submits* the `2+2k`-float
-/// all-gather to the device's communication stream and returns
-/// immediately; the matching `T` pass — scheduled after the *next* slot's
-/// forward — waits on the stream handle and runs the identical merge +
-/// sample on every rank. While slot `k`'s gather is in flight, slot
-/// `k+1`'s forward runs on the device thread, so compute and
-/// communication overlap instead of serializing.
-///
-/// The shape mirrors [`decode_pipeline`] exactly (same hoisted `InputF`
-/// head, same 1F1B-style warmup `warm = p − d`), with every steady-state
-/// `S` followed by the next slot's `F` *before* the matching `T`:
-///
-/// ```text
-/// InputF*, F(0..warm), [S(k−warm) F(k) T(k−warm)].., [S(k) T(k)]..
-/// ```
-///
-/// `S` and `T` orders are ascending on every device, and each device's
-/// `T(k)` sits after its own `S(k)` — the protocol lints (`VP0006`,
-/// `VP0007`) hold by construction. Because every microbatch schedules a
-/// `T`, `vp_schedule::deps::sync_collectives` treats its `S` passes as
-/// stream-offloaded (non-rendezvous) and the deadlock analyses model the
-/// *wait* at `T` instead — see [`decode_pipeline_overlap_missplit`] for
-/// the layout those analyses exist to reject.
+/// The decode schedule the serving engine walks with the sampling barrier
+/// split off the device thread: [`decode_pipeline_grouped`] at `g = m`
+/// with `overlap`, i.e. `InputF*, F(0..m), S(m−1), T(m−1)` — `S` submits
+/// the one all-gather to the communication stream, `T` joins it and
+/// merges. At `g = m` nothing is left to run between the two, so this
+/// family is kept correct (model-checked, bitwise the inline tokens), not
+/// tuned; the overlap window exists at `g < m`.
 ///
 /// # Panics
 ///
 /// Panics if `p == 0` or `m == 0`.
 pub fn decode_pipeline_overlap(p: usize, m: u32) -> Schedule {
-    assert!(p > 0, "need at least one device");
-    assert!(m > 0, "need at least one slot");
-    let device_passes = (0..p)
-        .map(|d| {
-            let warm = (p - d) as u32;
-            let mut v = Vec::new();
-            for k in 0..m {
-                v.push(ScheduledPass::new(PassKind::InputF, k));
-            }
-            for k in 0..m.min(warm) {
-                v.push(ScheduledPass::new(PassKind::F, k));
-            }
-            for k in warm..m {
-                v.push(ScheduledPass::new(PassKind::S, k - warm));
-                v.push(ScheduledPass::new(PassKind::F, k));
-                v.push(ScheduledPass::new(PassKind::T, k - warm));
-            }
-            for k in m.saturating_sub(warm)..m {
-                v.push(ScheduledPass::new(PassKind::S, k));
-                v.push(ScheduledPass::new(PassKind::T, k));
-            }
-            v
-        })
-        .collect();
-    Schedule::new(ScheduleKind::Vocab(VocabVariant::Alg2), m, 1, device_passes)
+    decode_pipeline_grouped(p, m, m, true)
 }
 
-/// A deliberately *mis-split* overlap layout: the half-batch assignment is
-/// inconsistent across devices, kept as the regression fixture the
-/// overlap-aware deadlock analyses must reject.
+/// A deliberately *mis-split* overlap layout at `g = 1`: the half-batch
+/// assignment is inconsistent across devices, kept as the regression
+/// fixture the overlap-aware deadlock analyses must reject.
 ///
 /// Device 0 merges immediately (`F(k) S(k) T(k)`, zero lag — as if its
 /// half of the batch were empty), while every other device defers its
@@ -1246,106 +1241,34 @@ mod tests {
         assert!(result.is_err());
     }
 
+    /// Group sizes worth checking for `m` slots: per-slot, pairs, the
+    /// two-half weave and the whole batch.
+    fn group_sizes(m: u32) -> Vec<u32> {
+        let mut gs = vec![1, 2.min(m), m.div_ceil(2), m];
+        gs.sort_unstable();
+        gs.dedup();
+        gs
+    }
+
+    fn mbs_of(sched: &Schedule, d: usize, kind: PassKind) -> Vec<u32> {
+        sched
+            .passes(d)
+            .iter()
+            .filter(|x| x.kind == kind)
+            .map(|x| x.microbatch)
+            .collect()
+    }
+
     #[test]
-    fn decode_pipeline_validates_across_shapes() {
+    fn decode_family_validates_across_shapes_and_group_sizes() {
         use crate::deps::validate;
         for p in [1, 2, 3, 4, 8] {
             for m in [1u32, 2, 4, 7, 16] {
-                let sched = decode_pipeline(p, m);
-                validate(&sched).unwrap_or_else(|e| panic!("p={p} m={m}: {e}"));
-            }
-        }
-    }
-
-    #[test]
-    fn decode_pipeline_is_forward_only_and_covers_all_slots() {
-        let sched = decode_pipeline(4, 6);
-        for d in 0..4 {
-            assert_eq!(sched.count_kind(d, PassKind::F), 6, "device {d}");
-            assert_eq!(sched.count_kind(d, PassKind::S), 6, "device {d}");
-            assert_eq!(sched.count_kind(d, PassKind::InputF), 6, "device {d}");
-            for kind in [
-                PassKind::B,
-                PassKind::W,
-                PassKind::T,
-                PassKind::S2,
-                PassKind::InputB,
-            ] {
-                assert_eq!(sched.count_kind(d, kind), 0, "kind {kind:?} device {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn decode_pipeline_enters_collectives_in_identical_order() {
-        // Every device must hit S_0, S_1, ... in the same relative order —
-        // the C1 barrier is a collective over all shards.
-        let sched = decode_pipeline(4, 8);
-        for d in 0..4 {
-            let s_order: Vec<u32> = sched
-                .passes(d)
-                .iter()
-                .filter(|p| p.kind == PassKind::S)
-                .map(|p| p.microbatch)
-                .collect();
-            assert_eq!(s_order, (0..8).collect::<Vec<_>>(), "device {d}");
-        }
-    }
-
-    #[test]
-    fn decode_pipeline_hoists_all_input_sends_to_the_head() {
-        // Regression: an InputF interleaved after an S pass deadlocks the
-        // rendezvous runtime — the token's owning shard can sit inside the
-        // S collective while stage 0 waits on the unsent embedding row.
-        for p in [1, 2, 4] {
-            let sched = decode_pipeline(p, 8);
-            for d in 0..p {
-                assert!(
-                    sched.passes(d)[..8]
-                        .iter()
-                        .all(|x| x.kind == PassKind::InputF),
-                    "device {d} of {p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn decode_pipeline_overlap_validates_and_pairs_every_s_with_a_t() {
-        use crate::deps::validate;
-        for p in [1, 2, 3, 4, 8] {
-            for m in [1u32, 2, 4, 7, 16] {
-                let sched = decode_pipeline_overlap(p, m);
-                validate(&sched).unwrap_or_else(|e| panic!("p={p} m={m}: {e}"));
-                for d in 0..p {
-                    assert_eq!(sched.count_kind(d, PassKind::F), m as usize);
-                    assert_eq!(sched.count_kind(d, PassKind::S), m as usize);
-                    assert_eq!(sched.count_kind(d, PassKind::T), m as usize);
-                    assert_eq!(sched.count_kind(d, PassKind::InputF), m as usize);
-                    // Same hoisted InputF head as decode_pipeline.
-                    assert!(sched.passes(d)[..m as usize]
-                        .iter()
-                        .all(|x| x.kind == PassKind::InputF));
-                    // Ascending S and T orders, and each T after its own S
-                    // (the stream handle exists before anything waits on it).
-                    for kind in [PassKind::S, PassKind::T] {
-                        let order: Vec<u32> = sched
-                            .passes(d)
-                            .iter()
-                            .filter(|x| x.kind == kind)
-                            .map(|x| x.microbatch)
-                            .collect();
-                        assert_eq!(order, (0..m).collect::<Vec<_>>(), "device {d}");
-                    }
-                    for k in 0..m {
-                        let pos = |kind| {
-                            sched
-                                .passes(d)
-                                .iter()
-                                .position(|x| x.kind == kind && x.microbatch == k)
-                                .unwrap()
-                        };
-                        assert!(pos(PassKind::S) < pos(PassKind::T), "slot {k} device {d}");
+                for g in group_sizes(m) {
+                    for overlap in [false, true] {
+                        let sched = decode_pipeline_grouped(p, m, g, overlap);
+                        validate(&sched)
+                            .unwrap_or_else(|e| panic!("p={p} m={m} g={g} ov={overlap}: {e}"));
                     }
                 }
             }
@@ -1353,29 +1276,202 @@ mod tests {
     }
 
     #[test]
-    fn decode_pipeline_overlap_runs_a_forward_between_s_and_t_in_steady_state() {
-        // The point of the family: while slot k's all-gather is in flight
-        // (between S(k) and T(k)), the *next* slot's transformer forward
-        // runs on the device thread.
+    fn per_slot_lists_are_exactly_the_g1_case() {
+        // The lists the engine walked before S was grouped, spelled out.
+        for p in [1usize, 2, 4, 8] {
+            for m in [1u32, 2, 3, 8, 24] {
+                for overlap in [false, true] {
+                    let sched = decode_pipeline_grouped(p, m, 1, overlap);
+                    for d in 0..p {
+                        let warm = (p - d) as u32;
+                        let mut v = Vec::new();
+                        for k in 0..m {
+                            v.push(ScheduledPass::new(PassKind::InputF, k));
+                        }
+                        for k in 0..m.min(warm) {
+                            v.push(ScheduledPass::new(PassKind::F, k));
+                        }
+                        for k in warm..m {
+                            v.push(ScheduledPass::new(PassKind::S, k - warm));
+                            v.push(ScheduledPass::new(PassKind::F, k));
+                            if overlap {
+                                v.push(ScheduledPass::new(PassKind::T, k - warm));
+                            }
+                        }
+                        for k in m.saturating_sub(warm)..m {
+                            v.push(ScheduledPass::new(PassKind::S, k));
+                            if overlap {
+                                v.push(ScheduledPass::new(PassKind::T, k));
+                            }
+                        }
+                        assert_eq!(sched.passes(d), v, "p={p} m={m} ov={overlap} d={d}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_engine_schedules_run_one_s_after_every_forward() {
+        for p in [1usize, 2, 4] {
+            for m in [1u32, 3, 16] {
+                let inline = decode_pipeline(p, m);
+                let overlap = decode_pipeline_overlap(p, m);
+                for d in 0..p {
+                    let mut v: Vec<ScheduledPass> = [PassKind::InputF, PassKind::F]
+                        .into_iter()
+                        .flat_map(|kind| (0..m).map(move |k| ScheduledPass::new(kind, k)))
+                        .collect();
+                    v.push(ScheduledPass::new(PassKind::S, m - 1));
+                    assert_eq!(inline.passes(d), v, "p={p} m={m} d={d}");
+                    assert_eq!(inline.s_groups(d).last(), Some(&(0..m)));
+                    v.push(ScheduledPass::new(PassKind::T, m - 1));
+                    assert_eq!(overlap.passes(d), v, "p={p} m={m} d={d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_family_is_forward_only_and_samples_every_slot_once() {
+        let (p, m) = (4usize, 6u32);
+        for g in group_sizes(m) {
+            for overlap in [false, true] {
+                let sched = decode_pipeline_grouped(p, m, g, overlap);
+                let groups = m.div_ceil(g) as usize;
+                for d in 0..p {
+                    assert_eq!(sched.count_kind(d, PassKind::F), 6, "device {d}");
+                    assert_eq!(sched.count_kind(d, PassKind::InputF), 6, "device {d}");
+                    assert_eq!(sched.count_kind(d, PassKind::S), groups, "g={g} device {d}");
+                    let merges = if overlap { groups } else { 0 };
+                    assert_eq!(sched.count_kind(d, PassKind::T), merges, "g={g} device {d}");
+                    for kind in [PassKind::B, PassKind::W, PassKind::S2, PassKind::InputB] {
+                        assert_eq!(sched.count_kind(d, kind), 0, "kind {kind:?} device {d}");
+                    }
+                    // The groups tile 0..m in order, g slots each (the last
+                    // one short), for S and for the T that merges it.
+                    for kind in [PassKind::S, PassKind::T] {
+                        let sampled: Vec<u32> = sched
+                            .passes(d)
+                            .iter()
+                            .zip(sched.s_groups(d))
+                            .filter(|(x, _)| x.kind == kind)
+                            .flat_map(|(_, group)| {
+                                assert!(group.len() as u32 <= g && !group.is_empty());
+                                group
+                            })
+                            .collect();
+                        let want: Vec<u32> = if kind == PassKind::S || overlap {
+                            (0..m).collect()
+                        } else {
+                            Vec::new()
+                        };
+                        assert_eq!(sampled, want, "g={g} ov={overlap} {kind:?} device {d}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_family_enters_collectives_in_identical_order() {
+        // Every device must hit the same S instances in the same relative
+        // order — the C1 barrier is a collective over all shards.
+        let (p, m) = (4usize, 8u32);
+        for g in group_sizes(m) {
+            let sched = decode_pipeline_grouped(p, m, g, false);
+            let ends: Vec<u32> = (0..m).filter(|k| (k + 1) % g == 0 || k + 1 == m).collect();
+            for d in 0..p {
+                assert_eq!(mbs_of(&sched, d, PassKind::S), ends, "g={g} device {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_family_hoists_all_input_sends_to_the_head() {
+        // Regression: an InputF interleaved after an S pass deadlocks the
+        // rendezvous runtime — the token's owning shard can sit inside the
+        // S collective while stage 0 waits on the unsent embedding row.
+        for p in [1, 2, 4] {
+            for g in group_sizes(8) {
+                for overlap in [false, true] {
+                    let sched = decode_pipeline_grouped(p, 8, g, overlap);
+                    for d in 0..p {
+                        assert!(
+                            sched.passes(d)[..8]
+                                .iter()
+                                .all(|x| x.kind == PassKind::InputF),
+                            "g={g} device {d} of {p}"
+                        );
+                        assert_eq!(sched.count_kind(d, PassKind::InputF), 8);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overlapped_decode_pairs_every_s_with_a_later_t() {
+        for p in [1, 2, 3, 4, 8] {
+            for m in [1u32, 2, 4, 7, 16] {
+                for g in group_sizes(m) {
+                    let sched = decode_pipeline_grouped(p, m, g, true);
+                    for d in 0..p {
+                        // Ascending S and T orders over the same slots, and
+                        // each T after its own S (the stream handle exists
+                        // before anything waits on it).
+                        let s_order = mbs_of(&sched, d, PassKind::S);
+                        assert!(s_order.windows(2).all(|w| w[0] < w[1]), "device {d}");
+                        assert_eq!(s_order, mbs_of(&sched, d, PassKind::T), "device {d}");
+                        for &k in &s_order {
+                            let pos = |kind| {
+                                sched
+                                    .passes(d)
+                                    .iter()
+                                    .position(|x| x.kind == kind && x.microbatch == k)
+                                    .unwrap()
+                            };
+                            assert!(pos(PassKind::S) < pos(PassKind::T), "slot {k} device {d}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overlapped_decode_runs_a_forward_between_s_and_t_while_forwards_remain() {
+        // The point of the split at g < m: while a group's all-gather is
+        // in flight (between S(k) and T(k)), the next slot's transformer
+        // forward runs on the device thread.
         let (p, m) = (4, 8u32);
-        let sched = decode_pipeline_overlap(p, m);
-        for d in 0..p {
-            let warm = (p - d) as u32;
-            let passes = sched.passes(d);
-            for k in 0..m.saturating_sub(warm) {
-                let s = passes
-                    .iter()
-                    .position(|x| x.kind == PassKind::S && x.microbatch == k)
-                    .unwrap();
-                let t = passes
-                    .iter()
-                    .position(|x| x.kind == PassKind::T && x.microbatch == k)
-                    .unwrap();
-                let overlapped = passes[s + 1..t]
-                    .iter()
-                    .filter(|x| x.kind == PassKind::F)
-                    .count();
-                assert_eq!(overlapped, 1, "slot {k} device {d} has no overlap window");
+        for g in [1u32, 2, 4] {
+            let sched = decode_pipeline_grouped(p, m, g, true);
+            for d in 0..p {
+                let passes = sched.passes(d);
+                let last_f = passes.iter().rposition(|x| x.kind == PassKind::F).unwrap();
+                let mut windows = 0;
+                for (s, pass) in passes.iter().enumerate() {
+                    if pass.kind != PassKind::S || s > last_f {
+                        continue;
+                    }
+                    let t = passes
+                        .iter()
+                        .position(|x| x.kind == PassKind::T && x.microbatch == pass.microbatch)
+                        .unwrap();
+                    let overlapped = passes[s + 1..t]
+                        .iter()
+                        .filter(|x| x.kind == PassKind::F)
+                        .count();
+                    assert_eq!(
+                        overlapped, 1,
+                        "g={g} {pass} device {d} has no overlap window"
+                    );
+                    windows += 1;
+                }
+                let warm = (p - d) as u32;
+                let want = (0..m).filter(|k| (k + 1) % g == 0 && k + warm < m).count();
+                assert_eq!(windows, want, "g={g} device {d}");
             }
         }
     }
@@ -1407,7 +1503,7 @@ mod tests {
         // Device d should run p − d forwards before its first S so the
         // steady state pipelines.
         let p = 4;
-        let sched = decode_pipeline(p, 8);
+        let sched = decode_pipeline_grouped(p, 8, 1, false);
         for d in 0..p {
             let first_s = sched
                 .passes(d)

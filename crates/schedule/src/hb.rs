@@ -416,19 +416,21 @@ mod tests {
     #[test]
     fn hoisted_decode_stays_acyclic_under_rendezvous_edges() {
         use crate::deps::sync_collectives;
-        use crate::generators::decode_pipeline;
+        use crate::generators::decode_pipeline_grouped;
         for p in [1usize, 2, 4] {
             for m in [1u32, 2, 3, 8] {
-                let sched = decode_pipeline(p, m);
-                let deps = build_deps(&sched).unwrap();
-                let sync = sync_collectives(&sched, true);
-                assert_eq!(sync.len(), m as usize);
-                let hb = HbGraph::with_rendezvous(&sched, &deps, &sync);
-                assert!(
-                    hb.topo_order().is_some(),
-                    "p={p} m={m}: {:?}",
-                    hb.minimal_cycle()
-                );
+                for g in [1, 2, m.div_ceil(2), m] {
+                    let sched = decode_pipeline_grouped(p, m, g, false);
+                    let deps = build_deps(&sched).unwrap();
+                    let sync = sync_collectives(&sched, true);
+                    assert_eq!(sync.len(), m.div_ceil(g) as usize, "one per group");
+                    let hb = HbGraph::with_rendezvous(&sched, &deps, &sync);
+                    assert!(
+                        hb.topo_order().is_some(),
+                        "p={p} m={m} g={g}: {:?}",
+                        hb.minimal_cycle()
+                    );
+                }
             }
         }
     }
@@ -473,14 +475,18 @@ mod tests {
     #[test]
     fn overlap_decode_slots_are_stream_offloaded_not_rendezvous() {
         use crate::deps::sync_collectives;
-        use crate::generators::{decode_pipeline, decode_pipeline_overlap};
-        // The inline-barrier decode family keeps one rendezvous per slot…
-        let inline = decode_pipeline(4, 6);
-        assert_eq!(sync_collectives(&inline, true).len(), 6);
-        // …while the overlapped family defers every merge to a T pass, so
-        // no S is a rendezvous and the asymmetric T ← S edges are faithful.
-        let overlap = decode_pipeline_overlap(4, 6);
-        assert!(sync_collectives(&overlap, true).is_empty());
+        use crate::generators::decode_pipeline_grouped;
+        // The inline-barrier decode family keeps one rendezvous per group…
+        for (g, instances) in [(1, 6), (4, 2), (6, 1)] {
+            let inline = decode_pipeline_grouped(4, 6, g, false);
+            assert_eq!(sync_collectives(&inline, true).len(), instances, "g={g}");
+            // …while the overlapped family defers every merge to a T pass,
+            // so no S is a rendezvous and the asymmetric T ← S edges are
+            // faithful.
+            let overlap = decode_pipeline_grouped(4, 6, g, true);
+            assert!(sync_collectives(&overlap, true).is_empty(), "g={g}");
+        }
+        let overlap = decode_pipeline_grouped(4, 6, 1, true);
         // The arrival-edge closure is a no-op there — the base graph
         // already models the waits — and stays acyclic.
         let deps = build_deps(&overlap).unwrap();

@@ -1,6 +1,7 @@
 //! Typed pipeline passes and the [`Schedule`] container.
 
 use std::fmt;
+use std::ops::Range;
 
 /// The kind of work a pipeline pass performs.
 ///
@@ -306,6 +307,68 @@ impl Schedule {
             .count()
     }
 
+    /// The slots each pass of device `d` samples, by pass index — the one
+    /// grouping rule of the vocabulary output passes.
+    ///
+    /// An `S(k)` samples every slot `≤ k` that no earlier `S` on its device
+    /// sampled: `lo..k + 1`, with `lo` one past the highest slot an earlier
+    /// `S` reached (empty when one already reached `k`). A `T(k)` spans
+    /// what the device's `S(k)` sampled — it finishes that `S`'s barrier.
+    /// Every other kind spans nothing.
+    ///
+    /// Training schedules run one `S` per microbatch in ascending order,
+    /// so every group is the singleton `k..k + 1`: the per-microbatch
+    /// rule. The grouped decode schedules
+    /// ([`crate::generators::decode_pipeline_grouped`]) run one `S` per `g`
+    /// slots, and everything that asks "which slots does this pass touch"
+    /// — dependency edges, buffer facts, the coverage lint, the engine
+    /// that executes the list — reads the answer here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is out of range.
+    pub fn s_groups(&self, d: usize) -> Vec<Range<u32>> {
+        let passes = &self.device_passes[d];
+        let mut reached = 0;
+        let mut groups: Vec<Range<u32>> = passes
+            .iter()
+            .map(|pass| {
+                if pass.kind != PassKind::S {
+                    return 0..0;
+                }
+                let end = pass.microbatch + 1;
+                let group = reached.min(end)..end;
+                reached = reached.max(end);
+                group
+            })
+            .collect();
+        for (i, pass) in passes.iter().enumerate() {
+            if pass.kind == PassKind::T {
+                let own_s = passes
+                    .iter()
+                    .position(|s| s.kind == PassKind::S && s.microbatch == pass.microbatch);
+                if let Some(s) = own_s {
+                    groups[i] = groups[s].clone();
+                }
+            }
+        }
+        groups
+    }
+
+    /// [`Self::iter_all`] with each pass's entry of [`Self::s_groups`]:
+    /// `(device, index_in_device, pass, slots the pass samples)`.
+    pub fn iter_all_grouped(
+        &self,
+    ) -> impl Iterator<Item = (usize, usize, &ScheduledPass, Range<u32>)> {
+        (0..self.devices()).flat_map(move |d| {
+            self.device_passes[d]
+                .iter()
+                .zip(self.s_groups(d))
+                .enumerate()
+                .map(move |(i, (pass, group))| (d, i, pass, group))
+        })
+    }
+
     /// The number of virtual pipeline stages (`devices × chunks`).
     pub fn virtual_stages(&self) -> usize {
         self.devices() * self.chunks as usize
@@ -395,6 +458,29 @@ mod tests {
             let (d, c) = sched.device_of_virtual_stage(vs);
             assert_eq!(sched.virtual_stage_of(d, c), vs);
         }
+    }
+
+    #[test]
+    fn an_s_samples_every_slot_up_to_its_own_that_no_earlier_s_took() {
+        let list = |passes: &[(PassKind, u32)]| {
+            let passes = passes
+                .iter()
+                .map(|&(kind, mb)| ScheduledPass::new(kind, mb))
+                .collect();
+            Schedule::new(ScheduleKind::Vocab(VocabVariant::Alg2), 6, 1, vec![passes])
+        };
+        use PassKind::{F, S, T};
+        // One S per slot, ascending (every training schedule): singletons,
+        // and each T spans its own S's slot.
+        let per_slot = list(&[(S, 0), (S, 1), (T, 0), (S, 2), (T, 1), (T, 2)]);
+        assert_eq!(per_slot.s_groups(0), [0..1, 1..2, 0..1, 2..3, 1..2, 2..3]);
+        // Grouped: S(1) takes {0, 1}, S(5) the four slots after it.
+        let grouped = list(&[(F, 0), (S, 1), (F, 2), (T, 1), (S, 5), (T, 5)]);
+        assert_eq!(grouped.s_groups(0), [0..0, 0..2, 0..0, 0..2, 2..6, 2..6]);
+        // Out of order, the later S finds nothing left; a T without its S
+        // spans nothing.
+        let skewed = list(&[(S, 3), (S, 2), (T, 2), (T, 4)]);
+        assert_eq!(skewed.s_groups(0), [0..4, 3..3, 3..3, 0..0]);
     }
 
     #[test]

@@ -35,7 +35,19 @@
 //! kernel *losing* to serial (speedup 0.74–0.98) with 4 threads on a 1-core
 //! box. On a single-core machine every kernel therefore takes the serial
 //! path, whatever `VP_THREADS` says.
+//!
+//! # Lane budgets
+//!
+//! Both settings above are process-wide *caps*. Whoever spawns device
+//! threads — the training launcher, the serving engine — owns the core
+//! count and hands each of them [`lanes_per_device`] kernel lanes with
+//! [`set_lane_budget`], a per-thread cap under those two: `p` device
+//! threads then dispatch at most `cores` chunks between them instead of
+//! `p × cores`. At a budget of 1 a device thread runs every kernel inline —
+//! no task, no latch, no wake-up. Threads nobody budgeted (tests, benches,
+//! the single-device reference) see only the process-wide caps.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -282,14 +294,57 @@ pub fn set_assumed_cores(n: usize) {
     ASSUMED_CORES.store(n, Ordering::Release);
 }
 
-/// Thread count the dispatcher will actually use: the configured count
-/// capped at the assumed core count.
-fn effective_threads() -> usize {
+thread_local! {
+    /// Kernel-lane cap of this thread; 0 = unbudgeted.
+    static LANE_BUDGET: Cell<usize> = const { Cell::new(0) };
+    /// Pool tasks this thread has enqueued so far.
+    static ENQUEUED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The kernel lanes each of `device_threads` concurrently running device
+/// threads gets: an equal share of [`assumed_cores`], at least one. The one
+/// place the launcher-side policy lives.
+pub fn lanes_per_device(device_threads: usize) -> usize {
+    (assumed_cores() / device_threads.max(1)).max(1)
+}
+
+/// Caps the calling thread's kernel dispatches at `lanes` (min 1) chunks,
+/// for the rest of the thread's life. Called once by a device thread as it
+/// starts; the cap sits under [`set_num_threads`] and [`set_assumed_cores`]
+/// and never changes a result (splits are thread-count independent).
+pub fn set_lane_budget(lanes: usize) {
+    LANE_BUDGET.with(|b| b.set(lanes.max(1)));
+}
+
+/// The calling thread's lane budget, `None` if nobody set one.
+pub fn lane_budget() -> Option<usize> {
+    Some(LANE_BUDGET.with(Cell::get)).filter(|&b| b > 0)
+}
+
+/// Pool tasks the calling thread has enqueued since it started (kernels
+/// that ran inline enqueue none).
+pub fn tasks_enqueued() -> usize {
+    ENQUEUED.with(Cell::get)
+}
+
+/// Size of the process-wide pool: the configured thread count capped at
+/// the assumed core count.
+fn pool_threads() -> usize {
     num_threads().min(assumed_cores()).max(1)
 }
 
-/// Worker count the dispatcher would actually use right now: the
-/// configured thread count capped at the probed/assumed core count.
+/// Chunks the calling thread's next dispatch may use: [`pool_threads`]
+/// under the thread's lane budget.
+fn effective_threads() -> usize {
+    match LANE_BUDGET.with(Cell::get) {
+        0 => pool_threads(),
+        lanes => pool_threads().min(lanes),
+    }
+}
+
+/// Worker count the dispatcher would actually use right now on this
+/// thread: the configured thread count capped at the probed/assumed core
+/// count and at the thread's lane budget.
 ///
 /// Kernels use this to choose *how* to split work (e.g. the GEMM driver
 /// picks row chunks vs column panels); `1` means every dispatch goes
@@ -421,7 +476,11 @@ impl Pool {
 /// all of them have completed. Propagates a panic if any task panicked.
 fn dispatch(tasks: Vec<ScopedTask<'_>>) {
     let pool = Pool::global();
-    pool.ensure_workers(effective_threads().saturating_sub(1));
+    // Sized for the process, not for this thread's budget: budgeted device
+    // threads share the workers, and what bounds concurrency is the chunks
+    // in flight (the budgets sum to at most the core count).
+    pool.ensure_workers(pool_threads() - 1);
+    ENQUEUED.with(|n| n.set(n.get() + tasks.len()));
     let latch = Arc::new(Latch::new(tasks.len()));
     for task in tasks {
         // SAFETY: `dispatch` does not return until the latch reports every
@@ -447,8 +506,9 @@ fn dispatch(tasks: Vec<ScopedTask<'_>>) {
 
 /// Row-range plan: `Some(rows_per_chunk)` to parallelize, `None` to run the
 /// whole range serially on the caller. Serial whenever the effective worker
-/// count is 1 (including "more threads than cores"), the row count is below
-/// [`MIN_PARALLEL_ROWS`], or the work below [`MIN_PARALLEL_WORK`].
+/// count is 1 ("more threads than cores" and a lane budget of 1 included),
+/// the row count is below [`MIN_PARALLEL_ROWS`], or the work below
+/// [`MIN_PARALLEL_WORK`].
 fn plan(rows: usize, work: usize) -> Option<usize> {
     let threads = effective_threads();
     if threads <= 1 || rows < MIN_PARALLEL_ROWS || work < MIN_PARALLEL_WORK {
@@ -558,7 +618,8 @@ impl ColPanelMut<'_> {
 
 /// Runs `f` over disjoint column panels of the row-major `rows × cols`
 /// buffer `out`, partitioning columns into up to `effective_threads()`
-/// panels whose widths are multiples of `align` (except the last).
+/// panels (so at most the calling thread's lane budget) whose widths are
+/// multiples of `align` (except the last).
 ///
 /// This is the GEMM driver's split for **short-wide** outputs (few rows,
 /// many columns — e.g. a handful of sequence positions against a large
@@ -985,6 +1046,71 @@ mod tests {
         });
         assert_eq!(col_calls.load(Ordering::SeqCst), 1);
         set_num_threads(before);
+    }
+
+    /// Runs one row-split and one panel-split dispatch on a fresh thread
+    /// under `lanes`; returns what the thread enqueued and the parallelism
+    /// it saw.
+    fn dispatch_on_a_thread(lanes: Option<usize>) -> (usize, usize) {
+        std::thread::spawn(move || {
+            if let Some(lanes) = lanes {
+                set_lane_budget(lanes);
+            }
+            let mut out = vec![0.0f32; 64 * 64];
+            par_rows_mut(64, usize::MAX, &mut out, |_, _, chunk| chunk.fill(1.0));
+            par_col_panels_mut(4, 1024, 8, usize::MAX, &mut out, |mut panel| {
+                for r in 0..4 {
+                    panel.row_mut(r).fill(2.0);
+                }
+            });
+            assert!(out.iter().all(|&v| v == 2.0));
+            (tasks_enqueued(), effective_parallelism())
+        })
+        .join()
+        .unwrap()
+    }
+
+    #[test]
+    fn one_lane_never_enqueues_while_an_unbudgeted_sibling_still_does() {
+        let _guard = config_lock();
+        let before = num_threads();
+        set_num_threads(4);
+        assert_eq!(dispatch_on_a_thread(Some(1)), (0, 1));
+        // A wider budget caps both split shapes at its lane count …
+        assert_eq!(dispatch_on_a_thread(Some(2)), (2 + 2, 2));
+        // … and sits *under* the process-wide caps, never above them.
+        assert_eq!(dispatch_on_a_thread(Some(64)), (4 + 4, 4));
+        assert_eq!(dispatch_on_a_thread(None), (4 + 4, 4));
+        set_num_threads(before);
+    }
+
+    #[test]
+    fn lane_budgets_are_per_thread_and_die_with_their_thread() {
+        assert_eq!(lane_budget(), None);
+        std::thread::spawn(|| {
+            set_lane_budget(0); // clamps to 1
+            assert_eq!(lane_budget(), Some(1));
+            set_lane_budget(3);
+            assert_eq!(lane_budget(), Some(3));
+            // Not inherited: a thread this one spawns starts unbudgeted.
+            let child = std::thread::spawn(lane_budget).join().unwrap();
+            assert_eq!(child, None);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(lane_budget(), None, "a sibling's budget leaked");
+        assert_eq!(std::thread::spawn(lane_budget).join().unwrap(), None);
+    }
+
+    #[test]
+    fn lanes_per_device_shares_out_the_assumed_cores() {
+        let _guard = config_lock();
+        set_assumed_cores(4);
+        assert_eq!(lanes_per_device(1), 4);
+        assert_eq!(lanes_per_device(2), 2);
+        assert_eq!(lanes_per_device(3), 1);
+        assert_eq!(lanes_per_device(8), 1, "never below one lane");
+        set_assumed_cores(16);
     }
 
     #[test]

@@ -7,36 +7,23 @@
 //! Experiments: `check`, `modelcheck`, `fig1`/`schedules`, `fig2`, `fig3`, `table3`,
 //! `table3-measured`, `table4`, `table5`, `table6`, `ablation-interlaced`,
 //! `ablation-barriers`, `ablation-zero-bubble`, `generality`,
-//! `generality-numeric`, `kernels`, `trainbench`, `servebench`, `tpsweep`,
-//! `padding`, `trace`, `timeline`, `csv`, `fig17`, or `all`. `--quick` runs
-//! the throughput
-//! sweeps with 32 instead of 128 microbatches (same shapes, ~4× faster)
-//! and shortens the kernel timing loops. `kernels --json` additionally
-//! writes `BENCH_kernels.json` (median µs/iter per kernel, serial vs
-//! threaded; thread count from `VP_THREADS`, default 4). `trainbench`
-//! trains the Figure-17 config end to end through the buffer arena's
-//! fresh → cold → steady lifecycle and with `--json` writes per-iteration
-//! wall times plus arena counters to `BENCH_train.json`. `servebench`
-//! serves open-loop Poisson request streams through the forward-only
-//! decode engine at several pipeline depths (greedy decode checked bitwise
-//! against the single-device reference) and with `--json` writes
-//! throughput, tail latency, occupancy and arena counters to
-//! `BENCH_serve.json`. `timeline` runs
-//! two schedules through both
-//! the simulator and the traced numeric runtime, writes
-//! `traces/measured-<name>.trace.json`, and with `--json` writes the
-//! sim-vs-measured divergence to `TIMELINE.json`. `tpsweep` runs the
-//! PP × TP crossover study on the 2D device grid (every factorization of
-//! a fixed device budget, gated through `vp-check` + the grid lints) and
-//! with `--json` writes the table to `TPSWEEP.json`. `modelcheck` runs
-//! the differential deadlock suite — every `check` grid schedule plus
-//! seeded mutants through both the static analyses and the exhaustive
-//! pass-VM model checker, failing on any disagreement — and with `--json`
-//! writes `MODELCHECK.json`. `--out <path>`
-//! redirects the JSON artifact of the selected experiment.
+//! `generality-numeric`, `tpsweep`, `padding`, `trace`, `timeline`, `csv`,
+//! `fig17`, or `all`. `--quick` runs the throughput sweeps with 32 instead
+//! of 128 microbatches (same shapes, ~4× faster). Speed is not measured
+//! here: that is `benchmark/` (see `benchmark/README.md`).
+//!
+//! Four experiments gate themselves — they exit 1 on their own verdict —
+//! and with `--json` write an artifact (`--out <path>` redirects it; a
+//! failed write also exits 1): `check` (`CHECK.json`: any diagnostic on
+//! the static verification sweep), `modelcheck` (`MODELCHECK.json`: a
+//! static-vs-model disagreement or a case over its state budget),
+//! `tpsweep` (`TPSWEEP.json`: an unverified PP × TP configuration or a
+//! tp = 1 column that is not bitwise the 1D simulation) and `timeline`
+//! (`TIMELINE.json`, plus `traces/measured-<name>.trace.json`: simulated
+//! vs measured busy shares drifting past the bound, dropped trace events
+//! or a non-finite loss).
 
 use vp_bench::experiments;
-use vp_bench::kernels as kernel_bench;
 use vp_bench::paper;
 use vp_bench::table;
 
@@ -81,9 +68,6 @@ fn main() {
             "ablation-zero-bubble",
             "generality",
             "generality-numeric",
-            "kernels",
-            "trainbench",
-            "servebench",
             "tpsweep",
             "padding",
             "trace",
@@ -110,9 +94,6 @@ fn main() {
             "ablation-zero-bubble" => ablation_zero_bubble(microbatches),
             "generality" => generality(microbatches),
             "generality-numeric" => generality_numeric(),
-            "kernels" => kernels(quick, json, out.as_deref()),
-            "trainbench" => trainbench(quick, json, out.as_deref()),
-            "servebench" => servebench(quick, json, out.as_deref()),
             "tpsweep" => tpsweep(json, out.as_deref()),
             "trace" => trace(),
             "timeline" => timeline(json, out.as_deref()),
@@ -131,17 +112,42 @@ fn heading(title: &str) {
     println!("\n############ {title} ############\n");
 }
 
+/// Writes a `--json` artifact; a gate stage must not pass on a stale or
+/// missing file, so a failed write fails the run.
+fn write_artifact(path: &str, doc: &str) {
+    match std::fs::write(path, doc) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Reports the files an export wrote; a failed export fails the run.
+fn report_export(what: &str, result: std::io::Result<Vec<std::path::PathBuf>>) {
+    match result {
+        Ok(paths) => {
+            for p in paths {
+                println!("wrote {}", p.display());
+            }
+        }
+        Err(e) => {
+            eprintln!("{what} failed: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn check_schedules(json: bool, out: Option<&str>) {
     heading("vp-check — static verification of every schedule generator");
     let cases = vp_bench::check::sweep();
     print!("{}", vp_bench::check::render(&cases));
     if json {
-        let path = out.unwrap_or("CHECK.json");
-        let doc = vp_bench::check::to_json(&cases);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+        write_artifact(
+            out.unwrap_or("CHECK.json"),
+            &vp_bench::check::to_json(&cases),
+        );
     }
     if cases.iter().any(|c| !c.report.is_clean()) {
         eprintln!("vp-check: diagnostics found — failing");
@@ -154,12 +160,10 @@ fn modelcheck(json: bool, out: Option<&str>) {
     let cases = vp_bench::modelcheck::run();
     print!("{}", vp_bench::modelcheck::render(&cases));
     if json {
-        let path = out.unwrap_or("MODELCHECK.json");
-        let doc = vp_bench::modelcheck::to_json(&cases);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+        write_artifact(
+            out.unwrap_or("MODELCHECK.json"),
+            &vp_bench::modelcheck::to_json(&cases),
+        );
     }
     let disagreements = cases
         .iter()
@@ -392,15 +396,10 @@ fn ablation_zero_bubble(microbatches: usize) {
 
 fn csv(microbatches: usize) {
     heading("CSV export — Figure 11–14 data series");
-    let dir = std::path::Path::new("csv");
-    match experiments::export_csv(dir, microbatches) {
-        Ok(paths) => {
-            for p in paths {
-                println!("wrote {}", p.display());
-            }
-        }
-        Err(e) => eprintln!("csv export failed: {e}"),
-    }
+    report_export(
+        "csv export",
+        experiments::export_csv(std::path::Path::new("csv"), microbatches),
+    );
 }
 
 fn generality(microbatches: usize) {
@@ -463,205 +462,16 @@ fn generality_numeric() {
     println!("code); deviations stay within Figure 17's f32 accumulation-order noise.");
 }
 
-fn kernels(quick: bool, json: bool, out: Option<&str>) {
-    heading("Kernel microbench — serial vs threaded worker pool (vp-tensor::pool)");
-    let threads = std::env::var("VP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4);
-    let size = 256;
-    let (runs, iters) = if quick { (3, 2) } else { (7, 5) };
-    let sweep = kernel_bench::run(size, threads, runs, iters);
-    let rows: Vec<Vec<String>> = sweep
-        .kernels
-        .iter()
-        .map(|k| {
-            vec![
-                k.name.to_string(),
-                k.shape.clone(),
-                format!("{:.1}", k.serial_us),
-                format!("{:.1}", k.threaded_us),
-                format!("{:.2}x", k.speedup()),
-                format!("{:.2}", k.serial_gflops()),
-                format!("{:.2}", k.threaded_gflops()),
-                k.path.to_string(),
-                if k.bitwise_identical { "yes" } else { "NO" }.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "kernel",
-                "shape",
-                "serial µs",
-                &format!("{threads}-thread µs"),
-                "speedup",
-                "serial GFLOP/s",
-                "thr GFLOP/s",
-                "path",
-                "bitwise =="
-            ],
-            &rows
-        )
-    );
-    // The hardened probe (available_parallelism ∪ /sys topology ∪ cpuinfo,
-    // capped by cgroup quotas; VP_CORES overrides) — not bare
-    // available_parallelism, which containers mis-report. Dispatch caps
-    // workers at this, so it explains `path`. The sweep snapshotted these
-    // while measuring, so they match the table above by construction.
-    let cores = sweep.cores;
-    let effective = sweep.effective_threads;
-    println!(
-        "Parallelism is across independent output rows or column panels, so threaded\n\
-         results are bitwise identical to serial. Probed cores: {cores}; dispatch caps\n\
-         {threads} requested threads at {effective} worker(s) — on one core the serial path is\n\
-         the correct choice, not a missed speedup."
-    );
-    if json {
-        let path = out.unwrap_or("BENCH_kernels.json");
-        let doc = kernel_bench::to_json(&sweep);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-}
-
-fn trainbench(quick: bool, json: bool, out: Option<&str>) {
-    heading("Train bench — steady-iteration wall time through the buffer arena (Fig-17 config)");
-    let iterations = if quick { 3 } else { 6 };
-    let results = vp_bench::trainbench::run(iterations);
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|t| {
-            vec![
-                t.name.to_string(),
-                t.devices.to_string(),
-                format!("{:.5}", t.final_loss),
-                format!("{:.0}", t.median_iter_us()),
-                t.steady.fresh.to_string(),
-                t.steady.reuse.to_string(),
-                format!("{:.3}", t.steady.reuse_ratio()),
-                if t.pooled_bitwise_identical {
-                    "yes"
-                } else {
-                    "NO"
-                }
-                .to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "schedule",
-                "devices",
-                "final loss",
-                "median iter µs",
-                "steady fresh",
-                "steady reuse",
-                "reuse ratio",
-                "pooled bitwise =="
-            ],
-            &rows
-        )
-    );
-    println!(
-        "Each schedule runs three times: arena off (reference numerics), cold pool, warm\n\
-         pool. Steady-state counters show recycled buffers serving the iteration; the\n\
-         loss trajectory is bitwise identical in all three runs."
-    );
-    if json {
-        let path = out.unwrap_or("BENCH_train.json");
-        let doc = vp_bench::trainbench::to_json(iterations, &results);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-}
-
-fn servebench(quick: bool, json: bool, out: Option<&str>) {
-    heading("Serve bench — open-loop decoding through the vocab-parallel serving engine");
-    let workload = vp_bench::servebench::ServeWorkload::new(quick);
-    let results = vp_bench::servebench::run(&workload);
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|t| {
-            vec![
-                t.name.clone(),
-                t.devices.to_string(),
-                t.requests.to_string(),
-                t.tokens.to_string(),
-                t.steps.to_string(),
-                format!("{:.0}", t.tokens_per_sec),
-                format!("{:.3}", t.p50_ms),
-                format!("{:.3}", t.p99_ms),
-                format!("{:.2}", t.occupancy),
-                format!("{:.3}", t.arena.reuse_ratio()),
-                if t.greedy_matches_reference {
-                    "yes"
-                } else {
-                    "NO"
-                }
-                .to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "pipeline",
-                "devices",
-                "requests",
-                "tokens",
-                "steps",
-                "tok/s",
-                "p50 ms",
-                "p99 ms",
-                "occupancy",
-                "reuse ratio",
-                "greedy =="
-            ],
-            &rows
-        )
-    );
-    println!(
-        "Each depth first replays a closed-loop stream against the single-device\n\
-         full-context reference (bitwise greedy equivalence), then serves the Poisson\n\
-         stream continuously batched with KV caches drawn from the warmed buffer arena."
-    );
-    if json {
-        let path = out.unwrap_or("BENCH_serve.json");
-        let doc = vp_bench::servebench::to_json(&workload, &results);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-    if results.iter().any(|t| !t.greedy_matches_reference) {
-        eprintln!("servebench: greedy decode diverged from the reference — failing");
-        std::process::exit(1);
-    }
-}
-
 fn tpsweep(json: bool, out: Option<&str>) {
     heading("TP sweep — PP × TP crossover on the 2D device grid (4B, 16 devices)");
     let total_devices = 16;
     let series = vp_bench::tpsweep::run(total_devices);
     print!("{}", vp_bench::tpsweep::render(total_devices, &series));
     if json {
-        let path = out.unwrap_or("TPSWEEP.json");
-        let doc = vp_bench::tpsweep::to_json(total_devices, &series);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+        write_artifact(
+            out.unwrap_or("TPSWEEP.json"),
+            &vp_bench::tpsweep::to_json(total_devices, &series),
+        );
     }
     if series.iter().any(|s| !s.all_clean() || !s.tp1_matches()) {
         eprintln!("tpsweep: unverified configuration or tp=1 bitwise divergence — failing");
@@ -679,37 +489,33 @@ fn timeline(json: bool, out: Option<&str>) {
         print!("{}", case.divergence.render());
         println!();
     }
-    match vp_bench::timeline::write_traces(std::path::Path::new("traces"), &cases) {
-        Ok(paths) => {
-            for p in paths {
-                println!("wrote {}", p.display());
-            }
-            println!("Open next to the simulator's traces in chrome://tracing or Perfetto.");
-        }
-        Err(e) => eprintln!("measured trace export failed: {e}"),
-    }
+    report_export(
+        "measured trace export",
+        vp_bench::timeline::write_traces(std::path::Path::new("traces"), &cases),
+    );
+    println!("Open next to the simulator's traces in chrome://tracing or Perfetto.");
     if json {
-        let path = out.unwrap_or("TIMELINE.json");
-        let doc = vp_bench::timeline::to_json(&cases);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+        write_artifact(
+            out.unwrap_or("TIMELINE.json"),
+            &vp_bench::timeline::to_json(&cases),
+        );
+    }
+    let failures: Vec<String> = cases.iter().filter_map(|c| c.failure()).collect();
+    for failure in &failures {
+        eprintln!("timeline: {failure} — failing");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }
 
 fn trace() {
     heading("Chrome trace export");
-    let dir = std::path::Path::new("traces");
-    match experiments::export_traces(dir) {
-        Ok(paths) => {
-            for p in paths {
-                println!("wrote {}", p.display());
-            }
-            println!("Open in chrome://tracing or https://ui.perfetto.dev.");
-        }
-        Err(e) => eprintln!("trace export failed: {e}"),
-    }
+    report_export(
+        "trace export",
+        experiments::export_traces(std::path::Path::new("traces")),
+    );
+    println!("Open in chrome://tracing or https://ui.perfetto.dev.");
 }
 
 fn schedules() {

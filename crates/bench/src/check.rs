@@ -10,6 +10,7 @@
 //! analyses with zero diagnostics. `ci.sh` runs it as a gate, twice, and
 //! requires byte-identical JSON.
 
+use crate::table::json_escape;
 use vp_check::{check_with, CheckConfig, CheckReport};
 use vp_schedule::block::PassTimes;
 use vp_schedule::generators;
@@ -305,10 +306,6 @@ pub fn render(cases: &[CheckCase]) -> String {
         failing
     ));
     out
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Machine-readable sweep result: per-case verdicts with the diagnostics

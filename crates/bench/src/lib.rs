@@ -11,23 +11,8 @@
 
 pub mod check;
 pub mod experiments;
-pub mod kernels;
 pub mod modelcheck;
 pub mod paper;
-pub mod servebench;
 pub mod table;
 pub mod timeline;
 pub mod tpsweep;
-pub mod trainbench;
-
-/// Serializes tests that cycle or measure the process-global tensor
-/// buffer arena (`trainbench` toggles it, `servebench` reads its
-/// counters) — one shared lock so they cannot interleave.
-#[cfg(test)]
-pub(crate) fn arena_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    use std::sync::{Mutex, OnceLock};
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}

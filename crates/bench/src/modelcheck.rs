@@ -8,7 +8,7 @@
 //!   (happens-before cycle), `VP0017` (rendezvous deadlock), or a
 //!   `VP0005`/`VP0006` (missing participant / issue-order skew) whose
 //!   collective is a true rendezvous, i.e. the decode sampling barrier
-//!   (see [`is_hang_prediction`] for why the asynchronous cases are
+//!   (see `is_hang_prediction` for why the asynchronous cases are
 //!   backend hazards outside the VM's semantics);
 //! * the **dynamic** side executes the schedule on the model checker's
 //!   pass-VM and reports whether some interleaving deadlocks.
@@ -38,6 +38,7 @@ use vp_check::{check_with, CheckConfig};
 use vp_schedule::pass::{PassKind, Schedule, ScheduledPass};
 
 use crate::check::{sweep_cases, SweepCase};
+use crate::table::json_escape;
 
 /// Whether a diagnostic predicts that *this VM* blocks forever.
 ///
@@ -612,15 +613,9 @@ pub fn render(cases: &[ModelCase]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// Machine-readable result for `MODELCHECK.json`: summary counters the CI
-/// gate asserts on, plus per-case verdicts (deterministic order — the
-/// grid is deterministic and the mutant seeds are fixed).
+/// Machine-readable result for `MODELCHECK.json`: summary counters plus
+/// per-case verdicts (deterministic order — the grid is deterministic and
+/// the mutant seeds are fixed).
 pub fn to_json(cases: &[ModelCase]) -> String {
     let mutants = cases.iter().filter(|c| c.mutant).count();
     let disagreements = cases

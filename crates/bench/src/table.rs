@@ -35,7 +35,7 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Escapes a string for embedding in a JSON document (the workspace is
-/// dependency-free, so the `BENCH_*.json` artifacts are emitted by hand).
+/// dependency-free, so the `repro --json` artifacts are emitted by hand).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -9,7 +9,9 @@
 //! final iteration is rendered as Chrome trace-event JSON next to the
 //! simulator's exports (`traces/measured-<name>.trace.json`), and
 //! [`vp_sim::compare_timelines`] reduces both sides to per-pass-kind busy
-//! shares whose divergence CI gates.
+//! shares; a case whose divergence reaches [`MAX_DIVERGENCE`], that
+//! dropped trace events or whose loss is not finite fails the run
+//! ([`TimelineCase::failure`] — `repro timeline` exits 1 on it).
 
 use crate::table::{json_escape, json_f64};
 use std::path::{Path, PathBuf};
@@ -35,6 +37,33 @@ pub struct TimelineCase {
     pub trace_json: String,
     /// Events that did not fit the per-device buffers (0 in healthy runs).
     pub dropped_events: usize,
+}
+
+/// Ceiling on a case's sim-vs-measured busy-share divergence. Loose on
+/// purpose: observed ~0.33 on this workload, so 0.5 catches a broken
+/// tracer or cost model, not machine noise.
+pub const MAX_DIVERGENCE: f64 = 0.5;
+
+impl TimelineCase {
+    /// Why this case fails the drift gate, or `None` if it passes.
+    pub fn failure(&self) -> Option<String> {
+        let name = self.name;
+        let divergence = self.divergence.max_divergence();
+        if !self.final_loss.is_finite() {
+            Some(format!("{name}: loss diverged ({})", self.final_loss))
+        } else if self.dropped_events != 0 {
+            Some(format!(
+                "{name}: {} trace events dropped",
+                self.dropped_events
+            ))
+        } else if divergence >= MAX_DIVERGENCE {
+            Some(format!(
+                "{name}: sim-vs-measured share divergence {divergence:.3} >= {MAX_DIVERGENCE}"
+            ))
+        } else {
+            None
+        }
+    }
 }
 
 /// The cases `repro timeline` runs: the plain 1F1B baseline and a
@@ -104,7 +133,7 @@ pub fn write_traces(dir: &Path, cases: &[TimelineCase]) -> std::io::Result<Vec<P
     Ok(written)
 }
 
-/// Serializes the comparison as the `TIMELINE.json` document CI gates on.
+/// Serializes the comparison as the `TIMELINE.json` document.
 pub fn to_json(cases: &[TimelineCase]) -> String {
     let mut out = String::new();
     out.push_str("{\n");

@@ -643,7 +643,7 @@ impl OutputShard {
     /// Rows are independent: `m` stacked rows give bitwise the states of
     /// `m` one-row calls, from one GEMM that reads the shard once. Each
     /// logits row is then swept once for its running max and its `k` best
-    /// candidates (a fixed-size insertion buffer under [`beats`], so no
+    /// candidates (a fixed-size insertion buffer under `beats`, so no
     /// sort and nothing allocated per row) and once more, in ascending
     /// column order, for the exp-sum. A `NaN` logit is never a candidate.
     ///

@@ -107,7 +107,7 @@ pub struct TrainReport {
     /// Wall-clock seconds per training iteration, measured across all
     /// device threads (earliest iteration start to latest iteration end,
     /// including gradient sync and the optimizer step). Later entries are
-    /// the steady-state iterations `repro trainbench` reports on.
+    /// the steady-state iterations.
     pub iter_wall: Vec<f64>,
 }
 

@@ -2,7 +2,7 @@
 //! vocabulary-sharded decode engine against the single-device
 //! full-context reference. (KV-cache arena hygiene across request
 //! retirement reads process-global counters and lives in its own binary,
-//! `serve_arena.rs`.)
+//! `arena.rs`.)
 
 use vp_runtime::serve::{
     greedy_matches_reference, reference_decode, Request, ServeConfig, ServeEngine, WorkloadSpec,

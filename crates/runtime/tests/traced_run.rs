@@ -141,38 +141,6 @@ fn timeline_report_and_chrome_export_are_sane() {
     assert!(chrome.contains("\"microbatch\":3"));
 }
 
-/// The arena counterpart of the traced/untraced invariant: recycling
-/// buffers through the tensor arena must not perturb training numerics.
-/// Pooled and fresh-allocation runs of the same schedule produce bitwise
-/// identical loss trajectories, and the pooled run actually recycles.
-#[test]
-fn pooled_and_fresh_runs_train_identically() {
-    let config = TinyConfig::default();
-    let schedule = generators::vocab_1f1b(
-        4,
-        config.microbatches as u32,
-        VocabVariant::Alg2,
-        PassTimes::default(),
-        true,
-    );
-    vp_tensor::alloc::set_enabled(false);
-    let fresh = train_schedule(&config, &schedule, 3, &DataSource::synthetic(&config)).unwrap();
-    vp_tensor::alloc::set_enabled(true);
-    // Warm-up run populates the pool; the second run reads recycled buffers.
-    let warm = train_schedule(&config, &schedule, 3, &DataSource::synthetic(&config)).unwrap();
-    vp_tensor::alloc::reset_counters();
-    let pooled = train_schedule(&config, &schedule, 3, &DataSource::synthetic(&config)).unwrap();
-    let stats = vp_tensor::alloc::stats();
-    assert!(stats.reuse > 0, "pooled run never recycled: {stats:?}");
-    let bits = |r: &vp_runtime::TrainReport| -> Vec<u64> {
-        r.losses.iter().map(|l| l.to_bits()).collect()
-    };
-    assert_eq!(bits(&fresh), bits(&warm), "arena changed the numerics");
-    assert_eq!(bits(&fresh), bits(&pooled), "recycled buffers leaked state");
-    assert_eq!(fresh.iter_wall.len(), 3);
-    assert_eq!(pooled.iter_wall.len(), 3);
-}
-
 /// The untraced entry point stays on the event-free fast path: same losses
 /// as the traced run (tracing must not perturb numerics), and no trace
 /// machinery is observable.

@@ -81,6 +81,24 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"cat\":\"vocab-s\""));
+        // The exporter writes each device's passes in list order with
+        // `ts`/`dur` straight from the report, so the row is monotonic and
+        // its spans never overlap iff each pass starts after the previous
+        // one ended; and every microbatch 0..m appears on some row.
+        let mut microbatches = std::collections::BTreeSet::new();
+        for d in 0..sched.devices() {
+            for (i, pass) in sched.passes(d).iter().enumerate() {
+                microbatches.insert(pass.microbatch);
+                if i > 0 {
+                    assert!(
+                        report.start[d][i] >= report.end[d][i - 1],
+                        "device {d}: passes {} and {i} overlap",
+                        i - 1
+                    );
+                }
+            }
+        }
+        assert!(microbatches.into_iter().eq(0..4), "microbatches missing");
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   allocations come straight from the system allocator and releases drop.
 //! * [`stats`] exposes monotone `fresh` / `reuse` counters plus the live
 //!   `outstanding` and `cached` buffer counts; [`reset_counters`] rebases
-//!   the monotone counters (the pool contents survive) so a bench can
-//!   measure exactly one phase — this is what `repro trainbench` gates on.
+//!   the monotone counters (the pool contents survive) so a test or the
+//!   benchmark can measure exactly one phase.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};

@@ -29,12 +29,12 @@
 //! path.
 //!
 //! Independently, the *dispatch heuristic* caps the worker count at the
-//! machine's probed core count ([`detect_cores`]; override with `VP_CORES`
-//! or [`set_assumed_cores`]): oversubscribing a core with workers only adds
-//! queueing and context-switch overhead — the kernel bench measured every
-//! kernel *losing* to serial (speedup 0.74–0.98) with 4 threads on a 1-core
-//! box. On a single-core machine every kernel therefore takes the serial
-//! path, whatever `VP_THREADS` says.
+//! machine's probed core count ([`assumed_cores`]; tests override it with
+//! [`set_assumed_cores`]): oversubscribing a core with workers only adds
+//! queueing and context-switch overhead — every kernel *lost* to serial
+//! (speedup 0.74–0.98) with 4 threads on a 1-core box. On a single-core
+//! machine every kernel therefore takes the serial path, whatever
+//! `VP_THREADS` says.
 //!
 //! # Lane budgets
 //!
@@ -65,8 +65,8 @@ const MIN_PARALLEL_WORK: usize = 16 * 1024;
 
 /// Kernels spanning fewer output rows than this run serially even when the
 /// work estimate is large: with a handful of chunks the per-task queueing
-/// and latch wake-ups dominate — the kernel bench showed speedup < 1.0 for
-/// every sub-8-row dispatch measured.
+/// and latch wake-ups dominate — speedup was < 1.0 for every sub-8-row
+/// dispatch measured.
 const MIN_PARALLEL_ROWS: usize = 8;
 
 /// Configured thread count; 0 means "not resolved yet".
@@ -112,43 +112,11 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Cached `VP_CORES` resolution: [`ENV_UNRESOLVED`] = not looked up yet,
-/// [`ENV_UNSET`] = looked up but absent/invalid, anything else = the parsed
-/// value. [`set_assumed_cores`]`(0)` resets it to unresolved so the next
-/// [`assumed_cores`] call re-reads the environment.
-static ENV_CORES: AtomicUsize = AtomicUsize::new(ENV_UNRESOLVED);
-const ENV_UNRESOLVED: usize = 0;
-const ENV_UNSET: usize = usize::MAX;
-
-/// Number of cores the dispatch heuristic assumes the machine has.
-///
-/// Resolved, in order, from the last [`set_assumed_cores`] call, the
-/// `VP_CORES` environment variable, and the cached [`detect_cores`] probe.
-/// The env lookup is cached after the first kernel dispatch (it sits on
-/// every kernel's hot path); changing `VP_CORES` mid-process takes effect
-/// only after a [`set_assumed_cores`]`(0)`, which drops the cache and
-/// re-reads the environment on the next call.
+/// Number of cores the dispatch heuristic assumes the machine has: the
+/// last [`set_assumed_cores`] call, else the cached `detect_cores` probe.
 pub fn assumed_cores() -> usize {
     match ASSUMED_CORES.load(Ordering::Acquire) {
-        0 => {
-            let env = match ENV_CORES.load(Ordering::Acquire) {
-                ENV_UNRESOLVED => {
-                    let v = std::env::var("VP_CORES")
-                        .ok()
-                        .and_then(|v| v.trim().parse::<usize>().ok())
-                        .filter(|&n| (1..ENV_UNSET).contains(&n))
-                        .unwrap_or(ENV_UNSET);
-                    ENV_CORES.store(v, Ordering::Release);
-                    v
-                }
-                v => v,
-            };
-            if env == ENV_UNSET {
-                detect_cores()
-            } else {
-                env
-            }
-        }
+        0 => detect_cores(),
         n => n,
     }
 }
@@ -173,9 +141,8 @@ pub fn assumed_cores() -> usize {
 /// The probe reads `/proc` and `/sys`, so the result is computed once and
 /// cached — the dispatch heuristic consults it on **every** kernel call,
 /// and re-reading `/proc/cpuinfo` per dispatch measurably taxed the
-/// row-wise kernels (part of the sub-1.0 threaded speedups the kernel
-/// bench recorded).
-pub fn detect_cores() -> usize {
+/// row-wise kernels.
+fn detect_cores() -> usize {
     static PROBED: OnceLock<usize> = OnceLock::new();
     *PROBED.get_or_init(probe_cores)
 }
@@ -276,21 +243,14 @@ fn parse_cpu_list(s: &str) -> Option<usize> {
 }
 
 /// Overrides the core count the dispatch heuristic assumes (`0` restores
-/// detection, re-reading `VP_CORES` — which is otherwise cached after the
-/// first kernel dispatch — before falling back to the cached probe).
+/// detection).
 ///
-/// More worker threads than cores is pure overhead — the kernel bench
-/// measured speedup 0.92–0.98 at every shape on a 1-core box — so
-/// [`would_parallelize`] caps the effective thread count at the core count.
-/// Tests and benches on small CI machines call this to exercise the pool
-/// machinery anyway (determinism is unaffected either way: the chunked and
-/// serial paths are bitwise identical by construction).
+/// More worker threads than cores is pure overhead, so dispatch caps the
+/// worker count at the core count. Tests on small CI machines call
+/// this to exercise the pool machinery anyway (determinism is unaffected
+/// either way: the chunked and serial paths are bitwise identical by
+/// construction).
 pub fn set_assumed_cores(n: usize) {
-    if n == 0 {
-        // Restoring the default invalidates the cached VP_CORES lookup, so
-        // embedders/tests that changed the env var see the new value.
-        ENV_CORES.store(ENV_UNRESOLVED, Ordering::Release);
-    }
     ASSUMED_CORES.store(n, Ordering::Release);
 }
 
@@ -334,30 +294,20 @@ fn pool_threads() -> usize {
 }
 
 /// Chunks the calling thread's next dispatch may use: [`pool_threads`]
-/// under the thread's lane budget.
-fn effective_threads() -> usize {
+/// under the thread's lane budget. Kernels also read it to choose *how* to
+/// split work (the GEMM driver picks row chunks vs column panels); `1`
+/// means every dispatch goes serial.
+pub(crate) fn effective_parallelism() -> usize {
     match LANE_BUDGET.with(Cell::get) {
         0 => pool_threads(),
         lanes => pool_threads().min(lanes),
     }
 }
 
-/// Worker count the dispatcher would actually use right now on this
-/// thread: the configured thread count capped at the probed/assumed core
-/// count and at the thread's lane budget.
-///
-/// Kernels use this to choose *how* to split work (e.g. the GEMM driver
-/// picks row chunks vs column panels); `1` means every dispatch goes
-/// serial.
-pub fn effective_parallelism() -> usize {
-    effective_threads()
-}
-
 /// Whether a kernel with `rows` output rows and ~`work` scalar operations
 /// would be dispatched to the pool (`false` = serial fallback). This is
-/// exactly the predicate `par_rows_mut` uses; the kernel bench records it
-/// as the `path` column.
-pub fn would_parallelize(rows: usize, work: usize) -> bool {
+/// exactly the predicate `par_rows_mut` uses.
+pub(crate) fn would_parallelize(rows: usize, work: usize) -> bool {
     plan(rows, work).is_some()
 }
 
@@ -510,7 +460,7 @@ fn dispatch(tasks: Vec<ScopedTask<'_>>) {
 /// the row count is below [`MIN_PARALLEL_ROWS`], or the work below
 /// [`MIN_PARALLEL_WORK`].
 fn plan(rows: usize, work: usize) -> Option<usize> {
-    let threads = effective_threads();
+    let threads = effective_parallelism();
     if threads <= 1 || rows < MIN_PARALLEL_ROWS || work < MIN_PARALLEL_WORK {
         return None;
     }
@@ -617,7 +567,7 @@ impl ColPanelMut<'_> {
 }
 
 /// Runs `f` over disjoint column panels of the row-major `rows × cols`
-/// buffer `out`, partitioning columns into up to `effective_threads()`
+/// buffer `out`, partitioning columns into up to `effective_parallelism()`
 /// panels (so at most the calling thread's lane budget) whose widths are
 /// multiples of `align` (except the last).
 ///
@@ -645,7 +595,7 @@ pub fn par_col_panels_mut(
 ) {
     assert_eq!(out.len(), rows * cols, "panel buffer shape mismatch");
     assert!(align > 0, "zero panel alignment");
-    let threads = effective_threads();
+    let threads = effective_parallelism();
     let panels = threads.min(cols.div_ceil(align)).max(1);
     let width = cols.div_ceil(panels).next_multiple_of(align);
     let base = out.as_mut_ptr();
@@ -935,28 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn clearing_the_override_rereads_vp_cores() {
-        // `VP_CORES` is cached after the first dispatch (hot path), but
-        // `set_assumed_cores(0)` must drop that cache so embedders/tests
-        // that changed the env var don't get silently stale behavior.
-        let _guard = config_lock();
-        let probed = detect_cores();
-        std::env::set_var("VP_CORES", "3");
-        set_assumed_cores(0);
-        assert_eq!(assumed_cores(), 3);
-        std::env::set_var("VP_CORES", "5");
-        assert_eq!(assumed_cores(), 3, "cached until the override is cleared");
-        set_assumed_cores(0);
-        assert_eq!(assumed_cores(), 5, "clearing the override re-reads the env");
-        std::env::remove_var("VP_CORES");
-        set_assumed_cores(0);
-        assert_eq!(assumed_cores(), probed, "unset env falls back to the probe");
-        // Leave the guard's plenty-of-cores assumption in place for the
-        // remainder of the lock scope.
-        set_assumed_cores(16);
-    }
-
-    #[test]
     fn cpu_list_parsing_handles_kernel_formats() {
         assert_eq!(parse_cpu_list("0"), Some(1));
         assert_eq!(parse_cpu_list("0-3"), Some(4));
@@ -1022,8 +950,8 @@ mod tests {
 
     #[test]
     fn single_core_machine_never_dispatches_to_the_pool() {
-        // Regression for the BENCH_kernels.json table where every kernel
-        // *lost* to serial yet reported `path: "threaded"`: with a probed
+        // Regression for a kernel table where every kernel *lost* to serial
+        // yet reported the threaded path as chosen: with a probed
         // core count of 1, the dispatch heuristic must choose serial no
         // matter how many threads were requested — for both split shapes.
         let _guard = config_lock();

@@ -18,7 +18,7 @@
 use vp_collectives::{Collective, ReduceOp};
 use vp_model::cost::VocabAlgo;
 use vp_model::partition::VocabPartition;
-use vp_tensor::ops::{local_softmax, softmax_correction, SoftmaxStats};
+use vp_tensor::ops::{exp_sum, local_softmax, softmax_correction, SoftmaxStats};
 use vp_tensor::optim::Param;
 use vp_tensor::{Result, Tensor, TensorError};
 
@@ -644,8 +644,10 @@ impl OutputShard {
     /// `m` one-row calls, from one GEMM that reads the shard once. Each
     /// logits row is then swept once for its running max and its `k` best
     /// candidates (a fixed-size insertion buffer under `beats`, so no
-    /// sort and nothing allocated per row) and once more, in ascending
-    /// column order, for the exp-sum. A `NaN` logit is never a candidate.
+    /// sort and nothing allocated per row) and once more by [`exp_sum`]
+    /// (the exp under the accuracy policy into a scratch row the call
+    /// reuses, the sum in ascending column order). A `NaN` logit is never a
+    /// candidate.
     ///
     /// # Errors
     ///
@@ -660,6 +662,7 @@ impl OutputShard {
         let y = x.matmul_nt(self.weight.value())?;
         let start = self.shard_start();
         let n = y.rows();
+        let mut exps = Tensor::zeros(1, y.cols());
         let mut max = Vec::with_capacity(n);
         let mut sum = Vec::with_capacity(n);
         let mut topk = vec![(f32::NEG_INFINITY, 0); n * k];
@@ -683,11 +686,11 @@ impl OutputShard {
                 }
                 best[at] = cand;
             }
-            // The stats feed only the logprob metric, so plain `exp` is
-            // fine here; the token choice above never touches them.
-            let s: f32 = row.iter().map(|&v| (v - m).exp()).sum();
+            // A vector-wide exp pass, then the ascending sum. The stats
+            // feed only the logprob metric; the token choice above never
+            // touches them.
             max.push(m);
-            sum.push(s);
+            sum.push(exp_sum(row, m, exps.data_mut()));
         }
         Ok(DecodeSState { max, sum, topk, k })
     }
@@ -1017,7 +1020,12 @@ mod tests {
             cands.truncate(k);
             cands.resize(k, (f32::NEG_INFINITY, 0));
             max.push(m);
-            sum.push(row.iter().map(|&v| (v - m).exp()).sum());
+            // Policy exp, ascending sum: the production exp-sum, fused.
+            let exp = |v: f32| match vp_tensor::mathx::fast_math() {
+                true => vp_tensor::mathx::exp(v - m),
+                false => (v - m).exp(),
+            };
+            sum.push(row.iter().map(|&v| exp(v)).sum());
             topk.extend(cands);
         }
         DecodeSState { max, sum, topk, k }

@@ -194,6 +194,48 @@ fn microkernel(apanel: &[f32], btile: &[f32], c: &mut [[f32; NR]; MR]) {
     }
 }
 
+/// The unpacked row kernel: `out[j] += Σₚ a[p] · b[p · ldb + j]` with `p`
+/// ascending, one `NR`-wide column strip at a time, the strip's running
+/// totals held in registers for the whole `p` loop.
+///
+/// `b` is read where it lies (row `p` starts at `b[p · ldb]`), so nothing
+/// is packed, no scratch is taken and no pool task is enqueued. Per output
+/// element this is the `i-k-j` loop the determinism contract is defined
+/// by: `out` must hold the running totals (zeros for a fresh product), and
+/// the result is bitwise what [`gemm_chunk`] computes.
+///
+/// Callers: `Nn` products with fewer rows than one register tile
+/// (`m < MR`, where the packed path would pack all of `b` and compute an
+/// `MR`-row padded tile), and both products of the paged decode attention
+/// ([`crate::nn::KvCache`]), whose right operands are block-table slices.
+pub(crate) fn row_kernel(a: &[f32], b: &[f32], ldb: usize, out: &mut [f32]) {
+    let mut strips = out.chunks_exact_mut(NR);
+    let mut j0 = 0;
+    for strip in &mut strips {
+        let strip: &mut [f32; NR] = strip.try_into().unwrap();
+        let mut acc = *strip;
+        for (p, &av) in a.iter().enumerate() {
+            let brow: &[f32; NR] = b[p * ldb + j0..][..NR].try_into().unwrap();
+            for (cv, &bv) in acc.iter_mut().zip(brow) {
+                *cv += av * bv;
+            }
+        }
+        *strip = acc;
+        j0 += NR;
+    }
+    // Ragged last strip: the same chains at the width that is left.
+    let tail = strips.into_remainder();
+    if tail.is_empty() {
+        return;
+    }
+    for (p, &av) in a.iter().enumerate() {
+        let brow = &b[p * ldb + j0..][..tail.len()];
+        for (cv, &bv) in tail.iter_mut().zip(brow) {
+            *cv += av * bv;
+        }
+    }
+}
+
 /// Packs the `pc × jc` panel of the layout-adjusted right operand starting
 /// at global column `j_abs`, `k` range `[p0, p0+pc)`, into `NR`-wide column
 /// tiles. Ragged tile columns are zero-padded (their microkernel lanes are

@@ -129,18 +129,21 @@ impl MultiHeadAttention {
     ///
     /// Row `i` of the output is **bitwise identical** to row
     /// `kv.len() + i` of [`Self::forward`] run over the concatenated full
-    /// sequence: the per-row kernels (projection matmuls, score matmul,
-    /// scale, softmax, context matmul) are the same ops in the same order,
-    /// and truncating at the causal horizon instead of masking with `−∞`
-    /// only removes terms that contribute exactly-zero addends. The serve
-    /// runtime's decode-vs-recompute equivalence tests pin this down.
+    /// sequence: per output element the operations (projection matmuls,
+    /// score dot product, scale, softmax, context sum) are the same in the
+    /// same order — `KvCache::attend` computes them from the block table
+    /// in place — and truncating at the causal horizon instead of masking
+    /// with `−∞` only removes terms that contribute exactly-zero addends.
+    /// The serve runtime's decode-vs-recompute equivalence tests pin this
+    /// down.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != hidden` or
     /// the cache's row width does not match, and
     /// [`TensorError::Exhausted`] if the cache's block pool is bounded and
-    /// out of blocks.
+    /// cannot hold the whole chunk — the cache is unchanged in that case,
+    /// so the call can be retried once other requests retire.
     pub fn forward_decode(&self, x: &Tensor, kv: &mut KvCache) -> Result<Tensor> {
         let h = self.hidden();
         if x.cols() != h || kv.hidden() != h {
@@ -150,38 +153,11 @@ impl MultiHeadAttention {
                 rhs: (x.rows(), h),
             });
         }
-        let n = x.rows();
-        let hd = self.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
         let q = x.matmul(self.wq.value())?;
         let k = x.matmul(self.wk.value())?;
         let v = x.matmul(self.wv.value())?;
-        for i in 0..n {
-            kv.append(k.row(i), v.row(i))?;
-        }
-        let base = kv.len() - n;
-        let mut context = Tensor::zeros(n, h);
-        for head in 0..self.heads {
-            let c0 = head * hd;
-            let c1 = c0 + hd;
-            for i in 0..n {
-                let horizon = base + i + 1; // causal: positions 0..=base+i
-                let mut kh = Tensor::zeros(horizon, hd);
-                let mut vh = Tensor::zeros(horizon, hd);
-                for j in 0..horizon {
-                    kh.row_mut(j).copy_from_slice(&kv.k_row(j)[c0..c1]);
-                    vh.row_mut(j).copy_from_slice(&kv.v_row(j)[c0..c1]);
-                }
-                let mut qh = Tensor::zeros(1, hd);
-                qh.row_mut(0).copy_from_slice(&q.row(i)[c0..c1]);
-                let mut scores = qh.matmul_nt(&kh)?;
-                scores.scale_in_place(scale);
-                let p = softmax_rows(&scores);
-                let ctx = p.matmul(&vh)?;
-                context.row_mut(i)[c0..c1].copy_from_slice(ctx.row(0));
-            }
-        }
-        context.matmul(self.wo.value())
+        kv.append_rows(k.data(), v.data())?;
+        kv.attend(&q, self.heads).matmul(self.wo.value())
     }
 
     /// Backward pass: accumulates all four weight gradients and returns `dx`.
@@ -372,6 +348,144 @@ mod tests {
     #[should_panic(expected = "divisible")]
     fn rejects_indivisible_heads() {
         let _ = MultiHeadAttention::new(&mut seeded_rng(0), 6, 4);
+    }
+
+    /// The formulation [`KvCache::attend`] replaced, kept as its oracle:
+    /// per (head, row), gather the causal prefix out of the block table
+    /// into fresh tensors, then `matmul_nt`, scale, `softmax_rows`,
+    /// `matmul`.
+    fn decode_oracle(attn: &MultiHeadAttention, x: &Tensor, kv: &mut KvCache) -> Tensor {
+        let (n, h, hd) = (x.rows(), attn.hidden(), attn.head_dim());
+        let scale = 1.0 / (hd as f32).sqrt();
+        let q = x.matmul(attn.wq.value()).unwrap();
+        let k = x.matmul(attn.wk.value()).unwrap();
+        let v = x.matmul(attn.wv.value()).unwrap();
+        for i in 0..n {
+            kv.append(k.row(i), v.row(i)).unwrap();
+        }
+        let base = kv.len() - n;
+        let mut context = Tensor::zeros(n, h);
+        for head in 0..attn.heads {
+            let (c0, c1) = (head * hd, (head + 1) * hd);
+            for i in 0..n {
+                let horizon = base + i + 1;
+                let mut kh = Tensor::zeros(horizon, hd);
+                let mut vh = Tensor::zeros(horizon, hd);
+                for j in 0..horizon {
+                    kh.row_mut(j).copy_from_slice(&kv.k_row(j)[c0..c1]);
+                    vh.row_mut(j).copy_from_slice(&kv.v_row(j)[c0..c1]);
+                }
+                let mut qh = Tensor::zeros(1, hd);
+                qh.row_mut(0).copy_from_slice(&q.row(i)[c0..c1]);
+                let mut scores = qh.matmul_nt(&kh).unwrap();
+                scores.scale_in_place(scale);
+                let ctx = softmax_rows(&scores).matmul(&vh).unwrap();
+                context.row_mut(i)[c0..c1].copy_from_slice(ctx.row(0));
+            }
+        }
+        context.matmul(attn.wo.value()).unwrap()
+    }
+
+    #[test]
+    fn paged_kernel_is_bitwise_the_gather_oracle() {
+        use crate::mathx;
+        use crate::nn::kv::KvBlockPool;
+        let _guard = mathx::test_policy_guard();
+        // Head widths 80 and 20: whole column strips plus a ragged one
+        // under every register tile.
+        let hidden = 80;
+        // (cached row, column) of the planted value: the first and the
+        // last cached position, in the first and the last head.
+        let poisons = [
+            None,
+            Some(f32::NAN),
+            Some(f32::INFINITY),
+            Some(f32::NEG_INFINITY),
+        ];
+        let mut rng = seeded_rng(81);
+        let mut cases = 0;
+        for fast in [false, true] {
+            mathx::set_fast_math(Some(fast));
+            for heads in [1, 4] {
+                let attn = MultiHeadAttention::new(&mut rng, hidden, heads);
+                for kv_block in [1, 3, 16] {
+                    for base in [0, 1, 15, 16, 17, 70] {
+                        for n in [1, 3, 16] {
+                            let x = normal(&mut rng, n, hidden, 0.9);
+                            let prefix_k = normal(&mut rng, base, hidden, 0.9);
+                            let prefix_v = normal(&mut rng, base, hidden, 0.9);
+                            for poison in poisons {
+                                // Poison needs a cached row to sit in.
+                                let (mut pk, mut pv) = (prefix_k.clone(), prefix_v.clone());
+                                if let (Some(p), true) = (poison, base > 0) {
+                                    *pk.at_mut(0, hidden - 1) = p;
+                                    *pv.at_mut(base - 1, 0) = p;
+                                }
+                                let pool = KvBlockPool::new(hidden, kv_block);
+                                let mut paged = KvCache::with_pool(&pool);
+                                let mut gathered = KvCache::with_pool(&pool);
+                                paged.append_rows(pk.data(), pv.data()).unwrap();
+                                gathered.append_rows(pk.data(), pv.data()).unwrap();
+                                let got = attn.forward_decode(&x, &mut paged).unwrap();
+                                let want = decode_oracle(&attn, &x, &mut gathered);
+                                let what = format!(
+                                    "fast={fast} heads={heads} kv_block={kv_block} \
+                                     base={base} n={n} poison={poison:?}"
+                                );
+                                for (a, b) in got.data().iter().zip(want.data()) {
+                                    assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+                                }
+                                // Chunk append ≡ row-at-a-time append.
+                                assert_eq!(paged.len(), gathered.len(), "{what}");
+                                let bits = |row: &[f32]| -> Vec<u32> {
+                                    row.iter().map(|v| v.to_bits()).collect()
+                                };
+                                for j in 0..paged.len() {
+                                    assert_eq!(bits(paged.k_row(j)), bits(gathered.k_row(j)));
+                                    assert_eq!(bits(paged.v_row(j)), bits(gathered.v_row(j)));
+                                }
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        mathx::set_fast_math(None);
+        assert_eq!(cases, 2 * 2 * 3 * 6 * 3 * 4);
+    }
+
+    #[test]
+    fn failed_chunk_leaves_the_cache_unchanged_and_a_retry_matches_unbounded() {
+        // Four 2-token blocks: `other` holds two, the three cached rows
+        // below hold two more, and the 4-row chunk needs a third and a
+        // fourth of its own — the pool runs dry on the *second* one.
+        use crate::nn::kv::KvBlockPool;
+        let mut rng = seeded_rng(82);
+        let attn = MultiHeadAttention::new(&mut rng, 8, 2);
+        let prefix = normal(&mut rng, 3, 8, 0.9);
+        let chunk = normal(&mut rng, 4, 8, 0.9);
+
+        let mut unbounded = KvCache::with_pool(&KvBlockPool::new(8, 2));
+        attn.forward_decode(&prefix, &mut unbounded).unwrap();
+        let want = attn.forward_decode(&chunk, &mut unbounded).unwrap();
+
+        let pool = KvBlockPool::bounded(8, 2, 5);
+        let mut other = KvCache::with_pool(&pool);
+        other.append_rows(&[0.5; 32], &[0.5; 32]).unwrap();
+        let mut kv = KvCache::with_pool(&pool);
+        attn.forward_decode(&prefix, &mut kv).unwrap();
+        assert_eq!((kv.len(), kv.blocks(), pool.allocated_blocks()), (3, 2, 4));
+        let err = attn.forward_decode(&chunk, &mut kv).unwrap_err();
+        assert!(matches!(err, TensorError::Exhausted { .. }));
+        assert_eq!((kv.len(), kv.blocks(), pool.allocated_blocks()), (3, 2, 4));
+
+        other.release();
+        let got = attn.forward_decode(&chunk, &mut kv).unwrap();
+        assert_eq!(kv.len(), 7);
+        for (a, b) in got.data().iter().zip(want.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "retry diverged");
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! table — memory grows in O(tokens) pages and a retired request's blocks
 //! are immediately reusable by the next admission at any length. Rows are
 //! block-aligned (a row never straddles two blocks), so [`KvCache::k_row`]
-//! still returns a contiguous slice and the attention kernel is unchanged.
+//! returns a contiguous slice, and consecutive positions inside a block are
+//! one contiguous run — which is how the decode attention kernel
+//! (`KvCache::attend`) reads the table in place, a block at a time.
 //!
 //! Blocks come from the size-class buffer arena ([`crate::alloc`]) — the
 //! same pool the training runtime recycles its activations through — and
@@ -29,7 +31,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::{alloc, Result, TensorError};
+use crate::gemm::{row_kernel, NR};
+use crate::ops::softmax_row;
+use crate::{alloc, Result, Tensor, TensorError};
 
 /// Default block size (rows per page) used by [`KvCache::new`].
 pub const DEFAULT_BLOCK_TOKENS: usize = 16;
@@ -231,19 +235,62 @@ impl KvCache {
         let hidden = self.pool.hidden();
         assert_eq!(k_row.len(), hidden, "key row width mismatch");
         assert_eq!(v_row.len(), hidden, "value row width mismatch");
-        let bt = self.pool.block_tokens();
-        if self.len == self.k_blocks.len() * bt {
+        self.push_rows(k_row, v_row, 1)
+    }
+
+    /// Appends a chunk of consecutive positions: `k` and `v` hold one
+    /// `hidden`-wide row per position, row-major. All or nothing — every
+    /// block pair the chunk needs is acquired before any row is written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::Exhausted`] if the pool cannot supply every
+    /// block the chunk needs. The cache (and the pool's count) is unchanged
+    /// in that case — the caller can retry after other requests retire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` and `v` differ in length or are not whole rows
+    /// (caller bug).
+    pub fn append_rows(&mut self, k: &[f32], v: &[f32]) -> Result<()> {
+        let n = k.len() / self.pool.hidden();
+        assert_eq!(k.len(), v.len(), "key/value chunk length mismatch");
+        assert_eq!(k.len(), n * self.pool.hidden(), "chunk row width mismatch");
+        self.push_rows(k, v, n)
+    }
+
+    /// [`Self::append_rows`] behind its checks: `k` and `v` are `n` rows.
+    fn push_rows(&mut self, k: &[f32], v: &[f32], n: usize) -> Result<()> {
+        let (hidden, bt) = (self.pool.hidden(), self.pool.block_tokens());
+        let held = self.k_blocks.len();
+        while self.k_blocks.len() * bt < self.len + n {
             // The pool takes K and V blocks together, so the tables
             // cannot go out of step on exhaustion.
-            let (k, v) = self.pool.take_pair()?;
-            self.k_blocks.push(k);
-            self.v_blocks.push(v);
+            match self.pool.take_pair() {
+                Ok((kb, vb)) => {
+                    self.k_blocks.push(kb);
+                    self.v_blocks.push(vb);
+                }
+                Err(e) => {
+                    let taken = self.k_blocks.drain(held..).zip(self.v_blocks.drain(held..));
+                    for (kb, vb) in taken {
+                        self.pool.give_back(kb, vb);
+                    }
+                    return Err(e);
+                }
+            }
         }
-        let (block, slot) = (self.len / bt, self.len % bt);
-        let at = slot * hidden;
-        self.k_blocks[block][at..at + hidden].copy_from_slice(k_row);
-        self.v_blocks[block][at..at + hidden].copy_from_slice(v_row);
-        self.len += 1;
+        // Rows that share a block are contiguous on both sides.
+        let mut done = 0;
+        while done < n {
+            let (block, slot) = ((self.len + done) / bt, (self.len + done) % bt);
+            let take = (bt - slot).min(n - done);
+            let (src, dst) = (done * hidden..(done + take) * hidden, slot * hidden);
+            self.k_blocks[block][dst..dst + take * hidden].copy_from_slice(&k[src.clone()]);
+            self.v_blocks[block][dst..dst + take * hidden].copy_from_slice(&v[src]);
+            done += take;
+        }
+        self.len += n;
         Ok(())
     }
 
@@ -271,6 +318,85 @@ impl KvCache {
         &self.v_blocks[i / bt][at..at + hidden]
     }
 
+    /// Causal attention of `q`'s `n` rows — the queries of the cache's
+    /// last `n` positions — over the cached prefix and themselves, every
+    /// head, returning the concatenated per-head context `[n, hidden]`.
+    ///
+    /// Reads the block table in place: nothing is gathered into tensors,
+    /// no GEMM or pool entry is taken, and the one scratch buffer of the
+    /// call (the score rows, one row of probabilities and one transposed key
+    /// tile) is reused across
+    /// rows and heads. Per output element the operations and their order
+    /// are those of the gather + `matmul_nt` + `softmax_rows` + `matmul`
+    /// formulation this replaces (kept as the test oracle): the score of
+    /// (row `i`, position `j`) is `Σₚ q[i][p]·k[j][p]` with `p` ascending
+    /// from `+0.0`, then `· scale`; the row softmax over positions
+    /// `0..=base+i` is [`softmax_row`]; the context is
+    /// `Σⱼ prob[j]·v[j][c]` with `j` ascending from `+0.0`. Both products
+    /// run [`row_kernel`]: keys are transposed one `NR`-position tile at a
+    /// time so the tile's scores advance together, one lane each; values
+    /// are read as they lie, one block run at a time. Score lanes past a
+    /// row's causal horizon are computed and never read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is not `hidden` wide, has more rows than the cache
+    /// holds positions, or `heads` does not divide `hidden` (caller bugs).
+    pub(crate) fn attend(&self, q: &Tensor, heads: usize) -> Tensor {
+        let (hidden, bt) = (self.pool.hidden(), self.pool.block_tokens());
+        let n = q.rows();
+        assert_eq!(q.cols(), hidden, "query row width mismatch");
+        assert!(n <= self.len, "more query rows than cached positions");
+        assert!(hidden.is_multiple_of(heads), "heads must divide hidden");
+        let base = self.len - n;
+        let hd = hidden / heads;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let mut context = Tensor::zeros(n, hidden);
+        let stride = self.len.next_multiple_of(NR);
+        let mut scratch = alloc::take_zeroed((n + 1) * stride + hd * NR);
+        let (scores, rest) = scratch.split_at_mut(n * stride);
+        let (probs, ktile) = rest.split_at_mut(stride);
+        for c0 in (0..hidden).step_by(hd) {
+            // `row_kernel` adds onto running totals, which start at zero.
+            scores.fill(0.0);
+            for j0 in (0..self.len).step_by(NR) {
+                // ktile[p][jj] = k[j0 + jj][c0 + p]; lanes past the last
+                // position keep stale values, whose scores are never read.
+                let keys = runs(&self.k_blocks, hidden, bt, j0, self.len.min(j0 + NR))
+                    .flat_map(|run| run.chunks_exact(hidden));
+                for (jj, key) in keys.enumerate() {
+                    for (p, &kv) in key[c0..c0 + hd].iter().enumerate() {
+                        ktile[p * NR + jj] = kv;
+                    }
+                }
+                // Rows whose horizon `base + i + 1` reaches into the tile.
+                for i in j0.saturating_sub(base)..n {
+                    let out = &mut scores[i * stride + j0..][..NR];
+                    row_kernel(&q.row(i)[c0..c0 + hd], ktile, NR, out);
+                }
+            }
+            for i in 0..n {
+                let (row, probs) = (
+                    &mut scores[i * stride..][..base + i + 1],
+                    &mut probs[..base + i + 1],
+                );
+                for s in row.iter_mut() {
+                    *s *= scale;
+                }
+                softmax_row(row, probs);
+                let ctx = &mut context.row_mut(i)[c0..c0 + hd];
+                let mut j = 0;
+                for run in runs(&self.v_blocks, hidden, bt, 0, probs.len()) {
+                    let rows = run.len() / hidden;
+                    row_kernel(&probs[j..j + rows], &run[c0..], hidden, ctx);
+                    j += rows;
+                }
+            }
+        }
+        alloc::release(scratch);
+        context
+    }
+
     /// Forgets all cached positions but keeps the blocks, so the same slot
     /// can serve a new sequence without going back to the pool.
     pub fn clear(&mut self) {
@@ -295,6 +421,25 @@ impl KvCache {
         let per_block = self.pool.block_tokens() * self.pool.hidden();
         2 * self.k_blocks.len() * per_block * std::mem::size_of::<f32>()
     }
+}
+
+/// Positions `[j0, j1)` of one side's block table in order, as one slice
+/// per block touched: each item is the contiguous run of whole `hidden`-wide
+/// rows the range covers in that block.
+fn runs(
+    blocks: &[Vec<f32>],
+    hidden: usize,
+    bt: usize,
+    j0: usize,
+    j1: usize,
+) -> impl Iterator<Item = &[f32]> {
+    let first = j0 / bt;
+    let touched = &blocks[first..j1.div_ceil(bt).max(first)];
+    touched.iter().enumerate().map(move |(b, block)| {
+        let start = (first + b) * bt;
+        let (lo, hi) = (j0.max(start) - start, j1.min(start + bt) - start);
+        &block[lo * hidden..hi * hidden]
+    })
 }
 
 impl Drop for KvCache {

@@ -60,6 +60,70 @@ pub struct SoftmaxStats {
     pub sum: Vec<f32>,
 }
 
+/// Writes `dst[j] = e^{src[j] − m}` and returns the sum of the results.
+///
+/// Exponentiate first, sum second: a running `s += e` inside the exp loop
+/// is a loop-carried dependence that would serialize it, so a fused single
+/// pass cannot vectorize. Two passes add the identical `e` values in the
+/// identical ascending index order — same bits — while the exp loop is
+/// free to run a full vector wide. The exponential follows the process
+/// accuracy policy ([`crate::mathx`]): the reference path calls `f32::exp`,
+/// the fast path the bounded polynomial [`mathx::exp`].
+///
+/// # Panics
+///
+/// Panics if `src` and `dst` differ in length.
+pub fn exp_sum(src: &[f32], m: f32, dst: &mut [f32]) -> f32 {
+    assert_eq!(src.len(), dst.len(), "exp_sum: row length mismatch");
+    if mathx::fast_math() {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = mathx::exp(v - m);
+        }
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = (v - m).exp();
+        }
+    }
+    // From `−0.0`, the additive identity: any first term `e` gives exactly
+    // `e` (as a start of `+0.0` does for every `e` an exp can return), and
+    // an empty row sums to what `Iterator::sum` gives it.
+    let mut s = -0.0f32;
+    for &e in dst.iter() {
+        s += e;
+    }
+    s
+}
+
+/// The safe softmax of one row, `src` into `dst`; returns the row's
+/// `(max, sum)`.
+///
+/// This is the one implementation of "max, policy exp, ascending sum,
+/// scale by the reciprocal": [`local_softmax`] runs it on every row and
+/// the paged decode attention on every score row. An empty or all-`−∞`
+/// row gets the identity statistics `(−∞, 0)` and a *defined zero row*
+/// rather than `NaN` from `e^{−∞ − (−∞)}`; a `NaN` anywhere in such a row
+/// (the max ignores `NaN`) still poisons the row and its sum.
+pub(crate) fn softmax_row(src: &[f32], dst: &mut [f32]) -> (f32, f32) {
+    let m = src.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    if m == f32::NEG_INFINITY {
+        let s = if src.iter().any(|v| v.is_nan()) {
+            f32::NAN
+        } else {
+            0.0
+        };
+        dst.fill(s);
+        return (m, s);
+    }
+    let s = exp_sum(src, m, dst);
+    if s > 0.0 {
+        let inv = 1.0 / s;
+        for d in dst.iter_mut() {
+            *d *= inv;
+        }
+    }
+    (m, s)
+}
+
 /// Computes the locally-normalized softmax and its per-row statistics.
 ///
 /// This is the `S`-pass kernel of Algorithms 1 and 2: each device computes
@@ -67,24 +131,15 @@ pub struct SoftmaxStats {
 /// normalization to the communication barrier.
 ///
 /// For a zero-width shard the statistics are `(−∞, 0)`, the identity
-/// elements of the max / sum reductions. A row whose entries are all `−∞`
-/// (a fully-masked row) gets the same identity statistics and a *defined
-/// zero row* of probabilities rather than `NaN` from `e^{−∞ − (−∞)}`; a
-/// `NaN` anywhere in a row still poisons that row's output and sum.
-///
-/// The per-row maximum is computed *inside* the same parallel region as
-/// the exponentials (one pool dispatch instead of a `row_max` dispatch
-/// followed by a softmax dispatch) — per row the operations and their
-/// order are unchanged, so outputs and statistics stay bitwise identical
-/// to the two-pass form. The exponential follows the process accuracy
-/// policy ([`crate::mathx`]): the reference path calls `f32::exp` exactly
-/// as before, the fast path uses the bounded polynomial [`mathx::exp`].
+/// elements of the max / sum reductions; a fully-masked (all-`−∞`) row
+/// gets the same statistics and a zero row (see `softmax_row`, which
+/// every row goes through — the per-row maximum is computed *inside* the
+/// same parallel region as the exponentials, one pool dispatch in all).
 pub fn local_softmax(t: &Tensor) -> (Tensor, SoftmaxStats) {
     let (rows, cols) = t.shape();
     let mut out = Tensor::zeros(rows, cols);
     let mut sum = vec![0.0f32; rows];
     let mut max = vec![f32::NEG_INFINITY; rows];
-    let fast = mathx::fast_math();
     let work = t.len().saturating_mul(8);
     pool::par_rows_mut3(
         rows,
@@ -93,48 +148,12 @@ pub fn local_softmax(t: &Tensor) -> (Tensor, SoftmaxStats) {
         &mut sum,
         &mut max,
         |r0, _r1, out_chunk, sum_chunk, max_chunk| {
-            for (li, s_out) in sum_chunk.iter_mut().enumerate() {
-                let r = r0 + li;
-                let src = t.row(r);
-                let m = src.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-                max_chunk[li] = m;
-                let dst = &mut out_chunk[li * cols..(li + 1) * cols];
-                if m == f32::NEG_INFINITY {
-                    // Empty or all-(−∞) row: identity stats, defined zero
-                    // row — unless a NaN lurks (the max ignores NaN), in
-                    // which case the poison must survive.
-                    if src.iter().any(|v| v.is_nan()) {
-                        dst.fill(f32::NAN);
-                        *s_out = f32::NAN;
-                    }
-                    continue;
-                }
-                // Exponentiate first, sum second: the running `s += e` has
-                // a loop-carried dependence that would serialize the exp
-                // loop, so a fused single pass cannot vectorize. Two passes
-                // add the identical `e` values in the identical ascending
-                // index order — same bits — while the exp loop is free to
-                // run 16 lanes wide.
-                if fast {
-                    for (d, &v) in dst.iter_mut().zip(src) {
-                        *d = mathx::exp(v - m);
-                    }
-                } else {
-                    for (d, &v) in dst.iter_mut().zip(src) {
-                        *d = (v - m).exp();
-                    }
-                }
-                let mut s = 0.0f32;
-                for &e in dst.iter() {
-                    s += e;
-                }
-                if s > 0.0 {
-                    let inv = 1.0 / s;
-                    for d in dst.iter_mut() {
-                        *d *= inv;
-                    }
-                }
-                *s_out = s;
+            // A zero-width shard has no rows to visit and keeps the
+            // identity statistics the vectors were filled with.
+            let stats = sum_chunk.iter_mut().zip(max_chunk.iter_mut());
+            let dsts = out_chunk.chunks_exact_mut(cols.max(1));
+            for (li, (dst, (s, m))) in dsts.zip(stats).enumerate() {
+                (*m, *s) = softmax_row(t.row(r0 + li), dst);
             }
         },
     );

@@ -8,7 +8,13 @@ use crate::{alloc, gemm, pool, Result, TensorError};
 /// `a == 0.0` fast path: skipping a term would turn `0·NaN`/`0·∞` (which
 /// are `NaN` under IEEE 754) into `0`, silently masking poisoned gradients.
 ///
-/// The split direction is shape-driven: outputs with enough rows to give
+/// An `Nn` product with fewer rows than one register tile (`m < MR`) never
+/// reaches the packed path: its rows run [`gemm::row_kernel`] in place — no
+/// pack scratch, no packing, no pool. The rule follows from the tile, not
+/// from a tuned threshold: below `MR` rows the packed path computes a
+/// padded tile whose extra rows are discarded.
+///
+/// Otherwise the split direction is shape-driven: outputs with enough rows to give
 /// every worker at least one full register tile split into contiguous row
 /// chunks; short-wide outputs (few rows against a large vocabulary) split
 /// into column panels instead, which are independent subproblems over the
@@ -24,6 +30,21 @@ fn run_gemm(
     bias: Option<&[f32]>,
 ) -> Tensor {
     let mut out = Tensor::zeros(m, n);
+    if layout == gemm::Layout::Nn && m < gemm::MR {
+        // Fewer rows than one register tile: packing `b` and computing an
+        // `MR`-row padded tile costs more than the product itself, so the
+        // rows run the unpacked kernel — same per-element order, same bits.
+        for i in 0..m {
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            gemm::row_kernel(&a.data[i * k..(i + 1) * k], &b.data, n, out_row);
+            if let Some(bias) = bias {
+                for (o, &bv) in out_row.iter_mut().zip(bias) {
+                    *o += bv;
+                }
+            }
+        }
+        return out;
+    }
     let g = gemm::Gemm {
         a: &a.data,
         b: &b.data,

@@ -5,10 +5,12 @@
 //! order from `0.0` — exactly the naive `i-k-j` loop. These tests pin that
 //! down **bitwise** for every layout on edge shapes: empty dimensions,
 //! 1×1, sizes straddling the 64-wide blocking and the 4×8 register tile,
-//! and NaN/∞ propagation through zero-padded pack panels.
+//! and NaN/∞ propagation through zero-padded pack panels. The unpacked row
+//! kernel that takes `Nn` products below one register tile is pinned
+//! against the packed path the same way.
 
 use vp_tensor::init::{normal, seeded_rng};
-use vp_tensor::Tensor;
+use vp_tensor::{pool, set_num_threads, Tensor};
 
 /// `(m, k, n)` shapes chosen to hit every tiling edge: zero dims, single
 /// elements, sub-tile sizes, exact block multiples, and off-by-one block
@@ -228,4 +230,60 @@ fn layouts_agree_with_explicit_transpose_bitwise() {
         &at.transpose().matmul(&b).unwrap(),
         "tn vs explicit transpose",
     );
+}
+
+/// The register tile height `gemm.rs` picks for this target: an `Nn`
+/// product with fewer rows runs the unpacked row kernel.
+const MR: usize = if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+    8
+} else if cfg!(all(target_arch = "x86_64", target_feature = "avx2")) {
+    6
+} else {
+    4
+};
+
+#[test]
+fn row_kernel_is_bitwise_the_packed_path_and_never_dispatches() {
+    // The packed path for the same rows: pad `a` with zero rows up to 8
+    // (at least one full tile on every target). Output rows are
+    // independent, so the first `m` rows of that product are what the
+    // packed path computes for `a`. Only this test changes the pool's
+    // configuration in this binary, and no result depends on it.
+    let threads_before = vp_tensor::num_threads();
+    pool::set_assumed_cores(16);
+    let mut rng = seeded_rng(2027);
+    for threads in [1, 2, 7] {
+        set_num_threads(threads);
+        for m in 1..8 {
+            for k in [1, 127, 128, 129, 513] {
+                for n in [1, 31, 128, 130, 512] {
+                    let mut a = normal(&mut rng, m, k, 1.0);
+                    let mut b = normal(&mut rng, k, n, 1.0);
+                    let bias = normal(&mut rng, 1, n, 0.7);
+                    let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+                    for (i, &v) in poison.iter().enumerate() {
+                        *a.at_mut((i * 3) % m, (i * 37) % k) = v;
+                        *b.at_mut((i * 41 + 7) % k, (i * 29 + 3) % n) = v;
+                    }
+                    let mut padded = Tensor::zeros(8, k);
+                    padded.data_mut()[..m * k].copy_from_slice(a.data());
+                    let what = format!("{m}x{k}x{n} threads={threads}");
+
+                    let enqueued = pool::tasks_enqueued();
+                    let plain = a.matmul(&b).unwrap();
+                    let biased = a.matmul_bias(&b, &bias).unwrap();
+                    if m < MR {
+                        assert_eq!(pool::tasks_enqueued(), enqueued, "{what}: dispatched");
+                    }
+                    let packed = padded.matmul(&b).unwrap();
+                    let packed_biased = padded.matmul_bias(&b, &bias).unwrap();
+                    assert_bits_eq(&plain, &packed.slice_rows(0, m).unwrap(), &what);
+                    assert_bits_eq(&biased, &packed_biased.slice_rows(0, m).unwrap(), &what);
+                    assert_bits_eq(&plain, &naive_nn(&a, &b), &format!("{what} vs naive"));
+                }
+            }
+        }
+    }
+    set_num_threads(threads_before);
+    pool::set_assumed_cores(0);
 }

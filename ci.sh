@@ -2,9 +2,9 @@
 # Local CI gate, fail-fast ordered: the cheap source-level checks (format,
 # unsafe audit, single-launcher audit) run before anything compiles, lint
 # (clippy) runs before the release build it shares artifacts with, then the
-# test suites (the workspace, vp-tensor again on the portable register tile,
-# and benchmark/ against crates/*), and last the `repro` experiments that
-# gate themselves. Every structural fact is asserted once, in Rust: by
+# test suites (the workspace, vp-tensor and vp-core again on the portable
+# register tile, and benchmark/ against crates/*), and last the `repro`
+# experiments that gate themselves. Every structural fact is asserted once, in Rust: by
 # `cargo test --workspace`, and by the exit status of `repro check`
 # (static verification sweep), `repro modelcheck`
 # (static-vs-model differential soundness), `repro tpsweep` (PP x TP grid
@@ -109,10 +109,11 @@ portable_tile_test() {
     # `.cargo/config.toml` builds for the host CPU, so the suites above only
     # ever see one of gemm.rs's three register tiles (8x32 on the AVX-512
     # runners) — and `m < MR`, the row-kernel rule, changes meaning with
-    # the tile. RUSTFLAGS replaces the config's flags: baseline x86-64
-    # selects the portable 4x8 tile.
+    # the tile, as do the pre-packed output-layer panels and the decode
+    # sweep's chunking (vp-core). RUSTFLAGS replaces the config's flags:
+    # baseline x86-64 selects the portable 4x8 tile.
     RUSTFLAGS="-C target-cpu=x86-64" \
-        cargo test -p vp-tensor --release --quiet --target-dir target/portable
+        cargo test -p vp-tensor -p vp-core --release --quiet --target-dir target/portable
 }
 
 benchmark_test() {
@@ -160,7 +161,7 @@ stage "launcher audit (one device_loop call site, one thread scope)" launcher_au
 stage "cargo clippy --workspace --all-targets -- -D warnings (+ pedantic subset)" clippy_lint
 stage "cargo build --workspace --release" build_release
 stage "cargo test --workspace --release" test_release
-stage "cargo test -p vp-tensor, target-cpu=x86-64 (the portable register tile)" portable_tile_test
+stage "cargo test -p vp-tensor -p vp-core, target-cpu=x86-64 (the portable register tile)" portable_tile_test
 stage "cargo test --manifest-path benchmark/Cargo.toml (the frozen benchmark against crates/*)" benchmark_test
 stage "repro check x2 (static schedule verification sweep)" rerun_identical check CHECK
 stage "repro modelcheck x2 (static-vs-model differential soundness)" rerun_identical modelcheck MODELCHECK

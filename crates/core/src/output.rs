@@ -15,12 +15,13 @@
 //! Gradients use *mean* reduction over the `N` tokens, matching the
 //! reference [`vp_tensor::nn::softmax_cross_entropy`].
 
+use std::sync::OnceLock;
 use vp_collectives::{Collective, ReduceOp};
 use vp_model::cost::VocabAlgo;
 use vp_model::partition::VocabPartition;
 use vp_tensor::ops::{exp_sum, local_softmax, softmax_correction, SoftmaxStats};
 use vp_tensor::optim::Param;
-use vp_tensor::{Result, Tensor, TensorError};
+use vp_tensor::{PackedB, Result, Tensor, TensorError};
 
 /// One device's shard of the output vocabulary layer.
 ///
@@ -53,6 +54,11 @@ use vp_tensor::{Result, Tensor, TensorError};
 #[derive(Debug, Clone)]
 pub struct OutputShard {
     weight: Param,
+    /// `W` packed as the `Bᵀ` operand of the logits GEMM `X·Wᵀ`, filled by
+    /// the first `S` pass and dropped by [`Self::weight_mut`] — the only
+    /// `&mut` path to the weight value — so a pack never outlives the
+    /// value it was packed from.
+    packed: OnceLock<PackedB>,
     partition: VocabPartition,
     rank: usize,
 }
@@ -242,6 +248,7 @@ impl OutputShard {
         }
         Ok(OutputShard {
             weight: Param::new(weight),
+            packed: OnceLock::new(),
             partition,
             rank,
         })
@@ -275,9 +282,38 @@ impl OutputShard {
         &self.weight
     }
 
-    /// Mutable access to the weight parameter (for the optimizer step).
+    /// Mutable access to the weight parameter (the optimizer step, gradient
+    /// sync, checkpoint load). Drops the packed `Wᵀ`: whatever the caller
+    /// does to the value, the next `S` pass packs it afresh.
     pub fn weight_mut(&mut self) -> &mut Param {
+        self.packed.take();
         &mut self.weight
+    }
+
+    /// Accumulates `g` into the weight *gradient* only — the value, and so
+    /// the packed `Wᵀ`, is untouched (the tied embedding's input backward).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `g` has a different shape.
+    pub fn accumulate_grad(&mut self, g: &Tensor) -> Result<()> {
+        self.weight.accumulate(g)
+    }
+
+    /// The logits `Y = X·Wᵀ` against the packed shard, packing it on first
+    /// use — bitwise `x.matmul_nt(W)`.
+    fn logits(&self, x: &Tensor) -> Result<Tensor> {
+        let packed = self
+            .packed
+            .get_or_init(|| PackedB::pack_nt(self.weight.value()));
+        x.matmul_nt_packed(packed)
+    }
+
+    /// Address of the packed `Wᵀ`, if one is held (tests tell a reused
+    /// pack from a rebuilt one by it).
+    #[cfg(test)]
+    pub(crate) fn pack_addr(&self) -> Option<*const f32> {
+        self.packed.get().map(PackedB::as_ptr)
     }
 
     /// Global start index of this shard's vocabulary range.
@@ -327,7 +363,7 @@ impl OutputShard {
                 });
             }
         }
-        let y = x.matmul_nt(self.weight.value())?;
+        let y = self.logits(x)?;
         let mut label_logit = vec![0.0f32; labels.len()];
         for (row, local) in self.local_labels(labels) {
             label_logit[row] = y.at(row, local);
@@ -635,19 +671,67 @@ fn beats(a: (f32, usize), b: (f32, usize)) -> bool {
     a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
+/// Columns per chunk of [`select_topk`]'s sweep: one AVX-512 compare.
+const SWEEP_CHUNK: usize = 16;
+
+/// Fills `best` (`k` slots, pre-set to the `(−∞, 0)` padding) with the `k`
+/// best `(logit, start + column)` candidates of `row` under [`beats`], best
+/// first — a fixed-size insertion buffer, so no sort and nothing allocated.
+///
+/// The first `k` non-`NaN` columns are taken unconditionally. After that a
+/// candidate enters only by beating the held worst, and because column ids
+/// ascend, an equal logit never does: it enters exactly when `v` exceeds
+/// the worst held logit (which a `NaN` never does). So each
+/// [`SWEEP_CHUNK`]-wide chunk is first tested for any such `v` with one
+/// vectorizable compare-and-or, and skipped whole when there is none —
+/// almost every chunk of a wide row once the buffer holds its real
+/// winners. The selection is the per-column one's, bit for bit.
+fn select_topk(row: &[f32], start: usize, best: &mut [(f32, usize)]) {
+    // Puts `cand` in slot `at` (the first free one, or the worst when the
+    // buffer is full) and bubbles it up past everything it beats.
+    let insert = |best: &mut [(f32, usize)], mut at: usize, cand: (f32, usize)| {
+        while at > 0 && beats(cand, best[at - 1]) {
+            best[at] = best[at - 1];
+            at -= 1;
+        }
+        best[at] = cand;
+    };
+    let k = best.len();
+    let (mut held, mut c) = (0, 0);
+    while held < k && c < row.len() {
+        if !row[c].is_nan() {
+            insert(best, held, (row[c], start + c));
+            held += 1;
+        }
+        c += 1;
+    }
+    for (i, chunk) in row[c..].chunks(SWEEP_CHUNK).enumerate() {
+        let floor = best[k - 1].0;
+        if !chunk.iter().fold(false, |hit, &v| hit | (v > floor)) {
+            continue;
+        }
+        let base = start + c + i * SWEEP_CHUNK;
+        for (j, &v) in chunk.iter().enumerate() {
+            if v > best[k - 1].0 {
+                insert(best, k - 1, (v, base + j));
+            }
+        }
+    }
+}
+
 impl OutputShard {
     /// The forward-only `S` pass: sharded logits `y = X·Wᵀ` plus local
     /// softmax statistics and the shard's top-`k` candidates. No labels,
     /// no gradients — this is the decode half of §4.2's `S` pass.
     ///
     /// Rows are independent: `m` stacked rows give bitwise the states of
-    /// `m` one-row calls, from one GEMM that reads the shard once. Each
-    /// logits row is then swept once for its running max and its `k` best
-    /// candidates (a fixed-size insertion buffer under `beats`, so no
-    /// sort and nothing allocated per row) and once more by [`exp_sum`]
-    /// (the exp under the accuracy policy into a scratch row the call
-    /// reuses, the sum in ascending column order). A `NaN` logit is never a
-    /// candidate.
+    /// `m` one-row calls, from one GEMM against the packed shard. Each
+    /// logits row is then read three times, each pass a loop the compiler
+    /// vectorizes: a lone `f32::max` fold for the row max, a top-`k`
+    /// sweep that skips 16-wide chunks holding no contender, and
+    /// [`exp_sum`] (the exp under the accuracy policy into a scratch row
+    /// the call reuses, the sum in ascending column order). A `NaN` logit
+    /// is never a candidate.
     ///
     /// # Errors
     ///
@@ -659,7 +743,7 @@ impl OutputShard {
                 "decode needs at least one candidate per shard".into(),
             ));
         }
-        let y = x.matmul_nt(self.weight.value())?;
+        let y = self.logits(x)?;
         let start = self.shard_start();
         let n = y.rows();
         let mut exps = Tensor::zeros(1, y.cols());
@@ -668,27 +752,10 @@ impl OutputShard {
         let mut topk = vec![(f32::NEG_INFINITY, 0); n * k];
         for (r, best) in topk.chunks_exact_mut(k).enumerate() {
             let row = y.row(r);
-            let mut m = f32::NEG_INFINITY;
-            // `best[..held]` are the row's best candidates so far, best
-            // first; the rest is still the `(−∞, 0)` padding.
-            let mut held = 0;
-            for (c, &v) in row.iter().enumerate() {
-                m = m.max(v);
-                let cand = (v, start + c);
-                if v.is_nan() || (held == k && !beats(cand, best[k - 1])) {
-                    continue;
-                }
-                let mut at = held.min(k - 1);
-                held = (held + 1).min(k);
-                while at > 0 && beats(cand, best[at - 1]) {
-                    best[at] = best[at - 1];
-                    at -= 1;
-                }
-                best[at] = cand;
-            }
-            // A vector-wide exp pass, then the ascending sum. The stats
-            // feed only the logprob metric; the token choice above never
-            // touches them.
+            let m = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+            select_topk(row, start, best);
+            // The stats feed only the logprob metric; the token choice
+            // never touches them.
             max.push(m);
             sum.push(exp_sum(row, m, exps.data_mut()));
         }
@@ -995,7 +1062,8 @@ mod tests {
     }
 
     /// The routine the streaming sweep replaced, kept as its oracle:
-    /// collect every `(logit, id)` of a row, sort under `beats`, keep `k`.
+    /// collect every non-`NaN` `(logit, id)` of a row (from the unpacked
+    /// GEMM), sort under `beats`, keep `k`.
     fn sorted_oracle(shard: &OutputShard, x: &Tensor, k: usize) -> DecodeSState {
         let y = x.matmul_nt(shard.weight.value()).unwrap();
         let start = shard.shard_start();
@@ -1006,6 +1074,7 @@ mod tests {
             let mut cands: Vec<(f32, usize)> = row
                 .iter()
                 .enumerate()
+                .filter(|(_, v)| !v.is_nan())
                 .map(|(c, &v)| (v, start + c))
                 .collect();
             cands.sort_by(|a, b| {
@@ -1068,25 +1137,75 @@ mod tests {
         x
     }
 
+    /// A `[vocab, h]` weight for the sweep's chunk skipping: row `j` is
+    /// scaled by `1 + j/8`, so rows ascend into late winners several
+    /// 16-wide chunks in; row 1 gives a `−∞` and row 2 a `NaN` logit inside
+    /// the first `k` columns (against [`chunk_rows`]' positive column 0);
+    /// row `vocab − 3` repeats row 5, a tie across chunks.
+    fn late_winner_weight(vocab: usize, h: usize, seed: u64) -> Tensor {
+        let mut w = normal(&mut seeded_rng(seed), vocab, h, 0.6);
+        for j in 0..vocab {
+            w.row_mut(j)
+                .iter_mut()
+                .for_each(|v| *v *= 1.0 + j as f32 / 8.0);
+        }
+        w.row_mut(1)[0] = f32::NEG_INFINITY;
+        w.row_mut(2)[0] = f32::NAN;
+        let fifth = w.row(5).to_vec();
+        w.row_mut(vocab - 3).copy_from_slice(&fifth);
+        w
+    }
+
+    /// [`group_rows`] with column 0 made positive, so a `±∞` / `NaN` in a
+    /// weight's column 0 keeps its sign in every logit.
+    fn chunk_rows(m: usize, h: usize, seed: u64) -> Tensor {
+        let mut x = group_rows(m, h, seed);
+        for r in 0..m {
+            x.row_mut(r)[0] = x.row(r)[0].abs() + 0.25;
+        }
+        x
+    }
+
     #[test]
     fn streaming_sweep_is_bitwise_the_sort_based_oracle() {
-        // vocab 11 over 4 shards leaves widths 3/3/3/2, narrower than k.
-        for (vocab, k) in [(64, 4), (11, 4), (11, 1), (64, 7)] {
-            let w = tie_heavy_weight(vocab, 8, 94);
-            let x = group_rows(5, 8, 95);
-            for p in [1, 2, 4] {
-                let part = VocabPartition::new(vocab, p);
-                for rank in 0..p {
-                    let shard = OutputShard::from_full(&w, part, rank).unwrap();
-                    let swept = shard.s_pass_decode(&x, k).unwrap();
-                    assert_eq!(
-                        state_bits(&swept),
-                        state_bits(&sorted_oracle(&shard, &x, k)),
-                        "vocab={vocab} k={k} p={p} rank={rank}"
-                    );
+        // vocab 11 over 4 shards leaves widths 3/3/3/2, narrower than k;
+        // vocab 200 spans up to 13 chunks per row, and k = 17, 20 hold
+        // more than one chunk's worth of candidates.
+        let cases: [(Tensor, Tensor, &[usize]); 4] = [
+            (tie_heavy_weight(64, 8, 94), group_rows(5, 8, 95), &[4, 7]),
+            (tie_heavy_weight(11, 8, 94), group_rows(5, 8, 95), &[1, 4]),
+            (
+                late_winner_weight(200, 8, 90),
+                chunk_rows(6, 8, 91),
+                &[1, 3, 17, 20],
+            ),
+            (
+                late_winner_weight(40, 8, 92),
+                chunk_rows(3, 8, 93),
+                &[2, 16],
+            ),
+        ];
+        for (w, x, ks) in &cases {
+            let vocab = w.rows();
+            for &k in *ks {
+                for p in [1, 2, 4] {
+                    let part = VocabPartition::new(vocab, p);
+                    for rank in 0..p {
+                        let shard = OutputShard::from_full(w, part, rank).unwrap();
+                        let swept = shard.s_pass_decode(x, k).unwrap();
+                        assert_eq!(
+                            state_bits(&swept),
+                            state_bits(&sorted_oracle(&shard, x, k)),
+                            "vocab={vocab} k={k} p={p} rank={rank}"
+                        );
+                    }
                 }
             }
         }
+        // The late-winner rows really do put their winners late.
+        let y = chunk_rows(6, 8, 91).matmul_nt(&late_winner_weight(200, 8, 90));
+        let winners = vp_tensor::ops::argmax_rows(&y.unwrap());
+        assert!(winners.iter().all(|&c| c >= 2 * SWEEP_CHUNK), "{winners:?}");
     }
 
     #[test]
@@ -1186,6 +1305,93 @@ mod tests {
         let state = shard.s_pass_decode(&x, 2).unwrap();
         assert!(state.topk.iter().all(|&c| c == (f32::NEG_INFINITY, 0)));
         assert!(merge_decode(&[state.payload()], 3, 2).is_err());
+    }
+
+    /// Every bit both `S` passes produce: Algorithm 2's state (softmax',
+    /// stats, label logits, `A`, `B`) and the decode state.
+    fn s_bits(shard: &OutputShard, x: &Tensor, labels: &[usize]) -> Vec<u32> {
+        let s = shard.s_pass(VocabAlgo::Alg2, x, labels).unwrap();
+        let d = shard.s_pass_decode(x, 3).unwrap();
+        let a = s.a.as_ref().expect("alg2");
+        let b = s.b.as_ref().expect("alg2");
+        [s.softmax.data(), &s.stats.max, &s.stats.sum, &s.label_logit]
+            .into_iter()
+            .chain([a.data(), b.data(), &d.max, &d.sum])
+            .flatten()
+            .map(|v| v.to_bits())
+            .chain(d.topk.iter().flat_map(|&(v, id)| [v.to_bits(), id as u32]))
+            .collect()
+    }
+
+    /// A shard built from scratch around `shard`'s current weight value.
+    fn fresh(shard: &OutputShard) -> OutputShard {
+        let w = shard.weight().value().clone();
+        OutputShard::new(w, shard.partition(), shard.rank()).unwrap()
+    }
+
+    #[test]
+    fn a_stale_pack_is_impossible() {
+        use vp_tensor::optim::{Adam, Optimizer};
+        // vocab 5 over 8 shards: rank 7 owns no column at all.
+        for (vocab, p, rank) in [(24, 1, 0), (24, 3, 1), (24, 3, 2), (5, 8, 7)] {
+            let what = format!("vocab={vocab} p={p} rank={rank}");
+            let full = normal(&mut seeded_rng(61), vocab, 6, 0.8);
+            let x = normal(&mut seeded_rng(62), 4, 6, 1.0);
+            let labels = [0, vocab - 1, vocab / 2, 1];
+            let mut shard =
+                OutputShard::from_full(&full, VocabPartition::new(vocab, p), rank).unwrap();
+            assert_eq!(shard.pack_addr(), None, "{what}: packs lazily");
+            let first = s_bits(&shard, &x, &labels);
+            let addr = shard.pack_addr().expect("the S pass packed");
+            assert_eq!(s_bits(&shard, &x, &labels), first, "{what}");
+            assert_eq!(shard.pack_addr(), Some(addr), "{what}: one pack, reused");
+
+            // A T pass writes only the gradient: the pack survives it …
+            let mut state = shard.s_pass(VocabAlgo::Alg2, &x, &labels).unwrap();
+            state.barrier_local();
+            shard.t_pass_alg2(&state, &x).unwrap();
+            assert_eq!(shard.pack_addr(), Some(addr), "{what}: T keeps the pack");
+            // … the optimizer step, through `weight_mut`, does not.
+            let before = shard.weight().value().clone();
+            Adam::new(0.05).step(shard.weight_mut()).unwrap();
+            assert!(vocab < p || shard.weight().value() != &before, "{what}");
+            assert_eq!(shard.pack_addr(), None, "{what}: the step dropped it");
+            assert_eq!(
+                s_bits(&shard, &x, &labels),
+                s_bits(&fresh(&shard), &x, &labels)
+            );
+
+            // A clone carries a pack of its own, valid for its weight.
+            let clone = shard.clone();
+            assert!(clone.pack_addr().is_some(), "{what}");
+            if vocab >= p {
+                assert_ne!(clone.pack_addr(), shard.pack_addr(), "{what}");
+            }
+            assert_eq!(
+                s_bits(&clone, &x, &labels),
+                s_bits(&fresh(&shard), &x, &labels)
+            );
+
+            // A direct write to the value.
+            if let Some(v) = shard.weight_mut().value_mut().data_mut().first_mut() {
+                *v += 1.5;
+            }
+            assert_eq!(
+                s_bits(&shard, &x, &labels),
+                s_bits(&fresh(&shard), &x, &labels)
+            );
+
+            // A parameter replaced wholesale, as a checkpoint load does.
+            let other = normal(&mut seeded_rng(63), full.rows(), 6, 0.8);
+            let loaded = other.slice_rows(0, shard.weight().value().rows()).unwrap();
+            let (m, v) = shard.weight().moments();
+            let state = Param::from_state(loaded, m.clone(), v.clone()).unwrap();
+            *shard.weight_mut() = state;
+            assert_eq!(
+                s_bits(&shard, &x, &labels),
+                s_bits(&fresh(&shard), &x, &labels)
+            );
+        }
     }
 
     #[test]

@@ -121,7 +121,9 @@ impl TiedShard {
                 }
             }
         }
-        self.output.weight_mut().accumulate(&dw)
+        // Gradient only: going through `weight_mut` would drop the output
+        // side's packed weight on every input backward.
+        self.output.accumulate_grad(&dw)
     }
 
     // ---- Output-layer side (delegates to the shared OutputShard) --------
@@ -273,6 +275,30 @@ mod tests {
         for o in outs {
             assert!(o.max_abs_diff(&reference).unwrap() < 1e-6);
         }
+    }
+
+    #[test]
+    fn input_backward_keeps_the_packed_weight() {
+        let (vocab, h) = (20, 4);
+        let full = normal(&mut seeded_rng(19), vocab, h, 1.0);
+        let mut shard = TiedShard::from_full(&full, VocabPartition::new(vocab, 1), 0).unwrap();
+        let x = normal(&mut seeded_rng(20), 3, h, 1.0);
+        shard.s_pass(VocabAlgo::Alg2, &x, &[1, 7, 19]).unwrap();
+        let addr = shard.output.pack_addr().expect("the S pass packed");
+        let ids = [3, 7, 3];
+        shard.input_backward(&ids, &Tensor::ones(3, h)).unwrap();
+        assert_eq!(
+            shard.output.pack_addr(),
+            Some(addr),
+            "InputB dropped the pack"
+        );
+        assert_eq!(
+            shard.weight().grad().row(3),
+            &[2.0; 4],
+            "but did accumulate"
+        );
+        shard.weight_mut();
+        assert_eq!(shard.output.pack_addr(), None);
     }
 
     #[test]

@@ -31,6 +31,8 @@ use vp_tensor::{Result, Tensor, TensorError};
 /// One device's shard of the vocabulary layers: separate input and output
 /// shards, or the single tied weight serving both (§6.1). The only place
 /// the runtime distinguishes the two.
+// One per device, so the variants' size difference costs nothing.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum VocabShard {
     Split {
         input: InputShard,
@@ -209,5 +211,79 @@ impl Device {
         let first_dev = self.map.device_of(0).0;
         let dy = self.link.recv(first_dev, TAG_INGRAD | k as u64)?;
         self.shard()?.input_backward(&mb.tokens, &dy)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::{read_params, write_params};
+    use vp_collectives::{Collective, CollectiveGroup};
+    use vp_tensor::init::{normal, seeded_rng};
+    use vp_tensor::optim::{Adam, Optimizer};
+
+    fn shard(tied: bool, seed: u64, part: VocabPartition) -> VocabShard {
+        let w = normal(&mut seeded_rng(seed), part.vocab(), 6, 0.7);
+        if tied {
+            VocabShard::Tied(TiedShard::from_full(&w, part, 0).unwrap())
+        } else {
+            VocabShard::Split {
+                input: InputShard::from_full(&w, part, 0).unwrap(),
+                output: OutputShard::from_full(&w, part, 0).unwrap(),
+            }
+        }
+    }
+
+    /// The output side's loss and `∇X` bits (through the packed `S` pass).
+    fn output_bits(
+        shard: &mut VocabShard,
+        comm: &Collective,
+        x: &Tensor,
+        labels: &[usize],
+    ) -> (u64, Vec<u32>) {
+        let (loss, dx) = match shard {
+            VocabShard::Split { output, .. } => {
+                output.forward_backward(VocabAlgo::Alg2, comm, x, labels)
+            }
+            VocabShard::Tied(tied) => {
+                tied.output_forward_backward(VocabAlgo::Alg2, comm, x, labels)
+            }
+        }
+        .unwrap();
+        (
+            loss.to_bits(),
+            dx.data().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn reading_a_checkpoint_never_leaves_a_stale_pack() {
+        // `read_params` is the body of every checkpoint load (the device
+        // resume path included): it replaces each parameter through
+        // `params_mut`, so a shard that already packed its weight must S
+        // with the loaded one afterwards.
+        let part = VocabPartition::new(40, 1);
+        let comm = CollectiveGroup::new(1).pop().expect("one rank");
+        let x = normal(&mut seeded_rng(3), 5, 6, 1.0);
+        let labels = [0, 39, 7, 7, 21];
+        for tied in [false, true] {
+            let mut saved = shard(tied, 1, part);
+            output_bits(&mut saved, &comm, &x, &labels);
+            let mut adam = Adam::new(0.01);
+            for p in saved.params_mut() {
+                adam.step(p).unwrap();
+            }
+            let mut buf = Vec::new();
+            write_params(&mut buf, saved.params_mut());
+
+            let mut live = shard(tied, 2, part);
+            live.s_pass(VocabAlgo::Alg2, &x, &labels).unwrap();
+            read_params(&mut buf.as_slice(), live.params_mut()).unwrap();
+            assert_eq!(
+                output_bits(&mut live, &comm, &x, &labels),
+                output_bits(&mut saved, &comm, &x, &labels),
+                "tied={tied}"
+            );
+        }
     }
 }

@@ -15,7 +15,10 @@
 //!   every `NR` tile of the column panel — the old per-`MR`-tile repacking
 //!   copied `A` `n/NC` times more than necessary. Both pack buffers draw
 //!   from the buffer arena ([`crate::alloc`]), so steady-state GEMMs
-//!   allocate nothing.
+//!   allocate nothing. A right operand that outlives many products (the
+//!   output layer's vocabulary shard) can be packed once, whole, into a
+//!   [`PackedB`]; [`gemm_chunk`] then reads its tiles where it would have
+//!   packed them ([`Rhs`]), through the same loop nest.
 //! * **Microkernel.** [`microkernel`] accumulates an arch-tuned `MR × NR`
 //!   register tile over one `k` panel: the tile is loaded from the output,
 //!   every `p` term is added directly to its running element total, and the
@@ -117,11 +120,21 @@ pub(crate) enum Layout {
     Tn,
 }
 
+/// Where a GEMM's right operand comes from.
+#[derive(Clone, Copy)]
+pub(crate) enum Rhs<'a> {
+    /// Row-major `b` as the layout reads it: every run packs each panel
+    /// into arena scratch first.
+    Rows(&'a [f32]),
+    /// `Nt` only: the whole operand, already in panel layout.
+    Packed(&'a PackedB),
+}
+
 /// One GEMM problem: `out[i, j] += Σₚ A'[i, p] · B'[p, j]` where `A'`/`B'`
 /// are the layout-adjusted views of `a` and `b`.
 pub(crate) struct Gemm<'a> {
     pub a: &'a [f32],
-    pub b: &'a [f32],
+    pub b: Rhs<'a>,
     /// Shared dimension.
     pub k: usize,
     /// Output columns of the *full* problem (the stride of `b`'s rows for
@@ -236,11 +249,19 @@ pub(crate) fn row_kernel(a: &[f32], b: &[f32], ldb: usize, out: &mut [f32]) {
     }
 }
 
-/// Packs the `pc × jc` panel of the layout-adjusted right operand starting
-/// at global column `j_abs`, `k` range `[p0, p0+pc)`, into `NR`-wide column
-/// tiles. Ragged tile columns are zero-padded (their microkernel lanes are
-/// discarded on write-back).
-fn pack_b(g: &Gemm<'_>, p0: usize, pc: usize, j_abs: usize, jc: usize, panel: &mut [f32]) {
+/// Packs the `pc × jc` panel of the layout-adjusted right operand `b`
+/// starting at global column `j_abs`, `k` range `[p0, p0+pc)`, into
+/// `NR`-wide column tiles. Ragged tile columns are zero-padded (their
+/// microkernel lanes are discarded on write-back).
+fn pack_b(
+    g: &Gemm<'_>,
+    b: &[f32],
+    p0: usize,
+    pc: usize,
+    j_abs: usize,
+    jc: usize,
+    panel: &mut [f32],
+) {
     let jtiles = jc.div_ceil(NR);
     for jt in 0..jtiles {
         let jbase = j_abs + jt * NR;
@@ -250,7 +271,7 @@ fn pack_b(g: &Gemm<'_>, p0: usize, pc: usize, j_abs: usize, jc: usize, panel: &m
             Layout::Nn | Layout::Tn => {
                 // b is [k, n]: rows of the panel are contiguous slices.
                 for (p, dst) in tile.chunks_exact_mut(NR).enumerate() {
-                    let src = &g.b[(p0 + p) * g.n + jbase..(p0 + p) * g.n + jbase + w];
+                    let src = &b[(p0 + p) * g.n + jbase..(p0 + p) * g.n + jbase + w];
                     dst[..w].copy_from_slice(src);
                     dst[w..].fill(0.0);
                 }
@@ -260,7 +281,7 @@ fn pack_b(g: &Gemm<'_>, p0: usize, pc: usize, j_abs: usize, jc: usize, panel: &m
                 // contiguously, scattering into the p-major tile — this is
                 // the transposing copy that de-strides the nt layout.
                 for jr in 0..w {
-                    let src = &g.b[(jbase + jr) * g.k + p0..(jbase + jr) * g.k + p0 + pc];
+                    let src = &b[(jbase + jr) * g.k + p0..(jbase + jr) * g.k + p0 + pc];
                     for (p, &v) in src.iter().enumerate() {
                         tile[p * NR + jr] = v;
                     }
@@ -272,6 +293,94 @@ fn pack_b(g: &Gemm<'_>, p0: usize, pc: usize, j_abs: usize, jc: usize, panel: &m
                 }
             }
         }
+    }
+}
+
+/// The right operand of [`crate::Tensor::matmul_nt`], packed once into the
+/// panel layout every GEMM run would otherwise build per call.
+///
+/// Layout: `k` panels of `KC` (the last may be shorter) one after another;
+/// inside the panel starting at `p0`, every `NR`-wide column tile of the
+/// whole operand in order, each `pc × NR` and `p`-major, the ragged last
+/// tile zero-padded. The panel at `p0` therefore starts at
+/// `p0 · tiles · NR`, and tiles `[t0, t0 + count)` of it are one contiguous
+/// run — byte for byte what `pack_b` writes into scratch for those columns.
+/// [`crate::Tensor::matmul_nt_packed`] reads these bytes in the order the
+/// per-call pack would have produced them, so its result is bitwise
+/// `matmul_nt`'s.
+///
+/// Costs `k · ⌈n/NR⌉ · NR` floats, drawn from the buffer arena ([`alloc`])
+/// and released on drop.
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    buf: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs `rhs` (`[n, k]`) as the `Bᵀ` operand of `x.matmul_nt(rhs)`.
+    pub fn pack_nt(rhs: &crate::Tensor) -> PackedB {
+        let (n, k) = rhs.shape();
+        let g = Gemm {
+            a: &[],
+            b: Rhs::Rows(rhs.data()),
+            k,
+            n,
+            m: 0,
+            layout: Layout::Nt,
+        };
+        let tiles = n.div_ceil(NR);
+        let mut buf = alloc::take_zeroed(k * tiles * NR);
+        for p0 in (0..k).step_by(KC) {
+            let pc = KC.min(k - p0);
+            let panel = &mut buf[p0 * tiles * NR..][..tiles * pc * NR];
+            pack_b(&g, rhs.data(), p0, pc, 0, n, panel);
+        }
+        PackedB { k, n, buf }
+    }
+
+    /// Shared dimension (`rhs.cols()`).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Output columns (`rhs.rows()`).
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Address of the packed buffer (how tests tell a pack that was kept
+    /// from one that was copied or rebuilt).
+    pub fn as_ptr(&self) -> *const f32 {
+        self.buf.as_ptr()
+    }
+
+    /// Tiles `[tile0, tile0 + count)` of the `pc`-deep panel at `p0`.
+    fn panel(&self, p0: usize, pc: usize, tile0: usize, count: usize) -> &[f32] {
+        let tiles = self.n.div_ceil(NR);
+        &self.buf[p0 * tiles * NR + tile0 * pc * NR..][..count * pc * NR]
+    }
+}
+
+impl Clone for PackedB {
+    fn clone(&self) -> Self {
+        PackedB {
+            k: self.k,
+            n: self.n,
+            buf: alloc::take_copy(&self.buf),
+        }
+    }
+}
+
+impl Drop for PackedB {
+    fn drop(&mut self) {
+        alloc::release(std::mem::take(&mut self.buf));
+    }
+}
+
+impl std::fmt::Debug for PackedB {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PackedB {{ k: {}, n: {} }}", self.k, self.n)
     }
 }
 
@@ -322,7 +431,9 @@ fn pack_a_block(g: &Gemm<'_>, row0: usize, mc: usize, p0: usize, pc: usize, bloc
 /// This is the per-task kernel both pool splits dispatch: the row split
 /// passes `j_off = 0, jcols = g.n` with a contiguous chunk, the column
 /// split passes its panel's window over all rows. With one thread it runs
-/// the whole output.
+/// the whole output. Both splits start every `NC` block on an `NR`
+/// boundary, so a pre-packed operand's tile `(j_off + j0)/NR + jt` is the
+/// tile the per-call pack would have built.
 pub(crate) fn gemm_chunk<O: OutRows>(
     g: &Gemm<'_>,
     i0: usize,
@@ -337,15 +448,24 @@ pub(crate) fn gemm_chunk<O: OutRows>(
     }
     // Pack scratch comes from the arena, recycled across calls (and across
     // threads' independent chunks — each task takes its own buffers).
-    let bcap = KC * NC.min(jcols.next_multiple_of(NR));
-    let mut bpanel = alloc::take_zeroed(bcap);
+    let mut scratch = match g.b {
+        Rhs::Rows(_) => alloc::take_zeroed(KC * NC.min(jcols.next_multiple_of(NR))),
+        Rhs::Packed(_) => Vec::new(),
+    };
     let mut ablock = alloc::take_zeroed(KC * MC.min(rows).next_multiple_of(MR));
     for j0 in (0..jcols).step_by(NC) {
         let jc = NC.min(jcols - j0);
         let jtiles = jc.div_ceil(NR);
         for p0 in (0..g.k).step_by(KC) {
             let pc = KC.min(g.k - p0);
-            pack_b(g, p0, pc, j_off + j0, jc, &mut bpanel[..jtiles * pc * NR]);
+            let bpanel: &[f32] = match g.b {
+                Rhs::Rows(b) => {
+                    let panel = &mut scratch[..jtiles * pc * NR];
+                    pack_b(g, b, p0, pc, j_off + j0, jc, panel);
+                    panel
+                }
+                Rhs::Packed(packed) => packed.panel(p0, pc, (j_off + j0) / NR, jtiles),
+            };
             for ib in (0..rows).step_by(MC) {
                 let mc = MC.min(rows - ib);
                 let mtiles = mc.div_ceil(MR);
@@ -392,6 +512,6 @@ pub(crate) fn gemm_chunk<O: OutRows>(
             }
         }
     }
-    alloc::release(bpanel);
+    alloc::release(scratch);
     alloc::release(ablock);
 }

@@ -10,7 +10,9 @@
 //!
 //! * [`Tensor`] — a dense row-major 2-D `f32` tensor with shape checking.
 //! * Matrix multiplication in all transpose layouts ([`Tensor::matmul`],
-//!   [`Tensor::matmul_nt`], [`Tensor::matmul_tn`]).
+//!   [`Tensor::matmul_nt`], [`Tensor::matmul_tn`]), plus
+//!   [`Tensor::matmul_nt_packed`] against a right operand packed once
+//!   ([`PackedB`]).
 //! * Reductions and the safe/online softmax family used by the paper
 //!   ([`ops`]).
 //! * Manual-backprop neural-network layers ([`nn`]): linear, layer-norm,
@@ -54,6 +56,7 @@ pub mod rng;
 mod tensor;
 
 pub use error::TensorError;
+pub use gemm::PackedB;
 pub use pool::{num_threads, set_num_threads};
 pub use tensor::Tensor;
 

@@ -112,6 +112,12 @@ const EXP_C4: f32 = 4.166_695_4e-2;
 const EXP_C5: f32 = 8.333_452e-3;
 const EXP_C6: f32 = 1.398_10e-3;
 
+/// `1.5·2²³`: adding it rounds any `|v| < 2²²` to an integer held in the
+/// low mantissa bits.
+const EXP_MAGIC: f32 = 12_582_912.0;
+/// `EXP_MAGIC.to_bits()`.
+const EXP_MAGIC_BITS: i32 = 0x4B40_0000;
+
 /// Inputs below this underflow to `0.0` even through denormals.
 const EXP_LO: f32 = -103.972_08;
 /// Inputs above this overflow to `∞`.
@@ -126,8 +132,9 @@ const EXP_HI: f32 = 88.722_84;
 pub fn exp(x: f32) -> f32 {
     let xc = x.clamp(EXP_LO, EXP_HI);
     // Round-to-nearest via the 1.5·2²³ magic constant (valid because the
-    // clamp bounds |x·log2e| ≤ 151 ≪ 2²²).
-    let nf = (xc * LOG2E + 12_582_912.0) - 12_582_912.0;
+    // clamp bounds |x·log2e| ≤ 151 ≪ 2²²): `t` is `1.5·2²³ + n` exactly.
+    let t = xc * LOG2E + EXP_MAGIC;
+    let nf = t - EXP_MAGIC;
     let r = (xc - nf * LN2_HI) - nf * LN2_LO;
     let p = EXP_C6;
     let p = p * r + EXP_C5;
@@ -138,8 +145,11 @@ pub fn exp(x: f32) -> f32 {
     let p = p * r + 1.0;
     // 2^n via exponent-field construction, split as 2^⌊n/2⌋·2^⌈n/2⌉ so the
     // clamp's n ∈ [−151, 129] scales through two normal-range multiplies
-    // (a single 2^n would need a denormal exponent below n = −126).
-    let n = nf as i32;
+    // (a single 2^n would need a denormal exponent below n = −126). `n`
+    // comes from `t`'s mantissa bits, where it sits as an integer: the same
+    // value as `nf as i32`, but that cast saturates, and its clamping
+    // selects kept LLVM from vectorizing the whole function.
+    let n = (t.to_bits() as i32) - EXP_MAGIC_BITS;
     let n_hi = n >> 1;
     let n_lo = n - n_hi;
     let s_hi = f32::from_bits(((n_hi + 127) as u32) << 23);
@@ -222,6 +232,78 @@ mod tests {
         assert!(exp(f32::NAN).is_nan());
         assert_eq!(exp(-1000.0), 0.0);
         assert_eq!(exp(1000.0), f32::INFINITY);
+    }
+
+    /// [`exp`] as it was before `n` came from the bits of the rounded sum:
+    /// `n` by the saturating `nf as i32` cast. The oracle the bit trick is
+    /// pinned against.
+    fn exp_with_cast(x: f32) -> f32 {
+        let xc = x.clamp(EXP_LO, EXP_HI);
+        let nf = (xc * LOG2E + 12_582_912.0) - 12_582_912.0;
+        let r = (xc - nf * LN2_HI) - nf * LN2_LO;
+        let p = EXP_C6;
+        let p = p * r + EXP_C5;
+        let p = p * r + EXP_C4;
+        let p = p * r + EXP_C3;
+        let p = p * r + EXP_C2;
+        let p = p * r + 1.0;
+        let p = p * r + 1.0;
+        let n = nf as i32;
+        let n_hi = n >> 1;
+        let n_lo = n - n_hi;
+        let s_hi = f32::from_bits(((n_hi + 127) as u32) << 23);
+        let s_lo = f32::from_bits(((n_lo + 127) as u32) << 23);
+        let v = (p * s_hi) * s_lo;
+        let v = if x < EXP_LO { 0.0 } else { v };
+        let v = if x > EXP_HI { f32::INFINITY } else { v };
+        if x.is_nan() {
+            x
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    fn exp_bit_trick_is_bitwise_the_cast_formula() {
+        let same = |x: f32| {
+            assert_eq!(
+                exp(x).to_bits(),
+                exp_with_cast(x).to_bits(),
+                "exp({x:e}) drifted from the cast formula"
+            );
+        };
+        // 2 M evenly spaced points over the clamp window and one past it
+        // on each side, which crosses every rounding boundary of `n`.
+        let (lo, hi) = (EXP_LO - 1.0, EXP_HI + 1.0);
+        let steps = 2_000_000;
+        for i in 0..=steps {
+            same(lo + (hi - lo) * (i as f32 / steps as f32));
+        }
+        // Every exponent field near zero (subnormals included), both signs.
+        let mut bits = 0u32;
+        while bits < 0x3f80_0000 {
+            same(f32::from_bits(bits));
+            same(-f32::from_bits(bits));
+            bits += 7_919;
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+            EXP_LO,
+            EXP_HI,
+        ];
+        for x in specials {
+            same(x);
+        }
     }
 
     #[test]

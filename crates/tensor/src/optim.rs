@@ -6,27 +6,45 @@
 //! call [`Optimizer::step`] once per parameter.
 
 use crate::{Result, Tensor, TensorError};
+use std::sync::OnceLock;
 
 /// A trainable parameter: the value tensor plus an accumulated gradient of
 /// the same shape and (for Adam) first/second moment estimates.
+///
+/// The gradient and the moments are *lazy*: each is an all-zero tensor of
+/// the value's shape until something first reads or writes it
+/// ([`Self::grad`], [`Self::accumulate`], [`Self::moments`], an optimizer
+/// step), and only then is it allocated. A parameter that only ever serves
+/// forward passes — every weight of a serving engine — holds nothing but
+/// its value.
 #[derive(Debug, Clone)]
 pub struct Param {
     value: Tensor,
-    grad: Tensor,
-    m: Tensor,
-    v: Tensor,
+    grad: OnceLock<Tensor>,
+    m: OnceLock<Tensor>,
+    v: OnceLock<Tensor>,
+}
+
+/// The lazy tensor in `cell`, materialized as zeros of `shape` on first use.
+fn lazy(cell: &OnceLock<Tensor>, shape: (usize, usize)) -> &Tensor {
+    cell.get_or_init(|| Tensor::zeros(shape.0, shape.1))
+}
+
+/// [`lazy`] for writing.
+fn lazy_mut(cell: &mut OnceLock<Tensor>, shape: (usize, usize)) -> &mut Tensor {
+    lazy(cell, shape);
+    cell.get_mut().expect("initialized just above")
 }
 
 impl Param {
-    /// Wraps an initialized value tensor into a parameter with zeroed
-    /// gradient and moments.
+    /// Wraps an initialized value tensor into a parameter with (lazily)
+    /// zeroed gradient and moments.
     pub fn new(value: Tensor) -> Self {
-        let (r, c) = value.shape();
         Param {
             value,
-            grad: Tensor::zeros(r, c),
-            m: Tensor::zeros(r, c),
-            v: Tensor::zeros(r, c),
+            grad: OnceLock::new(),
+            m: OnceLock::new(),
+            v: OnceLock::new(),
         }
     }
 
@@ -42,13 +60,13 @@ impl Param {
 
     /// The accumulated gradient.
     pub fn grad(&self) -> &Tensor {
-        &self.grad
+        lazy(&self.grad, self.value.shape())
     }
 
     /// Mutable access to the accumulated gradient (used by data-parallel
     /// gradient synchronization before the optimizer step).
     pub fn grad_mut(&mut self) -> &mut Tensor {
-        &mut self.grad
+        lazy_mut(&mut self.grad, self.value.shape())
     }
 
     /// Accumulates `g` into the gradient buffer.
@@ -57,17 +75,20 @@ impl Param {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `g` has a different shape.
     pub fn accumulate(&mut self, g: &Tensor) -> Result<()> {
-        self.grad.add_assign(g)
+        self.grad_mut().add_assign(g)
     }
 
     /// Clears the accumulated gradient.
     pub fn zero_grad(&mut self) {
-        self.grad.fill_zero();
+        if let Some(grad) = self.grad.get_mut() {
+            grad.fill_zero();
+        }
     }
 
     /// The Adam moment estimates `(m, v)` (for checkpointing).
     pub fn moments(&self) -> (&Tensor, &Tensor) {
-        (&self.m, &self.v)
+        let shape = self.value.shape();
+        (lazy(&self.m, shape), lazy(&self.v, shape))
     }
 
     /// Reconstructs a parameter from checkpointed state (zeroed gradient).
@@ -84,12 +105,11 @@ impl Param {
                 rhs: m.shape(),
             });
         }
-        let (r, c) = value.shape();
         Ok(Param {
             value,
-            grad: Tensor::zeros(r, c),
-            m,
-            v,
+            grad: OnceLock::new(),
+            m: OnceLock::from(m),
+            v: OnceLock::from(v),
         })
     }
 
@@ -133,20 +153,34 @@ impl Sgd {
     }
 }
 
+/// The gradient in `grad` (materialized if still lazy), checked against
+/// `value`'s shape — a mismatch means the caller replaced it through
+/// [`Param::grad_mut`] with a wrongly shaped one.
+fn checked_grad<'a>(
+    value: &Tensor,
+    grad: &'a mut OnceLock<Tensor>,
+    op: &'static str,
+) -> Result<&'a mut Tensor> {
+    let grad = lazy_mut(grad, value.shape());
+    if value.shape() != grad.shape() {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: value.shape(),
+            rhs: grad.shape(),
+        });
+    }
+    Ok(grad)
+}
+
 impl Optimizer for Sgd {
     fn step(&mut self, param: &mut Param) -> Result<()> {
-        if param.value.shape() != param.grad.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "sgd_step",
-                lhs: param.value.shape(),
-                rhs: param.grad.shape(),
-            });
-        }
+        let grad = checked_grad(&param.value, &mut param.grad, "sgd_step")?;
         let lr = self.lr;
-        for (w, g) in param.value.data_mut().iter_mut().zip(param.grad.data()) {
-            *w -= lr * g;
+        // One pass: read each gradient element, then clear it in place.
+        for (w, g) in param.value.data_mut().iter_mut().zip(grad.data_mut()) {
+            *w -= lr * *g;
+            *g = 0.0;
         }
-        param.zero_grad();
         Ok(())
     }
 
@@ -196,34 +230,32 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self, param: &mut Param) -> Result<()> {
-        if param.value.shape() != param.grad.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "adam_step",
-                lhs: param.value.shape(),
-                rhs: param.grad.shape(),
-            });
-        }
+        let grad = checked_grad(&param.value, &mut param.grad, "adam_step")?;
+        let shape = param.value.shape();
+        let (m, v) = (lazy_mut(&mut param.m, shape), lazy_mut(&mut param.v, shape));
         let (b1, b2) = (self.beta1, self.beta2);
         let bc1 = 1.0 - b1.powi(self.t);
         let bc2 = 1.0 - b2.powi(self.t);
         let lr = self.lr;
         let eps = self.eps;
-        let grads = param.grad.data().to_vec();
-        for (((w, g), m), v) in param
+        // One pass over the four disjoint buffers: each gradient element is
+        // read, then cleared in place — no copy, no separate zeroing pass.
+        for (((w, gs), m), v) in param
             .value
             .data_mut()
             .iter_mut()
-            .zip(&grads)
-            .zip(param.m.data_mut())
-            .zip(param.v.data_mut())
+            .zip(grad.data_mut())
+            .zip(m.data_mut())
+            .zip(v.data_mut())
         {
+            let g = *gs;
+            *gs = 0.0;
             *m = b1 * *m + (1.0 - b1) * g;
             *v = b2 * *v + (1.0 - b2) * g * g;
             let m_hat = *m / bc1;
             let v_hat = *v / bc2;
             *w -= lr * m_hat / (v_hat.sqrt() + eps);
         }
-        param.zero_grad();
         Ok(())
     }
 
@@ -282,6 +314,72 @@ mod tests {
         p.accumulate(&Tensor::ones(1, 2)).unwrap();
         assert_eq!(p.grad().data(), &[2.0, 2.0]);
         assert!(p.accumulate(&Tensor::ones(2, 2)).is_err());
+    }
+
+    #[test]
+    fn never_touched_state_reads_as_zeros_and_round_trips() {
+        let value = Tensor::from_vec(2, 3, (0..6).map(|i| i as f32 - 2.5).collect()).unwrap();
+        let p = Param::new(value.clone());
+        let (m, v) = p.moments();
+        assert_eq!((m, v), (&Tensor::zeros(2, 3), &Tensor::zeros(2, 3)));
+        assert_eq!(p.grad(), &Tensor::zeros(2, 3));
+        // What a checkpoint writes for it reloads to the same parameter.
+        let reloaded = Param::from_state(value, m.clone(), v.clone()).unwrap();
+        assert_eq!(reloaded.value(), p.value());
+        assert_eq!(reloaded.moments(), p.moments());
+        assert_eq!(reloaded.grad(), p.grad());
+    }
+
+    #[test]
+    fn one_pass_adam_is_bitwise_the_copy_then_zero_formula() {
+        let init = Tensor::from_vec(1, 5, vec![0.3, -1.2, 0.0, 4.0, -0.0]).unwrap();
+        let grads = [
+            Tensor::from_vec(1, 5, vec![0.5, -0.25, 1e-3, -7.0, 0.0]).unwrap(),
+            Tensor::from_vec(1, 5, vec![-0.1, 0.9, 2.5, 1e-8, -3.0]).unwrap(),
+        ];
+        let mut p = Param::new(init.clone());
+        let mut opt = Adam::new(0.05);
+        let (mut w, mut m, mut v) = (init.into_vec(), vec![0.0f32; 5], vec![0.0f32; 5]);
+        let (b1, b2, lr, eps) = (0.9f32, 0.999f32, 0.05f32, 1e-8f32);
+        for (t, g) in (1..).zip(&grads) {
+            p.accumulate(g).unwrap();
+            opt.step(&mut p).unwrap();
+            opt.next_iteration();
+            let (bc1, bc2) = (1.0 - b1.powi(t), 1.0 - b2.powi(t));
+            for i in 0..5 {
+                let g = g.data()[i];
+                m[i] = b1 * m[i] + (1.0 - b1) * g;
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+                w[i] -= lr * (m[i] / bc1) / ((v[i] / bc2).sqrt() + eps);
+            }
+            let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(p.value().data()), bits(&w), "step {t}");
+            assert_eq!(bits(p.moments().0.data()), bits(&m), "step {t}");
+            assert_eq!(bits(p.moments().1.data()), bits(&v), "step {t}");
+            assert!(p.grad().data().iter().all(|&g| g.to_bits() == 0));
+        }
+    }
+
+    #[test]
+    fn steps_reject_a_gradient_of_the_wrong_shape() {
+        let mut p = Param::new(Tensor::ones(1, 2));
+        *p.grad_mut() = Tensor::ones(2, 2);
+        assert!(matches!(
+            Sgd::new(0.1).step(&mut p),
+            Err(TensorError::ShapeMismatch { op: "sgd_step", .. })
+        ));
+        assert!(matches!(
+            Adam::new(0.1).step(&mut p),
+            Err(TensorError::ShapeMismatch {
+                op: "adam_step",
+                ..
+            })
+        ));
+        assert_eq!(
+            p.value(),
+            &Tensor::ones(1, 2),
+            "a rejected step moves nothing"
+        );
     }
 
     #[test]

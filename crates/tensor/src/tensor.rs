@@ -1,4 +1,4 @@
-use crate::{alloc, gemm, pool, Result, TensorError};
+use crate::{alloc, gemm, pool, PackedB, Result, TensorError};
 
 /// Shared driver for every matmul layout: allocate a pooled, zeroed output
 /// and run the packed GEMM ([`crate::gemm`]) via the worker pool. All three
@@ -22,7 +22,7 @@ use crate::{alloc, gemm, pool, Result, TensorError};
 /// task running the serial kernel.
 fn run_gemm(
     a: &Tensor,
-    b: &Tensor,
+    b: gemm::Rhs<'_>,
     m: usize,
     k: usize,
     n: usize,
@@ -34,9 +34,12 @@ fn run_gemm(
         // Fewer rows than one register tile: packing `b` and computing an
         // `MR`-row padded tile costs more than the product itself, so the
         // rows run the unpacked kernel — same per-element order, same bits.
+        let gemm::Rhs::Rows(b) = b else {
+            unreachable!("only `Nt` products take a pre-packed operand")
+        };
         for i in 0..m {
             let out_row = &mut out.data[i * n..(i + 1) * n];
-            gemm::row_kernel(&a.data[i * k..(i + 1) * k], &b.data, n, out_row);
+            gemm::row_kernel(&a.data[i * k..(i + 1) * k], b, n, out_row);
             if let Some(bias) = bias {
                 for (o, &bv) in out_row.iter_mut().zip(bias) {
                     *o += bv;
@@ -47,7 +50,7 @@ fn run_gemm(
     }
     let g = gemm::Gemm {
         a: &a.data,
-        b: &b.data,
+        b,
         k,
         n,
         m,
@@ -374,7 +377,8 @@ impl Tensor {
             });
         }
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        Ok(run_gemm(self, rhs, m, k, n, gemm::Layout::Nn, None))
+        let b = gemm::Rhs::Rows(&rhs.data);
+        Ok(run_gemm(self, b, m, k, n, gemm::Layout::Nn, None))
     }
 
     /// Fused `self · rhs + bias` where `bias` is a `1 × n` row broadcast
@@ -405,9 +409,10 @@ impl Tensor {
             });
         }
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
+        let b = gemm::Rhs::Rows(&rhs.data);
         Ok(run_gemm(
             self,
-            rhs,
+            b,
             m,
             k,
             n,
@@ -433,7 +438,28 @@ impl Tensor {
             });
         }
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        Ok(run_gemm(self, rhs, m, k, n, gemm::Layout::Nt, None))
+        let b = gemm::Rhs::Rows(&rhs.data);
+        Ok(run_gemm(self, b, m, k, n, gemm::Layout::Nt, None))
+    }
+
+    /// [`Self::matmul_nt`] against a right operand packed beforehand with
+    /// [`PackedB::pack_nt`]: the product skips the per-call transposing
+    /// pack and is bitwise `self.matmul_nt(rhs)` for the `rhs` it packed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the shared dimension differs.
+    pub fn matmul_nt_packed(&self, rhs: &PackedB) -> Result<Tensor> {
+        if self.cols != rhs.k() {
+            return Err(TensorError::ShapeMismatch {
+                op: "matmul_nt_packed",
+                lhs: self.shape(),
+                rhs: (rhs.n(), rhs.k()),
+            });
+        }
+        let (m, k, n) = (self.rows, self.cols, rhs.n());
+        let b = gemm::Rhs::Packed(rhs);
+        Ok(run_gemm(self, b, m, k, n, gemm::Layout::Nt, None))
     }
 
     /// Matrix product `selfᵀ · rhs` where `self` is `[k, m]` and `rhs` is `[k, n]`.
@@ -453,7 +479,8 @@ impl Tensor {
             });
         }
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        Ok(run_gemm(self, rhs, m, k, n, gemm::Layout::Tn, None))
+        let b = gemm::Rhs::Rows(&rhs.data);
+        Ok(run_gemm(self, b, m, k, n, gemm::Layout::Tn, None))
     }
 
     /// Elementwise sum, returning a new tensor.

@@ -6,7 +6,8 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use vp_tensor::init::{normal, seeded_rng};
 use vp_tensor::nn::{Gelu, LayerNorm, Linear};
-use vp_tensor::{alloc, Tensor};
+use vp_tensor::optim::Param;
+use vp_tensor::{alloc, PackedB, Tensor};
 
 /// Serializes tests that toggle the process-global arena switch.
 fn arena_lock() -> MutexGuard<'static, ()> {
@@ -41,6 +42,38 @@ fn assert_all_bits_eq(a: &[Tensor], b: &[Tensor]) {
             assert_eq!(x.to_bits(), y.to_bits(), "output {i} diverged");
         }
     }
+}
+
+#[test]
+fn param_new_takes_nothing_from_the_arena() {
+    let _guard = arena_lock();
+    alloc::set_enabled(true);
+    let value = Tensor::ones(64, 32);
+    let before = alloc::stats();
+    let param = Param::new(value);
+    let after = alloc::stats();
+    assert_eq!(
+        (after.fresh + after.reuse, after.outstanding),
+        (before.fresh + before.reuse, before.outstanding),
+        "gradient and moments stay lazy until first used"
+    );
+    // First use materializes them: one gradient, then both moments.
+    let _ = param.grad();
+    let _ = param.moments();
+    assert_eq!(alloc::stats().outstanding, before.outstanding + 3);
+}
+
+#[test]
+fn a_packed_operand_returns_its_buffer_on_drop() {
+    let _guard = arena_lock();
+    alloc::set_enabled(true);
+    let w = normal(&mut seeded_rng(5), 70, 33, 1.0);
+    let before = alloc::stats().outstanding;
+    let packed = PackedB::pack_nt(&w);
+    let copy = packed.clone();
+    assert_eq!(alloc::stats().outstanding, before + 2);
+    drop((packed, copy));
+    assert_eq!(alloc::stats().outstanding, before);
 }
 
 #[test]

@@ -7,10 +7,12 @@
 //! 1×1, sizes straddling the 64-wide blocking and the 4×8 register tile,
 //! and NaN/∞ propagation through zero-padded pack panels. The unpacked row
 //! kernel that takes `Nn` products below one register tile is pinned
-//! against the packed path the same way.
+//! against the packed path the same way, and so is the product against a
+//! right operand packed once beforehand (`Tensor::matmul_nt_packed`).
 
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use vp_tensor::init::{normal, seeded_rng};
-use vp_tensor::{pool, set_num_threads, Tensor};
+use vp_tensor::{pool, set_num_threads, PackedB, Tensor};
 
 /// `(m, k, n)` shapes chosen to hit every tiling edge: zero dims, single
 /// elements, sub-tile sizes, exact block multiples, and off-by-one block
@@ -242,13 +244,74 @@ const MR: usize = if cfg!(all(target_arch = "x86_64", target_feature = "avx512f"
     4
 };
 
+/// The register tile width `gemm.rs` picks for this target.
+const NR: usize = if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+    32
+} else if cfg!(all(target_arch = "x86_64", target_feature = "avx2")) {
+    16
+} else {
+    8
+};
+
+/// Serializes the tests that change the pool's process-wide configuration
+/// (no result depends on it, but each restores what it found).
+fn pool_config_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+#[test]
+fn prepacked_nt_is_bitwise_matmul_nt() {
+    // Shapes straddle the register tile (MR rows, NR columns), the KC = 128
+    // panel depth and the NC = 512 column block; thread counts cover the
+    // serial path, the column-panel split and the row split.
+    let _guard = pool_config_lock();
+    let threads_before = vp_tensor::num_threads();
+    pool::set_assumed_cores(16);
+    let mut rng = seeded_rng(2029);
+    let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+    for k in [1, 127, 128, 129, 300] {
+        for n in [1, NR - 1, NR, NR + 1, 512, 513, 1100] {
+            let mut w = normal(&mut rng, n, k, 1.0);
+            for (i, &v) in poison.iter().enumerate() {
+                *w.at_mut((i * 37 + 5) % n, (i * 29 + 3) % k) = v;
+            }
+            let packed = PackedB::pack_nt(&w);
+            assert_eq!((packed.n(), packed.k()), (n, k));
+            for m in [1, MR - 1, MR, 17, 130] {
+                let mut a = normal(&mut rng, m, k, 1.0);
+                if m > 1 {
+                    // Leave row 0 clean so poison never covers every row.
+                    for (i, &v) in poison.iter().enumerate() {
+                        *a.at_mut(1 + (i * 7) % (m - 1), (i * 41) % k) = v;
+                    }
+                }
+                for threads in [1, 2, 7] {
+                    set_num_threads(threads);
+                    assert_bits_eq(
+                        &a.matmul_nt_packed(&packed).unwrap(),
+                        &a.matmul_nt(&w).unwrap(),
+                        &format!("packed nt {m}x{k}x{n} threads={threads}"),
+                    );
+                }
+            }
+        }
+    }
+    set_num_threads(threads_before);
+    pool::set_assumed_cores(0);
+    let packed = PackedB::pack_nt(&Tensor::zeros(3, 5));
+    assert!(Tensor::zeros(2, 4).matmul_nt_packed(&packed).is_err());
+}
+
 #[test]
 fn row_kernel_is_bitwise_the_packed_path_and_never_dispatches() {
     // The packed path for the same rows: pad `a` with zero rows up to 8
     // (at least one full tile on every target). Output rows are
     // independent, so the first `m` rows of that product are what the
-    // packed path computes for `a`. Only this test changes the pool's
-    // configuration in this binary, and no result depends on it.
+    // packed path computes for `a`.
+    let _guard = pool_config_lock();
     let threads_before = vp_tensor::num_threads();
     pool::set_assumed_cores(16);
     let mut rng = seeded_rng(2027);

@@ -52,12 +52,13 @@ fmt_check() {
 }
 
 unsafe_audit() {
-    # Every crate but the two audited ones carries #![forbid(unsafe_code)];
-    # this catches a crate that drops the attribute or a new unsafe block
-    # sneaking in elsewhere. Token match (\bunsafe\b), not 'unsafe ': the
-    # old pattern missed `unsafe{`, `unsafe(` and other spellings the
-    # compiler accepts.
-    local allowed="crates/tensor/src/pool.rs crates/trace/src/buffer.rs"
+    # One audited file, the kernel pool, may hold unsafe code; every crate
+    # but vp-tensor carries #![forbid(unsafe_code)]. This catches a crate
+    # that drops the attribute or a new unsafe block sneaking in elsewhere,
+    # vp-tensor's other files included. Token match (\bunsafe\b), not
+    # 'unsafe ': the old pattern missed `unsafe{`, `unsafe(` and other
+    # spellings the compiler accepts.
+    local allowed="crates/tensor/src/pool.rs"
     local found f
     found=$(grep -rln --include='*.rs' -E '\bunsafe\b' src crates | sort || true)
     for f in $found; do
@@ -167,7 +168,8 @@ stage "repro check x2 (static schedule verification sweep)" rerun_identical chec
 stage "repro modelcheck x2 (static-vs-model differential soundness)" rerun_identical modelcheck MODELCHECK
 stage "repro tpsweep (PP x TP crossover)" repro tpsweep --json --out target/TPSWEEP.json
 stage "training determinism (two identical runs, VP_THREADS=4)" determinism_gate
-stage "repro trace (simulated Chrome trace exports)" repro trace
+stage "repro trace (simulated Chrome trace exports to target/traces)" repro trace
+stage "repro csv (Figure 11-14 data series to target/csv)" repro csv
 stage "repro timeline (measured trace exports, sim-vs-measured drift gate)" repro timeline --json --out target/TIMELINE.json
 
 stage_summary

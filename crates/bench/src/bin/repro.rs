@@ -19,13 +19,21 @@
 //! static-vs-model disagreement or a case over its state budget),
 //! `tpsweep` (`TPSWEEP.json`: an unverified PP × TP configuration or a
 //! tp = 1 column that is not bitwise the 1D simulation) and `timeline`
-//! (`TIMELINE.json`, plus `traces/measured-<name>.trace.json`: simulated
-//! vs measured busy shares drifting past the bound, dropped trace events
-//! or a non-finite loss).
+//! (`TIMELINE.json`, plus `target/traces/measured-<name>.trace.json`:
+//! simulated vs measured busy shares drifting past the bound, dropped
+//! trace events or a non-finite loss).
+//!
+//! Generated files stay out of the source tree: `trace` and `timeline`
+//! write Chrome traces to `target/traces/` (simulated and measured side by
+//! side), `csv` writes its series to `target/csv/`.
 
+use std::path::Path;
 use vp_bench::experiments;
 use vp_bench::paper;
 use vp_bench::table;
+
+/// Where `repro trace` and `repro timeline` write their Chrome traces.
+const TRACE_DIR: &str = "target/traces";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -398,7 +406,7 @@ fn csv(microbatches: usize) {
     heading("CSV export — Figure 11–14 data series");
     report_export(
         "csv export",
-        experiments::export_csv(std::path::Path::new("csv"), microbatches),
+        experiments::export_csv(Path::new("target/csv"), microbatches),
     );
 }
 
@@ -491,7 +499,7 @@ fn timeline(json: bool, out: Option<&str>) {
     }
     report_export(
         "measured trace export",
-        vp_bench::timeline::write_traces(std::path::Path::new("traces"), &cases),
+        vp_bench::timeline::write_traces(Path::new(TRACE_DIR), &cases),
     );
     println!("Open next to the simulator's traces in chrome://tracing or Perfetto.");
     if json {
@@ -513,7 +521,7 @@ fn trace() {
     heading("Chrome trace export");
     report_export(
         "trace export",
-        experiments::export_traces(std::path::Path::new("traces")),
+        experiments::export_traces(Path::new(TRACE_DIR)),
     );
     println!("Open in chrome://tracing or https://ui.perfetto.dev.");
 }

@@ -13,9 +13,10 @@ use vp_schedule::generators;
 use vp_schedule::pass::VocabVariant;
 use vp_schedule::render;
 use vp_sim::{
-    run_1f1b, run_barrier_ablation, run_interlaced_ablation, run_vhalf, run_zero_bubble, sweep,
-    Method, SimReport, VHalfMethod,
+    run_1f1b, run_barrier_ablation, run_interlaced_ablation, run_vhalf, run_zero_bubble,
+    simulated_events, sweep, Method, SimReport, VHalfMethod,
 };
+use vp_trace::chrome::to_chrome_trace;
 
 /// One measured cell of a throughput/memory table.
 #[derive(Debug, Clone, Copy)]
@@ -235,7 +236,6 @@ pub fn ablation_zero_bubble(microbatches: usize) -> Vec<(String, f64, f64)> {
 ///
 /// Propagates I/O errors.
 pub fn export_traces(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-    use vp_schedule::trace::to_chrome_trace;
     std::fs::create_dir_all(dir)?;
     let times = PassTimes::default();
     let mut written = Vec::new();
@@ -270,7 +270,8 @@ pub fn export_traces(dir: &std::path::Path) -> std::io::Result<Vec<std::path::Pa
         let report = Executor::new(&costs)
             .run(&schedule)
             .expect("gallery schedules validate");
-        let json = to_chrome_trace(&schedule, &report, 1000.0);
+        // One unit of simulated time renders as one millisecond.
+        let json = to_chrome_trace(&simulated_events(&schedule, &report, 1e6));
         let path = dir.join(format!("{name}.trace.json"));
         std::fs::write(&path, json)?;
         written.push(path);

@@ -7,7 +7,7 @@
 //! tiny GPT on the same schedule with measured-run tracing enabled
 //! ([`vp_runtime::train_schedule_traced`]). The measured trace of the
 //! final iteration is rendered as Chrome trace-event JSON next to the
-//! simulator's exports (`traces/measured-<name>.trace.json`), and
+//! simulator's exports (`repro` writes both to `target/traces/`), and
 //! [`vp_sim::compare_timelines`] reduces both sides to per-pass-kind busy
 //! shares; a case whose divergence reaches [`MAX_DIVERGENCE`], that
 //! dropped trace events or whose loss is not finite fails the run

@@ -715,9 +715,6 @@ mod tests {
         let analysis = report.analysis(&schedule);
         assert!(analysis.makespan > 0.0);
         assert!(analysis.render().contains("mean bubble"));
-        let trace = report.chrome_trace(&schedule);
-        assert!(trace.contains("traceEvents"));
-        assert!(trace.contains("\"S\"") || trace.contains("S0"));
     }
 
     #[test]

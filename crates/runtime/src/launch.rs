@@ -36,7 +36,6 @@ use vp_schedule::analysis::ScheduleAnalysis;
 use vp_schedule::exec::ExecReport;
 use vp_schedule::grid::DeviceGrid;
 use vp_schedule::pass::Schedule;
-use vp_schedule::trace::to_chrome_trace;
 use vp_tensor::{pool, Result, TensorError};
 use vp_trace::{TraceLog, Tracer};
 
@@ -93,9 +92,10 @@ pub struct TrainOutcome {
 }
 
 /// The per-iteration mean loss trajectory plus a real-timing execution
-/// report in the simulator's [`ExecReport`] shape, so the Chrome-trace
-/// exporter and [`ScheduleAnalysis`] consume measured data exactly as they
-/// consume simulated data.
+/// report in the simulator's [`ExecReport`] shape, so [`ScheduleAnalysis`]
+/// consumes measured data exactly as it consumes simulated data. The
+/// measured timeline itself (pass, comm-wait and comm-stream tracks) is
+/// [`TrainOutcome::trace`]'s, exported with `TraceLog::chrome_trace`.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Per-iteration mean loss over the global batch.
@@ -112,13 +112,6 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Renders the measured execution as a Chrome trace (`chrome://tracing`
-    /// / Perfetto JSON), reusing the simulator's exporter on real timings.
-    pub fn chrome_trace(&self, schedule: &Schedule) -> String {
-        // Timings are seconds; the exporter expects microseconds per unit.
-        to_chrome_trace(schedule, &self.exec, 1e6)
-    }
-
     /// Analyzes the measured execution (bubble decomposition, per-kind
     /// time budgets) with the simulator's [`ScheduleAnalysis`].
     pub fn analysis(&self, schedule: &Schedule) -> ScheduleAnalysis {

@@ -35,9 +35,8 @@
 //!   [`exec::Costs`] provider, yielding per-pass times, iteration time,
 //!   bubble fraction and per-device resident-microbatch (activation) peaks.
 //! * [`render`] — ASCII timelines (the analogue of the paper's Figures 1,
-//!   9, 10, 15 and 16).
-//! * [`trace`] — Chrome trace-event (Perfetto) export of executed
-//!   schedules.
+//!   9, 10, 15 and 16); `vp_sim::simulated_events` turns an executed
+//!   schedule into the Chrome-exportable events of `vp-trace`.
 //! * [`analysis`] — idle-time decomposition (warm-up / stall / drain) and
 //!   per-pass-kind time budgets.
 
@@ -52,7 +51,6 @@ pub mod hb;
 pub mod pass;
 pub mod render;
 pub mod synth;
-pub mod trace;
 
 pub use block::{BuildingBlock, PassTimes};
 pub use deps::{validate, DepError};

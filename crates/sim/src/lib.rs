@@ -15,9 +15,11 @@
 //! substrate is a model, not an A100 cluster — but the *shape* of the
 //! results (who wins, where memory balances, where OOMs appear) follows
 //! from the same structure the paper analyses. The [`timeline`] module
-//! closes the loop the other way: it diffs a simulated schedule's
-//! per-pass-kind busy shares against a measured `vp-trace` timeline of
-//! the same schedule, the comparison behind `repro timeline`.
+//! closes the loop the other way: it renders simulated schedules as
+//! `vp-trace` events (the measured runtime's event model and Chrome
+//! exporter) and diffs a simulated schedule's per-pass-kind busy shares
+//! against a measured `vp-trace` timeline of the same schedule, the
+//! comparison behind `repro timeline`.
 
 pub mod costs;
 pub mod method;
@@ -35,4 +37,4 @@ pub use sweep::{
     microbatch_sweep, to_csv, tp_crossover_sweep, vocab_sweep, vocab_sweep_vhalf, GridSweepPoint,
     SweepPoint,
 };
-pub use timeline::{compare_timelines, DivergenceReport, KindDrift};
+pub use timeline::{compare_timelines, simulated_events, DivergenceReport, KindDrift};

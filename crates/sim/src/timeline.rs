@@ -1,10 +1,17 @@
-//! Sim-vs-measured timeline comparison.
+//! Simulated timelines as `vp-trace` events, and the sim-vs-measured
+//! comparison.
+//!
+//! [`simulated_events`] turns an executed schedule into the event model
+//! the numeric runtime records, so a simulated and a measured timeline of
+//! the same schedule are the same rows and render through the same
+//! [`vp_trace::chrome::to_chrome_trace`].
 //!
 //! The simulator predicts a schedule's timeline from unit pass costs; the
 //! numeric runtime measures the same schedule's real execution into a
-//! `vp-trace` [`TimelineReport`]. This module quantifies how far the two
-//! drift apart: for every pass kind it compares the *share of total busy
-//! time* the kind occupies on each side, plus the mean bubble fraction.
+//! `vp-trace` [`TimelineReport`]. [`compare_timelines`] quantifies how
+//! far the two drift apart: for every pass kind it compares the *share of
+//! total busy time* the kind occupies on each side, plus the mean bubble
+//! fraction.
 //! Shares are scale-free — the simulator runs one abstract iteration in
 //! unit time while the runtime measures nanoseconds of real CPU work — so
 //! the comparison isolates *structural* drift (a pass kind costing
@@ -15,8 +22,37 @@
 //! either the cost model or the runtime changed behaviour.
 
 use vp_schedule::analysis::ScheduleAnalysis;
-use vp_schedule::pass::PassKind;
-use vp_trace::TimelineReport;
+use vp_schedule::exec::ExecReport;
+use vp_schedule::pass::{PassKind, Schedule};
+use vp_trace::{TimelineReport, TraceEvent, Track};
+
+/// An executed schedule as `Compute`-track events, one per pass in list
+/// order: named by the pass kind, tagged with its microbatch and chunk,
+/// with the report's times scaled by `ns_per_unit` into nanoseconds.
+pub fn simulated_events(
+    schedule: &Schedule,
+    report: &ExecReport,
+    ns_per_unit: f64,
+) -> Vec<TraceEvent> {
+    let ns = |t: f64| (t * ns_per_unit).round() as u64;
+    (0..schedule.devices())
+        .flat_map(|d| {
+            schedule
+                .passes(d)
+                .iter()
+                .enumerate()
+                .map(move |(i, pass)| TraceEvent {
+                    device: d as u32,
+                    track: Track::Compute,
+                    name: pass.kind.name(),
+                    microbatch: pass.microbatch,
+                    chunk: pass.chunk,
+                    start_ns: ns(report.start[d][i]),
+                    end_ns: ns(report.end[d][i]),
+                })
+        })
+        .collect()
+}
 
 /// All pass kinds a schedule can contain, in display order.
 const ALL_KINDS: [PassKind; 10] = [
@@ -131,7 +167,8 @@ mod tests {
     use vp_schedule::exec::{Executor, UnitCosts};
     use vp_schedule::generators;
     use vp_schedule::pass::VocabVariant;
-    use vp_trace::{TraceEvent, Track, NO_MICROBATCH};
+    use vp_trace::chrome::to_chrome_trace;
+    use vp_trace::NO_MICROBATCH;
 
     fn analyze(schedule: &vp_schedule::pass::Schedule, times: PassTimes) -> ScheduleAnalysis {
         let costs = UnitCosts::new(times, schedule.chunks());
@@ -149,6 +186,39 @@ mod tests {
             start_ns: start,
             end_ns: end,
         }
+    }
+
+    #[test]
+    fn simulated_trace_is_wellformed_and_complete() {
+        let times = PassTimes::default();
+        let sched = generators::vocab_1f1b(3, 4, VocabVariant::Alg2, times, true);
+        let costs = UnitCosts::new(times, 1);
+        let report = Executor::new(&costs).run(&sched).unwrap();
+        let events = simulated_events(&sched, &report, 1e6);
+        let json = to_chrome_trace(&events);
+        // One event per pass + one metadata row per device.
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), sched.total_passes());
+        assert_eq!(json.matches("process_name").count(), 3);
+        // Balanced braces/brackets (cheap well-formedness check).
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json.contains("\"name\":\"S\""));
+        assert!(!json.contains("\"dur\":-"));
+        // Each device's row, in pass-list order, never overlaps itself, and
+        // every microbatch 0..m appears on some row.
+        let mut microbatches = std::collections::BTreeSet::new();
+        for d in 0..sched.devices() as u32 {
+            let row: Vec<&TraceEvent> = events.iter().filter(|e| e.device == d).collect();
+            for (i, pair) in row.windows(2).enumerate() {
+                assert!(
+                    pair[1].start_ns >= pair[0].end_ns,
+                    "device {d}: passes {i} and {} overlap",
+                    i + 1
+                );
+            }
+            microbatches.extend(row.iter().map(|e| e.microbatch));
+        }
+        assert!(microbatches.into_iter().eq(0..4), "microbatches missing");
     }
 
     #[test]

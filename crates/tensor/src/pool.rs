@@ -29,7 +29,7 @@
 //! path.
 //!
 //! Independently, the *dispatch heuristic* caps the worker count at the
-//! machine's probed core count ([`assumed_cores`]; tests override it with
+//! cores the process may run on ([`assumed_cores`]; tests override it with
 //! [`set_assumed_cores`]): oversubscribing a core with workers only adds
 //! queueing and context-switch overhead — every kernel *lost* to serial
 //! (speedup 0.74–0.98) with 4 threads on a 1-core box. On a single-core
@@ -113,7 +113,7 @@ fn default_threads() -> usize {
 }
 
 /// Number of cores the dispatch heuristic assumes the machine has: the
-/// last [`set_assumed_cores`] call, else the cached `detect_cores` probe.
+/// last [`set_assumed_cores`] call, else the cached `detect_cores` answer.
 pub fn assumed_cores() -> usize {
     match ASSUMED_CORES.load(Ordering::Acquire) {
         0 => detect_cores(),
@@ -121,125 +121,13 @@ pub fn assumed_cores() -> usize {
     }
 }
 
-/// Best-effort core-count probe (cached after the first call).
-///
-/// [`std::thread::available_parallelism`] alone under-reports inside
-/// containers: cgroup CPU quotas and affinity masks frequently pin it to 1
-/// even when the machine has more cores, which starves the dispatch
-/// heuristic into the serial path for every kernel. This probe additionally
-/// consults the Linux topology files (`/sys/devices/system/cpu/present`,
-/// `/sys/devices/system/cpu/online`, `/proc/cpuinfo`), taking the largest
-/// answer any of them gives — then **caps** that at the cgroup CPU quota
-/// (v2 `cpu.max`, v1 `cpu.cfs_quota_us`/`cpu.cfs_period_us`, rounded up),
-/// with a floor of 1. The direction matters: inside a quota-limited
-/// container the topology files describe the *host* (a 2-CPU-quota pod on
-/// a 64-core box reads `present: 0-63`), and only the quota says how much
-/// CPU the scheduler will actually grant — treating it as another
-/// maximizing source would re-create the oversubscription this probe
-/// exists to prevent.
-///
-/// The probe reads `/proc` and `/sys`, so the result is computed once and
-/// cached — the dispatch heuristic consults it on **every** kernel call,
-/// and re-reading `/proc/cpuinfo` per dispatch measurably taxed the
-/// row-wise kernels.
+/// The cores this process may run on: [`std::thread::available_parallelism`],
+/// which honours the affinity mask (`taskset`, a container's cpuset) and
+/// cgroup v1/v2 CPU quotas. Cached, because the dispatch heuristic asks on
+/// every kernel call and the answer reads `/proc` and `/sys`.
 fn detect_cores() -> usize {
-    static PROBED: OnceLock<usize> = OnceLock::new();
-    *PROBED.get_or_init(probe_cores)
-}
-
-fn probe_cores() -> usize {
-    let mut best = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    #[cfg(target_os = "linux")]
-    {
-        for topology in [
-            "/sys/devices/system/cpu/present",
-            "/sys/devices/system/cpu/online",
-        ] {
-            if let Ok(s) = std::fs::read_to_string(topology) {
-                if let Some(n) = parse_cpu_list(&s) {
-                    best = best.max(n);
-                }
-            }
-        }
-        if let Ok(s) = std::fs::read_to_string("/proc/cpuinfo") {
-            let n = s
-                .lines()
-                .filter(|l| l.starts_with("processor") && l.contains(':'))
-                .count();
-            best = best.max(n);
-        }
-        // A cgroup CPU quota *caps* the topology answer: the sysfs/cpuinfo
-        // sources above describe the host, but a quota-limited container
-        // only ever gets `quota/period` CPUs of runtime, so threading past
-        // it is guaranteed oversubscription. A finite quota can therefore
-        // only lower the probe, never raise it.
-        let mut quota = usize::MAX;
-        // cgroup v2: "<quota> <period>" or "max <period>".
-        if let Ok(s) = std::fs::read_to_string("/sys/fs/cgroup/cpu.max") {
-            if let Some(n) = parse_cgroup_cpu_max(&s) {
-                quota = quota.min(n);
-            }
-        }
-        // cgroup v1: separate quota/period files (-1 quota = unlimited).
-        if let (Ok(q), Ok(p)) = (
-            std::fs::read_to_string("/sys/fs/cgroup/cpu/cpu.cfs_quota_us"),
-            std::fs::read_to_string("/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
-        ) {
-            if let Some(n) = parse_cgroup_quota(&q, &p) {
-                quota = quota.min(n);
-            }
-        }
-        best = best.min(quota);
-    }
-    best.max(1)
-}
-
-/// Parses cgroup v2 `cpu.max` (`"400000 100000"` → 4 CPUs, rounded up;
-/// `"max …"` → no quota, `None`).
-fn parse_cgroup_cpu_max(s: &str) -> Option<usize> {
-    let mut it = s.split_whitespace();
-    let quota = it.next()?;
-    let period = it.next().unwrap_or("100000");
-    parse_cgroup_quota(quota, period)
-}
-
-/// Converts a quota/period pair of µs strings into a CPU count (rounded
-/// up). Unlimited quotas (`"max"`, negative) yield `None`.
-fn parse_cgroup_quota(quota: &str, period: &str) -> Option<usize> {
-    let quota = quota.trim().parse::<u64>().ok().filter(|&q| q > 0)?;
-    let period = period.trim().parse::<u64>().ok().filter(|&p| p > 0)?;
-    Some(
-        usize::try_from(quota.div_ceil(period))
-            .unwrap_or(usize::MAX)
-            .max(1),
-    )
-}
-
-/// Parses a kernel CPU list (`"0-3"`, `"0"`, `"0-1,4-7"`) into a CPU count.
-fn parse_cpu_list(s: &str) -> Option<usize> {
-    let mut total = 0usize;
-    for part in s.trim().split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return None;
-        }
-        total += match part.split_once('-') {
-            Some((lo, hi)) => {
-                let (lo, hi) = (
-                    lo.trim().parse::<usize>().ok()?,
-                    hi.trim().parse::<usize>().ok()?,
-                );
-                hi.checked_sub(lo)? + 1
-            }
-            None => {
-                part.parse::<usize>().ok()?;
-                1
-            }
-        };
-    }
-    (total > 0).then_some(total)
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Overrides the core count the dispatch heuristic assumes (`0` restores
@@ -874,37 +762,8 @@ mod tests {
 
     #[test]
     fn detect_cores_is_at_least_one_and_consistent() {
-        let n = detect_cores();
-        assert!(n >= 1);
-        // The multi-source probe can only improve on the conservative
-        // affinity-based answer, never undercut it.
-        let avail = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        assert!(n >= avail);
-    }
-
-    #[test]
-    fn cpu_list_parsing_handles_kernel_formats() {
-        assert_eq!(parse_cpu_list("0"), Some(1));
-        assert_eq!(parse_cpu_list("0-3"), Some(4));
-        assert_eq!(parse_cpu_list("0-3\n"), Some(4));
-        assert_eq!(parse_cpu_list("0-1,4-7"), Some(6));
-        assert_eq!(parse_cpu_list("0,2,5"), Some(3));
-        assert_eq!(parse_cpu_list(""), None);
-        assert_eq!(parse_cpu_list("3-1"), None);
-        assert_eq!(parse_cpu_list("a-b"), None);
-    }
-
-    #[test]
-    fn cgroup_quota_parsing_handles_kernel_formats() {
-        assert_eq!(parse_cgroup_cpu_max("400000 100000"), Some(4));
-        assert_eq!(parse_cgroup_cpu_max("150000 100000\n"), Some(2));
-        assert_eq!(parse_cgroup_cpu_max("max 100000"), None);
-        assert_eq!(parse_cgroup_cpu_max(""), None);
-        assert_eq!(parse_cgroup_quota("-1", "100000"), None);
-        assert_eq!(parse_cgroup_quota("100000", "100000"), Some(1));
-        assert_eq!(parse_cgroup_quota("garbage", "100000"), None);
+        let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(detect_cores(), avail);
     }
 
     #[test]

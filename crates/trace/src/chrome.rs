@@ -1,8 +1,9 @@
-//! Chrome trace-event export of measured runs: the same
-//! `chrome://tracing` / Perfetto JSON the simulator emits, so measured and
-//! simulated timelines open side by side. Each device renders as one
-//! process; its pass, blocking-wait and communication-stream rows render
-//! as threads 0/1/2 within it.
+//! Chrome trace-event export (`chrome://tracing` / Perfetto JSON) — the
+//! workspace's one Chrome writer. Measured runs (`TraceLog::chrome_trace`)
+//! and simulated schedules (`vp_sim::simulated_events`) both render
+//! through it, so their timelines open side by side. Each device renders
+//! as one process; its pass, blocking-wait and communication-stream rows
+//! render as threads 0/1/2 within it.
 
 use crate::{TraceEvent, Track, NO_MICROBATCH};
 use std::collections::BTreeSet;
@@ -11,11 +12,10 @@ fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Serializes measured events as Chrome trace-event JSON. Timestamps are
-/// nanoseconds since the log epoch, rendered in microseconds as the format
-/// requires. Events are emitted sorted by `(device, track, start)`, so
-/// per-row timestamps are monotonic — the property the CI schema check
-/// verifies.
+/// Serializes events as Chrome trace-event JSON. Timestamps are
+/// nanoseconds (since the log epoch, or scaled simulator time), rendered
+/// in microseconds as the format requires. Events are emitted sorted by
+/// `(device, track, start)`, so per-row timestamps are monotonic.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     let mut sorted: Vec<&TraceEvent> = events.iter().collect();
     sorted.sort_by_key(|e| (e.device, e.track as u8, e.start_ns, e.end_ns));

@@ -1,15 +1,19 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Measured-run tracing for the schedule interpreter (`vp-trace`).
+//! Timeline events for the schedule interpreter and the simulator
+//! (`vp-trace`).
 //!
-//! The simulator has always produced timelines; this crate gives the
-//! *numeric* runtime the same visibility. Every executed pass (`F`/`B`/`W`,
-//! the vocabulary `S`/`T` passes, sharded input passes), every blocking
+//! [`TraceEvent`] is the one timeline representation of the workspace:
+//! the numeric runtime records it as it runs, and `vp_sim` converts
+//! simulated schedules into it. Every executed pass (`F`/`B`/`W`, the
+//! vocabulary `S`/`T` passes, sharded input passes), every blocking
 //! point-to-point wait and every communication-stream job can record a
 //! `{device, name, microbatch, chunk, start_ns, end_ns}` event into a
-//! per-device **lock-free** buffer ([`EventBuffer`]): appenders reserve a
-//! slot with one atomic `fetch_add` and never take a lock, so tracing adds
-//! nanoseconds per pass — and when tracing is off it adds nothing at all.
+//! bounded per-device buffer: a `Vec` under a mutex whose capacity is
+//! reserved up front, so the write path never allocates. A device has two
+//! writers (its thread and its communication-stream worker), so the lock
+//! is almost never contended — and when tracing is off it costs nothing.
 //!
 //! The zero-overhead-when-disabled guarantee is structural, not a runtime
 //! check against global state: a disabled [`Tracer`] holds no buffer
@@ -25,19 +29,17 @@
 //!
 //! * [`TimelineReport`] computes per-device bubble rate, communication
 //!   wait/overlap fractions and the critical-path length;
-//! * [`chrome::to_chrome_trace`] renders the events as Chrome trace-event
-//!   JSON (`chrome://tracing` / Perfetto), the same format the simulator
-//!   emits for its analytical timelines.
+//! * [`chrome::to_chrome_trace`] renders events as Chrome trace-event
+//!   JSON (`chrome://tracing` / Perfetto) — the one Chrome writer, for
+//!   measured and simulated timelines alike.
 
-mod buffer;
 pub mod chrome;
 pub mod report;
 
-pub use buffer::EventBuffer;
 pub use report::{DeviceTimeline, TimelineReport};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Sentinel microbatch for events not tied to a microbatch (stream sync,
@@ -113,7 +115,28 @@ struct TracerInner {
     /// warm-up iterations and arms the final one, so a trace captures one
     /// steady iteration exactly like the simulator's reports.
     armed: AtomicBool,
-    buf: Arc<EventBuffer>,
+    /// This device's events; `capacity` slots are reserved up front, so a
+    /// push never allocates.
+    events: Mutex<Vec<TraceEvent>>,
+    capacity: usize,
+    /// Events that arrived after `events` was full: counted, not stored.
+    dropped: AtomicUsize,
+}
+
+impl TracerInner {
+    fn events(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        // A push cannot panic halfway, so a poisoned log is still whole.
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, event: TraceEvent) {
+        let mut events = self.events();
+        if events.len() < self.capacity {
+            events.push(event);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A cheap, cloneable per-device recording handle.
@@ -207,7 +230,7 @@ impl Tracer {
     ) {
         if let Some(i) = &self.inner {
             if i.armed.load(Ordering::Relaxed) {
-                i.buf.push(TraceEvent {
+                i.push(TraceEvent {
                     device: i.device,
                     track,
                     name,
@@ -245,7 +268,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(s) = self.inner.take() {
             let end_ns = s.tracer.epoch.elapsed().as_nanos() as u64;
-            s.tracer.buf.push(TraceEvent {
+            s.tracer.push(TraceEvent {
                 device: s.tracer.device,
                 track: s.track,
                 name: s.name,
@@ -258,18 +281,17 @@ impl Drop for Span {
     }
 }
 
-/// The collector behind a traced run: one lock-free [`EventBuffer`] per
+/// The collector behind a traced run: one bounded event buffer per
 /// device, all sharing a single wall-clock epoch.
 pub struct TraceLog {
     epoch: Instant,
-    buffers: Vec<Arc<EventBuffer>>,
-    tracers: Vec<Arc<TracerInner>>,
+    devices: Vec<Arc<TracerInner>>,
 }
 
 impl std::fmt::Debug for TraceLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceLog")
-            .field("devices", &self.buffers.len())
+            .field("devices", &self.devices.len())
             .field("events", &self.len())
             .finish()
     }
@@ -284,31 +306,24 @@ impl TraceLog {
     /// A log with an explicit per-device event capacity.
     pub fn with_capacity(devices: usize, capacity: usize) -> TraceLog {
         let epoch = Instant::now();
-        let buffers: Vec<Arc<EventBuffer>> = (0..devices)
-            .map(|_| Arc::new(EventBuffer::new(capacity)))
-            .collect();
-        let tracers = buffers
-            .iter()
-            .enumerate()
-            .map(|(d, buf)| {
+        let devices = (0..devices)
+            .map(|d| {
                 Arc::new(TracerInner {
                     device: d as u32,
                     epoch,
                     armed: AtomicBool::new(true),
-                    buf: Arc::clone(buf),
+                    events: Mutex::new(Vec::with_capacity(capacity)),
+                    capacity,
+                    dropped: AtomicUsize::new(0),
                 })
             })
             .collect();
-        TraceLog {
-            epoch,
-            buffers,
-            tracers,
-        }
+        TraceLog { epoch, devices }
     }
 
     /// Number of devices the log collects for.
     pub fn devices(&self) -> usize {
-        self.buffers.len()
+        self.devices.len()
     }
 
     /// The shared epoch all events are measured against.
@@ -324,13 +339,13 @@ impl TraceLog {
     /// Panics if `device` is out of range.
     pub fn tracer(&self, device: usize) -> Tracer {
         Tracer {
-            inner: Some(Arc::clone(&self.tracers[device])),
+            inner: Some(Arc::clone(&self.devices[device])),
         }
     }
 
     /// Total recorded events across devices.
     pub fn len(&self) -> usize {
-        self.buffers.iter().map(|b| b.len()).sum()
+        self.devices.iter().map(|t| t.events().len()).sum()
     }
 
     /// Whether no events were recorded.
@@ -340,14 +355,21 @@ impl TraceLog {
 
     /// Events dropped because a device buffer filled up.
     pub fn dropped(&self) -> usize {
-        self.buffers.iter().map(|b| b.dropped()).sum()
+        self.devices
+            .iter()
+            .map(|t| t.dropped.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Snapshots all events, merged and sorted by `(device, track,
     /// start_ns)` — the order the Chrome exporter and the schema checks
     /// expect.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = self.buffers.iter().flat_map(|b| b.snapshot()).collect();
+        let mut events: Vec<TraceEvent> = self
+            .devices
+            .iter()
+            .flat_map(|t| t.events().clone())
+            .collect();
         events.sort_by_key(|e| (e.device, e.track as u8, e.start_ns, e.end_ns));
         events
     }
@@ -439,5 +461,70 @@ mod tests {
         assert_eq!(key, sorted);
         assert_eq!(ev[0].name, "F");
         assert_eq!(ev[0].start_ns, 2);
+    }
+
+    fn record(t: &Tracer, start_ns: u64) {
+        t.record(Track::Compute, "F", 0, 0, start_ns, start_ns + 1);
+    }
+
+    #[test]
+    fn push_and_snapshot_round_trip() {
+        let log = TraceLog::with_capacity(1, 8);
+        assert!(log.is_empty());
+        for i in 0..5 {
+            record(&log.tracer(0), i);
+        }
+        let got = log.events();
+        assert_eq!(got.len(), 5);
+        assert_eq!(got[3].start_ns, 3);
+        assert_eq!(log.dropped(), 0);
+    }
+
+    #[test]
+    fn overflow_counts_drops_instead_of_storing() {
+        let log = TraceLog::with_capacity(1, 2);
+        for i in 0..4 {
+            record(&log.tracer(0), i);
+        }
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.dropped(), 2);
+        assert_eq!(log.events().len(), 2);
+    }
+
+    /// `threads` clones of one device's tracer, released together, each
+    /// record `per_thread` events with distinct start times into a
+    /// `capacity`-event buffer.
+    fn push_from_threads(threads: u64, per_thread: u64, capacity: usize) -> TraceLog {
+        let log = TraceLog::with_capacity(1, capacity);
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (tracer, start) = (log.tracer(0), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..per_thread {
+                        record(&tracer, t * 1000 + i);
+                    }
+                });
+            }
+        });
+        log
+    }
+
+    #[test]
+    fn concurrent_pushes_from_many_threads_all_land() {
+        let log = push_from_threads(8, 512, 4096);
+        assert_eq!(log.dropped(), 0);
+        // Every thread's every event is present exactly once.
+        let mut starts: Vec<u64> = log.events().iter().map(|e| e.start_ns).collect();
+        starts.dedup();
+        assert_eq!(starts.len(), 4096);
+    }
+
+    #[test]
+    fn concurrent_pushes_past_capacity_fill_it_and_count_the_rest() {
+        let log = push_from_threads(8, 1000, 4096);
+        assert_eq!(log.len(), 4096);
+        assert_eq!(log.len() + log.dropped(), 8 * 1000);
     }
 }

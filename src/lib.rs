@@ -30,6 +30,7 @@
 //! | [`vp_runtime`] | generic schedule interpreter training real numerics on any validated schedule |
 //! | [`vp_data`] | dataset substrate: BPE tokenizer, text corpus, packed GPT samples |
 //! | [`vp_check`] | static schedule verifier: deadlock freedom, communication lints, activation liveness, race detection — rustc-style `VP00xx` diagnostics |
+//! | [`vp_trace`] | timeline events of measured and simulated runs, timeline analysis, Chrome trace export |
 //!
 //! # Quickstart
 //!
@@ -58,6 +59,7 @@ pub use vp_runtime;
 pub use vp_schedule;
 pub use vp_sim;
 pub use vp_tensor;
+pub use vp_trace;
 
 /// The most common imports for using the reproduction as a library.
 pub mod prelude {

@@ -142,6 +142,51 @@ fn vocabulary_layers_verify_via_public_api() {
     assert!(err < 1e-6);
 }
 
+/// One event model for both timelines: a simulated execution and a traced
+/// numeric run of the same schedule put the same `(name, microbatch,
+/// chunk)` rows on every device, in the schedule's pass order, and both
+/// render through the one Chrome writer.
+#[test]
+fn simulated_and_measured_rows_are_the_same_rows() {
+    use vp_trace::{chrome::to_chrome_trace, TraceEvent, Track};
+    let config = TinyConfig::default();
+    let times = PassTimes::default();
+    let schedule = generators::vocab_1f1b(2, 4, VocabVariant::Alg2, times, true);
+    let report = Executor::new(&UnitCosts::new(times, 1))
+        .run(&schedule)
+        .expect("valid schedule");
+    let simulated = vp_sim::simulated_events(&schedule, &report, 1e6);
+    let (_, log) =
+        vp_runtime::train_schedule_traced(&config, &schedule, 2, &DataSource::synthetic(&config))
+            .expect("traced run");
+    let measured: Vec<TraceEvent> = log
+        .events()
+        .into_iter()
+        .filter(|e| e.track == Track::Compute)
+        .collect();
+    let rows = |events: &[TraceEvent], d: usize| {
+        let mut row: Vec<&TraceEvent> = events.iter().filter(|e| e.device == d as u32).collect();
+        row.sort_by_key(|e| e.start_ns);
+        row.iter()
+            .map(|e| (e.name, e.microbatch, e.chunk))
+            .collect::<Vec<_>>()
+    };
+    for d in 0..schedule.devices() {
+        let expected: Vec<_> = schedule
+            .passes(d)
+            .iter()
+            .map(|p| (p.kind.name(), p.microbatch, p.chunk))
+            .collect();
+        assert_eq!(rows(&simulated, d), expected, "simulated device {d}");
+        assert_eq!(rows(&measured, d), expected, "measured device {d}");
+    }
+    for events in [&simulated, &measured] {
+        let json = to_chrome_trace(events);
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), events.len());
+        assert_eq!(json.matches("process_name").count(), 2);
+    }
+}
+
 /// Serving smoke: the 2-stage pipelined, KV-cached, vocabulary-sharded
 /// decode engine greedy-decodes exactly the tokens of the single-device
 /// full-context `reference_decode`.

@@ -7,8 +7,8 @@
 # experiments that gate themselves. Every structural fact is asserted once, in Rust: by
 # `cargo test --workspace`, and by the exit status of `repro check`
 # (static verification sweep), `repro modelcheck`
-# (static-vs-model differential soundness), `repro tpsweep` (PP x TP grid
-# verified, tp=1 column bitwise the 1D simulation) and `repro timeline`
+# (static-vs-model differential soundness), `repro tpsweep` (every PP x TP
+# grid point verified) and `repro timeline`
 # (sim-vs-measured drift bound, no dropped events, finite loss). This
 # script adds only what needs two processes: `check --json` and
 # `modelcheck --json` rerun byte-identical, and training rerun

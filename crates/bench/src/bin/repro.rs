@@ -17,8 +17,8 @@
 //! failed write also exits 1): `check` (`CHECK.json`: any diagnostic on
 //! the static verification sweep), `modelcheck` (`MODELCHECK.json`: a
 //! static-vs-model disagreement or a case over its state budget),
-//! `tpsweep` (`TPSWEEP.json`: an unverified PP × TP configuration or a
-//! tp = 1 column that is not bitwise the 1D simulation) and `timeline`
+//! `tpsweep` (`TPSWEEP.json`: a PP × TP configuration `vp-check` or its
+//! grid lints reject) and `timeline`
 //! (`TIMELINE.json`, plus `target/traces/measured-<name>.trace.json`:
 //! simulated vs measured busy shares drifting past the bound, dropped
 //! trace events or a non-finite loss).
@@ -481,8 +481,8 @@ fn tpsweep(json: bool, out: Option<&str>) {
             &vp_bench::tpsweep::to_json(total_devices, &series),
         );
     }
-    if series.iter().any(|s| !s.all_clean() || !s.tp1_matches()) {
-        eprintln!("tpsweep: unverified configuration or tp=1 bitwise divergence — failing");
+    if series.iter().any(|s| !s.all_clean()) {
+        eprintln!("tpsweep: unverified configuration — failing");
         std::process::exit(1);
     }
 }

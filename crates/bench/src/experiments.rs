@@ -219,7 +219,7 @@ pub fn ablation_zero_bubble(microbatches: usize) -> Vec<(String, f64, f64)> {
     let cfg = config(ModelPreset::Gpt4B, 2048, 256, microbatches);
     let hw = Hardware::default();
     let plain = run_1f1b(Method::Vocab2, &cfg, 8, hw.clone());
-    let zb = run_zero_bubble(&cfg, 8, hw, Some(vp_schedule::pass::VocabVariant::Alg2));
+    let zb = run_zero_bubble(&cfg, 8, hw, VocabVariant::Alg2);
     let mean = |r: &SimReport| {
         100.0 * r.bubble_fraction.iter().sum::<f64>() / r.bubble_fraction.len() as f64
     };
@@ -288,7 +288,7 @@ pub fn generality_rows(microbatches: usize) -> Vec<(String, f64, f64, f64)> {
         let cfg = config(ModelPreset::Gpt4B, 2048, vk, microbatches);
         match which {
             0 => run_1f1b(Method::Vocab2, &cfg, 8, hw.clone()),
-            1 => run_zero_bubble(&cfg, 8, hw.clone(), Some(VocabVariant::Alg2)),
+            1 => run_zero_bubble(&cfg, 8, hw.clone(), VocabVariant::Alg2),
             _ => vp_sim::run_interleaved_vocab(&cfg, 8, 2, VocabVariant::Alg2, hw.clone()),
         }
     };

@@ -7,17 +7,14 @@
 //! wider tensor axis wins; with many microbatches the fill amortizes and
 //! the deep pipeline's full-width kernels win.
 //!
-//! Every point is gated twice:
-//!
-//! * **verified** — the schedule passes the full `vp-check` analysis *and*
-//!   the grid lints (`VP0013`–`VP0015`) on its `pp × tp` grid;
-//! * **bitwise** — the `tp = 1` column of every series must be bitwise
-//!   identical (`f64::to_bits`) to the flat 1D simulation, the degeneracy
-//!   contract the whole grid refactor rests on.
+//! Every point is gated by `vp-check`: its schedule must pass the full
+//! static analysis *and* the grid lints (`VP0013`–`VP0015`) on its
+//! `pp × tp` grid. The `tp = 1` column is the flat pipeline itself — the
+//! simulator has one path, whose reports a golden test pins bit for bit.
 //!
 //! `ci.sh` runs `repro tpsweep --json` and fails if any point is
-//! unverified, any `tp = 1` point diverges from the 1D run, or the
-//! vocab-2/all-reduce crossover fails to flip with the microbatch count.
+//! unverified; this module's tests also assert that the vocab-2/all-reduce
+//! crossover flips with the microbatch count.
 
 use std::collections::HashMap;
 
@@ -26,9 +23,7 @@ use vp_model::config::ModelPreset;
 use vp_model::cost::Hardware;
 use vp_model::TpSyncStyle;
 use vp_schedule::block::PassTimes;
-use vp_schedule::generators;
-use vp_schedule::pass::{Schedule, VocabVariant};
-use vp_sim::{run_1f1b, tp_crossover_sweep, Method, SimReport};
+use vp_sim::{tp_crossover_sweep, Method};
 
 use crate::table::json_f64;
 
@@ -49,9 +44,6 @@ pub struct TpSweepPoint {
     pub bubble_pct: f64,
     /// Whether `vp-check` plus the grid lints accept this configuration.
     pub check_clean: bool,
-    /// On the `tp = 1` column: whether the grid report is bitwise
-    /// identical to the flat 1D simulation. `None` elsewhere.
-    pub tp1_bitwise_match: Option<bool>,
 }
 
 /// One sweep series: a (method, sync style, microbatch count) row of the
@@ -81,13 +73,6 @@ impl TpSweepSeries {
     pub fn all_clean(&self) -> bool {
         self.points.iter().all(|p| p.check_clean)
     }
-
-    /// Whether the `tp = 1` column matched the 1D run bitwise.
-    pub fn tp1_matches(&self) -> bool {
-        self.points
-            .iter()
-            .all(|p| p.tp1_bitwise_match.unwrap_or(true))
-    }
 }
 
 /// Lower-case name of a sync style, as used in reports and JSON.
@@ -96,38 +81,6 @@ pub fn sync_name(sync: TpSyncStyle) -> &'static str {
         TpSyncStyle::AllReduce => "all-reduce",
         TpSyncStyle::Psa => "psa",
     }
-}
-
-/// The schedule a method runs on `pp` stages — what `run_1f1b_grid`
-/// executes, rebuilt for the static checks (pass times are irrelevant to
-/// the analyses).
-fn schedule_for(method: Method, pp: usize, m: u32) -> Schedule {
-    match method {
-        Method::Baseline | Method::Redis => generators::one_f_one_b(pp, m, PassTimes::default()),
-        Method::Vocab1 => {
-            generators::vocab_1f1b(pp, m, VocabVariant::Alg1, PassTimes::default(), true)
-        }
-        Method::Vocab2 => {
-            generators::vocab_1f1b(pp, m, VocabVariant::Alg2, PassTimes::default(), true)
-        }
-        Method::Interlaced => generators::interlaced_1f1b(pp, m, PassTimes::default()),
-    }
-}
-
-/// Bitwise equality of the report fields the degeneracy contract covers.
-fn bitwise_eq(a: &SimReport, b: &SimReport) -> bool {
-    a.devices == b.devices
-        && a.iteration_seconds.to_bits() == b.iteration_seconds.to_bits()
-        && a.mfu.to_bits() == b.mfu.to_bits()
-        && a.peak_memory_bytes.len() == b.peak_memory_bytes.len()
-        && a.peak_memory_bytes
-            .iter()
-            .zip(&b.peak_memory_bytes)
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.bubble_fraction
-            .iter()
-            .zip(&b.bubble_fraction)
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn mean_pct(values: &[f64]) -> f64 {
@@ -149,7 +102,6 @@ pub fn run(total_devices: usize) -> Vec<TpSweepSeries> {
         for sync in [TpSyncStyle::AllReduce, TpSyncStyle::Psa] {
             for m in [4usize, 16, 128] {
                 let config = ModelPreset::Gpt4B.config().with_num_microbatches(m);
-                let flat = run_1f1b(method, &config, total_devices, hw.clone());
                 let points = tp_crossover_sweep(method, &config, total_devices, &hw, sync)
                     .into_iter()
                     .map(|p| {
@@ -157,7 +109,9 @@ pub fn run(total_devices: usize) -> Vec<TpSweepSeries> {
                         let check_clean = *verdicts
                             .entry((method.name(), pp, tp, m))
                             .or_insert_with(|| {
-                                let sched = schedule_for(method, pp, m as u32);
+                                // Pass times only set priorities; the
+                                // analyses ignore them.
+                                let sched = method.schedule(pp, m as u32, PassTimes::default());
                                 check(&sched).is_clean() && check_grid(&sched, &p.grid).is_empty()
                             });
                         TpSweepPoint {
@@ -168,7 +122,6 @@ pub fn run(total_devices: usize) -> Vec<TpSweepSeries> {
                             peak_gb: p.report.max_memory_gb(),
                             bubble_pct: mean_pct(&p.report.bubble_fraction),
                             check_clean,
-                            tp1_bitwise_match: (tp == 1).then(|| bitwise_eq(&p.report, &flat)),
                         }
                     })
                     .collect();
@@ -201,12 +154,6 @@ pub fn render(total_devices: usize, series: &[TpSweepSeries]) -> String {
                 format!("{:.1}", p.peak_gb),
                 format!("{:.1}", p.bubble_pct),
                 if p.check_clean { "ok" } else { "FAIL" }.to_string(),
-                match p.tp1_bitwise_match {
-                    Some(true) => "yes",
-                    Some(false) => "NO",
-                    None => "-",
-                }
-                .to_string(),
             ]);
         }
     }
@@ -221,7 +168,6 @@ pub fn render(total_devices: usize, series: &[TpSweepSeries]) -> String {
             "peak GB",
             "bubble %",
             "vp-check",
-            "tp=1 bitwise ==",
         ],
         &rows,
     );
@@ -250,14 +196,9 @@ pub fn to_json(total_devices: usize, series: &[TpSweepSeries]) -> String {
         ));
         out.push_str("     \"points\": [\n");
         for (j, p) in s.points.iter().enumerate() {
-            let bitwise = match p.tp1_bitwise_match {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            };
             out.push_str(&format!(
                 "       {{\"pp\": {}, \"tp\": {}, \"mfu_pct\": {}, \"iteration_ms\": {}, \
-                 \"peak_gb\": {}, \"bubble_pct\": {}, \"check_clean\": {}, \
-                 \"tp1_bitwise_match\": {}}}{}\n",
+                 \"peak_gb\": {}, \"bubble_pct\": {}, \"check_clean\": {}}}{}\n",
                 p.pp,
                 p.tp,
                 json_f64(p.mfu_pct),
@@ -265,7 +206,6 @@ pub fn to_json(total_devices: usize, series: &[TpSweepSeries]) -> String {
                 json_f64(p.peak_gb),
                 json_f64(p.bubble_pct),
                 p.check_clean,
-                bitwise,
                 if j + 1 == s.points.len() { "" } else { "," }
             ));
         }
@@ -283,7 +223,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_is_clean_bitwise_and_crosses_over() {
+    fn sweep_is_clean_and_crosses_over() {
         let series = run(16);
         // 2 methods x 2 syncs x 3 microbatch counts.
         assert_eq!(series.len(), 12);
@@ -295,13 +235,6 @@ mod tests {
                 "{}/{}: unverified point",
                 s.method.name(),
                 sync_name(s.sync)
-            );
-            assert!(
-                s.tp1_matches(),
-                "{}/{} m={}: tp=1 diverged from the 1D run",
-                s.method.name(),
-                sync_name(s.sync),
-                s.microbatches
             );
         }
         // The headline crossover (vocab-2, all-reduce): TP wins when the
@@ -325,9 +258,6 @@ mod tests {
         let series = run(4);
         let doc = to_json(4, &series);
         assert!(doc.contains("\"bench\": \"tpsweep\""), "{doc}");
-        assert!(doc.contains("\"tp1_bitwise_match\": true"), "{doc}");
-        assert!(doc.contains("\"tp1_bitwise_match\": null"), "{doc}");
         assert!(!doc.contains("\"check_clean\": false"), "{doc}");
-        assert!(!doc.contains("\"tp1_bitwise_match\": false"), "{doc}");
     }
 }

@@ -285,51 +285,6 @@ impl Collective {
         Ok(())
     }
 
-    /// Reduce-scatter: every rank contributes a buffer of `world · n`
-    /// elements; rank `r` receives the elementwise reduction of everyone's
-    /// `r`-th segment. The building block of ZeRO-style sharded gradient
-    /// synchronization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectiveError::LengthMismatch`] if buffers disagree or
-    /// are not divisible by the world size.
-    pub fn reduce_scatter(&self, data: &[f32], op: ReduceOp) -> Result<Vec<f32>, CollectiveError> {
-        let world = self.world();
-        // One-rank group: the single segment is the whole buffer and the
-        // reduction is the identity — return it bitwise unchanged.
-        if world == 1 {
-            return Ok(data.to_vec());
-        }
-        if !data.len().is_multiple_of(world) {
-            return Err(CollectiveError::LengthMismatch {
-                rank: self.rank,
-                got: data.len(),
-                expected: (data.len() / world + 1) * world,
-            });
-        }
-        let gathered = self.exchange(data.to_vec());
-        let expected = gathered[0].len();
-        for (rank, c) in gathered.iter().enumerate() {
-            if c.len() != expected {
-                return Err(CollectiveError::LengthMismatch {
-                    rank,
-                    got: c.len(),
-                    expected,
-                });
-            }
-        }
-        let seg = expected / world;
-        let start = self.rank * seg;
-        let mut out = vec![op.identity(); seg];
-        for c in &gathered {
-            for (o, &v) in out.iter_mut().zip(&c[start..start + seg]) {
-                *o = op.combine(*o, v);
-            }
-        }
-        Ok(out)
-    }
-
     /// All-gather: returns every rank's contribution, indexed by rank.
     /// Contributions may have different lengths (vocabulary shards are
     /// padded to equal size in practice, but the primitive is general).
@@ -452,28 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_distributes_segments() {
-        let results = run_parallel(3, |c| {
-            // Rank r contributes [r, r, r, r+10, r+10, r+10, r+20, ...].
-            let data: Vec<f32> = (0..3)
-                .flat_map(|seg| std::iter::repeat_n((c.rank() + 10 * seg) as f32, 2))
-                .collect();
-            (c.rank(), c.reduce_scatter(&data, ReduceOp::Sum).unwrap())
-        });
-        for (rank, out) in results {
-            // Segment `rank` summed over ranks: Σ_r (r + 10·rank) = 3 + 30·rank.
-            let expected = (3 + 30 * rank) as f32;
-            assert_eq!(out, vec![expected, expected], "rank {rank}");
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_rejects_indivisible() {
-        let results = run_parallel(2, |c| c.reduce_scatter(&[1.0; 3], ReduceOp::Sum));
-        assert!(results.iter().all(|r| r.is_err()));
-    }
-
-    #[test]
     fn mismatched_lengths_error() {
         let results = run_parallel(2, |c| {
             let mut data = vec![0.0; c.rank() + 1];
@@ -515,24 +448,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "max changed {a}");
             }
         }
-    }
-
-    #[test]
-    fn world_of_one_reduce_scatter_is_bitwise_identity() {
-        let tricky = [-0.0f32, f32::MIN_POSITIVE / 4.0, -2.5];
-        let results = run_parallel(1, move |c| {
-            c.reduce_scatter(&tricky, ReduceOp::Sum).unwrap()
-        });
-        for out in results {
-            assert_eq!(out.len(), tricky.len());
-            for (a, b) in tricky.iter().zip(&out) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // A length not divisible by any larger world is fine at world 1.
-        let odd = [1.0f32; 7];
-        let results = run_parallel(1, move |c| c.reduce_scatter(&odd, ReduceOp::Sum).unwrap());
-        assert_eq!(results[0], odd.to_vec());
     }
 
     #[test]

@@ -32,20 +32,15 @@
 use crate::config::ModelConfig;
 use crate::partition::VocabPartition;
 
-/// Which variant of the partitioned output layer a pass belongs to
-/// (§4: the naive 3-barrier grouping, Algorithm 1 with 2 barriers, or
-/// Algorithm 2 with 1 barrier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VocabAlgo {
-    /// §4.1: all-reduce max, then all-reduce sum, then reduce ∇X.
-    Naive,
-    /// §4.3 Algorithm 1: local softmax first; barriers `C1` (stats) and
-    /// `C2` (∇X reduce).
-    Alg1,
-    /// §4.4 Algorithm 2: single barrier `C1`; ∇X assembled from
-    /// pre-computed matmuls; `T` is freely deferrable.
-    Alg2,
-}
+/// Which variant of the partitioned output layer a pass belongs to (§4:
+/// the naive 3-barrier grouping, Algorithm 1 with 2 barriers, or
+/// Algorithm 2 with 1 barrier) — the schedule's [`VocabVariant`] under the
+/// name the numeric crates use. The second name exists only because the
+/// frozen `benchmark/` imports both (`vp_core::VocabAlgo` and
+/// `vp_schedule::pass::VocabVariant`); ROADMAP item 1a retires it.
+///
+/// [`VocabVariant`]: vp_schedule::pass::VocabVariant
+pub use vp_schedule::pass::VocabVariant as VocabAlgo;
 
 /// Machine description: an A100-SXM-80GB-like device with RoCE inter-node
 /// links, as used in the paper's testbed (§6.2).
@@ -233,39 +228,43 @@ impl CostModel {
 
     // ---- Pass times (seconds, per microbatch) ---------------------------
 
-    /// Transformer-layer forward time for `layers` layers on a stage.
-    pub fn transformer_f_seconds(&self, layers: usize) -> f64 {
-        layers as f64
-            * self
-                .hardware
-                .compute_seconds(self.transformer_f_flops(), self.config.hidden)
+    /// Transformer forward time for `layers` layers with the matmuls
+    /// sharded `tp` ways (`tp = 1`: the flat pipeline).
+    ///
+    /// FLOPs divide by `tp`, but kernel efficiency is evaluated at the
+    /// *shard* width `hidden / tp`: the per-device GEMMs shrink, so each
+    /// rank runs at lower utilization. This sub-linear speedup is the
+    /// efficiency half of the PTD-P tension between TP and deeper PP; the
+    /// communication half is [`Self::tp_comm_seconds_per_layer`].
+    pub fn transformer_f_seconds(&self, layers: usize, tp: usize) -> f64 {
+        self.transformer_seconds(layers, self.transformer_f_flops(), tp)
     }
 
-    /// Transformer-layer activation-gradient (`B`-only) time for `layers`
-    /// layers (zero-bubble split).
-    pub fn transformer_b_only_seconds(&self, layers: usize) -> f64 {
-        layers as f64
-            * self
-                .hardware
-                .compute_seconds(self.transformer_b_flops(), self.config.hidden)
+    /// Activation-gradient (`B`-only) time for `layers` layers sharded `tp`
+    /// ways (zero-bubble split).
+    pub fn transformer_b_only_seconds(&self, layers: usize, tp: usize) -> f64 {
+        self.transformer_seconds(layers, self.transformer_b_flops(), tp)
     }
 
-    /// Transformer-layer weight-gradient (`W`) time for `layers` layers
+    /// Weight-gradient (`W`) time for `layers` layers sharded `tp` ways
     /// (zero-bubble split).
-    pub fn transformer_w_seconds(&self, layers: usize) -> f64 {
+    pub fn transformer_w_seconds(&self, layers: usize, tp: usize) -> f64 {
+        self.transformer_seconds(layers, self.transformer_w_flops(), tp)
+    }
+
+    /// Combined backward (B + W) time for `layers` layers sharded `tp` ways.
+    pub fn transformer_bw_seconds(&self, layers: usize, tp: usize) -> f64 {
+        let flops = self.transformer_b_flops() + self.transformer_w_flops();
+        self.transformer_seconds(layers, flops, tp)
+    }
+
+    /// `layers` layers of `flops` each, sharded `tp` ways. Dividing by
+    /// `tp = 1` is exact, so the flat pipeline is the `tp = 1` grid.
+    fn transformer_seconds(&self, layers: usize, flops: f64, tp: usize) -> f64 {
         layers as f64
             * self
                 .hardware
-                .compute_seconds(self.transformer_w_flops(), self.config.hidden)
-    }
-
-    /// Transformer-layer combined backward (B + W) time for `layers` layers.
-    pub fn transformer_bw_seconds(&self, layers: usize) -> f64 {
-        layers as f64
-            * self.hardware.compute_seconds(
-                self.transformer_b_flops() + self.transformer_w_flops(),
-                self.config.hidden,
-            )
+                .compute_seconds(flops / tp as f64, self.config.hidden / tp)
     }
 
     /// Full (unpartitioned) output-layer forward time, including loss.
@@ -353,62 +352,6 @@ impl CostModel {
     }
 
     // ---- Tensor parallelism (2D grid) ------------------------------------
-
-    /// Transformer forward time for `layers` layers with the matmuls
-    /// sharded `tp` ways.
-    ///
-    /// FLOPs divide by `tp`, but kernel efficiency is evaluated at the
-    /// *shard* width `hidden / tp`: the per-device GEMMs shrink, so each
-    /// rank runs at lower utilization. This sub-linear speedup is the
-    /// efficiency half of the PTD-P tension between TP and deeper PP; the
-    /// communication half is [`Self::tp_comm_seconds_per_layer`]. At
-    /// `tp = 1` this is exactly [`Self::transformer_f_seconds`].
-    pub fn transformer_f_seconds_tp(&self, layers: usize, tp: usize) -> f64 {
-        if tp <= 1 {
-            return self.transformer_f_seconds(layers);
-        }
-        layers as f64
-            * self.hardware.compute_seconds(
-                self.transformer_f_flops() / tp as f64,
-                self.config.hidden / tp,
-            )
-    }
-
-    /// TP-sharded activation-gradient (`B`-only) time for `layers` layers.
-    pub fn transformer_b_only_seconds_tp(&self, layers: usize, tp: usize) -> f64 {
-        if tp <= 1 {
-            return self.transformer_b_only_seconds(layers);
-        }
-        layers as f64
-            * self.hardware.compute_seconds(
-                self.transformer_b_flops() / tp as f64,
-                self.config.hidden / tp,
-            )
-    }
-
-    /// TP-sharded weight-gradient (`W`) time for `layers` layers.
-    pub fn transformer_w_seconds_tp(&self, layers: usize, tp: usize) -> f64 {
-        if tp <= 1 {
-            return self.transformer_w_seconds(layers);
-        }
-        layers as f64
-            * self.hardware.compute_seconds(
-                self.transformer_w_flops() / tp as f64,
-                self.config.hidden / tp,
-            )
-    }
-
-    /// TP-sharded combined backward (B + W) time for `layers` layers.
-    pub fn transformer_bw_seconds_tp(&self, layers: usize, tp: usize) -> f64 {
-        if tp <= 1 {
-            return self.transformer_bw_seconds(layers);
-        }
-        layers as f64
-            * self.hardware.compute_seconds(
-                (self.transformer_b_flops() + self.transformer_w_flops()) / tp as f64,
-                self.config.hidden / tp,
-            )
-    }
 
     /// Exposed tensor-parallel communication per transformer layer in one
     /// direction (forward *or* backward): the two Megatron `f`/`g`
@@ -608,41 +551,17 @@ mod tests {
     }
 
     #[test]
-    fn tp_pass_times_at_tp1_are_bitwise_the_1d_times() {
-        let m = model();
-        for layers in [1usize, 3] {
-            assert_eq!(
-                m.transformer_f_seconds_tp(layers, 1).to_bits(),
-                m.transformer_f_seconds(layers).to_bits()
-            );
-            assert_eq!(
-                m.transformer_b_only_seconds_tp(layers, 1).to_bits(),
-                m.transformer_b_only_seconds(layers).to_bits()
-            );
-            assert_eq!(
-                m.transformer_w_seconds_tp(layers, 1).to_bits(),
-                m.transformer_w_seconds(layers).to_bits()
-            );
-            assert_eq!(
-                m.transformer_bw_seconds_tp(layers, 1).to_bits(),
-                m.transformer_bw_seconds(layers).to_bits()
-            );
-        }
-        assert_eq!(m.tp_comm_seconds_per_layer(1), 0.0);
-    }
-
-    #[test]
     fn tp_speedup_is_sublinear() {
         // Sharding halves the FLOPs but the narrower per-rank GEMMs run at
         // lower kernel efficiency, so the speedup is strictly < 2x.
         let m = model();
-        let full = m.transformer_f_seconds(2);
-        let half = m.transformer_f_seconds_tp(2, 2);
+        let full = m.transformer_f_seconds(2, 1);
+        let half = m.transformer_f_seconds(2, 2);
         assert!(half < full, "TP must still be faster");
         assert!(half > full / 2.0, "but sub-linearly so");
         // Deeper sharding keeps losing efficiency: 4-way is less than
         // twice as fast as 2-way.
-        let quarter = m.transformer_f_seconds_tp(2, 4);
+        let quarter = m.transformer_f_seconds(2, 4);
         assert!(quarter < half);
         assert!(quarter > half / 2.0);
     }

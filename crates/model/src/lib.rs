@@ -35,6 +35,6 @@ pub mod tp;
 pub use block::{BlockCache, TransformerBlock};
 pub use config::{ModelConfig, ModelPreset};
 pub use cost::Hardware;
-pub use memory::{estimate_1f1b, estimate_1f1b_grid, MemoryEstimate, PlacementKind, TpSyncStyle};
+pub use memory::{estimate_1f1b, MemoryEstimate, PlacementKind, TpSyncStyle};
 pub use partition::{StageLayout, VocabPartition};
 pub use tp::{TpBlockCache, TpPartition, TpTransformerBlock};

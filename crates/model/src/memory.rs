@@ -129,52 +129,6 @@ pub fn estimate_1f1b(
         .collect()
 }
 
-/// Estimates per-device peak memory on a 2D `pp × tp` grid.
-///
-/// Returns one estimate per *pipeline* stage; every tensor rank in a TP
-/// row is symmetric (same shard sizes, same in-flight count), so the row
-/// shares one estimate. The TP axis divides the transformer matmul
-/// parameters (`12h²` per layer — layer norms and biases are replicated
-/// but excluded from the repo's parameter accounting, matching
-/// [`crate::config::ModelConfig::transformer_layer_params`]) and scales
-/// activations by [`TpSyncStyle::activation_scale`]. Vocabulary shards
-/// live on the *pipeline* axis (the paper's scheme) and are replicated
-/// across the TP row, as are their transients.
-///
-/// At `tp = 1` this is exactly [`estimate_1f1b`], bitwise.
-pub fn estimate_1f1b_grid(
-    config: &ModelConfig,
-    hardware: &Hardware,
-    layout: &StageLayout,
-    placement: PlacementKind,
-    tp: usize,
-    style: TpSyncStyle,
-) -> Vec<MemoryEstimate> {
-    assert!(tp > 0, "tensor-parallel width must be positive");
-    let model = CostModel::new(config.clone(), hardware.clone());
-    let act_scale = style.activation_scale(tp);
-    estimate_1f1b(config, hardware, layout, placement)
-        .into_iter()
-        .enumerate()
-        .map(|(d, base)| {
-            let spec = layout.stage(d);
-            if tp == 1 {
-                return base;
-            }
-            let transformer_params =
-                spec.transformer_layers as f64 * config.transformer_layer_params() as f64;
-            let vocab_params = layout.stage_params(config, d) as f64 - transformer_params;
-            let params =
-                model.param_state_bytes((transformer_params / tp as f64 + vocab_params) as u64);
-            MemoryEstimate {
-                params,
-                activations: base.activations * act_scale,
-                transients: base.transients,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,40 +210,6 @@ mod tests {
             PlacementKind::VocabParallel { barriers: 2 },
         );
         assert!(inter[0].activations > vocab[0].activations);
-    }
-
-    #[test]
-    fn grid_estimate_at_tp1_is_bitwise_the_1d_estimate() {
-        let (cfg, hw) = setup(128);
-        let layout = StageLayout::vocab_parallel(&cfg, 8);
-        let placement = PlacementKind::VocabParallel { barriers: 1 };
-        let base = estimate_1f1b(&cfg, &hw, &layout, placement);
-        for style in [TpSyncStyle::AllReduce, TpSyncStyle::Psa] {
-            let grid = estimate_1f1b_grid(&cfg, &hw, &layout, placement, 1, style);
-            for (a, b) in base.iter().zip(&grid) {
-                assert_eq!(a.params.to_bits(), b.params.to_bits());
-                assert_eq!(a.activations.to_bits(), b.activations.to_bits());
-                assert_eq!(a.transients.to_bits(), b.transients.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn tp_divides_matmul_params_but_not_vocab_shards() {
-        let (cfg, hw) = setup(128);
-        let layout = StageLayout::vocab_parallel(&cfg, 8);
-        let placement = PlacementKind::VocabParallel { barriers: 1 };
-        let tp1 = estimate_1f1b_grid(&cfg, &hw, &layout, placement, 1, TpSyncStyle::AllReduce);
-        let tp4 = estimate_1f1b_grid(&cfg, &hw, &layout, placement, 4, TpSyncStyle::AllReduce);
-        let vocab_bytes =
-            CostModel::new(cfg.clone(), hw).param_state_bytes(cfg.vocab_layer_params() / 8 + 1);
-        for (a, b) in tp1.iter().zip(&tp4) {
-            // Strictly smaller, but never below the replicated vocab shard.
-            assert!(b.params < a.params);
-            assert!(b.params > vocab_bytes * 0.5);
-            // Transients (vocab logits buffers) are replicated across TP.
-            assert_eq!(a.transients.to_bits(), b.transients.to_bits());
-        }
     }
 
     #[test]

@@ -53,12 +53,11 @@ pub enum Mode {
 pub fn mode_of_schedule(schedule: &Schedule) -> Result<Mode> {
     match schedule.kind() {
         ScheduleKind::Plain => Ok(Mode::Baseline),
-        ScheduleKind::Vocab(VocabVariant::Alg1) => Ok(Mode::Vocab(VocabAlgo::Alg1)),
-        ScheduleKind::Vocab(VocabVariant::Alg2) => Ok(Mode::Vocab(VocabAlgo::Alg2)),
         ScheduleKind::Vocab(VocabVariant::Naive) => Err(TensorError::InvalidArgument(
             "the streamed runtime supports Algorithms 1 and 2; use vp-core's fused naive path"
                 .into(),
         )),
+        ScheduleKind::Vocab(variant) => Ok(Mode::Vocab(variant)),
         ScheduleKind::Interlaced => Err(TensorError::InvalidArgument(
             "interlaced schedules run synchronous TP-style vocabulary layers; the runtime \
              executes pipeline schedules (plain or vocabulary-parallel)"

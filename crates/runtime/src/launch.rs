@@ -11,11 +11,10 @@
 //!   their `C0`/`C1`/`C2` traffic included, over a column-private slice of
 //!   the p2p network and its own `C1` communicator;
 //! * the **tensor** axis shards every stage's transformer blocks over the
-//!   `tp` devices of its grid row ([`TpSyncStyle::AllReduce`], or
-//!   [`TpSyncStyle::Psa`] for reduce-scatter + all-gather). Every row
-//!   collective hands all members the identical full activation, so the
-//!   columns are bitwise replicas of each other, and `tp = 1` executes the
-//!   unsharded blocks — bitwise the flat pipeline;
+//!   `tp` devices of its grid row, completed by Megatron's `f`/`g` sum
+//!   all-reduces. Every row collective hands all members the identical full
+//!   activation, so the columns are bitwise replicas of each other, and
+//!   `tp = 1` executes the unsharded blocks — bitwise the flat pipeline;
 //! * the **data** axis runs `dp` replicas on disjoint microbatch shards
 //!   and sums their gradients (vocabulary shards included) before every
 //!   optimizer step — numerically one pipeline over the global batch,
@@ -31,7 +30,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use vp_collectives::{Collective, CollectiveGroup, P2pNetwork};
 use vp_model::tp::TpPartition;
-use vp_model::TpSyncStyle;
 use vp_schedule::analysis::ScheduleAnalysis;
 use vp_schedule::exec::ExecReport;
 use vp_schedule::grid::DeviceGrid;
@@ -51,8 +49,6 @@ pub struct TrainSpec<'a> {
     /// Tensor-parallel width of every stage (must divide the head count
     /// and the FFN width — shards are head-aligned).
     pub tp: usize,
-    /// How a grid row completes its partial sums (ignored at `tp = 1`).
-    pub sync: TpSyncStyle,
     /// Data-parallel replicas; `config.microbatches` is the global count.
     pub dp: usize,
     /// Continue from the checkpoint of an earlier run of the same layout.
@@ -67,7 +63,6 @@ impl<'a> TrainSpec<'a> {
         TrainSpec {
             schedule,
             tp: 1,
-            sync: TpSyncStyle::AllReduce,
             dp: 1,
             resume: None,
             trace: false,
@@ -162,7 +157,6 @@ pub fn train(
     let &TrainSpec {
         schedule,
         tp,
-        sync,
         dp,
         resume,
         trace,
@@ -215,7 +209,7 @@ pub fn train(
                     row: take(&mut rows, replica * pp + rank, tp_rank).map(|comm| {
                         let comm = Arc::new(comm);
                         let part = TpPartition::new(tp, tp_rank, config.heads, config.hidden, ffn);
-                        (TpRow { comm, sync }, part)
+                        (TpRow { comm }, part)
                     }),
                     dp: take(&mut syncs, local, replica),
                     restore: resume.map(|c| (c.shards[global].as_slice(), c.iterations_done)),
@@ -399,16 +393,14 @@ mod tests {
         config: &TinyConfig,
         schedule: &Schedule,
         tp: usize,
-        sync: TpSyncStyle,
         iterations: usize,
     ) -> Vec<f64> {
         let spec = TrainSpec {
             tp,
-            sync,
             ..TrainSpec::new(schedule)
         };
         run(config, &spec, iterations)
-            .unwrap_or_else(|e| panic!("tp {tp} {sync:?}: {e}"))
+            .unwrap_or_else(|e| panic!("tp {tp}: {e}"))
             .report
             .losses
     }
@@ -438,7 +430,7 @@ mod tests {
         let reference = train_reference(&config, 5).unwrap();
         let schedule = vocab_schedule(2, config.microbatches);
         for tp in [2, 4] {
-            let losses = grid_losses(&config, &schedule, tp, TpSyncStyle::AllReduce, 5);
+            let losses = grid_losses(&config, &schedule, tp, 5);
             assert_close(&reference, &losses, 1e-3);
         }
     }
@@ -449,20 +441,8 @@ mod tests {
         let config = TinyConfig::default();
         let schedule = vocab_schedule(4, config.microbatches);
         let flat = train_schedule(&config, &schedule, 4, &DataSource::synthetic(&config)).unwrap();
-        let grid = grid_losses(&config, &schedule, 1, TpSyncStyle::Psa, 4);
+        let grid = grid_losses(&config, &schedule, 1, 4);
         assert_eq!(flat.losses, grid, "tp = 1 must not perturb a bit");
-    }
-
-    /// PSA (reduce-scatter + all-gather) is bitwise equal to the all-reduce
-    /// style: the deterministic collectives sum shards in rank order either
-    /// way.
-    #[test]
-    fn psa_is_bitwise_equal_to_all_reduce() {
-        let config = TinyConfig::default();
-        let schedule = vocab_schedule(2, config.microbatches);
-        let ar = grid_losses(&config, &schedule, 2, TpSyncStyle::AllReduce, 4);
-        let psa = grid_losses(&config, &schedule, 2, TpSyncStyle::Psa, 4);
-        assert_eq!(ar, psa);
     }
 
     /// The baseline (Megatron-style) vocabulary placement also runs
@@ -472,7 +452,7 @@ mod tests {
         let config = TinyConfig::default();
         let reference = train_reference(&config, 4).unwrap();
         let schedule = generators::one_f_one_b(2, config.microbatches as u32, PassTimes::default());
-        let losses = grid_losses(&config, &schedule, 2, TpSyncStyle::AllReduce, 4);
+        let losses = grid_losses(&config, &schedule, 2, 4);
         assert_close(&reference, &losses, 1e-3);
     }
 
@@ -484,33 +464,26 @@ mod tests {
         let config = TinyConfig::default();
         let reference = train_reference(&config, 4).unwrap();
         let schedule = zb_vocab_schedule(2, config.microbatches);
-        let losses = grid_losses(&config, &schedule, 2, TpSyncStyle::AllReduce, 4);
+        let losses = grid_losses(&config, &schedule, 2, 4);
         assert_close(&reference, &losses, 1e-3);
     }
 
     /// All three axes at once, on a schedule no per-axis launcher could
     /// combine them for: `dp 2 × pp 2 × tp 2` devices interpreting a
-    /// zero-bubble Vocab-2 schedule match the single-device reference, and
-    /// the row-sync style still does not move a bit.
+    /// zero-bubble Vocab-2 schedule match the single-device reference.
     #[test]
-    fn dp_pp_tp_zero_bubble_matches_reference_and_psa_is_bitwise() {
+    fn dp_pp_tp_zero_bubble_matches_reference() {
         let config = TinyConfig::default();
         let reference = train_reference(&config, 4).unwrap();
         let schedule = zb_vocab_schedule(2, config.microbatches / 2);
-        let losses = |sync| {
-            let spec = TrainSpec {
-                tp: 2,
-                sync,
-                dp: 2,
-                ..TrainSpec::new(&schedule)
-            };
-            let outcome = run(&config, &spec, 4).unwrap();
-            assert_eq!(outcome.checkpoint.shards.len(), 8);
-            outcome.report.losses
+        let spec = TrainSpec {
+            tp: 2,
+            dp: 2,
+            ..TrainSpec::new(&schedule)
         };
-        let ar = losses(TpSyncStyle::AllReduce);
-        assert_close(&reference, &ar, 1e-3);
-        assert_eq!(ar, losses(TpSyncStyle::Psa));
+        let outcome = run(&config, &spec, 4).unwrap();
+        assert_eq!(outcome.checkpoint.shards.len(), 8);
+        assert_close(&reference, &outcome.report.losses, 1e-3);
     }
 
     /// Tracing observes a data-parallel run without perturbing it: same

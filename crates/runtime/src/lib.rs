@@ -23,7 +23,7 @@
 //!   `(Mode, ScheduleFamily)` selection onto the matching generator.
 //! * [`train`] — **the one way to start a training run**: a [`TrainSpec`]
 //!   names the schedule and its place in a `dp × pp × tp` device layout
-//!   (tensor-parallel width and row-sync style, data-parallel replicas, a
+//!   (tensor-parallel width, data-parallel replicas, a
 //!   [`PipelineCheckpoint`] to resume from, whether to trace), and the
 //!   [`TrainOutcome`] carries the [`TrainReport`] (losses plus real pass
 //!   timings in the simulator's `ExecReport` shape), the end-of-run
@@ -77,5 +77,4 @@ pub use model::{FullModel, TinyConfig};
 pub use pipeline::{schedule_for, Mode, ScheduleFamily};
 pub use reference::{train_reference, train_reference_on};
 pub use serve::{greedy_matches_reference, reference_decode, ServeConfig, ServeEngine};
-pub use vp_model::TpSyncStyle;
 pub use vp_trace::{TimelineReport, TraceLog, Tracer};

@@ -4,7 +4,6 @@
 //! [`crate::train`]'s job, and the interpreter itself is family-agnostic.
 
 pub use crate::engine::Mode;
-use vp_core::VocabAlgo;
 use vp_schedule::block::PassTimes;
 use vp_schedule::generators;
 use vp_schedule::pass::{Schedule, VocabVariant};
@@ -38,12 +37,11 @@ pub fn schedule_for(
     let variant =
         match mode {
             Mode::Baseline => None,
-            Mode::Vocab(VocabAlgo::Alg1) => Some(VocabVariant::Alg1),
-            Mode::Vocab(VocabAlgo::Alg2) => Some(VocabVariant::Alg2),
-            Mode::Vocab(VocabAlgo::Naive) => return Err(TensorError::InvalidArgument(
+            Mode::Vocab(VocabVariant::Naive) => return Err(TensorError::InvalidArgument(
                 "the streamed runtime supports Algorithms 1 and 2; use vp-core's fused naive path"
                     .into(),
             )),
+            Mode::Vocab(variant) => Some(variant),
         };
     Ok(match (family, variant) {
         (ScheduleFamily::OneFOneB, None) => generators::one_f_one_b(devices, m, times),
@@ -61,6 +59,7 @@ mod tests {
     use crate::model::TinyConfig;
     use crate::reference::train_reference;
     use crate::testutil::assert_close;
+    use vp_core::VocabAlgo;
 
     /// Trains `family` on the config's synthetic corpus; returns the losses.
     fn train_pipeline_with(

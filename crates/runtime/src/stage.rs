@@ -11,48 +11,23 @@ use std::sync::Arc;
 use vp_collectives::{Collective, ReduceOp};
 use vp_model::block::{BlockCache, TransformerBlock};
 use vp_model::tp::{TpBlockCache, TpPartition, TpTransformerBlock};
-use vp_model::TpSyncStyle;
 use vp_tensor::optim::Param;
 use vp_tensor::{Result, Tensor, TensorError};
 
-/// A device's handle on its grid row: the row communicator and how the
-/// cross-rank reduction is realized.
+/// A device's handle on its grid row communicator.
 #[derive(Clone)]
 pub(crate) struct TpRow {
     pub(crate) comm: Arc<Collective>,
-    pub(crate) sync: TpSyncStyle,
 }
 
 impl TpRow {
-    /// Completes a partial block output across the row: a plain sum
-    /// all-reduce (Megatron's `g` collective), or reduce-scatter followed
-    /// by all-gather (the PSA decomposition). Both sum the ranks'
-    /// contributions in rank order, so the two styles are bitwise identical
-    /// here — which the grid tests pin.
+    /// Completes a partial block output across the row with a sum
+    /// all-reduce (Megatron's `g` collective), which adds the ranks'
+    /// contributions in rank order.
     fn reduce(&self, t: &mut Tensor) -> Result<()> {
-        let failed = |what: &str, e: &dyn std::fmt::Display| {
-            TensorError::InvalidArgument(format!("tp {what} failed: {e}"))
-        };
-        match self.sync {
-            TpSyncStyle::AllReduce => self
-                .comm
-                .all_reduce(t.data_mut(), ReduceOp::Sum)
-                .map_err(|e| failed("all-reduce", &e)),
-            TpSyncStyle::Psa => {
-                let shard = self
-                    .comm
-                    .reduce_scatter(t.data(), ReduceOp::Sum)
-                    .map_err(|e| failed("reduce-scatter", &e))?;
-                let data = t.data_mut();
-                let mut at = 0;
-                for part in self.comm.all_gather(&shard) {
-                    data[at..at + part.len()].copy_from_slice(&part);
-                    at += part.len();
-                }
-                debug_assert_eq!(at, data.len(), "gathered shards must tile the tensor");
-                Ok(())
-            }
-        }
+        self.comm
+            .all_reduce(t.data_mut(), ReduceOp::Sum)
+            .map_err(|e| TensorError::InvalidArgument(format!("tp all-reduce failed: {e}")))
     }
 }
 
@@ -74,8 +49,8 @@ impl StageBlocks {
     /// Slices `blocks` for one device: unsharded without a row, else this
     /// rank's head-aligned column/row shards. The sharded set *replaces*
     /// the full set, so a device holds `1/tp` of the matmul weights (plus
-    /// the replicated LayerNorms and biases), exactly as the §5.2 grid
-    /// estimator counts.
+    /// the replicated LayerNorms and biases), exactly as the simulator's
+    /// grid memory model counts.
     pub(crate) fn new(blocks: &[TransformerBlock], row: Option<(TpRow, TpPartition)>) -> Self {
         match row {
             None => StageBlocks::Full(blocks.to_vec()),

@@ -107,14 +107,18 @@ impl fmt::Display for PassKind {
     }
 }
 
-/// Which output-layer grouping a vocabulary schedule uses (§4).
+/// Which output-layer grouping a vocabulary schedule uses (§4). The
+/// numeric crates and the cost model name the same type `VocabAlgo`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VocabVariant {
-    /// Naive 3-barrier grouping (`F1`/`F2`/`B` of §4.1).
+    /// Naive 3-barrier grouping (`F1`/`F2`/`B` of §4.1): all-reduce max,
+    /// then all-reduce sum, then reduce ∇X.
     Naive,
-    /// Algorithm 1: 2 barriers (Vocab-1).
+    /// Algorithm 1 (§4.3), 2 barriers (Vocab-1): local softmax first;
+    /// barriers `C1` (stats) and `C2` (∇X reduce).
     Alg1,
-    /// Algorithm 2: 1 barrier (Vocab-2).
+    /// Algorithm 2 (§4.4), 1 barrier (Vocab-2): ∇X assembled from
+    /// pre-computed matmuls before `C1`; `T` is freely deferrable.
     Alg2,
 }
 

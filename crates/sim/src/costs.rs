@@ -2,12 +2,12 @@
 //! `vp-schedule`'s executor.
 
 use vp_model::config::ModelConfig;
-use vp_model::cost::{CostModel, VocabAlgo};
-use vp_model::partition::{StageLayout, VocabPlacement};
+use vp_model::cost::CostModel;
+use vp_model::partition::{StageLayout, VocabPartition, VocabPlacement};
 use vp_model::TpSyncStyle;
 use vp_schedule::deps::EdgeKind;
 use vp_schedule::exec::Costs;
-use vp_schedule::pass::{PassKind, ScheduledPass};
+use vp_schedule::pass::{PassKind, ScheduledPass, VocabVariant};
 
 /// What a device's chunk computes, for duration/memory purposes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +27,7 @@ pub struct SimCosts {
     /// `[device][chunk]` specification.
     chunks: Vec<Vec<ChunkSpec>>,
     /// Vocabulary algorithm for `S`/`T`/interlaced passes, if any.
-    algo: Option<VocabAlgo>,
+    algo: Option<VocabVariant>,
     /// Shard width of the vocabulary partition (padded / p).
     shard_width: usize,
     /// Zero the synchronous collective costs (the Appendix B.2 ablation).
@@ -41,19 +41,11 @@ pub struct SimCosts {
 }
 
 impl SimCosts {
-    /// Builds costs for a single-chunk (1F1B-family) layout.
-    pub fn for_layout(model: CostModel, layout: &StageLayout, algo: Option<VocabAlgo>) -> Self {
-        let shard_width = layout.vocab_partition().shard_width();
-        let chunks = (0..layout.devices())
-            .map(|d| {
-                let spec = layout.stage(d);
-                vec![ChunkSpec {
-                    layers: spec.transformer_layers,
-                    full_input: spec.input == Some(VocabPlacement::Full),
-                    full_output: spec.output == Some(VocabPlacement::Full),
-                }]
-            })
-            .collect();
+    /// The one constructor: a flat pipeline (`tp = 1`) over the
+    /// `[device][chunk]` table, with vocabulary shards of width
+    /// `padded / devices`.
+    fn new(model: CostModel, chunks: Vec<Vec<ChunkSpec>>, algo: Option<VocabVariant>) -> Self {
+        let shard_width = VocabPartition::new(model.config.vocab, chunks.len()).shard_width();
         SimCosts {
             model,
             chunks,
@@ -66,50 +58,49 @@ impl SimCosts {
         }
     }
 
+    /// Builds costs for a single-chunk (1F1B-family) layout.
+    pub fn for_layout(model: CostModel, layout: &StageLayout, algo: Option<VocabVariant>) -> Self {
+        let chunks = (0..layout.devices())
+            .map(|d| {
+                let spec = layout.stage(d);
+                vec![ChunkSpec {
+                    layers: spec.transformer_layers,
+                    full_input: spec.input == Some(VocabPlacement::Full),
+                    full_output: spec.output == Some(VocabPlacement::Full),
+                }]
+            })
+            .collect();
+        SimCosts::new(model, chunks, algo)
+    }
+
     /// Builds costs for a V-Half layout: `2p` virtual stages of
-    /// `layers / 2p` transformer layers; in the baseline, device 0 hosts
-    /// the full input layer (virtual stage 0, chunk 0) *and* the full
-    /// output layer (virtual stage `2p−1`, chunk 1).
-    pub fn for_vhalf(
-        model: CostModel,
-        devices: usize,
-        vocab_parallel: bool,
-        algo: Option<VocabAlgo>,
-    ) -> Self {
-        let config = model.config.clone();
-        let per_chunk = config.layers / (2 * devices);
-        let remainder = config.layers % (2 * devices);
-        let part = vp_model::partition::VocabPartition::new(config.vocab, devices);
+    /// `layers / 2p` transformer layers, with the zero-bubble B/W split.
+    /// Without a vocabulary algorithm (the baseline), device 0 hosts the
+    /// full input layer (virtual stage 0, chunk 0) *and* the full output
+    /// layer (virtual stage `2p−1`, chunk 1).
+    pub fn for_vhalf(model: CostModel, devices: usize, algo: Option<VocabVariant>) -> Self {
+        let per_chunk = model.config.layers / (2 * devices);
+        let remainder = model.config.layers % (2 * devices);
+        // Distribute any remainder over the first virtual stages.
+        let layers_of = |vs: usize| per_chunk + usize::from(vs < remainder);
+        let full = algo.is_none();
         let chunks = (0..devices)
             .map(|d| {
-                // Distribute any remainder over the first virtual stages.
-                let vs0 = d;
-                let vs1 = 2 * devices - 1 - d;
-                let layers_of = |vs: usize| per_chunk + usize::from(vs < remainder);
                 vec![
                     ChunkSpec {
-                        layers: layers_of(vs0),
-                        full_input: !vocab_parallel && d == 0,
+                        layers: layers_of(d),
+                        full_input: full && d == 0,
                         full_output: false,
                     },
                     ChunkSpec {
-                        layers: layers_of(vs1),
+                        layers: layers_of(2 * devices - 1 - d),
                         full_input: false,
-                        full_output: !vocab_parallel && d == 0,
+                        full_output: full && d == 0,
                     },
                 ]
             })
             .collect();
-        SimCosts {
-            model,
-            chunks,
-            algo,
-            shard_width: part.shard_width(),
-            disable_sync_collectives: false,
-            split_w: true,
-            tp: 1,
-            tp_sync: TpSyncStyle::AllReduce,
-        }
+        SimCosts::new(model, chunks, algo).with_split_w()
     }
 
     /// Builds costs for an interleaved (round-robin) layout: `chunks`
@@ -119,37 +110,23 @@ impl SimCosts {
         model: CostModel,
         devices: usize,
         chunks: u8,
-        algo: Option<VocabAlgo>,
+        algo: Option<VocabVariant>,
     ) -> Self {
-        let config = model.config.clone();
         let stages = devices * chunks as usize;
-        let per_chunk = config.layers / stages;
-        let remainder = config.layers % stages;
-        let part = vp_model::partition::VocabPartition::new(config.vocab, devices);
+        let per_chunk = model.config.layers / stages;
+        let remainder = model.config.layers % stages;
         let chunk_table = (0..devices)
             .map(|d| {
-                (0..chunks)
-                    .map(|c| {
-                        let vs = c as usize * devices + d;
-                        ChunkSpec {
-                            layers: per_chunk + usize::from(vs < remainder),
-                            full_input: false,
-                            full_output: false,
-                        }
+                (0..chunks as usize)
+                    .map(|c| ChunkSpec {
+                        layers: per_chunk + usize::from(c * devices + d < remainder),
+                        full_input: false,
+                        full_output: false,
                     })
                     .collect()
             })
             .collect();
-        SimCosts {
-            model,
-            chunks: chunk_table,
-            algo,
-            shard_width: part.shard_width(),
-            disable_sync_collectives: false,
-            split_w: false,
-            tp: 1,
-            tp_sync: TpSyncStyle::AllReduce,
-        }
+        SimCosts::new(model, chunk_table, algo)
     }
 
     /// Enables the zero-bubble B/W split for 1F1B-family layouts.
@@ -175,6 +152,41 @@ impl SimCosts {
     /// The tensor-parallel width the costs are priced for.
     pub fn tp(&self) -> usize {
         self.tp
+    }
+
+    /// Per-device static bytes (parameters plus optimizer state) and the
+    /// transients the executor does not count. A tensor rank holds `1/tp`
+    /// of its transformer weights; full vocabulary layers and vocabulary
+    /// shards replicate across the grid row. A full output layer holds its
+    /// fp32 logits + softmax during F/B, which PSA shards across the row.
+    pub(crate) fn static_memory(&self) -> (Vec<f64>, Vec<f64>) {
+        let c = &self.model.config;
+        let tokens = (c.microbatch * c.seq_len) as f64;
+        let logits_scale = match self.tp_sync {
+            TpSyncStyle::AllReduce => 1.0,
+            TpSyncStyle::Psa => 1.0 / self.tp as f64,
+        };
+        self.chunks
+            .iter()
+            .map(|chunks| {
+                let layers: usize = chunks.iter().map(|spec| spec.layers).sum();
+                let mut params = layers as u64 * c.transformer_layer_params() / self.tp as u64;
+                let mut transient = 0.0;
+                for spec in chunks {
+                    if spec.full_input {
+                        params += c.vocab_layer_params();
+                    }
+                    if spec.full_output {
+                        params += c.vocab_layer_params();
+                        transient += 4.0 * tokens * c.vocab as f64 * logits_scale;
+                    }
+                }
+                if self.algo.is_some() {
+                    params += 2 * (self.shard_width * c.hidden) as u64;
+                }
+                (self.model.param_state_bytes(params), transient)
+            })
+            .unzip()
     }
 
     /// Exposed TP collective seconds per sharded layer in one direction
@@ -230,17 +242,17 @@ impl SimCosts {
             .flat_map(|d| self.chunks[d].iter().map(|c| c.layers))
             .sum::<usize>() as f64
             / self.chunks.iter().map(Vec::len).sum::<usize>() as f64;
-        let algo = self.algo.unwrap_or(VocabAlgo::Alg1);
+        let algo = self.algo.unwrap_or(VocabVariant::Alg1);
         let comm = self.tp_comm_layer_seconds();
         vp_schedule::block::PassTimes {
-            f: (m.transformer_f_seconds_tp(1, self.tp) + comm) * mean_layers,
+            f: (m.transformer_f_seconds(1, self.tp) + comm) * mean_layers,
             b: if self.split_w {
-                (m.transformer_b_only_seconds_tp(1, self.tp) + comm) * mean_layers
+                (m.transformer_b_only_seconds(1, self.tp) + comm) * mean_layers
             } else {
-                (m.transformer_bw_seconds_tp(1, self.tp) + comm) * mean_layers
+                (m.transformer_bw_seconds(1, self.tp) + comm) * mean_layers
             },
             w: if self.split_w {
-                m.transformer_w_seconds_tp(1, self.tp) * mean_layers
+                m.transformer_w_seconds(1, self.tp) * mean_layers
             } else {
                 0.0
             },
@@ -257,10 +269,10 @@ impl Costs for SimCosts {
     fn pass_seconds(&self, device: usize, pass: &ScheduledPass) -> f64 {
         let m = &self.model;
         let spec = self.chunk(device, pass.chunk);
-        let algo = self.algo.unwrap_or(VocabAlgo::Alg1);
+        let algo = self.algo.unwrap_or(VocabVariant::Alg1);
         match pass.kind {
             PassKind::F => {
-                let mut t = m.transformer_f_seconds_tp(spec.layers, self.tp)
+                let mut t = m.transformer_f_seconds(spec.layers, self.tp)
                     + spec.layers as f64 * self.tp_comm_layer_seconds();
                 if spec.full_output {
                     t += m.output_full_f_seconds();
@@ -272,9 +284,9 @@ impl Costs for SimCosts {
             }
             PassKind::B => {
                 let mut t = if self.split_w {
-                    m.transformer_b_only_seconds_tp(spec.layers, self.tp)
+                    m.transformer_b_only_seconds(spec.layers, self.tp)
                 } else {
-                    m.transformer_bw_seconds_tp(spec.layers, self.tp)
+                    m.transformer_bw_seconds(spec.layers, self.tp)
                 };
                 t += spec.layers as f64 * self.tp_comm_layer_seconds();
                 if spec.full_output {
@@ -289,7 +301,7 @@ impl Costs for SimCosts {
             // collective into wgrad), so `W` pays compute only.
             PassKind::W => {
                 if self.split_w {
-                    m.transformer_w_seconds_tp(spec.layers, self.tp)
+                    m.transformer_w_seconds(spec.layers, self.tp)
                 } else {
                     0.0
                 }
@@ -298,8 +310,8 @@ impl Costs for SimCosts {
             PassKind::T => m.vocab_t_seconds(algo, self.shard_width),
             // Interlaced TP-style output passes compute the same shard
             // matmuls (forward 2bshV′; backward 4bshV′).
-            PassKind::OutputF => m.vocab_s_seconds(VocabAlgo::Alg1, self.shard_width),
-            PassKind::OutputB => m.vocab_t_seconds(VocabAlgo::Alg1, self.shard_width),
+            PassKind::OutputF => m.vocab_s_seconds(VocabVariant::Alg1, self.shard_width),
+            PassKind::OutputB => m.vocab_t_seconds(VocabVariant::Alg1, self.shard_width),
             PassKind::InputF => m.vocab_input_f_seconds(self.devices()),
             PassKind::InputB => m.vocab_input_b_seconds(self.devices()),
         }
@@ -324,7 +336,7 @@ impl Costs for SimCosts {
                 // Two stats all-reduces; Algorithm 2 folds the ∇X reduce
                 // into the same barrier.
                 let mut bytes = 2.0 * m.stats_bytes();
-                if self.algo == Some(VocabAlgo::Alg2) {
+                if self.algo == Some(VocabVariant::Alg2) {
                     bytes += m.dx_bytes();
                 }
                 self.collective_seconds(bytes)
@@ -350,7 +362,7 @@ impl Costs for SimCosts {
 
     fn activation_units(&self, device: usize, chunk: u8) -> f64 {
         let spec = self.chunk(device, chunk);
-        // Sharded layers stash smaller activations (§5.2's estimator
+        // Sharded layers stash smaller activations (§5.2's accounting
         // extended to the grid); the scale is exactly 1 at tp = 1.
         spec.layers as f64
             * self.model.act_bytes_per_layer()
@@ -358,9 +370,9 @@ impl Costs for SimCosts {
     }
 
     fn vocab_buffer_units(&self, _device: usize) -> f64 {
-        let algo = self.algo.unwrap_or(VocabAlgo::Alg1);
+        let algo = self.algo.unwrap_or(VocabVariant::Alg1);
         let mut bytes = self.model.vocab_transient_bytes(self.shard_width);
-        if algo == VocabAlgo::Alg2 {
+        if algo == VocabVariant::Alg2 {
             // Algorithm 2 additionally holds A = softmax'(Y)·W and B = G·W
             // ([N, h] each) between S and the barrier.
             bytes += 2.0 * self.model.dx_bytes();
@@ -398,7 +410,7 @@ mod tests {
     fn vocab_stages_are_balanced() {
         let m = model(256 * 1024);
         let layout = StageLayout::vocab_parallel(&m.config, 8);
-        let costs = SimCosts::for_layout(m, &layout, Some(VocabAlgo::Alg2));
+        let costs = SimCosts::for_layout(m, &layout, Some(VocabVariant::Alg2));
         let per_device: Vec<f64> = (0..8)
             .map(|d| {
                 [PassKind::F, PassKind::B, PassKind::S, PassKind::T]
@@ -415,7 +427,7 @@ mod tests {
     #[test]
     fn vhalf_baseline_puts_both_vocab_layers_on_device_zero() {
         let m = model(128 * 1024);
-        let costs = SimCosts::for_vhalf(m, 16, false, None);
+        let costs = SimCosts::for_vhalf(m, 16, None);
         assert!(costs.chunk(0, 0).full_input);
         assert!(costs.chunk(0, 1).full_output);
         assert!(!costs.chunk(1, 0).full_input);
@@ -436,7 +448,7 @@ mod tests {
     fn tp1_costs_are_bitwise_the_flat_costs() {
         let m = model(64 * 1024);
         let layout = StageLayout::vocab_parallel(&m.config, 8);
-        let flat = SimCosts::for_layout(m, &layout, Some(VocabAlgo::Alg2));
+        let flat = SimCosts::for_layout(m, &layout, Some(VocabVariant::Alg2));
         for sync in [TpSyncStyle::AllReduce, TpSyncStyle::Psa] {
             let grid = flat.clone().with_tp(1, sync);
             for kind in [
@@ -467,7 +479,7 @@ mod tests {
     fn tp_shards_compute_sublinearly_and_pays_comm() {
         let m = model(64 * 1024);
         let layout = StageLayout::vocab_parallel(&m.config, 8);
-        let flat = SimCosts::for_layout(m, &layout, Some(VocabAlgo::Alg1));
+        let flat = SimCosts::for_layout(m, &layout, Some(VocabVariant::Alg1));
         let tp4 = flat.clone().with_tp(4, TpSyncStyle::AllReduce);
         let psa4 = flat.clone().with_tp(4, TpSyncStyle::Psa);
         let f = |c: &SimCosts| c.pass_seconds(3, &ScheduledPass::new(PassKind::F, 0));
@@ -494,7 +506,7 @@ mod tests {
     fn ablation_flag_zeroes_sync_cost() {
         let m = model(32 * 1024);
         let layout = StageLayout::vocab_parallel(&m.config, 8);
-        let mut costs = SimCosts::for_layout(m, &layout, Some(VocabAlgo::Alg1));
+        let mut costs = SimCosts::for_layout(m, &layout, Some(VocabVariant::Alg1));
         assert!(costs.edge_seconds(EdgeKind::InterlacedSync, 0, 1) > 0.0);
         costs.disable_sync_collectives = true;
         assert_eq!(costs.edge_seconds(EdgeKind::InterlacedSync, 0, 1), 0.0);

@@ -1,14 +1,17 @@
 //! Experiment runners for the methods compared in the paper's evaluation
 //! (§6.2): Baseline, Redis, Vocab-1, Vocab-2 and Interlaced on 1F1B, and
-//! Baseline / Vocab-1 on V-Half.
+//! Baseline / Vocab-1 on V-Half. Every runner prices its schedule through
+//! one [`SimCosts`] and reports through one tail; the flat pipeline is the
+//! `pp × 1` grid.
 
 use crate::costs::SimCosts;
 use crate::report::SimReport;
 use vp_model::config::ModelConfig;
-use vp_model::cost::{CostModel, Hardware, VocabAlgo};
-use vp_model::partition::{StageLayout, VocabPartition};
+use vp_model::cost::{CostModel, Hardware};
+use vp_model::partition::StageLayout;
 use vp_model::TpSyncStyle;
-use vp_schedule::exec::{ExecReport, Executor};
+use vp_schedule::block::PassTimes;
+use vp_schedule::exec::Executor;
 use vp_schedule::generators;
 use vp_schedule::grid::DeviceGrid;
 use vp_schedule::pass::{Schedule, VocabVariant};
@@ -50,6 +53,35 @@ impl Method {
             Method::Interlaced,
         ]
     }
+
+    /// The 1F1B-family schedule this method runs on `pp` pipeline stages
+    /// with `m` microbatches, prioritized by `times`.
+    pub fn schedule(self, pp: usize, m: u32, times: PassTimes) -> Schedule {
+        match self {
+            Method::Baseline | Method::Redis => generators::one_f_one_b(pp, m, times),
+            Method::Vocab1 => generators::vocab_1f1b(pp, m, VocabVariant::Alg1, times, true),
+            Method::Vocab2 => generators::vocab_1f1b(pp, m, VocabVariant::Alg2, times, true),
+            Method::Interlaced => generators::interlaced_1f1b(pp, m, times),
+        }
+    }
+
+    /// The stage layout over `pp` pipeline stages and the vocabulary
+    /// algorithm its `S`/`T`/interlaced passes are priced with (`None`:
+    /// vocabulary layers folded into the end stages).
+    fn layout(self, config: &ModelConfig, pp: usize) -> (StageLayout, Option<VocabVariant>) {
+        match self {
+            Method::Baseline => (StageLayout::baseline(config, pp), None),
+            Method::Redis => (StageLayout::redistributed(config, pp), None),
+            Method::Vocab1 | Method::Interlaced => (
+                StageLayout::vocab_parallel(config, pp),
+                Some(VocabVariant::Alg1),
+            ),
+            Method::Vocab2 => (
+                StageLayout::vocab_parallel(config, pp),
+                Some(VocabVariant::Alg2),
+            ),
+        }
+    }
 }
 
 /// The two methods compared on the V-Half schedule (§6.4).
@@ -71,36 +103,57 @@ impl VHalfMethod {
     }
 }
 
-fn finish(
-    method: &str,
-    costs: &SimCosts,
-    schedule: &Schedule,
-    report: &ExecReport,
-    static_bytes: Vec<f64>,
-    extra_transient: &[f64],
-) -> SimReport {
-    let p = schedule.devices();
-    let m = costs.model();
-    let activation_bytes: Vec<f64> = (0..p)
-        .map(|d| report.peak_activation_units[d] + extra_transient[d])
-        .collect();
-    let peak_memory_bytes: Vec<f64> = (0..p)
-        .map(|d| static_bytes[d] + activation_bytes[d])
-        .collect();
-    SimReport {
-        method: method.to_string(),
-        devices: p,
-        iteration_seconds: report.makespan,
-        mfu: m.mfu(report.makespan, p),
-        peak_memory_bytes,
-        param_bytes: static_bytes,
-        activation_bytes,
-        bubble_fraction: (0..p).map(|d| report.bubble_fraction(d)).collect(),
-        peak_microbatches: report.peak_resident_microbatches.clone(),
+/// Report-name suffix of an output-layer grouping.
+fn variant_suffix(variant: VocabVariant) -> &'static str {
+    match variant {
+        VocabVariant::Naive => "naive",
+        VocabVariant::Alg1 => "1",
+        VocabVariant::Alg2 => "2",
     }
 }
 
-/// Simulates one method on the 1F1B schedule.
+/// The one report tail: executes `schedule` under `costs`, adds the
+/// chunk table's static memory and transients, and accounts MFU and the
+/// device count over the whole `pp × tp` grid. Per-device vectors stay
+/// per pipeline stage (the tensor columns are replicas).
+///
+/// # Panics
+///
+/// Panics if `schedule` fails validation (a generator bug).
+fn simulate(method: &str, costs: &SimCosts, schedule: &Schedule) -> SimReport {
+    let report = Executor::new(costs)
+        .run(schedule)
+        .expect("generated schedule must validate");
+    let (param_bytes, transients) = costs.static_memory();
+    let activation_bytes: Vec<f64> = report
+        .peak_activation_units
+        .iter()
+        .zip(&transients)
+        .map(|(units, transient)| units + transient)
+        .collect();
+    let peak_memory_bytes = param_bytes
+        .iter()
+        .zip(&activation_bytes)
+        .map(|(params, acts)| params + acts)
+        .collect();
+    let devices = schedule.devices() * costs.tp();
+    SimReport {
+        method: method.to_string(),
+        devices,
+        iteration_seconds: report.makespan,
+        mfu: costs.model().mfu(report.makespan, devices),
+        peak_memory_bytes,
+        param_bytes,
+        activation_bytes,
+        bubble_fraction: (0..schedule.devices())
+            .map(|d| report.bubble_fraction(d))
+            .collect(),
+        peak_microbatches: report.peak_resident_microbatches,
+    }
+}
+
+/// Simulates one method on the 1F1B schedule: the `devices × 1` grid of
+/// [`run_1f1b_grid`].
 ///
 /// # Panics
 ///
@@ -111,45 +164,12 @@ pub fn run_1f1b(
     devices: usize,
     hardware: Hardware,
 ) -> SimReport {
-    let model = CostModel::new(config.clone(), hardware);
-    let m = config.num_microbatches as u32;
-    let (costs, schedule) = match method {
-        Method::Baseline | Method::Redis => {
-            let layout = if method == Method::Baseline {
-                StageLayout::baseline(config, devices)
-            } else {
-                StageLayout::redistributed(config, devices)
-            };
-            let costs = SimCosts::for_layout(model, &layout, None);
-            let schedule = generators::one_f_one_b(devices, m, costs.pass_times());
-            (costs, schedule)
-        }
-        Method::Vocab1 | Method::Vocab2 => {
-            let variant = if method == Method::Vocab1 {
-                VocabVariant::Alg1
-            } else {
-                VocabVariant::Alg2
-            };
-            return run_vocab_variant(variant, config, devices, model.hardware);
-        }
-        Method::Interlaced => {
-            let layout = StageLayout::vocab_parallel(config, devices);
-            let costs = SimCosts::for_layout(model, &layout, Some(VocabAlgo::Alg1));
-            let schedule = generators::interlaced_1f1b(devices, m, costs.pass_times());
-            (costs, schedule)
-        }
-    };
-    let report = Executor::new(&costs)
-        .run(&schedule)
-        .expect("generated schedule must validate");
-    let (static_bytes, extra) = memory_1f1b(method, &costs, config, devices);
-    finish(
-        method.name(),
-        &costs,
-        &schedule,
-        &report,
-        static_bytes,
-        &extra,
+    run_1f1b_grid(
+        method,
+        config,
+        DeviceGrid::new(devices, 1),
+        TpSyncStyle::AllReduce,
+        hardware,
     )
 }
 
@@ -158,8 +178,7 @@ pub fn run_1f1b(
 /// stage's transformer layers shard across its row of `tp` tensor ranks
 /// (Megatron `f`/`g`, or the PSA variant, per `sync`). Vocabulary shards
 /// and full input/output layers replicate per column, exactly as the
-/// runtime grid executes them. At `tp = 1` the report is bitwise
-/// identical to [`run_1f1b`].
+/// runtime grid executes them.
 ///
 /// # Panics
 ///
@@ -172,133 +191,11 @@ pub fn run_1f1b_grid(
     hardware: Hardware,
 ) -> SimReport {
     let model = CostModel::new(config.clone(), hardware);
-    let pp = grid.pp();
+    let (layout, algo) = method.layout(config, grid.pp());
+    let costs = SimCosts::for_layout(model, &layout, algo).with_tp(grid.tp(), sync);
     let m = config.num_microbatches as u32;
-    let (costs, schedule) = match method {
-        Method::Baseline | Method::Redis => {
-            let layout = if method == Method::Baseline {
-                StageLayout::baseline(config, pp)
-            } else {
-                StageLayout::redistributed(config, pp)
-            };
-            let costs = SimCosts::for_layout(model, &layout, None).with_tp(grid.tp(), sync);
-            let schedule = generators::one_f_one_b(pp, m, costs.pass_times());
-            (costs, schedule)
-        }
-        Method::Vocab1 | Method::Vocab2 => {
-            let (variant, algo) = if method == Method::Vocab1 {
-                (VocabVariant::Alg1, VocabAlgo::Alg1)
-            } else {
-                (VocabVariant::Alg2, VocabAlgo::Alg2)
-            };
-            let layout = StageLayout::vocab_parallel(config, pp);
-            let costs = SimCosts::for_layout(model, &layout, Some(algo)).with_tp(grid.tp(), sync);
-            let schedule = generators::vocab_1f1b(pp, m, variant, costs.pass_times(), true);
-            (costs, schedule)
-        }
-        Method::Interlaced => {
-            let layout = StageLayout::vocab_parallel(config, pp);
-            let costs = SimCosts::for_layout(model, &layout, Some(VocabAlgo::Alg1))
-                .with_tp(grid.tp(), sync);
-            let schedule = generators::interlaced_1f1b(pp, m, costs.pass_times());
-            (costs, schedule)
-        }
-    };
-    let report = Executor::new(&costs)
-        .run(&schedule)
-        .expect("generated schedule must validate");
-    let (static_bytes, extra) = memory_1f1b_grid(method, &costs, config, grid, sync);
-    let mut out = finish(
-        method.name(),
-        &costs,
-        &schedule,
-        &report,
-        static_bytes,
-        &extra,
-    );
-    // MFU and the device count account for the whole grid, not just one
-    // column; per-device vectors stay per pipeline stage (columns are
-    // replicas). Bitwise unchanged at tp = 1.
-    out.devices = grid.devices();
-    out.mfu = costs.model().mfu(report.makespan, grid.devices());
-    out
-}
-
-/// Per-stage static/transient memory for [`run_1f1b_grid`]: as
-/// [`memory_1f1b`], but each tensor rank holds `1/tp` of the transformer
-/// matmul weights, while vocabulary shards and full vocabulary layers
-/// replicate across the row.
-fn memory_1f1b_grid(
-    method: Method,
-    costs: &SimCosts,
-    config: &ModelConfig,
-    grid: DeviceGrid,
-    sync: TpSyncStyle,
-) -> (Vec<f64>, Vec<f64>) {
-    let m = costs.model();
-    let pp = grid.pp();
-    let tp = grid.tp() as u64;
-    let part = VocabPartition::new(config.vocab, pp);
-    let tokens = (config.microbatch * config.seq_len) as f64;
-    let mut static_bytes = Vec::with_capacity(pp);
-    let mut extra = vec![0.0; pp];
-    #[allow(clippy::needless_range_loop)] // d also indexes the chunk table
-    for d in 0..pp {
-        let spec = costs.chunk(d, 0);
-        let mut params = spec.layers as u64 * config.transformer_layer_params() / tp;
-        if spec.full_input {
-            params += config.vocab_layer_params();
-        }
-        if spec.full_output {
-            params += config.vocab_layer_params();
-            // Full-vocabulary logits + softmax held transiently (fp32);
-            // PSA shards even this transient across the row.
-            extra[d] += 4.0
-                * tokens
-                * config.vocab as f64
-                * match sync {
-                    TpSyncStyle::AllReduce => 1.0,
-                    TpSyncStyle::Psa => 1.0 / tp as f64,
-                };
-        }
-        if matches!(method, Method::Vocab1 | Method::Vocab2 | Method::Interlaced) {
-            params += 2 * (part.shard_width() * config.hidden) as u64;
-        }
-        static_bytes.push(m.param_state_bytes(params));
-    }
-    (static_bytes, extra)
-}
-
-fn memory_1f1b(
-    method: Method,
-    costs: &SimCosts,
-    config: &ModelConfig,
-    devices: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let m = costs.model();
-    let part = VocabPartition::new(config.vocab, devices);
-    let tokens = (config.microbatch * config.seq_len) as f64;
-    let mut static_bytes = Vec::with_capacity(devices);
-    let mut extra = vec![0.0; devices];
-    #[allow(clippy::needless_range_loop)] // d also indexes the chunk table
-    for d in 0..devices {
-        let spec = costs.chunk(d, 0);
-        let mut params = spec.layers as u64 * config.transformer_layer_params();
-        if spec.full_input {
-            params += config.vocab_layer_params();
-        }
-        if spec.full_output {
-            params += config.vocab_layer_params();
-            // Full-vocabulary logits + softmax held transiently during the
-            // last stage's combined F/B (fp32).
-            extra[d] += 4.0 * tokens * config.vocab as f64;
-        }
-        if matches!(method, Method::Vocab1 | Method::Vocab2 | Method::Interlaced) {
-            params += 2 * (part.shard_width() * config.hidden) as u64;
-        }
-        static_bytes.push(m.param_state_bytes(params));
-    }
-    (static_bytes, extra)
+    let schedule = method.schedule(grid.pp(), m, costs.pass_times());
+    simulate(method.name(), &costs, &schedule)
 }
 
 /// Simulates one method on the V-Half schedule.
@@ -314,42 +211,13 @@ pub fn run_vhalf(
 ) -> SimReport {
     let model = CostModel::new(config.clone(), hardware);
     let m = config.num_microbatches as u32;
-    let vocab_parallel = method == VHalfMethod::Vocab1;
-    let algo = vocab_parallel.then_some(VocabAlgo::Alg1);
-    let costs = SimCosts::for_vhalf(model, devices, vocab_parallel, algo);
-    let schedule = if vocab_parallel {
-        generators::vhalf_vocab(devices, m, VocabVariant::Alg1, costs.pass_times(), true)
-    } else {
-        generators::vhalf(devices, m, costs.pass_times())
+    let algo = (method == VHalfMethod::Vocab1).then_some(VocabVariant::Alg1);
+    let costs = SimCosts::for_vhalf(model, devices, algo);
+    let schedule = match algo {
+        Some(v) => generators::vhalf_vocab(devices, m, v, costs.pass_times(), true),
+        None => generators::vhalf(devices, m, costs.pass_times()),
     };
-    let report = Executor::new(&costs)
-        .run(&schedule)
-        .expect("generated schedule must validate");
-    // Static memory.
-    let part = VocabPartition::new(config.vocab, devices);
-    let tokens = (config.microbatch * config.seq_len) as f64;
-    let mut static_bytes = Vec::with_capacity(devices);
-    let mut extra = vec![0.0; devices];
-    #[allow(clippy::needless_range_loop)] // d also indexes the chunk table
-    for d in 0..devices {
-        let mut params = (costs.chunk(d, 0).layers + costs.chunk(d, 1).layers) as u64
-            * config.transformer_layer_params();
-        if vocab_parallel {
-            params += 2 * (part.shard_width() * config.hidden) as u64;
-        } else if d == 0 {
-            params += 2 * config.vocab_layer_params();
-            extra[d] += 4.0 * tokens * config.vocab as f64;
-        }
-        static_bytes.push(costs.model().param_state_bytes(params));
-    }
-    finish(
-        method.name(),
-        &costs,
-        &schedule,
-        &report,
-        static_bytes,
-        &extra,
-    )
+    simulate(method.name(), &costs, &schedule)
 }
 
 /// Simulates Vocabulary Parallelism on 1F1B with an explicit output-layer
@@ -367,38 +235,14 @@ pub fn run_vocab_variant(
     hardware: Hardware,
 ) -> SimReport {
     let model = CostModel::new(config.clone(), hardware);
-    let algo = match variant {
-        VocabVariant::Naive => VocabAlgo::Naive,
-        VocabVariant::Alg1 => VocabAlgo::Alg1,
-        VocabVariant::Alg2 => VocabAlgo::Alg2,
-    };
-    let method = match variant {
-        VocabVariant::Naive => "vocab-naive",
-        VocabVariant::Alg1 => "vocab-1",
-        VocabVariant::Alg2 => "vocab-2",
-    };
-    let m = config.num_microbatches as u32;
     let layout = StageLayout::vocab_parallel(config, devices);
-    let costs = SimCosts::for_layout(model, &layout, Some(algo));
+    let costs = SimCosts::for_layout(model, &layout, Some(variant));
+    let m = config.num_microbatches as u32;
     let schedule = generators::vocab_1f1b(devices, m, variant, costs.pass_times(), true);
-    let report = Executor::new(&costs)
-        .run(&schedule)
-        .expect("generated schedule must validate");
-    let part = VocabPartition::new(config.vocab, devices);
-    let static_bytes: Vec<f64> = (0..devices)
-        .map(|d| {
-            let params = costs.chunk(d, 0).layers as u64 * config.transformer_layer_params()
-                + 2 * (part.shard_width() * config.hidden) as u64;
-            costs.model().param_state_bytes(params)
-        })
-        .collect();
-    finish(
-        method,
+    simulate(
+        &format!("vocab-{}", variant_suffix(variant)),
         &costs,
         &schedule,
-        &report,
-        static_bytes,
-        &vec![0.0; devices],
     )
 }
 
@@ -417,11 +261,11 @@ pub fn run_barrier_ablation(
         .collect()
 }
 
-/// Extension experiment: zero-bubble 1F1B (ZB-H1, Qi et al. 2023) with an
-/// optional Vocabulary Parallelism variant. Demonstrates the §4.4 remark
-/// that Algorithm 2's `T` pass is deferrable exactly like the zero-bubble
-/// `W` pass: with both used as fillers, warm-up/drain bubbles shrink
-/// relative to plain 1F1B at the same activation budget.
+/// Extension experiment: zero-bubble 1F1B (ZB-H1, Qi et al. 2023) with a
+/// Vocabulary Parallelism variant. Demonstrates the §4.4 remark that
+/// Algorithm 2's `T` pass is deferrable exactly like the zero-bubble `W`
+/// pass: with both used as fillers, warm-up/drain bubbles shrink relative
+/// to plain 1F1B at the same activation budget.
 ///
 /// # Panics
 ///
@@ -430,61 +274,17 @@ pub fn run_zero_bubble(
     config: &ModelConfig,
     devices: usize,
     hardware: Hardware,
-    variant: Option<VocabVariant>,
+    variant: VocabVariant,
 ) -> SimReport {
     let model = CostModel::new(config.clone(), hardware);
+    let layout = StageLayout::vocab_parallel(config, devices);
+    let costs = SimCosts::for_layout(model, &layout, Some(variant)).with_split_w();
     let m = config.num_microbatches as u32;
-    let part = VocabPartition::new(config.vocab, devices);
-    let (costs, schedule, name) = match variant {
-        None => {
-            let layout = StageLayout::baseline(config, devices);
-            let costs = SimCosts::for_layout(model, &layout, None).with_split_w();
-            let schedule = generators::zb_1f1b(devices, m, costs.pass_times());
-            (costs, schedule, "zb-baseline".to_string())
-        }
-        Some(v) => {
-            let algo = match v {
-                VocabVariant::Naive => VocabAlgo::Naive,
-                VocabVariant::Alg1 => VocabAlgo::Alg1,
-                VocabVariant::Alg2 => VocabAlgo::Alg2,
-            };
-            let layout = StageLayout::vocab_parallel(config, devices);
-            let costs = SimCosts::for_layout(model, &layout, Some(algo)).with_split_w();
-            let schedule = generators::zb_vocab_1f1b(devices, m, v, costs.pass_times(), false);
-            let name = match v {
-                VocabVariant::Naive => "zb-vocab-naive",
-                VocabVariant::Alg1 => "zb-vocab-1",
-                VocabVariant::Alg2 => "zb-vocab-2",
-            };
-            (costs, schedule, name.to_string())
-        }
-    };
-    let report = Executor::new(&costs)
-        .run(&schedule)
-        .expect("generated schedule must validate");
-    let static_bytes: Vec<f64> = (0..devices)
-        .map(|d| {
-            let spec = costs.chunk(d, 0);
-            let mut params = spec.layers as u64 * config.transformer_layer_params();
-            if spec.full_input {
-                params += config.vocab_layer_params();
-            }
-            if spec.full_output {
-                params += config.vocab_layer_params();
-            }
-            if variant.is_some() {
-                params += 2 * (part.shard_width() * config.hidden) as u64;
-            }
-            costs.model().param_state_bytes(params)
-        })
-        .collect();
-    finish(
-        &name,
+    let schedule = generators::zb_vocab_1f1b(devices, m, variant, costs.pass_times(), false);
+    simulate(
+        &format!("zb-vocab-{}", variant_suffix(variant)),
         &costs,
         &schedule,
-        &report,
-        static_bytes,
-        &vec![0.0; devices],
     )
 }
 
@@ -503,37 +303,14 @@ pub fn run_interleaved_vocab(
     hardware: Hardware,
 ) -> SimReport {
     let model = CostModel::new(config.clone(), hardware);
-    let algo = match variant {
-        VocabVariant::Naive => VocabAlgo::Naive,
-        VocabVariant::Alg1 => VocabAlgo::Alg1,
-        VocabVariant::Alg2 => VocabAlgo::Alg2,
-    };
+    let costs = SimCosts::for_interleaved(model, devices, chunks, Some(variant));
     let m = config.num_microbatches as u32;
-    let costs = SimCosts::for_interleaved(model, devices, chunks, Some(algo));
     let schedule =
         generators::interleaved_vocab_1f1b(devices, chunks, m, variant, costs.pass_times(), false);
-    let report = Executor::new(&costs)
-        .run(&schedule)
-        .expect("generated schedule must validate");
-    let part = VocabPartition::new(config.vocab, devices);
-    let static_bytes: Vec<f64> = (0..devices)
-        .map(|d| {
-            let layers: usize = (0..chunks).map(|c| costs.chunk(d, c).layers).sum();
-            let params = layers as u64 * config.transformer_layer_params()
-                + 2 * (part.shard_width() * config.hidden) as u64;
-            costs.model().param_state_bytes(params)
-        })
-        .collect();
-    finish(
-        &format!(
-            "interleaved{chunks}-vocab-{}",
-            if variant == VocabVariant::Alg1 { 1 } else { 2 }
-        ),
+    simulate(
+        &format!("interleaved{chunks}-vocab-{}", variant_suffix(variant)),
         &costs,
         &schedule,
-        &report,
-        static_bytes,
-        &vec![0.0; devices],
     )
 }
 
@@ -550,20 +327,19 @@ pub fn run_interlaced_ablation(
     hardware: Hardware,
 ) -> (f64, f64) {
     let model = CostModel::new(config.clone(), hardware);
-    let layout = StageLayout::vocab_parallel(config, devices);
+    let (layout, algo) = Method::Interlaced.layout(config, devices);
+    let mut costs = SimCosts::for_layout(model, &layout, algo);
     let m = config.num_microbatches as u32;
-    let mut costs = SimCosts::for_layout(model, &layout, Some(VocabAlgo::Alg1));
-    let schedule = generators::interlaced_1f1b(devices, m, costs.pass_times());
-    let with_sync = Executor::new(&costs)
-        .run(&schedule)
-        .expect("schedule must validate")
-        .makespan;
+    let schedule = Method::Interlaced.schedule(devices, m, costs.pass_times());
+    let makespan = |costs: &SimCosts| {
+        Executor::new(costs)
+            .run(&schedule)
+            .expect("schedule must validate")
+            .makespan
+    };
+    let with_sync = makespan(&costs);
     costs.disable_sync_collectives = true;
-    let without = Executor::new(&costs)
-        .run(&schedule)
-        .expect("schedule must validate")
-        .makespan;
-    (with_sync, without)
+    (with_sync, makespan(&costs))
 }
 
 #[cfg(test)]
@@ -733,7 +509,7 @@ mod tests {
         let hw = Hardware::default();
         let config = cfg(ModelPreset::Gpt4B, 128, 2048).with_num_microbatches(32);
         let plain = run_1f1b(Method::Vocab2, &config, 8, hw.clone());
-        let zb = run_zero_bubble(&config, 8, hw, Some(VocabVariant::Alg2));
+        let zb = run_zero_bubble(&config, 8, hw, VocabVariant::Alg2);
         assert!(zb.mfu > plain.mfu, "zb {} vs plain {}", zb.mfu, plain.mfu);
         assert!(zb.peak_microbatches[0] <= plain.peak_microbatches[0] + 1);
     }
@@ -755,41 +531,6 @@ mod tests {
         assert!(naive.max_memory_gb() > alg2.max_memory_gb());
         // Throughputs within a few percent of each other.
         assert!((naive.mfu - alg2.mfu).abs() < 0.05 * alg2.mfu);
-    }
-
-    /// A `pp × 1` grid is the flat pipeline, bitwise — every method.
-    #[test]
-    fn grid_tp1_is_bitwise_the_flat_run() {
-        let hw = Hardware::default();
-        let config = cfg(ModelPreset::Gpt4B, 128, 2048);
-        for method in Method::all() {
-            let flat = run_1f1b(method, &config, 8, hw.clone());
-            let grid = run_1f1b_grid(
-                method,
-                &config,
-                DeviceGrid::new(8, 1),
-                TpSyncStyle::AllReduce,
-                hw.clone(),
-            );
-            assert_eq!(
-                grid.iteration_seconds.to_bits(),
-                flat.iteration_seconds.to_bits(),
-                "{method:?}"
-            );
-            assert_eq!(grid.mfu.to_bits(), flat.mfu.to_bits(), "{method:?}");
-            assert_eq!(grid.devices, flat.devices);
-            for d in 0..8 {
-                assert_eq!(
-                    grid.peak_memory_bytes[d].to_bits(),
-                    flat.peak_memory_bytes[d].to_bits(),
-                    "{method:?} device {d}"
-                );
-                assert_eq!(
-                    grid.bubble_fraction[d].to_bits(),
-                    flat.bubble_fraction[d].to_bits()
-                );
-            }
-        }
     }
 
     /// Widening the tensor axis shards parameters and shortens stage

@@ -5,7 +5,8 @@
 pub struct SimReport {
     /// Human-readable method name ("baseline", "vocab-2", …).
     pub method: String,
-    /// Pipeline devices.
+    /// Devices of the whole `pp × tp` grid (`pp` on a flat pipeline); the
+    /// per-device vectors below hold one entry per pipeline stage.
     pub devices: usize,
     /// End-to-end iteration time, seconds.
     pub iteration_seconds: f64,

@@ -16,7 +16,7 @@ fn zero_bubble_vocab_beats_plain_vocab() {
         .with_vocab(256 * 1024)
         .with_num_microbatches(32);
     let plain = run_1f1b(Method::Vocab2, &config, 8, Hardware::default());
-    let zb = vp_sim::run_zero_bubble(&config, 8, Hardware::default(), Some(VocabVariant::Alg2));
+    let zb = vp_sim::run_zero_bubble(&config, 8, Hardware::default(), VocabVariant::Alg2);
     assert!(zb.mfu > plain.mfu, "zb {} vs plain {}", zb.mfu, plain.mfu);
 }
 

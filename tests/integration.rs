@@ -207,3 +207,91 @@ fn pp2_greedy_decode_matches_reference_decode() {
     .generate(config.model.vocab, config.model.seq_len);
     assert!(vp_runtime::greedy_matches_reference(&config, &requests).unwrap());
 }
+
+/// FNV-1a, 64-bit, over the bytes of a report's fields.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn report(&mut self, r: &SimReport) {
+        self.bytes(r.method.as_bytes());
+        self.word(r.devices as u64);
+        self.word(r.iteration_seconds.to_bits());
+        self.word(r.mfu.to_bits());
+        for v in [
+            &r.peak_memory_bytes,
+            &r.param_bytes,
+            &r.activation_bytes,
+            &r.bubble_fraction,
+        ] {
+            v.iter().for_each(|x| self.word(x.to_bits()));
+        }
+        r.peak_microbatches
+            .iter()
+            .for_each(|&n| self.word(n as u64));
+    }
+}
+
+/// Every simulated method runs through one path, and its reports are pinned
+/// bit for bit: the digest covers each `Method` at two vocabulary sizes
+/// (the flat pipeline, i.e. the `pp × 1` grid), the `pp × tp` grid under
+/// both sync styles, V-Half, the barrier ablation, zero-bubble and
+/// interleaved vocabulary schedules, and the interlaced sync ablation. The
+/// pinned value was computed from the separate flat and grid simulators
+/// this one path replaced, so a change to any report bit fails here.
+#[test]
+fn simulator_reports_are_pinned_bitwise() {
+    use vp_model::TpSyncStyle;
+    use vp_schedule::grid::DeviceGrid;
+    use vp_sim::{
+        run_1f1b_grid, run_barrier_ablation, run_interlaced_ablation, run_interleaved_vocab,
+        run_zero_bubble,
+    };
+    let hw = Hardware::default();
+    let config = |vocab_k: usize| {
+        ModelPreset::Gpt4B
+            .config()
+            .with_vocab(vocab_k * 1024)
+            .with_num_microbatches(16)
+    };
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for vocab_k in [32, 256] {
+        let config = config(vocab_k);
+        for method in Method::all() {
+            h.report(&run_1f1b(method, &config, 8, hw.clone()));
+        }
+    }
+    let config = config(256);
+    for sync in [TpSyncStyle::AllReduce, TpSyncStyle::Psa] {
+        for tp in [2, 4] {
+            for method in Method::all() {
+                let grid = DeviceGrid::new(16 / tp, tp);
+                h.report(&run_1f1b_grid(method, &config, grid, sync, hw.clone()));
+            }
+        }
+    }
+    for method in [VHalfMethod::Baseline, VHalfMethod::Vocab1] {
+        h.report(&run_vhalf(method, &config, 8, hw.clone()));
+    }
+    run_barrier_ablation(&config, 8, &hw)
+        .iter()
+        .for_each(|r| h.report(r));
+    for variant in [VocabVariant::Alg1, VocabVariant::Alg2] {
+        h.report(&run_zero_bubble(&config, 8, hw.clone(), variant));
+        h.report(&run_interleaved_vocab(&config, 8, 2, variant, hw.clone()));
+    }
+    let (with_sync, without) = run_interlaced_ablation(&config, 8, hw);
+    h.word(with_sync.to_bits());
+    h.word(without.to_bits());
+    assert_eq!(h.0, 0xa076_acf3_53b5_21a5, "digest {:#018x}", h.0);
+}

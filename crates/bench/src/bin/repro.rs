@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Experiments: `check`, `modelcheck`, `fig1`/`schedules`, `fig2`, `fig3`, `table3`,
-//! `table3-measured`, `table4`, `table5`, `table6`, `ablation-interlaced`,
+//! `table4`, `table5`, `table6`, `ablation-interlaced`,
 //! `ablation-barriers`, `ablation-zero-bubble`, `generality`,
 //! `generality-numeric`, `tpsweep`, `padding`, `trace`, `timeline`, `csv`,
 //! `fig17`, or `all`. `--quick` runs the throughput sweeps with 32 instead
@@ -16,7 +16,7 @@
 //! and with `--json` write an artifact (`--out <path>` redirects it; a
 //! failed write also exits 1): `check` (`CHECK.json`: any diagnostic on
 //! the static verification sweep), `modelcheck` (`MODELCHECK.json`: a
-//! static-vs-model disagreement or a case over its state budget),
+//! static-vs-model disagreement),
 //! `tpsweep` (`TPSWEEP.json`: a PP × TP configuration `vp-check` or its
 //! grid lints reject) and `timeline`
 //! (`TIMELINE.json`, plus `target/traces/measured-<name>.trace.json`:
@@ -68,7 +68,6 @@ fn main() {
             "table4",
             "schedules",
             "table3",
-            "table3-measured",
             "table5",
             "table6",
             "ablation-interlaced",
@@ -93,7 +92,6 @@ fn main() {
             "fig2" => fig2(),
             "fig3" => fig3(),
             "table3" => table3(),
-            "table3-measured" => table3_measured(),
             "table4" => table4(),
             "table5" => table5(microbatches),
             "table6" => table6(microbatches),
@@ -164,7 +162,7 @@ fn check_schedules(json: bool, out: Option<&str>) {
 }
 
 fn modelcheck(json: bool, out: Option<&str>) {
-    heading("Model check — static analyses vs exhaustive pass-VM execution, differentially");
+    heading("Model check — static analyses vs rendezvous-faithful execution, differentially");
     let cases = vp_bench::modelcheck::run();
     print!("{}", vp_bench::modelcheck::render(&cases));
     if json {
@@ -177,12 +175,8 @@ fn modelcheck(json: bool, out: Option<&str>) {
         .iter()
         .filter(|c| c.outcome == vp_bench::modelcheck::Outcome::Disagree)
         .count();
-    let over_budget = cases.iter().filter(|c| c.states > c.budget).count();
-    if disagreements > 0 || over_budget > 0 {
-        eprintln!(
-            "modelcheck: {disagreements} disagreement(s), {over_budget} case(s) over state \
-             budget — failing"
-        );
+    if disagreements > 0 {
+        eprintln!("modelcheck: {disagreements} disagreement(s) — failing");
         std::process::exit(1);
     }
 }
@@ -248,26 +242,6 @@ fn table3() {
             &rows
         )
     );
-}
-
-fn table3_measured() {
-    heading("Table 3 (measured) — CPU wall-clock scaling of the numeric S+T passes");
-    let rows: Vec<Vec<String>> = experiments::table3_measured(64, 64, 4096)
-        .into_iter()
-        .map(|(p, f1, f2)| {
-            vec![
-                p.to_string(),
-                format!("{:.1}%", 100.0 * f1),
-                format!("{:.1}%", 100.0 * f2),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(&["shards", "output-vocab-1", "output-vocab-2"], &rows)
-    );
-    println!("Measured on this machine's CPU kernels (methodology of §6.5; absolute values");
-    println!("reflect cache behaviour, not A100 kernels — see `repro table3` for the model).");
 }
 
 fn table4() {

@@ -308,67 +308,6 @@ pub fn generality_rows(microbatches: usize) -> Vec<(String, f64, f64, f64)> {
         .collect()
 }
 
-/// A *measured* analogue of Table 3 on this machine's CPU: wall-clock the
-/// numeric `S`+`T` passes of one shard at several partition factors and
-/// report throughput relative to linear scaling of the unpartitioned
-/// layer. (Absolute factors reflect CPU cache behaviour, not A100 kernels;
-/// the methodology is the paper's.) Returns `(p, factor_alg1, factor_alg2)`
-/// rows.
-///
-/// # Panics
-///
-/// Panics on tensor errors (fixed, valid shapes).
-pub fn table3_measured(tokens: usize, hidden: usize, vocab: usize) -> Vec<(usize, f64, f64)> {
-    use std::time::Instant;
-    use vp_core::{OutputShard, VocabAlgo};
-    use vp_model::partition::VocabPartition;
-    use vp_tensor::init::{normal, seeded_rng};
-
-    let mut rng = seeded_rng(123);
-    let full_w = normal(&mut rng, vocab, hidden, 0.3);
-    let x = normal(&mut rng, tokens, hidden, 1.0);
-    let labels: Vec<usize> = (0..tokens).map(|i| (i * 977) % vocab).collect();
-
-    // Time the S+T work of one shard at partition factor p (the barrier
-    // compute is excluded, as the paper excludes overlapped communication).
-    let time_shard = |algo: VocabAlgo, p: usize| -> f64 {
-        let part = VocabPartition::new(vocab, p);
-        let mut shard = OutputShard::from_full(&full_w, part, 0).expect("shard");
-        // Warm up once, then measure a few repetitions.
-        let reps = 3;
-        let mut best = f64::INFINITY;
-        for _ in 0..=reps {
-            let start = Instant::now();
-            let mut state = shard.s_pass(algo, &x, &labels).expect("s pass");
-            // Complete the barrier locally (single-shard stats are global).
-            match algo {
-                VocabAlgo::Alg1 => {
-                    state.barrier_local();
-                    let _ = shard.t_pass_alg1(&state, &x).expect("t pass");
-                }
-                _ => {
-                    state.barrier_local();
-                    shard.t_pass_alg2(&state, &x).expect("t pass");
-                }
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-
-    let mut rows = Vec::new();
-    for p in [2usize, 4, 8] {
-        let mut factors = [0.0f64; 2];
-        for (i, algo) in [VocabAlgo::Alg1, VocabAlgo::Alg2].into_iter().enumerate() {
-            let full = time_shard(algo, 1);
-            let shard = time_shard(algo, p);
-            factors[i] = (full / p as f64) / shard;
-        }
-        rows.push((p, factors[0], factors[1]));
-    }
-    rows
-}
-
 /// Writes the Figure 11–14 data series as CSV files into `dir`
 /// (`fig11_12_<setup>.csv` for the 1F1B methods, `fig13_14_<setup>.csv`
 /// for V-Half). Returns the written paths.
@@ -663,16 +602,6 @@ mod tests {
     fn zero_bubble_ablation_improves() {
         let rows = ablation_zero_bubble(16);
         assert!(rows[1].1 > rows[0].1, "{rows:?}");
-    }
-
-    #[test]
-    fn table3_measured_produces_sane_factors() {
-        let rows = table3_measured(16, 32, 512);
-        assert_eq!(rows.len(), 3);
-        for (p, f1, f2) in rows {
-            assert!(f1.is_finite() && f1 > 0.05 && f1 < 5.0, "p={p}: f1 {f1}");
-            assert!(f2.is_finite() && f2 > 0.05 && f2 < 5.0, "p={p}: f2 {f2}");
-        }
     }
 
     #[test]

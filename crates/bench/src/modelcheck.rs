@@ -1,5 +1,6 @@
 //! `repro modelcheck` — differential validation of the static analyses
-//! against the exhaustive pass-VM model checker (`vp_check::model`).
+//! against execution under the runtime's blocking semantics
+//! (`vp_check::model`).
 //!
 //! Two oracles look at every schedule:
 //!
@@ -10,8 +11,10 @@
 //!   collective is a true rendezvous, i.e. the decode sampling barrier
 //!   (see `is_hang_prediction` for why the asynchronous cases are
 //!   backend hazards outside the VM's semantics);
-//! * the **dynamic** side executes the schedule on the model checker's
-//!   pass-VM and reports whether some interleaving deadlocks.
+//! * the **dynamic** side runs the schedule on the `vp-schedule` executor
+//!   with the decode barriers as rendezvous and reports whether it gets
+//!   stuck — which, since every transition commutes, is whether any
+//!   interleaving deadlocks.
 //!
 //! The two must agree on every input: a *false clean* (static says fine,
 //! model deadlocks) is a soundness hole of the kind that shipped the PR-8
@@ -25,16 +28,17 @@
 //! either semantics applies; they are counted as `static_rejected` and
 //! the harness asserts the model refuses them too.
 //!
-//! Disagreements are rendered with the model checker's replayable
-//! interleaving trace so a soundness bug arrives as a concrete execution,
-//! not a boolean. `ci.sh` gates on zero disagreements, a minimum mutant
-//! count, and every case staying inside its explored-state budget.
+//! Disagreements are rendered with the executor's fired transitions so a
+//! soundness bug arrives as a concrete execution, not a boolean. `ci.sh`
+//! gates on zero disagreements and a minimum mutant count.
 
 use std::collections::HashSet;
 
 use vp_check::diag::{Code, Diagnostic};
 use vp_check::model::{model_check, render_trace, ModelConfig, ModelError, Verdict};
 use vp_check::{check_with, CheckConfig};
+use vp_schedule::deps::sync_collectives;
+use vp_schedule::fixtures::decode_pipeline_overlap_missplit;
 use vp_schedule::pass::{PassKind, Schedule, ScheduledPass};
 
 use crate::check::{sweep_cases, SweepCase};
@@ -47,39 +51,22 @@ use crate::table::json_escape;
 /// (issue-order skew) hang a real collective *backend* — an in-order
 /// stream or a fixed-world group — but the pass-VM's channels stash and
 /// never block on order or membership, so they only predict a VM hang
-/// when the collective involved is a true rendezvous: a decode sampling
-/// barrier whose `S` pass merges inline. An `S` whose microbatch also has
-/// a deferred `T` merge somewhere in the schedule (the overlapped decode
-/// family) is *stream-offloaded* — the submitting thread never blocks in
-/// the barrier, matching `sync_collectives`' per-`S` classification — so
-/// order/membership skew on it is a backend-data hazard, not a VM hang.
-/// The non-rendezvous cases are deliberate over-approximations of backend
-/// behavior the model cannot exhibit ([`Outcome::OutOfModel`]).
-fn is_hang_prediction(d: &Diagnostic, forward_only: bool, deferred: &HashSet<u32>) -> bool {
+/// when a site they name is a rendezvous call: one of the
+/// `(device, slot)` sites of `sync_collectives`, the decode sampling
+/// barriers that merge inline. Everything else (training barriers, the
+/// stream-offloaded `S` of the overlapped decode family) is a deliberate
+/// over-approximation of backend behavior the model cannot exhibit
+/// ([`Outcome::OutOfModel`]).
+fn is_hang_prediction(d: &Diagnostic, rendezvous: &HashSet<(usize, usize)>) -> bool {
     match d.code {
         Code::Deadlock | Code::RendezvousDeadlock => true,
-        Code::MissingParticipant | Code::CollectiveOrder => {
-            forward_only
-                && d.primary
-                    .iter()
-                    .chain(d.related.iter().map(|(site, _)| site))
-                    .any(|site| {
-                        site.pass.kind == PassKind::S && !deferred.contains(&site.pass.microbatch)
-                    })
-        }
+        Code::MissingParticipant | Code::CollectiveOrder => d
+            .primary
+            .iter()
+            .chain(d.related.iter().map(|(site, _)| site))
+            .any(|site| rendezvous.contains(&(site.device, site.slot))),
         _ => false,
     }
-}
-
-/// Microbatches whose sampling merge is deferred to a `T` pass somewhere
-/// in the schedule — mirrors the per-`S` rendezvous rule of
-/// `vp_schedule`'s `sync_collectives`.
-fn deferred_merges(schedule: &Schedule) -> HashSet<u32> {
-    (0..schedule.devices())
-        .flat_map(|d| schedule.passes(d).iter())
-        .filter(|pass| pass.kind == PassKind::T)
-        .map(|pass| pass.microbatch)
-        .collect()
 }
 
 /// How one differential case resolved.
@@ -116,32 +103,22 @@ pub struct ModelCase {
     /// Whether the model found a deadlock (`None` when the model refused
     /// the input as structurally broken / mode-violating).
     pub model_deadlock: Option<bool>,
-    /// Distinct states the model explored (0 when refused).
+    /// States the model visited: one per transition plus the initial one
+    /// (0 when refused).
     pub states: usize,
-    /// The per-case explored-state budget the model ran under.
-    pub budget: usize,
-    /// For disagreements: the replayable interleaving trace (or the
-    /// model's completion note) proving the dynamic verdict.
+    /// For disagreements: the fired transitions (or the model's completion
+    /// note) proving the dynamic verdict.
     pub evidence: String,
-}
-
-/// Explored-state budget for a schedule: the reduced exploration is
-/// linear (one state per transition, arrivals included), so a small
-/// multiple of the pass count plus slack is a tight cap that still
-/// catches exploration blow-ups immediately.
-pub fn state_budget(schedule: &Schedule) -> usize {
-    4 * schedule.total_passes() + 64
 }
 
 fn static_hang_codes(
     report: &vp_check::CheckReport,
-    forward_only: bool,
-    deferred: &HashSet<u32>,
+    rendezvous: &HashSet<(usize, usize)>,
 ) -> Vec<&'static str> {
     let mut codes: Vec<&'static str> = report
         .diagnostics
         .iter()
-        .filter(|d| is_hang_prediction(d, forward_only, deferred))
+        .filter(|d| is_hang_prediction(d, rendezvous))
         .map(|d| d.code.as_str())
         .collect();
     codes.sort_unstable();
@@ -151,15 +128,14 @@ fn static_hang_codes(
 
 fn out_of_model_codes(
     report: &vp_check::CheckReport,
-    forward_only: bool,
-    deferred: &HashSet<u32>,
+    rendezvous: &HashSet<(usize, usize)>,
 ) -> Vec<&'static str> {
     let mut codes: Vec<&'static str> = report
         .diagnostics
         .iter()
         .filter(|d| {
             matches!(d.code, Code::MissingParticipant | Code::CollectiveOrder)
-                && !is_hang_prediction(d, forward_only, deferred)
+                && !is_hang_prediction(d, rendezvous)
         })
         .map(|d| d.code.as_str())
         .collect();
@@ -185,13 +161,13 @@ fn differential(
     config: &CheckConfig,
 ) -> ModelCase {
     let report = check_with(schedule, config);
-    let deferred = deferred_merges(schedule);
-    let static_codes = static_hang_codes(&report, config.forward_only, &deferred);
-    let budget = state_budget(schedule);
+    let rendezvous: HashSet<(usize, usize)> = sync_collectives(schedule, config.forward_only)
+        .into_iter()
+        .flat_map(|inst| inst.sites)
+        .collect();
+    let static_codes = static_hang_codes(&report, &rendezvous);
     let model_cfg = ModelConfig {
         forward_only: config.forward_only,
-        max_states: budget,
-        full: false,
     };
     let model = model_check(schedule, &model_cfg);
     if static_rejects(&report) {
@@ -213,7 +189,6 @@ fn differential(
             static_codes,
             model_deadlock: None,
             states: 0,
-            budget,
             evidence,
         };
     }
@@ -236,7 +211,7 @@ fn differential(
                 (Outcome::Disagree, evidence)
             } else if deadlocked {
                 (Outcome::AgreeDeadlock, String::new())
-            } else if !out_of_model_codes(&report, config.forward_only, &deferred).is_empty() {
+            } else if !out_of_model_codes(&report, &rendezvous).is_empty() {
                 (Outcome::OutOfModel, String::new())
             } else {
                 (Outcome::AgreeClean, String::new())
@@ -248,7 +223,6 @@ fn differential(
                 static_codes,
                 model_deadlock: Some(deadlocked),
                 states: verdict.states(),
-                budget,
                 evidence,
             }
         }
@@ -259,7 +233,6 @@ fn differential(
             static_codes,
             model_deadlock: None,
             states: 0,
-            budget,
             evidence: format!(
                 "static analysis accepted the schedule but the model refused it: {err}"
             ),
@@ -409,55 +382,24 @@ fn mutate_unhoist_inputf(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedule>
 }
 
 /// Rebuilds an overlapped decode schedule with an *inconsistent* S/T
-/// split across devices: device 0 merges each slot immediately (zero
-/// S→T lag) while every other device defers its merge by a seeded lag of
-/// two or three forwards — the `decode_pipeline_overlap_missplit` shape.
-/// For `p ≥ 2`, `m ≥ 2` the asymmetric happens-before graph cycles
-/// (`VP0001`) and the VM reaches the same stuck state. The mutant is a
-/// per-slot list, so it applies only to forward-only schedules that defer
-/// one merge per slot (the `g = 1` overlap bases).
+/// split across devices at a seeded lag of two or three forwards: the
+/// `decode_pipeline_overlap_missplit` fixture. For `p ≥ 2`, `m ≥ 2` the
+/// asymmetric happens-before graph cycles (`VP0001`) and the VM reaches
+/// the same stuck state. The mutant is a per-slot list, so it applies only
+/// to forward-only schedules that defer one merge per slot (the `g = 1`
+/// overlap bases).
 fn mutate_missplit_overlap(schedule: &Schedule, rng: &mut Lcg) -> Option<Schedule> {
-    let passes = device_passes(schedule);
+    let p = schedule.devices();
     let m = schedule.num_microbatches();
-    let merge_per_slot = passes
-        .iter()
-        .all(|list| list.iter().filter(|pass| pass.kind == PassKind::T).count() == m as usize);
-    let decode_only = passes.iter().flatten().all(|pass| pass.kind.decode_safe());
-    if !merge_per_slot || !decode_only || passes.len() < 2 {
+    let merge_per_slot = (0..p).all(|d| schedule.count_kind(d, PassKind::T) == m as usize);
+    let decode_only = schedule
+        .iter_all()
+        .all(|(_, _, pass)| pass.kind.decode_safe());
+    if !merge_per_slot || !decode_only || p < 2 {
         return None;
     }
     let lag = 2 + rng.below(2) as u32;
-    let mut mutated = Vec::with_capacity(passes.len());
-    for d in 0..passes.len() {
-        let mut v = Vec::new();
-        for k in 0..m {
-            v.push(ScheduledPass::new(PassKind::InputF, k));
-        }
-        if d == 0 {
-            // Zero lag: merge immediately after every forward, as if
-            // this device's overlapped half-batch were empty.
-            for k in 0..m {
-                v.push(ScheduledPass::new(PassKind::F, k));
-                v.push(ScheduledPass::new(PassKind::S, k));
-                v.push(ScheduledPass::new(PassKind::T, k));
-            }
-        } else {
-            for k in 0..m.min(lag) {
-                v.push(ScheduledPass::new(PassKind::F, k));
-            }
-            for k in lag..m {
-                v.push(ScheduledPass::new(PassKind::S, k - lag));
-                v.push(ScheduledPass::new(PassKind::F, k));
-                v.push(ScheduledPass::new(PassKind::T, k - lag));
-            }
-            for k in m.saturating_sub(lag)..m {
-                v.push(ScheduledPass::new(PassKind::S, k));
-                v.push(ScheduledPass::new(PassKind::T, k));
-            }
-        }
-        mutated.push(v);
-    }
-    Some(rebuild(schedule, mutated))
+    Some(decode_pipeline_overlap_missplit(p, m, lag))
 }
 
 /// Moves one group boundary of one device a slot later: an `S(k)` that
@@ -580,13 +522,9 @@ pub fn render(cases: &[ModelCase]) -> String {
             },
             case.static_codes.join("+"),
             case.states.to_string(),
-            case.budget.to_string(),
         ]);
     }
-    let mut out = crate::table::render(
-        &["case", "verdict", "static codes", "states", "budget"],
-        &rows,
-    );
+    let mut out = crate::table::render(&["case", "verdict", "static codes", "states"], &rows);
     for case in cases {
         if case.outcome == Outcome::Disagree {
             out.push_str(&format!("\n--- {} ---\n{}\n", case.name, case.evidence));
@@ -630,7 +568,6 @@ pub fn to_json(cases: &[ModelCase]) -> String {
         .iter()
         .filter(|c| c.outcome == Outcome::OutOfModel)
         .count();
-    let over_budget = cases.iter().filter(|c| c.states > c.budget).count();
     let max_states = cases.iter().map(|c| c.states).max().unwrap_or(0);
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"cases\": {},\n", cases.len()));
@@ -639,7 +576,6 @@ pub fn to_json(cases: &[ModelCase]) -> String {
     out.push_str(&format!("  \"disagreements\": {disagreements},\n"));
     out.push_str(&format!("  \"agree_deadlock\": {agree_deadlock},\n"));
     out.push_str(&format!("  \"out_of_model\": {out_of_model},\n"));
-    out.push_str(&format!("  \"over_budget\": {over_budget},\n"));
     out.push_str(&format!("  \"max_states\": {max_states},\n"));
     out.push_str("  \"results\": [\n");
     for (i, case) in cases.iter().enumerate() {
@@ -656,8 +592,7 @@ pub fn to_json(cases: &[ModelCase]) -> String {
         };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"mutant\": {}, \"outcome\": \"{outcome}\", \
-             \"static_codes\": [{}], \"model_deadlock\": {model}, \"states\": {}, \
-             \"budget\": {}{}}}{}\n",
+             \"static_codes\": [{}], \"model_deadlock\": {model}, \"states\": {}{}}}{}\n",
             json_escape(&case.name),
             case.mutant,
             case.static_codes
@@ -666,7 +601,6 @@ pub fn to_json(cases: &[ModelCase]) -> String {
                 .collect::<Vec<_>>()
                 .join(", "),
             case.states,
-            case.budget,
             if case.evidence.is_empty() {
                 String::new()
             } else {
@@ -682,6 +616,8 @@ pub fn to_json(cases: &[ModelCase]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vp_schedule::deps::{build_deps, EdgeKind};
+    use vp_schedule::exec::{Costs, Executor};
 
     #[test]
     fn differential_suite_has_zero_disagreements() {
@@ -713,8 +649,6 @@ mod tests {
         assert!(cases
             .iter()
             .any(|c| c.mutant && c.outcome == Outcome::AgreeDeadlock));
-        // Every model run stayed inside its explored-state budget.
-        assert!(cases.iter().all(|c| c.states <= c.budget));
         // A group boundary skewed on one device always dies, as a missing
         // participant statically and a stuck rendezvous in the VM. Bases:
         // inline grouped lists with room behind a boundary — g = 2 at
@@ -778,6 +712,66 @@ mod tests {
                 && (c.name.contains(" of decode-pipeline p=")
                     || c.name.contains(" of decode-grouped g="))
         }));
+    }
+
+    /// Unit pass costs except on device 0, whose passes take three units:
+    /// its peers reach some sampling barriers before it does.
+    struct SlowDevice0;
+
+    impl Costs for SlowDevice0 {
+        fn pass_seconds(&self, device: usize, _pass: &ScheduledPass) -> f64 {
+            if device == 0 {
+                3.0
+            } else {
+                1.0
+            }
+        }
+
+        fn edge_seconds(&self, _kind: EdgeKind, _from: usize, _to: usize) -> f64 {
+            0.1
+        }
+
+        fn activation_units(&self, _device: usize, _chunk: u8) -> f64 {
+            1.0
+        }
+
+        fn vocab_buffer_units(&self, _device: usize) -> f64 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn the_executor_runs_every_decode_sweep_case_with_shared_barrier_starts() {
+        let mut instances = 0;
+        for case in sweep_cases().iter().filter(|c| c.config.forward_only) {
+            let deps = build_deps(&case.schedule).unwrap();
+            let sync = sync_collectives(&case.schedule, true);
+            let report = Executor::new(&SlowDevice0)
+                .run_with_graph(&case.schedule, &deps, &sync)
+                .unwrap_or_else(|stuck| panic!("{}: {stuck:?}", case.name));
+            // The common start is the latest arrival: no device starts a
+            // pass before its previous one ends.
+            for (start, end) in report.start.iter().zip(&report.end) {
+                assert!(
+                    start.iter().skip(1).zip(end).all(|(s, e)| s >= e),
+                    "{}",
+                    case.name
+                );
+            }
+            for inst in &sync {
+                assert_eq!(inst.sites.len(), case.schedule.devices(), "{}", case.name);
+                let (d0, slot0) = inst.sites[0];
+                assert!(
+                    inst.sites
+                        .iter()
+                        .all(|&(d, slot)| report.start[d][slot] == report.start[d0][slot0]),
+                    "{}: {inst:?}",
+                    case.name
+                );
+                instances += 1;
+            }
+        }
+        assert!(instances > 0);
     }
 
     #[test]

@@ -44,12 +44,12 @@
 //!   looks fine to the asymmetric model but hangs the real runtime — is
 //!   `VP0017`, with the minimal cycle naming the blocked collective and
 //!   the unsent row.
-//! * **Execution model checking** ([`model`]) — an exhaustive explorer of
-//!   the pass-VM's actual concurrency semantics (per-device program
-//!   counters, blocking receives, rendezvous barriers) over the same
-//!   schedules, used to *differentially validate* the graph analyses: the
-//!   `repro modelcheck` sweep asserts the static verdict and the explored
-//!   verdict agree on every grid case and seeded mutant.
+//! * **Execution model checking** ([`model`]) — runs the same schedules
+//!   under the runtime's blocking semantics (in-order devices, blocking
+//!   receives, rendezvous barriers) on the `vp-schedule` executor, used to
+//!   *differentially validate* the graph analyses: the `repro modelcheck`
+//!   sweep asserts the static verdict and the executed verdict agree on
+//!   every grid case and seeded mutant.
 //!
 //! The `repro check` subcommand sweeps every built-in generator family
 //! through [`check`] (and `repro tpsweep` gates its grid configurations
@@ -347,14 +347,14 @@ mod tests {
 
     #[test]
     fn missplit_overlap_decode_is_rejected_as_a_deadlock() {
-        use vp_schedule::generators::decode_pipeline_overlap_missplit;
+        use vp_schedule::fixtures::decode_pipeline_overlap_missplit;
         // The inconsistent half-batch split: device 0 merges at lag 0,
         // everyone else at lag 2. The wait lives at T (the S passes are
         // stream-offloaded), so the cycle is already in the asymmetric
         // graph — VP0001, not VP0017.
         for p in [2usize, 4] {
             for m in [2u32, 3, 8] {
-                let report = check_decode(&decode_pipeline_overlap_missplit(p, m));
+                let report = check_decode(&decode_pipeline_overlap_missplit(p, m, 2));
                 assert!(
                     report.has(Code::Deadlock),
                     "p={p} m={m}: {:?}",
@@ -363,9 +363,9 @@ mod tests {
             }
         }
         // Degenerate sizes never reach the inconsistent window: clean.
-        assert!(check_decode(&decode_pipeline_overlap_missplit(2, 1)).is_clean());
+        assert!(check_decode(&decode_pipeline_overlap_missplit(2, 1, 2)).is_clean());
         // The witness cycle crosses a T wait and an F of the next slot.
-        let report = check_decode(&decode_pipeline_overlap_missplit(2, 2));
+        let report = check_decode(&decode_pipeline_overlap_missplit(2, 2, 2));
         let d = report
             .diagnostics
             .iter()
@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn unhoisted_decode_schedule_is_rejected_with_vp0017() {
-        use vp_schedule::generators::decode_pipeline_natural;
+        use vp_schedule::fixtures::decode_pipeline_natural;
         // The PR-8 serving deadlock, now a diagnostic instead of a hang:
         // InputF sends in natural position at p=2/m=2.
         let report = check_decode(&decode_pipeline_natural(2, 2));
@@ -412,7 +412,7 @@ mod tests {
 
     #[test]
     fn unhoisted_decode_family_deadlocks_across_sizes() {
-        use vp_schedule::generators::decode_pipeline_natural;
+        use vp_schedule::fixtures::decode_pipeline_natural;
         for p in [2usize, 4] {
             for m in [2u32, 3, 8] {
                 let report = check_decode(&decode_pipeline_natural(p, m));

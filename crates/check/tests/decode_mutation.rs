@@ -246,7 +246,7 @@ fn skewed_group_boundaries_are_killed_as_vp0005() {
 fn the_natural_layout_is_the_canonical_vp0017_witness() {
     // Not seeded: the exact shipped-then-fixed schedule shape, end to end
     // through the public decode entry point.
-    use vp_schedule::generators::decode_pipeline_natural;
+    use vp_schedule::fixtures::decode_pipeline_natural;
     let report = check_decode(&decode_pipeline_natural(2, 2));
     let diag = report
         .diagnostics

@@ -474,16 +474,22 @@ pub fn build_deps(schedule: &Schedule) -> Result<DepGraph, DepError> {
 /// wait on each other.
 pub fn validate(schedule: &Schedule) -> Result<DepGraph, DepError> {
     let graph = build_deps(schedule)?;
-    let hb = crate::hb::HbGraph::new(schedule, &graph);
-    if let Some(cycle) = hb.minimal_cycle() {
-        let head = cycle.first().expect("cycles are non-empty");
-        return Err(DepError::Deadlock {
-            device: head.device,
-            pass: head.pass,
-            cycle,
-        });
+    match deadlock(schedule, &graph) {
+        Some(err) => Err(err),
+        None => Ok(graph),
     }
-    Ok(graph)
+}
+
+/// The [`DepError::Deadlock`] naming the minimal happens-before cycle of
+/// `schedule`, or `None` if its graph is acyclic.
+pub(crate) fn deadlock(schedule: &Schedule, graph: &DepGraph) -> Option<DepError> {
+    let cycle = crate::hb::HbGraph::new(schedule, graph).minimal_cycle()?;
+    let head = cycle.first().expect("cycles are non-empty");
+    Some(DepError::Deadlock {
+        device: head.device,
+        pass: head.pass,
+        cycle,
+    })
 }
 
 #[cfg(test)]
@@ -666,6 +672,10 @@ mod tests {
         // order but is the *last* virtual stage backward requiring its own
         // F0 which is behind it → deadlock.
         assert!(matches!(validate(&sched), Err(DepError::Deadlock { .. })));
+        // The executor finds it by running: stuck, it reports the same cycle.
+        let costs = crate::exec::UnitCosts::new(PassTimes::default(), 1);
+        let run = crate::exec::Executor::new(&costs).run(&sched);
+        assert_eq!(run.unwrap_err(), validate(&sched).unwrap_err());
     }
 
     #[test]

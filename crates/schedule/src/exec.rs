@@ -7,7 +7,12 @@
 //! compute arises exactly as in the paper: a barrier's latency is hidden
 //! when the schedule places other passes between the producer and the
 //! consumer, and bites as a bubble when it does not (the interlaced
-//! pipeline's synchronous all-reduces).
+//! pipeline's synchronous all-reduces). A rendezvous
+//! ([`crate::deps::sync_collectives`], the decode sampling barrier) starts
+//! all its participants at the latest arrival; one scheduled on fewer
+//! devices than the world never completes. A run that stops with work left
+//! is [`Stuck`]. Enabled transitions commute, so this one run reaches the
+//! end every interleaving reaches.
 //!
 //! The executor also tracks resident activation "units" per device —
 //! `+alloc` at each `F`, `−alloc` at the matching `B`, plus transient
@@ -15,7 +20,7 @@
 //! activation memory that §5.2 reasons about analytically.
 
 use crate::block::PassTimes;
-use crate::deps::{validate, DepError, DepGraph, EdgeKind};
+use crate::deps::{build_deps, deadlock, DepError, DepGraph, EdgeKind, SyncCollective};
 use crate::pass::{PassKind, Schedule, ScheduledPass};
 
 /// Cost provider: durations of passes, communication costs of dependency
@@ -128,6 +133,95 @@ impl ExecReport {
     }
 }
 
+/// What one fired transition of a run did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// The device completed an ordinary pass and advanced.
+    Complete,
+    /// The device arrived at its rendezvous and now blocks inside it.
+    Arrive,
+    /// The device arrived last and released every participant.
+    ArriveAndRelease,
+}
+
+/// One fired transition of a run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceStep {
+    /// The device that fired.
+    pub device: usize,
+    /// The slot it was at.
+    pub slot: usize,
+    /// The pass at that slot.
+    pub pass: ScheduledPass,
+    /// What happened.
+    pub action: Action,
+}
+
+/// A device a stuck run left unfinished, and why it cannot proceed.
+#[derive(Debug, Clone)]
+pub struct Blocked {
+    /// The stuck device.
+    pub device: usize,
+    /// The slot it cannot get past.
+    pub slot: usize,
+    /// The pass at that slot.
+    pub pass: ScheduledPass,
+    /// Human-readable description of the unmet wait.
+    pub reason: String,
+}
+
+/// A run that stopped with work left: no device can progress.
+#[derive(Debug, Clone)]
+pub struct Stuck {
+    /// Every unfinished device and what it waits for, by device.
+    pub blocked: Vec<Blocked>,
+    /// The transitions fired before the run stopped, in firing order.
+    pub trace: Vec<TraceStep>,
+}
+
+/// One device's progress through its pass list.
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    /// Next slot; every earlier slot has completed.
+    cursor: usize,
+    free_at: f64,
+    busy: f64,
+    act_units: f64,
+    peak_units: f64,
+    resident: usize,
+    peak_resident: usize,
+    /// Arrival time while blocked inside a rendezvous.
+    arrived: Option<f64>,
+}
+
+impl Lane {
+    /// Runs `pass`, the device's next one, from time `at`; returns its end.
+    fn complete<C: Costs>(&mut self, costs: &C, d: usize, pass: &ScheduledPass, at: f64) -> f64 {
+        let dur = costs.pass_seconds(d, pass);
+        self.free_at = at + dur;
+        self.busy += dur;
+        self.cursor += 1;
+        self.arrived = None;
+        // Memory events, in program order per device.
+        match pass.kind {
+            PassKind::F => {
+                self.act_units += costs.activation_units(d, pass.chunk);
+                self.resident += 1;
+            }
+            PassKind::B => {
+                self.act_units -= costs.activation_units(d, pass.chunk);
+                self.resident = self.resident.saturating_sub(1);
+            }
+            PassKind::S | PassKind::OutputF => self.act_units += costs.vocab_buffer_units(d),
+            PassKind::T | PassKind::OutputB => self.act_units -= costs.vocab_buffer_units(d),
+            _ => {}
+        }
+        self.peak_units = self.peak_units.max(self.act_units);
+        self.peak_resident = self.peak_resident.max(self.resident);
+        self.free_at
+    }
+}
+
 /// Executes schedules under a cost provider.
 #[derive(Debug)]
 pub struct Executor<'a, C: Costs> {
@@ -140,108 +234,146 @@ impl<'a, C: Costs> Executor<'a, C> {
         Executor { costs }
     }
 
-    /// Validates and executes `schedule`, returning per-pass times and
-    /// memory peaks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DepError`] if the schedule is malformed (missing or
-    /// duplicate passes, or deadlocking per-device orders).
+    /// Executes `schedule` with no rendezvous (training semantics); a
+    /// [`DepError`] names missing or duplicate passes or, when the run gets
+    /// stuck, the minimal cycle [`crate::deps::validate`] reports.
     pub fn run(&self, schedule: &Schedule) -> Result<ExecReport, DepError> {
-        let graph = validate(schedule)?;
-        Ok(self.run_with_graph(schedule, &graph))
+        let graph = build_deps(schedule)?;
+        self.run_with_graph(schedule, &graph, &[]).map_err(|_| {
+            deadlock(schedule, &graph).expect("a run stuck without rendezvous has a cycle")
+        })
     }
 
-    /// Executes a schedule whose dependency graph was already validated.
-    pub fn run_with_graph(&self, schedule: &Schedule, graph: &DepGraph) -> ExecReport {
+    /// Executes `schedule` against its dependency graph with `sync` as the
+    /// rendezvous instances; a run that stops with work left is [`Stuck`].
+    pub fn run_with_graph(
+        &self,
+        schedule: &Schedule,
+        graph: &DepGraph,
+        sync: &[SyncCollective],
+    ) -> Result<ExecReport, Stuck> {
         let p = schedule.devices();
-        let mut start: Vec<Vec<f64>> = (0..p)
-            .map(|d| vec![0.0; schedule.passes(d).len()])
-            .collect();
-        let mut end: Vec<Vec<f64>> = start.clone();
-        let mut done: Vec<Vec<bool>> = (0..p)
-            .map(|d| vec![false; schedule.passes(d).len()])
-            .collect();
-        let mut cursor = vec![0usize; p];
-        let mut free_at = vec![0.0f64; p];
-        let mut busy = vec![0.0f64; p];
-        // Memory accounting.
-        let mut act_units = vec![0.0f64; p];
-        let mut peak_units = vec![0.0f64; p];
-        let mut resident = vec![0usize; p];
-        let mut peak_resident = vec![0usize; p];
-
-        loop {
-            let mut progressed = false;
-            let mut all_done = true;
+        let rendezvous = |d, i| sync.iter().find(|inst| inst.sites.contains(&(d, i)));
+        // Devices complete their passes in order, so times are appended.
+        let (mut start, mut end) = (vec![Vec::new(); p], vec![Vec::new(); p]);
+        let mut lanes = vec![Lane::default(); p];
+        let mut trace = Vec::new();
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
             for d in 0..p {
-                while cursor[d] < schedule.passes(d).len() {
-                    let i = cursor[d];
+                while lanes[d].arrived.is_none() {
+                    let i = lanes[d].cursor;
+                    let Some(&pass) = schedule.passes(d).get(i) else {
+                        break;
+                    };
                     let deps = graph.preds(d, i);
-                    if !deps.iter().all(|dep| done[dep.device][dep.index]) {
+                    if deps.iter().any(|dep| lanes[dep.device].cursor <= dep.index) {
                         break;
                     }
-                    let pass = &schedule.passes(d)[i];
-                    let mut ready = free_at[d];
-                    for dep in deps {
-                        let t = end[dep.device][dep.index]
-                            + self.costs.edge_seconds(dep.kind, dep.device, d);
-                        ready = ready.max(t);
-                    }
-                    let dur = self.costs.pass_seconds(d, pass);
-                    start[d][i] = ready;
-                    end[d][i] = ready + dur;
-                    free_at[d] = end[d][i];
-                    busy[d] += dur;
-                    done[d][i] = true;
-                    cursor[d] += 1;
+                    let ready = deps.iter().fold(lanes[d].free_at, |t, dep| {
+                        let edge = self.costs.edge_seconds(dep.kind, dep.device, d);
+                        t.max(end[dep.device][dep.index] + edge)
+                    });
                     progressed = true;
-                    // Memory events, in program order per device.
-                    match pass.kind {
-                        PassKind::F => {
-                            act_units[d] += self.costs.activation_units(d, pass.chunk);
-                            resident[d] += 1;
+                    lanes[d].arrived = Some(ready);
+                    // An ordinary pass is a rendezvous of its own device.
+                    let inst = rendezvous(d, i);
+                    let own = [(d, i)];
+                    let sites = inst.map_or(&own[..], |inst| &inst.sites[..]);
+                    let released = inst.is_none_or(|inst| inst.sites.len() == p)
+                        && sites
+                            .iter()
+                            .all(|&(pd, ps)| lanes[pd].cursor == ps && lanes[pd].arrived.is_some());
+                    if released {
+                        let at = sites
+                            .iter()
+                            .filter_map(|&(pd, _)| lanes[pd].arrived)
+                            .fold(ready, f64::max);
+                        for &(pd, ps) in sites {
+                            start[pd].push(at);
+                            let pass = &schedule.passes(pd)[ps];
+                            end[pd].push(lanes[pd].complete(self.costs, pd, pass, at));
                         }
-                        PassKind::B => {
-                            act_units[d] -= self.costs.activation_units(d, pass.chunk);
-                            resident[d] = resident[d].saturating_sub(1);
-                        }
-                        PassKind::S | PassKind::OutputF => {
-                            act_units[d] += self.costs.vocab_buffer_units(d);
-                        }
-                        PassKind::T | PassKind::OutputB => {
-                            act_units[d] -= self.costs.vocab_buffer_units(d);
-                        }
-                        _ => {}
                     }
-                    peak_units[d] = peak_units[d].max(act_units[d]);
-                    peak_resident[d] = peak_resident[d].max(resident[d]);
-                }
-                if cursor[d] < schedule.passes(d).len() {
-                    all_done = false;
+                    trace.push(TraceStep {
+                        device: d,
+                        slot: i,
+                        pass,
+                        action: match (inst, released) {
+                            (None, _) => Action::Complete,
+                            (Some(_), true) => Action::ArriveAndRelease,
+                            (Some(_), false) => Action::Arrive,
+                        },
+                    });
                 }
             }
-            if all_done {
-                break;
-            }
-            assert!(progressed, "validated schedule cannot deadlock");
         }
-        let makespan = end.iter().flatten().fold(0.0f64, |a, &b| a.max(b));
-        ExecReport {
+        let mut blocked = Vec::new();
+        for (d, lane) in lanes.iter().enumerate() {
+            let Some(&pass) = schedule.passes(d).get(lane.cursor) else {
+                continue;
+            };
+            let reason = match rendezvous(d, lane.cursor).filter(|_| lane.arrived.is_some()) {
+                Some(inst) if inst.sites.len() < p => format!(
+                    "inside the {} of mb {} that can never complete: only devices {:?} of {p} \
+                     schedule the call",
+                    inst.class,
+                    inst.microbatch,
+                    inst.sites.iter().map(|&(pd, _)| pd).collect::<Vec<_>>()
+                ),
+                Some(inst) => format!(
+                    "inside the {} of mb {}, waiting for device(s) {:?} to arrive",
+                    inst.class,
+                    inst.microbatch,
+                    inst.sites
+                        .iter()
+                        .filter(|&&(pd, ps)| lanes[pd].cursor != ps || lanes[pd].arrived.is_none())
+                        .map(|&(pd, _)| pd)
+                        .collect::<Vec<_>>()
+                ),
+                None => {
+                    let mut unmet = Vec::new();
+                    for dep in graph.preds(d, lane.cursor) {
+                        if lanes[dep.device].cursor <= dep.index {
+                            let producer = schedule.passes(dep.device)[dep.index];
+                            unmet.push(format!(
+                                "{producer} [device {}, slot {}]",
+                                dep.device, dep.index
+                            ));
+                        }
+                    }
+                    format!("receive not satisfied: waiting on {}", unmet.join(", "))
+                }
+            };
+            blocked.push(Blocked {
+                device: d,
+                slot: lane.cursor,
+                pass,
+                reason,
+            });
+        }
+        if !blocked.is_empty() {
+            return Err(Stuck { blocked, trace });
+        }
+        Ok(ExecReport {
+            makespan: end.iter().flatten().fold(0.0f64, |a, &b| a.max(b)),
             start,
             end,
-            busy,
-            makespan,
-            peak_activation_units: peak_units,
-            peak_resident_microbatches: peak_resident,
-        }
+            busy: lanes.iter().map(|lane| lane.busy).collect(),
+            peak_activation_units: lanes.iter().map(|lane| lane.peak_units).collect(),
+            peak_resident_microbatches: lanes.iter().map(|lane| lane.peak_resident).collect(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{interlaced_1f1b, one_f_one_b, vhalf, vocab_1f1b};
+    use crate::deps::sync_collectives;
+    use crate::generators::{
+        decode_pipeline_grouped, interlaced_1f1b, one_f_one_b, vhalf, vocab_1f1b,
+    };
     use crate::pass::VocabVariant;
 
     fn unit_run(schedule: &Schedule) -> ExecReport {
@@ -411,6 +543,61 @@ mod tests {
         for d in 0..3 {
             assert!(report.makespan >= report.busy[d]);
             assert!((report.busy[d] - 8.0 * 3.0).abs() < 1e-9);
+        }
+    }
+
+    /// Unit pass costs except on device 0, whose passes take three units:
+    /// its peers reach some barriers before it does.
+    struct SlowDevice0;
+
+    impl Costs for SlowDevice0 {
+        fn pass_seconds(&self, device: usize, _pass: &ScheduledPass) -> f64 {
+            if device == 0 {
+                3.0
+            } else {
+                1.0
+            }
+        }
+
+        fn edge_seconds(&self, _kind: EdgeKind, _from: usize, _to: usize) -> f64 {
+            0.1
+        }
+
+        fn activation_units(&self, _device: usize, _chunk: u8) -> f64 {
+            1.0
+        }
+
+        fn vocab_buffer_units(&self, _device: usize) -> f64 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn rendezvous_participants_start_together() {
+        let sched = decode_pipeline_grouped(2, 4, 1, false);
+        let graph = build_deps(&sched).unwrap();
+        let sync = sync_collectives(&sched, true);
+        let exec = Executor::new(&SlowDevice0);
+        let free = exec.run_with_graph(&sched, &graph, &[]).unwrap();
+        let met = exec.run_with_graph(&sched, &graph, &sync).unwrap();
+        let mut apart = 0;
+        for inst in &sync {
+            let starts = |r: &ExecReport| -> Vec<f64> {
+                inst.sites
+                    .iter()
+                    .map(|&(d, slot)| r.start[d][slot])
+                    .collect()
+            };
+            let together = starts(&met);
+            assert!(together.iter().all(|&t| t == together[0]), "{inst:?}");
+            apart += usize::from(starts(&free).windows(2).any(|w| w[0] != w[1]));
+        }
+        // Without the rule, device 1 starts some S before device 0 arrives.
+        assert!(apart > 0);
+        // The common start is the latest arrival: nobody starts early.
+        for d in 0..2 {
+            let (start, end) = (&met.start[d], &met.end[d]);
+            assert!(start[1..].iter().zip(end).all(|(s, e)| s >= e), "{d}");
         }
     }
 }

@@ -749,9 +749,9 @@ pub fn vhalf_vocab(
 /// inside an `S` collective (waiting on stage 0) while stage 0's next `F`
 /// waits on the owner's not-yet-sent embedding row. `vp-check`'s
 /// rendezvous-faithful deadlock analysis rejects the un-hoisted layout
-/// ([`decode_pipeline_natural`]) with `VP0017`, and the exhaustive model
-/// checker (`vp_check::model`) confirms the blocked interleaving — so a
-/// regression to natural-position sends cannot pass CI.
+/// ([`crate::fixtures::decode_pipeline_natural`]) with `VP0017`, and the
+/// rendezvous-faithful executor gets stuck on it — so a regression to
+/// natural-position sends cannot pass CI.
 ///
 /// # Panics
 ///
@@ -803,47 +803,6 @@ pub fn decode_pipeline(p: usize, m: u32) -> Schedule {
     decode_pipeline_grouped(p, m, m, false)
 }
 
-/// The *un-hoisted* decode layout at `g = 1`: each `InputF` send sits in
-/// its natural position, immediately before the device's own `F` of the
-/// same slot.
-///
-/// This is the schedule the serving engine originally walked, kept as the
-/// regression fixture for the rendezvous deadlock it causes: for `p ≥ 2`
-/// and `m ≥ 2`, a device enters its sampling barrier (`S`, a synchronous
-/// all-gather) *before* issuing a later slot's embedding row, while stage
-/// 0 needs that row to finish the forward the barrier is waiting on. The
-/// asymmetric happens-before model is acyclic here — only the
-/// blocking-send analysis (`VP0017`) and the execution model checker see
-/// the cycle. Never execute this on the rendezvous runtime.
-///
-/// # Panics
-///
-/// Panics if `p == 0` or `m == 0`.
-pub fn decode_pipeline_natural(p: usize, m: u32) -> Schedule {
-    assert!(p > 0, "need at least one device");
-    assert!(m > 0, "need at least one slot");
-    let device_passes = (0..p)
-        .map(|d| {
-            let warm = (p - d) as u32;
-            let mut v = Vec::new();
-            for k in 0..m.min(warm) {
-                v.push(ScheduledPass::new(PassKind::InputF, k));
-                v.push(ScheduledPass::new(PassKind::F, k));
-            }
-            for k in warm..m {
-                v.push(ScheduledPass::new(PassKind::S, k - warm));
-                v.push(ScheduledPass::new(PassKind::InputF, k));
-                v.push(ScheduledPass::new(PassKind::F, k));
-            }
-            for k in m.saturating_sub(warm)..m {
-                v.push(ScheduledPass::new(PassKind::S, k));
-            }
-            v
-        })
-        .collect();
-    Schedule::new(ScheduleKind::Vocab(VocabVariant::Alg2), m, 1, device_passes)
-}
-
 /// The decode schedule the serving engine walks with the sampling barrier
 /// split off the device thread: [`decode_pipeline_grouped`] at `g = m`
 /// with `overlap`, i.e. `InputF*, F(0..m), S(m−1), T(m−1)` — `S` submits
@@ -857,62 +816,6 @@ pub fn decode_pipeline_natural(p: usize, m: u32) -> Schedule {
 /// Panics if `p == 0` or `m == 0`.
 pub fn decode_pipeline_overlap(p: usize, m: u32) -> Schedule {
     decode_pipeline_grouped(p, m, m, true)
-}
-
-/// A deliberately *mis-split* overlap layout at `g = 1`: the half-batch
-/// assignment is inconsistent across devices, kept as the regression
-/// fixture the overlap-aware deadlock analyses must reject.
-///
-/// Device 0 merges immediately (`F(k) S(k) T(k)`, zero lag — as if its
-/// half of the batch were empty), while every other device defers its
-/// merge by two slots (`F(0) F(1)` before `S(0)`). For `p ≥ 2`, `m ≥ 2`
-/// this cycles: device 0's `T(0)` waits on device 1's `S(0)` contribution,
-/// which sits behind device 1's `F(1)`, which needs the activation of
-/// device 0's `F(1)` — scheduled *after* its `T(0)`. The asymmetric
-/// happens-before graph contains the cycle (`VP0001`), and the execution
-/// model checker reaches the same stuck state dynamically. Never execute
-/// this on the runtime.
-///
-/// # Panics
-///
-/// Panics if `p == 0` or `m == 0`.
-pub fn decode_pipeline_overlap_missplit(p: usize, m: u32) -> Schedule {
-    assert!(p > 0, "need at least one device");
-    assert!(m > 0, "need at least one slot");
-    let device_passes = (0..p)
-        .map(|d| {
-            let mut v = Vec::new();
-            for k in 0..m {
-                v.push(ScheduledPass::new(PassKind::InputF, k));
-            }
-            if d == 0 {
-                // Zero lag: merge immediately after every forward, as if
-                // this device's overlapped half-batch were empty.
-                for k in 0..m {
-                    v.push(ScheduledPass::new(PassKind::F, k));
-                    v.push(ScheduledPass::new(PassKind::S, k));
-                    v.push(ScheduledPass::new(PassKind::T, k));
-                }
-            } else {
-                // Lag 2: the merge defers behind the next *two* forwards.
-                let lag = 2u32;
-                for k in 0..m.min(lag) {
-                    v.push(ScheduledPass::new(PassKind::F, k));
-                }
-                for k in lag..m {
-                    v.push(ScheduledPass::new(PassKind::S, k - lag));
-                    v.push(ScheduledPass::new(PassKind::F, k));
-                    v.push(ScheduledPass::new(PassKind::T, k - lag));
-                }
-                for k in m.saturating_sub(lag)..m {
-                    v.push(ScheduledPass::new(PassKind::S, k));
-                    v.push(ScheduledPass::new(PassKind::T, k));
-                }
-            }
-            v
-        })
-        .collect();
-    Schedule::new(ScheduleKind::Vocab(VocabVariant::Alg2), m, 1, device_passes)
 }
 
 #[cfg(test)]
@@ -1473,28 +1376,6 @@ mod tests {
                 let want = (0..m).filter(|k| (k + 1) % g == 0 && k + warm < m).count();
                 assert_eq!(windows, want, "g={g} device {d}");
             }
-        }
-    }
-
-    #[test]
-    fn missplit_overlap_defers_merges_inconsistently_across_devices() {
-        // The fixture's defining property: device 0 schedules T(0) before
-        // its F(1), every other device schedules S(0) after its F(1) — the
-        // inconsistent half-batch assignment the checkers must reject.
-        let sched = decode_pipeline_overlap_missplit(3, 4);
-        let pos = |d: usize, kind, k| {
-            sched
-                .passes(d)
-                .iter()
-                .position(|x| x.kind == kind && x.microbatch == k)
-                .unwrap()
-        };
-        assert!(pos(0, PassKind::T, 0) < pos(0, PassKind::F, 1));
-        for d in 1..3 {
-            assert!(
-                pos(d, PassKind::F, 1) < pos(d, PassKind::S, 0),
-                "device {d}"
-            );
         }
     }
 

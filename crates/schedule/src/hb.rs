@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn natural_decode_cycles_only_under_rendezvous_edges() {
         use crate::deps::sync_collectives;
-        use crate::generators::decode_pipeline_natural;
+        use crate::fixtures::decode_pipeline_natural;
         // The PR-8 serving deadlock: the base (asymmetric) model is
         // acyclic — the false clean — while the arrival edges expose the
         // cycle through the S barrier and the unsent InputF row.

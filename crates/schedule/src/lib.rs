@@ -33,7 +33,11 @@
 //!   Megatron-style tensor parallelism (PTD-P).
 //! * [`exec`] — a deterministic executor that replays a schedule under a
 //!   [`exec::Costs`] provider, yielding per-pass times, iteration time,
-//!   bubble fraction and per-device resident-microbatch (activation) peaks.
+//!   bubble fraction and per-device resident-microbatch (activation) peaks;
+//!   it runs decode sampling barriers as rendezvous and reports a stuck run
+//!   with every blocked device's wait.
+//! * [`fixtures`] — negative decode schedules the deadlock analyses and the
+//!   executor must keep rejecting.
 //! * [`render`] — ASCII timelines (the analogue of the paper's Figures 1,
 //!   9, 10, 15 and 16); `vp_sim::simulated_events` turns an executed
 //!   schedule into the Chrome-exportable events of `vp-trace`.
@@ -45,6 +49,7 @@ pub mod block;
 pub mod deps;
 pub mod exec;
 pub mod facts;
+pub mod fixtures;
 pub mod generators;
 pub mod grid;
 pub mod hb;

@@ -66,7 +66,9 @@ fn vocab_schedules_are_valid_and_memory_bounded() {
         let schedule = generators::vocab_1f1b(p, m, variant, times, include_input);
         let graph = vp_schedule::deps::validate(&schedule).expect("schedule validates");
         let costs = UnitCosts::new(times, 1);
-        let report = Executor::new(&costs).run_with_graph(&schedule, &graph);
+        let report = Executor::new(&costs)
+            .run_with_graph(&schedule, &graph, &[])
+            .expect("a validated schedule runs to completion");
         for d in 0..p {
             assert_eq!(
                 schedule.count_kind(d, PassKind::F),

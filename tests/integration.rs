@@ -48,7 +48,9 @@ fn schedules_validate_and_match_analytic_memory() {
             let schedule = generators::vocab_1f1b(p, m, variant, times, true);
             let graph = vp_schedule::deps::validate(&schedule).expect("valid schedule");
             let costs = UnitCosts::new(times, 1);
-            let report = Executor::new(&costs).run_with_graph(&schedule, &graph);
+            let report = Executor::new(&costs)
+                .run_with_graph(&schedule, &graph, &[])
+                .expect("a validated schedule runs to completion");
             let block = generators::vocab_1f1b_block(p, variant, times);
             for d in 0..p {
                 let analytic = block.peak_activation_microbatches(d);

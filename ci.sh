@@ -3,7 +3,7 @@
 # unsafe audit, single-launcher audit) run before anything compiles, lint
 # (clippy) runs before the release build it shares artifacts with, then the
 # test suites (the workspace, vp-tensor and vp-core again on the portable
-# register tile, and benchmark/ against crates/*), and last the `repro`
+# and AVX2 register tiles, and benchmark/ against crates/*), and last the `repro`
 # experiments that gate themselves. Every structural fact is asserted once, in Rust: by
 # `cargo test --workspace`, and by the exit status of `repro check`
 # (static verification sweep), `repro modelcheck`
@@ -52,13 +52,14 @@ fmt_check() {
 }
 
 unsafe_audit() {
-    # One audited file, the kernel pool, may hold unsafe code; every crate
-    # but vp-tensor carries #![forbid(unsafe_code)]. This catches a crate
-    # that drops the attribute or a new unsafe block sneaking in elsewhere,
-    # vp-tensor's other files included. Token match (\bunsafe\b), not
-    # 'unsafe ': the old pattern missed `unsafe{`, `unsafe(` and other
-    # spellings the compiler accepts.
-    local allowed="crates/tensor/src/pool.rs"
+    # Two audited files may hold unsafe code: the kernel pool and the GEMM
+    # microkernels' intrinsics (simd.rs); every crate but vp-tensor carries
+    # #![forbid(unsafe_code)]. This catches a crate that drops the
+    # attribute or a new unsafe block sneaking in elsewhere, vp-tensor's
+    # other files included. Token match (\bunsafe\b), not 'unsafe ': the
+    # old pattern missed `unsafe{`, `unsafe(` and other spellings the
+    # compiler accepts.
+    local allowed="crates/tensor/src/pool.rs crates/tensor/src/simd.rs"
     local found f
     found=$(grep -rln --include='*.rs' -E '\bunsafe\b' src crates | sort || true)
     for f in $found; do
@@ -112,9 +113,12 @@ portable_tile_test() {
     # runners) — and `m < MR`, the row-kernel rule, changes meaning with
     # the tile, as do the pre-packed output-layer panels and the decode
     # sweep's chunking (vp-core). RUSTFLAGS replaces the config's flags:
-    # baseline x86-64 selects the portable 4x8 tile.
+    # baseline x86-64 selects the portable 4x8 tile, x86-64-v3 the AVX2
+    # 6x16 intrinsics kernel (simd.rs), each in its own target dir.
     RUSTFLAGS="-C target-cpu=x86-64" \
         cargo test -p vp-tensor -p vp-core --release --quiet --target-dir target/portable
+    RUSTFLAGS="-C target-cpu=x86-64-v3" \
+        cargo test -p vp-tensor -p vp-core --release --quiet --target-dir target/avx2
 }
 
 benchmark_test() {
@@ -162,7 +166,7 @@ stage "launcher audit (one device_loop call site, one thread scope)" launcher_au
 stage "cargo clippy --workspace --all-targets -- -D warnings (+ pedantic subset)" clippy_lint
 stage "cargo build --workspace --release" build_release
 stage "cargo test --workspace --release" test_release
-stage "cargo test -p vp-tensor -p vp-core, target-cpu=x86-64 (the portable register tile)" portable_tile_test
+stage "cargo test -p vp-tensor -p vp-core, target-cpu=x86-64 and x86-64-v3 (the portable and AVX2 register tiles)" portable_tile_test
 stage "cargo test --manifest-path benchmark/Cargo.toml (the frozen benchmark against crates/*)" benchmark_test
 stage "repro check x2 (static schedule verification sweep)" rerun_identical check CHECK
 stage "repro modelcheck x2 (static-vs-model differential soundness)" rerun_identical modelcheck MODELCHECK

@@ -19,7 +19,10 @@ use std::sync::OnceLock;
 use vp_collectives::{Collective, ReduceOp};
 use vp_model::cost::VocabAlgo;
 use vp_model::partition::VocabPartition;
-use vp_tensor::ops::{exp_sum, local_softmax, softmax_correction, SoftmaxStats};
+use vp_tensor::ops::{
+    exp_sum, local_softmax_in_place, softmax_correction, softmax_corrections, SoftmaxGrad,
+    SoftmaxStats,
+};
 use vp_tensor::optim::Param;
 use vp_tensor::{PackedB, Result, Tensor, TensorError};
 
@@ -66,17 +69,18 @@ pub struct OutputShard {
 /// State carried between the `S` pass, the communication barrier(s) and
 /// the `T` pass for one microbatch.
 ///
-/// After the barrier, `softmax` holds the *globally rescaled* softmax of
-/// the shard's columns and `correction` the per-row factor of Eq. 5.
+/// The barrier reduces the statistics and stores each row's Eq.-5
+/// correction; it never rewrites the `[rows, V/p]` softmax. The `T` pass
+/// applies the correction while its GEMMs pack `dy` ([`SoftmaxGrad`]).
 #[derive(Debug, Clone)]
 pub struct SState {
-    /// Locally-normalized softmax (`softmax'` before the barrier, the
-    /// global softmax after rescaling).
+    /// The locally-normalized `softmax'`, computed in the logits buffer.
     softmax: Tensor,
     /// Local statistics `(m', sum')`.
     stats: SoftmaxStats,
-    /// Labels of the microbatch (global token ids).
-    labels: Vec<usize>,
+    /// Each row's label as a shard-local column (`None` when another
+    /// shard owns it).
+    labels: Vec<Option<usize>>,
     /// This shard's label logits (`Y_{i,g_i}` for owned rows, 0 elsewhere),
     /// captured exactly in the `S` pass for the loss computation.
     label_logit: Vec<f32>,
@@ -85,10 +89,8 @@ pub struct SState {
     a: Option<Tensor>,
     /// Algorithm 2 only: `B = G·W / N` (a row gather of `W`).
     b: Option<Tensor>,
-    /// Whether the barrier has run (softmax is globally rescaled).
-    rescaled: bool,
-    /// Global vocabulary index of this shard's first column.
-    shard_start: usize,
+    /// Per-row `softmax / softmax'` (Eq. 5), set once the barrier has run.
+    correction: Option<Vec<f32>>,
 }
 
 impl SState {
@@ -103,21 +105,19 @@ impl SState {
         if let Some(b) = &self.b {
             total += b.len() * f;
         }
+        if let Some(c) = &self.correction {
+            total += c.len() * f;
+        }
         total
     }
-}
 
-impl SState {
-    /// `(row, local column)` pairs of labels owned by this shard.
-    fn local_labels(&self) -> Vec<(usize, usize)> {
-        let width = self.softmax.cols();
-        let start = self.shard_start;
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|&(_row, &label)| label >= start && label < start + width)
-            .map(|(row, &label)| (row, label - start))
-            .collect()
+    /// `dy = (softmax − G)/N` as the `T` pass's GEMM operand.
+    fn dy(&self) -> Result<SoftmaxGrad<'_>> {
+        let corr = self.correction.as_deref().ok_or_else(|| {
+            TensorError::InvalidArgument("T pass requires the barrier to have run".into())
+        })?;
+        let n = self.labels.len() as f32;
+        SoftmaxGrad::new(&self.softmax, corr, &self.labels, 1.0 / n)
     }
 
     /// All-reduces the softmax statistics (`m`, then `sum`) and computes
@@ -150,9 +150,9 @@ impl SState {
         Ok((gmax, gsum, loss))
     }
 
-    fn rescale(&mut self, gmax: &[f32], gsum: &[f32]) -> Result<()> {
-        vp_tensor::ops::rescale_softmax(&mut self.softmax, &self.stats, gmax, gsum)?;
-        self.rescaled = true;
+    /// Stores the corrections against the global statistics.
+    fn correct(&mut self, gmax: &[f32], gsum: &[f32]) -> Result<()> {
+        self.correction = Some(softmax_corrections(&self.stats, gmax, gsum)?);
         Ok(())
     }
 
@@ -165,7 +165,7 @@ impl SState {
     /// Returns an error if a collective fails.
     pub fn barrier_alg1(&mut self, comm: &Collective) -> Result<BarrierOutput> {
         let (gmax, gsum, loss) = self.reduce_stats(comm)?;
-        self.rescale(&gmax, &gsum)?;
+        self.correct(&gmax, &gsum)?;
         Ok(BarrierOutput { loss, dx: None })
     }
 
@@ -177,7 +177,7 @@ impl SState {
     pub fn barrier_local(&mut self) {
         let gmax = self.stats.max.clone();
         let gsum = self.stats.sum.clone();
-        self.rescale(&gmax, &gsum)
+        self.correct(&gmax, &gsum)
             .expect("matching lengths by construction");
     }
 
@@ -215,7 +215,7 @@ impl SState {
         }
         comm.all_reduce(dx.data_mut(), ReduceOp::Sum)
             .map_err(|e| comm_err(&e))?;
-        self.rescale(&gmax, &gsum)?;
+        self.correct(&gmax, &gsum)?;
         Ok(BarrierOutput { loss, dx: Some(dx) })
     }
 }
@@ -321,16 +321,14 @@ impl OutputShard {
         self.partition.shard_range(self.rank).0
     }
 
-    /// One-hot rows of `G` restricted to this shard, as
-    /// `(row, local column)` pairs.
-    fn local_labels(&self, labels: &[usize]) -> Vec<(usize, usize)> {
+    /// One-hot rows of `G` restricted to this shard: each row's label as a
+    /// local column, `None` where another shard owns it.
+    fn local_labels(&self, labels: &[usize]) -> Vec<Option<usize>> {
         let start = self.shard_start();
-        let width = self.weight.value().rows();
+        let owned = start..start + self.weight.value().rows();
         labels
             .iter()
-            .enumerate()
-            .filter(|&(_row, &label)| label >= start && label < start + width)
-            .map(|(row, &label)| (row, label - start))
+            .map(|&label| owned.contains(&label).then(|| label - start))
             .collect()
     }
 
@@ -338,8 +336,9 @@ impl OutputShard {
     // S pass
     // ---------------------------------------------------------------------
 
-    /// The `S` pass: logits + local softmax (and, for Algorithm 2, the
-    /// pre-barrier matmuls `A = softmax'(Y)·W` and `B = G·W/N`).
+    /// The `S` pass: logits + local softmax, in one `[rows, V/p]` buffer
+    /// (and, for Algorithm 2, the pre-barrier matmuls `A = softmax'(Y)·W`
+    /// and `B = G·W/N`).
     ///
     /// # Errors
     ///
@@ -363,36 +362,39 @@ impl OutputShard {
                 });
             }
         }
-        let y = self.logits(x)?;
-        let mut label_logit = vec![0.0f32; labels.len()];
-        for (row, local) in self.local_labels(labels) {
-            label_logit[row] = y.at(row, local);
-        }
-        let (softmax, stats) = local_softmax(&y);
+        let local = self.local_labels(labels);
+        let mut y = self.logits(x)?;
+        let label_logit = local
+            .iter()
+            .enumerate()
+            .map(|(row, c)| c.map_or(0.0, |c| y.at(row, c)))
+            .collect();
+        let stats = local_softmax_in_place(&mut y);
         let (a, b) = match algo {
             VocabAlgo::Naive | VocabAlgo::Alg1 => (None, None),
             VocabAlgo::Alg2 => {
-                let a = softmax.matmul(self.weight.value())?;
+                let w = self.weight.value();
+                let a = y.matmul(w)?;
                 let n = labels.len() as f32;
                 let mut bg = Tensor::zeros(x.rows(), x.cols());
-                for (row, local) in self.local_labels(labels) {
-                    let w_row = self.weight.value().row(local).to_vec();
-                    for (dst, src) in bg.row_mut(row).iter_mut().zip(w_row) {
-                        *dst = src / n;
+                for (row, c) in local.iter().enumerate() {
+                    if let Some(c) = *c {
+                        for (dst, &src) in bg.row_mut(row).iter_mut().zip(w.row(c)) {
+                            *dst = src / n;
+                        }
                     }
                 }
                 (Some(a), Some(bg))
             }
         };
         Ok(SState {
-            softmax,
+            softmax: y,
             stats,
-            labels: labels.to_vec(),
+            labels: local,
             label_logit,
             a,
             b,
-            rescaled: false,
-            shard_start: self.shard_start(),
+            correction: None,
         })
     }
 
@@ -403,8 +405,8 @@ impl OutputShard {
 
     /// The single barrier of Algorithm 2 (`C1`): all-reduces the softmax
     /// statistics, assembles `∇X` from the pre-computed matmuls
-    /// (`∇X = corr·A − B`, Eq. 6) and all-reduces it; rescales the stored
-    /// softmax for the deferred `T` pass.
+    /// (`∇X = corr·A − B`, Eq. 6) and all-reduces it; stores the per-row
+    /// corrections for the deferred `T` pass.
     ///
     /// # Errors
     ///
@@ -415,7 +417,7 @@ impl OutputShard {
     }
 
     /// Algorithm 1's first barrier (`C1`): all-reduces the statistics and
-    /// rescales the stored softmax to the global softmax.
+    /// stores the per-row corrections to the global softmax.
     ///
     /// # Errors
     ///
@@ -440,49 +442,62 @@ impl OutputShard {
     // T pass
     // ---------------------------------------------------------------------
 
-    /// Builds `(softmax − G)/N` for this shard from a rescaled state.
-    fn dy(&self, state: &SState) -> Result<Tensor> {
-        if !state.rescaled {
-            return Err(TensorError::InvalidArgument(
-                "T pass requires the barrier to have rescaled the softmax".into(),
-            ));
-        }
-        let n = state.labels.len() as f32;
-        let mut dy = state.softmax.scale(1.0 / n);
-        for (row, local) in state.local_labels() {
-            *dy.at_mut(row, local) -= 1.0 / n;
-        }
-        Ok(dy)
-    }
-
     /// Algorithm 1's `T` pass: computes the partial input gradient
     /// `∇X′ = (softmax − G)/N · W` (to be reduced by `C2`) and accumulates
-    /// the weight gradient `∇W = ((softmax − G)/N)ᵀ · X`.
+    /// the weight gradient `∇W = ((softmax − G)/N)ᵀ · X`. Both GEMMs form
+    /// `(softmax − G)/N` while packing it ([`SoftmaxGrad`]).
     ///
     /// # Errors
     ///
-    /// Returns an error if the barrier has not rescaled the state or `x`
+    /// Returns an error if the barrier has not run on the state or `x`
     /// has the wrong shape.
     pub fn t_pass_alg1(&mut self, state: &SState, x: &Tensor) -> Result<Tensor> {
-        let dy = self.dy(state)?;
+        let dy = state.dy()?;
         let dx_partial = dy.matmul(self.weight.value())?;
-        let dw = dy.matmul_tn(x)?;
-        self.weight.accumulate(&dw)?;
+        dy.matmul_tn_accumulate(x, self.weight.grad_mut())?;
         Ok(dx_partial)
     }
 
     /// Algorithm 2's deferred `T` pass: only the weight gradient — no
     /// other pass depends on it, so schedules may run it arbitrarily late
-    /// (the zero-bubble affinity noted in §4.4).
+    /// (the zero-bubble affinity noted in §4.4). One GEMM: it forms
+    /// `(softmax − G)/N` while packing and, for a microbatch of at most
+    /// one `k` panel of rows, adds its tiles straight into the gradient.
     ///
     /// # Errors
     ///
-    /// Returns an error if the barrier has not rescaled the state or `x`
+    /// Returns an error if the barrier has not run on the state or `x`
     /// has the wrong shape.
     pub fn t_pass_alg2(&mut self, state: &SState, x: &Tensor) -> Result<()> {
-        let dy = self.dy(state)?;
+        state.dy()?.matmul_tn_accumulate(x, self.weight.grad_mut())
+    }
+
+    /// The staged `T` pass the fused one replaced, kept as its oracle:
+    /// rescale the softmax, build `dy`, a fresh `dW`, then accumulate.
+    /// Returns Algorithm 1's partial `∇X` when `alg1`.
+    #[cfg(test)]
+    pub(crate) fn t_pass_staged(
+        &mut self,
+        state: &SState,
+        x: &Tensor,
+        alg1: bool,
+    ) -> Result<Option<Tensor>> {
+        let corr = state.correction.as_ref().expect("the barrier ran");
+        let mut softmax = state.softmax.clone();
+        for (r, &f) in corr.iter().enumerate() {
+            softmax.row_mut(r).iter_mut().for_each(|v| *v *= f);
+        }
+        let n = state.labels.len() as f32;
+        let mut dy = softmax.scale(1.0 / n);
+        for (row, c) in state.labels.iter().enumerate() {
+            if let Some(c) = *c {
+                *dy.at_mut(row, c) -= 1.0 / n;
+            }
+        }
+        let dx_partial = alg1.then(|| dy.matmul(self.weight.value())).transpose()?;
         let dw = dy.matmul_tn(x)?;
-        self.weight.accumulate(&dw)
+        self.weight.accumulate(&dw)?;
+        Ok(dx_partial)
     }
 
     // ---------------------------------------------------------------------
@@ -533,24 +548,24 @@ impl OutputShard {
         }
         // Loss.
         let n = labels.len();
-        let mut label_logit = vec![0.0f32; n];
-        for (row, local) in self.local_labels(labels) {
-            label_logit[row] = y.at(row, local);
-        }
+        let local = self.local_labels(labels);
+        let mut label_logit: Vec<f32> = local
+            .iter()
+            .enumerate()
+            .map(|(row, c)| c.map_or(0.0, |c| y.at(row, c)))
+            .collect();
         comm.all_reduce(&mut label_logit, ReduceOp::Sum)
             .map_err(|e| comm_err(&e))?;
         let loss = (0..n)
             .map(|i| (gmax[i] + gsum[i].ln() - label_logit[i]) as f64)
             .sum::<f64>()
             / n as f64;
-        // B: gradients and the final reduce.
-        let mut dy = softmax.scale(1.0 / n as f32);
-        for (row, local) in self.local_labels(labels) {
-            *dy.at_mut(row, local) -= 1.0 / n as f32;
-        }
+        // B: gradients and the final reduce. The softmax is already the
+        // global one, so every row's correction is 1.
+        let ones = vec![1.0f32; y.rows()];
+        let dy = SoftmaxGrad::new(&softmax, &ones, &local, 1.0 / n as f32)?;
         let mut dx = dy.matmul(self.weight.value())?;
-        let dw = dy.matmul_tn(x)?;
-        self.weight.accumulate(&dw)?;
+        dy.matmul_tn_accumulate(x, self.weight.grad_mut())?;
         comm.all_reduce(dx.data_mut(), ReduceOp::Sum)
             .map_err(|e| comm_err(&e))?;
         Ok((loss, dx))
@@ -729,8 +744,8 @@ impl OutputShard {
     /// logits row is then read three times, each pass a loop the compiler
     /// vectorizes: a lone `f32::max` fold for the row max, a top-`k`
     /// sweep that skips 16-wide chunks holding no contender, and
-    /// [`exp_sum`] (the exp under the accuracy policy into a scratch row
-    /// the call reuses, the sum in ascending column order). A `NaN` logit
+    /// [`exp_sum`] (the exp under the accuracy policy, in place in the
+    /// logits row, the sum in ascending column order). A `NaN` logit
     /// is never a candidate.
     ///
     /// # Errors
@@ -743,10 +758,9 @@ impl OutputShard {
                 "decode needs at least one candidate per shard".into(),
             ));
         }
-        let y = self.logits(x)?;
+        let mut y = self.logits(x)?;
         let start = self.shard_start();
         let n = y.rows();
-        let mut exps = Tensor::zeros(1, y.cols());
         let mut max = Vec::with_capacity(n);
         let mut sum = Vec::with_capacity(n);
         let mut topk = vec![(f32::NEG_INFINITY, 0); n * k];
@@ -757,7 +771,7 @@ impl OutputShard {
             // The stats feed only the logprob metric; the token choice
             // never touches them.
             max.push(m);
-            sum.push(exp_sum(row, m, exps.data_mut()));
+            sum.push(exp_sum(y.row_mut(r), m));
         }
         Ok(DecodeSState { max, sum, topk, k })
     }
@@ -843,7 +857,7 @@ fn comm_err(e: &vp_collectives::CollectiveError) -> TensorError {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vp_collectives::CollectiveGroup;
     use vp_tensor::init::{normal, seeded_rng};
@@ -976,8 +990,86 @@ mod tests {
         let w = normal(&mut rng, 8, 4, 1.0);
         let mut shard = OutputShard::new(w, part, 0).unwrap();
         let x = normal(&mut rng, 2, 4, 1.0);
-        let state = shard.s_pass(VocabAlgo::Alg1, &x, &[0, 1]).unwrap();
-        assert!(shard.t_pass_alg1(&state, &x).is_err());
+        for algo in [VocabAlgo::Alg1, VocabAlgo::Alg2] {
+            let state = shard.s_pass(algo, &x, &[0, 1]).unwrap();
+            assert!(shard.t_pass_alg1(&state, &x).is_err());
+            assert!(shard.t_pass_alg2(&state, &x).is_err());
+        }
+        assert!(shard.weight().grad().data().iter().all(|&g| g == 0.0));
+    }
+
+    /// Runs the fused `T` pass of `algo` on `shard` and the staged oracle
+    /// on `oracle` (same weight, same gradient so far), then requires the
+    /// gradients — and Algorithm 1's partial `∇X` — to agree bit for bit.
+    pub(crate) fn t_matches_staged(
+        algo: VocabAlgo,
+        shard: &mut OutputShard,
+        oracle: &mut OutputShard,
+        state: &SState,
+        x: &Tensor,
+        what: &str,
+    ) {
+        let dx = match algo {
+            VocabAlgo::Alg1 => Some(shard.t_pass_alg1(state, x).unwrap()),
+            _ => {
+                shard.t_pass_alg2(state, x).unwrap();
+                None
+            }
+        };
+        let want = oracle
+            .t_pass_staged(state, x, algo == VocabAlgo::Alg1)
+            .unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(shard.weight().grad()),
+            bits(oracle.weight().grad()),
+            "{what}: weight gradient"
+        );
+        assert_eq!(
+            dx.as_ref().map(bits),
+            want.as_ref().map(bits),
+            "{what}: ∇X′"
+        );
+    }
+
+    #[test]
+    fn fused_t_pass_is_bitwise_the_staged_oracle() {
+        // (vocab, p, rank, rows, label span). 130 rows is past one KC = 128
+        // panel: the fallback (fresh product, then accumulate). Span 20 on
+        // rank 1 of 40/2 puts every label on the other shard; vocab 5 over
+        // 8 shards leaves rank 7 with no column at all.
+        let cases = [
+            (40, 1, 0, 6, 40),
+            (40, 3, 1, 13, 40),
+            (40, 2, 0, 130, 40),
+            (40, 2, 1, 9, 20),
+            (5, 8, 7, 4, 5),
+            (64, 4, 3, 33, 64),
+        ];
+        for (vocab, p, rank, rows, span) in cases {
+            for algo in [VocabAlgo::Alg1, VocabAlgo::Alg2] {
+                let full = normal(&mut seeded_rng(71), vocab, 6, 0.8);
+                let part = VocabPartition::new(vocab, p);
+                let mut shard = OutputShard::from_full(&full, part, rank).unwrap();
+                let mut oracle = shard.clone();
+                // Four microbatches into one gradient; the first finds it
+                // not yet allocated.
+                for mb in 0..4 {
+                    let what =
+                        format!("{algo:?} vocab={vocab} p={p} rank={rank} rows={rows} mb={mb}");
+                    let x = normal(&mut seeded_rng(72 + mb as u64), rows, 6, 1.0);
+                    let labels: Vec<usize> = (0..rows).map(|i| (i * 7 + mb) % span).collect();
+                    let mut state = shard.s_pass(algo, &x, &labels).unwrap();
+                    state.barrier_local();
+                    // Corrections away from 1, and a zero one.
+                    let corr = state.correction.as_mut().expect("the barrier ran");
+                    for (r, f) in corr.iter_mut().enumerate() {
+                        *f *= [1.0, 0.37, 0.0][r % 3];
+                    }
+                    t_matches_staged(algo, &mut shard, &mut oracle, &state, &x, &what);
+                }
+            }
+        }
     }
 
     #[test]

@@ -176,6 +176,7 @@ impl TiedShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::tests::t_matches_staged;
     use vp_collectives::CollectiveGroup;
     use vp_tensor::init::{normal, seeded_rng};
     use vp_tensor::nn::{softmax_cross_entropy, Embedding};
@@ -299,6 +300,37 @@ mod tests {
         );
         shard.weight_mut();
         assert_eq!(shard.output.pack_addr(), None);
+    }
+
+    #[test]
+    fn tied_t_pass_is_bitwise_the_staged_oracle() {
+        // The gradient the fused T adds into already holds the input
+        // backward's scatter, on a shard that owns some labels.
+        let (vocab, h, p) = (30, 5, 3);
+        let full = normal(&mut seeded_rng(21), vocab, h, 0.7);
+        for algo in [VocabAlgo::Alg1, VocabAlgo::Alg2] {
+            let mut shard = TiedShard::from_full(&full, VocabPartition::new(vocab, p), 1).unwrap();
+            let mut oracle = shard.clone();
+            for mb in 0..2 {
+                let ids = [12, 3, 15 + mb, 12];
+                let dy = normal(&mut seeded_rng(22 + mb as u64), ids.len(), h, 1.0);
+                shard.input_backward(&ids, &dy).unwrap();
+                oracle.input_backward(&ids, &dy).unwrap();
+                let x = normal(&mut seeded_rng(24 + mb as u64), 7, h, 1.0);
+                let labels: Vec<usize> = (0..7).map(|i| (i * 4 + mb) % vocab).collect();
+                let mut state = shard.s_pass(algo, &x, &labels).unwrap();
+                state.barrier_local();
+                let what = format!("{algo:?} mb={mb}");
+                t_matches_staged(
+                    algo,
+                    &mut shard.output,
+                    &mut oracle.output,
+                    &state,
+                    &x,
+                    &what,
+                );
+            }
+        }
     }
 
     #[test]

@@ -458,8 +458,8 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
     // comm-wait spans, overlapped barrier jobs as comm-stream spans.
     link.set_tracer(tracer.clone());
     let mut c1_stream = CommStream::new();
-    // The stream's jobs (the barrier's softmax rescale) run on this
-    // device's kernel lanes, not on lanes of their own.
+    // The stream's jobs (the barrier's reductions and corrections) run on
+    // this device's kernel lanes, not on lanes of their own.
     if let Some(lanes) = pool::lane_budget() {
         c1_stream.submit(move || pool::set_lane_budget(lanes));
     }

@@ -133,7 +133,7 @@ impl BarrierSlot {
         }
     }
 
-    /// The globally rescaled softmax state (consumed by the `T` pass).
+    /// The state with its global corrections (consumed by the `T` pass).
     pub(crate) fn take_state(&mut self) -> Result<(SState, f64)> {
         self.resolve()?;
         let BarrierSlot::Ready { state, out } = self else {

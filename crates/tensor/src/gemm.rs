@@ -19,15 +19,43 @@
 //!   output layer's vocabulary shard) can be packed once, whole, into a
 //!   [`PackedB`]; [`gemm_chunk`] then reads its tiles where it would have
 //!   packed them ([`Rhs`]), through the same loop nest.
-//! * **Microkernel.** [`microkernel`] accumulates an arch-tuned `MR × NR`
-//!   register tile over one `k` panel: the tile is loaded from the output,
-//!   every `p` term is added directly to its running element total, and the
-//!   tile is stored once per panel — `k/KC` output round-trips instead of
-//!   `k`. The tile shape is chosen per target at compile time (the
-//!   workspace builds with `target-cpu=native`): 8×32 with AVX-512 (16
-//!   accumulator registers of 16 lanes), 6×16 with AVX2 (12 of 8), and the
-//!   portable 4×8 otherwise. The `j` lanes are fully independent, so the
-//!   compiler vectorizes them without reassociating anything.
+//!   The left operand may also be *formed* while it is packed rather than
+//!   read ([`Lhs::SoftmaxGrad`]: the output layer's `dy`, built from the
+//!   stored local softmax), so the staged tensor is never written.
+//! * **Microkernel.** The microkernel accumulates an arch-tuned `MR × NR`
+//!   register tile over one `k` panel: the tile starts from the output
+//!   (from zero on the first panel, which is what a fresh output holds),
+//!   every `p` term is added directly to its running element total, and
+//!   the tile is stored once per panel — `k/KC` output round-trips instead
+//!   of `k`. The tile shape is chosen per target at compile time (the
+//!   workspace builds with `target-cpu=native`), and so is the kernel:
+//!   - AVX-512: 8×32, in [`crate::simd`]. 16 `zmm` accumulators stay
+//!     resident across the whole `p` loop, plus the two `b` vectors of
+//!     the current `p` and one broadcast of `a` — 19 of 32 registers.
+//!   - AVX2: 6×16, in [`crate::simd`]. 12 `ymm` accumulators, two `b`
+//!     vectors, one broadcast — 15 of 16 registers.
+//!   - Otherwise the portable 4×8 loop ([`microkernel`] here), which the
+//!     compiler vectorizes along the contiguous `j` axis one row at a time.
+//!
+//!   The intrinsic kernels exist because no safe formulation got the tile
+//!   into registers. The portable row-outer loop keeps one row's
+//!   accumulator live at a time, so each `p` step waits on that row's two
+//!   dependent add chains; a `p`-outer loop over the whole
+//!   `[[f32; NR]; MR]` tile is vectorized across rows with gathers and
+//!   scatters instead. At the output layer's logits shape (`[32, 64]` ×
+//!   `[64, 16384]`, one lane, a 2.1 GHz AVX-512 Xeon): the `p`-outer loop
+//!   3.7 GFLOP/s, the row-outer loop 24, the register-resident intrinsics
+//!   kernel 49–57.
+//!
+//!   No kernel uses a fused multiply-add. FMA rounds `acc + a·b` once where
+//!   the reference rounds the product and then the sum, so it would change
+//!   low bits; the intrinsic kernels emit `mul` then `add`, and rustc never
+//!   contracts the portable loop's `*c += a * b` into one. An FMA tripwire
+//!   test (`tests/gemm.rs`) pins this for every layout and the epilogue.
+//! * **Accumulate epilogue.** With [`Gemm::accumulate`] and `k ≤ KC`, each
+//!   tile is the whole fresh product and its write-back adds it into the
+//!   output (the weight gradient): per element the one `grad + dW`
+//!   addition of a separate `add_assign`, with no `dW` tensor.
 //!
 //! # Determinism contract
 //!
@@ -41,8 +69,8 @@
 //! the same `A`. Zero padding in edge tiles only ever feeds lanes whose
 //! results are discarded, so `NaN`/`∞` propagation is untouched. As in the
 //! unpacked kernels there is no `a == 0.0` fast path: `0·NaN` must stay
-//! `NaN`. There is also no FMA: rustc never contracts `mul` + `add`, so
-//! wider SIMD lanes cannot change a single bit of any output.
+//! `NaN`. There is also no FMA (above), so wider SIMD lanes cannot change
+//! a single bit of any output.
 //!
 //! The optional fused bias epilogue adds `bias[j]` to an output strip
 //! immediately after the strip's final `k` panel — per element this is the
@@ -50,7 +78,8 @@
 //! fused and unfused paths are bitwise identical too (while the strip is
 //! still cache-hot, which is the point of fusing).
 
-use crate::alloc;
+use crate::ops::SoftmaxGrad;
+use crate::{alloc, pool};
 
 /// Cache-block depth over the shared (`k`) dimension: one packed panel of
 /// the right operand covers `KC` consecutive `p` values.
@@ -130,10 +159,43 @@ pub(crate) enum Rhs<'a> {
     Packed(&'a PackedB),
 }
 
+/// Where a GEMM's left operand comes from.
+#[derive(Clone, Copy)]
+pub(crate) enum Lhs<'a> {
+    /// Row-major `a` as the layout reads it.
+    Rows(&'a [f32]),
+    /// `Nn`/`Tn`: the output layer's cross-entropy gradient, formed from
+    /// the stored local softmax while the block is packed.
+    SoftmaxGrad(&'a SoftmaxGrad<'a>),
+}
+
+impl Lhs<'_> {
+    /// Elements `[col0, col0 + len)` of row `row` of the row-major `a`
+    /// (whose rows are `stride` wide): borrowed where they lie, or formed
+    /// into `buf` (at least `len` long).
+    #[inline]
+    fn fragment<'s>(
+        &'s self,
+        row: usize,
+        col0: usize,
+        len: usize,
+        stride: usize,
+        buf: &'s mut [f32],
+    ) -> &'s [f32] {
+        match self {
+            Lhs::Rows(a) => &a[row * stride + col0..][..len],
+            Lhs::SoftmaxGrad(dy) => {
+                dy.fill(row, col0, &mut buf[..len]);
+                &buf[..len]
+            }
+        }
+    }
+}
+
 /// One GEMM problem: `out[i, j] += Σₚ A'[i, p] · B'[p, j]` where `A'`/`B'`
 /// are the layout-adjusted views of `a` and `b`.
 pub(crate) struct Gemm<'a> {
-    pub a: &'a [f32],
+    pub a: Lhs<'a>,
     pub b: Rhs<'a>,
     /// Shared dimension.
     pub k: usize,
@@ -143,6 +205,12 @@ pub(crate) struct Gemm<'a> {
     /// Output rows of the *full* problem (`Tn` needs it to stride `a`).
     pub m: usize,
     pub layout: Layout,
+    /// `out` holds running totals the product is added to, and `k ≤ KC`:
+    /// each tile is computed fresh from zero over the one `k` panel and
+    /// its write-back adds it in — per element one `out + Σₚ` addition,
+    /// bitwise `out.add_assign(&product)`. Otherwise `out` holds zeros and
+    /// the write-back stores.
+    pub accumulate: bool,
 }
 
 /// Write access to the output rows of one GEMM run.
@@ -151,15 +219,15 @@ pub(crate) struct Gemm<'a> {
 /// buffer ([`ContigRows`]); the column-panel split hands it a strided
 /// panel ([`crate::pool::ColPanelMut`]). Either way `row_mut(r)` is the
 /// `width`-wide output slice of chunk-local row `r`.
-pub(crate) trait OutRows {
+trait OutRows {
     /// Mutable output slice of chunk-local row `r`.
     fn row_mut(&mut self, r: usize) -> &mut [f32];
 }
 
 /// Contiguous row-major output rows (the row-chunk and serial paths).
-pub(crate) struct ContigRows<'a> {
-    pub buf: &'a mut [f32],
-    pub width: usize,
+struct ContigRows<'a> {
+    buf: &'a mut [f32],
+    width: usize,
 }
 
 impl OutRows for ContigRows<'_> {
@@ -176,7 +244,9 @@ impl OutRows for crate::pool::ColPanelMut<'_> {
     }
 }
 
-/// Accumulates one `MR × NR` register tile over a packed `k` panel.
+/// Accumulates one `MR × NR` register tile over a packed `k` panel: the
+/// portable kernel, for targets without the wide x86 vectors
+/// [`crate::simd`] programs directly.
 ///
 /// `apanel` is `pc × MR` (`p`-major), `btile` is `pc × NR` (`p`-major).
 /// Every `c[i][j]` element receives its `pc` terms one at a time in
@@ -190,6 +260,10 @@ impl OutRows for crate::pool::ColPanelMut<'_> {
 /// gather/scatter for every column of `c` — a 5× slowdown. Looping rows
 /// first re-reads `btile` `MR` times, but the tile lives in L1 by
 /// construction.
+#[cfg(not(all(
+    target_arch = "x86_64",
+    any(target_feature = "avx512f", target_feature = "avx2")
+)))]
 #[inline]
 fn microkernel(apanel: &[f32], btile: &[f32], c: &mut [[f32; NR]; MR]) {
     for (ir, crow) in c.iter_mut().enumerate() {
@@ -206,6 +280,12 @@ fn microkernel(apanel: &[f32], btile: &[f32], c: &mut [[f32; NR]; MR]) {
         *crow = acc;
     }
 }
+
+#[cfg(all(
+    target_arch = "x86_64",
+    any(target_feature = "avx512f", target_feature = "avx2")
+))]
+use crate::simd::microkernel;
 
 /// The unpacked row kernel: `out[j] += Σₚ a[p] · b[p · ldb + j]` with `p`
 /// ascending, one `NR`-wide column strip at a time, the strip's running
@@ -322,12 +402,13 @@ impl PackedB {
     pub fn pack_nt(rhs: &crate::Tensor) -> PackedB {
         let (n, k) = rhs.shape();
         let g = Gemm {
-            a: &[],
+            a: Lhs::Rows(&[]),
             b: Rhs::Rows(rhs.data()),
             k,
             n,
             m: 0,
             layout: Layout::Nt,
+            accumulate: false,
         };
         let tiles = n.div_ceil(NR);
         let mut buf = alloc::take_zeroed(k * tiles * NR);
@@ -389,16 +470,17 @@ impl std::fmt::Debug for PackedB {
 /// `MR`-row tiles (`block[tile][p · MR + i]`). Ragged tile rows are
 /// zero-padded (results discarded on write-back).
 fn pack_a_block(g: &Gemm<'_>, row0: usize, mc: usize, p0: usize, pc: usize, block: &mut [f32]) {
-    let mtiles = mc.div_ceil(MR);
-    for mt in 0..mtiles {
-        let rbase = row0 + mt * MR;
-        let mr = MR.min(row0 + mc - rbase);
-        let apanel = &mut block[mt * pc * MR..(mt + 1) * pc * MR];
-        match g.layout {
-            Layout::Nn | Layout::Nt => {
-                // a is [m, k]: each tile row is a contiguous slice of a.
+    // Where a formed (not borrowed) fragment lands: at most KC (Nn/Nt) or
+    // MC (Tn) wide.
+    let mut buf = [0.0f32; if KC > MC { KC } else { MC }];
+    match g.layout {
+        Layout::Nn | Layout::Nt => {
+            // a is [m, k]: each tile row is a contiguous slice of a.
+            for (mt, apanel) in block.chunks_exact_mut(pc * MR).enumerate() {
+                let rbase = row0 + mt * MR;
+                let mr = MR.min(row0 + mc - rbase);
                 for ir in 0..mr {
-                    let src = &g.a[(rbase + ir) * g.k + p0..(rbase + ir) * g.k + p0 + pc];
+                    let src = g.a.fragment(rbase + ir, p0, pc, g.k, &mut buf);
                     for (p, &v) in src.iter().enumerate() {
                         apanel[p * MR + ir] = v;
                     }
@@ -409,16 +491,110 @@ fn pack_a_block(g: &Gemm<'_>, row0: usize, mc: usize, p0: usize, pc: usize, bloc
                     }
                 }
             }
-            Layout::Tn => {
-                // a is [k, m] used as Aᵀ: each p supplies a contiguous row
-                // fragment — packing untransposes the column-major reads.
-                for (p, dst) in apanel.chunks_exact_mut(MR).enumerate().take(pc) {
-                    let src = &g.a[(p0 + p) * g.m + rbase..(p0 + p) * g.m + rbase + mr];
-                    dst[..mr].copy_from_slice(src);
-                    dst[mr..].fill(0.0);
+        }
+        Layout::Tn => {
+            // a is [k, m] used as Aᵀ: each p supplies one contiguous
+            // fragment of the block's rows, split across its tiles —
+            // packing untransposes the column-major reads.
+            for p in 0..pc {
+                let src = g.a.fragment(p0 + p, row0, mc, g.m, &mut buf);
+                for (mt, part) in src.chunks(MR).enumerate() {
+                    let dst = &mut block[(mt * pc + p) * MR..][..MR];
+                    dst[..part.len()].copy_from_slice(part);
+                    dst[part.len()..].fill(0.0);
                 }
             }
         }
+    }
+}
+
+/// `dst = src`, or `dst += src` with `add`: one tile row in or out. A
+/// full-width row takes the fixed-size path, so it moves as whole vectors
+/// rather than through a `memcpy` call.
+#[inline(always)]
+fn tile_io(dst: &mut [f32], src: &[f32], add: bool) {
+    #[inline(always)]
+    fn io(dst: &mut [f32], src: &[f32], add: bool) {
+        if add {
+            for (o, &v) in dst.iter_mut().zip(src) {
+                *o += v;
+            }
+        } else {
+            dst.copy_from_slice(src);
+        }
+    }
+    match (
+        <&mut [f32; NR]>::try_from(&mut *dst),
+        <&[f32; NR]>::try_from(src),
+    ) {
+        (Ok(dst), Ok(src)) => io(dst, src, add),
+        _ => io(dst, src, add),
+    }
+}
+
+/// Runs one whole GEMM into `out` (`[g.m, g.n]` row-major), on the worker
+/// pool when it pays. `out` holds zeros, or with [`Gemm::accumulate`] the
+/// running totals the product is added to. Every layout accumulates each
+/// element in ascending `k` order — bitwise identical to the plain `i-k-j`
+/// triple loop for any tiling, thread count or split direction. There is
+/// deliberately no `a == 0.0` fast path: skipping a term would turn
+/// `0·NaN`/`0·∞` (which are `NaN` under IEEE 754) into `0`, silently
+/// masking poisoned gradients.
+///
+/// An `Nn` product with fewer rows than one register tile (`m < MR`) never
+/// reaches the packed path: its rows run [`row_kernel`] in place — no pack
+/// scratch, no packing, no pool. The rule follows from the tile, not from
+/// a tuned threshold: below `MR` rows the packed path computes a padded
+/// tile whose extra rows are discarded.
+///
+/// Otherwise the split direction is shape-driven: outputs with enough rows
+/// to give every worker at least one full register tile split into
+/// contiguous row chunks; short-wide outputs (few rows against a large
+/// vocabulary) split into column panels instead, which are independent
+/// subproblems over the same `A` — either way each output element is
+/// produced by exactly one task running the serial kernel.
+pub(crate) fn run(g: &Gemm<'_>, out: &mut [f32], bias: Option<&[f32]>) {
+    let (m, k, n) = (g.m, g.k, g.n);
+    if g.layout == Layout::Nn && m < MR {
+        // Fewer rows than one register tile: packing `b` and computing an
+        // `MR`-row padded tile costs more than the product itself, so the
+        // rows run the unpacked kernel — same per-element order, same bits.
+        debug_assert!(!g.accumulate, "row-kernel products are fresh");
+        let Rhs::Rows(b) = g.b else {
+            unreachable!("only `Nt` products take a pre-packed operand")
+        };
+        let mut buf = match g.a {
+            Lhs::Rows(_) => Vec::new(),
+            Lhs::SoftmaxGrad(_) => alloc::take_zeroed(k),
+        };
+        for (i, out_row) in out.chunks_exact_mut(n.max(1)).take(m).enumerate() {
+            row_kernel(g.a.fragment(i, 0, k, k, &mut buf), b, n, out_row);
+            if let Some(bias) = bias {
+                for (o, &bv) in out_row.iter_mut().zip(bias) {
+                    *o += bv;
+                }
+            }
+        }
+        alloc::release(buf);
+        return;
+    }
+    let work = m.saturating_mul(k).saturating_mul(n);
+    let workers = pool::effective_parallelism();
+    if m >= workers * MR && pool::would_parallelize(m, work) {
+        pool::par_rows_mut(m, work, out, |i0, i1, chunk| {
+            let mut rows = ContigRows {
+                buf: chunk,
+                width: n,
+            };
+            gemm_chunk(g, i0, i1 - i0, 0, n, &mut rows, bias);
+        });
+    } else {
+        // Short-wide (or serial): the panel split hands the whole problem
+        // to one task when parallelism isn't worth it.
+        pool::par_col_panels_mut(m, n, NR, work, out, |mut panel| {
+            let (j0, j1) = panel.col_range();
+            gemm_chunk(g, 0, m, j0, j1 - j0, &mut panel, bias);
+        });
     }
 }
 
@@ -434,7 +610,7 @@ fn pack_a_block(g: &Gemm<'_>, row0: usize, mc: usize, p0: usize, pc: usize, bloc
 /// the whole output. Both splits start every `NC` block on an `NR`
 /// boundary, so a pre-packed operand's tile `(j_off + j0)/NR + jt` is the
 /// tile the per-call pack would have built.
-pub(crate) fn gemm_chunk<O: OutRows>(
+fn gemm_chunk<O: OutRows>(
     g: &Gemm<'_>,
     i0: usize,
     rows: usize,
@@ -446,6 +622,10 @@ pub(crate) fn gemm_chunk<O: OutRows>(
     if jcols == 0 || rows == 0 {
         return;
     }
+    debug_assert!(
+        !g.accumulate || g.k <= KC,
+        "accumulating GEMMs are one k panel"
+    );
     // Pack scratch comes from the arena, recycled across calls (and across
     // threads' independent chunks — each task takes its own buffers).
     let mut scratch = match g.b {
@@ -485,15 +665,20 @@ pub(crate) fn gemm_chunk<O: OutRows>(
                     for jt in 0..jtiles {
                         let jbase = j0 + jt * NR;
                         let w = NR.min(j0 + jc - jbase);
+                        // The first panel starts from zero: a fresh
+                        // product's `out` holds exactly that, and an
+                        // accumulating one adds the tile in below.
                         let mut c = [[0.0f32; NR]; MR];
-                        for (ir, crow) in c.iter_mut().enumerate().take(mr) {
-                            let src = &out.row_mut(r0 + ir)[jbase..jbase + w];
-                            crow[..w].copy_from_slice(src);
+                        if p0 > 0 {
+                            for (ir, crow) in c.iter_mut().enumerate().take(mr) {
+                                let src = &out.row_mut(r0 + ir)[jbase..jbase + w];
+                                tile_io(&mut crow[..w], src, false);
+                            }
                         }
                         microkernel(apanel, &bpanel[jt * pc * NR..][..pc * NR], &mut c);
                         for (ir, crow) in c.iter().enumerate().take(mr) {
                             let dst = &mut out.row_mut(r0 + ir)[jbase..jbase + w];
-                            dst.copy_from_slice(&crow[..w]);
+                            tile_io(dst, &crow[..w], g.accumulate);
                         }
                     }
                 }

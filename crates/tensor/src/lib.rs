@@ -14,7 +14,8 @@
 //!   [`Tensor::matmul_nt_packed`] against a right operand packed once
 //!   ([`PackedB`]).
 //! * Reductions and the safe/online softmax family used by the paper
-//!   ([`ops`]).
+//!   ([`ops`]), including the output layer's gradient operand that the
+//!   GEMMs form while packing ([`ops::SoftmaxGrad`]).
 //! * Manual-backprop neural-network layers ([`nn`]): linear, layer-norm,
 //!   GELU, causal multi-head attention, embeddings and softmax
 //!   cross-entropy — everything needed to train a small GPT end to end.
@@ -53,6 +54,7 @@ pub mod ops;
 pub mod optim;
 pub mod pool;
 pub mod rng;
+mod simd;
 mod tensor;
 
 pub use error::TensorError;

@@ -353,9 +353,8 @@ impl KvCache {
         let scale = 1.0 / (hd as f32).sqrt();
         let mut context = Tensor::zeros(n, hidden);
         let stride = self.len.next_multiple_of(NR);
-        let mut scratch = alloc::take_zeroed((n + 1) * stride + hd * NR);
-        let (scores, rest) = scratch.split_at_mut(n * stride);
-        let (probs, ktile) = rest.split_at_mut(stride);
+        let mut scratch = alloc::take_zeroed(n * stride + hd * NR);
+        let (scores, ktile) = scratch.split_at_mut(n * stride);
         for c0 in (0..hidden).step_by(hd) {
             // `row_kernel` adds onto running totals, which start at zero.
             scores.fill(0.0);
@@ -376,14 +375,11 @@ impl KvCache {
                 }
             }
             for i in 0..n {
-                let (row, probs) = (
-                    &mut scores[i * stride..][..base + i + 1],
-                    &mut probs[..base + i + 1],
-                );
-                for s in row.iter_mut() {
+                let probs = &mut scores[i * stride..][..base + i + 1];
+                for s in probs.iter_mut() {
                     *s *= scale;
                 }
-                softmax_row(row, probs);
+                softmax_row(probs);
                 let ctx = &mut context.row_mut(i)[c0..c0 + hd];
                 let mut j = 0;
                 for run in runs(&self.v_blocks, hidden, bt, 0, probs.len()) {

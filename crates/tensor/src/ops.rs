@@ -12,6 +12,7 @@
 //! that lets each vocabulary shard normalize with *local* statistics first
 //! and correct with *global* statistics after the all-reduce.
 
+use crate::gemm::{self, Gemm, Layout, Lhs, Rhs};
 use crate::{mathx, pool, Result, Tensor, TensorError};
 
 /// Per-row maximum. Returns a vector of length `t.rows()`.
@@ -60,7 +61,8 @@ pub struct SoftmaxStats {
     pub sum: Vec<f32>,
 }
 
-/// Writes `dst[j] = e^{src[j] − m}` and returns the sum of the results.
+/// Replaces every `row[j]` with `e^{row[j] − m}` and returns the sum of the
+/// results.
 ///
 /// Exponentiate first, sum second: a running `s += e` inside the exp loop
 /// is a loop-carried dependence that would serialize it, so a fused single
@@ -69,95 +71,97 @@ pub struct SoftmaxStats {
 /// free to run a full vector wide. The exponential follows the process
 /// accuracy policy ([`crate::mathx`]): the reference path calls `f32::exp`,
 /// the fast path the bounded polynomial [`mathx::exp`].
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` differ in length.
-pub fn exp_sum(src: &[f32], m: f32, dst: &mut [f32]) -> f32 {
-    assert_eq!(src.len(), dst.len(), "exp_sum: row length mismatch");
+pub fn exp_sum(row: &mut [f32], m: f32) -> f32 {
     if mathx::fast_math() {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = mathx::exp(v - m);
+        for v in row.iter_mut() {
+            *v = mathx::exp(*v - m);
         }
     } else {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = (v - m).exp();
+        for v in row.iter_mut() {
+            *v = (*v - m).exp();
         }
     }
     // From `−0.0`, the additive identity: any first term `e` gives exactly
     // `e` (as a start of `+0.0` does for every `e` an exp can return), and
     // an empty row sums to what `Iterator::sum` gives it.
     let mut s = -0.0f32;
-    for &e in dst.iter() {
+    for &e in row.iter() {
         s += e;
     }
     s
 }
 
-/// The safe softmax of one row, `src` into `dst`; returns the row's
-/// `(max, sum)`.
+/// The safe softmax of one row, in place; returns the row's `(max, sum)`.
 ///
 /// This is the one implementation of "max, policy exp, ascending sum,
-/// scale by the reciprocal": [`local_softmax`] runs it on every row and
-/// the paged decode attention on every score row. An empty or all-`−∞`
-/// row gets the identity statistics `(−∞, 0)` and a *defined zero row*
-/// rather than `NaN` from `e^{−∞ − (−∞)}`; a `NaN` anywhere in such a row
-/// (the max ignores `NaN`) still poisons the row and its sum.
-pub(crate) fn softmax_row(src: &[f32], dst: &mut [f32]) -> (f32, f32) {
-    let m = src.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+/// scale by the reciprocal": [`local_softmax_in_place`] runs it on every
+/// row and the paged decode attention on every score row. An empty or
+/// all-`−∞` row gets the identity statistics `(−∞, 0)` and a *defined zero
+/// row* rather than `NaN` from `e^{−∞ − (−∞)}`; a `NaN` anywhere in such a
+/// row (the max ignores `NaN`) still poisons the row and its sum.
+pub(crate) fn softmax_row(row: &mut [f32]) -> (f32, f32) {
+    let m = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
     if m == f32::NEG_INFINITY {
-        let s = if src.iter().any(|v| v.is_nan()) {
+        let s = if row.iter().any(|v| v.is_nan()) {
             f32::NAN
         } else {
             0.0
         };
-        dst.fill(s);
+        row.fill(s);
         return (m, s);
     }
-    let s = exp_sum(src, m, dst);
+    let s = exp_sum(row, m);
     if s > 0.0 {
         let inv = 1.0 / s;
-        for d in dst.iter_mut() {
+        for d in row.iter_mut() {
             *d *= inv;
         }
     }
     (m, s)
 }
 
-/// Computes the locally-normalized softmax and its per-row statistics.
+/// Computes the locally-normalized softmax and its per-row statistics into
+/// a new tensor (see [`local_softmax_in_place`]).
+pub fn local_softmax(t: &Tensor) -> (Tensor, SoftmaxStats) {
+    let mut out = t.clone();
+    let stats = local_softmax_in_place(&mut out);
+    (out, stats)
+}
+
+/// Overwrites `t` with its locally-normalized softmax and returns the
+/// per-row statistics.
 ///
 /// This is the `S`-pass kernel of Algorithms 1 and 2: each device computes
 /// `softmax'(Y)` using only its own vocabulary shard, deferring global
-/// normalization to the communication barrier.
+/// normalization to the communication barrier. Computing it in the logits
+/// buffer keeps the `S` pass to one `[rows, V/p]` tensor.
 ///
 /// For a zero-width shard the statistics are `(−∞, 0)`, the identity
 /// elements of the max / sum reductions; a fully-masked (all-`−∞`) row
 /// gets the same statistics and a zero row (see `softmax_row`, which
 /// every row goes through — the per-row maximum is computed *inside* the
 /// same parallel region as the exponentials, one pool dispatch in all).
-pub fn local_softmax(t: &Tensor) -> (Tensor, SoftmaxStats) {
+pub fn local_softmax_in_place(t: &mut Tensor) -> SoftmaxStats {
     let (rows, cols) = t.shape();
-    let mut out = Tensor::zeros(rows, cols);
     let mut sum = vec![0.0f32; rows];
     let mut max = vec![f32::NEG_INFINITY; rows];
     let work = t.len().saturating_mul(8);
     pool::par_rows_mut3(
         rows,
         work,
-        out.data_mut(),
+        t.data_mut(),
         &mut sum,
         &mut max,
-        |r0, _r1, out_chunk, sum_chunk, max_chunk| {
+        |_r0, _r1, chunk, sum_chunk, max_chunk| {
             // A zero-width shard has no rows to visit and keeps the
             // identity statistics the vectors were filled with.
             let stats = sum_chunk.iter_mut().zip(max_chunk.iter_mut());
-            let dsts = out_chunk.chunks_exact_mut(cols.max(1));
-            for (li, (dst, (s, m))) in dsts.zip(stats).enumerate() {
-                (*m, *s) = softmax_row(t.row(r0 + li), dst);
+            for (row, (s, m)) in chunk.chunks_exact_mut(cols.max(1)).zip(stats) {
+                (*m, *s) = softmax_row(row);
             }
         },
     );
-    (out, SoftmaxStats { max, sum })
+    SoftmaxStats { max, sum }
 }
 
 /// Rescales a local softmax into the global softmax (the paper's Eq. 5).
@@ -182,25 +186,12 @@ pub fn rescale_softmax(
     global_sum: &[f32],
 ) -> Result<()> {
     let rows = local.rows();
-    if local_stats.max.len() != rows
-        || local_stats.sum.len() != rows
-        || global_max.len() != rows
-        || global_sum.len() != rows
-    {
+    if local_stats.max.len() != rows {
         return Err(TensorError::InvalidArgument(
             "rescale_softmax: statistics length mismatch".into(),
         ));
     }
-    let mut factors = vec![0.0f32; rows];
-    for (r, factor) in factors.iter_mut().enumerate() {
-        let (gm, gs) = (global_max[r], global_sum[r]);
-        if gm.is_nan() || gs.is_nan() || gs < 0.0 {
-            return Err(TensorError::InvalidArgument(format!(
-                "rescale_softmax: invalid global statistics at row {r} (max {gm}, sum {gs})"
-            )));
-        }
-        *factor = softmax_correction(local_stats.max[r], local_stats.sum[r], gm, gs);
-    }
+    let factors = softmax_corrections(local_stats, global_max, global_sum)?;
     let cols = local.cols();
     let factors_ref = &factors;
     pool::par_rows_mut(
@@ -219,6 +210,45 @@ pub fn rescale_softmax(
     Ok(())
 }
 
+/// Every row's Eq.-5 correction factor ([`softmax_correction`]), after
+/// checking the global statistics: the factors [`rescale_softmax`]
+/// multiplies in, which the output layer's `T` pass applies while packing
+/// ([`SoftmaxGrad`]) instead.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] if any statistics vector has a
+/// length different from `local_stats.max`, or if any global statistic is
+/// `NaN` or a negative sum (see [`rescale_softmax`]).
+pub fn softmax_corrections(
+    local_stats: &SoftmaxStats,
+    global_max: &[f32],
+    global_sum: &[f32],
+) -> Result<Vec<f32>> {
+    let rows = local_stats.max.len();
+    if local_stats.sum.len() != rows || global_max.len() != rows || global_sum.len() != rows {
+        return Err(TensorError::InvalidArgument(
+            "rescale_softmax: statistics length mismatch".into(),
+        ));
+    }
+    (0..rows)
+        .map(|r| {
+            let (gm, gs) = (global_max[r], global_sum[r]);
+            if gm.is_nan() || gs.is_nan() || gs < 0.0 {
+                return Err(TensorError::InvalidArgument(format!(
+                    "rescale_softmax: invalid global statistics at row {r} (max {gm}, sum {gs})"
+                )));
+            }
+            Ok(softmax_correction(
+                local_stats.max[r],
+                local_stats.sum[r],
+                gm,
+                gs,
+            ))
+        })
+        .collect()
+}
+
 /// The per-row correction factor of Eq. 5:
 /// `sum' · e^{m' − m} / sum`, with 0 for empty or fully-masked shards.
 ///
@@ -233,6 +263,169 @@ pub fn softmax_correction(local_max: f32, local_sum: f32, global_max: f32, globa
         return 0.0;
     }
     local_sum * (local_max - global_max).exp() / global_sum
+}
+
+/// The output layer's cross-entropy gradient over one vocabulary shard,
+/// `dy = (softmax − G)/N`, described rather than built.
+///
+/// `softmax` holds the shard's *local* softmax `softmax'` (`[N, V/p]`),
+/// `corr` each row's Eq.-5 factor ([`softmax_corrections`]) and `labels`
+/// each row's label as a shard-local column (`None` when another shard
+/// owns it). Element `(r, c)` of `dy` is
+///
+/// ```text
+/// ((softmax'[r][c] · corr[r]) · inv_n) − [c = labels[r]] · inv_n
+/// ```
+///
+/// per element exactly the staged path it replaces: rescale by the
+/// factor, scale by `1/N`, subtract `1/N` at the label. The products
+/// ([`Self::matmul`], [`Self::matmul_tn_accumulate`]) form these values
+/// while the GEMM packs its left operand, so neither the rescaled softmax
+/// nor `dy` is ever stored.
+#[derive(Debug, Clone, Copy)]
+pub struct SoftmaxGrad<'a> {
+    softmax: &'a Tensor,
+    corr: &'a [f32],
+    labels: &'a [Option<usize>],
+    inv_n: f32,
+}
+
+impl<'a> SoftmaxGrad<'a> {
+    /// Describes `dy` over `softmax` (see the type docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] unless `corr` and `labels`
+    /// have one entry per row of `softmax`, or
+    /// [`TensorError::OutOfBounds`] for a label past the shard's width.
+    pub fn new(
+        softmax: &'a Tensor,
+        corr: &'a [f32],
+        labels: &'a [Option<usize>],
+        inv_n: f32,
+    ) -> Result<Self> {
+        if corr.len() != softmax.rows() || labels.len() != softmax.rows() {
+            return Err(TensorError::InvalidArgument(format!(
+                "softmax grad: {} corrections and {} labels for {} rows",
+                corr.len(),
+                labels.len(),
+                softmax.rows()
+            )));
+        }
+        if let Some(&index) = labels.iter().flatten().find(|&&c| c >= softmax.cols()) {
+            return Err(TensorError::OutOfBounds {
+                op: "softmax_grad",
+                index,
+                bound: softmax.cols(),
+            });
+        }
+        Ok(SoftmaxGrad {
+            softmax,
+            corr,
+            labels,
+            inv_n,
+        })
+    }
+
+    /// `(N, V/p)`, the shape of `dy`.
+    fn shape(&self) -> (usize, usize) {
+        self.softmax.shape()
+    }
+
+    /// Writes `dy[row][col0 .. col0 + dst.len()]` into `dst`.
+    pub(crate) fn fill(&self, row: usize, col0: usize, dst: &mut [f32]) {
+        let src = &self.softmax.row(row)[col0..col0 + dst.len()];
+        let (corr, inv_n) = (self.corr[row], self.inv_n);
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = (v * corr) * inv_n;
+        }
+        if let Some(label) = self.labels[row] {
+            if let Some(d) = label.checked_sub(col0).and_then(|c| dst.get_mut(c)) {
+                *d -= inv_n;
+            }
+        }
+    }
+
+    /// `dy`, built: what the products read without storing it.
+    pub fn to_tensor(&self) -> Tensor {
+        let (rows, cols) = self.shape();
+        let mut dy = Tensor::zeros(rows, cols);
+        for r in 0..rows {
+            self.fill(r, 0, dy.row_mut(r));
+        }
+        dy
+    }
+
+    /// `dy · rhs` — bitwise `self.to_tensor().matmul(rhs)` (Algorithm 1's
+    /// partial input gradient `dy · W`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `rhs` does not have
+    /// `V/p` rows.
+    pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
+        let (m, k) = self.shape();
+        if rhs.rows() != k {
+            return Err(TensorError::ShapeMismatch {
+                op: "softmax_grad_matmul",
+                lhs: (m, k),
+                rhs: rhs.shape(),
+            });
+        }
+        let g = Gemm {
+            a: Lhs::SoftmaxGrad(self),
+            b: Rhs::Rows(rhs.data()),
+            k,
+            n: rhs.cols(),
+            m,
+            layout: Layout::Nn,
+            accumulate: false,
+        };
+        let mut out = Tensor::zeros(m, rhs.cols());
+        gemm::run(&g, out.data_mut(), None);
+        Ok(out)
+    }
+
+    /// `into += dyᵀ · rhs` — bitwise
+    /// `into.add_assign(&self.to_tensor().matmul_tn(rhs))` (the weight
+    /// gradient `∇W += dyᵀ · X`).
+    ///
+    /// With at most 128 rows (the GEMM's one `k` panel, `KC`) each output tile
+    /// is the whole fresh product, and its write-back adds it into `into`
+    /// — per element the same single `into + dW` addition, with no `dW`
+    /// tensor. Deeper products (or none) compute `dW` fresh and add it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `rhs` does not have `N`
+    /// rows or `into` is not `[V/p, rhs.cols()]`.
+    pub fn matmul_tn_accumulate(&self, rhs: &Tensor, into: &mut Tensor) -> Result<()> {
+        let (k, m) = self.shape();
+        let n = rhs.cols();
+        if rhs.rows() != k || into.shape() != (m, n) {
+            return Err(TensorError::ShapeMismatch {
+                op: "softmax_grad_matmul_tn_accumulate",
+                lhs: (k, m),
+                rhs: rhs.shape(),
+            });
+        }
+        let g = Gemm {
+            a: Lhs::SoftmaxGrad(self),
+            b: Rhs::Rows(rhs.data()),
+            k,
+            n,
+            m,
+            layout: Layout::Tn,
+            accumulate: (1..=gemm::KC).contains(&k),
+        };
+        if g.accumulate {
+            gemm::run(&g, into.data_mut(), None);
+            return Ok(());
+        }
+        let mut dw = Tensor::zeros(m, n);
+        gemm::run(&g, dw.data_mut(), None);
+        into.add_assign(&dw)
+    }
 }
 
 /// Numerically-safe softmax over every row, returning a new tensor.

@@ -1,25 +1,8 @@
-use crate::{alloc, gemm, pool, PackedB, Result, TensorError};
+use crate::{alloc, gemm, PackedB, Result, TensorError};
 
 /// Shared driver for every matmul layout: allocate a pooled, zeroed output
-/// and run the packed GEMM ([`crate::gemm`]) via the worker pool. All three
-/// layouts accumulate each output element in ascending `k` order from
-/// `0.0` — bitwise identical to the plain `i-k-j` triple loop for any
-/// tiling, thread count or split direction. There is deliberately no
-/// `a == 0.0` fast path: skipping a term would turn `0·NaN`/`0·∞` (which
-/// are `NaN` under IEEE 754) into `0`, silently masking poisoned gradients.
-///
-/// An `Nn` product with fewer rows than one register tile (`m < MR`) never
-/// reaches the packed path: its rows run [`gemm::row_kernel`] in place — no
-/// pack scratch, no packing, no pool. The rule follows from the tile, not
-/// from a tuned threshold: below `MR` rows the packed path computes a
-/// padded tile whose extra rows are discarded.
-///
-/// Otherwise the split direction is shape-driven: outputs with enough rows to give
-/// every worker at least one full register tile split into contiguous row
-/// chunks; short-wide outputs (few rows against a large vocabulary) split
-/// into column panels instead, which are independent subproblems over the
-/// same `A` — either way each output element is produced by exactly one
-/// task running the serial kernel.
+/// and run the packed GEMM ([`gemm::run`], which documents the dispatch
+/// and the determinism contract).
 fn run_gemm(
     a: &Tensor,
     b: gemm::Rhs<'_>,
@@ -30,50 +13,16 @@ fn run_gemm(
     bias: Option<&[f32]>,
 ) -> Tensor {
     let mut out = Tensor::zeros(m, n);
-    if layout == gemm::Layout::Nn && m < gemm::MR {
-        // Fewer rows than one register tile: packing `b` and computing an
-        // `MR`-row padded tile costs more than the product itself, so the
-        // rows run the unpacked kernel — same per-element order, same bits.
-        let gemm::Rhs::Rows(b) = b else {
-            unreachable!("only `Nt` products take a pre-packed operand")
-        };
-        for i in 0..m {
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            gemm::row_kernel(&a.data[i * k..(i + 1) * k], b, n, out_row);
-            if let Some(bias) = bias {
-                for (o, &bv) in out_row.iter_mut().zip(bias) {
-                    *o += bv;
-                }
-            }
-        }
-        return out;
-    }
     let g = gemm::Gemm {
-        a: &a.data,
+        a: gemm::Lhs::Rows(&a.data),
         b,
         k,
         n,
         m,
         layout,
+        accumulate: false,
     };
-    let work = m.saturating_mul(k).saturating_mul(n);
-    let workers = pool::effective_parallelism();
-    if m >= workers * gemm::MR && pool::would_parallelize(m, work) {
-        pool::par_rows_mut(m, work, &mut out.data, |i0, i1, chunk| {
-            let mut rows = gemm::ContigRows {
-                buf: chunk,
-                width: n,
-            };
-            gemm::gemm_chunk(&g, i0, i1 - i0, 0, n, &mut rows, bias);
-        });
-    } else {
-        // Short-wide (or serial): the panel split hands the whole problem
-        // to one task when parallelism isn't worth it.
-        pool::par_col_panels_mut(m, n, gemm::NR, work, &mut out.data, |mut panel| {
-            let (j0, j1) = panel.col_range();
-            gemm::gemm_chunk(&g, 0, m, j0, j1 - j0, &mut panel, bias);
-        });
-    }
+    gemm::run(&g, &mut out.data, bias);
     out
 }
 

@@ -9,9 +9,13 @@
 //! kernel that takes `Nn` products below one register tile is pinned
 //! against the packed path the same way, and so is the product against a
 //! right operand packed once beforehand (`Tensor::matmul_nt_packed`).
+//! The output layer's `dy` operand (`ops::SoftmaxGrad`), formed while
+//! packing, is pinned against the staged tensor it replaces, and an FMA
+//! tripwire fails the moment any path fuses a multiply into its add.
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use vp_tensor::init::{normal, seeded_rng};
+use vp_tensor::ops::SoftmaxGrad;
 use vp_tensor::{pool, set_num_threads, PackedB, Tensor};
 
 /// `(m, k, n)` shapes chosen to hit every tiling edge: zero dims, single
@@ -349,4 +353,104 @@ fn row_kernel_is_bitwise_the_packed_path_and_never_dispatches() {
     }
     set_num_threads(threads_before);
     pool::set_assumed_cores(0);
+}
+
+#[test]
+fn no_path_fuses_multiply_and_add() {
+    // Every element's running total reaches −(1+2⁻¹¹), then takes the term
+    // (1+2⁻¹²)·(1+2⁻¹²) = 1 + 2⁻¹¹ + 2⁻²⁴. Mul-then-add rounds the product
+    // first (a tie, to even: 1 + 2⁻¹¹) and the sum is exactly 0; a fused
+    // multiply-add keeps the product exact and leaves 2⁻²⁴. The shape is
+    // whole register tiles on every target (24 rows, 32 columns).
+    let (m, n) = (24, 32);
+    let acc = -(1.0 + 2f32.powi(-11));
+    let term = 1.0 + 2f32.powi(-12);
+    let zeros = |t: &Tensor, what: &str| {
+        assert_eq!(t.shape(), (m, n), "{what}");
+        for &v in t.data() {
+            assert_eq!(v, 0.0, "{what}: {v:e} — a multiply was fused into its add");
+        }
+    };
+    // A'[i] = [acc, term] and B'[·][j] = [1, term]: p = 0 sets the total,
+    // p = 1 is the tripwire term.
+    let a = Tensor::from_vec(m, 2, [acc, term].repeat(m)).unwrap();
+    let b = Tensor::from_vec(2, n, [vec![1.0; n], vec![term; n]].concat()).unwrap();
+    let bt = Tensor::from_vec(n, 2, [1.0, term].repeat(n)).unwrap();
+    let at = Tensor::from_vec(2, m, [vec![acc; m], vec![term; m]].concat()).unwrap();
+    zeros(&a.matmul(&b).unwrap(), "nn");
+    zeros(&a.matmul_nt(&bt).unwrap(), "nt");
+    zeros(&at.matmul_tn(&b).unwrap(), "tn");
+    zeros(
+        &a.matmul_nt_packed(&PackedB::pack_nt(&bt)).unwrap(),
+        "nt packed",
+    );
+    // The accumulate epilogue: the running total is `into` itself and the
+    // one-row product adds the tripwire term (dy = (v·1)·1 = v).
+    let softmax = Tensor::full(1, m, term);
+    let dy = SoftmaxGrad::new(&softmax, &[1.0], &[None], 1.0).unwrap();
+    let mut into = Tensor::full(m, n, acc);
+    dy.matmul_tn_accumulate(&Tensor::full(1, n, term), &mut into)
+        .unwrap();
+    zeros(&into, "accumulate epilogue");
+}
+
+#[test]
+fn softmax_grad_products_are_bitwise_the_staged_ones() {
+    // `dy` formed while packing against `dy` built first: both products,
+    // on shapes that straddle the tile, the KC = 128 panel (the fused
+    // write-back's limit) and the 128-row block, with labels inside and
+    // outside the shard and a zero correction.
+    let _guard = pool_config_lock();
+    let threads_before = vp_tensor::num_threads();
+    pool::set_assumed_cores(16);
+    let mut rng = seeded_rng(2031);
+    for (rows, width, h) in [
+        (1, 5, 3),
+        (3, 40, 7),
+        (9, 130, 33),
+        (128, 64, 5),
+        (129, 70, 9),
+    ] {
+        let mut softmax = normal(&mut rng, rows, width, 1.0);
+        *softmax.at_mut(rows / 2, width / 3) = f32::NAN;
+        let corr: Vec<f32> = (0..rows).map(|r| [0.75, 0.0, 1.3][r % 3]).collect();
+        let labels: Vec<Option<usize>> = (0..rows)
+            .map(|r| (r % 4 != 1).then_some((r * 7) % width))
+            .collect();
+        let inv_n = 1.0 / rows as f32;
+        let dy = SoftmaxGrad::new(&softmax, &corr, &labels, inv_n).unwrap();
+        let staged = dy.to_tensor();
+        let w = normal(&mut rng, width, h, 1.0);
+        let x = normal(&mut rng, rows, h, 1.0);
+        let grad0 = normal(&mut rng, width, h, 1.0);
+        for threads in [1, 2, 7] {
+            set_num_threads(threads);
+            let what = format!("{rows}x{width}x{h} threads={threads}");
+            assert_bits_eq(&dy.matmul(&w).unwrap(), &staged.matmul(&w).unwrap(), &what);
+            let mut fused = grad0.clone();
+            dy.matmul_tn_accumulate(&x, &mut fused).unwrap();
+            let mut reference = grad0.clone();
+            reference
+                .add_assign(&staged.matmul_tn(&x).unwrap())
+                .unwrap();
+            assert_bits_eq(&fused, &reference, &what);
+        }
+        // The staged tensor is the documented element formula.
+        for r in 0..rows {
+            for c in 0..width {
+                let mut v = (softmax.at(r, c) * corr[r]) * inv_n;
+                if labels[r] == Some(c) {
+                    v -= inv_n;
+                }
+                assert_eq!(staged.at(r, c).to_bits(), v.to_bits(), "({r}, {c})");
+            }
+        }
+        let mut wrong = Tensor::zeros(width + 1, h);
+        assert!(dy.matmul_tn_accumulate(&x, &mut wrong).is_err());
+    }
+    set_num_threads(threads_before);
+    pool::set_assumed_cores(0);
+    let softmax = Tensor::zeros(2, 3);
+    assert!(SoftmaxGrad::new(&softmax, &[1.0], &[None, None], 1.0).is_err());
+    assert!(SoftmaxGrad::new(&softmax, &[1.0; 2], &[None, Some(3)], 1.0).is_err());
 }

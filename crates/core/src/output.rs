@@ -15,13 +15,14 @@
 //! Gradients use *mean* reduction over the `N` tokens, matching the
 //! reference [`vp_tensor::nn::softmax_cross_entropy`].
 
+use crate::input::check_ids;
 use std::sync::OnceLock;
 use vp_collectives::{Collective, ReduceOp};
 use vp_model::cost::VocabAlgo;
 use vp_model::partition::VocabPartition;
 use vp_tensor::ops::{
-    exp_sum, local_softmax_in_place, softmax_correction, softmax_corrections, SoftmaxGrad,
-    SoftmaxStats,
+    exp_sum_rows, local_exp_sum_in_place, normalized_matmul, softmax_correction,
+    softmax_corrections, softmax_norm, SoftmaxGrad, SoftmaxStats, EXP_SUM_ROWS,
 };
 use vp_tensor::optim::Param;
 use vp_tensor::{PackedB, Result, Tensor, TensorError};
@@ -69,13 +70,19 @@ pub struct OutputShard {
 /// State carried between the `S` pass, the communication barrier(s) and
 /// the `T` pass for one microbatch.
 ///
-/// The barrier reduces the statistics and stores each row's Eq.-5
-/// correction; it never rewrites the `[rows, V/p]` softmax. The `T` pass
-/// applies the correction while its GEMMs pack `dy` ([`SoftmaxGrad`]).
+/// The one `[rows, V/p]` buffer is written by the logits GEMM, swept once
+/// into the row exponentials `e = exp(Y − m')`, and never rewritten: the
+/// local softmax `softmax' = e · norm` is formed by the GEMMs that read it
+/// (`A`'s, and `T`'s through [`SoftmaxGrad`]). The barrier reduces the
+/// statistics and stores each row's Eq.-5 correction, which the `T` pass
+/// applies while its GEMMs pack `dy`.
 #[derive(Debug, Clone)]
 pub struct SState {
-    /// The locally-normalized `softmax'`, computed in the logits buffer.
-    softmax: Tensor,
+    /// The row exponentials `e`, computed in the logits buffer.
+    exps: Tensor,
+    /// Per row `softmax_norm(sum')`: `1/sum'`, or `1.0` for an empty,
+    /// fully-masked or poisoned row.
+    norm: Vec<f32>,
     /// Local statistics `(m', sum')`.
     stats: SoftmaxStats,
     /// Each row's label as a shard-local column (`None` when another
@@ -98,7 +105,7 @@ impl SState {
     /// buffer the schedules budget between `S` and `T`).
     pub fn bytes(&self) -> usize {
         let f = std::mem::size_of::<f32>();
-        let mut total = self.softmax.len() * f + 2 * self.stats.max.len() * f;
+        let mut total = self.exps.len() * f + 3 * self.norm.len() * f;
         if let Some(a) = &self.a {
             total += a.len() * f;
         }
@@ -117,7 +124,17 @@ impl SState {
             TensorError::InvalidArgument("T pass requires the barrier to have run".into())
         })?;
         let n = self.labels.len() as f32;
-        SoftmaxGrad::new(&self.softmax, corr, &self.labels, 1.0 / n)
+        SoftmaxGrad::new(&self.exps, &self.norm, corr, &self.labels, 1.0 / n)
+    }
+
+    /// The local softmax `e · norm`, built (what the GEMMs form on read).
+    #[cfg(test)]
+    fn softmax(&self) -> Tensor {
+        let mut softmax = self.exps.clone();
+        for (r, &norm) in self.norm.iter().enumerate() {
+            softmax.row_mut(r).iter_mut().for_each(|v| *v *= norm);
+        }
+        softmax
     }
 
     /// All-reduces the softmax statistics (`m`, then `sum`) and computes
@@ -290,14 +307,10 @@ impl OutputShard {
         &mut self.weight
     }
 
-    /// Accumulates `g` into the weight *gradient* only — the value, and so
+    /// Mutable access to the weight *gradient* only — the value, and so
     /// the packed `Wᵀ`, is untouched (the tied embedding's input backward).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `g` has a different shape.
-    pub fn accumulate_grad(&mut self, g: &Tensor) -> Result<()> {
-        self.weight.accumulate(g)
+    pub fn grad_mut(&mut self) -> &mut Tensor {
+        self.weight.grad_mut()
     }
 
     /// The logits `Y = X·Wᵀ` against the packed shard, packing it on first
@@ -332,13 +345,34 @@ impl OutputShard {
             .collect()
     }
 
+    /// Algorithm 2's `B = G·W/N`: row `i` is the weight row of its label
+    /// over `N` where this shard owns the label, zeros elsewhere.
+    fn b(&self, local: &[Option<usize>]) -> Tensor {
+        let w = self.weight.value();
+        let n = local.len() as f32;
+        let mut b = Tensor::zeros(local.len(), w.cols());
+        for (row, c) in local.iter().enumerate() {
+            if let Some(c) = *c {
+                for (dst, &src) in b.row_mut(row).iter_mut().zip(w.row(c)) {
+                    *dst = src / n;
+                }
+            }
+        }
+        b
+    }
+
     // ---------------------------------------------------------------------
     // S pass
     // ---------------------------------------------------------------------
 
     /// The `S` pass: logits + local softmax, in one `[rows, V/p]` buffer
     /// (and, for Algorithm 2, the pre-barrier matmuls `A = softmax'(Y)·W`
-    /// and `B = G·W/N`).
+    /// and `B = G·W/N`). The buffer is swept once after the GEMM writes it
+    /// ([`local_exp_sum_in_place`]: per row the max, the exponentials in
+    /// place, the sums of row groups as interleaved chains) and left
+    /// unnormalized; `A`'s GEMM forms `softmax' = e · norm` while packing
+    /// it ([`normalized_matmul`]). Bitwise the staged pass that normalized
+    /// in place first.
     ///
     /// # Errors
     ///
@@ -353,15 +387,7 @@ impl OutputShard {
                 x.rows()
             )));
         }
-        for &l in labels {
-            if l >= self.partition.vocab() {
-                return Err(TensorError::OutOfBounds {
-                    op: "output_s_pass",
-                    index: l,
-                    bound: self.partition.vocab(),
-                });
-            }
-        }
+        check_ids(labels, self.partition.vocab(), "output_s_pass")?;
         let local = self.local_labels(labels);
         let mut y = self.logits(x)?;
         let label_logit = local
@@ -369,26 +395,52 @@ impl OutputShard {
             .enumerate()
             .map(|(row, c)| c.map_or(0.0, |c| y.at(row, c)))
             .collect();
-        let stats = local_softmax_in_place(&mut y);
+        let stats = local_exp_sum_in_place(&mut y);
+        let norm: Vec<f32> = stats.sum.iter().map(|&s| softmax_norm(s)).collect();
         let (a, b) = match algo {
             VocabAlgo::Naive | VocabAlgo::Alg1 => (None, None),
-            VocabAlgo::Alg2 => {
-                let w = self.weight.value();
-                let a = y.matmul(w)?;
-                let n = labels.len() as f32;
-                let mut bg = Tensor::zeros(x.rows(), x.cols());
-                for (row, c) in local.iter().enumerate() {
-                    if let Some(c) = *c {
-                        for (dst, &src) in bg.row_mut(row).iter_mut().zip(w.row(c)) {
-                            *dst = src / n;
-                        }
-                    }
-                }
-                (Some(a), Some(bg))
-            }
+            VocabAlgo::Alg2 => (
+                Some(normalized_matmul(&y, &norm, self.weight.value())?),
+                Some(self.b(&local)),
+            ),
         };
         Ok(SState {
-            softmax: y,
+            exps: y,
+            norm,
+            stats,
+            labels: local,
+            label_logit,
+            a,
+            b,
+            correction: None,
+        })
+    }
+
+    /// The staged `S` pass the one-sweep one replaced, kept as its oracle:
+    /// normalize the logits buffer in place into `softmax'`, then the plain
+    /// `A = softmax'·W`. Its state holds `softmax'` with a norm of `1.0`.
+    #[cfg(test)]
+    pub(crate) fn s_pass_staged(
+        &self,
+        algo: VocabAlgo,
+        x: &Tensor,
+        labels: &[usize],
+    ) -> Result<SState> {
+        let local = self.local_labels(labels);
+        let mut y = x.matmul_nt(self.weight.value())?;
+        let label_logit = local
+            .iter()
+            .enumerate()
+            .map(|(row, c)| c.map_or(0.0, |c| y.at(row, c)))
+            .collect();
+        let stats = vp_tensor::ops::local_softmax_in_place(&mut y);
+        let (a, b) = match algo {
+            VocabAlgo::Naive | VocabAlgo::Alg1 => (None, None),
+            VocabAlgo::Alg2 => (Some(y.matmul(self.weight.value())?), Some(self.b(&local))),
+        };
+        Ok(SState {
+            norm: vec![1.0; y.rows()],
+            exps: y,
             stats,
             labels: local,
             label_logit,
@@ -473,7 +525,8 @@ impl OutputShard {
     }
 
     /// The staged `T` pass the fused one replaced, kept as its oracle:
-    /// rescale the softmax, build `dy`, a fresh `dW`, then accumulate.
+    /// normalize and rescale the softmax, build `dy`, a fresh `dW`, then
+    /// accumulate.
     /// Returns Algorithm 1's partial `∇X` when `alg1`.
     #[cfg(test)]
     pub(crate) fn t_pass_staged(
@@ -483,7 +536,7 @@ impl OutputShard {
         alg1: bool,
     ) -> Result<Option<Tensor>> {
         let corr = state.correction.as_ref().expect("the barrier ran");
-        let mut softmax = state.softmax.clone();
+        let mut softmax = state.softmax();
         for (r, &f) in corr.iter().enumerate() {
             softmax.row_mut(r).iter_mut().for_each(|v| *v *= f);
         }
@@ -523,11 +576,11 @@ impl OutputShard {
         comm.all_reduce(&mut gmax, ReduceOp::Max)
             .map_err(|e| comm_err(&e))?;
         // F2: shifted exponentials and global sum.
-        let mut softmax = Tensor::zeros(y.rows(), y.cols());
+        let mut exps = Tensor::zeros(y.rows(), y.cols());
         let mut local_sum = vec![0.0f32; y.rows()];
         for r in 0..y.rows() {
             let mut acc = 0.0f32;
-            for (o, &v) in softmax.row_mut(r).iter_mut().zip(y.row(r)) {
+            for (o, &v) in exps.row_mut(r).iter_mut().zip(y.row(r)) {
                 let e = (v - gmax[r]).exp();
                 *o = e;
                 acc += e;
@@ -537,15 +590,6 @@ impl OutputShard {
         let mut gsum = local_sum.clone();
         comm.all_reduce(&mut gsum, ReduceOp::Sum)
             .map_err(|e| comm_err(&e))?;
-        #[allow(clippy::needless_range_loop)] // r indexes softmax rows and gsum together
-        for r in 0..y.rows() {
-            if gsum[r] > 0.0 {
-                let inv = 1.0 / gsum[r];
-                for v in softmax.row_mut(r) {
-                    *v *= inv;
-                }
-            }
-        }
         // Loss.
         let n = labels.len();
         let local = self.local_labels(labels);
@@ -560,10 +604,11 @@ impl OutputShard {
             .map(|i| (gmax[i] + gsum[i].ln() - label_logit[i]) as f64)
             .sum::<f64>()
             / n as f64;
-        // B: gradients and the final reduce. The softmax is already the
-        // global one, so every row's correction is 1.
+        // B: gradients and the final reduce. Normalized by the global sum,
+        // the exponentials are the global softmax: every correction is 1.
+        let norm: Vec<f32> = gsum.iter().map(|&s| softmax_norm(s)).collect();
         let ones = vec![1.0f32; y.rows()];
-        let dy = SoftmaxGrad::new(&softmax, &ones, &local, 1.0 / n as f32)?;
+        let dy = SoftmaxGrad::new(&exps, &norm, &ones, &local, 1.0 / n as f32)?;
         let mut dx = dy.matmul(self.weight.value())?;
         dy.matmul_tn_accumulate(x, self.weight.grad_mut())?;
         comm.all_reduce(dx.data_mut(), ReduceOp::Sum)
@@ -740,13 +785,14 @@ impl OutputShard {
     /// no gradients — this is the decode half of §4.2's `S` pass.
     ///
     /// Rows are independent: `m` stacked rows give bitwise the states of
-    /// `m` one-row calls, from one GEMM against the packed shard. Each
-    /// logits row is then read three times, each pass a loop the compiler
-    /// vectorizes: a lone `f32::max` fold for the row max, a top-`k`
-    /// sweep that skips 16-wide chunks holding no contender, and
-    /// [`exp_sum`] (the exp under the accuracy policy, in place in the
-    /// logits row, the sum in ascending column order). A `NaN` logit
-    /// is never a candidate.
+    /// `m` one-row calls, from one GEMM against the packed shard. The
+    /// logits are then swept a group of [`EXP_SUM_ROWS`] rows at a time,
+    /// while the group is in cache: a top-`k` sweep per row that skips
+    /// 16-wide chunks holding no contender, then training's exp-sum
+    /// ([`exp_sum_rows`]: the row max, the exp under the accuracy policy in
+    /// place, the group's ascending sums as interleaved chains). A `NaN`
+    /// logit is never a candidate, and a row with no logit above `−∞` gets the
+    /// identity statistics `(−∞, 0)`, which the merge weighs as nothing.
     ///
     /// # Errors
     ///
@@ -759,19 +805,24 @@ impl OutputShard {
             ));
         }
         let mut y = self.logits(x)?;
-        let start = self.shard_start();
-        let n = y.rows();
-        let mut max = Vec::with_capacity(n);
-        let mut sum = Vec::with_capacity(n);
+        let (start, n, cols) = (self.shard_start(), y.rows(), y.cols());
+        // A zero-width shard has no group to visit: identity statistics.
+        let mut max = vec![f32::NEG_INFINITY; n];
+        let mut sum = vec![0.0; n];
         let mut topk = vec![(f32::NEG_INFINITY, 0); n * k];
-        for (r, best) in topk.chunks_exact_mut(k).enumerate() {
-            let row = y.row(r);
-            let m = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-            select_topk(row, start, best);
+        let groups = y.data_mut().chunks_mut(EXP_SUM_ROWS * cols.max(1)).zip(
+            topk.chunks_mut(EXP_SUM_ROWS * k).zip(
+                max.chunks_mut(EXP_SUM_ROWS)
+                    .zip(sum.chunks_mut(EXP_SUM_ROWS)),
+            ),
+        );
+        for (rows, (best, (max, sum))) in groups {
+            for (row, best) in rows.chunks_exact(cols).zip(best.chunks_exact_mut(k)) {
+                select_topk(row, start, best);
+            }
             // The stats feed only the logprob metric; the token choice
             // never touches them.
-            max.push(m);
-            sum.push(exp_sum(y.row_mut(r), m));
+            exp_sum_rows(rows, cols, max, sum);
         }
         Ok(DecodeSState { max, sum, topk, k })
     }
@@ -1032,21 +1083,53 @@ pub(crate) mod tests {
         );
     }
 
+    /// `(vocab, p, rank, rows, label span)` for the staged oracles. 130
+    /// rows is past one KC = 128 panel: `T`'s fallback (fresh product, then
+    /// accumulate). Span 20 on rank 1 of 40/2 puts every label on the other
+    /// shard; vocab 5 over 8 shards leaves rank 7 with no column at all.
+    const STAGED_CASES: [(usize, usize, usize, usize, usize); 6] = [
+        (40, 1, 0, 6, 40),
+        (40, 3, 1, 13, 40),
+        (40, 2, 0, 130, 40),
+        (40, 2, 1, 9, 20),
+        (5, 8, 7, 4, 5),
+        (64, 4, 3, 33, 64),
+    ];
+
+    #[test]
+    fn one_sweep_s_pass_is_bitwise_the_staged_oracle() {
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let tbits = |t: Option<&Tensor>| t.map(|t| bits(t.data()));
+        for (vocab, p, rank, rows, span) in STAGED_CASES {
+            let mut full = normal(&mut seeded_rng(73), vocab, 6, 0.8);
+            // A column of `−∞` logits and a `NaN` one (x's column 0 is
+            // positive) on every shard of two columns or more.
+            full.row_mut(vocab - 1)[0] = f32::NEG_INFINITY;
+            full.row_mut(vocab / 2)[0] = f32::NAN;
+            let shard = OutputShard::from_full(&full, VocabPartition::new(vocab, p), rank).unwrap();
+            let mut x = normal(&mut seeded_rng(74), rows, 6, 1.0);
+            for r in 0..rows {
+                x.row_mut(r)[0] = x.row(r)[0].abs() + 0.25;
+            }
+            let labels: Vec<usize> = (0..rows).map(|i| (i * 7) % span).collect();
+            for algo in [VocabAlgo::Alg1, VocabAlgo::Alg2] {
+                let what = format!("{algo:?} vocab={vocab} p={p} rank={rank} rows={rows}");
+                let got = shard.s_pass(algo, &x, &labels).unwrap();
+                let want = shard.s_pass_staged(algo, &x, &labels).unwrap();
+                let softmax = |s: &SState| bits(s.softmax().data());
+                assert_eq!(softmax(&got), softmax(&want), "{what}: e·norm");
+                assert_eq!(bits(&got.stats.max), bits(&want.stats.max), "{what}");
+                assert_eq!(bits(&got.stats.sum), bits(&want.stats.sum), "{what}");
+                assert_eq!(bits(&got.label_logit), bits(&want.label_logit), "{what}");
+                assert_eq!(tbits(got.a.as_ref()), tbits(want.a.as_ref()), "{what}: A");
+                assert_eq!(tbits(got.b.as_ref()), tbits(want.b.as_ref()), "{what}: B");
+            }
+        }
+    }
+
     #[test]
     fn fused_t_pass_is_bitwise_the_staged_oracle() {
-        // (vocab, p, rank, rows, label span). 130 rows is past one KC = 128
-        // panel: the fallback (fresh product, then accumulate). Span 20 on
-        // rank 1 of 40/2 puts every label on the other shard; vocab 5 over
-        // 8 shards leaves rank 7 with no column at all.
-        let cases = [
-            (40, 1, 0, 6, 40),
-            (40, 3, 1, 13, 40),
-            (40, 2, 0, 130, 40),
-            (40, 2, 1, 9, 20),
-            (5, 8, 7, 4, 5),
-            (64, 4, 3, 33, 64),
-        ];
-        for (vocab, p, rank, rows, span) in cases {
+        for (vocab, p, rank, rows, span) in STAGED_CASES {
             for algo in [VocabAlgo::Alg1, VocabAlgo::Alg2] {
                 let full = normal(&mut seeded_rng(71), vocab, 6, 0.8);
                 let part = VocabPartition::new(vocab, p);
@@ -1181,12 +1264,18 @@ pub(crate) mod tests {
             cands.truncate(k);
             cands.resize(k, (f32::NEG_INFINITY, 0));
             max.push(m);
-            // Policy exp, ascending sum: the production exp-sum, fused.
+            // Policy exp, ascending sum: the production exp-sum, fused. A
+            // row with no logit above `−∞` (an empty shard's included) has
+            // the identity sum, or `NaN` if it holds one.
             let exp = |v: f32| match vp_tensor::mathx::fast_math() {
                 true => vp_tensor::mathx::exp(v - m),
                 false => (v - m).exp(),
             };
-            sum.push(row.iter().map(|&v| exp(v)).sum());
+            sum.push(match m {
+                f32::NEG_INFINITY if row.iter().any(|v| v.is_nan()) => f32::NAN,
+                f32::NEG_INFINITY => 0.0,
+                _ => row.iter().map(|&v| exp(v)).sum(),
+            });
             topk.extend(cands);
         }
         DecodeSState { max, sum, topk, k }
@@ -1260,7 +1349,8 @@ pub(crate) mod tests {
 
     #[test]
     fn streaming_sweep_is_bitwise_the_sort_based_oracle() {
-        // vocab 11 over 4 shards leaves widths 3/3/3/2, narrower than k;
+        // vocab 11 over 4 shards leaves widths 4/4/3/0, narrower than k
+        // and empty;
         // vocab 200 spans up to 13 chunks per row, and k = 17, 20 hold
         // more than one chunk's worth of candidates.
         let cases: [(Tensor, Tensor, &[usize]); 4] = [
@@ -1406,13 +1496,18 @@ pub(crate) mod tests {
         let d = shard.s_pass_decode(x, 3).unwrap();
         let a = s.a.as_ref().expect("alg2");
         let b = s.b.as_ref().expect("alg2");
-        [s.softmax.data(), &s.stats.max, &s.stats.sum, &s.label_logit]
-            .into_iter()
-            .chain([a.data(), b.data(), &d.max, &d.sum])
-            .flatten()
-            .map(|v| v.to_bits())
-            .chain(d.topk.iter().flat_map(|&(v, id)| [v.to_bits(), id as u32]))
-            .collect()
+        [
+            s.softmax().data(),
+            &s.stats.max,
+            &s.stats.sum,
+            &s.label_logit,
+        ]
+        .into_iter()
+        .chain([a.data(), b.data(), &d.max, &d.sum])
+        .flatten()
+        .map(|v| v.to_bits())
+        .chain(d.topk.iter().flat_map(|&(v, id)| [v.to_bits(), id as u32]))
+        .collect()
     }
 
     /// A shard built from scratch around `shard`'s current weight value.
@@ -1482,6 +1577,40 @@ pub(crate) mod tests {
             assert_eq!(
                 s_bits(&shard, &x, &labels),
                 s_bits(&fresh(&shard), &x, &labels)
+            );
+        }
+    }
+
+    #[test]
+    fn a_shard_of_minus_infinity_keeps_the_logprob_finite() {
+        // Regression: a shard row with no finite logit took `exp(−∞ − (−∞))`
+        // into a `NaN` sum, and the merge turned every rank's logprob for
+        // that row into `NaN`. The shared exp-sum gives it `(−∞, 0)`.
+        use vp_tensor::ops::{argmax_rows, softmax_rows};
+        let (vocab, h, p) = (24, 6, 2);
+        let mut w = normal(&mut seeded_rng(100), vocab, h, 0.7);
+        let part = VocabPartition::new(vocab, p);
+        let (start, end) = part.shard_range(1);
+        for r in start..end {
+            w.row_mut(r)[0] = f32::NEG_INFINITY;
+        }
+        let x = chunk_rows(5, h, 101);
+        let logits = x.matmul_nt(&w).unwrap();
+        let shard1 = OutputShard::from_full(&w, part, 1).unwrap();
+        let state = shard1.s_pass_decode(&x, 3).unwrap();
+        assert!(state.max.iter().all(|&m| m == f32::NEG_INFINITY));
+        assert!(state.sum.iter().all(|&s| s.to_bits() == 0));
+        let probs = softmax_rows(&logits);
+        let choices = run_decode_sharded(p, &w, &x, 3);
+        let tokens: Vec<usize> = choices.iter().map(|c| c.token).collect();
+        assert_eq!(tokens, argmax_rows(&logits));
+        for (r, c) in choices.iter().enumerate() {
+            let want = probs.at(r, c.token).ln();
+            assert!(c.logprob.is_finite(), "row {r}: logprob {}", c.logprob);
+            assert!(
+                (c.logprob - want).abs() < 1e-4,
+                "row {r}: {} vs {want}",
+                c.logprob
             );
         }
     }

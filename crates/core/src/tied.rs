@@ -9,10 +9,12 @@
 //! embedding table by the input-layer passes and as the unembedding matrix
 //! by the output-layer `S`/`T` passes.
 
+use crate::input::check_ids;
 use crate::output::{OutputShard, SState};
 use vp_collectives::{Collective, ReduceOp};
 use vp_model::cost::VocabAlgo;
 use vp_model::partition::VocabPartition;
+use vp_tensor::ops::scatter_add_rows;
 use vp_tensor::optim::Param;
 use vp_tensor::{Result, Tensor, TensorError};
 
@@ -66,17 +68,11 @@ impl TiedShard {
     ///
     /// Returns [`TensorError::OutOfBounds`] for an out-of-vocabulary id.
     pub fn input_forward_local(&self, ids: &[usize]) -> Result<Tensor> {
+        check_ids(ids, self.partition().vocab(), "tied_input_forward")?;
         let (start, end) = self.shard_range();
         let h = self.weight().value().cols();
         let mut out = Tensor::zeros(ids.len(), h);
         for (row, &id) in ids.iter().enumerate() {
-            if id >= self.partition().vocab() {
-                return Err(TensorError::OutOfBounds {
-                    op: "tied_input_forward",
-                    index: id,
-                    bound: self.partition().vocab(),
-                });
-            }
             if id >= start && id < end {
                 out.row_mut(row)
                     .copy_from_slice(self.weight().value().row(id - start));
@@ -98,32 +94,20 @@ impl TiedShard {
     }
 
     /// Input backward: scatter-adds `dy` rows for owned ids into the
-    /// *shared* gradient.
+    /// *shared* gradient, touching only the rows they name
+    /// ([`scatter_add_rows`]).
     ///
     /// # Errors
     ///
-    /// Returns a shape error if `dy` does not have one row per id.
+    /// Returns [`TensorError::OutOfBounds`] for an out-of-vocabulary id, as
+    /// the forward does, or a shape error if `dy` does not have one row per
+    /// id; a rejected call leaves the gradient unchanged.
     pub fn input_backward(&mut self, ids: &[usize], dy: &Tensor) -> Result<()> {
-        let h = self.weight().value().cols();
-        if dy.shape() != (ids.len(), h) {
-            return Err(TensorError::ShapeMismatch {
-                op: "tied_input_backward",
-                lhs: dy.shape(),
-                rhs: (ids.len(), h),
-            });
-        }
-        let (start, end) = self.shard_range();
-        let mut dw = Tensor::zeros(self.weight().value().rows(), h);
-        for (row, &id) in ids.iter().enumerate() {
-            if id >= start && id < end {
-                for (o, &g) in dw.row_mut(id - start).iter_mut().zip(dy.row(row)) {
-                    *o += g;
-                }
-            }
-        }
+        check_ids(ids, self.partition().vocab(), "tied_input_backward")?;
+        let (start, _) = self.shard_range();
         // Gradient only: going through `weight_mut` would drop the output
         // side's packed weight on every input backward.
-        self.output.accumulate_grad(&dw)
+        scatter_add_rows(self.output.grad_mut(), start, ids, dy)
     }
 
     // ---- Output-layer side (delegates to the shared OutputShard) --------
@@ -176,6 +160,7 @@ impl TiedShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::input::tests::{bits, dense_scatter, poisoned_dy, repeated_ids};
     use crate::output::tests::t_matches_staged;
     use vp_collectives::CollectiveGroup;
     use vp_tensor::init::{normal, seeded_rng};
@@ -336,7 +321,44 @@ mod tests {
     #[test]
     fn out_of_vocab_rejected() {
         let part = VocabPartition::new(8, 2);
-        let shard = TiedShard::from_full(&Tensor::zeros(8, 3), part, 0).unwrap();
+        let mut shard = TiedShard::from_full(&Tensor::zeros(8, 3), part, 0).unwrap();
         assert!(shard.input_forward_local(&[8]).is_err());
+        // The backward too, before touching the gradient (the owned ids
+        // come first).
+        shard.input_backward(&[2], &Tensor::ones(1, 3)).unwrap();
+        let before = bits(shard.weight().grad());
+        let err = shard.input_backward(&[1, 3, 8], &Tensor::ones(3, 3));
+        assert!(
+            matches!(err, Err(TensorError::OutOfBounds { index: 8, .. })),
+            "{err:?}"
+        );
+        assert_eq!(bits(shard.weight().grad()), before);
+    }
+
+    #[test]
+    fn input_backward_is_bitwise_the_dense_scatter() {
+        // Into a gradient that already holds the output side's T pass and
+        // earlier microbatches; vocab 5 over 8 leaves rank 7 with no row.
+        for (vocab, p, rank) in [(5, 8, 7), (5, 8, 1), (30, 3, 1), (4096, 2, 1)] {
+            let full = normal(&mut seeded_rng(25), vocab, 5, 0.7);
+            let mut shard =
+                TiedShard::from_full(&full, VocabPartition::new(vocab, p), rank).unwrap();
+            let x = normal(&mut seeded_rng(26), 3, 5, 1.0);
+            let mut state = shard
+                .s_pass(VocabAlgo::Alg2, &x, &[0, vocab - 1, vocab / 2])
+                .unwrap();
+            state.barrier_local();
+            shard.t_pass_alg2(&state, &x).unwrap();
+            let mut oracle = shard.weight().grad().clone();
+            let ids = repeated_ids(vocab);
+            let (start, _) = shard.shard_range();
+            for mb in 0..3 {
+                let dy = poisoned_dy(ids.len(), 5, 27 + mb);
+                shard.input_backward(&ids, &dy).unwrap();
+                dense_scatter(&mut oracle, start, &ids, &dy);
+                let what = format!("vocab={vocab} p={p} rank={rank} mb={mb}");
+                assert_eq!(bits(shard.weight().grad()), bits(&oracle), "{what}");
+            }
+        }
     }
 }

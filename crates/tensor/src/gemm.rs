@@ -21,7 +21,9 @@
 //!   packed them ([`Rhs`]), through the same loop nest.
 //!   The left operand may also be *formed* while it is packed rather than
 //!   read ([`Lhs::SoftmaxGrad`]: the output layer's `dy`, built from the
-//!   stored local softmax), so the staged tensor is never written.
+//!   stored row exponentials; [`Lhs::ScaledRows`]: its local softmax, the
+//!   exponentials normalized on read), so the staged tensor is never
+//!   written.
 //! * **Microkernel.** The microkernel accumulates an arch-tuned `MR × NR`
 //!   register tile over one `k` panel: the tile starts from the output
 //!   (from zero on the first panel, which is what a fresh output holds),
@@ -165,8 +167,11 @@ pub(crate) enum Lhs<'a> {
     /// Row-major `a` as the layout reads it.
     Rows(&'a [f32]),
     /// `Nn`/`Tn`: the output layer's cross-entropy gradient, formed from
-    /// the stored local softmax while the block is packed.
+    /// the stored row exponentials while the block is packed.
     SoftmaxGrad(&'a SoftmaxGrad<'a>),
+    /// Row-major `a` with row `r` multiplied by `scale[r]` as it is read:
+    /// the output layer's local softmax `e · norm`, normalized on read.
+    ScaledRows(&'a [f32], &'a [f32]),
 }
 
 impl Lhs<'_> {
@@ -186,6 +191,13 @@ impl Lhs<'_> {
             Lhs::Rows(a) => &a[row * stride + col0..][..len],
             Lhs::SoftmaxGrad(dy) => {
                 dy.fill(row, col0, &mut buf[..len]);
+                &buf[..len]
+            }
+            Lhs::ScaledRows(a, scale) => {
+                let src = &a[row * stride + col0..][..len];
+                for (d, &v) in buf[..len].iter_mut().zip(src) {
+                    *d = v * scale[row];
+                }
                 &buf[..len]
             }
         }
@@ -565,7 +577,7 @@ pub(crate) fn run(g: &Gemm<'_>, out: &mut [f32], bias: Option<&[f32]>) {
         };
         let mut buf = match g.a {
             Lhs::Rows(_) => Vec::new(),
-            Lhs::SoftmaxGrad(_) => alloc::take_zeroed(k),
+            Lhs::SoftmaxGrad(_) | Lhs::ScaledRows(..) => alloc::take_zeroed(k),
         };
         for (i, out_row) in out.chunks_exact_mut(n.max(1)).take(m).enumerate() {
             row_kernel(g.a.fragment(i, 0, k, k, &mut buf), b, n, out_row);

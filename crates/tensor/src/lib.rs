@@ -14,8 +14,10 @@
 //!   [`Tensor::matmul_nt_packed`] against a right operand packed once
 //!   ([`PackedB`]).
 //! * Reductions and the safe/online softmax family used by the paper
-//!   ([`ops`]), including the output layer's gradient operand that the
-//!   GEMMs form while packing ([`ops::SoftmaxGrad`]).
+//!   ([`ops`]), including the output layer's operands that the GEMMs
+//!   form while packing ([`ops::SoftmaxGrad`], [`ops::normalized_matmul`])
+//!   and the embedding backward's sparse scatter-add
+//!   ([`ops::scatter_add_rows`]).
 //! * Manual-backprop neural-network layers ([`nn`]): linear, layer-norm,
 //!   GELU, causal multi-head attention, embeddings and softmax
 //!   cross-entropy — everything needed to train a small GPT end to end.

@@ -1,6 +1,6 @@
 use crate::optim::Param;
 use crate::rng::Rng;
-use crate::{init, Result, Tensor, TensorError};
+use crate::{init, ops, Result, Tensor, TensorError};
 
 /// Token embedding table `W: [vocab, hidden]`.
 ///
@@ -70,27 +70,15 @@ impl Embedding {
         Ok((out, EmbeddingCache { ids: ids.to_vec() }))
     }
 
-    /// Scatter-adds `dy` rows into the weight gradient.
+    /// Scatter-adds `dy` rows into the weight gradient, touching only the
+    /// rows of the cached ids ([`ops::scatter_add_rows`]).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `dy` does not have one row
     /// per cached id and `hidden` columns.
     pub fn backward(&mut self, cache: &EmbeddingCache, dy: &Tensor) -> Result<()> {
-        if dy.shape() != (cache.ids.len(), self.hidden()) {
-            return Err(TensorError::ShapeMismatch {
-                op: "embedding_bwd",
-                lhs: dy.shape(),
-                rhs: (cache.ids.len(), self.hidden()),
-            });
-        }
-        let mut dw = Tensor::zeros(self.vocab(), self.hidden());
-        for (r, &id) in cache.ids.iter().enumerate() {
-            for (d, &g) in dw.row_mut(id).iter_mut().zip(dy.row(r)) {
-                *d += g;
-            }
-        }
-        self.weight.accumulate(&dw)
+        ops::scatter_add_rows(self.weight.grad_mut(), 0, &cache.ids, dy)
     }
 
     /// Mutable references to the trainable parameters.
@@ -129,6 +117,36 @@ mod tests {
         assert_eq!(g.row(0), &[0., 0.]);
         assert_eq!(g.row(1), &[4., 6.]);
         assert_eq!(g.row(2), &[0., 0.]);
+    }
+
+    #[test]
+    fn backward_is_bitwise_the_dense_scatter() {
+        // The dense scatter the sparse one replaced, as the oracle: ids
+        // repeated three and four times, a `NaN`, both infinities and a
+        // `−0.0` in `dy`, into a gradient holding earlier microbatches.
+        let (vocab, h) = (12, 3);
+        let mut emb = Embedding::new(&mut crate::init::seeded_rng(41), vocab, h);
+        let ids = [5, 11, 5, 0, 5, 11, 1, 11, 5, 4];
+        let (_, cache) = emb.forward(&ids).unwrap();
+        let mut oracle = Tensor::zeros(vocab, h);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for mb in 0..3 {
+            let mut dy =
+                crate::init::normal(&mut crate::init::seeded_rng(42 + mb), ids.len(), h, 1.0);
+            dy.row_mut(0)[0] = f32::NAN;
+            dy.row_mut(1)[1] = f32::INFINITY;
+            dy.row_mut(5)[1] = f32::NEG_INFINITY;
+            dy.row_mut(2)[2] = -0.0;
+            emb.backward(&cache, &dy).unwrap();
+            let mut dw = Tensor::zeros(vocab, h);
+            for (r, &id) in ids.iter().enumerate() {
+                for (d, &g) in dw.row_mut(id).iter_mut().zip(dy.row(r)) {
+                    *d += g;
+                }
+            }
+            oracle.add_assign(&dw).unwrap();
+            assert_eq!(bits(emb.params_mut()[0].grad()), bits(&oracle), "mb={mb}");
+        }
     }
 
     #[test]

@@ -61,17 +61,86 @@ pub struct SoftmaxStats {
     pub sum: Vec<f32>,
 }
 
-/// Replaces every `row[j]` with `e^{row[j] − m}` and returns the sum of the
-/// results.
+/// Rows whose ascending sums [`exp_sum_rows`] runs side by side: that
+/// many independent add chains, where one row's sum is one chain of
+/// dependent adds that leaves the adder waiting on its own latency. A
+/// property of the loop, not a tuning knob: the bits never depend on it.
+pub const EXP_SUM_ROWS: usize = 8;
+
+/// The exp-sum of every `cols`-wide row of `data` (rows back to back): row
+/// `r` gets its maximum `max[r] = m`, every element `v` replaced in place
+/// by `e^{v − m}`, and `sum[r]`, the sum of those `e` in ascending column
+/// order. The exponential follows the process accuracy policy
+/// ([`crate::mathx`]): the reference path calls `f32::exp`, the fast path
+/// the bounded polynomial [`mathx::exp`].
 ///
-/// Exponentiate first, sum second: a running `s += e` inside the exp loop
-/// is a loop-carried dependence that would serialize it, so a fused single
-/// pass cannot vectorize. Two passes add the identical `e` values in the
-/// identical ascending index order — same bits — while the exp loop is
-/// free to run a full vector wide. The exponential follows the process
-/// accuracy policy ([`crate::mathx`]): the reference path calls `f32::exp`,
-/// the fast path the bounded polynomial [`mathx::exp`].
-pub fn exp_sum(row: &mut [f32], m: f32) -> f32 {
+/// An empty or all-`−∞` row gets the identity statistics `(−∞, 0)` and a
+/// *defined zero row* rather than `NaN` from `e^{−∞ − (−∞)}`; a `NaN`
+/// anywhere in such a row (the max ignores `NaN`) still poisons the row
+/// and its sum.
+///
+/// Each row is exponentiated first and summed second: a running `s += e`
+/// inside the exp loop is a loop-carried dependence that would serialize
+/// it, so the exp loop runs a full vector wide on its own. The sums of
+/// [`EXP_SUM_ROWS`] rows then advance together, one column at a time, as
+/// that many independent chains. Every chain adds its own row's `e` one at
+/// a time in ascending order, exactly the single-row loop's order, so the
+/// grouping changes no bit: only the wait between dependent adds goes.
+///
+/// # Panics
+///
+/// Panics unless `max` and `sum` have one entry per row.
+pub fn exp_sum_rows(data: &mut [f32], cols: usize, max: &mut [f32], sum: &mut [f32]) {
+    assert!(
+        max.len() == sum.len() && data.len() == max.len() * cols,
+        "exp_sum_rows: {} values for {} x {cols}",
+        data.len(),
+        max.len()
+    );
+    if cols == 0 {
+        max.fill(f32::NEG_INFINITY);
+        sum.fill(0.0);
+        return;
+    }
+    let groups = data.chunks_mut(EXP_SUM_ROWS * cols).zip(
+        max.chunks_mut(EXP_SUM_ROWS)
+            .zip(sum.chunks_mut(EXP_SUM_ROWS)),
+    );
+    for (rows, (max, sum)) in groups {
+        for (row, m) in rows.chunks_exact_mut(cols).zip(max.iter_mut()) {
+            *m = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+            if *m != f32::NEG_INFINITY {
+                exp_in_place(row, *m);
+            }
+        }
+        if sum.len() == EXP_SUM_ROWS {
+            sum.copy_from_slice(&sum_chains::<EXP_SUM_ROWS>(rows, cols));
+        } else {
+            for (row, s) in rows.chunks_exact(cols).zip(sum.iter_mut()) {
+                *s = sum_chains::<1>(row, cols)[0];
+            }
+        }
+        // The degenerate rows were left as they came; give them the
+        // identity statistics (or their `NaN`) and the matching row.
+        for ((row, &m), s) in rows
+            .chunks_exact_mut(cols)
+            .zip(max.iter())
+            .zip(sum.iter_mut())
+        {
+            if m == f32::NEG_INFINITY {
+                *s = if row.iter().any(|v| v.is_nan()) {
+                    f32::NAN
+                } else {
+                    0.0
+                };
+                row.fill(*s);
+            }
+        }
+    }
+}
+
+/// `v ← e^{v − m}` for every element, under the accuracy policy.
+fn exp_in_place(row: &mut [f32], m: f32) {
     if mathx::fast_math() {
         for v in row.iter_mut() {
             *v = mathx::exp(*v - m);
@@ -81,41 +150,71 @@ pub fn exp_sum(row: &mut [f32], m: f32) -> f32 {
             *v = (*v - m).exp();
         }
     }
-    // From `−0.0`, the additive identity: any first term `e` gives exactly
-    // `e` (as a start of `+0.0` does for every `e` an exp can return), and
-    // an empty row sums to what `Iterator::sum` gives it.
-    let mut s = -0.0f32;
-    for &e in row.iter() {
-        s += e;
+}
+
+/// The ascending sums of the `N` `cols`-wide rows of `rows`, as `N`
+/// interleaved chains. Each starts from `+0.0`, which the first term `e`
+/// of a live row (an exponential: `+0.0`, positive or `NaN`) turns into
+/// exactly `e` — what the `−0.0` additive identity gives it too.
+///
+/// The rows are read in 8-column blocks: every row's block is loaded
+/// whole, then its columns are added in order, one term per chain per
+/// column. The loads are vectors, the adds stay one chain per row.
+#[inline(always)]
+fn sum_chains<const N: usize>(rows: &[f32], cols: usize) -> [f32; N] {
+    const BLOCK: usize = 8;
+    let rows: [&[f32]; N] = std::array::from_fn(|i| &rows[i * cols..][..cols]);
+    let mut acc = [0.0f32; N];
+    let full = cols - cols % BLOCK;
+    for j0 in (0..full).step_by(BLOCK) {
+        let block: [[f32; BLOCK]; N] =
+            std::array::from_fn(|i| rows[i][j0..j0 + BLOCK].try_into().expect("BLOCK wide"));
+        for j in 0..BLOCK {
+            for (a, b) in acc.iter_mut().zip(&block) {
+                *a += b[j];
+            }
+        }
     }
-    s
+    for j in full..cols {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += row[j];
+        }
+    }
+    acc
+}
+
+/// The factor a row of exponentials is normalized by: `1/sum` for a
+/// positive sum, else `1.0`. Multiplying by `1.0` is exact for every value,
+/// `NaN` and `−0.0` included, so an empty, fully-masked or poisoned row
+/// (sum `0` or `NaN`) passes through a normalization unchanged — the rule
+/// the softmax has always applied by skipping such rows.
+#[inline]
+pub fn softmax_norm(sum: f32) -> f32 {
+    if sum > 0.0 {
+        1.0 / sum
+    } else {
+        1.0
+    }
 }
 
 /// The safe softmax of one row, in place; returns the row's `(max, sum)`.
 ///
 /// This is the one implementation of "max, policy exp, ascending sum,
-/// scale by the reciprocal": [`local_softmax_in_place`] runs it on every
-/// row and the paged decode attention on every score row. An empty or
-/// all-`−∞` row gets the identity statistics `(−∞, 0)` and a *defined zero
-/// row* rather than `NaN` from `e^{−∞ − (−∞)}`; a `NaN` anywhere in such a
-/// row (the max ignores `NaN`) still poisons the row and its sum.
+/// scale by the reciprocal": [`exp_sum_rows`] on one row, then
+/// [`softmax_norm`]. [`local_softmax_in_place`] applies the same two steps
+/// to groups of rows and the paged decode attention to every score row.
 pub(crate) fn softmax_row(row: &mut [f32]) -> (f32, f32) {
-    let m = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-    if m == f32::NEG_INFINITY {
-        let s = if row.iter().any(|v| v.is_nan()) {
-            f32::NAN
-        } else {
-            0.0
-        };
-        row.fill(s);
-        return (m, s);
-    }
-    let s = exp_sum(row, m);
-    if s > 0.0 {
-        let inv = 1.0 / s;
-        for d in row.iter_mut() {
-            *d *= inv;
-        }
+    let (mut m, mut s) = (0.0, 0.0);
+    let cols = row.len();
+    exp_sum_rows(
+        row,
+        cols,
+        std::slice::from_mut(&mut m),
+        std::slice::from_mut(&mut s),
+    );
+    let norm = softmax_norm(s);
+    for d in row.iter_mut() {
+        *d *= norm;
     }
     (m, s)
 }
@@ -128,20 +227,34 @@ pub fn local_softmax(t: &Tensor) -> (Tensor, SoftmaxStats) {
     (out, stats)
 }
 
-/// Overwrites `t` with its locally-normalized softmax and returns the
-/// per-row statistics.
-///
-/// This is the `S`-pass kernel of Algorithms 1 and 2: each device computes
-/// `softmax'(Y)` using only its own vocabulary shard, deferring global
-/// normalization to the communication barrier. Computing it in the logits
-/// buffer keeps the `S` pass to one `[rows, V/p]` tensor.
+/// Overwrites `t` with its row exponentials `e = e^{Y − m'}` and returns
+/// the per-row statistics `(m', sum')`: [`exp_sum_rows`] over every row,
+/// on the worker pool when it pays. The locally-normalized softmax is then
+/// `e · softmax_norm(sum')` per row, which the output layer forms where it
+/// reads it instead of storing it.
 ///
 /// For a zero-width shard the statistics are `(−∞, 0)`, the identity
 /// elements of the max / sum reductions; a fully-masked (all-`−∞`) row
-/// gets the same statistics and a zero row (see `softmax_row`, which
-/// every row goes through — the per-row maximum is computed *inside* the
-/// same parallel region as the exponentials, one pool dispatch in all).
+/// gets the same statistics and a zero row.
+pub fn local_exp_sum_in_place(t: &mut Tensor) -> SoftmaxStats {
+    exp_sum_par(t, false)
+}
+
+/// Overwrites `t` with its locally-normalized softmax and returns the
+/// per-row statistics: [`local_exp_sum_in_place`], then every row scaled
+/// by its [`softmax_norm`] while its group is still in cache — per row
+/// exactly [`softmax_row`].
+///
+/// This is the `S`-pass kernel of Algorithms 1 and 2 as the paper states
+/// it: each device computes `softmax'(Y)` using only its own vocabulary
+/// shard, deferring global normalization to the communication barrier.
 pub fn local_softmax_in_place(t: &mut Tensor) -> SoftmaxStats {
+    exp_sum_par(t, true)
+}
+
+/// [`exp_sum_rows`] over `t`'s rows in one pool dispatch, each group of
+/// rows then normalized when `normalize`.
+fn exp_sum_par(t: &mut Tensor, normalize: bool) -> SoftmaxStats {
     let (rows, cols) = t.shape();
     let mut sum = vec![0.0f32; rows];
     let mut max = vec![f32::NEG_INFINITY; rows];
@@ -153,11 +266,19 @@ pub fn local_softmax_in_place(t: &mut Tensor) -> SoftmaxStats {
         &mut sum,
         &mut max,
         |_r0, _r1, chunk, sum_chunk, max_chunk| {
-            // A zero-width shard has no rows to visit and keeps the
-            // identity statistics the vectors were filled with.
-            let stats = sum_chunk.iter_mut().zip(max_chunk.iter_mut());
-            for (row, (s, m)) in chunk.chunks_exact_mut(cols.max(1)).zip(stats) {
-                (*m, *s) = softmax_row(row);
+            let groups = chunk.chunks_mut(EXP_SUM_ROWS * cols.max(1)).zip(
+                max_chunk
+                    .chunks_mut(EXP_SUM_ROWS)
+                    .zip(sum_chunk.chunks_mut(EXP_SUM_ROWS)),
+            );
+            for (rows, (max, sum)) in groups {
+                exp_sum_rows(rows, cols, max, sum);
+                if normalize {
+                    for (row, &s) in rows.chunks_exact_mut(cols.max(1)).zip(sum.iter()) {
+                        let norm = softmax_norm(s);
+                        row.iter_mut().for_each(|d| *d *= norm);
+                    }
+                }
             }
         },
     );
@@ -268,59 +389,65 @@ pub fn softmax_correction(local_max: f32, local_sum: f32, global_max: f32, globa
 /// The output layer's cross-entropy gradient over one vocabulary shard,
 /// `dy = (softmax − G)/N`, described rather than built.
 ///
-/// `softmax` holds the shard's *local* softmax `softmax'` (`[N, V/p]`),
-/// `corr` each row's Eq.-5 factor ([`softmax_corrections`]) and `labels`
-/// each row's label as a shard-local column (`None` when another shard
-/// owns it). Element `(r, c)` of `dy` is
+/// `exps` holds the shard's row exponentials `e = e^{Y − m'}` (`[N, V/p]`,
+/// see [`local_exp_sum_in_place`]), `norm` each row's [`softmax_norm`]
+/// (so that `e · norm` is the local softmax `softmax'`), `corr` each row's
+/// Eq.-5 factor ([`softmax_corrections`]) and `labels` each row's label as
+/// a shard-local column (`None` when another shard owns it). Element
+/// `(r, c)` of `dy` is
 ///
 /// ```text
-/// ((softmax'[r][c] · corr[r]) · inv_n) − [c = labels[r]] · inv_n
+/// (((e[r][c] · norm[r]) · corr[r]) · inv_n) − [c = labels[r]] · inv_n
 /// ```
 ///
-/// per element exactly the staged path it replaces: rescale by the
-/// factor, scale by `1/N`, subtract `1/N` at the label. The products
+/// per element exactly the staged path it replaces: normalize, rescale by
+/// the factor, scale by `1/N`, subtract `1/N` at the label. The products
 /// ([`Self::matmul`], [`Self::matmul_tn_accumulate`]) form these values
-/// while the GEMM packs its left operand, so neither the rescaled softmax
-/// nor `dy` is ever stored.
+/// while the GEMM packs its left operand, so neither the softmax nor `dy`
+/// is ever stored.
 #[derive(Debug, Clone, Copy)]
 pub struct SoftmaxGrad<'a> {
-    softmax: &'a Tensor,
+    exps: &'a Tensor,
+    norm: &'a [f32],
     corr: &'a [f32],
     labels: &'a [Option<usize>],
     inv_n: f32,
 }
 
 impl<'a> SoftmaxGrad<'a> {
-    /// Describes `dy` over `softmax` (see the type docs).
+    /// Describes `dy` over `exps` (see the type docs).
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] unless `corr` and `labels`
-    /// have one entry per row of `softmax`, or
+    /// Returns [`TensorError::InvalidArgument`] unless `norm`, `corr` and
+    /// `labels` have one entry per row of `exps`, or
     /// [`TensorError::OutOfBounds`] for a label past the shard's width.
     pub fn new(
-        softmax: &'a Tensor,
+        exps: &'a Tensor,
+        norm: &'a [f32],
         corr: &'a [f32],
         labels: &'a [Option<usize>],
         inv_n: f32,
     ) -> Result<Self> {
-        if corr.len() != softmax.rows() || labels.len() != softmax.rows() {
+        let rows = exps.rows();
+        if norm.len() != rows || corr.len() != rows || labels.len() != rows {
             return Err(TensorError::InvalidArgument(format!(
-                "softmax grad: {} corrections and {} labels for {} rows",
+                "softmax grad: {} norms, {} corrections and {} labels for {rows} rows",
+                norm.len(),
                 corr.len(),
                 labels.len(),
-                softmax.rows()
             )));
         }
-        if let Some(&index) = labels.iter().flatten().find(|&&c| c >= softmax.cols()) {
+        if let Some(&index) = labels.iter().flatten().find(|&&c| c >= exps.cols()) {
             return Err(TensorError::OutOfBounds {
                 op: "softmax_grad",
                 index,
-                bound: softmax.cols(),
+                bound: exps.cols(),
             });
         }
         Ok(SoftmaxGrad {
-            softmax,
+            exps,
+            norm,
             corr,
             labels,
             inv_n,
@@ -329,15 +456,15 @@ impl<'a> SoftmaxGrad<'a> {
 
     /// `(N, V/p)`, the shape of `dy`.
     fn shape(&self) -> (usize, usize) {
-        self.softmax.shape()
+        self.exps.shape()
     }
 
     /// Writes `dy[row][col0 .. col0 + dst.len()]` into `dst`.
     pub(crate) fn fill(&self, row: usize, col0: usize, dst: &mut [f32]) {
-        let src = &self.softmax.row(row)[col0..col0 + dst.len()];
-        let (corr, inv_n) = (self.corr[row], self.inv_n);
+        let src = &self.exps.row(row)[col0..col0 + dst.len()];
+        let (norm, corr, inv_n) = (self.norm[row], self.corr[row], self.inv_n);
         for (d, &v) in dst.iter_mut().zip(src) {
-            *d = (v * corr) * inv_n;
+            *d = ((v * norm) * corr) * inv_n;
         }
         if let Some(label) = self.labels[row] {
             if let Some(d) = label.checked_sub(col0).and_then(|c| dst.get_mut(c)) {
@@ -426,6 +553,46 @@ impl<'a> SoftmaxGrad<'a> {
         gemm::run(&g, dw.data_mut(), None);
         into.add_assign(&dw)
     }
+}
+
+/// `(e · norm) · rhs`: the local softmax `softmax' = e · norm` ([`SoftmaxGrad`]'s
+/// first factor, row `r` of `exps` scaled by `norm[r]`) times `rhs`, formed
+/// while the GEMM packs its left operand — bitwise scaling the rows first
+/// and then [`Tensor::matmul`], with no softmax tensor. Algorithm 2's
+/// pre-barrier `A = softmax'(Y)·W`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] unless `norm` has one entry
+/// per row of `exps`, or [`TensorError::ShapeMismatch`] unless `rhs` has
+/// `exps.cols()` rows.
+pub fn normalized_matmul(exps: &Tensor, norm: &[f32], rhs: &Tensor) -> Result<Tensor> {
+    let (m, k) = exps.shape();
+    if norm.len() != m {
+        return Err(TensorError::InvalidArgument(format!(
+            "normalized matmul: {} norms for {m} rows",
+            norm.len()
+        )));
+    }
+    if rhs.rows() != k {
+        return Err(TensorError::ShapeMismatch {
+            op: "normalized_matmul",
+            lhs: (m, k),
+            rhs: rhs.shape(),
+        });
+    }
+    let g = Gemm {
+        a: Lhs::ScaledRows(exps.data(), norm),
+        b: Rhs::Rows(rhs.data()),
+        k,
+        n: rhs.cols(),
+        m,
+        layout: Layout::Nn,
+        accumulate: false,
+    };
+    let mut out = Tensor::zeros(m, rhs.cols());
+    gemm::run(&g, out.data_mut(), None);
+    Ok(out)
 }
 
 /// Numerically-safe softmax over every row, returning a new tensor.
@@ -520,6 +687,64 @@ pub fn one_hot(labels: &[usize], cols: usize) -> Result<Tensor> {
         *g.at_mut(r, label) = 1.0;
     }
     Ok(g)
+}
+
+/// The embedding backward (Appendix C's "purely local scatter-add"):
+/// adds each row of `dy` into the row of `grad` its id names, touching
+/// only those rows.
+///
+/// `grad` holds the gradient rows of ids `start .. start + grad.rows()` (a
+/// vocabulary shard; `start = 0` for a whole table) and `dy` one row per
+/// entry of `ids`. An id outside the shard is another shard's and skipped;
+/// callers that must reject out-of-vocabulary ids check them first.
+///
+/// Bitwise the dense scatter it replaces, which zeroed a `dW` of the
+/// gradient's shape, added the `dy` rows into it in position order and
+/// then added all of `dW` into `grad`. Here the owned ids are grouped by a
+/// stable sort, so each id's `dy` rows are summed in position order
+/// starting from `+0.0` — the dense `dW` row, to the bit — and that sum is
+/// added into the id's gradient row once. The rows no id names would only
+/// have received `+0.0`, which changes no gradient value: `x + 0.0` is `x`
+/// for every `x` but `−0.0`, and no gradient element is ever `−0.0`,
+/// because every gradient writer starts from `+0.0` and adds (a sum of
+/// `+0.0` and anything is `−0.0` only if both terms are).
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] unless `dy` is
+/// `[ids.len(), grad.cols()]`; `grad` is then untouched.
+pub fn scatter_add_rows(grad: &mut Tensor, start: usize, ids: &[usize], dy: &Tensor) -> Result<()> {
+    if dy.shape() != (ids.len(), grad.cols()) {
+        return Err(TensorError::ShapeMismatch {
+            op: "scatter_add_rows",
+            lhs: dy.shape(),
+            rhs: (ids.len(), grad.cols()),
+        });
+    }
+    let width = grad.rows();
+    let mut owned: Vec<(usize, usize)> = ids
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, &id)| {
+            let row = id.checked_sub(start).filter(|&row| row < width)?;
+            Some((row, pos))
+        })
+        .collect();
+    // Stable: an id's rows keep their position order.
+    owned.sort_by_key(|&(row, _)| row);
+    let mut sum = vec![0.0f32; grad.cols()];
+    for group in owned.chunk_by(|a, b| a.0 == b.0) {
+        sum.fill(0.0);
+        for &(_, pos) in group {
+            for (s, &g) in sum.iter_mut().zip(dy.row(pos)) {
+                *s += g;
+            }
+        }
+        for (o, &s) in grad.row_mut(group[0].0).iter_mut().zip(&sum) {
+            *o += s;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use vp_tensor::init::{normal, seeded_rng};
-use vp_tensor::ops::SoftmaxGrad;
+use vp_tensor::ops::{self, SoftmaxGrad};
 use vp_tensor::{pool, set_num_threads, PackedB, Tensor};
 
 /// `(m, k, n)` shapes chosen to hit every tiling edge: zero dims, single
@@ -385,9 +385,9 @@ fn no_path_fuses_multiply_and_add() {
         "nt packed",
     );
     // The accumulate epilogue: the running total is `into` itself and the
-    // one-row product adds the tripwire term (dy = (v·1)·1 = v).
-    let softmax = Tensor::full(1, m, term);
-    let dy = SoftmaxGrad::new(&softmax, &[1.0], &[None], 1.0).unwrap();
+    // one-row product adds the tripwire term (dy = ((v·1)·1)·1 = v).
+    let exps = Tensor::full(1, m, term);
+    let dy = SoftmaxGrad::new(&exps, &[1.0], &[1.0], &[None], 1.0).unwrap();
     let mut into = Tensor::full(m, n, acc);
     dy.matmul_tn_accumulate(&Tensor::full(1, n, term), &mut into)
         .unwrap();
@@ -411,14 +411,15 @@ fn softmax_grad_products_are_bitwise_the_staged_ones() {
         (128, 64, 5),
         (129, 70, 9),
     ] {
-        let mut softmax = normal(&mut rng, rows, width, 1.0);
-        *softmax.at_mut(rows / 2, width / 3) = f32::NAN;
+        let mut exps = normal(&mut rng, rows, width, 1.0);
+        *exps.at_mut(rows / 2, width / 3) = f32::NAN;
+        let norm: Vec<f32> = (0..rows).map(|r| [0.37, 1.0, 2.9, 1.0][r % 4]).collect();
         let corr: Vec<f32> = (0..rows).map(|r| [0.75, 0.0, 1.3][r % 3]).collect();
         let labels: Vec<Option<usize>> = (0..rows)
             .map(|r| (r % 4 != 1).then_some((r * 7) % width))
             .collect();
         let inv_n = 1.0 / rows as f32;
-        let dy = SoftmaxGrad::new(&softmax, &corr, &labels, inv_n).unwrap();
+        let dy = SoftmaxGrad::new(&exps, &norm, &corr, &labels, inv_n).unwrap();
         let staged = dy.to_tensor();
         let w = normal(&mut rng, width, h, 1.0);
         let x = normal(&mut rng, rows, h, 1.0);
@@ -438,7 +439,7 @@ fn softmax_grad_products_are_bitwise_the_staged_ones() {
         // The staged tensor is the documented element formula.
         for r in 0..rows {
             for c in 0..width {
-                let mut v = (softmax.at(r, c) * corr[r]) * inv_n;
+                let mut v = ((exps.at(r, c) * norm[r]) * corr[r]) * inv_n;
                 if labels[r] == Some(c) {
                     v -= inv_n;
                 }
@@ -450,7 +451,43 @@ fn softmax_grad_products_are_bitwise_the_staged_ones() {
     }
     set_num_threads(threads_before);
     pool::set_assumed_cores(0);
-    let softmax = Tensor::zeros(2, 3);
-    assert!(SoftmaxGrad::new(&softmax, &[1.0], &[None, None], 1.0).is_err());
-    assert!(SoftmaxGrad::new(&softmax, &[1.0; 2], &[None, Some(3)], 1.0).is_err());
+    let exps = Tensor::zeros(2, 3);
+    let ones = [1.0; 2];
+    assert!(SoftmaxGrad::new(&exps, &ones, &[1.0], &[None, None], 1.0).is_err());
+    assert!(SoftmaxGrad::new(&exps, &[1.0], &ones, &[None, None], 1.0).is_err());
+    assert!(SoftmaxGrad::new(&exps, &ones, &ones, &[None, Some(3)], 1.0).is_err());
+}
+
+#[test]
+fn normalized_matmul_is_bitwise_scale_then_matmul() {
+    // `e · norm` formed while packing against the rows scaled first, on
+    // shapes below one register tile (the row kernel), straddling it, past
+    // one KC = 128 panel and past the 128-row block; a `NaN` and a `−0.0`
+    // pass the `1.0` norm of a degenerate row unchanged.
+    let _guard = pool_config_lock();
+    let threads_before = vp_tensor::num_threads();
+    pool::set_assumed_cores(16);
+    let mut rng = seeded_rng(2032);
+    for (rows, width, h) in [(1, 5, 3), (3, 40, 7), (9, 130, 33), (129, 70, 9)] {
+        let mut exps = normal(&mut rng, rows, width, 1.0);
+        *exps.at_mut(rows / 2, width / 3) = f32::NAN;
+        *exps.at_mut(rows - 1, 0) = -0.0;
+        let norm: Vec<f32> = (0..rows).map(|r| [0.37, 1.0, 2.9][r % 3]).collect();
+        let mut scaled = exps.clone();
+        for (r, &f) in norm.iter().enumerate() {
+            scaled.row_mut(r).iter_mut().for_each(|v| *v *= f);
+        }
+        let w = normal(&mut rng, width, h, 1.0);
+        for threads in [1, 2, 7] {
+            set_num_threads(threads);
+            let what = format!("{rows}x{width}x{h} threads={threads}");
+            let fused = ops::normalized_matmul(&exps, &norm, &w).unwrap();
+            assert_bits_eq(&fused, &scaled.matmul(&w).unwrap(), &what);
+        }
+    }
+    set_num_threads(threads_before);
+    pool::set_assumed_cores(0);
+    let exps = Tensor::zeros(2, 3);
+    assert!(ops::normalized_matmul(&exps, &[1.0], &Tensor::zeros(3, 2)).is_err());
+    assert!(ops::normalized_matmul(&exps, &[1.0; 2], &Tensor::zeros(4, 2)).is_err());
 }

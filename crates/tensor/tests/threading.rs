@@ -235,3 +235,126 @@ fn layer_norm_and_gelu_are_bitwise_identical_across_thread_counts() {
     }
     set_num_threads(before);
 }
+
+/// The per-row softmax body the grouped exp-sum replaced, kept as its
+/// oracle: max, policy exp, one ascending chain from `−0.0`, scale by the
+/// reciprocal of a positive sum; an empty or all-`−∞` row gets `(−∞, 0)`
+/// (or its `NaN`) and a zero row. Returns the row's exponentials, its
+/// softmax and `(max, sum)`.
+fn oracle_row(row: &[f32]) -> (Vec<f32>, Vec<f32>, (f32, f32)) {
+    let m = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    if m == f32::NEG_INFINITY {
+        let s = if row.iter().any(|v| v.is_nan()) {
+            f32::NAN
+        } else {
+            0.0
+        };
+        return (vec![s; row.len()], vec![s; row.len()], (m, s));
+    }
+    let exps: Vec<f32> = row
+        .iter()
+        .map(|&v| match vp_tensor::mathx::fast_math() {
+            true => vp_tensor::mathx::exp(v - m),
+            false => (v - m).exp(),
+        })
+        .collect();
+    let mut s = -0.0f32;
+    for &e in &exps {
+        s += e;
+    }
+    let softmax = match s > 0.0 {
+        true => exps.iter().map(|&e| e * (1.0 / s)).collect(),
+        false => exps.clone(),
+    };
+    (exps, softmax, (m, s))
+}
+
+/// Rows for the exp-sum oracle, by `r % 6`: the reassociation tripwire
+/// (one `0` logit, the rest `−17`: every later exponential is below half
+/// an ulp of the running `1.0`, so the in-order sum stays exactly `1.0`
+/// while any sum that adds the small terms together first lands above
+/// it), random, all `−∞`, a `NaN` among finite logits, a mix of `±∞` and
+/// finite logits, and all `−∞` but one `NaN`.
+fn exp_sum_rows_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
+    let mut t = normal(&mut seeded_rng(seed), rows, cols, 4.0);
+    if cols == 0 {
+        return t;
+    }
+    for r in 0..rows {
+        let row = t.row_mut(r);
+        match r % 6 {
+            0 => {
+                row.fill(-17.0);
+                row[r % cols] = 0.0;
+            }
+            2 => row.fill(f32::NEG_INFINITY),
+            3 => row[cols / 2] = f32::NAN,
+            4 => {
+                row[0] = f32::NEG_INFINITY;
+                row[cols - 1] = f32::INFINITY;
+            }
+            5 => {
+                row.fill(f32::NEG_INFINITY);
+                row[cols / 3] = f32::NAN;
+            }
+            _ => {}
+        }
+    }
+    t
+}
+
+#[test]
+fn grouped_exp_sum_is_bitwise_the_per_row_softmax() {
+    use vp_tensor::ops::{
+        exp_sum_rows, local_exp_sum_in_place, local_softmax_in_place, EXP_SUM_ROWS,
+    };
+    let _guard = config_lock();
+    let before = num_threads();
+    let g = EXP_SUM_ROWS;
+    let words = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for policy in [false, true] {
+        vp_tensor::mathx::set_fast_math(Some(policy));
+        for rows in [1, g - 1, g, g + 1, 33] {
+            // 2053 columns: a ragged last 8-column block, and wide enough
+            // for the pool to split the rows.
+            for cols in [0, 3, 2053] {
+                let logits = exp_sum_rows_tensor(rows, cols, 61 + rows as u64);
+                let mut want_e = Vec::new();
+                let mut want_p = Vec::new();
+                let (mut want_m, mut want_s) = (Vec::new(), Vec::new());
+                for r in 0..rows {
+                    let (e, p, (m, s)) = oracle_row(logits.row(r));
+                    want_e.extend(e);
+                    want_p.extend(p);
+                    want_m.push(m);
+                    want_s.push(s);
+                }
+                let what = |t: usize| format!("fast={policy} rows={rows} cols={cols} t={t}");
+                if cols > 0 {
+                    // The tripwire really holds its sum at exactly 1.0.
+                    assert_eq!(want_s[0], 1.0);
+                }
+                for &t in THREAD_COUNTS {
+                    set_num_threads(t);
+                    let mut e = logits.clone();
+                    let stats = local_exp_sum_in_place(&mut e);
+                    assert_eq!(words(e.data()), words(&want_e), "exps {}", what(t));
+                    assert_eq!(words(&stats.max), words(&want_m), "max {}", what(t));
+                    assert_eq!(words(&stats.sum), words(&want_s), "sum {}", what(t));
+                    let mut p = logits.clone();
+                    let stats = local_softmax_in_place(&mut p);
+                    assert_eq!(words(p.data()), words(&want_p), "softmax {}", what(t));
+                    assert_eq!(words(&stats.sum), words(&want_s), "sum {}", what(t));
+                }
+                // The slice entry point, on the whole block at once.
+                let mut e = logits.clone();
+                let (mut m, mut s) = (vec![0.0; rows], vec![0.0; rows]);
+                exp_sum_rows(e.data_mut(), cols, &mut m, &mut s);
+                assert_eq!(words(e.data()), words(&want_e), "exps {}", what(0));
+                assert_eq!(words(&s), words(&want_s), "slice sum {}", what(0));
+            }
+        }
+    }
+    vp_tensor::mathx::set_fast_math(None);
+    set_num_threads(before);
+}

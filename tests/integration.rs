@@ -297,3 +297,43 @@ fn simulator_reports_are_pinned_bitwise() {
     h.word(without.to_bits());
     assert_eq!(h.0, 0xa076_acf3_53b5_21a5, "digest {:#018x}", h.0);
 }
+
+/// The training runtime's vocabulary passes are pinned bit for bit: three
+/// iterations of Vocab-2 1F1B on a vocabulary-heavy shape (V = 4096,
+/// h = 16, two devices), untied and tied, digested over every loss bit and
+/// every device's final checkpoint (the vocabulary-shard weights and their
+/// Adam moments among them). Any drift in `S`, `T` or the input backward
+/// fails here. One digest per accuracy policy (`VP_FAST_MATH`), computed
+/// before the vocabulary passes were reworked.
+#[test]
+fn vocab_training_is_pinned_bitwise() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for tied in [false, true] {
+        let config = TinyConfig {
+            layers: 2,
+            hidden: 16,
+            heads: 2,
+            vocab: 4096,
+            tied,
+            ..TinyConfig::default()
+        };
+        let m = config.microbatches as u32;
+        let schedule =
+            schedule_for(Mode::Vocab(VocabAlgo::Alg2), ScheduleFamily::OneFOneB, 2, m).unwrap();
+        let out = train(
+            &config,
+            &TrainSpec::new(&schedule),
+            3,
+            &DataSource::synthetic(&config),
+        )
+        .unwrap();
+        out.report.losses.iter().for_each(|l| h.word(l.to_bits()));
+        out.checkpoint.shards.iter().for_each(|s| h.bytes(s));
+    }
+    let want = if vp_tensor::mathx::fast_math() {
+        0xf550_a7c9_e38c_3b3f
+    } else {
+        0x7f03_fb9a_c990_36b0
+    };
+    assert_eq!(h.0, want, "digest {:#018x}", h.0);
+}

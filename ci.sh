@@ -112,13 +112,14 @@ portable_tile_test() {
     # ever see one of gemm.rs's three register tiles (8x32 on the AVX-512
     # runners) — and `m < MR`, the row-kernel rule, changes meaning with
     # the tile, as do the pre-packed output-layer panels and the decode
-    # sweep's chunking (vp-core). RUSTFLAGS replaces the config's flags:
+    # sweep's chunking (vp-core), and the tiled chunk attention under the
+    # block decode pins (vp-model). RUSTFLAGS replaces the config's flags:
     # baseline x86-64 selects the portable 4x8 tile, x86-64-v3 the AVX2
     # 6x16 intrinsics kernel (simd.rs), each in its own target dir.
     RUSTFLAGS="-C target-cpu=x86-64" \
-        cargo test -p vp-tensor -p vp-core --release --quiet --target-dir target/portable
+        cargo test -p vp-tensor -p vp-core -p vp-model --release --quiet --target-dir target/portable
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
-        cargo test -p vp-tensor -p vp-core --release --quiet --target-dir target/avx2
+        cargo test -p vp-tensor -p vp-core -p vp-model --release --quiet --target-dir target/avx2
 }
 
 benchmark_test() {
@@ -166,7 +167,7 @@ stage "launcher audit (one device_loop call site, one thread scope)" launcher_au
 stage "cargo clippy --workspace --all-targets -- -D warnings (+ pedantic subset)" clippy_lint
 stage "cargo build --workspace --release" build_release
 stage "cargo test --workspace --release" test_release
-stage "cargo test -p vp-tensor -p vp-core, target-cpu=x86-64 and x86-64-v3 (the portable and AVX2 register tiles)" portable_tile_test
+stage "cargo test -p vp-tensor -p vp-core -p vp-model, target-cpu=x86-64 and x86-64-v3 (the portable and AVX2 register tiles)" portable_tile_test
 stage "cargo test --manifest-path benchmark/Cargo.toml (the frozen benchmark against crates/*)" benchmark_test
 stage "repro check x2 (static schedule verification sweep)" rerun_identical check CHECK
 stage "repro modelcheck x2 (static-vs-model differential soundness)" rerun_identical modelcheck MODELCHECK

@@ -16,7 +16,6 @@
 //! reference [`vp_tensor::nn::softmax_cross_entropy`].
 
 use crate::input::check_ids;
-use std::sync::OnceLock;
 use vp_collectives::{Collective, ReduceOp};
 use vp_model::cost::VocabAlgo;
 use vp_model::partition::VocabPartition;
@@ -25,7 +24,7 @@ use vp_tensor::ops::{
     softmax_corrections, softmax_norm, SoftmaxGrad, SoftmaxStats, EXP_SUM_ROWS,
 };
 use vp_tensor::optim::Param;
-use vp_tensor::{PackedB, Result, Tensor, TensorError};
+use vp_tensor::{Result, Tensor, TensorError};
 
 /// One device's shard of the output vocabulary layer.
 ///
@@ -57,12 +56,11 @@ use vp_tensor::{PackedB, Result, Tensor, TensorError};
 /// ```
 #[derive(Debug, Clone)]
 pub struct OutputShard {
+    /// The shard `W`. Its pack ([`Param::packed_nt`]) is the `Bᵀ` operand
+    /// of the logits GEMM `X·Wᵀ`, made by the first `S` pass and dropped by
+    /// every write to the value, so a pack never outlives the value it was
+    /// packed from.
     weight: Param,
-    /// `W` packed as the `Bᵀ` operand of the logits GEMM `X·Wᵀ`, filled by
-    /// the first `S` pass and dropped by [`Self::weight_mut`] — the only
-    /// `&mut` path to the weight value — so a pack never outlives the
-    /// value it was packed from.
-    packed: OnceLock<PackedB>,
     partition: VocabPartition,
     rank: usize,
 }
@@ -265,7 +263,6 @@ impl OutputShard {
         }
         Ok(OutputShard {
             weight: Param::new(weight),
-            packed: OnceLock::new(),
             partition,
             rank,
         })
@@ -300,10 +297,9 @@ impl OutputShard {
     }
 
     /// Mutable access to the weight parameter (the optimizer step, gradient
-    /// sync, checkpoint load). Drops the packed `Wᵀ`: whatever the caller
-    /// does to the value, the next `S` pass packs it afresh.
+    /// sync, checkpoint load). A write to the value drops the packed `Wᵀ`
+    /// (see [`Param`]), so the next `S` pass packs it afresh.
     pub fn weight_mut(&mut self) -> &mut Param {
-        self.packed.take();
         &mut self.weight
     }
 
@@ -316,17 +312,14 @@ impl OutputShard {
     /// The logits `Y = X·Wᵀ` against the packed shard, packing it on first
     /// use — bitwise `x.matmul_nt(W)`.
     fn logits(&self, x: &Tensor) -> Result<Tensor> {
-        let packed = self
-            .packed
-            .get_or_init(|| PackedB::pack_nt(self.weight.value()));
-        x.matmul_nt_packed(packed)
+        x.matmul_packed(self.weight.packed_nt(), None)
     }
 
     /// Address of the packed `Wᵀ`, if one is held (tests tell a reused
     /// pack from a rebuilt one by it).
     #[cfg(test)]
     pub(crate) fn pack_addr(&self) -> Option<*const f32> {
-        self.packed.get().map(PackedB::as_ptr)
+        self.weight.pack_held().map(vp_tensor::PackedB::as_ptr)
     }
 
     /// Global start index of this shard's vocabulary range.
@@ -822,7 +815,7 @@ impl OutputShard {
             }
             // The stats feed only the logprob metric; the token choice
             // never touches them.
-            exp_sum_rows(rows, cols, max, sum);
+            exp_sum_rows(rows, cols, |_| cols, max, sum);
         }
         Ok(DecodeSState { max, sum, topk, k })
     }

@@ -105,8 +105,8 @@ impl TiedShard {
     pub fn input_backward(&mut self, ids: &[usize], dy: &Tensor) -> Result<()> {
         check_ids(ids, self.partition().vocab(), "tied_input_backward")?;
         let (start, _) = self.shard_range();
-        // Gradient only: going through `weight_mut` would drop the output
-        // side's packed weight on every input backward.
+        // Gradient only: the value, and with it the output side's packed
+        // weight, stays untouched by every input backward.
         scatter_add_rows(self.output.grad_mut(), start, ids, dy)
     }
 
@@ -283,7 +283,7 @@ mod tests {
             &[2.0; 4],
             "but did accumulate"
         );
-        shard.weight_mut();
+        shard.weight_mut().value_mut();
         assert_eq!(shard.output.pack_addr(), None);
     }
 

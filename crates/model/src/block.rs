@@ -125,13 +125,13 @@ impl TransformerBlock {
     ///
     /// Propagates shape errors from the constituent layers.
     pub fn forward_decode(&self, x: &Tensor, kv: &mut KvCache) -> Result<Tensor> {
-        let (n1, _) = self.ln1.forward(x)?;
+        let n1 = self.ln1.apply(x)?;
         let attn_out = self.attn.forward_decode(&n1, kv)?;
         let mid = x.add(&attn_out)?;
-        let (n2, _) = self.ln2.forward(&mid)?;
-        let (h1, _) = self.fc1.forward(&n2)?;
+        let n2 = self.ln2.apply(&mid)?;
+        let h1 = self.fc1.apply(&n2)?;
         let (h2, _) = Gelu::new().forward(&h1);
-        let (mlp_out, _) = self.fc2.forward(&h2)?;
+        let mlp_out = self.fc2.apply(&h2)?;
         mid.add(&mlp_out)
     }
 
@@ -227,6 +227,31 @@ mod tests {
             let yi = block.forward_decode(&xi, &mut kv).unwrap();
             for (a, b) in full.row(i).iter().zip(yi.row(0)) {
                 assert_eq!(a.to_bits(), b.to_bits(), "row {i} diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_decode_matches_full_forward_bitwise() {
+        // Chunks on both sides of every register tile height (4, 6, 8 rows)
+        // and a serving-size chunk: the tiled chunk attention and the
+        // packed projections give the rows of the full forward, bit for bit.
+        let mut rng = seeded_rng(47);
+        let block = TransformerBlock::new(&mut rng, 64, 2, 4);
+        let x = normal(&mut rng, 45, 64, 0.8);
+        let (full, _) = block.forward(&x).unwrap();
+        for chunk in [1, 3, 5, 7, 9, 16, 19] {
+            let mut kv = KvCache::new(64);
+            for r0 in (0..x.rows()).step_by(chunk) {
+                let r1 = x.rows().min(r0 + chunk);
+                let y = block
+                    .forward_decode(&x.slice_rows(r0, r1).unwrap(), &mut kv)
+                    .unwrap();
+                for r in r0..r1 {
+                    for (a, b) in full.row(r).iter().zip(y.row(r - r0)) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "chunk {chunk} row {r}");
+                    }
+                }
             }
         }
     }

@@ -102,27 +102,34 @@ impl StageBlocks {
         }
     }
 
-    /// Zero-bubble `B`: computes `∇X` on a gradient-free clone and returns
-    /// the clone's weight gradients (in [`Self::params_mut`] order) for the
-    /// deferred `W` pass. A sharded shadow still enters the row's
-    /// collectives — every row peer runs the same pass list, so the
-    /// rendezvous stays aligned; only the weight-gradient fold is deferred.
+    /// Zero-bubble `B`: computes `∇X` into fresh zero gradients and returns
+    /// them (in [`Self::params_mut`] order) for the deferred `W` pass. The
+    /// parameters' own gradients are parked meanwhile and put back as they
+    /// were, so nothing is cloned: not the weights, nor their packs. A
+    /// sharded chunk still enters the row's collectives — every row peer
+    /// runs the same pass list, so the rendezvous stays aligned; only the
+    /// weight-gradient fold is deferred.
     pub(crate) fn backward_shadow(
-        &self,
+        &mut self,
         cache: &StageCache,
         dy: &Tensor,
     ) -> Result<(Tensor, Vec<Tensor>)> {
-        let mut shadow = self.clone();
-        for p in shadow.params_mut() {
-            p.zero_grad();
-        }
-        let dx = shadow.backward(cache, dy)?;
-        let grads = shadow
+        let parked: Vec<Tensor> = self
             .params_mut()
             .into_iter()
-            .map(|p| p.grad().clone())
+            .map(|p| {
+                let (rows, cols) = p.value().shape();
+                std::mem::replace(p.grad_mut(), Tensor::zeros(rows, cols))
+            })
             .collect();
-        Ok((dx, grads))
+        let dx = self.backward(cache, dy);
+        let grads = self
+            .params_mut()
+            .into_iter()
+            .zip(parked)
+            .map(|(p, real)| std::mem::replace(p.grad_mut(), real))
+            .collect();
+        Ok((dx?, grads))
     }
 
     /// Zero-bubble `W`: folds the gradients [`Self::backward_shadow`]

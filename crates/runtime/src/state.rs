@@ -51,9 +51,8 @@ impl ActivationStore {
 }
 
 /// Weight-gradient stash for zero-bubble `B`/`W` splitting: the `B` pass
-/// computes activation gradients on a gradient-free clone and parks the
-/// clone's weight gradients here; the deferred `W` pass folds them into
-/// the real parameters.
+/// computes activation gradients into fresh weight gradients and parks
+/// them here; the deferred `W` pass folds them into the real parameters.
 #[derive(Default)]
 pub(crate) struct WGradStash {
     grads: HashMap<(u32, u8), Vec<Tensor>>,

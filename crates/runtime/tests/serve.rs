@@ -128,10 +128,10 @@ fn a_step_mixing_prefill_decode_and_a_retirement_samples_all_three_right() {
 
 #[test]
 fn chunked_prefill_matches_the_reference_at_every_chunk_size() {
-    // Prompts fed 1, 3 or 8 tokens at a time must land on the same
+    // Prompts fed 1, 3, 8 or 16 tokens at a time must land on the same
     // greedy continuation (attention over a chunk is bitwise equal to
     // token-at-a-time attention against the same KV prefix).
-    for chunk in [1, 3, 8] {
+    for chunk in [1, 3, 8, 16] {
         let mut config = serve_config(2, 3);
         config.prefill_chunk = chunk;
         let requests = closed_loop(6, 77);

@@ -17,8 +17,9 @@
 //!   from the buffer arena ([`crate::alloc`]), so steady-state GEMMs
 //!   allocate nothing. A right operand that outlives many products (the
 //!   output layer's vocabulary shard) can be packed once, whole, into a
-//!   [`PackedB`]; [`gemm_chunk`] then reads its tiles where it would have
-//!   packed them ([`Rhs`]), through the same loop nest.
+//!   [`PackedB`], and so can a block weight ([`crate::optim::Param`] keeps
+//!   one per value); [`gemm_chunk`] then reads its tiles where it would
+//!   have packed them ([`Rhs`]), through the same loop nest.
 //!   The left operand may also be *formed* while it is packed rather than
 //!   read ([`Lhs::SoftmaxGrad`]: the output layer's `dy`, built from the
 //!   stored row exponentials; [`Lhs::ScaledRows`]: its local softmax, the
@@ -157,7 +158,7 @@ pub(crate) enum Rhs<'a> {
     /// Row-major `b` as the layout reads it: every run packs each panel
     /// into arena scratch first.
     Rows(&'a [f32]),
-    /// `Nt` only: the whole operand, already in panel layout.
+    /// The whole operand, already in panel layout ([`PackedB`]).
     Packed(&'a PackedB),
 }
 
@@ -277,7 +278,7 @@ impl OutRows for crate::pool::ColPanelMut<'_> {
     any(target_feature = "avx512f", target_feature = "avx2")
 )))]
 #[inline]
-fn microkernel(apanel: &[f32], btile: &[f32], c: &mut [[f32; NR]; MR]) {
+pub(crate) fn microkernel(apanel: &[f32], btile: &[f32], c: &mut [[f32; NR]; MR]) {
     for (ir, crow) in c.iter_mut().enumerate() {
         let mut acc = *crow;
         for (a, b) in apanel.chunks_exact(MR).zip(btile.chunks_exact(NR)) {
@@ -297,7 +298,7 @@ fn microkernel(apanel: &[f32], btile: &[f32], c: &mut [[f32; NR]; MR]) {
     target_arch = "x86_64",
     any(target_feature = "avx512f", target_feature = "avx2")
 ))]
-use crate::simd::microkernel;
+pub(crate) use crate::simd::microkernel;
 
 /// The unpacked row kernel: `out[j] += Σₚ a[p] · b[p · ldb + j]` with `p`
 /// ascending, one `NR`-wide column strip at a time, the strip's running
@@ -388,8 +389,13 @@ fn pack_b(
     }
 }
 
-/// The right operand of [`crate::Tensor::matmul_nt`], packed once into the
-/// panel layout every GEMM run would otherwise build per call.
+/// The right operand of a GEMM, packed once into the panel layout every
+/// run would otherwise build per call: the `Bᵀ` of
+/// [`crate::Tensor::matmul_nt`] ([`Self::pack_nt`]: the output layer's
+/// vocabulary shard) or the `B` of [`crate::Tensor::matmul`]
+/// ([`Self::pack_nn`]: a block weight). Either way the pack holds the
+/// layout-adjusted `[k, n]` operand, so [`crate::Tensor::matmul_packed`]
+/// serves both.
 ///
 /// Layout: `k` panels of `KC` (the last may be shorter) one after another;
 /// inside the panel starting at `p0`, every `NR`-wide column tile of the
@@ -397,9 +403,9 @@ fn pack_b(
 /// tile zero-padded. The panel at `p0` therefore starts at
 /// `p0 · tiles · NR`, and tiles `[t0, t0 + count)` of it are one contiguous
 /// run — byte for byte what `pack_b` writes into scratch for those columns.
-/// [`crate::Tensor::matmul_nt_packed`] reads these bytes in the order the
+/// [`crate::Tensor::matmul_packed`] reads these bytes in the order the
 /// per-call pack would have produced them, so its result is bitwise
-/// `matmul_nt`'s.
+/// `matmul_nt`'s (or `matmul`'s).
 ///
 /// Costs `k · ⌈n/NR⌉ · NR` floats, drawn from the buffer arena ([`alloc`])
 /// and released on drop.
@@ -413,13 +419,25 @@ impl PackedB {
     /// Packs `rhs` (`[n, k]`) as the `Bᵀ` operand of `x.matmul_nt(rhs)`.
     pub fn pack_nt(rhs: &crate::Tensor) -> PackedB {
         let (n, k) = rhs.shape();
+        PackedB::pack(rhs, k, n, Layout::Nt)
+    }
+
+    /// Packs `rhs` (`[k, n]`) as the `B` operand of `x.matmul(rhs)`.
+    pub fn pack_nn(rhs: &crate::Tensor) -> PackedB {
+        let (k, n) = rhs.shape();
+        PackedB::pack(rhs, k, n, Layout::Nn)
+    }
+
+    /// Every `k` panel of the `[k, n]` operand `rhs` holds in `layout`,
+    /// through the per-call packer.
+    fn pack(rhs: &crate::Tensor, k: usize, n: usize, layout: Layout) -> PackedB {
         let g = Gemm {
             a: Lhs::Rows(&[]),
             b: Rhs::Rows(rhs.data()),
             k,
             n,
             m: 0,
-            layout: Layout::Nt,
+            layout,
             accumulate: false,
         };
         let tiles = n.div_ceil(NR);
@@ -432,12 +450,14 @@ impl PackedB {
         PackedB { k, n, buf }
     }
 
-    /// Shared dimension (`rhs.cols()`).
+    /// Shared dimension (`rhs.cols()` of [`Self::pack_nt`], `rhs.rows()`
+    /// of [`Self::pack_nn`]).
     pub fn k(&self) -> usize {
         self.k
     }
 
-    /// Output columns (`rhs.rows()`).
+    /// Output columns (`rhs.rows()` of [`Self::pack_nt`], `rhs.cols()` of
+    /// [`Self::pack_nn`]).
     pub fn n(&self) -> usize {
         self.n
     }
@@ -553,11 +573,11 @@ fn tile_io(dst: &mut [f32], src: &[f32], add: bool) {
 /// `0·NaN`/`0·∞` (which are `NaN` under IEEE 754) into `0`, silently
 /// masking poisoned gradients.
 ///
-/// An `Nn` product with fewer rows than one register tile (`m < MR`) never
-/// reaches the packed path: its rows run [`row_kernel`] in place — no pack
-/// scratch, no packing, no pool. The rule follows from the tile, not from
-/// a tuned threshold: below `MR` rows the packed path computes a padded
-/// tile whose extra rows are discarded.
+/// An `Nn` product of a row-major `b` with fewer rows than one register
+/// tile (`m < MR`) never reaches the packed path: its rows run
+/// [`row_kernel`] in place — no pack scratch, no packing, no pool. The
+/// rule follows from the tile, not from a tuned threshold: below `MR` rows
+/// the packed path computes a padded tile whose extra rows are discarded.
 ///
 /// Otherwise the split direction is shape-driven: outputs with enough rows
 /// to give every worker at least one full register tile split into
@@ -567,14 +587,13 @@ fn tile_io(dst: &mut [f32], src: &[f32], add: bool) {
 /// produced by exactly one task running the serial kernel.
 pub(crate) fn run(g: &Gemm<'_>, out: &mut [f32], bias: Option<&[f32]>) {
     let (m, k, n) = (g.m, g.k, g.n);
-    if g.layout == Layout::Nn && m < MR {
+    if let (Layout::Nn, Rhs::Rows(b), true) = (g.layout, g.b, m < MR) {
         // Fewer rows than one register tile: packing `b` and computing an
         // `MR`-row padded tile costs more than the product itself, so the
         // rows run the unpacked kernel — same per-element order, same bits.
+        // (An operand packed beforehand costs no packing: it stays on the
+        // tile path.)
         debug_assert!(!g.accumulate, "row-kernel products are fresh");
-        let Rhs::Rows(b) = g.b else {
-            unreachable!("only `Nt` products take a pre-packed operand")
-        };
         let mut buf = match g.a {
             Lhs::Rows(_) => Vec::new(),
             Lhs::SoftmaxGrad(_) | Lhs::ScaledRows(..) => alloc::take_zeroed(k),

@@ -11,8 +11,8 @@
 //! * [`Tensor`] — a dense row-major 2-D `f32` tensor with shape checking.
 //! * Matrix multiplication in all transpose layouts ([`Tensor::matmul`],
 //!   [`Tensor::matmul_nt`], [`Tensor::matmul_tn`]), plus
-//!   [`Tensor::matmul_nt_packed`] against a right operand packed once
-//!   ([`PackedB`]).
+//!   [`Tensor::matmul_packed`] against a right operand packed once
+//!   ([`PackedB`]; every [`optim::Param`] keeps one of its value).
 //! * Reductions and the safe/online softmax family used by the paper
 //!   ([`ops`]), including the output layer's operands that the GEMMs
 //!   form while packing ([`ops::SoftmaxGrad`], [`ops::normalized_matmul`])

@@ -83,9 +83,7 @@ impl MultiHeadAttention {
         let s = x.rows();
         let hd = self.head_dim();
         let scale = 1.0 / (hd as f32).sqrt();
-        let q = x.matmul(self.wq.value())?;
-        let k = x.matmul(self.wk.value())?;
-        let v = x.matmul(self.wv.value())?;
+        let [q, k, v] = self.project(x)?;
         let mut context = Tensor::zeros(s, h);
         let mut probs = Vec::with_capacity(self.heads);
         for head in 0..self.heads {
@@ -109,7 +107,7 @@ impl MultiHeadAttention {
             }
             probs.push(p);
         }
-        let y = context.matmul(self.wo.value())?;
+        let y = self.wo.left_matmul(&context, None)?;
         Ok((
             y,
             AttentionCache {
@@ -153,11 +151,19 @@ impl MultiHeadAttention {
                 rhs: (x.rows(), h),
             });
         }
-        let q = x.matmul(self.wq.value())?;
-        let k = x.matmul(self.wk.value())?;
-        let v = x.matmul(self.wv.value())?;
+        let [q, k, v] = self.project(x)?;
         kv.append_rows(k.data(), v.data())?;
-        kv.attend(&q, self.heads).matmul(self.wo.value())
+        self.wo.left_matmul(&kv.attend(&q, self.heads), None)
+    }
+
+    /// The query, key and value projections `x·W_q`, `x·W_k`, `x·W_v`,
+    /// each read through its weight's pack ([`Param::left_matmul`]).
+    fn project(&self, x: &Tensor) -> Result<[Tensor; 3]> {
+        Ok([
+            self.wq.left_matmul(x, None)?,
+            self.wk.left_matmul(x, None)?,
+            self.wv.left_matmul(x, None)?,
+        ])
     }
 
     /// Backward pass: accumulates all four weight gradients and returns `dx`.
@@ -351,21 +357,29 @@ mod tests {
     }
 
     /// The formulation [`KvCache::attend`] replaced, kept as its oracle:
-    /// per (head, row), gather the causal prefix out of the block table
-    /// into fresh tensors, then `matmul_nt`, scale, `softmax_rows`,
-    /// `matmul`.
+    /// project, append row by row, then [`attend_oracle`] and `W_o`.
     fn decode_oracle(attn: &MultiHeadAttention, x: &Tensor, kv: &mut KvCache) -> Tensor {
-        let (n, h, hd) = (x.rows(), attn.hidden(), attn.head_dim());
-        let scale = 1.0 / (hd as f32).sqrt();
         let q = x.matmul(attn.wq.value()).unwrap();
         let k = x.matmul(attn.wk.value()).unwrap();
         let v = x.matmul(attn.wv.value()).unwrap();
-        for i in 0..n {
+        for i in 0..x.rows() {
             kv.append(k.row(i), v.row(i)).unwrap();
         }
+        attend_oracle(kv, &q, attn.heads)
+            .matmul(attn.wo.value())
+            .unwrap()
+    }
+
+    /// [`KvCache::attend`]'s oracle: per (head, row), gather the causal
+    /// prefix out of the block table into fresh tensors, then `matmul_nt`,
+    /// scale, `softmax_rows`, `matmul`.
+    fn attend_oracle(kv: &KvCache, q: &Tensor, heads: usize) -> Tensor {
+        let (n, h) = q.shape();
+        let hd = h / heads;
+        let scale = 1.0 / (hd as f32).sqrt();
         let base = kv.len() - n;
         let mut context = Tensor::zeros(n, h);
-        for head in 0..attn.heads {
+        for head in 0..heads {
             let (c0, c1) = (head * hd, (head + 1) * hd);
             for i in 0..n {
                 let horizon = base + i + 1;
@@ -383,11 +397,12 @@ mod tests {
                 context.row_mut(i)[c0..c1].copy_from_slice(ctx.row(0));
             }
         }
-        context.matmul(attn.wo.value()).unwrap()
+        context
     }
 
     #[test]
     fn paged_kernel_is_bitwise_the_gather_oracle() {
+        use crate::gemm::MR;
         use crate::mathx;
         use crate::nn::kv::KvBlockPool;
         let _guard = mathx::test_policy_guard();
@@ -402,6 +417,10 @@ mod tests {
             Some(f32::INFINITY),
             Some(f32::NEG_INFINITY),
         ];
+        // Decode rows, chunks either side of one register tile, a ragged
+        // tile count, and a serving chunk.
+        let chunks = [1, 3, MR - 1, MR, MR + 1, 2 * MR + 3, 16];
+        let bits = |row: &[f32]| -> Vec<u32> { row.iter().map(|v| v.to_bits()).collect() };
         let mut rng = seeded_rng(81);
         let mut cases = 0;
         for fast in [false, true] {
@@ -410,10 +429,13 @@ mod tests {
                 let attn = MultiHeadAttention::new(&mut rng, hidden, heads);
                 for kv_block in [1, 3, 16] {
                     for base in [0, 1, 15, 16, 17, 70] {
-                        for n in [1, 3, 16] {
+                        for n in chunks {
                             let x = normal(&mut rng, n, hidden, 0.9);
                             let prefix_k = normal(&mut rng, base, hidden, 0.9);
                             let prefix_v = normal(&mut rng, base, hidden, 0.9);
+                            let q = normal(&mut rng, n, hidden, 0.9);
+                            let chunk_k = normal(&mut rng, n, hidden, 0.9);
+                            let chunk_v = normal(&mut rng, n, hidden, 0.9);
                             for poison in poisons {
                                 // Poison needs a cached row to sit in.
                                 let (mut pk, mut pv) = (prefix_k.clone(), prefix_v.clone());
@@ -437,12 +459,36 @@ mod tests {
                                 }
                                 // Chunk append ≡ row-at-a-time append.
                                 assert_eq!(paged.len(), gathered.len(), "{what}");
-                                let bits = |row: &[f32]| -> Vec<u32> {
-                                    row.iter().map(|v| v.to_bits()).collect()
-                                };
                                 for j in 0..paged.len() {
-                                    assert_eq!(bits(paged.k_row(j)), bits(gathered.k_row(j)));
+                                    assert_eq!(bits(&paged.k_row(j)), bits(&gathered.k_row(j)));
                                     assert_eq!(bits(paged.v_row(j)), bits(gathered.v_row(j)));
+                                }
+
+                                // Poison in the chunk's own rows, which only
+                                // the rows at or past them may see: values
+                                // one position past each register tile's
+                                // shared horizon, and the last row's key.
+                                let (mut ck, mut cv) = (chunk_k.clone(), chunk_v.clone());
+                                if let Some(p) = poison {
+                                    for i in (1..n).step_by(MR) {
+                                        *cv.at_mut(i, 0) = p;
+                                        *cv.at_mut(i, hidden - 1) = p;
+                                    }
+                                    *ck.at_mut(n - 1, hidden / 2) = p;
+                                }
+                                let mut paged = KvCache::with_pool(&pool);
+                                let mut gathered = KvCache::with_pool(&pool);
+                                for kv in [&mut paged, &mut gathered] {
+                                    kv.append_rows(pk.data(), pv.data()).unwrap();
+                                }
+                                paged.append_rows(ck.data(), cv.data()).unwrap();
+                                for i in 0..n {
+                                    gathered.append(ck.row(i), cv.row(i)).unwrap();
+                                }
+                                let got = paged.attend(&q, heads);
+                                let want = attend_oracle(&gathered, &q, heads);
+                                for (a, b) in got.data().iter().zip(want.data()) {
+                                    assert_eq!(a.to_bits(), b.to_bits(), "chunk poison {what}");
                                 }
                                 cases += 1;
                             }
@@ -452,7 +498,7 @@ mod tests {
             }
         }
         mathx::set_fast_math(None);
-        assert_eq!(cases, 2 * 2 * 3 * 6 * 3 * 4);
+        assert_eq!(cases, 2 * 2 * 3 * 6 * chunks.len() * 4);
     }
 
     #[test]

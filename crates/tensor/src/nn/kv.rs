@@ -13,10 +13,14 @@
 //! fixed-size blocks of `block_tokens` rows and each cache keeps a block
 //! table — memory grows in O(tokens) pages and a retired request's blocks
 //! are immediately reusable by the next admission at any length. Rows are
-//! block-aligned (a row never straddles two blocks), so [`KvCache::k_row`]
-//! returns a contiguous slice, and consecutive positions inside a block are
-//! one contiguous run — which is how the decode attention kernel
-//! (`KvCache::attend`) reads the table in place, a block at a time.
+//! block-aligned (a row never straddles two blocks). A value block holds
+//! its rows as they come, so consecutive positions inside a block are one
+//! contiguous run of rows; a key block holds its rows *transposed*
+//! (column `c` of every slot, then column `c + 1`), so consecutive
+//! positions of one key column are one contiguous run. That is what the
+//! attention kernel (`KvCache::attend`) reads, a block at a time: value
+//! rows in place, and key tiles assembled with one vector copy per column
+//! and block — the transposition is paid once, when a row is appended.
 //!
 //! Blocks come from the size-class buffer arena ([`crate::alloc`]) — the
 //! same pool the training runtime recycles its activations through — and
@@ -31,8 +35,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::gemm::{row_kernel, NR};
-use crate::ops::softmax_row;
+use std::ops::Range;
+
+use crate::gemm::{microkernel, row_kernel, MR, NR};
+use crate::ops::{exp_sum_rows, softmax_norm};
 use crate::{alloc, Result, Tensor, TensorError};
 
 /// Default block size (rows per page) used by [`KvCache::new`].
@@ -169,10 +175,10 @@ impl KvBlockPool {
 ///
 /// Rows are positions; each row holds `hidden` floats (all heads
 /// concatenated, exactly the layout of the projected `K`/`V` matrices in
-/// [`crate::nn::MultiHeadAttention`]). Row `i` lives at offset
-/// `(i % block_tokens) * hidden` of block `i / block_tokens` — contiguous
-/// within its block, so the row accessors are unchanged from the old
-/// contiguous layout.
+/// [`crate::nn::MultiHeadAttention`]). Position `i` lives in slot
+/// `i % block_tokens` of block `i / block_tokens`: its value row at offset
+/// `slot · hidden` of the value block, its key column `c` at `c ·
+/// block_tokens + slot` of the key block (keys are stored transposed).
 #[derive(Debug)]
 pub struct KvCache {
     pool: KvBlockPool,
@@ -280,30 +286,35 @@ impl KvCache {
                 }
             }
         }
-        // Rows that share a block are contiguous on both sides.
+        // Rows that share a block are contiguous value rows, and
+        // contiguous slots of every key column.
         let mut done = 0;
-        while done < n {
-            let (block, slot) = ((self.len + done) / bt, (self.len + done) % bt);
-            let take = (bt - slot).min(n - done);
-            let (src, dst) = (done * hidden..(done + take) * hidden, slot * hidden);
-            self.k_blocks[block][dst..dst + take * hidden].copy_from_slice(&k[src.clone()]);
-            self.v_blocks[block][dst..dst + take * hidden].copy_from_slice(&v[src]);
+        for (block, slots) in spans(bt, self.len, self.len + n) {
+            let take = slots.len();
+            let (src, dst) = (done * hidden..(done + take) * hidden, slots.start * hidden);
+            self.v_blocks[block][dst..dst + take * hidden].copy_from_slice(&v[src.clone()]);
+            let rows = &k[src];
+            for (c, dst) in self.k_blocks[block].chunks_exact_mut(bt).enumerate() {
+                for (d, row) in dst[slots.clone()].iter_mut().zip(rows.chunks_exact(hidden)) {
+                    *d = row[c];
+                }
+            }
             done += take;
         }
         self.len += n;
         Ok(())
     }
 
-    /// Key row at position `i`.
+    /// Key row at position `i`, gathered out of its transposed block.
     ///
     /// # Panics
     ///
     /// Panics if `i >= len()`.
-    pub fn k_row(&self, i: usize) -> &[f32] {
+    pub fn k_row(&self, i: usize) -> Vec<f32> {
         assert!(i < self.len, "kv row {i} out of bounds (len {})", self.len);
         let (hidden, bt) = (self.pool.hidden(), self.pool.block_tokens());
-        let at = (i % bt) * hidden;
-        &self.k_blocks[i / bt][at..at + hidden]
+        let block = &self.k_blocks[i / bt];
+        (0..hidden).map(|c| block[c * bt + i % bt]).collect()
     }
 
     /// Value row at position `i`.
@@ -322,21 +333,34 @@ impl KvCache {
     /// last `n` positions — over the cached prefix and themselves, every
     /// head, returning the concatenated per-head context `[n, hidden]`.
     ///
-    /// Reads the block table in place: nothing is gathered into tensors,
-    /// no GEMM or pool entry is taken, and the one scratch buffer of the
-    /// call (the score rows, one row of probabilities and one transposed key
-    /// tile) is reused across
-    /// rows and heads. Per output element the operations and their order
-    /// are those of the gather + `matmul_nt` + `softmax_rows` + `matmul`
-    /// formulation this replaces (kept as the test oracle): the score of
-    /// (row `i`, position `j`) is `Σₚ q[i][p]·k[j][p]` with `p` ascending
-    /// from `+0.0`, then `· scale`; the row softmax over positions
-    /// `0..=base+i` is [`softmax_row`]; the context is
-    /// `Σⱼ prob[j]·v[j][c]` with `j` ascending from `+0.0`. Both products
-    /// run [`row_kernel`]: keys are transposed one `NR`-position tile at a
-    /// time so the tile's scores advance together, one lane each; values
-    /// are read as they lie, one block run at a time. Score lanes past a
-    /// row's causal horizon are computed and never read.
+    /// Reads the block table in place: nothing is gathered into tensors
+    /// and no GEMM or pool entry is taken; one arena buffer holds the
+    /// call's scratch (the score rows, one key tile, and for a chunk the
+    /// packed queries, probabilities and values) and is reused across
+    /// heads. Per output element the operations and their order are those
+    /// of the gather + `matmul_nt` + `softmax_rows` + `matmul` formulation
+    /// this replaces (kept as the test oracle): the score of (row `i`,
+    /// position `j`) is `Σₚ q[i][p]·k[j][p]` with `p` ascending from
+    /// `+0.0`, then `· scale`; the row softmax over positions `0..=base+i`
+    /// is [`exp_sum_rows`] and [`softmax_norm`] (the one-row softmax, its
+    /// sums run as interleaved chains); the context is `Σⱼ prob[j]·v[j][c]`
+    /// with `j` ascending from `+0.0`.
+    ///
+    /// Keys are read one `NR`-position tile at a time ([`Self::key_tile`]).
+    /// A chunk of at least `MR` rows runs both products on the `MR × NR`
+    /// register tile (`microkernel`), `MR` rows at a time:
+    ///
+    /// * `QKᵀ`: every score is a whole dot product, so a row tile's key
+    ///   tiles cover every position any of its rows can see; lanes past a
+    ///   row's own horizon are computed and never read.
+    /// * `P·V`: a sum over positions must stop at each row's horizon, so
+    ///   the tile covers only the positions every row of it can see
+    ///   (`0..base + i0 + 1` for first row `i0`), and each row adds its
+    ///   causal tail (the diagonal) on [`row_kernel`], continuing the same
+    ///   chains in the same ascending order.
+    ///
+    /// Fewer than `MR` rows (decode) run both products on [`row_kernel`]:
+    /// a register tile would be mostly padding.
     ///
     /// # Panics
     ///
@@ -353,36 +377,107 @@ impl KvCache {
         let scale = 1.0 / (hd as f32).sqrt();
         let mut context = Tensor::zeros(n, hidden);
         let stride = self.len.next_multiple_of(NR);
-        let mut scratch = alloc::take_zeroed(n * stride + hd * NR);
-        let (scores, ktile) = scratch.split_at_mut(n * stride);
+        // The chunk's register tiles: row tile `t` covers rows
+        // `t·MR .. (t+1)·MR` and, in `P·V`, positions `0..horizon(t)`.
+        let row_tiles = if n >= MR { n.div_ceil(MR) } else { 0 };
+        let horizon = |t: usize| base + t * MR + 1;
+        let (vpos, col_tiles) = match row_tiles {
+            0 => (0, 0),
+            t => (horizon(t - 1), hd.div_ceil(NR)),
+        };
+        let sizes = [
+            n * stride,            // scores
+            hd * NR,               // key tile
+            2 * n,                 // row max, row sum
+            row_tiles * MR * hd,   // packed queries
+            vpos * MR,             // packed probabilities of one row tile
+            col_tiles * vpos * NR, // packed values
+        ];
+        let mut scratch = alloc::take_zeroed(sizes.iter().sum());
+        let [scores, ktile, stats, qpack, ppack, vpack] = split(&mut scratch, sizes);
+        let (max, sum) = stats.split_at_mut(n);
         for c0 in (0..hidden).step_by(hd) {
-            // `row_kernel` adds onto running totals, which start at zero.
-            scores.fill(0.0);
-            for j0 in (0..self.len).step_by(NR) {
-                // ktile[p][jj] = k[j0 + jj][c0 + p]; lanes past the last
-                // position keep stale values, whose scores are never read.
-                let keys = runs(&self.k_blocks, hidden, bt, j0, self.len.min(j0 + NR))
-                    .flat_map(|run| run.chunks_exact(hidden));
-                for (jj, key) in keys.enumerate() {
-                    for (p, &kv) in key[c0..c0 + hd].iter().enumerate() {
-                        ktile[p * NR + jj] = kv;
+            // Scores.
+            if row_tiles == 0 {
+                // `row_kernel` adds onto running totals, which start at zero.
+                scores.fill(0.0);
+            }
+            // qtile[p · MR + i] = q[t·MR + i][c0 + p]; a last tile's
+            // padding rows are never written (their lanes are discarded).
+            for (t, qtile) in qpack.chunks_exact_mut(MR * hd).enumerate() {
+                for i in 0..MR.min(n - t * MR) {
+                    let row = &q.row(t * MR + i)[c0..c0 + hd];
+                    for (p, &v) in row.iter().enumerate() {
+                        qtile[p * MR + i] = v;
                     }
                 }
-                // Rows whose horizon `base + i + 1` reaches into the tile.
-                for i in j0.saturating_sub(base)..n {
-                    let out = &mut scores[i * stride + j0..][..NR];
-                    row_kernel(&q.row(i)[c0..c0 + hd], ktile, NR, out);
+            }
+            for j0 in (0..self.len).step_by(NR) {
+                self.key_tile(c0, hd, j0, ktile);
+                for (t, qtile) in qpack.chunks_exact(MR * hd).enumerate() {
+                    let rows = MR.min(n - t * MR);
+                    if j0 >= base + t * MR + rows {
+                        continue;
+                    }
+                    let mut c = [[0.0f32; NR]; MR];
+                    microkernel(qtile, ktile, &mut c);
+                    for (i, crow) in c.iter().enumerate().take(rows) {
+                        scores[(t * MR + i) * stride + j0..][..NR].copy_from_slice(crow);
+                    }
+                }
+                if row_tiles == 0 {
+                    // Rows whose horizon `base + i + 1` reaches into the tile.
+                    for i in j0.saturating_sub(base)..n {
+                        let out = &mut scores[i * stride + j0..][..NR];
+                        row_kernel(&q.row(i)[c0..c0 + hd], ktile, NR, out);
+                    }
+                }
+            }
+            // Probabilities: scale, then the grouped exp-sum and the norm.
+            for i in 0..n {
+                for s in &mut scores[i * stride..][..base + i + 1] {
+                    *s *= scale;
+                }
+            }
+            exp_sum_rows(scores, stride, |i| base + i + 1, max, sum);
+            for (i, &s) in sum.iter().enumerate() {
+                let norm = softmax_norm(s);
+                for p in &mut scores[i * stride..][..base + i + 1] {
+                    *p *= norm;
+                }
+            }
+            // Context: the row tiles' shared positions on the register
+            // tile, then every row's causal tail on the row kernel.
+            if row_tiles > 0 {
+                self.value_tiles(c0, hd, vpos, vpack);
+            }
+            for t in 0..row_tiles {
+                let (i0, rows, h) = (t * MR, MR.min(n - t * MR), horizon(t));
+                // ppack[j · MR + i] = prob[i0 + i][j] (padding rows repeat
+                // the last row; their lanes are discarded).
+                let ppack = &mut ppack[..h * MR];
+                let probs: [&[f32]; MR] =
+                    std::array::from_fn(|i| &scores[(i0 + i.min(rows - 1)) * stride..][..h]);
+                for (j, dst) in ppack.chunks_exact_mut(MR).enumerate() {
+                    for (d, row) in dst.iter_mut().zip(&probs) {
+                        *d = row[j];
+                    }
+                }
+                for (ct, vtile) in vpack.chunks_exact(vpos * NR).enumerate() {
+                    let (col, w) = (c0 + ct * NR, NR.min(hd - ct * NR));
+                    let mut c = [[0.0f32; NR]; MR];
+                    microkernel(ppack, &vtile[..h * NR], &mut c);
+                    for (i, crow) in c.iter().enumerate().take(rows) {
+                        context.row_mut(i0 + i)[col..col + w].copy_from_slice(&crow[..w]);
+                    }
                 }
             }
             for i in 0..n {
-                let probs = &mut scores[i * stride..][..base + i + 1];
-                for s in probs.iter_mut() {
-                    *s *= scale;
-                }
-                softmax_row(probs);
+                let from = if row_tiles > 0 { horizon(i / MR) } else { 0 };
+                let probs = &scores[i * stride..][..base + i + 1];
                 let ctx = &mut context.row_mut(i)[c0..c0 + hd];
-                let mut j = 0;
-                for run in runs(&self.v_blocks, hidden, bt, 0, probs.len()) {
+                let mut j = from;
+                for run in runs(&self.v_blocks, hidden, bt, from, probs.len()) {
                     let rows = run.len() / hidden;
                     row_kernel(&probs[j..j + rows], &run[c0..], hidden, ctx);
                     j += rows;
@@ -391,6 +486,40 @@ impl KvCache {
         }
         alloc::release(scratch);
         context
+    }
+
+    /// `ktile[p · NR + jj] = k[j0 + jj][c0 + p]` for the head's `hd`
+    /// columns and the positions `j0..j0 + NR` the cache holds: one copy
+    /// per column and block, out of the transposed key blocks. Lanes past
+    /// the last position keep what they held; their scores are never read.
+    fn key_tile(&self, c0: usize, hd: usize, j0: usize, ktile: &mut [f32]) {
+        let bt = self.pool.block_tokens();
+        let mut jj = 0;
+        for (block, slots) in spans(bt, j0, self.len.min(j0 + NR)) {
+            let kb = &self.k_blocks[block];
+            for (p, dst) in ktile.chunks_exact_mut(NR).take(hd).enumerate() {
+                let src = &kb[(c0 + p) * bt..][slots.clone()];
+                copy_short(&mut dst[jj..jj + src.len()], src);
+            }
+            jj += slots.len();
+        }
+    }
+
+    /// The head's value columns `c0..c0 + hd` at positions `0..positions`,
+    /// packed as `NR`-wide column tiles (`vpack[tile][j · NR + cc]`, the
+    /// ragged last tile zero-padded): the `P·V` right operand.
+    fn value_tiles(&self, c0: usize, hd: usize, positions: usize, vpack: &mut [f32]) {
+        let (hidden, bt) = (self.pool.hidden(), self.pool.block_tokens());
+        let rows =
+            runs(&self.v_blocks, hidden, bt, 0, positions).flat_map(|r| r.chunks_exact(hidden));
+        for (j, row) in rows.enumerate() {
+            for (ct, tile) in vpack.chunks_exact_mut(positions * NR).enumerate() {
+                let (col, w) = (c0 + ct * NR, NR.min(hd - ct * NR));
+                let dst = &mut tile[j * NR..][..NR];
+                copy_short(&mut dst[..w], &row[col..col + w]);
+                dst[w..].fill(0.0);
+            }
+        }
     }
 
     /// Forgets all cached positions but keeps the blocks, so the same slot
@@ -419,9 +548,21 @@ impl KvCache {
     }
 }
 
-/// Positions `[j0, j1)` of one side's block table in order, as one slice
-/// per block touched: each item is the contiguous run of whole `hidden`-wide
-/// rows the range covers in that block.
+/// Positions `[j0, j1)` of a block table with `bt` slots per block, in
+/// order: one `(block, slots)` pair per block touched (none for an empty
+/// range).
+fn spans(bt: usize, j0: usize, j1: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    (j0 / bt..j1.div_ceil(bt).max(j0 / bt))
+        .map(move |block| {
+            let start = block * bt;
+            (block, j0.max(start) - start..j1.min(start + bt) - start)
+        })
+        .filter(|(_, slots)| !slots.is_empty())
+}
+
+/// Positions `[j0, j1)` of the value block table in order, as one slice
+/// per block touched: each item is the contiguous run of whole
+/// `hidden`-wide rows the range covers in that block.
 fn runs(
     blocks: &[Vec<f32>],
     hidden: usize,
@@ -429,12 +570,31 @@ fn runs(
     j0: usize,
     j1: usize,
 ) -> impl Iterator<Item = &[f32]> {
-    let first = j0 / bt;
-    let touched = &blocks[first..j1.div_ceil(bt).max(first)];
-    touched.iter().enumerate().map(move |(b, block)| {
-        let start = (first + b) * bt;
-        let (lo, hi) = (j0.max(start) - start, j1.min(start + bt) - start);
-        &block[lo * hidden..hi * hidden]
+    spans(bt, j0, j1)
+        .map(move |(block, slots)| &blocks[block][slots.start * hidden..slots.end * hidden])
+}
+
+/// `dst.copy_from_slice(src)` for the short runs of a tile (a block's
+/// slots of one key column, a value row's head columns), moved in 8-float
+/// blocks: at a few vectors a `memcpy` call costs more than the copy.
+#[inline(always)]
+fn copy_short(dst: &mut [f32], src: &[f32]) {
+    let (mut d8, mut s8) = (dst.chunks_exact_mut(8), src.chunks_exact(8));
+    for (d, s) in (&mut d8).zip(&mut s8) {
+        let d: &mut [f32; 8] = d.try_into().expect("8 wide");
+        *d = s.try_into().expect("8 wide");
+    }
+    for (d, &s) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+        *d = s;
+    }
+}
+
+/// `buf` cut into consecutive pieces of the given sizes.
+fn split<const N: usize>(mut buf: &mut [f32], sizes: [usize; N]) -> [&mut [f32]; N] {
+    sizes.map(|len| {
+        let (head, tail) = std::mem::take(&mut buf).split_at_mut(len);
+        buf = tail;
+        head
     })
 }
 

@@ -62,21 +62,27 @@ impl Linear {
         self.weight.value().cols()
     }
 
-    /// Forward pass; caches the input for backward.
+    /// `y = x·W + b` with no backward cache: the forward product alone,
+    /// what an inference pass needs. The bias is fused into the GEMM while
+    /// each output strip is still cache-hot — bitwise identical to
+    /// matmul-then-broadcast-add (see [`Tensor::matmul_bias`]) — and the
+    /// weight is read through its pack ([`Param::left_matmul`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `x.cols() != in_dim`.
+    pub fn apply(&self, x: &Tensor) -> Result<Tensor> {
+        self.weight
+            .left_matmul(x, self.bias.as_ref().map(Param::value))
+    }
+
+    /// Forward pass: [`Self::apply`], caching the input for backward.
     ///
     /// # Errors
     ///
     /// Returns a shape error if `x.cols() != in_dim`.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, LinearCache)> {
-        // Fused bias: added inside the GEMM while each output strip is
-        // still cache-hot — bitwise identical to matmul-then-broadcast-add
-        // (see `Tensor::matmul_bias`). The bias-less case stays the plain
-        // unfused matmul.
-        let y = match &self.bias {
-            Some(b) => x.matmul_bias(self.weight.value(), b.value())?,
-            None => x.matmul(self.weight.value())?,
-        };
-        Ok((y, LinearCache { input: x.clone() }))
+        Ok((self.apply(x)?, LinearCache { input: x.clone() }))
     }
 
     /// Backward pass: accumulates `dW`, `db` and returns `dx`.
@@ -169,6 +175,18 @@ mod tests {
         let plain = x.matmul(&w).unwrap();
         for (a, b) in y.data().iter().zip(plain.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // The cache-free `apply` is the forward output, on both sides of
+        // one register tile of rows (the packed and the row-kernel path).
+        for rows in [1, 3, 19] {
+            let x = init::normal(&mut rng, rows, 37, 1.0);
+            for l in [&layer, &no_bias] {
+                let (want, _) = l.forward(&x).unwrap();
+                let got = l.apply(&x).unwrap();
+                for (a, b) in got.data().iter().zip(want.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "rows={rows}");
+                }
+            }
         }
     }
 

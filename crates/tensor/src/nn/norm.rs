@@ -17,6 +17,22 @@ pub struct LayerNormCache {
     inv_std: Vec<f32>,
 }
 
+/// A row's mean and inverse standard deviation `1/√(var + eps)`.
+#[inline]
+fn row_stats(row: &[f32], eps: f32) -> (f32, f32) {
+    let dim = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / dim;
+    let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / dim;
+    (mean, 1.0 / (var + eps).sqrt())
+}
+
+/// One element's `(x̂, y)`: `x̂ = (v − mean)·is`, `y = γ·x̂ + β`.
+#[inline(always)]
+fn affine(v: f32, mean: f32, is: f32, g: f32, b: f32) -> (f32, f32) {
+    let n = (v - mean) * is;
+    (n, g * n + b)
+}
+
 impl LayerNorm {
     /// Creates a layer norm over vectors of width `dim` (γ=1, β=0).
     pub fn new(dim: usize) -> Self {
@@ -32,12 +48,9 @@ impl LayerNorm {
         self.gamma.value().cols()
     }
 
-    /// Forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != dim`.
-    pub fn forward(&self, x: &Tensor) -> Result<(Tensor, LayerNormCache)> {
+    /// `x.cols() == dim`, or the shape error both forward entry points
+    /// return.
+    fn check(&self, x: &Tensor) -> Result<()> {
         let dim = self.dim();
         if x.cols() != dim {
             return Err(TensorError::ShapeMismatch {
@@ -46,13 +59,51 @@ impl LayerNorm {
                 rhs: (1, dim),
             });
         }
-        let rows = x.rows();
+        Ok(())
+    }
+
+    /// The normalized rows `y = γ·x̂ + β` with no backward cache: what an
+    /// inference pass needs. Bitwise the `y` of [`Self::forward`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != dim`.
+    pub fn apply(&self, x: &Tensor) -> Result<Tensor> {
+        self.check(x)?;
+        let (rows, dim) = x.shape();
+        let mut y = Tensor::zeros(rows, dim);
+        let (gamma, beta) = (self.gamma.value().row(0), self.beta.value().row(0));
+        crate::pool::par_rows_mut(
+            rows,
+            x.len().saturating_mul(8),
+            y.data_mut(),
+            |r0, _r1, yc| {
+                for (li, y_row) in yc.chunks_exact_mut(dim).enumerate() {
+                    let row = x.row(r0 + li);
+                    let (mean, is) = row_stats(row, self.eps);
+                    for ((o, &v), (&g, &b)) in y_row.iter_mut().zip(row).zip(gamma.iter().zip(beta))
+                    {
+                        *o = affine(v, mean, is, g, b).1;
+                    }
+                }
+            },
+        );
+        Ok(y)
+    }
+
+    /// Forward pass: [`Self::apply`]'s rows, plus the cache the backward
+    /// pass reads (the normalized rows `x̂` and each row's `1/σ`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != dim`.
+    pub fn forward(&self, x: &Tensor) -> Result<(Tensor, LayerNormCache)> {
+        self.check(x)?;
+        let (rows, dim) = x.shape();
         let mut normalized = Tensor::zeros(rows, dim);
         let mut inv_std = vec![0.0f32; rows];
         let mut y = Tensor::zeros(rows, dim);
-        let gamma = self.gamma.value().row(0);
-        let beta = self.beta.value().row(0);
-        let eps = self.eps;
+        let (gamma, beta) = (self.gamma.value().row(0), self.beta.value().row(0));
         // Row-parallel: every row's statistics and outputs are independent,
         // so the result is bitwise identical for any thread count.
         crate::pool::par_rows_mut3(
@@ -64,15 +115,10 @@ impl LayerNorm {
             |r0, _r1, y_chunk, n_chunk, is_chunk| {
                 for (li, is_out) in is_chunk.iter_mut().enumerate() {
                     let row = x.row(r0 + li);
-                    let mean = row.iter().sum::<f32>() / dim as f32;
-                    let var =
-                        row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / dim as f32;
-                    let is = 1.0 / (var + eps).sqrt();
+                    let (mean, is) = row_stats(row, self.eps);
                     *is_out = is;
-                    // One fused pass: per element this is the identical
-                    // `n = (v − mean)·is; y = γ·n + β` chain as two
-                    // separate loops (same bits), without re-reading the
-                    // normalized row from memory.
+                    // One fused pass: `x̂` and `y` of each element come
+                    // from one `affine`, without re-reading `x̂`.
                     let n_row = &mut n_chunk[li * dim..(li + 1) * dim];
                     let y_row = &mut y_chunk[li * dim..(li + 1) * dim];
                     for (((n, o), &v), (&g, &b)) in n_row
@@ -81,9 +127,7 @@ impl LayerNorm {
                         .zip(row)
                         .zip(gamma.iter().zip(beta))
                     {
-                        let nv = (v - mean) * is;
-                        *n = nv;
-                        *o = g * nv + b;
+                        (*n, *o) = affine(v, mean, is, g, b);
                     }
                 }
             },
@@ -157,6 +201,23 @@ mod tests {
     use super::*;
     use crate::gradcheck::check_scalar_fn;
     use crate::init::{normal, seeded_rng};
+
+    #[test]
+    fn apply_is_bitwise_the_forward_output() {
+        let mut ln = LayerNorm::new(24);
+        for p in ln.params_mut() {
+            *p.value_mut() = normal(&mut seeded_rng(4), 1, 24, 1.0);
+        }
+        for rows in [1, 5, 300] {
+            let x = normal(&mut seeded_rng(5), rows, 24, 2.0);
+            let (want, _) = ln.forward(&x).unwrap();
+            let got = ln.apply(&x).unwrap();
+            for (a, b) in got.data().iter().zip(want.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "rows={rows}");
+            }
+        }
+        assert!(ln.apply(&Tensor::zeros(2, 23)).is_err());
+    }
 
     #[test]
     fn output_rows_are_normalized() {

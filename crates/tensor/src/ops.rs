@@ -67,12 +67,15 @@ pub struct SoftmaxStats {
 /// property of the loop, not a tuning knob: the bits never depend on it.
 pub const EXP_SUM_ROWS: usize = 8;
 
-/// The exp-sum of every `cols`-wide row of `data` (rows back to back): row
-/// `r` gets its maximum `max[r] = m`, every element `v` replaced in place
-/// by `e^{v − m}`, and `sum[r]`, the sum of those `e` in ascending column
-/// order. The exponential follows the process accuracy policy
-/// ([`crate::mathx`]): the reference path calls `f32::exp`, the fast path
-/// the bounded polynomial [`mathx::exp`].
+/// The exp-sum of every row of `data`: row `r` starts at `r · stride` and
+/// is `width(r) ≤ stride` wide (a uniform `cols`-wide tensor passes
+/// `stride = cols`, `|_| cols`; the causal score rows of chunk attention
+/// grow by one position per row). Row `r` gets its maximum `max[r] = m`,
+/// every element `v` of its width replaced in place by `e^{v − m}`, and
+/// `sum[r]`, the sum of those `e` in ascending column order; what lies
+/// past a row's width is not touched. The exponential follows the process
+/// accuracy policy ([`crate::mathx`]): the reference path calls `f32::exp`,
+/// the fast path the bounded polynomial [`mathx::exp`].
 ///
 /// An empty or all-`−∞` row gets the identity statistics `(−∞, 0)` and a
 /// *defined zero row* rather than `NaN` from `e^{−∞ − (−∞)}`; a `NaN`
@@ -83,51 +86,68 @@ pub const EXP_SUM_ROWS: usize = 8;
 /// inside the exp loop is a loop-carried dependence that would serialize
 /// it, so the exp loop runs a full vector wide on its own. The sums of
 /// [`EXP_SUM_ROWS`] rows then advance together, one column at a time, as
-/// that many independent chains. Every chain adds its own row's `e` one at
-/// a time in ascending order, exactly the single-row loop's order, so the
-/// grouping changes no bit: only the wait between dependent adds goes.
+/// that many independent chains, over the columns every row of the group
+/// has; each longer row then finishes its own columns alone. Every chain
+/// adds its own row's `e` one at a time in ascending order, exactly the
+/// single-row loop's order, so the grouping changes no bit: only the wait
+/// between dependent adds goes.
 ///
 /// # Panics
 ///
-/// Panics unless `max` and `sum` have one entry per row.
-pub fn exp_sum_rows(data: &mut [f32], cols: usize, max: &mut [f32], sum: &mut [f32]) {
+/// Panics unless `max` and `sum` have one entry per row, `data` holds
+/// `stride` values per row and every width fits its row.
+pub fn exp_sum_rows(
+    data: &mut [f32],
+    stride: usize,
+    width: impl Fn(usize) -> usize,
+    max: &mut [f32],
+    sum: &mut [f32],
+) {
+    let rows = max.len();
     assert!(
-        max.len() == sum.len() && data.len() == max.len() * cols,
-        "exp_sum_rows: {} values for {} x {cols}",
+        sum.len() == rows && data.len() == rows * stride && (0..rows).all(|r| width(r) <= stride),
+        "exp_sum_rows: {} values for {rows} rows of stride {stride}",
         data.len(),
-        max.len()
     );
-    if cols == 0 {
+    if stride == 0 {
         max.fill(f32::NEG_INFINITY);
         sum.fill(0.0);
         return;
     }
-    let groups = data.chunks_mut(EXP_SUM_ROWS * cols).zip(
+    let groups = data.chunks_mut(EXP_SUM_ROWS * stride).zip(
         max.chunks_mut(EXP_SUM_ROWS)
             .zip(sum.chunks_mut(EXP_SUM_ROWS)),
     );
-    for (rows, (max, sum)) in groups {
-        for (row, m) in rows.chunks_exact_mut(cols).zip(max.iter_mut()) {
+    for (g, (rows, (max, sum))) in groups.enumerate() {
+        let width = |i: usize| width(g * EXP_SUM_ROWS + i);
+        for (i, (row, m)) in rows
+            .chunks_exact_mut(stride)
+            .zip(max.iter_mut())
+            .enumerate()
+        {
+            let row = &mut row[..width(i)];
             *m = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
             if *m != f32::NEG_INFINITY {
                 exp_in_place(row, *m);
             }
         }
         if sum.len() == EXP_SUM_ROWS {
-            sum.copy_from_slice(&sum_chains::<EXP_SUM_ROWS>(rows, cols));
+            sum.copy_from_slice(&sum_chains::<EXP_SUM_ROWS>(rows, stride, width));
         } else {
-            for (row, s) in rows.chunks_exact(cols).zip(sum.iter_mut()) {
-                *s = sum_chains::<1>(row, cols)[0];
+            for (i, (row, s)) in rows.chunks_exact(stride).zip(sum.iter_mut()).enumerate() {
+                *s = sum_chains::<1>(row, stride, |_| width(i))[0];
             }
         }
         // The degenerate rows were left as they came; give them the
         // identity statistics (or their `NaN`) and the matching row.
-        for ((row, &m), s) in rows
-            .chunks_exact_mut(cols)
+        for (i, ((row, &m), s)) in rows
+            .chunks_exact_mut(stride)
             .zip(max.iter())
             .zip(sum.iter_mut())
+            .enumerate()
         {
             if m == f32::NEG_INFINITY {
+                let row = &mut row[..width(i)];
                 *s = if row.iter().any(|v| v.is_nan()) {
                     f32::NAN
                 } else {
@@ -152,20 +172,28 @@ fn exp_in_place(row: &mut [f32], m: f32) {
     }
 }
 
-/// The ascending sums of the `N` `cols`-wide rows of `rows`, as `N`
-/// interleaved chains. Each starts from `+0.0`, which the first term `e`
-/// of a live row (an exponential: `+0.0`, positive or `NaN`) turns into
-/// exactly `e` — what the `−0.0` additive identity gives it too.
+/// The ascending sums of the `N` rows of `rows` (row `i` starts at
+/// `i · stride` and is `width(i)` wide), as `N` interleaved chains. Each
+/// starts from `+0.0`, which the first term `e` of a live row (an
+/// exponential: `+0.0`, positive or `NaN`) turns into exactly `e` — what
+/// the `−0.0` additive identity gives it too.
 ///
-/// The rows are read in 8-column blocks: every row's block is loaded
-/// whole, then its columns are added in order, one term per chain per
-/// column. The loads are vectors, the adds stay one chain per row.
+/// Over the columns every row has, the rows are read in 8-column blocks:
+/// every row's block is loaded whole, then its columns are added in order,
+/// one term per chain per column. The loads are vectors, the adds stay one
+/// chain per row. A longer row then adds the rest of its own columns, in
+/// order, on its own chain.
 #[inline(always)]
-fn sum_chains<const N: usize>(rows: &[f32], cols: usize) -> [f32; N] {
+fn sum_chains<const N: usize>(
+    rows: &[f32],
+    stride: usize,
+    width: impl Fn(usize) -> usize,
+) -> [f32; N] {
     const BLOCK: usize = 8;
-    let rows: [&[f32]; N] = std::array::from_fn(|i| &rows[i * cols..][..cols]);
+    let rows: [&[f32]; N] = std::array::from_fn(|i| &rows[i * stride..][..width(i)]);
+    let common = rows.iter().map(|r| r.len()).min().unwrap_or(0);
     let mut acc = [0.0f32; N];
-    let full = cols - cols % BLOCK;
+    let full = common - common % BLOCK;
     for j0 in (0..full).step_by(BLOCK) {
         let block: [[f32; BLOCK]; N] =
             std::array::from_fn(|i| rows[i][j0..j0 + BLOCK].try_into().expect("BLOCK wide"));
@@ -175,9 +203,14 @@ fn sum_chains<const N: usize>(rows: &[f32], cols: usize) -> [f32; N] {
             }
         }
     }
-    for j in full..cols {
+    for j in full..common {
         for (a, row) in acc.iter_mut().zip(&rows) {
             *a += row[j];
+        }
+    }
+    for (a, row) in acc.iter_mut().zip(&rows) {
+        for &v in &row[common..] {
+            *a += v;
         }
     }
     acc
@@ -195,28 +228,6 @@ pub fn softmax_norm(sum: f32) -> f32 {
     } else {
         1.0
     }
-}
-
-/// The safe softmax of one row, in place; returns the row's `(max, sum)`.
-///
-/// This is the one implementation of "max, policy exp, ascending sum,
-/// scale by the reciprocal": [`exp_sum_rows`] on one row, then
-/// [`softmax_norm`]. [`local_softmax_in_place`] applies the same two steps
-/// to groups of rows and the paged decode attention to every score row.
-pub(crate) fn softmax_row(row: &mut [f32]) -> (f32, f32) {
-    let (mut m, mut s) = (0.0, 0.0);
-    let cols = row.len();
-    exp_sum_rows(
-        row,
-        cols,
-        std::slice::from_mut(&mut m),
-        std::slice::from_mut(&mut s),
-    );
-    let norm = softmax_norm(s);
-    for d in row.iter_mut() {
-        *d *= norm;
-    }
-    (m, s)
 }
 
 /// Computes the locally-normalized softmax and its per-row statistics into
@@ -242,8 +253,10 @@ pub fn local_exp_sum_in_place(t: &mut Tensor) -> SoftmaxStats {
 
 /// Overwrites `t` with its locally-normalized softmax and returns the
 /// per-row statistics: [`local_exp_sum_in_place`], then every row scaled
-/// by its [`softmax_norm`] while its group is still in cache — per row
-/// exactly [`softmax_row`].
+/// by its [`softmax_norm`] while its group is still in cache. This is the
+/// one safe softmax — max, policy exp, ascending sum, scale by the
+/// reciprocal — which the paged attention applies to its causal score
+/// rows through the same two functions.
 ///
 /// This is the `S`-pass kernel of Algorithms 1 and 2 as the paper states
 /// it: each device computes `softmax'(Y)` using only its own vocabulary
@@ -272,7 +285,7 @@ fn exp_sum_par(t: &mut Tensor, normalize: bool) -> SoftmaxStats {
                     .zip(sum_chunk.chunks_mut(EXP_SUM_ROWS)),
             );
             for (rows, (max, sum)) in groups {
-                exp_sum_rows(rows, cols, max, sum);
+                exp_sum_rows(rows, cols, |_| cols, max, sum);
                 if normalize {
                     for (row, &s) in rows.chunks_exact_mut(cols.max(1)).zip(sum.iter()) {
                         let norm = softmax_norm(s);

@@ -5,7 +5,8 @@
 //! is deliberately simple: accumulate gradients during backward passes, then
 //! call [`Optimizer::step`] once per parameter.
 
-use crate::{Result, Tensor, TensorError};
+use crate::gemm::MR;
+use crate::{PackedB, Result, Tensor, TensorError};
 use std::sync::OnceLock;
 
 /// A trainable parameter: the value tensor plus an accumulated gradient of
@@ -16,13 +17,36 @@ use std::sync::OnceLock;
 /// ([`Self::grad`], [`Self::accumulate`], [`Self::moments`], an optimizer
 /// step), and only then is it allocated. A parameter that only ever serves
 /// forward passes — every weight of a serving engine — holds nothing but
-/// its value.
+/// its value and the value's pack.
+///
+/// # Weight-stationary pack
+///
+/// The value is also kept packed as a GEMM right operand ([`PackedB`]),
+/// made by the first forward product that reads it ([`Self::left_matmul`],
+/// [`Self::packed_nt`]) and reused by every later one: a serving engine
+/// packs each weight once, training once per iteration rather than once per
+/// microbatch. Every `&mut` path to the value drops the pack —
+/// [`Self::value_mut`], the optimizer steps, and replacing the parameter
+/// wholesale ([`Self::from_state`] builds a fresh one) — so a pack never
+/// outlives the value it was packed from. Gradient-only writes
+/// ([`Self::grad_mut`], [`Self::accumulate`]) keep it. A clone carries a
+/// pack of its own.
 #[derive(Debug, Clone)]
 pub struct Param {
     value: Tensor,
     grad: OnceLock<Tensor>,
     m: OnceLock<Tensor>,
     v: OnceLock<Tensor>,
+    /// The value packed in one orientation: `Nn` for `x · value`, `Nt`
+    /// for `x · valueᵀ` (a weight is read one way only).
+    packed: OnceLock<(Orientation, PackedB)>,
+}
+
+/// Which product a [`Param`]'s pack serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Orientation {
+    Nn,
+    Nt,
 }
 
 /// The lazy tensor in `cell`, materialized as zeros of `shape` on first use.
@@ -45,6 +69,7 @@ impl Param {
             grad: OnceLock::new(),
             m: OnceLock::new(),
             v: OnceLock::new(),
+            packed: OnceLock::new(),
         }
     }
 
@@ -54,8 +79,71 @@ impl Param {
     }
 
     /// Mutable access to the value (used when loading checkpoints / shards).
+    /// Drops the value's pack: whatever the caller writes, the next forward
+    /// product packs it afresh.
     pub fn value_mut(&mut self) -> &mut Tensor {
+        self.packed.take();
         &mut self.value
+    }
+
+    /// The value's pack in `orientation`, made on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is already packed the other way (a weight is
+    /// read in one orientation only; two would be a caller bug).
+    fn pack(&self, orientation: Orientation) -> &PackedB {
+        let (held, pack) = self.packed.get_or_init(|| {
+            let pack = match orientation {
+                Orientation::Nn => PackedB::pack_nn(&self.value),
+                Orientation::Nt => PackedB::pack_nt(&self.value),
+            };
+            (orientation, pack)
+        });
+        assert_eq!(*held, orientation, "a parameter packed both ways");
+        pack
+    }
+
+    /// The value packed as the `Bᵀ` operand of `x · valueᵀ`
+    /// ([`PackedB::pack_nt`]: the output layer's logits), made on first
+    /// use and kept until the value changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value was packed for [`Self::left_matmul`] instead.
+    pub fn packed_nt(&self) -> &PackedB {
+        self.pack(Orientation::Nt)
+    }
+
+    /// The pack currently held, if any (tests tell a kept pack from a
+    /// rebuilt one by its [`PackedB::as_ptr`]).
+    pub fn pack_held(&self) -> Option<&PackedB> {
+        self.packed.get().map(|(_, pack)| pack)
+    }
+
+    /// `x · value`, plus the `1 × n` `bias` row fused when given: bitwise
+    /// `x.matmul(value)` (or `x.matmul_bias(value, bias)`). This is the
+    /// one forward product of every block weight. At least one register
+    /// tile of rows (`MR`) reads the value's pack ([`PackedB::pack_nn`],
+    /// made on first use); fewer rows run the unpacked row kernel, which
+    /// packs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `x.cols()` is not the
+    /// value's row count or `bias` is not `1 × n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value was packed for [`Self::packed_nt`] instead.
+    pub fn left_matmul(&self, x: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
+        if x.rows() < MR {
+            return match bias {
+                Some(bias) => x.matmul_bias(&self.value, bias),
+                None => x.matmul(&self.value),
+            };
+        }
+        x.matmul_packed(self.pack(Orientation::Nn), bias)
     }
 
     /// The accumulated gradient.
@@ -110,6 +198,7 @@ impl Param {
             grad: OnceLock::new(),
             m: OnceLock::from(m),
             v: OnceLock::from(v),
+            packed: OnceLock::new(),
         })
     }
 
@@ -175,6 +264,7 @@ fn checked_grad<'a>(
 impl Optimizer for Sgd {
     fn step(&mut self, param: &mut Param) -> Result<()> {
         let grad = checked_grad(&param.value, &mut param.grad, "sgd_step")?;
+        param.packed.take();
         let lr = self.lr;
         // One pass: read each gradient element, then clear it in place.
         for (w, g) in param.value.data_mut().iter_mut().zip(grad.data_mut()) {
@@ -231,6 +321,7 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, param: &mut Param) -> Result<()> {
         let grad = checked_grad(&param.value, &mut param.grad, "adam_step")?;
+        param.packed.take();
         let shape = param.value.shape();
         let (m, v) = (lazy_mut(&mut param.m, shape), lazy_mut(&mut param.v, shape));
         let (b1, b2) = (self.beta1, self.beta2);
@@ -380,6 +471,111 @@ mod tests {
             &Tensor::ones(1, 2),
             "a rejected step moves nothing"
         );
+    }
+
+    /// `x · value` through the parameter's pack, and its bits.
+    fn packed_product(p: &Param, x: &Tensor) -> Vec<u32> {
+        let y = p.left_matmul(x, None).unwrap();
+        y.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The same product against the value as it is now, packed afresh.
+    fn fresh_product(p: &Param, x: &Tensor) -> Vec<u32> {
+        let y = x.matmul(p.value()).unwrap();
+        y.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A parameter whose value is packed (by one forward product), and a
+    /// left operand of one register tile or more.
+    fn packed_param() -> (Param, Tensor) {
+        let mut rng = crate::init::seeded_rng(35);
+        let p = Param::new(crate::init::normal(&mut rng, 12, 40, 0.5));
+        let x = crate::init::normal(&mut rng, MR + 3, 12, 1.0);
+        assert!(p.pack_held().is_none(), "packs lazily");
+        let first = packed_product(&p, &x);
+        assert_eq!(first, fresh_product(&p, &x));
+        let addr = p.pack_held().expect("the product packed").as_ptr();
+        assert_eq!(packed_product(&p, &x), first);
+        assert_eq!(p.pack_held().map(PackedB::as_ptr), Some(addr), "reused");
+        (p, x)
+    }
+
+    #[test]
+    fn gradient_writes_keep_the_pack() {
+        let (mut p, x) = packed_param();
+        let addr = p.pack_held().map(PackedB::as_ptr);
+        p.accumulate(&Tensor::ones(12, 40)).unwrap();
+        p.grad_mut().scale_in_place(0.5);
+        p.zero_grad();
+        assert_eq!(p.pack_held().map(PackedB::as_ptr), addr);
+        assert_eq!(packed_product(&p, &x), fresh_product(&p, &x));
+    }
+
+    #[test]
+    fn every_value_write_drops_the_pack() {
+        type Write = fn(&mut Param);
+        let steps: [(&str, Write); 4] = [
+            ("sgd", |p| Sgd::new(0.1).step(p).unwrap()),
+            ("adam", |p| Adam::new(0.1).step(p).unwrap()),
+            ("value_mut", |p| p.value_mut().data_mut()[7] += 1.5),
+            ("from_state", |p| {
+                let (m, v) = p.moments();
+                let value = p.value().map(|w| -w);
+                *p = Param::from_state(value, m.clone(), v.clone()).unwrap();
+            }),
+        ];
+        for (what, write) in steps {
+            let (mut p, x) = packed_param();
+            p.accumulate(&Tensor::ones(12, 40)).unwrap();
+            let before = p.value().clone();
+            write(&mut p);
+            assert_ne!(p.value(), &before, "{what} moved nothing");
+            assert!(p.pack_held().is_none(), "{what} kept a stale pack");
+            assert_eq!(packed_product(&p, &x), fresh_product(&p, &x), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_clone_steps_apart_from_its_source() {
+        let (mut p, x) = packed_param();
+        p.accumulate(&Tensor::ones(12, 40)).unwrap();
+        let source = packed_product(&p, &x);
+        let addr = p.pack_held().map(PackedB::as_ptr);
+        let mut clone = p.clone();
+        assert!(clone.pack_held().is_some(), "a clone carries a pack");
+        assert_ne!(clone.pack_held().map(PackedB::as_ptr), addr);
+        Sgd::new(0.1).step(&mut clone).unwrap();
+        assert_eq!(packed_product(&clone, &x), fresh_product(&clone, &x));
+        assert_ne!(packed_product(&clone, &x), source);
+        assert_eq!(p.pack_held().map(PackedB::as_ptr), addr);
+        assert_eq!(packed_product(&p, &x), source, "the source kept its pack");
+    }
+
+    #[test]
+    fn small_products_pack_nothing_and_both_paths_agree() {
+        let mut rng = crate::init::seeded_rng(36);
+        let p = Param::new(crate::init::normal(&mut rng, 9, 21, 0.5));
+        let bias = crate::init::normal(&mut rng, 1, 21, 0.5);
+        for rows in [1, MR - 1, MR, 2 * MR + 1] {
+            let x = crate::init::normal(&mut rng, rows, 9, 1.0);
+            let got = p.left_matmul(&x, Some(&bias)).unwrap();
+            let want = x.matmul_bias(p.value(), &bias).unwrap();
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "rows={rows}");
+            assert_eq!(p.pack_held().is_some(), rows >= MR, "rows={rows}");
+        }
+        assert!(p.left_matmul(&Tensor::zeros(MR, 8), None).is_err());
+        assert!(p
+            .left_matmul(&Tensor::zeros(MR, 9), Some(&Tensor::zeros(1, 20)))
+            .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "packed both ways")]
+    fn one_orientation_per_parameter() {
+        let p = Param::new(Tensor::ones(MR, MR));
+        p.left_matmul(&Tensor::ones(MR, MR), None).unwrap();
+        p.packed_nt();
     }
 
     #[test]

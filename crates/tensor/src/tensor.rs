@@ -391,24 +391,35 @@ impl Tensor {
         Ok(run_gemm(self, b, m, k, n, gemm::Layout::Nt, None))
     }
 
-    /// [`Self::matmul_nt`] against a right operand packed beforehand with
-    /// [`PackedB::pack_nt`]: the product skips the per-call transposing
-    /// pack and is bitwise `self.matmul_nt(rhs)` for the `rhs` it packed.
+    /// The product against a right operand packed beforehand, plus the
+    /// optional `1 × n` `bias` row fused as in [`Self::matmul_bias`]: for a
+    /// [`PackedB::pack_nt`] of `w` bitwise `self.matmul_nt(w)`, for a
+    /// [`PackedB::pack_nn`] of `w` bitwise `self.matmul(w)` (or
+    /// `self.matmul_bias(w, bias)`). The product skips the per-call pack.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shared dimension differs.
-    pub fn matmul_nt_packed(&self, rhs: &PackedB) -> Result<Tensor> {
+    /// Returns [`TensorError::ShapeMismatch`] if the shared dimension
+    /// differs or `bias` is not `1 × n`.
+    pub fn matmul_packed(&self, rhs: &PackedB, bias: Option<&Tensor>) -> Result<Tensor> {
         if self.cols != rhs.k() {
             return Err(TensorError::ShapeMismatch {
-                op: "matmul_nt_packed",
+                op: "matmul_packed",
                 lhs: self.shape(),
-                rhs: (rhs.n(), rhs.k()),
+                rhs: (rhs.k(), rhs.n()),
+            });
+        }
+        if let Some(bias) = bias.filter(|b| b.shape() != (1, rhs.n())) {
+            return Err(TensorError::ShapeMismatch {
+                op: "matmul_packed",
+                lhs: (1, rhs.n()),
+                rhs: bias.shape(),
             });
         }
         let (m, k, n) = (self.rows, self.cols, rhs.n());
         let b = gemm::Rhs::Packed(rhs);
-        Ok(run_gemm(self, b, m, k, n, gemm::Layout::Nt, None))
+        let bias = bias.map(|b| b.data.as_slice());
+        Ok(run_gemm(self, b, m, k, n, gemm::Layout::Nn, bias))
     }
 
     /// Matrix product `selfᵀ · rhs` where `self` is `[k, m]` and `rhs` is `[k, n]`.

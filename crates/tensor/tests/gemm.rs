@@ -8,7 +8,7 @@
 //! and NaN/∞ propagation through zero-padded pack panels. The unpacked row
 //! kernel that takes `Nn` products below one register tile is pinned
 //! against the packed path the same way, and so is the product against a
-//! right operand packed once beforehand (`Tensor::matmul_nt_packed`).
+//! right operand packed once beforehand (`Tensor::matmul_packed`).
 //! The output layer's `dy` operand (`ops::SoftmaxGrad`), formed while
 //! packing, is pinned against the staged tensor it replaces, and an FMA
 //! tripwire fails the moment any path fuses a multiply into its add.
@@ -268,9 +268,21 @@ fn pool_config_lock() -> MutexGuard<'static, ()> {
 
 #[test]
 fn prepacked_nt_is_bitwise_matmul_nt() {
-    // Shapes straddle the register tile (MR rows, NR columns), the KC = 128
-    // panel depth and the NC = 512 column block; thread counts cover the
-    // serial path, the column-panel split and the row split.
+    check_prepacked(true);
+}
+
+#[test]
+fn prepacked_nn_is_bitwise_matmul() {
+    check_prepacked(false);
+}
+
+/// `matmul_packed` against a `PackedB::pack_nt` (`nt`) or `pack_nn` of `w`
+/// is bitwise `matmul_nt` (or `matmul`, and with a fused bias
+/// `matmul_bias`), with `NaN`/`±∞`/`−0.0` planted in both operands. Shapes
+/// straddle the register tile (MR rows, NR columns), the KC = 128 panel
+/// depth and the NC = 512 column block; thread counts cover the serial
+/// path, the column-panel split and the row split.
+fn check_prepacked(nt: bool) {
     let _guard = pool_config_lock();
     let threads_before = vp_tensor::num_threads();
     pool::set_assumed_cores(16);
@@ -278,12 +290,23 @@ fn prepacked_nt_is_bitwise_matmul_nt() {
     let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
     for k in [1, 127, 128, 129, 300] {
         for n in [1, NR - 1, NR, NR + 1, 512, 513, 1100] {
-            let mut w = normal(&mut rng, n, k, 1.0);
-            for (i, &v) in poison.iter().enumerate() {
-                *w.at_mut((i * 37 + 5) % n, (i * 29 + 3) % k) = v;
-            }
-            let packed = PackedB::pack_nt(&w);
+            let (w, packed) = if nt {
+                let mut w = normal(&mut rng, n, k, 1.0);
+                for (i, &v) in poison.iter().enumerate() {
+                    *w.at_mut((i * 37 + 5) % n, (i * 29 + 3) % k) = v;
+                }
+                let packed = PackedB::pack_nt(&w);
+                (w, packed)
+            } else {
+                let mut w = normal(&mut rng, k, n, 1.0);
+                for (i, &v) in poison.iter().enumerate() {
+                    *w.at_mut((i * 29 + 3) % k, (i * 37 + 5) % n) = v;
+                }
+                let packed = PackedB::pack_nn(&w);
+                (w, packed)
+            };
             assert_eq!((packed.n(), packed.k()), (n, k));
+            let bias = normal(&mut rng, 1, n, 1.0);
             for m in [1, MR - 1, MR, 17, 130] {
                 let mut a = normal(&mut rng, m, k, 1.0);
                 if m > 1 {
@@ -294,11 +317,25 @@ fn prepacked_nt_is_bitwise_matmul_nt() {
                 }
                 for threads in [1, 2, 7] {
                     set_num_threads(threads);
-                    assert_bits_eq(
-                        &a.matmul_nt_packed(&packed).unwrap(),
-                        &a.matmul_nt(&w).unwrap(),
-                        &format!("packed nt {m}x{k}x{n} threads={threads}"),
-                    );
+                    let what = format!("packed nt={nt} {m}x{k}x{n} threads={threads}");
+                    if nt {
+                        assert_bits_eq(
+                            &a.matmul_packed(&packed, None).unwrap(),
+                            &a.matmul_nt(&w).unwrap(),
+                            &what,
+                        );
+                    } else {
+                        assert_bits_eq(
+                            &a.matmul_packed(&packed, None).unwrap(),
+                            &a.matmul(&w).unwrap(),
+                            &what,
+                        );
+                        assert_bits_eq(
+                            &a.matmul_packed(&packed, Some(&bias)).unwrap(),
+                            &a.matmul_bias(&w, &bias).unwrap(),
+                            &format!("{what} bias"),
+                        );
+                    }
                 }
             }
         }
@@ -306,7 +343,13 @@ fn prepacked_nt_is_bitwise_matmul_nt() {
     set_num_threads(threads_before);
     pool::set_assumed_cores(0);
     let packed = PackedB::pack_nt(&Tensor::zeros(3, 5));
-    assert!(Tensor::zeros(2, 4).matmul_nt_packed(&packed).is_err());
+    assert!(Tensor::zeros(2, 4).matmul_packed(&packed, None).is_err());
+    let packed = PackedB::pack_nn(&Tensor::zeros(5, 3));
+    assert!(Tensor::zeros(2, 4).matmul_packed(&packed, None).is_err());
+    let bias = Tensor::zeros(1, 4);
+    assert!(Tensor::zeros(2, 5)
+        .matmul_packed(&packed, Some(&bias))
+        .is_err());
 }
 
 #[test]
@@ -381,7 +424,7 @@ fn no_path_fuses_multiply_and_add() {
     zeros(&a.matmul_nt(&bt).unwrap(), "nt");
     zeros(&at.matmul_tn(&b).unwrap(), "tn");
     zeros(
-        &a.matmul_nt_packed(&PackedB::pack_nt(&bt)).unwrap(),
+        &a.matmul_packed(&PackedB::pack_nt(&bt), None).unwrap(),
         "nt packed",
     );
     // The accumulate epilogue: the running total is `into` itself and the

@@ -349,7 +349,7 @@ fn grouped_exp_sum_is_bitwise_the_per_row_softmax() {
                 // The slice entry point, on the whole block at once.
                 let mut e = logits.clone();
                 let (mut m, mut s) = (vec![0.0; rows], vec![0.0; rows]);
-                exp_sum_rows(e.data_mut(), cols, &mut m, &mut s);
+                exp_sum_rows(e.data_mut(), cols, |_| cols, &mut m, &mut s);
                 assert_eq!(words(e.data()), words(&want_e), "exps {}", what(0));
                 assert_eq!(words(&s), words(&want_s), "slice sum {}", what(0));
             }
@@ -357,4 +357,39 @@ fn grouped_exp_sum_is_bitwise_the_per_row_softmax() {
     }
     vp_tensor::mathx::set_fast_math(None);
     set_num_threads(before);
+}
+
+#[test]
+fn ragged_exp_sum_is_bitwise_the_per_row_softmax() {
+    // Causal score rows: row `r` is `base + r + 1` wide inside a stride
+    // rounded up past the widest, so a group's rows share `base + 1`
+    // columns and each longer row finishes its own. What lies past a row's
+    // width must come back untouched.
+    use vp_tensor::ops::{exp_sum_rows, EXP_SUM_ROWS};
+    let _guard = config_lock();
+    let g = EXP_SUM_ROWS;
+    let words = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for policy in [false, true] {
+        vp_tensor::mathx::set_fast_math(Some(policy));
+        for rows in [1, g - 1, g, g + 1, 33] {
+            for base in [0, 6, 2040] {
+                let stride = (base + rows).next_multiple_of(16) + 3;
+                let width = |r: usize| base + r + 1;
+                let logits = exp_sum_rows_tensor(rows, stride, 71 + rows as u64);
+                let mut got = logits.clone();
+                let (mut m, mut s) = (vec![0.0; rows], vec![0.0; rows]);
+                exp_sum_rows(got.data_mut(), stride, width, &mut m, &mut s);
+                for r in 0..rows {
+                    let what = format!("fast={policy} rows={rows} base={base} row={r}");
+                    let (e, _, (want_m, want_s)) = oracle_row(&logits.row(r)[..width(r)]);
+                    assert_eq!(words(&got.row(r)[..width(r)]), words(&e), "exps {what}");
+                    assert_eq!(m[r].to_bits(), want_m.to_bits(), "max {what}");
+                    assert_eq!(s[r].to_bits(), want_s.to_bits(), "sum {what}");
+                    let past = |t: &Tensor| words(&t.row(r)[width(r)..]);
+                    assert_eq!(past(&got), past(&logits), "past the width {what}");
+                }
+            }
+        }
+    }
+    vp_tensor::mathx::set_fast_math(None);
 }

@@ -337,3 +337,71 @@ fn vocab_training_is_pinned_bitwise() {
     };
     assert_eq!(h.0, want, "digest {:#018x}", h.0);
 }
+
+/// Chunked prefill is pinned bit for bit, end to end and inside the
+/// blocks. The pp2 serving engine feeds prompts of 40–70 tokens 16 at a
+/// time, so every prefill chunk attends a long prefix with a full chunk of
+/// rows; the digest covers every completion's token ids and logprob bits,
+/// in request order. A random-init model's logprobs round away a last-bit
+/// change in the hidden state, so the digest also covers the hidden-state
+/// bits of the same model's blocks run over a 70-row sequence in 16-row
+/// `forward_decode` chunks. One digest per accuracy policy
+/// (`VP_FAST_MATH`), computed before the block forward ran on pre-packed
+/// weights and tiled chunk attention.
+#[test]
+fn chunked_prefill_is_pinned_bitwise() {
+    use vp_runtime::serve::{ServeConfig, ServeEngine, WorkloadSpec};
+    use vp_runtime::FullModel;
+    use vp_tensor::nn::KvCache;
+    let model = TinyConfig {
+        layers: 2,
+        hidden: 64,
+        heads: 2,
+        seq_len: 80,
+        ..TinyConfig::default()
+    };
+    let config = ServeConfig {
+        model: model.clone(),
+        devices: 2,
+        max_batch: 3,
+        prefill_chunk: 16,
+        ..ServeConfig::default()
+    };
+    let requests = WorkloadSpec {
+        requests: 6,
+        rate: None,
+        prompt_len: (40, 70),
+        output_len: (1, 6),
+        seed: 35,
+    }
+    .generate(model.vocab, model.seq_len);
+    let mut engine = ServeEngine::start(config).unwrap();
+    let mut run = engine.serve(&requests);
+    engine.shutdown();
+    assert_eq!(run.completions.len(), requests.len());
+    run.completions.sort_by_key(|c| c.id);
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for c in &run.completions {
+        c.tokens.iter().for_each(|&t| h.word(t as u64));
+        c.logprobs
+            .iter()
+            .for_each(|l| h.word(u64::from(l.to_bits())));
+    }
+    let blocks = FullModel::build(&model).blocks;
+    let mut rng = vp_tensor::init::seeded_rng(35);
+    let x = vp_tensor::init::normal(&mut rng, 70, model.hidden, 1.0);
+    let mut caches: Vec<KvCache> = blocks.iter().map(|_| KvCache::new(model.hidden)).collect();
+    for r0 in (0..x.rows()).step_by(16) {
+        let mut y = x.slice_rows(r0, x.rows().min(r0 + 16)).unwrap();
+        for (block, kv) in blocks.iter().zip(&mut caches) {
+            y = block.forward_decode(&y, kv).unwrap();
+        }
+        y.data().iter().for_each(|v| h.word(u64::from(v.to_bits())));
+    }
+    let want = if vp_tensor::mathx::fast_math() {
+        0x6aa5_3243_40c4_3a2e
+    } else {
+        0xa7b1_30bb_59e8_004b
+    };
+    assert_eq!(h.0, want, "digest {:#018x}", h.0);
+}

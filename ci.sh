@@ -6,13 +6,11 @@
 # and AVX2 register tiles, and benchmark/ against crates/*), and last the `repro`
 # experiments that gate themselves. Every structural fact is asserted once, in Rust: by
 # `cargo test --workspace`, and by the exit status of `repro check`
-# (static verification sweep), `repro modelcheck`
-# (static-vs-model differential soundness), `repro tpsweep` (every PP x TP
+# (static verification sweep), `repro tpsweep` (every PP x TP
 # grid point verified) and `repro timeline`
 # (sim-vs-measured drift bound, no dropped events, finite loss). This
-# script adds only what needs two processes: `check --json` and
-# `modelcheck --json` rerun byte-identical, and training rerun
-# byte-identical. Speed is not gated here; it is measured, with
+# script adds only what needs two processes: `check --json` rerun
+# byte-identical, and training rerun byte-identical. Speed is not gated here; it is measured, with
 # repetitions, by `benchmark/` (see benchmark/README.md).
 # Runs fully offline (the workspace has no external dependencies).
 # JSON artifacts land in target/ so the working tree stays clean.
@@ -170,7 +168,6 @@ stage "cargo test --workspace --release" test_release
 stage "cargo test -p vp-tensor -p vp-core -p vp-model, target-cpu=x86-64 and x86-64-v3 (the portable and AVX2 register tiles)" portable_tile_test
 stage "cargo test --manifest-path benchmark/Cargo.toml (the frozen benchmark against crates/*)" benchmark_test
 stage "repro check x2 (static schedule verification sweep)" rerun_identical check CHECK
-stage "repro modelcheck x2 (static-vs-model differential soundness)" rerun_identical modelcheck MODELCHECK
 stage "repro tpsweep (PP x TP crossover)" repro tpsweep --json --out target/TPSWEEP.json
 stage "training determinism (two identical runs, VP_THREADS=4)" determinism_gate
 stage "repro trace (simulated Chrome trace exports to target/traces)" repro trace

@@ -4,7 +4,7 @@
 //! cargo run -p vp-bench --release --bin repro -- <experiment> [--quick]
 //! ```
 //!
-//! Experiments: `check`, `modelcheck`, `fig1`/`schedules`, `fig2`, `fig3`, `table3`,
+//! Experiments: `check`, `fig1`/`schedules`, `fig2`, `fig3`, `table3`,
 //! `table4`, `table5`, `table6`, `ablation-interlaced`,
 //! `ablation-barriers`, `ablation-zero-bubble`, `generality`,
 //! `generality-numeric`, `tpsweep`, `padding`, `trace`, `timeline`, `csv`,
@@ -12,13 +12,11 @@
 //! of 128 microbatches (same shapes, ~4× faster). Speed is not measured
 //! here: that is `benchmark/` (see `benchmark/README.md`).
 //!
-//! Four experiments gate themselves — they exit 1 on their own verdict —
+//! Three experiments gate themselves — they exit 1 on their own verdict —
 //! and with `--json` write an artifact (`--out <path>` redirects it; a
 //! failed write also exits 1): `check` (`CHECK.json`: any diagnostic on
-//! the static verification sweep), `modelcheck` (`MODELCHECK.json`: a
-//! static-vs-model disagreement),
-//! `tpsweep` (`TPSWEEP.json`: a PP × TP configuration `vp-check` or its
-//! grid lints reject) and `timeline`
+//! the static verification sweep), `tpsweep` (`TPSWEEP.json`: a PP × TP
+//! configuration `vp-check` or its grid lints reject) and `timeline`
 //! (`TIMELINE.json`, plus `target/traces/measured-<name>.trace.json`:
 //! simulated vs measured busy shares drifting past the bound, dropped
 //! trace events or a non-finite loss).
@@ -62,7 +60,6 @@ fn main() {
     let experiments: Vec<&str> = match which {
         "all" => vec![
             "check",
-            "modelcheck",
             "fig2",
             "fig3",
             "table4",
@@ -87,7 +84,6 @@ fn main() {
     for exp in experiments {
         match exp {
             "check" => check_schedules(json, out.as_deref()),
-            "modelcheck" => modelcheck(json, out.as_deref()),
             "fig1" | "schedules" => schedules(),
             "fig2" => fig2(),
             "fig3" => fig3(),
@@ -157,26 +153,6 @@ fn check_schedules(json: bool, out: Option<&str>) {
     }
     if cases.iter().any(|c| !c.report.is_clean()) {
         eprintln!("vp-check: diagnostics found — failing");
-        std::process::exit(1);
-    }
-}
-
-fn modelcheck(json: bool, out: Option<&str>) {
-    heading("Model check — static analyses vs rendezvous-faithful execution, differentially");
-    let cases = vp_bench::modelcheck::run();
-    print!("{}", vp_bench::modelcheck::render(&cases));
-    if json {
-        write_artifact(
-            out.unwrap_or("MODELCHECK.json"),
-            &vp_bench::modelcheck::to_json(&cases),
-        );
-    }
-    let disagreements = cases
-        .iter()
-        .filter(|c| c.outcome == vp_bench::modelcheck::Outcome::Disagree)
-        .count();
-    if disagreements > 0 {
-        eprintln!("modelcheck: {disagreements} disagreement(s) — failing");
         std::process::exit(1);
     }
 }

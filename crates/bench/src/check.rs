@@ -28,9 +28,9 @@ pub struct CheckCase {
 }
 
 /// One grid case before analysis: the schedule plus the configuration it
-/// must be checked under. `repro modelcheck` reuses the exact same list
-/// so the differential harness covers precisely what the static gate
-/// covers.
+/// must be checked under. The executor-oracle test (`tests/executor_oracle.rs`)
+/// holds the small end of the same list, and seeded mutants of it, against
+/// an exploration of every interleaving.
 pub struct SweepCase {
     /// Human-readable case id.
     pub name: String,

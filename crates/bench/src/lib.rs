@@ -11,7 +11,6 @@
 
 pub mod check;
 pub mod experiments;
-pub mod modelcheck;
 pub mod paper;
 pub mod table;
 pub mod timeline;

@@ -5,14 +5,17 @@
 //! schedule never runs — make the dependency graph itself ill-defined, so
 //! they are checked first and, unlike `vp_schedule::deps::build_deps`
 //! (which fails fast on the first defect), *all* of them are collected.
-//! Once the graph is well-defined, deadlock freedom is exactly acyclicity
-//! of the happens-before graph; a violation is rendered as the minimal
-//! cycle extracted by [`vp_schedule::hb::HbGraph::minimal_cycle`].
+//! Once the graph is well-defined, a happens-before cycle is rendered as
+//! the minimal cycle extracted by
+//! [`vp_schedule::hb::HbGraph::minimal_cycle`] (`VP0001`); a schedule
+//! that is acyclic yet leaves the executor stuck inside a rendezvous is
+//! rendered from the executor's blocked set (`VP0017`).
 
 use std::collections::{HashMap, HashSet};
 use vp_schedule::deps::{device_preds, DepContext, Key};
+use vp_schedule::exec::Stuck;
 use vp_schedule::hb::{CycleStep, HbEdge};
-use vp_schedule::pass::Schedule;
+use vp_schedule::pass::{PassKind, Schedule};
 
 use crate::diag::{Code, Diagnostic, Site};
 
@@ -126,76 +129,89 @@ pub fn cycle_diagnostic(cycle: &[CycleStep]) -> Diagnostic {
     .help("reorder the involved devices so program order agrees with the dependency rules")
 }
 
-/// Renders a cycle that exists only under rendezvous (blocking-send)
-/// semantics as the `VP0017` diagnostic.
+/// Renders a run the executor left stuck, on a schedule whose
+/// happens-before graph is acyclic, as the `VP0017` diagnostic.
 ///
-/// The primary site is the collective call that blocks (the target of a
-/// rendezvous arrival edge); every cycle step appears as a related site.
-/// The notes name the collective instance the device sits inside and —
-/// when an un-issued send (`InputF`) is on the cycle — the exact row that
-/// is still unsent while the barrier waits, which is the PR-8 serving
-/// deadlock's shape.
-pub fn rendezvous_cycle_diagnostic(cycle: &[CycleStep]) -> Diagnostic {
-    // The blocked collective call: the *target* of a rendezvous edge, i.e.
-    // the step after the arrival edge on the cycle.
-    let blocked = cycle
+/// The primary site is the lowest blocked device inside a rendezvous.
+/// Every blocked device is a related site labelled with its wait, and so
+/// is every producer a blocked receive still waits on. When such a
+/// producer is an `InputF` behind its own device's blocked `S`, the row
+/// is still unsent while the barrier waits — the shape of the serving
+/// deadlock the hoist fixed — and the help says to hoist it.
+pub fn rendezvous_deadlock_diagnostic(schedule: &Schedule, stuck: &Stuck) -> Diagnostic {
+    let site = |device: usize, slot: usize| Site {
+        device,
+        slot,
+        pass: schedule.passes(device)[slot],
+    };
+    let head = stuck
+        .blocked
         .iter()
-        .enumerate()
-        .find(|(_, step)| step.edge.is_rendezvous())
-        .map(|(i, _)| &cycle[(i + 1) % cycle.len()])
-        .unwrap_or_else(|| cycle.first().expect("cycles are non-empty"));
+        .find(|b| b.rendezvous.is_some())
+        .expect("without a happens-before cycle, a stuck run has a device inside a rendezvous");
     let mut d = Diagnostic::error(
         Code::RendezvousDeadlock,
         format!(
-            "{} passes deadlock under rendezvous semantics: the schedule is acyclic in the \
-             happens-before model, but {} blocks inside its synchronous collective",
-            cycle.len(),
-            blocked.pass
+            "{} devices deadlock under rendezvous semantics: the schedule is acyclic in the \
+             happens-before model, but {} on device {} blocks inside its synchronous collective",
+            stuck.blocked.len(),
+            head.pass,
+            head.device
         ),
     )
-    .at(Site {
-        device: blocked.device,
-        slot: blocked.slot,
-        pass: blocked.pass,
-    });
-    for (i, step) in cycle.iter().enumerate() {
-        let next = &cycle[(i + 1) % cycle.len()];
-        d = d.related(
-            Site {
-                device: step.device,
-                slot: step.slot,
-                pass: step.pass,
-            },
-            format!(
-                "must finish before {} [device {}, slot {}] — {}",
-                next.pass,
-                next.device,
-                next.slot,
-                step.edge.describe()
-            ),
-        );
+    .at(site(head.device, head.slot));
+    let mut sites: Vec<(usize, usize)> = stuck.blocked.iter().map(|b| (b.device, b.slot)).collect();
+    for b in &stuck.blocked {
+        d = d.related(site(b.device, b.slot), b.reason.clone());
+    }
+    let mut unsent = None;
+    for b in &stuck.blocked {
+        for &(pd, ps) in &b.unmet {
+            if sites.contains(&(pd, ps)) {
+                continue;
+            }
+            sites.push((pd, ps));
+            d = d.related(
+                site(pd, ps),
+                format!(
+                    "not yet run, and {} [device {}, slot {}] waits for it",
+                    b.pass, b.device, b.slot
+                ),
+            );
+            let behind_s = stuck.blocked.iter().any(|o| {
+                o.device == pd
+                    && o.slot < ps
+                    && o.rendezvous.is_some()
+                    && o.pass.kind == PassKind::S
+            });
+            if behind_s && schedule.passes(pd)[ps].kind == PassKind::InputF {
+                unsent.get_or_insert(site(pd, ps));
+            }
+        }
     }
     d = d.note(format!(
         "{} on device {} does not return until every participant's device reaches its \
          matching call, so everything scheduled after it on device {} — including its \
          pending sends — is blocked too",
-        blocked.pass, blocked.device, blocked.device
+        head.pass, head.device, head.device
     ));
-    if let Some(unsent) = cycle
-        .iter()
-        .find(|step| step.pass.kind == vp_schedule::pass::PassKind::InputF)
-    {
-        d = d.note(format!(
-            "the embedding row of {} on device {} is still unsent when the collective \
-             begins: it is scheduled after the blocking call, while another device's \
-             forward needs it to reach the same collective",
-            unsent.pass, unsent.device
-        ));
+    match unsent {
+        Some(row) => d
+            .note(format!(
+                "the embedding row of {} on device {} is still unsent when the collective \
+                 begins: it is scheduled after the blocking call, while another device's \
+                 forward needs it to reach the same collective",
+                row.pass, row.device
+            ))
+            .help(
+                "hoist the non-blocking sends (InputF) ahead of every rendezvous collective \
+                 entry, as generators::decode_pipeline does",
+            ),
+        None => d.help(
+            "every device must enter the same rendezvous instances in the same order, with \
+             every send a peer needs to get there issued before it blocks",
+        ),
     }
-    d.help(
-        "hoist the non-blocking sends (InputF) ahead of every rendezvous collective entry, \
-         as generators::decode_pipeline does",
-    )
 }
 
 #[cfg(test)]
@@ -205,7 +221,7 @@ mod tests {
     use vp_schedule::deps::build_deps;
     use vp_schedule::generators::vocab_1f1b;
     use vp_schedule::hb::HbGraph;
-    use vp_schedule::pass::{PassKind, ScheduleKind, ScheduledPass, VocabVariant};
+    use vp_schedule::pass::{ScheduleKind, ScheduledPass, VocabVariant};
 
     #[test]
     fn clean_schedule_has_no_structural_diagnostics() {

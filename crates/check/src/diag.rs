@@ -64,12 +64,11 @@ pub enum Code {
     /// never produces gradients, so such a pass would wait forever on a
     /// gradient that no one sends.
     BackwardInDecode,
-    /// `VP0017` — a cycle that exists only under rendezvous (blocking-
-    /// send) semantics: the schedule is acyclic in the asymmetric
-    /// happens-before model, but a synchronous collective blocks its
-    /// device — and all of the device's later sends — until every
-    /// participant arrives, closing a wait cycle the dependency edges
-    /// alone do not show.
+    /// `VP0017` — a deadlock only rendezvous (blocking-send) semantics
+    /// show: the schedule is acyclic in the asymmetric happens-before
+    /// model, but run with its synchronous collectives as rendezvous —
+    /// each blocks its device, and all of the device's later sends, until
+    /// every participant arrives — it gets stuck.
     RendezvousDeadlock,
 }
 

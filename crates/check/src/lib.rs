@@ -3,9 +3,9 @@
 
 //! `vp-check`: a static schedule & communication verifier.
 //!
-//! Proves properties of any [`vp_schedule::pass::Schedule`] *without
-//! executing it*, reporting violations as rustc-style diagnostics with
-//! stable codes (`VP0001`–`VP0017`):
+//! Proves properties of any [`vp_schedule::pass::Schedule`] without
+//! running it on the runtime, reporting violations as rustc-style
+//! diagnostics with stable codes (`VP0001`–`VP0017`):
 //!
 //! * **Deadlock freedom** ([`deadlock`]) — the happens-before graph
 //!   (program order + §5.1 dependency edges) is acyclic; a violation is
@@ -35,21 +35,16 @@
 //! * **Decode schedules** ([`check_decode`]) — forward-only serving pass
 //!   lists swap the training liveness rules for `VP0016`: no
 //!   backward-family pass may appear (inference produces no gradients);
-//!   all other analyses run unchanged. Additionally, decode mode is
-//!   *rendezvous-faithful*: the sampling barrier each `S` pass executes is
-//!   a synchronous all-gather on the device thread, so the analysis adds
-//!   arrival edges ([`vp_schedule::hb::HbGraph::with_rendezvous`]) under
-//!   which a sender blocked inside a collective also blocks its later
-//!   sends. A cycle that appears only with these edges — the schedule
-//!   looks fine to the asymmetric model but hangs the real runtime — is
-//!   `VP0017`, with the minimal cycle naming the blocked collective and
-//!   the unsent row.
-//! * **Execution model checking** ([`model`]) — runs the same schedules
-//!   under the runtime's blocking semantics (in-order devices, blocking
-//!   receives, rendezvous barriers) on the `vp-schedule` executor, used to
-//!   *differentially validate* the graph analyses: the `repro modelcheck`
-//!   sweep asserts the static verdict and the executed verdict agree on
-//!   every grid case and seeded mutant.
+//!   all other analyses run unchanged.
+//! * **Rendezvous deadlock** ([`deadlock`]) — in decode mode the sampling
+//!   barrier each `S` pass executes is a synchronous all-gather on the
+//!   device thread ([`vp_schedule::deps::sync_collectives`]), so a device
+//!   inside it sends nothing until every peer arrives. Whether a schedule hangs
+//!   under that rule is decided by running it: the schedule executor
+//!   ([`vp_schedule::exec::Executor::run_with_graph`]) under unit costs,
+//!   whose transitions commute, so one run decides every interleaving.
+//!   A stuck run on an acyclic happens-before graph is `VP0017`, naming
+//!   every blocked device, what it waits for and the unsent row.
 //!
 //! The `repro check` subcommand sweeps every built-in generator family
 //! through [`check`] (and `repro tpsweep` gates its grid configurations
@@ -60,13 +55,14 @@ pub mod deadlock;
 pub mod diag;
 pub mod grid;
 pub mod liveness;
-pub mod model;
 pub mod race;
 
 pub use diag::{render_human, render_json, Code, Diagnostic, Severity, Site};
 pub use grid::{check_grid, check_grid_facts};
 
+use vp_schedule::block::PassTimes;
 use vp_schedule::deps::{build_deps, sync_collectives};
+use vp_schedule::exec::{Executor, UnitCosts};
 use vp_schedule::hb::HbGraph;
 use vp_schedule::pass::Schedule;
 
@@ -131,7 +127,8 @@ pub fn check(schedule: &Schedule) -> CheckReport {
 /// communication-protocol and race analyses run unchanged, and — because
 /// a decode step's `S` pass executes its sampling barrier synchronously
 /// on the device thread rather than submitting it to a comm stream — the
-/// rendezvous-faithful deadlock analysis (`VP0017`) runs on top.
+/// executor runs the schedule with those barriers as rendezvous
+/// (`VP0017`).
 pub fn check_decode(schedule: &Schedule) -> CheckReport {
     check_with(
         schedule,
@@ -147,8 +144,9 @@ pub fn check_decode(schedule: &Schedule) -> CheckReport {
 /// Structure (`VP0002`/`VP0003`) and the schedule-only lints
 /// (`VP0004`–`VP0006`, `VP0008`–`VP0011`) always run. The graph-based
 /// analyses (`VP0001`, `VP0007`, `VP0012`) run only once the dependency
-/// graph is well-defined, and race detection additionally requires
-/// acyclicity (a deadlocked schedule has no execution to race in).
+/// graph is well-defined, and race detection and the rendezvous run
+/// (`VP0017`) additionally require acyclicity (a deadlocked schedule has
+/// no execution to race in).
 pub fn check_with(schedule: &Schedule, config: &CheckConfig) -> CheckReport {
     let mut diagnostics = deadlock::check_structure(schedule);
     let structural_ok = diagnostics.is_empty();
@@ -181,17 +179,17 @@ pub fn check_with(schedule: &Schedule, config: &CheckConfig) -> CheckReport {
                 let reach = race::Reachability::compute(&hb, &topo);
                 diagnostics.extend(race::check_races(schedule, &hb, &reach));
                 races_checked = true;
-                // Rendezvous-faithful pass: collectives the schedule
-                // executes synchronously on the device thread (decode's
-                // sampling barrier) also block the sender's later sends.
-                // A cycle that appears only once those arrival edges are
-                // added is a deadlock the asymmetric model missed: VP0017.
+                // Collectives the schedule executes synchronously on the
+                // device thread (decode's sampling barrier) also block the
+                // caller's later sends. Run them as rendezvous: a stuck run
+                // the acyclic graph did not predict is VP0017.
                 let sync = sync_collectives(schedule, config.forward_only);
                 if !sync.is_empty() {
-                    let rhb = HbGraph::with_rendezvous(schedule, &deps, &sync);
-                    if rhb.topo_order().is_none() {
-                        let cycle = rhb.minimal_cycle().expect("cyclic graph has a cycle");
-                        diagnostics.push(deadlock::rendezvous_cycle_diagnostic(&cycle));
+                    let costs = UnitCosts::new(PassTimes::default(), schedule.chunks());
+                    if let Err(stuck) = Executor::new(&costs).run_with_graph(schedule, &deps, &sync)
+                    {
+                        diagnostics
+                            .push(deadlock::rendezvous_deadlock_diagnostic(schedule, &stuck));
                     }
                 }
             }
@@ -343,6 +341,26 @@ mod tests {
         assert!(report.has(Code::MissingParticipant), "{:?}", report.codes());
         // Both devices still sample every slot: no coverage hole.
         assert!(!report.has(Code::CoverageHole), "{:?}", report.codes());
+
+        // The same skew on device 0 closes no happens-before cycle (on the
+        // last device S(2) would wait on its own later F(2): VP0001). Each
+        // device then sits in a barrier the other never enters.
+        let mut passes: Vec<Vec<ScheduledPass>> =
+            (0..2).map(|d| sched.passes(d).to_vec()).collect();
+        let s = passes[0]
+            .iter()
+            .position(|p| p.kind == PassKind::S && p.microbatch == 1)
+            .unwrap();
+        passes[0][s].microbatch = 2;
+        let report = check_decode(&Schedule::new(sched.kind(), 4, 1, passes));
+        assert!(report.has(Code::MissingParticipant), "{:?}", report.codes());
+        assert!(!report.has(Code::Deadlock), "{:?}", report.codes());
+        let d = report
+            .diagnostics
+            .iter()
+            .find(|d| d.code == Code::RendezvousDeadlock)
+            .expect("a rendezvous short of the world hangs");
+        assert!(d.to_string().contains("can never complete"), "{d}");
     }
 
     #[test]
@@ -480,6 +498,13 @@ mod tests {
         let mutated = Schedule::new(sched.kind(), 4, 1, passes);
         let report = check_decode(&mutated);
         assert!(!report.is_clean(), "dropped S must be caught");
+        // Device 1 enters the barrier of mb 2 alone and never leaves it.
+        let d = report
+            .diagnostics
+            .iter()
+            .find(|d| d.code == Code::RendezvousDeadlock)
+            .expect("a rendezvous short of the world hangs");
+        assert!(d.to_string().contains("can never complete"), "{d}");
 
         // Swap two S entries on one device: collective order skew.
         let sched = decode_pipeline(2, 4);

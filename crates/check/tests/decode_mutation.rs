@@ -21,48 +21,12 @@
 //! against — the only ones with an `S` between forwards to un-hoist past —
 //! the last on the grouped ones.
 
+mod common;
+
+use common::{device_passes, rebuild, Lcg};
 use vp_check::{check_decode, Code};
 use vp_schedule::generators::decode_pipeline_grouped;
 use vp_schedule::pass::{PassKind, Schedule, ScheduledPass};
-
-/// Deterministic LCG (Knuth's MMIX constants) so every mutation site is
-/// reproducible from its seed.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Lcg {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        self.0
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        assert!(n > 0);
-        (self.next() >> 33) as usize % n
-    }
-}
-
-fn device_passes(sched: &Schedule) -> Vec<Vec<ScheduledPass>> {
-    (0..sched.devices())
-        .map(|d| sched.passes(d).to_vec())
-        .collect()
-}
-
-fn rebuild(sched: &Schedule, passes: Vec<Vec<ScheduledPass>>) -> Schedule {
-    Schedule::new(
-        sched.kind(),
-        sched.num_microbatches(),
-        sched.chunks(),
-        passes,
-    )
-    .with_placement(sched.placement())
-}
 
 fn base_schedules() -> Vec<(String, Schedule)> {
     let mut out = Vec::new();

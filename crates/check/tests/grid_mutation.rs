@@ -4,42 +4,15 @@
 //! coverage holes) — and the unmutated tables asserted clean across
 //! generator families and grid shapes.
 
+mod common;
+
+use common::{zb_times, Lcg};
 use vp_check::grid::{check_grid, check_grid_facts};
 use vp_check::Code;
 use vp_schedule::block::PassTimes;
 use vp_schedule::generators::{one_f_one_b, vocab_1f1b, zb_vocab_1f1b};
 use vp_schedule::grid::{tp_ops, DeviceGrid, TpCollective};
 use vp_schedule::pass::{Schedule, VocabVariant};
-
-/// Deterministic LCG (Knuth's MMIX constants), as in the 1D suite.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Lcg {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        self.0
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        assert!(n > 0);
-        (self.next() >> 33) as usize % n
-    }
-}
-
-fn zb_times() -> PassTimes {
-    PassTimes {
-        w: 1.0,
-        b: 1.0,
-        ..PassTimes::default()
-    }
-}
 
 fn base_schedules(p: usize) -> Vec<(String, Schedule)> {
     vec![

@@ -4,57 +4,13 @@
 //! asserted clean. This is the analyzer's soundness/completeness smoke
 //! test: a checker that accepts everything would pass the sweep too.
 
+mod common;
+
+use common::{device_passes, rebuild, zb_times, Lcg};
 use vp_check::{check, Code};
 use vp_schedule::block::PassTimes;
 use vp_schedule::generators::{one_f_one_b, vocab_1f1b, zb_vocab_1f1b};
 use vp_schedule::pass::{PassKind, Schedule, ScheduledPass, VocabVariant};
-
-/// Deterministic LCG (Knuth's MMIX constants) so every mutation site is
-/// reproducible from its seed.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Lcg {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        self.0
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        assert!(n > 0);
-        (self.next() >> 33) as usize % n
-    }
-}
-
-fn zb_times() -> PassTimes {
-    PassTimes {
-        w: 1.0,
-        b: 1.0,
-        ..PassTimes::default()
-    }
-}
-
-fn device_passes(sched: &Schedule) -> Vec<Vec<ScheduledPass>> {
-    (0..sched.devices())
-        .map(|d| sched.passes(d).to_vec())
-        .collect()
-}
-
-fn rebuild(sched: &Schedule, passes: Vec<Vec<ScheduledPass>>) -> Schedule {
-    Schedule::new(
-        sched.kind(),
-        sched.num_microbatches(),
-        sched.chunks(),
-        passes,
-    )
-    .with_placement(sched.placement())
-}
 
 fn slot_of(passes: &[ScheduledPass], kind: PassKind, mb: u32) -> usize {
     passes

@@ -338,8 +338,9 @@ pub fn device_preds(ctx: &DepContext, schedule: &Schedule, d: usize) -> Vec<Vec<
 /// synchronously: the device sits inside the collective until every shard
 /// arrives, so all of its later sends are blocked too. A schedule can be
 /// acyclic under the asymmetric model yet deadlock under the blocking one
-/// (the PR-8 serving deadlock). [`crate::hb::HbGraph::with_rendezvous`]
-/// closes the gap by adding arrival edges for these instances.
+/// (the un-hoisted serving layout).
+/// [`crate::exec::Executor::run_with_graph`] closes the gap by running
+/// these instances as rendezvous.
 #[derive(Debug, Clone)]
 pub struct SyncCollective {
     /// The collective class of the instance.
@@ -709,5 +710,36 @@ mod tests {
             .unwrap();
         let kinds: Vec<EdgeKind> = graph.preds(d, i).iter().map(|dep| dep.kind).collect();
         assert!(kinds.contains(&EdgeKind::C2Reduce));
+    }
+
+    #[test]
+    fn training_mode_has_no_sync_collectives() {
+        let sched = vocab_1f1b(4, 6, VocabVariant::Alg2, PassTimes::default(), false);
+        assert!(sync_collectives(&sched, false).is_empty());
+        // Even under forward-only classification the training schedule has
+        // no rendezvous: every slot schedules a T, so its S passes are
+        // stream-offloaded submissions whose results the T passes consume.
+        assert!(sync_collectives(&sched, true).is_empty());
+    }
+
+    #[test]
+    fn overlap_decode_slots_are_stream_offloaded_not_rendezvous() {
+        use crate::generators::decode_pipeline_grouped;
+        for p in [1usize, 2, 4] {
+            for m in [1u32, 2, 3, 6, 8] {
+                for g in [1, 2, m.div_ceil(2), m] {
+                    // The inline-barrier family keeps one world-sized
+                    // rendezvous per group…
+                    let inline = sync_collectives(&decode_pipeline_grouped(p, m, g, false), true);
+                    assert_eq!(inline.len(), m.div_ceil(g) as usize, "p={p} m={m} g={g}");
+                    assert!(inline.iter().all(|inst| inst.sites.len() == p));
+                    // …while the overlapped family defers every merge to a
+                    // T pass, so no S is a rendezvous and the asymmetric
+                    // T ← S edges are faithful.
+                    let overlap = decode_pipeline_grouped(p, m, g, true);
+                    assert!(sync_collectives(&overlap, true).is_empty(), "g={g}");
+                }
+            }
+        }
     }
 }

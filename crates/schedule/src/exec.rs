@@ -166,6 +166,12 @@ pub struct Blocked {
     pub slot: usize,
     /// The pass at that slot.
     pub pass: ScheduledPass,
+    /// The rendezvous instance the device sits inside, as an index into
+    /// the run's `sync`; `None` while its pass waits on a receive.
+    pub rendezvous: Option<usize>,
+    /// The producers `(device, slot)` a blocked receive still waits on;
+    /// empty inside a rendezvous.
+    pub unmet: Vec<(usize, usize)>,
     /// Human-readable description of the unmet wait.
     pub reason: String,
 }
@@ -253,7 +259,7 @@ impl<'a, C: Costs> Executor<'a, C> {
         sync: &[SyncCollective],
     ) -> Result<ExecReport, Stuck> {
         let p = schedule.devices();
-        let rendezvous = |d, i| sync.iter().find(|inst| inst.sites.contains(&(d, i)));
+        let rendezvous = |d, i| sync.iter().position(|inst| inst.sites.contains(&(d, i)));
         // Devices complete their passes in order, so times are appended.
         let (mut start, mut end) = (vec![Vec::new(); p], vec![Vec::new(); p]);
         let mut lanes = vec![Lane::default(); p];
@@ -278,7 +284,7 @@ impl<'a, C: Costs> Executor<'a, C> {
                     progressed = true;
                     lanes[d].arrived = Some(ready);
                     // An ordinary pass is a rendezvous of its own device.
-                    let inst = rendezvous(d, i);
+                    let inst = rendezvous(d, i).map(|idx| &sync[idx]);
                     let own = [(d, i)];
                     let sites = inst.map_or(&own[..], |inst| &inst.sites[..]);
                     let released = inst.is_none_or(|inst| inst.sites.len() == p)
@@ -314,7 +320,17 @@ impl<'a, C: Costs> Executor<'a, C> {
             let Some(&pass) = schedule.passes(d).get(lane.cursor) else {
                 continue;
             };
-            let reason = match rendezvous(d, lane.cursor).filter(|_| lane.arrived.is_some()) {
+            let inside = rendezvous(d, lane.cursor).filter(|_| lane.arrived.is_some());
+            let unmet: Vec<(usize, usize)> = match inside {
+                Some(_) => Vec::new(),
+                None => graph
+                    .preds(d, lane.cursor)
+                    .iter()
+                    .filter(|dep| lanes[dep.device].cursor <= dep.index)
+                    .map(|dep| (dep.device, dep.index))
+                    .collect(),
+            };
+            let reason = match inside.map(|idx| &sync[idx]) {
                 Some(inst) if inst.sites.len() < p => format!(
                     "inside the {} of mb {} that can never complete: only devices {:?} of {p} \
                      schedule the call",
@@ -332,24 +348,24 @@ impl<'a, C: Costs> Executor<'a, C> {
                         .map(|&(pd, _)| pd)
                         .collect::<Vec<_>>()
                 ),
-                None => {
-                    let mut unmet = Vec::new();
-                    for dep in graph.preds(d, lane.cursor) {
-                        if lanes[dep.device].cursor <= dep.index {
-                            let producer = schedule.passes(dep.device)[dep.index];
-                            unmet.push(format!(
-                                "{producer} [device {}, slot {}]",
-                                dep.device, dep.index
-                            ));
-                        }
-                    }
-                    format!("receive not satisfied: waiting on {}", unmet.join(", "))
-                }
+                None => format!(
+                    "receive not satisfied: waiting on {}",
+                    unmet
+                        .iter()
+                        .map(|&(pd, ps)| format!(
+                            "{} [device {pd}, slot {ps}]",
+                            schedule.passes(pd)[ps]
+                        ))
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                ),
             };
             blocked.push(Blocked {
                 device: d,
                 slot: lane.cursor,
                 pass,
+                rendezvous: inside,
+                unmet,
                 reason,
             });
         }

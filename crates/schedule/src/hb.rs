@@ -8,16 +8,8 @@
 //! each other. The minimal-cycle extractor turns "the schedule is stuck"
 //! into a witness naming the exact passes that form the smallest such
 //! loop, which is what `vp-check` reports as diagnostic `VP0001`.
-//!
-//! [`HbGraph::with_rendezvous`] additionally models *blocking sends*: for
-//! collectives a schedule executes synchronously on the device thread
-//! (the decode engine's sampling barrier — [`crate::deps::sync_collectives`]),
-//! each participant's call also waits for every peer's device to *reach*
-//! its matching call. Cycles that appear only in this graph are real
-//! runtime deadlocks the asymmetric model misses (`vp-check`'s `VP0017`).
 
-use crate::deps::{DepGraph, EdgeKind, SyncCollective};
-use crate::facts::CollectiveClass;
+use crate::deps::{DepGraph, EdgeKind};
 use crate::pass::{Schedule, ScheduledPass};
 
 /// Why one pass must precede another in the happens-before graph.
@@ -27,15 +19,6 @@ pub enum HbEdge {
     Program,
     /// A cross-device dependency edge of [`crate::deps`].
     Dep(EdgeKind),
-    /// A rendezvous arrival: the source pass is the program-order
-    /// predecessor of one participant's entry into a synchronous
-    /// collective, and the target is another participant's call into the
-    /// *same* instance. The target cannot return — and hence nothing after
-    /// it on its device can run, including its later sends — until every
-    /// participant's device reaches its matching call, which requires the
-    /// source to finish first. Only present in graphs built by
-    /// [`HbGraph::with_rendezvous`].
-    Rendezvous(CollectiveClass),
 }
 
 impl HbEdge {
@@ -53,24 +36,7 @@ impl HbEdge {
             HbEdge::Dep(EdgeKind::InputAllReduce) => "input all-reduce",
             HbEdge::Dep(EdgeKind::InputGradBroadcast) => "input grad broadcast",
             HbEdge::Dep(EdgeKind::Local) => "local data dependency",
-            HbEdge::Rendezvous(CollectiveClass::C0) => "C0 rendezvous arrival",
-            HbEdge::Rendezvous(CollectiveClass::C1) => "C1 rendezvous arrival",
-            HbEdge::Rendezvous(CollectiveClass::C2) => "C2 rendezvous arrival",
-            HbEdge::Rendezvous(CollectiveClass::Naive) => "naive rendezvous arrival",
-            HbEdge::Rendezvous(CollectiveClass::InputAllReduce) => {
-                "input all-reduce rendezvous arrival"
-            }
-            HbEdge::Rendezvous(CollectiveClass::InputGradBroadcast) => {
-                "input grad broadcast rendezvous arrival"
-            }
-            HbEdge::Rendezvous(CollectiveClass::InterlacedSync) => "interlaced rendezvous arrival",
         }
-    }
-
-    /// Whether this is a rendezvous arrival edge (present only under
-    /// blocking-send semantics).
-    pub fn is_rendezvous(self) -> bool {
-        matches!(self, HbEdge::Rendezvous(_))
     }
 }
 
@@ -142,42 +108,6 @@ impl HbGraph {
             succs,
             pred_count,
         }
-    }
-
-    /// Builds the rendezvous-faithful happens-before graph: the base graph
-    /// of [`HbGraph::new`] plus one *arrival edge* per ordered participant
-    /// pair of every synchronous collective instance.
-    ///
-    /// A participant's call into a rendezvous collective only returns once
-    /// every other participant's device *reaches* its matching call. So
-    /// for participants `A` and `B` of one instance, `A`'s call must
-    /// happen-after `B`'s program-order predecessor (the pass `B`'s device
-    /// must finish to arrive). No edge is added when `B`'s call is its
-    /// device's first slot — that device arrives unconditionally. The
-    /// arrival edges never connect two calls of the same instance
-    /// directly, so a well-formed instance adds no trivial cycle; a cycle
-    /// that exists in this graph but not in the base graph is a deadlock
-    /// only blocking-send semantics exposes (`vp-check`'s `VP0017`).
-    pub fn with_rendezvous(
-        schedule: &Schedule,
-        deps: &DepGraph,
-        sync: &[SyncCollective],
-    ) -> HbGraph {
-        let mut g = HbGraph::new(schedule, deps);
-        for inst in sync {
-            for &(ad, aslot) in &inst.sites {
-                for &(bd, bslot) in &inst.sites {
-                    if (bd, bslot) == (ad, aslot) || bslot == 0 {
-                        continue;
-                    }
-                    let u = g.offsets[bd] + bslot - 1;
-                    let v = g.offsets[ad] + aslot;
-                    g.succs[u].push((v, HbEdge::Rendezvous(inst.class)));
-                    g.pred_count[v] += 1;
-                }
-            }
-        }
-        g
     }
 
     /// Number of nodes (scheduled passes).
@@ -411,88 +341,5 @@ mod tests {
             "cycle should be local to the swap: {cycle:?}"
         );
         assert!(cycle.iter().any(|s| s.pass.microbatch == 5));
-    }
-
-    #[test]
-    fn hoisted_decode_stays_acyclic_under_rendezvous_edges() {
-        use crate::deps::sync_collectives;
-        use crate::generators::decode_pipeline_grouped;
-        for p in [1usize, 2, 4] {
-            for m in [1u32, 2, 3, 8] {
-                for g in [1, 2, m.div_ceil(2), m] {
-                    let sched = decode_pipeline_grouped(p, m, g, false);
-                    let deps = build_deps(&sched).unwrap();
-                    let sync = sync_collectives(&sched, true);
-                    assert_eq!(sync.len(), m.div_ceil(g) as usize, "one per group");
-                    let hb = HbGraph::with_rendezvous(&sched, &deps, &sync);
-                    assert!(
-                        hb.topo_order().is_some(),
-                        "p={p} m={m} g={g}: {:?}",
-                        hb.minimal_cycle()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn natural_decode_cycles_only_under_rendezvous_edges() {
-        use crate::deps::sync_collectives;
-        use crate::fixtures::decode_pipeline_natural;
-        // The PR-8 serving deadlock: the base (asymmetric) model is
-        // acyclic — the false clean — while the arrival edges expose the
-        // cycle through the S barrier and the unsent InputF row.
-        let sched = decode_pipeline_natural(2, 2);
-        let deps = build_deps(&sched).unwrap();
-        let base = HbGraph::new(&sched, &deps);
-        assert!(base.topo_order().is_some(), "base model must be acyclic");
-        let sync = sync_collectives(&sched, true);
-        let hb = HbGraph::with_rendezvous(&sched, &deps, &sync);
-        assert!(hb.topo_order().is_none());
-        let cycle = hb.minimal_cycle().expect("rendezvous deadlock");
-        assert!(cycle.iter().any(|s| s.edge.is_rendezvous()), "{cycle:?}");
-        assert!(
-            cycle.iter().any(|s| s.pass.kind == PassKind::S),
-            "{cycle:?}"
-        );
-        assert!(
-            cycle.iter().any(|s| s.pass.kind == PassKind::InputF),
-            "{cycle:?}"
-        );
-    }
-
-    #[test]
-    fn training_mode_has_no_sync_collectives() {
-        use crate::deps::sync_collectives;
-        let sched = vocab_1f1b(4, 6, VocabVariant::Alg2, PassTimes::default(), false);
-        assert!(sync_collectives(&sched, false).is_empty());
-        // Even under forward-only classification the training schedule has
-        // no rendezvous: every slot schedules a T, so its S passes are
-        // stream-offloaded submissions whose results the T passes consume.
-        assert!(sync_collectives(&sched, true).is_empty());
-    }
-
-    #[test]
-    fn overlap_decode_slots_are_stream_offloaded_not_rendezvous() {
-        use crate::deps::sync_collectives;
-        use crate::generators::decode_pipeline_grouped;
-        // The inline-barrier decode family keeps one rendezvous per group…
-        for (g, instances) in [(1, 6), (4, 2), (6, 1)] {
-            let inline = decode_pipeline_grouped(4, 6, g, false);
-            assert_eq!(sync_collectives(&inline, true).len(), instances, "g={g}");
-            // …while the overlapped family defers every merge to a T pass,
-            // so no S is a rendezvous and the asymmetric T ← S edges are
-            // faithful.
-            let overlap = decode_pipeline_grouped(4, 6, g, true);
-            assert!(sync_collectives(&overlap, true).is_empty(), "g={g}");
-        }
-        let overlap = decode_pipeline_grouped(4, 6, 1, true);
-        // The arrival-edge closure is a no-op there — the base graph
-        // already models the waits — and stays acyclic.
-        let deps = build_deps(&overlap).unwrap();
-        let sync = sync_collectives(&overlap, true);
-        assert!(HbGraph::with_rendezvous(&overlap, &deps, &sync)
-            .topo_order()
-            .is_some());
     }
 }

@@ -4,7 +4,12 @@
 //! with a GELU MLP of expansion `ffn_mult`. Forward returns an explicit
 //! activation cache — the unit of activation memory the paper's pipeline
 //! schedules hold per in-flight microbatch.
+//!
+//! A tensor-parallel shard ([`TransformerBlock::shard`]) is the same type
+//! over sliced weights, run by the same [`TransformerBlock::forward_tp`] and
+//! [`TransformerBlock::backward_tp`] with the row's reducer.
 
+use crate::tp::{TpPartition, TpReduce};
 use vp_tensor::nn::{
     AttentionCache, Gelu, GeluCache, KvCache, LayerNorm, LayerNormCache, Linear, LinearCache,
     MultiHeadAttention,
@@ -13,14 +18,19 @@ use vp_tensor::optim::Param;
 use vp_tensor::rng::Rng;
 use vp_tensor::{Result, Tensor};
 
-/// One pre-norm transformer block.
+/// One pre-norm transformer block, or one tensor rank's shard of it.
 #[derive(Debug, Clone)]
 pub struct TransformerBlock {
     ln1: LayerNorm,
     attn: MultiHeadAttention,
     ln2: LayerNorm,
     fc1: Linear,
+    /// The MLP down-projection's weight; its bias is `fc2_bias`.
     fc2: Linear,
+    /// Added once, after the second reduce point, so a shard's partial
+    /// sums see it exactly once. Bitwise the fused bias epilogue (fused ==
+    /// unfused is a tensor-crate contract).
+    fc2_bias: Param,
 }
 
 /// Activations cached by [`TransformerBlock::forward`].
@@ -36,6 +46,20 @@ pub struct BlockCache {
     fc2: LinearCache,
 }
 
+/// The reducer of an unsharded block: its partial sums are already whole.
+fn no_reduce(_: &mut Tensor) -> Result<()> {
+    Ok(())
+}
+
+/// `t += bias`, broadcast over the rows.
+fn add_bias(t: &mut Tensor, bias: &Tensor) {
+    for r in 0..t.rows() {
+        for (v, &b) in t.row_mut(r).iter_mut().zip(bias.row(0)) {
+            *v += b;
+        }
+    }
+}
+
 impl TransformerBlock {
     /// Creates a block with `hidden` width, `heads` attention heads and an
     /// MLP of `ffn_mult · hidden`.
@@ -49,7 +73,50 @@ impl TransformerBlock {
             attn: MultiHeadAttention::new(rng, hidden, heads),
             ln2: LayerNorm::new(hidden),
             fc1: Linear::new(rng, hidden, ffn_mult * hidden, true),
-            fc2: Linear::new(rng, ffn_mult * hidden, hidden, true),
+            fc2: Linear::new(rng, ffn_mult * hidden, hidden, false),
+            fc2_bias: Param::new(Tensor::zeros(1, hidden)),
+        }
+    }
+
+    /// This rank's shard of the block under `part`: the QKV projections
+    /// and `fc1` split column-wise (head-aligned), `W_o` and `fc2` row-wise,
+    /// so [`Self::forward_tp`] yields partial sums that the row's reducer
+    /// completes. The layer norms and `fc2`'s bias are replicated: their
+    /// inputs, hence their gradients, are the same on every rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` does not match the block's dimensions.
+    pub fn shard(&self, part: &TpPartition) -> TransformerBlock {
+        assert_eq!(
+            (part.hidden, part.heads, part.ffn),
+            (self.hidden(), self.attn.heads(), self.fc1.out_dim()),
+            "partition (hidden, heads, ffn) must match the block"
+        );
+        let (a0, a1) = part.attn_cols();
+        let (f0, f1) = part.ffn_cols();
+        let attn_cols = |t: &Tensor| t.slice_cols(a0, a1).expect("attention column slice");
+        TransformerBlock {
+            ln1: self.ln1.clone(),
+            attn: MultiHeadAttention::from_parts(
+                attn_cols(self.attn.wq()),
+                attn_cols(self.attn.wk()),
+                attn_cols(self.attn.wv()),
+                self.attn.wo().slice_rows(a0, a1).expect("W_o row slice"),
+                part.local_heads(),
+            ),
+            ln2: self.ln2.clone(),
+            fc1: Linear::from_parts(
+                self.fc1.weight().slice_cols(f0, f1).expect("fc1 slice"),
+                self.fc1
+                    .bias()
+                    .map(|b| b.slice_cols(f0, f1).expect("fc1 bias slice")),
+            ),
+            fc2: Linear::from_parts(
+                self.fc2.weight().slice_rows(f0, f1).expect("fc2 slice"),
+                None,
+            ),
+            fc2_bias: Param::new(self.fc2_bias.value().clone()),
         }
     }
 
@@ -58,45 +125,38 @@ impl TransformerBlock {
         self.ln1.dim()
     }
 
-    /// The first (pre-attention) layer norm.
-    pub fn ln1(&self) -> &LayerNorm {
-        &self.ln1
-    }
-
-    /// The attention layer.
-    pub fn attn(&self) -> &MultiHeadAttention {
-        &self.attn
-    }
-
-    /// The second (pre-MLP) layer norm.
-    pub fn ln2(&self) -> &LayerNorm {
-        &self.ln2
-    }
-
-    /// The MLP up-projection.
-    pub fn fc1(&self) -> &Linear {
-        &self.fc1
-    }
-
-    /// The MLP down-projection.
-    pub fn fc2(&self) -> &Linear {
-        &self.fc2
-    }
-
     /// Forward pass over one sequence `x: [s, h]`.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the constituent layers.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, BlockCache)> {
+        self.forward_tp(x, &mut no_reduce)
+    }
+
+    /// Forward pass of a tensor-parallel shard over one sequence `x: [s,
+    /// h]`. `reduce` is called twice — on the partial attention output and
+    /// on the partial MLP output — and must complete them across the tensor
+    /// group (identity for an unsharded block).
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the constituent layers or the reducer.
+    pub fn forward_tp(
+        &self,
+        x: &Tensor,
+        reduce: &mut TpReduce<'_>,
+    ) -> Result<(Tensor, BlockCache)> {
         let (n1, ln1_cache) = self.ln1.forward(x)?;
-        let (attn_out, attn_cache) = self.attn.forward(&n1)?;
+        let (mut attn_out, attn_cache) = self.attn.forward(&n1)?;
+        reduce(&mut attn_out)?;
         let mid = x.add(&attn_out)?;
         let (n2, ln2_cache) = self.ln2.forward(&mid)?;
         let (h1, fc1_cache) = self.fc1.forward(&n2)?;
-        let gelu = Gelu::new();
-        let (h2, gelu_cache) = gelu.forward(&h1);
-        let (mlp_out, fc2_cache) = self.fc2.forward(&h2)?;
+        let (h2, gelu_cache) = Gelu::new().forward(&h1);
+        let (mut mlp_out, fc2_cache) = self.fc2.forward(&h2)?;
+        reduce(&mut mlp_out)?;
+        add_bias(&mut mlp_out, self.fc2_bias.value());
         let y = mid.add(&mlp_out)?;
         Ok((
             y,
@@ -119,7 +179,8 @@ impl TransformerBlock {
     /// Produces output rows bitwise equal to the corresponding rows of
     /// [`Self::forward`] run over the full context (see
     /// [`MultiHeadAttention::forward_decode`] for the argument), without
-    /// materialising training activation caches.
+    /// materialising training activation caches. Decode runs unsharded:
+    /// attention refuses a shard.
     ///
     /// # Errors
     ///
@@ -131,7 +192,8 @@ impl TransformerBlock {
         let n2 = self.ln2.apply(&mid)?;
         let h1 = self.fc1.apply(&n2)?;
         let (h2, _) = Gelu::new().forward(&h1);
-        let mlp_out = self.fc2.apply(&h2)?;
+        let mut mlp_out = self.fc2.apply(&h2)?;
+        add_bias(&mut mlp_out, self.fc2_bias.value());
         mid.add(&mlp_out)
     }
 
@@ -142,27 +204,56 @@ impl TransformerBlock {
     /// Propagates shape errors from the constituent layers (indicating the
     /// cache and `dy` do not belong to the same forward call).
     pub fn backward(&mut self, cache: &BlockCache, dy: &Tensor) -> Result<Tensor> {
-        // Second residual: y = mid + MLP(LN2(mid)).
+        self.backward_tp(cache, dy, &mut no_reduce)
+    }
+
+    /// Backward pass of a tensor-parallel shard: accumulates all parameter
+    /// gradients, returns `dx`. `reduce` is called twice — on the partial
+    /// MLP input gradient and on the partial attention input gradient (the
+    /// `f`-conjugate all-reduces, in reverse block order).
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the constituent layers or the reducer.
+    pub fn backward_tp(
+        &mut self,
+        cache: &BlockCache,
+        dy: &Tensor,
+        reduce: &mut TpReduce<'_>,
+    ) -> Result<Tensor> {
+        // Second residual: y = mid + MLP(LN2(mid)) + b. The bias gradient
+        // is the column sum of dy, the same on every rank.
+        let mut db = Tensor::zeros(1, dy.cols());
+        for r in 0..dy.rows() {
+            for (d, &g) in db.row_mut(0).iter_mut().zip(dy.row(r)) {
+                *d += g;
+            }
+        }
+        self.fc2_bias.accumulate(&db)?;
         let d_h2 = self.fc2.backward(&cache.fc2, dy)?;
         let d_h1 = Gelu::new().backward(&cache.gelu, &d_h2)?;
-        let d_n2 = self.fc1.backward(&cache.fc1, &d_h1)?;
+        let mut d_n2 = self.fc1.backward(&cache.fc1, &d_h1)?;
+        reduce(&mut d_n2)?;
         let mut d_mid = self.ln2.backward(&cache.ln2, &d_n2)?;
         d_mid.add_assign(dy)?;
         // First residual: mid = x + Attn(LN1(x)).
-        let d_n1 = self.attn.backward(&cache.attn, &d_mid)?;
+        let mut d_n1 = self.attn.backward(&cache.attn, &d_mid)?;
+        reduce(&mut d_n1)?;
         let mut dx = self.ln1.backward(&cache.ln1, &d_n1)?;
         dx.add_assign(&d_mid)?;
         Ok(dx)
     }
 
     /// Mutable references to all trainable parameters in deterministic
-    /// order.
+    /// order: `ln1` (2), attention (4), `ln2` (2), `fc1` weight and bias,
+    /// `fc2` weight, `fc2` bias — 12 tensors, sharded or not.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut params = self.ln1.params_mut();
         params.extend(self.attn.params_mut());
         params.extend(self.ln2.params_mut());
         params.extend(self.fc1.params_mut());
         params.extend(self.fc2.params_mut());
+        params.push(&mut self.fc2_bias);
         params
     }
 }

@@ -37,4 +37,4 @@ pub use config::{ModelConfig, ModelPreset};
 pub use cost::Hardware;
 pub use memory::{estimate_1f1b, MemoryEstimate, PlacementKind, TpSyncStyle};
 pub use partition::{StageLayout, VocabPartition};
-pub use tp::{TpBlockCache, TpPartition, TpTransformerBlock};
+pub use tp::{TpPartition, TpReduce};

@@ -8,11 +8,12 @@
 //! per branch completes — the `f`/`g` conjugate pattern (two rendezvous in
 //! forward, two in backward).
 //!
-//! This crate stays collective-agnostic: [`TpTransformerBlock::forward`]
-//! and [`TpTransformerBlock::backward`] take a *reducer* closure that the
-//! runtime binds to its tensor-group all-reduce (or the PSA
-//! reduce-scatter + all-gather variant). With `tp = 1` and an identity
-//! reducer the TP block is **bitwise identical** to the full block —
+//! A shard is an ordinary block: [`TransformerBlock::shard`] slices
+//! the weights under a [`TpPartition`], and the shard runs the block's own
+//! [`TransformerBlock::forward_tp`] and [`TransformerBlock::backward_tp`].
+//! This crate stays collective-agnostic: those take a [`TpReduce`] that the
+//! runtime binds to its tensor-group sum all-reduce. With `tp = 1` and an
+//! identity reducer the shard is **bitwise identical** to the full block —
 //! pinned by tests here and relied on by the `tp = 1` equivalence gates
 //! downstream.
 //!
@@ -22,11 +23,9 @@
 //! deterministic update — the same argument Megatron-LM makes for its
 //! duplicated layer-norm parameters.
 
+#[cfg(doc)]
 use crate::block::TransformerBlock;
-use vp_tensor::nn::{Gelu, GeluCache, LayerNorm, LayerNormCache, Linear, LinearCache};
-use vp_tensor::ops::softmax_rows;
-use vp_tensor::optim::Param;
-use vp_tensor::{Result, Tensor, TensorError};
+use vp_tensor::{Result, Tensor};
 
 /// A reducer completing partial TP results: the runtime binds this to its
 /// tensor-group collective. Must leave the tensor's shape unchanged.
@@ -37,9 +36,9 @@ pub type TpReduce<'a> = dyn FnMut(&mut Tensor) -> Result<()> + 'a;
 pub struct TpPartition {
     tp: usize,
     rank: usize,
-    heads: usize,
-    hidden: usize,
-    ffn: usize,
+    pub(crate) heads: usize,
+    pub(crate) hidden: usize,
+    pub(crate) ffn: usize,
 }
 
 impl TpPartition {
@@ -102,352 +101,17 @@ impl TpPartition {
     }
 }
 
-/// Head-aligned tensor-parallel shard of the causal multi-head attention:
-/// `W_q/W_k/W_v` column slices `[h, h/tp]`, `W_o` row slice `[h/tp, h]`.
-#[derive(Debug, Clone)]
-pub struct TpAttention {
-    wq: Param,
-    wk: Param,
-    wv: Param,
-    wo: Param,
-    local_heads: usize,
-    hidden: usize,
-}
-
-/// Activations cached by the attention shard's forward (shard-local).
-#[derive(Debug, Clone)]
-pub struct TpAttentionCache {
-    input: Tensor,
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    probs: Vec<Tensor>,
-    context: Tensor,
-}
-
-impl TpAttention {
-    /// Forward over one sequence `x: [s, h]`; returns the *partial* output
-    /// `[s, h]` (complete after the group all-reduce).
-    fn forward(&self, x: &Tensor) -> Result<(Tensor, TpAttentionCache)> {
-        let h = self.hidden;
-        if x.cols() != h {
-            return Err(TensorError::ShapeMismatch {
-                op: "tp_attention",
-                lhs: x.shape(),
-                rhs: (x.rows(), h),
-            });
-        }
-        let s = x.rows();
-        let local_cols = self.wq.value().cols();
-        let hd = local_cols / self.local_heads;
-        let scale = 1.0 / (hd as f32).sqrt();
-        let q = x.matmul(self.wq.value())?;
-        let k = x.matmul(self.wk.value())?;
-        let v = x.matmul(self.wv.value())?;
-        let mut context = Tensor::zeros(s, local_cols);
-        let mut probs = Vec::with_capacity(self.local_heads);
-        for head in 0..self.local_heads {
-            let c0 = head * hd;
-            let c1 = c0 + hd;
-            let qh = q.slice_cols(c0, c1)?;
-            let kh = k.slice_cols(c0, c1)?;
-            let vh = v.slice_cols(c0, c1)?;
-            let mut scores = qh.matmul_nt(&kh)?;
-            scores.scale_in_place(scale);
-            for i in 0..s {
-                for j in (i + 1)..s {
-                    *scores.at_mut(i, j) = f32::NEG_INFINITY;
-                }
-            }
-            let p = softmax_rows(&scores);
-            let ctx_h = p.matmul(&vh)?;
-            for i in 0..s {
-                context.row_mut(i)[c0..c1].copy_from_slice(ctx_h.row(i));
-            }
-            probs.push(p);
-        }
-        let y = context.matmul(self.wo.value())?;
-        Ok((
-            y,
-            TpAttentionCache {
-                input: x.clone(),
-                q,
-                k,
-                v,
-                probs,
-                context,
-            },
-        ))
-    }
-
-    /// Backward: accumulates the shard's weight gradients and returns the
-    /// *partial* input gradient `[s, h]` (complete after the all-reduce).
-    fn backward(&mut self, cache: &TpAttentionCache, dy: &Tensor) -> Result<Tensor> {
-        let h = self.hidden;
-        let s = cache.input.rows();
-        if dy.shape() != (s, h) {
-            return Err(TensorError::ShapeMismatch {
-                op: "tp_attention_bwd",
-                lhs: dy.shape(),
-                rhs: (s, h),
-            });
-        }
-        let local_cols = self.wq.value().cols();
-        let hd = local_cols / self.local_heads;
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        let d_context = dy.matmul_nt(self.wo.value())?;
-        let dwo = cache.context.matmul_tn(dy)?;
-        self.wo.accumulate(&dwo)?;
-
-        let mut dq = Tensor::zeros(s, local_cols);
-        let mut dk = Tensor::zeros(s, local_cols);
-        let mut dv = Tensor::zeros(s, local_cols);
-        for head in 0..self.local_heads {
-            let c0 = head * hd;
-            let c1 = c0 + hd;
-            let qh = cache.q.slice_cols(c0, c1)?;
-            let kh = cache.k.slice_cols(c0, c1)?;
-            let vh = cache.v.slice_cols(c0, c1)?;
-            let p = &cache.probs[head];
-            let d_ctx_h = d_context.slice_cols(c0, c1)?;
-            let dp = d_ctx_h.matmul_nt(&vh)?;
-            let dvh = p.matmul_tn(&d_ctx_h)?;
-            let mut ds = Tensor::zeros(s, s);
-            for i in 0..s {
-                let p_row = p.row(i);
-                let dp_row = dp.row(i);
-                let dot: f32 = p_row.iter().zip(dp_row).map(|(&a, &b)| a * b).sum();
-                for ((o, &pv), &dpv) in ds.row_mut(i).iter_mut().zip(p_row).zip(dp_row) {
-                    *o = pv * (dpv - dot);
-                }
-            }
-            let mut dqh = ds.matmul(&kh)?;
-            dqh.scale_in_place(scale);
-            let mut dkh = ds.matmul_tn(&qh)?;
-            dkh.scale_in_place(scale);
-            for i in 0..s {
-                dq.row_mut(i)[c0..c1].copy_from_slice(dqh.row(i));
-                dk.row_mut(i)[c0..c1].copy_from_slice(dkh.row(i));
-                dv.row_mut(i)[c0..c1].copy_from_slice(dvh.row(i));
-            }
-        }
-
-        let dwq = cache.input.matmul_tn(&dq)?;
-        let dwk = cache.input.matmul_tn(&dk)?;
-        let dwv = cache.input.matmul_tn(&dv)?;
-        self.wq.accumulate(&dwq)?;
-        self.wk.accumulate(&dwk)?;
-        self.wv.accumulate(&dwv)?;
-        let mut dx = dq.matmul_nt(self.wq.value())?;
-        dx.add_assign(&dk.matmul_nt(self.wk.value())?)?;
-        dx.add_assign(&dv.matmul_nt(self.wv.value())?)?;
-        Ok(dx)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo]
-    }
-}
-
-/// One tensor rank's shard of a pre-norm transformer block.
-///
-/// Parameter layout (and [`Self::params_mut`] order) mirrors the full
-/// block's 12 tensors: `ln1` (2), attention (4), `ln2` (2), `fc1`
-/// weight + bias shard (2), `fc2` weight shard (1), replicated `fc2`
-/// bias (1) — so runtime machinery that walks parameters positionally
-/// (weight stashes, checkpointing) works unchanged.
-#[derive(Debug, Clone)]
-pub struct TpTransformerBlock {
-    ln1: LayerNorm,
-    attn: TpAttention,
-    ln2: LayerNorm,
-    fc1: Linear,
-    fc2: Linear,
-    /// Replicated down-projection bias, added *after* the reduce (the sum
-    /// of per-rank partials must see the bias exactly once).
-    fc2_bias: Param,
-}
-
-/// Activations cached by [`TpTransformerBlock::forward`].
-#[derive(Debug, Clone)]
-pub struct TpBlockCache {
-    ln1: LayerNormCache,
-    attn: TpAttentionCache,
-    ln2: LayerNormCache,
-    fc1: LinearCache,
-    gelu: GeluCache,
-    fc2: LinearCache,
-}
-
-impl TpTransformerBlock {
-    /// Shards `full` according to `part`. Every rank calls this with the
-    /// same full block (replicated initialization), so the shards are
-    /// consistent by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `part` does not match the block's dimensions.
-    pub fn from_full(full: &TransformerBlock, part: &TpPartition) -> Self {
-        let h = full.hidden();
-        assert_eq!(part.hidden, h, "partition hidden must match the block");
-        assert_eq!(
-            part.heads,
-            full.attn().heads(),
-            "partition heads must match the block"
-        );
-        assert_eq!(
-            part.ffn,
-            full.fc1().out_dim(),
-            "partition ffn width must match the block"
-        );
-        let (a0, a1) = part.attn_cols();
-        let (f0, f1) = part.ffn_cols();
-        let slice = |t: &Tensor| t.slice_cols(a0, a1).expect("attn column slice");
-        let attn = TpAttention {
-            wq: Param::new(slice(full.attn().wq())),
-            wk: Param::new(slice(full.attn().wk())),
-            wv: Param::new(slice(full.attn().wv())),
-            wo: Param::new(full.attn().wo().slice_rows(a0, a1).expect("wo row slice")),
-            local_heads: part.local_heads(),
-            hidden: h,
-        };
-        let fc1 = Linear::from_parts(
-            full.fc1().weight().slice_cols(f0, f1).expect("fc1 slice"),
-            full.fc1()
-                .bias()
-                .map(|b| b.slice_cols(f0, f1).expect("fc1 bias slice")),
-        );
-        let fc2 = Linear::from_parts(
-            full.fc2().weight().slice_rows(f0, f1).expect("fc2 slice"),
-            None,
-        );
-        let fc2_bias = Param::new(
-            full.fc2()
-                .bias()
-                .expect("full block's fc2 carries a bias")
-                .clone(),
-        );
-        TpTransformerBlock {
-            ln1: full.ln1().clone(),
-            attn,
-            ln2: full.ln2().clone(),
-            fc1,
-            fc2,
-            fc2_bias,
-        }
-    }
-
-    /// Hidden width of the (full) block.
-    pub fn hidden(&self) -> usize {
-        self.ln1.dim()
-    }
-
-    /// Forward pass over one sequence `x: [s, h]`.
-    ///
-    /// `reduce` is called twice — on the partial attention output and on
-    /// the partial MLP output — and must complete them across the tensor
-    /// group (identity at `tp = 1`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the constituent layers or the reducer.
-    pub fn forward(&self, x: &Tensor, reduce: &mut TpReduce<'_>) -> Result<(Tensor, TpBlockCache)> {
-        let (n1, ln1_cache) = self.ln1.forward(x)?;
-        let (mut attn_out, attn_cache) = self.attn.forward(&n1)?;
-        reduce(&mut attn_out)?;
-        let mid = x.add(&attn_out)?;
-        let (n2, ln2_cache) = self.ln2.forward(&mid)?;
-        let (h1, fc1_cache) = self.fc1.forward(&n2)?;
-        let gelu = Gelu::new();
-        let (h2, gelu_cache) = gelu.forward(&h1);
-        let (mut mlp_out, fc2_cache) = self.fc2.forward(&h2)?;
-        reduce(&mut mlp_out)?;
-        // Replicated bias applied once, after the reduce. Bitwise equal to
-        // the full block's fused bias at tp = 1 (fused == unfused is a
-        // tensor-crate contract).
-        for r in 0..mlp_out.rows() {
-            for (v, &b) in mlp_out
-                .row_mut(r)
-                .iter_mut()
-                .zip(self.fc2_bias.value().row(0))
-            {
-                *v += b;
-            }
-        }
-        let y = mid.add(&mlp_out)?;
-        Ok((
-            y,
-            TpBlockCache {
-                ln1: ln1_cache,
-                attn: attn_cache,
-                ln2: ln2_cache,
-                fc1: fc1_cache,
-                gelu: gelu_cache,
-                fc2: fc2_cache,
-            },
-        ))
-    }
-
-    /// Backward pass: accumulates all shard gradients, returns `dx`.
-    ///
-    /// `reduce` is called twice — on the partial MLP input gradient and on
-    /// the partial attention input gradient (the `f`-conjugate
-    /// all-reduces, in reverse block order).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the constituent layers or the reducer.
-    pub fn backward(
-        &mut self,
-        cache: &TpBlockCache,
-        dy: &Tensor,
-        reduce: &mut TpReduce<'_>,
-    ) -> Result<Tensor> {
-        // Replicated bias gradient: the column sum of dy, identical on
-        // every rank (dy is replicated).
-        let mut db = Tensor::zeros(1, dy.cols());
-        for r in 0..dy.rows() {
-            for (d, &g) in db.row_mut(0).iter_mut().zip(dy.row(r)) {
-                *d += g;
-            }
-        }
-        self.fc2_bias.accumulate(&db)?;
-        let d_h2 = self.fc2.backward(&cache.fc2, dy)?;
-        let d_h1 = Gelu::new().backward(&cache.gelu, &d_h2)?;
-        let mut d_n2 = self.fc1.backward(&cache.fc1, &d_h1)?;
-        reduce(&mut d_n2)?;
-        let mut d_mid = self.ln2.backward(&cache.ln2, &d_n2)?;
-        d_mid.add_assign(dy)?;
-        let mut d_n1 = self.attn.backward(&cache.attn, &d_mid)?;
-        reduce(&mut d_n1)?;
-        let mut dx = self.ln1.backward(&cache.ln1, &d_n1)?;
-        dx.add_assign(&d_mid)?;
-        Ok(dx)
-    }
-
-    /// Mutable references to all trainable parameters, in the documented
-    /// deterministic order (12 tensors, mirroring the full block).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut params = self.ln1.params_mut();
-        params.extend(self.attn.params_mut());
-        params.extend(self.ln2.params_mut());
-        params.extend(self.fc1.params_mut());
-        params.extend(self.fc2.params_mut());
-        params.push(&mut self.fc2_bias);
-        params
-    }
-}
-
-/// An identity reducer for `tp = 1` (and tests).
-pub fn identity_reduce(_t: &mut Tensor) -> Result<()> {
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::TransformerBlock;
+    use std::sync::{Barrier, Mutex};
     use vp_tensor::init::{normal, seeded_rng};
+    use vp_tensor::nn::KvCache;
+
+    fn identity_reduce(_: &mut Tensor) -> Result<()> {
+        Ok(())
+    }
 
     fn full_block(hidden: usize, heads: usize, ffn_mult: usize) -> TransformerBlock {
         let mut rng = seeded_rng(71);
@@ -458,11 +122,11 @@ mod tests {
     fn tp1_is_bitwise_identical_to_the_full_block() {
         let full = full_block(8, 2, 4);
         let part = TpPartition::new(1, 0, 2, 8, 32);
-        let mut shard = TpTransformerBlock::from_full(&full, &part);
+        let mut shard = full.shard(&part);
         let mut rng = seeded_rng(72);
         let x = normal(&mut rng, 5, 8, 0.8);
         let (y_full, cache_full) = full.forward(&x).unwrap();
-        let (y_tp, cache_tp) = shard.forward(&x, &mut identity_reduce).unwrap();
+        let (y_tp, cache_tp) = shard.forward_tp(&x, &mut identity_reduce).unwrap();
         for (a, b) in y_full.data().iter().zip(y_tp.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "forward diverged");
         }
@@ -470,7 +134,7 @@ mod tests {
         let mut full2 = full;
         let dx_full = full2.backward(&cache_full, &dy).unwrap();
         let dx_tp = shard
-            .backward(&cache_tp, &dy, &mut identity_reduce)
+            .backward_tp(&cache_tp, &dy, &mut identity_reduce)
             .unwrap();
         for (a, b) in dx_full.data().iter().zip(dx_tp.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "backward diverged");
@@ -487,105 +151,48 @@ mod tests {
         }
     }
 
-    /// Simulates a `tp`-wide group in-process: runs all shards and sums
-    /// partials at each reduce point, exactly as the runtime's all-reduce
-    /// does.
-    ///
-    /// Reduce points are resolved *sequentially*: the partial at reduce
-    /// point `k` depends on the summed result of points `< k`, so each
-    /// round replays the pass with known sums substituted and collects the
-    /// next unresolved partial across all ranks.
+    /// Runs `full`'s `tp` shards as a `tp`-wide group, one thread per rank,
+    /// through forward and backward. The reducer is an in-process sum
+    /// all-reduce: every rank deposits its partial, then each reads the
+    /// rank-ordered sum, as the runtime's all-reduce adds them.
     fn run_sharded_forward_backward(
         full: &TransformerBlock,
+        (heads, ffn): (usize, usize),
         tp: usize,
         x: &Tensor,
         dy: &Tensor,
-    ) -> (Tensor, Tensor, Vec<TpTransformerBlock>) {
-        let heads = full.attn().heads();
+    ) -> (Tensor, Tensor, Vec<TransformerBlock>) {
         let h = full.hidden();
-        let ffn = full.fc1().out_dim();
-        let mut shards: Vec<TpTransformerBlock> = (0..tp)
-            .map(|r| TpTransformerBlock::from_full(full, &TpPartition::new(tp, r, heads, h, ffn)))
+        let mut shards: Vec<TransformerBlock> = (0..tp)
+            .map(|r| full.shard(&TpPartition::new(tp, r, heads, h, ffn)))
             .collect();
-        let sum_all = |parts: Vec<Tensor>| -> Tensor {
-            let mut acc = parts[0].clone();
-            for p in &parts[1..] {
-                acc.add_assign(p).unwrap();
-            }
-            acc
+        let slots = Mutex::new(vec![Tensor::zeros(0, 0); tp]);
+        let barrier = Barrier::new(tp);
+        let all_reduce = |rank: usize, t: &mut Tensor| -> Result<()> {
+            slots.lock().unwrap()[rank] = t.clone();
+            barrier.wait();
+            let parts = slots.lock().unwrap().clone();
+            barrier.wait();
+            *t = parts[0].clone();
+            parts[1..].iter().try_for_each(|p| t.add_assign(p))
         };
-
-        // Forward: resolve the two reduce points in order.
-        let mut fwd_sums: Vec<Tensor> = Vec::new();
-        while fwd_sums.len() < 2 {
-            let mut partials = Vec::new();
-            for shard in &shards {
-                let mut i = 0;
-                shard
-                    .forward(x, &mut |t: &mut Tensor| {
-                        if i < fwd_sums.len() {
-                            *t = fwd_sums[i].clone();
-                        } else if i == fwd_sums.len() {
-                            partials.push(t.clone());
-                        }
-                        i += 1;
-                        Ok(())
+        let mut outs: Vec<(Tensor, Tensor)> = std::thread::scope(|scope| {
+            let ranks: Vec<_> = shards
+                .iter_mut()
+                .enumerate()
+                .map(|(rank, shard)| {
+                    let all_reduce = &all_reduce;
+                    scope.spawn(move || {
+                        let mut reduce = |t: &mut Tensor| all_reduce(rank, t);
+                        let (y, cache) = shard.forward_tp(x, &mut reduce).unwrap();
+                        (y, shard.backward_tp(&cache, dy, &mut reduce).unwrap())
                     })
-                    .unwrap();
-            }
-            fwd_sums.push(sum_all(partials));
-        }
-        // Final replay with both sums known: real output + caches.
-        let mut caches = Vec::new();
-        let mut y = None;
-        for shard in &shards {
-            let mut i = 0;
-            let (yr, cache) = shard
-                .forward(x, &mut |t: &mut Tensor| {
-                    *t = fwd_sums[i].clone();
-                    i += 1;
-                    Ok(())
                 })
-                .unwrap();
-            caches.push(cache);
-            y = Some(yr);
-        }
-
-        // Backward: same sequential resolution, probing on clones so
-        // gradients accumulate exactly once (in the final pass below).
-        let mut bwd_sums: Vec<Tensor> = Vec::new();
-        while bwd_sums.len() < 2 {
-            let mut partials = Vec::new();
-            for (r, shard) in shards.iter().enumerate() {
-                let mut probe = shard.clone();
-                let mut i = 0;
-                probe
-                    .backward(&caches[r], dy, &mut |t: &mut Tensor| {
-                        if i < bwd_sums.len() {
-                            *t = bwd_sums[i].clone();
-                        } else if i == bwd_sums.len() {
-                            partials.push(t.clone());
-                        }
-                        i += 1;
-                        Ok(())
-                    })
-                    .unwrap();
-            }
-            bwd_sums.push(sum_all(partials));
-        }
-        let mut dx = None;
-        for (r, shard) in shards.iter_mut().enumerate() {
-            let mut i = 0;
-            let d = shard
-                .backward(&caches[r], dy, &mut |t: &mut Tensor| {
-                    *t = bwd_sums[i].clone();
-                    i += 1;
-                    Ok(())
-                })
-                .unwrap();
-            dx = Some(d);
-        }
-        (y.unwrap(), dx.unwrap(), shards)
+                .collect();
+            ranks.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let (y, dx) = outs.swap_remove(0);
+        (y, dx, shards)
     }
 
     #[test]
@@ -598,7 +205,7 @@ mod tests {
         let mut full2 = full.clone();
         let dx_full = full2.backward(&cache, &dy).unwrap();
         for tp in [2usize, 4] {
-            let (y, dx, _) = run_sharded_forward_backward(&full, tp, &x, &dy);
+            let (y, dx, _) = run_sharded_forward_backward(&full, (4, 32), tp, &x, &dy);
             for (a, b) in y_full.data().iter().zip(y.data()) {
                 assert!((a - b).abs() < 1e-4, "tp {tp} forward: {a} vs {b}");
             }
@@ -617,7 +224,7 @@ mod tests {
         let (_, cache) = full.forward(&x).unwrap();
         let mut full2 = full.clone();
         full2.backward(&cache, &dy).unwrap();
-        let (_, _, mut shards) = run_sharded_forward_backward(&full, 2, &x, &dy);
+        let (_, _, mut shards) = run_sharded_forward_backward(&full, (2, 16), 2, &x, &dy);
         // fc1 weight grad: column-concatenation of the shard grads.
         let full_fc1_grad = full2.params_mut()[8].grad().clone();
         let s0 = shards[0].params_mut()[8].grad().clone();
@@ -648,7 +255,7 @@ mod tests {
     fn params_mut_order_mirrors_the_full_block() {
         let full = full_block(8, 2, 4);
         let part = TpPartition::new(2, 1, 2, 8, 32);
-        let mut shard = TpTransformerBlock::from_full(&full, &part);
+        let mut shard = full.shard(&part);
         // 12 tensors, same count as the full block.
         assert_eq!(shard.params_mut().len(), 12);
         // Shard shapes: attention columns halve, wo rows halve, fc1/fc2
@@ -664,6 +271,9 @@ mod tests {
         assert_eq!(shapes[9], (1, 16)); // fc1 b
         assert_eq!(shapes[10], (16, 8)); // fc2 w
         assert_eq!(shapes[11], (1, 8)); // fc2 bias (replicated)
+                                        // Decode completes no partial sums, so a shard refuses it.
+        let x = Tensor::zeros(1, 8);
+        assert!(shard.forward_decode(&x, &mut KvCache::new(8)).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::data::DataSource;
 use crate::model::{FullModel, TinyConfig};
-use crate::reference::{backward_blocks, forward_blocks};
+use crate::stage::{backward_blocks, forward_blocks};
 use vp_model::block::TransformerBlock;
 use vp_tensor::io::{read_tensor, read_u32, write_tensor, write_u32};
 use vp_tensor::nn::{softmax_cross_entropy, Embedding};
@@ -128,14 +128,14 @@ impl ReferenceTrainer {
                     self.input.forward(&mb.tokens)?
                 };
                 let x0 = embedded.add(self.pos.value())?;
-                let (h, caches) = forward_blocks(&self.blocks, &x0)?;
+                let (h, caches) = forward_blocks(&self.blocks, &x0, None)?;
                 let logits = h.matmul_nt(self.output_w.value())?;
                 let (out, grad) = softmax_cross_entropy(&logits, &mb.labels)?;
                 iter_loss += out.loss;
                 let dw_out = grad.dlogits.matmul_tn(&h)?;
                 self.output_w.accumulate(&dw_out)?;
                 let dh = grad.dlogits.matmul(self.output_w.value())?;
-                let dx0 = backward_blocks(&mut self.blocks, &caches, &dh)?;
+                let dx0 = backward_blocks(&mut self.blocks, &caches, &dh, None)?;
                 self.pos.accumulate(&dx0)?;
                 if self.config.tied {
                     let mut scatter = Embedding::from_weight(self.output_w.value().clone());

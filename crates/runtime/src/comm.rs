@@ -44,16 +44,12 @@ fn to_packet(tag: u64, t: &Tensor) -> Packet {
     Packet::new(tag, t.rows(), t.cols(), t.data().to_vec())
 }
 
-/// Unwraps a packet back into a tensor.
-///
-/// The payload is copied into an arena-managed buffer rather than wrapped
-/// directly: the tensor's drop path releases into the arena, so wrapping
-/// the packet's own (never-taken) vec would over-count releases and let
-/// `taken − released` saturate to zero — masking genuine KV leaks on any
-/// world with p2p traffic while single-device runs report them honestly.
+/// Unwraps a packet back into a tensor, copying the payload into a pooled
+/// buffer.
 fn from_packet(p: &Packet) -> Tensor {
-    Tensor::from_vec(p.rows, p.cols, vp_tensor::alloc::take_copy(&p.data))
-        .expect("packet carries a consistent shape")
+    let mut t = Tensor::zeros(p.rows, p.cols);
+    t.data_mut().copy_from_slice(&p.data);
+    t
 }
 
 /// One device's tensor channel to the stages of its own pipeline: the p2p

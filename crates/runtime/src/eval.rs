@@ -36,7 +36,7 @@ impl ReferenceTrainer {
         let (embedded, _) = self.embedding_view().forward(tokens)?;
         let pos = self.pos_view().slice_rows(0, tokens.len())?;
         let x0 = embedded.add(&pos)?;
-        let (h, _) = crate::reference::forward_blocks(self.blocks_view(), &x0)?;
+        let (h, _) = crate::stage::forward_blocks(self.blocks_view(), &x0, None)?;
         h.matmul_nt(self.output_weight_view())
     }
 

@@ -1,42 +1,12 @@
 //! The single-device reference: the loss trajectory the pipeline runtime
 //! must reproduce (trained by [`ReferenceTrainer`]: forward/backward over
 //! the full model per microbatch, gradient accumulation, one Adam step per
-//! iteration) and the block-slice forward/backward both share.
+//! iteration).
 
 use crate::checkpoint::ReferenceTrainer;
 use crate::data::DataSource;
 use crate::model::TinyConfig;
-use vp_model::block::{BlockCache, TransformerBlock};
-use vp_tensor::{Result, Tensor};
-
-/// Forward through a slice of transformer blocks, collecting caches.
-pub(crate) fn forward_blocks(
-    blocks: &[TransformerBlock],
-    x: &Tensor,
-) -> Result<(Tensor, Vec<BlockCache>)> {
-    let mut h = x.clone();
-    let mut caches = Vec::with_capacity(blocks.len());
-    for block in blocks {
-        let (next, cache) = block.forward(&h)?;
-        h = next;
-        caches.push(cache);
-    }
-    Ok((h, caches))
-}
-
-/// Backward through a slice of transformer blocks (reverse order),
-/// accumulating parameter gradients.
-pub(crate) fn backward_blocks(
-    blocks: &mut [TransformerBlock],
-    caches: &[BlockCache],
-    dy: &Tensor,
-) -> Result<Tensor> {
-    let mut grad = dy.clone();
-    for (block, cache) in blocks.iter_mut().rev().zip(caches.iter().rev()) {
-        grad = block.backward(cache, &grad)?;
-    }
-    Ok(grad)
-}
+use vp_tensor::Result;
 
 /// Trains the full model on one device over the config's synthetic corpus
 /// and returns the per-iteration mean loss — the reference curve of the

@@ -28,7 +28,7 @@ pub use engine::{Completion, ServeConfig, ServeEngine, ServeRun};
 pub use workload::{Request, WorkloadSpec};
 
 use crate::model::{FullModel, TinyConfig};
-use crate::reference::forward_blocks;
+use crate::stage::forward_blocks;
 use vp_tensor::ops::argmax_rows;
 use vp_tensor::{Result, Tensor};
 
@@ -57,7 +57,7 @@ pub fn reference_decode(
             x.row_mut(r).copy_from_slice(full.input_weight.row(t));
         }
         let x = x.add(&full.pos_weight.slice_rows(0, n)?)?;
-        let (h, _) = forward_blocks(&full.blocks, &x)?;
+        let (h, _) = forward_blocks(&full.blocks, &x, None)?;
         let logits = h.slice_rows(n - 1, n)?.matmul_nt(&full.output_weight)?;
         let token = argmax_rows(&logits)[0];
         out.push(token);

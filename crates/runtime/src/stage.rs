@@ -1,16 +1,16 @@
-//! One pipeline chunk's transformer blocks in the single representation
-//! the interpreter executes: [`StageBlocks::Full`] on flat pipelines
-//! (`tp = 1`, the unsharded [`TransformerBlock`], so the degenerate grid is
-//! bitwise the flat pipeline) or [`StageBlocks::Sharded`] over a grid row,
-//! whose members rendezvous in the Megatron `f`/`g` conjugate collectives
-//! of their [`TpRow`]. Forward, backward, the zero-bubble shadow backward
-//! and the deferred weight-gradient fold each exist once, here.
+//! One pipeline chunk's transformer blocks, as the interpreter executes
+//! them: unsharded on flat pipelines (`tp = 1`, so the degenerate grid is
+//! bitwise the flat pipeline), or this rank's [`TransformerBlock::shard`]s
+//! over a grid row, whose members rendezvous in the Megatron `f`/`g`
+//! conjugate collectives of their [`TpRow`]. Either way it is one block
+//! type run by one block loop ([`forward_blocks`], [`backward_blocks`],
+//! shared with the reference trainer and serving); the zero-bubble shadow
+//! backward and the deferred weight-gradient fold exist once, here.
 
-use crate::reference::{backward_blocks, forward_blocks};
 use std::sync::Arc;
 use vp_collectives::{Collective, ReduceOp};
 use vp_model::block::{BlockCache, TransformerBlock};
-use vp_model::tp::{TpBlockCache, TpPartition, TpTransformerBlock};
+use vp_model::tp::TpPartition;
 use vp_tensor::optim::Param;
 use vp_tensor::{Result, Tensor, TensorError};
 
@@ -20,86 +20,78 @@ pub(crate) struct TpRow {
     pub(crate) comm: Arc<Collective>,
 }
 
-impl TpRow {
-    /// Completes a partial block output across the row with a sum
-    /// all-reduce (Megatron's `g` collective), which adds the ranks'
-    /// contributions in rank order.
-    fn reduce(&self, t: &mut Tensor) -> Result<()> {
-        self.comm
+/// Completes a partial block output across `row` with a sum all-reduce
+/// (Megatron's `g` collective), which adds the ranks' contributions in rank
+/// order. Without a row (`tp = 1`) the output is already whole.
+fn reduce(row: Option<&TpRow>, t: &mut Tensor) -> Result<()> {
+    row.map_or(Ok(()), |row| {
+        row.comm
             .all_reduce(t.data_mut(), ReduceOp::Sum)
             .map_err(|e| TensorError::InvalidArgument(format!("tp all-reduce failed: {e}")))
+    })
+}
+
+/// Forward through a slice of transformer blocks (or of one row rank's
+/// shards of them), collecting caches.
+pub(crate) fn forward_blocks(
+    blocks: &[TransformerBlock],
+    x: &Tensor,
+    row: Option<&TpRow>,
+) -> Result<(Tensor, Vec<BlockCache>)> {
+    let mut h = x.clone();
+    let mut caches = Vec::with_capacity(blocks.len());
+    for block in blocks {
+        let (next, cache) = block.forward_tp(&h, &mut |t| reduce(row, t))?;
+        h = next;
+        caches.push(cache);
     }
+    Ok((h, caches))
 }
 
-/// The transformer blocks of one `(device, chunk)`.
+/// Backward through a slice of transformer blocks (reverse order),
+/// accumulating parameter gradients.
+pub(crate) fn backward_blocks(
+    blocks: &mut [TransformerBlock],
+    caches: &[BlockCache],
+    dy: &Tensor,
+    row: Option<&TpRow>,
+) -> Result<Tensor> {
+    let mut grad = dy.clone();
+    for (block, cache) in blocks.iter_mut().rev().zip(caches.iter().rev()) {
+        grad = block.backward_tp(cache, &grad, &mut |t| reduce(row, t))?;
+    }
+    Ok(grad)
+}
+
+/// The transformer blocks of one `(device, chunk)` and the grid row their
+/// partial sums are completed over (`None` exactly when `tp == 1`).
 #[derive(Clone)]
-pub(crate) enum StageBlocks {
-    Full(Vec<TransformerBlock>),
-    Sharded(Vec<TpTransformerBlock>, TpRow),
-}
-
-/// The activations [`StageBlocks::forward`] parks for the matching
-/// backward.
-pub(crate) enum StageCache {
-    Full(Vec<BlockCache>),
-    Sharded(Vec<TpBlockCache>),
+pub(crate) struct StageBlocks {
+    blocks: Vec<TransformerBlock>,
+    row: Option<TpRow>,
 }
 
 impl StageBlocks {
     /// Slices `blocks` for one device: unsharded without a row, else this
-    /// rank's head-aligned column/row shards. The sharded set *replaces*
-    /// the full set, so a device holds `1/tp` of the matmul weights (plus
-    /// the replicated LayerNorms and biases), exactly as the simulator's
-    /// grid memory model counts.
+    /// rank's head-aligned column/row shards. The shards *replace* the full
+    /// blocks, so a device holds `1/tp` of the matmul weights (plus the
+    /// replicated LayerNorms and biases), exactly as the simulator's grid
+    /// memory model counts.
     pub(crate) fn new(blocks: &[TransformerBlock], row: Option<(TpRow, TpPartition)>) -> Self {
-        match row {
-            None => StageBlocks::Full(blocks.to_vec()),
-            Some((row, part)) => StageBlocks::Sharded(
-                blocks
-                    .iter()
-                    .map(|b| TpTransformerBlock::from_full(b, &part))
-                    .collect(),
-                row,
-            ),
-        }
+        let (blocks, row) = match row {
+            None => (blocks.to_vec(), None),
+            Some((row, part)) => (blocks.iter().map(|b| b.shard(&part)).collect(), Some(row)),
+        };
+        StageBlocks { blocks, row }
     }
 
-    pub(crate) fn forward(&self, x: &Tensor) -> Result<(Tensor, StageCache)> {
-        match self {
-            StageBlocks::Full(blocks) => {
-                let (h, caches) = forward_blocks(blocks, x)?;
-                Ok((h, StageCache::Full(caches)))
-            }
-            StageBlocks::Sharded(blocks, row) => {
-                let mut h = x.clone();
-                let mut caches = Vec::with_capacity(blocks.len());
-                for block in blocks {
-                    let (next, cache) = block.forward(&h, &mut |t| row.reduce(t))?;
-                    h = next;
-                    caches.push(cache);
-                }
-                Ok((h, StageCache::Sharded(caches)))
-            }
-        }
+    pub(crate) fn forward(&self, x: &Tensor) -> Result<(Tensor, Vec<BlockCache>)> {
+        forward_blocks(&self.blocks, x, self.row.as_ref())
     }
 
     /// Backward in reverse block order, accumulating parameter gradients.
-    pub(crate) fn backward(&mut self, cache: &StageCache, dy: &Tensor) -> Result<Tensor> {
-        match (self, cache) {
-            (StageBlocks::Full(blocks), StageCache::Full(caches)) => {
-                backward_blocks(blocks, caches, dy)
-            }
-            (StageBlocks::Sharded(blocks, row), StageCache::Sharded(caches)) => {
-                let mut grad = dy.clone();
-                for (block, cache) in blocks.iter_mut().rev().zip(caches.iter().rev()) {
-                    grad = block.backward(cache, &grad, &mut |t| row.reduce(t))?;
-                }
-                Ok(grad)
-            }
-            _ => Err(TensorError::InvalidArgument(
-                "activation cache does not match the stage's block representation".into(),
-            )),
-        }
+    pub(crate) fn backward(&mut self, caches: &[BlockCache], dy: &Tensor) -> Result<Tensor> {
+        backward_blocks(&mut self.blocks, caches, dy, self.row.as_ref())
     }
 
     /// Zero-bubble `B`: computes `∇X` into fresh zero gradients and returns
@@ -111,7 +103,7 @@ impl StageBlocks {
     /// weight-gradient fold is deferred.
     pub(crate) fn backward_shadow(
         &mut self,
-        cache: &StageCache,
+        caches: &[BlockCache],
         dy: &Tensor,
     ) -> Result<(Tensor, Vec<Tensor>)> {
         let parked: Vec<Tensor> = self
@@ -122,7 +114,7 @@ impl StageBlocks {
                 std::mem::replace(p.grad_mut(), Tensor::zeros(rows, cols))
             })
             .collect();
-        let dx = self.backward(cache, dy);
+        let dx = self.backward(caches, dy);
         let grads = self
             .params_mut()
             .into_iter()
@@ -145,11 +137,9 @@ impl StageBlocks {
 
     /// The chunk's trainable parameters, block by block.
     pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
-        match self {
-            StageBlocks::Full(blocks) => blocks.iter_mut().flat_map(|b| b.params_mut()).collect(),
-            StageBlocks::Sharded(blocks, _) => {
-                blocks.iter_mut().flat_map(|b| b.params_mut()).collect()
-            }
-        }
+        self.blocks
+            .iter_mut()
+            .flat_map(|b| b.params_mut())
+            .collect()
     }
 }

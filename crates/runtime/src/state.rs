@@ -8,32 +8,31 @@
 //! them. [`ActivationStore`] tracks the observed peak so the runtime can
 //! be checked against the analytical executor's memory trace.
 
-use crate::stage::StageCache;
 use std::collections::HashMap;
 use vp_collectives::JobHandle;
 use vp_core::output::{BarrierOutput, SState};
+use vp_model::block::BlockCache;
 use vp_tensor::nn::{CrossEntropyGrad, EmbeddingCache};
 use vp_tensor::{Result, Tensor, TensorError};
 
 /// Resident transformer activations, keyed `(microbatch, chunk)`: filled
 /// by `F`, drained by `B`, with the peak population recorded for the
-/// memory-equivalence property tests. Full and tensor-parallel blocks
-/// share the bookkeeping through [`StageCache`].
+/// memory-equivalence property tests.
 #[derive(Default)]
 pub(crate) struct ActivationStore {
-    caches: HashMap<(u32, u8), StageCache>,
+    caches: HashMap<(u32, u8), Vec<BlockCache>>,
     peak: usize,
 }
 
 impl ActivationStore {
     /// Parks the block caches produced by an `F` pass.
-    pub(crate) fn insert(&mut self, microbatch: u32, chunk: u8, caches: StageCache) {
+    pub(crate) fn insert(&mut self, microbatch: u32, chunk: u8, caches: Vec<BlockCache>) {
         self.caches.insert((microbatch, chunk), caches);
         self.peak = self.peak.max(self.caches.len());
     }
 
     /// Takes the caches for the matching `B` pass.
-    pub(crate) fn remove(&mut self, microbatch: u32, chunk: u8) -> Option<StageCache> {
+    pub(crate) fn remove(&mut self, microbatch: u32, chunk: u8) -> Option<Vec<BlockCache>> {
         self.caches.remove(&(microbatch, chunk))
     }
 
@@ -166,10 +165,10 @@ mod tests {
     #[test]
     fn activation_store_tracks_peak_population() {
         let mut store = ActivationStore::default();
-        store.insert(0, 0, StageCache::Full(Vec::new()));
-        store.insert(1, 0, StageCache::Full(Vec::new()));
+        store.insert(0, 0, Vec::new());
+        store.insert(1, 0, Vec::new());
         assert!(store.remove(0, 0).is_some());
-        store.insert(2, 0, StageCache::Full(Vec::new()));
+        store.insert(2, 0, Vec::new());
         // Peak was 2 simultaneously resident entries.
         assert_eq!(store.peak_resident(), 2);
         store.clear();

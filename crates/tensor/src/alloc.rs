@@ -185,6 +185,15 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
     v
 }
 
+/// Counts a buffer allocated outside the arena as taken when a tensor
+/// adopts it ([`crate::Tensor::from_vec`]), so that its release on drop
+/// keeps the `outstanding` gauge balanced.
+pub(crate) fn adopt(capacity: usize) {
+    if capacity > 0 {
+        arena().taken.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Returns a backing buffer to the pool (or drops it when the arena is
 /// disabled, the buffer is unbucketable, or its class is full).
 ///
@@ -194,7 +203,9 @@ pub fn release(v: Vec<f32>) {
         return;
     }
     let a = arena();
-    a.released.fetch_add(1, Ordering::Relaxed);
+    // Release ordering: a `stats` that sees this release also sees the
+    // take that preceded it.
+    a.released.fetch_add(1, Ordering::Release);
     if !enabled() {
         return;
     }
@@ -211,8 +222,11 @@ pub fn release(v: Vec<f32>) {
 /// Current counter snapshot.
 pub fn stats() -> ArenaStats {
     let a = arena();
+    // Releases first: every release counted here had its take counted
+    // before it, so concurrent take/release pairs cannot make
+    // `outstanding` undercount the buffers live throughout the call.
+    let released = a.released.load(Ordering::Acquire);
     let taken = a.taken.load(Ordering::Relaxed);
-    let released = a.released.load(Ordering::Relaxed);
     ArenaStats {
         fresh: a.fresh.load(Ordering::Relaxed),
         reuse: a.reuse.load(Ordering::Relaxed),

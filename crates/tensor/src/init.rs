@@ -23,12 +23,6 @@ pub fn normal(rng: &mut impl Rng, rows: usize, cols: usize, std: f32) -> Tensor 
     t
 }
 
-/// Xavier/Glorot-style initialization: `N(0, 2/(fan_in + fan_out))`.
-pub fn xavier(rng: &mut impl Rng, rows: usize, cols: usize) -> Tensor {
-    let std = (2.0 / (rows + cols) as f32).sqrt();
-    normal(rng, rows, cols, std)
-}
-
 /// GPT-2 style initialization: `N(0, 0.02²)`.
 pub fn gpt(rng: &mut impl Rng, rows: usize, cols: usize) -> Tensor {
     normal(rng, rows, cols, 0.02)
@@ -72,14 +66,5 @@ mod tests {
             / n;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn xavier_scales_with_fan() {
-        let small = xavier(&mut seeded_rng(4), 10, 10);
-        let large = xavier(&mut seeded_rng(4), 1000, 1000);
-        let var =
-            |t: &Tensor| t.data().iter().map(|&v| (v as f64).powi(2)).sum::<f64>() / t.len() as f64;
-        assert!(var(&small) > var(&large));
     }
 }

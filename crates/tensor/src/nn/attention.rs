@@ -5,7 +5,10 @@ use crate::rng::Rng;
 use crate::{init, Result, Tensor, TensorError};
 
 /// Causal multi-head self-attention with projection matrices
-/// `W_q, W_k, W_v, W_o: [h, h]` (no biases, GPT-style).
+/// `W_q, W_k, W_v: [h, d]` and `W_o: [d, h]` (no biases, GPT-style), where
+/// the inner width `d` is `h` for the full layer and `h / tp` for a
+/// head-aligned tensor-parallel shard ([`Self::from_parts`]), whose output
+/// is then a partial sum over the shards.
 ///
 /// Operates on a single sequence `x: [s, h]`; batching is handled by the
 /// caller (the paper's experiments use microbatch size 1, and pipeline
@@ -28,7 +31,7 @@ pub struct AttentionCache {
     v: Tensor,
     /// Per-head post-softmax attention probabilities, `[s, s]` each.
     probs: Vec<Tensor>,
-    /// Concatenated per-head context `[s, h]` (input of the output proj).
+    /// Concatenated per-head context `[s, d]` (input of the output proj).
     context: Tensor,
 }
 
@@ -39,20 +42,37 @@ impl MultiHeadAttention {
     ///
     /// Panics if `hidden` is not divisible by `heads` (a configuration bug).
     pub fn new(rng: &mut impl Rng, hidden: usize, heads: usize) -> Self {
+        let mut proj = || init::gpt(rng, hidden, hidden);
+        Self::from_parts(proj(), proj(), proj(), proj(), heads)
+    }
+
+    /// Creates an attention layer from explicit projections `W_q, W_k,
+    /// W_v: [h, d]` and `W_o: [d, h]` over `heads` heads of width
+    /// `d / heads` (used for sharding and tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes disagree or `d` is not divisible by `heads`.
+    pub fn from_parts(wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: usize) -> Self {
+        let (h, d) = wq.shape();
         assert!(
-            heads > 0 && hidden.is_multiple_of(heads),
-            "hidden {hidden} must be divisible by heads {heads}"
+            wk.shape() == (h, d) && wv.shape() == (h, d) && wo.shape() == (d, h),
+            "projections must be W_q, W_k, W_v: [h, d] and W_o: [d, h]"
+        );
+        assert!(
+            heads > 0 && d.is_multiple_of(heads),
+            "inner width {d} must be divisible by heads {heads}"
         );
         MultiHeadAttention {
-            wq: Param::new(init::gpt(rng, hidden, hidden)),
-            wk: Param::new(init::gpt(rng, hidden, hidden)),
-            wv: Param::new(init::gpt(rng, hidden, hidden)),
-            wo: Param::new(init::gpt(rng, hidden, hidden)),
+            wq: Param::new(wq),
+            wk: Param::new(wk),
+            wv: Param::new(wv),
+            wo: Param::new(wo),
             heads,
         }
     }
 
-    /// Hidden width.
+    /// Hidden (input and output) width `h`.
     pub fn hidden(&self) -> usize {
         self.wq.value().rows()
     }
@@ -62,8 +82,13 @@ impl MultiHeadAttention {
         self.heads
     }
 
+    /// Inner width `d`: the heads' concatenated width.
+    fn inner(&self) -> usize {
+        self.wq.value().cols()
+    }
+
     fn head_dim(&self) -> usize {
-        self.hidden() / self.heads
+        self.inner() / self.heads
     }
 
     /// Forward pass over one sequence `x: [s, h]`.
@@ -84,7 +109,7 @@ impl MultiHeadAttention {
         let hd = self.head_dim();
         let scale = 1.0 / (hd as f32).sqrt();
         let [q, k, v] = self.project(x)?;
-        let mut context = Tensor::zeros(s, h);
+        let mut context = Tensor::zeros(s, self.inner());
         let mut probs = Vec::with_capacity(self.heads);
         for head in 0..self.heads {
             let c0 = head * hd;
@@ -137,14 +162,15 @@ impl MultiHeadAttention {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != hidden` or
-    /// the cache's row width does not match, and
+    /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != hidden`, the
+    /// cache's row width does not match or the layer is a tensor-parallel
+    /// shard (decode completes no partial sums), and
     /// [`TensorError::Exhausted`] if the cache's block pool is bounded and
     /// cannot hold the whole chunk — the cache is unchanged in that case,
     /// so the call can be retried once other requests retire.
     pub fn forward_decode(&self, x: &Tensor, kv: &mut KvCache) -> Result<Tensor> {
         let h = self.hidden();
-        if x.cols() != h || kv.hidden() != h {
+        if x.cols() != h || kv.hidden() != h || self.inner() != h {
             return Err(TensorError::ShapeMismatch {
                 op: "attention_decode",
                 lhs: (x.rows(), x.cols().max(kv.hidden())),
@@ -190,9 +216,10 @@ impl MultiHeadAttention {
         let dwo = cache.context.matmul_tn(dy)?;
         self.wo.accumulate(&dwo)?;
 
-        let mut dq = Tensor::zeros(s, h);
-        let mut dk = Tensor::zeros(s, h);
-        let mut dv = Tensor::zeros(s, h);
+        let d = self.inner();
+        let mut dq = Tensor::zeros(s, d);
+        let mut dk = Tensor::zeros(s, d);
+        let mut dv = Tensor::zeros(s, d);
         for head in 0..self.heads {
             let c0 = head * hd;
             let c1 = c0 + hd;
@@ -354,6 +381,13 @@ mod tests {
     #[should_panic(expected = "divisible")]
     fn rejects_indivisible_heads() {
         let _ = MultiHeadAttention::new(&mut seeded_rng(0), 6, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "projections")]
+    fn from_parts_rejects_mismatched_projections() {
+        let w = || Tensor::zeros(8, 4);
+        let _ = MultiHeadAttention::from_parts(w(), w(), w(), w(), 2);
     }
 
     /// The formulation [`KvCache::attend`] replaced, kept as its oracle:

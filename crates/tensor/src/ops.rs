@@ -34,24 +34,6 @@ pub fn row_max(t: &Tensor) -> Vec<f32> {
     max
 }
 
-/// Per-row `Σ e^{x − m_r}` for the provided per-row shift `m`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] if `m.len() != t.rows()`.
-pub fn row_sum_exp(t: &Tensor, m: &[f32]) -> Result<Vec<f32>> {
-    if m.len() != t.rows() {
-        return Err(TensorError::InvalidArgument(format!(
-            "row_sum_exp: {} shifts for {} rows",
-            m.len(),
-            t.rows()
-        )));
-    }
-    Ok((0..t.rows())
-        .map(|r| t.row(r).iter().map(|&v| (v - m[r]).exp()).sum())
-        .collect())
-}
-
 /// Per-row statistics of a *local* (shard) softmax.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxStats {
@@ -298,62 +280,20 @@ fn exp_sum_par(t: &mut Tensor, normalize: bool) -> SoftmaxStats {
     SoftmaxStats { max, sum }
 }
 
-/// Rescales a local softmax into the global softmax (the paper's Eq. 5).
-///
-/// `local` holds `softmax'(Y)` for one shard with statistics
-/// (`local_max`, `local_sum`); (`global_max`, `global_sum`) are the
-/// all-reduced statistics. The correction factor per row is
-/// `local_sum · e^{local_max − global_max} / global_sum`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] if any statistics vector has a
-/// length different from `local.rows()`, or if any global statistic is
-/// invalid (`NaN`, or a negative sum) — dividing by such a `global_sum`
-/// would manufacture `NaN` probabilities out of finite inputs. A global sum
-/// of exactly `0` (every shard of the row was empty or fully masked) is
-/// *valid* and yields a defined zero row, matching [`local_softmax`].
-pub fn rescale_softmax(
-    local: &mut Tensor,
-    local_stats: &SoftmaxStats,
-    global_max: &[f32],
-    global_sum: &[f32],
-) -> Result<()> {
-    let rows = local.rows();
-    if local_stats.max.len() != rows {
-        return Err(TensorError::InvalidArgument(
-            "rescale_softmax: statistics length mismatch".into(),
-        ));
-    }
-    let factors = softmax_corrections(local_stats, global_max, global_sum)?;
-    let cols = local.cols();
-    let factors_ref = &factors;
-    pool::par_rows_mut(
-        rows,
-        rows.saturating_mul(cols),
-        local.data_mut(),
-        |r0, _r1, chunk| {
-            for (li, row) in chunk.chunks_mut(cols.max(1)).enumerate() {
-                let factor = factors_ref[r0 + li];
-                for v in row {
-                    *v *= factor;
-                }
-            }
-        },
-    );
-    Ok(())
-}
-
 /// Every row's Eq.-5 correction factor ([`softmax_correction`]), after
-/// checking the global statistics: the factors [`rescale_softmax`]
-/// multiplies in, which the output layer's `T` pass applies while packing
-/// ([`SoftmaxGrad`]) instead.
+/// checking the global statistics: the factors that rescale a local
+/// softmax into the global one, which the output layer's `T` pass applies
+/// while packing ([`SoftmaxGrad`]).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidArgument`] if any statistics vector has a
 /// length different from `local_stats.max`, or if any global statistic is
-/// `NaN` or a negative sum (see [`rescale_softmax`]).
+/// invalid (`NaN`, or a negative sum) — dividing by such a `global_sum`
+/// would manufacture `NaN` probabilities out of finite inputs. A global sum
+/// of exactly `0` (every shard of the row was empty or fully masked) is
+/// *valid* and yields a factor of 0, so a defined zero row, matching
+/// [`local_softmax`].
 pub fn softmax_corrections(
     local_stats: &SoftmaxStats,
     global_max: &[f32],
@@ -362,7 +302,7 @@ pub fn softmax_corrections(
     let rows = local_stats.max.len();
     if local_stats.sum.len() != rows || global_max.len() != rows || global_sum.len() != rows {
         return Err(TensorError::InvalidArgument(
-            "rescale_softmax: statistics length mismatch".into(),
+            "softmax_corrections: statistics length mismatch".into(),
         ));
     }
     (0..rows)
@@ -370,7 +310,7 @@ pub fn softmax_corrections(
             let (gm, gs) = (global_max[r], global_sum[r]);
             if gm.is_nan() || gs.is_nan() || gs < 0.0 {
                 return Err(TensorError::InvalidArgument(format!(
-                    "rescale_softmax: invalid global statistics at row {r} (max {gm}, sum {gs})"
+                    "softmax_corrections: invalid global statistics at row {r} (max {gm}, sum {gs})"
                 )));
             }
             Ok(softmax_correction(
@@ -614,21 +554,6 @@ pub fn softmax_rows(t: &Tensor) -> Tensor {
     out
 }
 
-/// Per-row `log Σ e^{x}` computed stably.
-pub fn log_sum_exp_rows(t: &Tensor) -> Vec<f32> {
-    let max = row_max(t);
-    (0..t.rows())
-        .map(|r| {
-            let m = max[r];
-            if m == f32::NEG_INFINITY {
-                return f32::NEG_INFINITY;
-            }
-            let s: f32 = t.row(r).iter().map(|&v| (v - m).exp()).sum();
-            m + s.ln()
-        })
-        .collect()
-}
-
 /// Mean negative log-likelihood of `labels` under row-wise softmax of
 /// `logits` (the standard language-modelling loss).
 ///
@@ -644,7 +569,7 @@ pub fn cross_entropy_mean(logits: &Tensor, labels: &[usize]) -> Result<f64> {
             logits.rows()
         )));
     }
-    let lse = log_sum_exp_rows(logits);
+    let max = row_max(logits);
     let mut total = 0.0f64;
     for (r, &label) in labels.iter().enumerate() {
         if label >= logits.cols() {
@@ -654,7 +579,19 @@ pub fn cross_entropy_mean(logits: &Tensor, labels: &[usize]) -> Result<f64> {
                 bound: logits.cols(),
             });
         }
-        total += (lse[r] - logits.at(r, label)) as f64;
+        // log Σ e^{x}, computed stably.
+        let m = max[r];
+        let lse = if m == f32::NEG_INFINITY {
+            f32::NEG_INFINITY
+        } else {
+            m + logits
+                .row(r)
+                .iter()
+                .map(|&v| (v - m).exp())
+                .sum::<f32>()
+                .ln()
+        };
+        total += (lse - logits.at(r, label)) as f64;
     }
     Ok(total / labels.len() as f64)
 }
@@ -768,6 +705,16 @@ mod tests {
         Tensor::from_vec(2, 4, vec![1.0, 2.0, 3.0, 4.0, -1.0, 0.0, 100.0, 100.0]).unwrap()
     }
 
+    /// Rescales a local softmax into the global one by its
+    /// [`softmax_corrections`] (the paper's Eq. 5).
+    fn rescale(local: &mut Tensor, stats: &SoftmaxStats, gmax: &[f32], gsum: &[f32]) -> Result<()> {
+        let factors = softmax_corrections(stats, gmax, gsum)?;
+        for (r, f) in factors.into_iter().enumerate() {
+            local.row_mut(r).iter_mut().for_each(|v| *v *= f);
+        }
+        Ok(())
+    }
+
     #[test]
     fn softmax_rows_sum_to_one_and_are_stable() {
         let s = softmax_rows(&toy());
@@ -803,8 +750,8 @@ mod tests {
                     + st_b.sum[r] * (st_b.max[r] - gmax[r]).exp()
             })
             .collect();
-        rescale_softmax(&mut sa, &st_a, &gmax, &gsum).unwrap();
-        rescale_softmax(&mut sb, &st_b, &gmax, &gsum).unwrap();
+        rescale(&mut sa, &st_a, &gmax, &gsum).unwrap();
+        rescale(&mut sb, &st_b, &gmax, &gsum).unwrap();
         for r in 0..2 {
             assert!((sa.at(r, 0) - full.at(r, 0)).abs() < 1e-6);
             for c in 0..3 {
@@ -834,7 +781,7 @@ mod tests {
         assert!(stats.sum.iter().all(|&s| s == 0.0));
         // The zero global sum rescales to a defined zero row, not NaN.
         let mut local = probs;
-        rescale_softmax(&mut local, &stats, &stats.max, &stats.sum).unwrap();
+        rescale(&mut local, &stats, &stats.max, &stats.sum).unwrap();
         assert!(local.data().iter().all(|&v| v == 0.0));
         assert_eq!(
             softmax_correction(f32::NEG_INFINITY, 0.0, f32::NEG_INFINITY, 0.0),
@@ -857,11 +804,11 @@ mod tests {
     fn rescale_rejects_invalid_global_statistics() {
         let t = Tensor::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
         let (mut probs, stats) = local_softmax(&t);
-        let err = rescale_softmax(&mut probs, &stats, &[2.0], &[f32::NAN]);
+        let err = rescale(&mut probs, &stats, &[2.0], &[f32::NAN]);
         assert!(matches!(err, Err(TensorError::InvalidArgument(_))));
-        let err = rescale_softmax(&mut probs, &stats, &[f32::NAN], &[1.0]);
+        let err = rescale(&mut probs, &stats, &[f32::NAN], &[1.0]);
         assert!(matches!(err, Err(TensorError::InvalidArgument(_))));
-        let err = rescale_softmax(&mut probs, &stats, &[2.0], &[-1.0]);
+        let err = rescale(&mut probs, &stats, &[2.0], &[-1.0]);
         assert!(matches!(err, Err(TensorError::InvalidArgument(_))));
     }
 
@@ -872,7 +819,7 @@ mod tests {
         // any valid global statistics is a no-op.
         let empty = Tensor::zeros(3, 0);
         let (mut probs, stats) = local_softmax(&empty);
-        rescale_softmax(&mut probs, &stats, &[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]).unwrap();
+        rescale(&mut probs, &stats, &[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]).unwrap();
         assert_eq!(probs.shape(), (3, 0));
         // Correction for an empty shard against a live global row is 0.
         assert_eq!(softmax_correction(f32::NEG_INFINITY, 0.0, 1.0, 4.0), 0.0);
@@ -902,24 +849,17 @@ mod tests {
     }
 
     #[test]
-    fn log_sum_exp_is_shift_invariant() {
+    fn cross_entropy_is_shift_invariant() {
         let t = Tensor::from_vec(1, 3, vec![1.0, 2.0, 3.0]).unwrap();
         let shifted = t.map(|v| v + 1000.0);
-        let a = log_sum_exp_rows(&t)[0];
-        let b = log_sum_exp_rows(&shifted)[0];
-        assert!((b - a - 1000.0).abs() < 1e-3);
-        assert!(b.is_finite());
+        let a = cross_entropy_mean(&t, &[2]).unwrap();
+        let b = cross_entropy_mean(&shifted, &[2]).unwrap();
+        assert!((b - a).abs() < 1e-3 && b.is_finite());
     }
 
     #[test]
     fn argmax_rows_picks_first_maximum() {
         let t = Tensor::from_vec(2, 3, vec![1.0, 5.0, 5.0, -1.0, -3.0, -2.0]).unwrap();
         assert_eq!(argmax_rows(&t), vec![1, 0]);
-    }
-
-    #[test]
-    fn row_sum_exp_validates_shift_length() {
-        let t = Tensor::zeros(2, 2);
-        assert!(row_sum_exp(&t, &[0.0]).is_err());
     }
 }

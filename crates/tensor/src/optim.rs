@@ -166,13 +166,6 @@ impl Param {
         self.grad_mut().add_assign(g)
     }
 
-    /// Clears the accumulated gradient.
-    pub fn zero_grad(&mut self) {
-        if let Some(grad) = self.grad.get_mut() {
-            grad.fill_zero();
-        }
-    }
-
     /// The Adam moment estimates `(m, v)` (for checkpointing).
     pub fn moments(&self) -> (&Tensor, &Tensor) {
         let shape = self.value.shape();
@@ -229,19 +222,6 @@ pub trait Optimizer {
     fn next_iteration(&mut self);
 }
 
-/// Plain stochastic gradient descent: `w ← w − lr · g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
 /// The gradient in `grad` (materialized if still lazy), checked against
 /// `value`'s shape — a mismatch means the caller replaced it through
 /// [`Param::grad_mut`] with a wrongly shaped one.
@@ -259,22 +239,6 @@ fn checked_grad<'a>(
         });
     }
     Ok(grad)
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, param: &mut Param) -> Result<()> {
-        let grad = checked_grad(&param.value, &mut param.grad, "sgd_step")?;
-        param.packed.take();
-        let lr = self.lr;
-        // One pass: read each gradient element, then clear it in place.
-        for (w, g) in param.value.data_mut().iter_mut().zip(grad.data_mut()) {
-            *w -= lr * *g;
-            *g = 0.0;
-        }
-        Ok(())
-    }
-
-    fn next_iteration(&mut self) {}
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -298,13 +262,6 @@ impl Adam {
             eps: 1e-8,
             t: 1,
         }
-    }
-
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
     }
 
     /// The current bias-correction timestep (for checkpointing).
@@ -365,19 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_descends_quadratic() {
-        let mut p = Param::new(Tensor::zeros(2, 2));
-        let mut opt = Sgd::new(0.5);
-        for _ in 0..50 {
-            let g = quadratic_grad(&p);
-            p.accumulate(&g).unwrap();
-            opt.step(&mut p).unwrap();
-            opt.next_iteration();
-        }
-        assert!(p.value().data().iter().all(|&w| (w - 3.0).abs() < 1e-3));
-    }
-
-    #[test]
     fn adam_descends_quadratic() {
         let mut p = Param::new(Tensor::zeros(1, 4));
         let mut opt = Adam::new(0.2);
@@ -394,7 +338,7 @@ mod tests {
     fn step_clears_gradient() {
         let mut p = Param::new(Tensor::ones(1, 2));
         p.accumulate(&Tensor::ones(1, 2)).unwrap();
-        Sgd::new(0.1).step(&mut p).unwrap();
+        Adam::new(0.1).step(&mut p).unwrap();
         assert_eq!(p.grad().data(), &[0.0, 0.0]);
     }
 
@@ -430,7 +374,7 @@ mod tests {
         ];
         let mut p = Param::new(init.clone());
         let mut opt = Adam::new(0.05);
-        let (mut w, mut m, mut v) = (init.into_vec(), vec![0.0f32; 5], vec![0.0f32; 5]);
+        let (mut w, mut m, mut v) = (init.data().to_vec(), vec![0.0f32; 5], vec![0.0f32; 5]);
         let (b1, b2, lr, eps) = (0.9f32, 0.999f32, 0.05f32, 1e-8f32);
         for (t, g) in (1..).zip(&grads) {
             p.accumulate(g).unwrap();
@@ -455,10 +399,6 @@ mod tests {
     fn steps_reject_a_gradient_of_the_wrong_shape() {
         let mut p = Param::new(Tensor::ones(1, 2));
         *p.grad_mut() = Tensor::ones(2, 2);
-        assert!(matches!(
-            Sgd::new(0.1).step(&mut p),
-            Err(TensorError::ShapeMismatch { op: "sgd_step", .. })
-        ));
         assert!(matches!(
             Adam::new(0.1).step(&mut p),
             Err(TensorError::ShapeMismatch {
@@ -506,7 +446,7 @@ mod tests {
         let addr = p.pack_held().map(PackedB::as_ptr);
         p.accumulate(&Tensor::ones(12, 40)).unwrap();
         p.grad_mut().scale_in_place(0.5);
-        p.zero_grad();
+        p.grad_mut().fill_zero();
         assert_eq!(p.pack_held().map(PackedB::as_ptr), addr);
         assert_eq!(packed_product(&p, &x), fresh_product(&p, &x));
     }
@@ -514,8 +454,7 @@ mod tests {
     #[test]
     fn every_value_write_drops_the_pack() {
         type Write = fn(&mut Param);
-        let steps: [(&str, Write); 4] = [
-            ("sgd", |p| Sgd::new(0.1).step(p).unwrap()),
+        let steps: [(&str, Write); 3] = [
             ("adam", |p| Adam::new(0.1).step(p).unwrap()),
             ("value_mut", |p| p.value_mut().data_mut()[7] += 1.5),
             ("from_state", |p| {
@@ -544,7 +483,7 @@ mod tests {
         let mut clone = p.clone();
         assert!(clone.pack_held().is_some(), "a clone carries a pack");
         assert_ne!(clone.pack_held().map(PackedB::as_ptr), addr);
-        Sgd::new(0.1).step(&mut clone).unwrap();
+        Adam::new(0.1).step(&mut clone).unwrap();
         assert_eq!(packed_product(&clone, &x), fresh_product(&clone, &x));
         assert_ne!(packed_product(&clone, &x), source);
         assert_eq!(p.pack_held().map(PackedB::as_ptr), addr);

@@ -101,7 +101,9 @@ impl Tensor {
         t
     }
 
-    /// Creates a tensor from a flat row-major buffer.
+    /// Creates a tensor from a flat row-major buffer, which the arena
+    /// adopts: it is counted as taken now and recycled when the tensor
+    /// drops.
     ///
     /// # Errors
     ///
@@ -113,16 +115,8 @@ impl Tensor {
                 actual: data.len(),
             });
         }
+        alloc::adopt(data.capacity());
         Ok(Tensor { rows, cols, data })
-    }
-
-    /// Creates a `1×n` row vector from a slice.
-    pub fn row_vector(data: &[f32]) -> Self {
-        Tensor {
-            rows: 1,
-            cols: data.len(),
-            data: alloc::take_copy(data),
-        }
     }
 
     /// Number of rows.
@@ -158,14 +152,6 @@ impl Tensor {
     /// Mutable view of the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns the underlying buffer.
-    ///
-    /// The buffer leaves the arena's management: it is never recycled
-    /// unless the caller hands it back (e.g. via [`Tensor::from_vec`]).
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
     }
 
     /// Immutable view of row `r`.
@@ -217,25 +203,6 @@ impl Tensor {
             }
         }
         out
-    }
-
-    /// Reinterprets the tensor with a new shape of the same element count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::BadBuffer`] if the element counts differ.
-    pub fn reshape(mut self, rows: usize, cols: usize) -> Result<Tensor> {
-        if rows * cols != self.data.len() {
-            return Err(TensorError::BadBuffer {
-                expected: rows * cols,
-                actual: self.data.len(),
-            });
-        }
-        Ok(Tensor {
-            rows,
-            cols,
-            data: std::mem::take(&mut self.data),
-        })
     }
 
     /// Copies the columns `[c0, c1)` of every row into a new tensor.
@@ -489,25 +456,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// In-place scaled accumulation `self += alpha * rhs` (axpy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn axpy(&mut self, alpha: f32, rhs: &Tensor) -> Result<()> {
-        if self.shape() != rhs.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "axpy",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Returns a copy scaled by `alpha`.
     pub fn scale(&self, alpha: f32) -> Tensor {
         let mut out = self.clone();
@@ -751,24 +699,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_mul_axpy() {
+    fn add_sub_mul() {
         let a = Tensor::from_vec(1, 3, vec![1., 2., 3.]).unwrap();
         let b = Tensor::from_vec(1, 3, vec![4., 5., 6.]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[5., 7., 9.]);
         assert_eq!(b.sub(&a).unwrap().data(), &[3., 3., 3.]);
         assert_eq!(a.mul(&b).unwrap().data(), &[4., 10., 18.]);
-        let mut c = a;
-        c.axpy(2.0, &b).unwrap();
-        assert_eq!(c.data(), &[9., 12., 15.]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let a = Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        let b = a.clone().reshape(3, 2).unwrap();
-        assert_eq!(b.shape(), (3, 2));
-        assert_eq!(b.data(), a.data());
-        assert!(a.reshape(4, 2).is_err());
     }
 
     #[test]

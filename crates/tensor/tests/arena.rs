@@ -126,6 +126,19 @@ fn disabling_mid_run_still_produces_identical_results() {
 }
 
 #[test]
+fn an_adopted_buffer_balances_outstanding() {
+    // A caller-allocated vec counts as taken when a tensor adopts it, so its
+    // release on drop does not pull `outstanding` below the live buffers.
+    let _guard = arena_lock();
+    alloc::set_enabled(true);
+    let before = alloc::stats().outstanding;
+    let t = Tensor::from_vec(8, 8, vec![0.5; 64]).unwrap();
+    assert_eq!(alloc::stats().outstanding, before + 1);
+    drop(t);
+    assert_eq!(alloc::stats().outstanding, before);
+}
+
+#[test]
 fn outstanding_tracks_live_tensors() {
     let _guard = arena_lock();
     alloc::set_enabled(true);

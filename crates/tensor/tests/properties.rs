@@ -8,7 +8,7 @@
 //! statistics (the paper's Eq. 5) reproduces the full softmax.
 
 use vp_tensor::init::{normal, seeded_rng};
-use vp_tensor::ops::{local_softmax, rescale_softmax, softmax_rows};
+use vp_tensor::ops::{local_softmax, softmax_corrections, softmax_rows};
 use vp_tensor::rng::Rng;
 use vp_tensor::Tensor;
 
@@ -92,7 +92,9 @@ fn softmax_is_shift_invariant() {
 
 /// The core identity of the paper (Eq. 5): shard the columns at an
 /// arbitrary split point, softmax each shard locally, merge statistics
-/// as the all-reduce would, rescale — and recover the full softmax.
+/// as the all-reduce would, rescale by each row's
+/// [`softmax_corrections`] factor (the one `S`/`T` apply) — and recover the
+/// full softmax.
 #[test]
 fn sharded_softmax_matches_full() {
     for seed in 400..464u64 {
@@ -118,8 +120,12 @@ fn sharded_softmax_matches_full() {
                 fix(st_a.max[r], st_a.sum[r]) + fix(st_b.max[r], st_b.sum[r])
             })
             .collect();
-        rescale_softmax(&mut sa, &st_a, &gmax, &gsum).unwrap();
-        rescale_softmax(&mut sb, &st_b, &gmax, &gsum).unwrap();
+        for (shard, stats) in [(&mut sa, &st_a), (&mut sb, &st_b)] {
+            let factors = softmax_corrections(stats, &gmax, &gsum).unwrap();
+            for (r, f) in factors.into_iter().enumerate() {
+                shard.row_mut(r).iter_mut().for_each(|v| *v *= f);
+            }
+        }
         for r in 0..rows {
             for c in 0..split {
                 assert!((sa.at(r, c) - full.at(r, c)).abs() < 1e-5, "seed {seed}");

@@ -338,6 +338,45 @@ fn vocab_training_is_pinned_bitwise() {
     assert_eq!(h.0, want, "digest {:#018x}", h.0);
 }
 
+/// Tensor-parallel training is pinned bit for bit: three iterations of a
+/// `pp 2 × tp 2` grid on Vocab-2 1F1B and on zero-bubble Vocab-2 1F1B (whose
+/// `B` is the shadow backward and whose `W` folds the stashed gradients),
+/// digested over every loss bit and every device's final checkpoint (the
+/// sharded block weights and their Adam moments among them). One digest per
+/// accuracy policy (`VP_FAST_MATH`), computed while a shard was still its
+/// own block type.
+#[test]
+fn tp_grid_training_is_pinned_bitwise() {
+    let config = TinyConfig::default();
+    let m = config.microbatches as u32;
+    let zb_times = PassTimes {
+        f: 1.0,
+        b: 1.0,
+        w: 1.0,
+        ..PassTimes::default()
+    };
+    let schedules = [
+        schedule_for(Mode::Vocab(VocabAlgo::Alg2), ScheduleFamily::OneFOneB, 2, m).unwrap(),
+        generators::zb_vocab_1f1b(2, m, VocabVariant::Alg2, zb_times, true),
+    ];
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for schedule in &schedules {
+        let spec = TrainSpec {
+            tp: 2,
+            ..TrainSpec::new(schedule)
+        };
+        let out = train(&config, &spec, 3, &DataSource::synthetic(&config)).unwrap();
+        out.report.losses.iter().for_each(|l| h.word(l.to_bits()));
+        out.checkpoint.shards.iter().for_each(|s| h.bytes(s));
+    }
+    let want = if vp_tensor::mathx::fast_math() {
+        0xd66d_aa00_0f50_ede5
+    } else {
+        0xb4dd_8456_dba9_d51d
+    };
+    assert_eq!(h.0, want, "digest {:#018x}", h.0);
+}
+
 /// Chunked prefill is pinned bit for bit, end to end and inside the
 /// blocks. The pp2 serving engine feeds prompts of 40–70 tokens 16 at a
 /// time, so every prefill chunk attends a long prefix with a full chunk of

@@ -88,6 +88,29 @@ launcher_audit() {
     echo "launcher audit OK: one device_loop call site, one thread scope"
 }
 
+init_audit() {
+    # Each device builds only its own shard: outside tests, crates/runtime/src
+    # builds the whole model only on the single-device reference paths
+    # (`ReferenceTrainer::new`, `reference_decode`, `train_reference*`).
+    # Training and serving devices build the pieces they host through
+    # `FullModel::{block, pos, input_rows, output_rows}`, so a device thread
+    # holding a whole `[V, h]` table cannot come back unnoticed.
+    local sites bad
+    sites=$(for f in crates/runtime/src/*.rs crates/runtime/src/serve/*.rs; do
+        awk -v file="${f#crates/runtime/src/}" '
+            /^#\[cfg\(test\)\]/ { exit }
+            match($0, /fn [A-Za-z0-9_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+            /FullModel::build\(/ { print file ":" fn }' "$f"
+    done)
+    bad=$(printf '%s\n' "$sites" | grep -vE \
+        '^(checkpoint\.rs:new|serve/mod\.rs:reference_decode|reference\.rs:train_reference[a-z_]*)?$' || true)
+    if [ -n "$bad" ]; then
+        echo "crates/runtime/src: FullModel::build off the reference paths:" $bad >&2
+        exit 1
+    fi
+    echo "init audit OK: FullModel::build only in" $sites
+}
+
 # --- lint, build, test -----------------------------------------------------
 
 clippy_lint() {
@@ -162,6 +185,7 @@ determinism_gate() {
 stage "cargo fmt --check" fmt_check
 stage "unsafe audit (token match, allowlisted files only)" unsafe_audit
 stage "launcher audit (one device_loop call site, one thread scope)" launcher_audit
+stage "init audit (FullModel::build only on the single-device reference paths)" init_audit
 stage "cargo clippy --workspace --all-targets -- -D warnings (+ pedantic subset)" clippy_lint
 stage "cargo build --workspace --release" build_release
 stage "cargo test --workspace --release" test_release

@@ -60,11 +60,8 @@ impl InputShard {
     ///
     /// Propagates slicing errors if `full` has fewer than `V` rows.
     pub fn from_full(full: &Tensor, partition: VocabPartition, rank: usize) -> Result<Self> {
-        let (start, end) = partition.shard_range(rank);
-        let end = end.min(partition.vocab());
-        let start = start.min(end);
-        let weight = full.slice_rows(start, end)?;
-        InputShard::new(weight, partition, rank)
+        let rows = partition.real_range(rank);
+        InputShard::new(full.slice_rows(rows.start, rows.end)?, partition, rank)
     }
 
     /// The shard's weight parameter.

@@ -274,11 +274,8 @@ impl OutputShard {
     ///
     /// Propagates slicing errors if `full` has fewer than `V` rows.
     pub fn from_full(full: &Tensor, partition: VocabPartition, rank: usize) -> Result<Self> {
-        let (start, end) = partition.shard_range(rank);
-        let end = end.min(partition.vocab());
-        let start = start.min(end);
-        let weight = full.slice_rows(start, end)?;
-        OutputShard::new(weight, partition, rank)
+        let rows = partition.real_range(rank);
+        OutputShard::new(full.slice_rows(rows.start, rows.end)?, partition, rank)
     }
 
     /// This rank's shard of the partition.

@@ -28,6 +28,19 @@ pub struct TiedShard {
 }
 
 impl TiedShard {
+    /// Creates a shard from this rank's slice of the full `[V, h]` tied
+    /// weight.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] if the slice's row count
+    /// does not equal the partition's real width for `rank`.
+    pub fn new(weight: Tensor, partition: VocabPartition, rank: usize) -> Result<Self> {
+        Ok(TiedShard {
+            output: OutputShard::new(weight, partition, rank)?,
+        })
+    }
+
     /// Slices this rank's shard out of the full `[V, h]` tied weight.
     ///
     /// # Errors
@@ -316,6 +329,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn new_checks_the_rows_against_the_partition() {
+        let part = VocabPartition::new(10, 4); // padded 16: rank 2 owns 2 rows
+        assert!(TiedShard::new(Tensor::zeros(2, 3), part, 2).is_ok());
+        let err = TiedShard::new(Tensor::zeros(4, 3), part, 2).unwrap_err();
+        assert!(err.to_string().contains("partition expects 2"), "{err}");
     }
 
     #[test]

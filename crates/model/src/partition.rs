@@ -86,10 +86,21 @@ impl VocabPartition {
         (rank * w, (rank + 1) * w)
     }
 
+    /// The *real* (unpadded) vocabulary entries owned by `rank`: its
+    /// shard range clipped to the vocabulary (empty for an all-padding
+    /// shard).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank >= devices`.
+    pub fn real_range(&self, rank: usize) -> std::ops::Range<usize> {
+        let (start, end) = self.shard_range(rank);
+        start.min(self.vocab)..end.min(self.vocab)
+    }
+
     /// Number of *real* (unpadded) vocabulary entries owned by `rank`.
     pub fn real_width(&self, rank: usize) -> usize {
-        let (start, end) = self.shard_range(rank);
-        end.min(self.vocab).saturating_sub(start.min(self.vocab))
+        self.real_range(rank).len()
     }
 
     /// The rank owning vocabulary entry `token`, if it is in range.

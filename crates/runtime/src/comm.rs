@@ -16,7 +16,7 @@
 //!   fan-out back to the shards).
 
 use vp_collectives::{P2pEndpoint, Packet};
-use vp_schedule::pass::{placement_device_of, placement_stage_of, ChunkPlacement};
+use vp_schedule::pass::{placement_device_of, placement_stage_of, ChunkPlacement, Schedule};
 use vp_tensor::{Result, Tensor, TensorError};
 use vp_trace::Tracer;
 
@@ -103,6 +103,15 @@ pub(crate) struct StageMap {
 }
 
 impl StageMap {
+    /// The stage layout `schedule` places its chunks in.
+    pub(crate) fn of(schedule: &Schedule) -> Self {
+        StageMap {
+            devices: schedule.devices(),
+            chunks: schedule.chunks(),
+            placement: schedule.placement(),
+        }
+    }
+
     /// The index of the last virtual stage (which hosts the output layer
     /// in baseline mode and roots the `C0` broadcast in vocab mode).
     pub(crate) fn last_vs(&self) -> usize {

@@ -1,6 +1,7 @@
-//! Distributed checkpointing for the pipelined trainer: every device
-//! serializes its own shard (transformer chunks, vocabulary shards, Adam
-//! moments). Every [`crate::train`] run returns one, and a run given one as
+//! Distributed checkpointing for the pipelined trainer: every device's
+//! shard (transformer chunks, vocabulary shards, Adam moments) serialized
+//! on its own. A [`crate::train`] run serializes one only when asked
+//! ([`crate::TrainOutcome::checkpoint`]), and a run given one as
 //! [`crate::TrainSpec::resume`] continues bit-identically — which the tests
 //! verify against an uninterrupted run.
 
@@ -41,15 +42,16 @@ mod tests {
             ..TrainSpec::new(&schedule)
         };
         let full = train(&config, &spec, 6, &src).unwrap().report.losses;
-        let head = train(&config, &spec, 3, &src).unwrap();
-        assert_eq!(head.checkpoint.iterations_done, 3);
-        assert!(head.checkpoint.total_bytes() > 0);
+        let mut head = train(&config, &spec, 3, &src).unwrap();
+        let checkpoint = head.checkpoint();
+        assert_eq!(checkpoint.iterations_done, 3);
+        assert!(checkpoint.total_bytes() > 0);
         let resumed = TrainSpec {
-            resume: Some(&head.checkpoint),
+            resume: Some(&checkpoint),
             ..spec
         };
-        let tail = train(&config, &resumed, 3, &src).unwrap();
-        assert_eq!(tail.checkpoint.iterations_done, 6);
+        let mut tail = train(&config, &resumed, 3, &src).unwrap();
+        assert_eq!(tail.checkpoint().iterations_done, 6);
         let stitched: Vec<f64> = [head.report.losses, tail.report.losses].concat();
         assert_eq!(stitched, full, "{mode:?}/{family:?}: resume must be exact");
     }
@@ -85,7 +87,7 @@ mod tests {
         let four = schedule_for(Mode::Baseline, ScheduleFamily::OneFOneB, 4, m).unwrap();
         let ckpt = train(&config, &TrainSpec::new(&two), 1, &src)
             .unwrap()
-            .checkpoint;
+            .checkpoint();
         let spec = TrainSpec {
             resume: Some(&ckpt),
             ..TrainSpec::new(&four)

@@ -105,6 +105,95 @@ pub(crate) fn check_schedule(config: &TinyConfig, schedule: &Schedule, dp: usize
     Ok(mode)
 }
 
+/// The parameters one device hosts, and nothing more: each piece is built
+/// from its place on the initialization stream ([`FullModel`]'s piece
+/// builders), so no device materializes a table or block it does not host.
+pub(crate) struct DeviceParams {
+    /// Transformer blocks per chunk hosted by this device.
+    pub(crate) blocks: Vec<StageBlocks>,
+    pub(crate) pos: Option<Param>,
+    pub(crate) full_input: Option<Embedding>,
+    pub(crate) full_output: Option<Param>,
+    /// This device's vocabulary shards (vocab mode only).
+    pub(crate) vocab: Option<VocabShard>,
+}
+
+impl DeviceParams {
+    /// Builds what `rank` hosts: its chunks' blocks (this row rank's shards
+    /// of them under `row`), the positional embedding on the first virtual
+    /// stage's device, and either its vocabulary shards or, in baseline
+    /// mode, the whole table its stage hosts.
+    fn build(
+        config: &TinyConfig,
+        schedule: &Schedule,
+        mode: Mode,
+        rank: usize,
+        row: Option<&(TpRow, TpPartition)>,
+    ) -> Result<Self> {
+        let map = StageMap::of(schedule);
+        let (first_dev, last_dev) = (map.device_of(0).0, map.device_of(map.last_vs()).0);
+        let stages = schedule.virtual_stages();
+        let blocks = (0..map.chunks)
+            .map(|c| {
+                let layers = config.stage_blocks(map.vs_of(rank, c), stages);
+                let blocks = layers.map(|i| FullModel::block(config, i)).collect();
+                StageBlocks::new(blocks, row.cloned())
+            })
+            .collect();
+        let whole = 0..config.vocab;
+        let part = VocabPartition::new(config.vocab, map.devices);
+        let baseline = mode == Mode::Baseline;
+        Ok(DeviceParams {
+            blocks,
+            pos: (rank == first_dev).then(|| Param::new(FullModel::pos(config))),
+            full_input: (baseline && rank == first_dev)
+                .then(|| Embedding::from_weight(FullModel::input_rows(config, whole.clone()))),
+            full_output: (baseline && rank == last_dev)
+                .then(|| Param::new(FullModel::output_rows(config, whole))),
+            vocab: (!baseline)
+                .then(|| VocabShard::new(config, part, rank))
+                .transpose()?,
+        })
+    }
+
+    /// All trainable parameters on this device, in a deterministic order
+    /// (shared by the optimizer step, data-parallel gradient sync and the
+    /// checkpoint shard layout).
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut params: Vec<&mut Param> = Vec::new();
+        for blocks in &mut self.blocks {
+            params.extend(blocks.params_mut());
+        }
+        params.extend(&mut self.pos);
+        if let Some(e) = &mut self.full_input {
+            params.extend(e.params_mut());
+        }
+        params.extend(&mut self.full_output);
+        if let Some(shard) = &mut self.vocab {
+            params.extend(shard.params_mut());
+        }
+        params
+    }
+
+    /// Serializes the parameter state (Adam timestep, then values and
+    /// moments in `params_mut` order) — one shard of a
+    /// [`crate::PipelineCheckpoint`].
+    fn save(&mut self, adam_timestep: i32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_u32(&mut buf, adam_timestep as u32);
+        write_params(&mut buf, self.params_mut());
+        buf
+    }
+
+    /// Restores the parameter state from a shard produced by
+    /// [`Self::save`]. Returns the Adam timestep to resume from.
+    fn load(&mut self, mut blob: &[u8]) -> Result<i32> {
+        let timestep = read_u32(&mut blob)? as i32;
+        read_params(&mut blob, self.params_mut())?;
+        Ok(timestep)
+    }
+}
+
 /// One pipeline device of the interpreter: the model slices it hosts, its
 /// communication endpoints and the per-microbatch stores the passes flow
 /// through. Fields are `pub(crate)` so the vocabulary pass handlers in
@@ -115,15 +204,10 @@ pub(crate) struct Device {
     pub(crate) mode: Mode,
     pub(crate) config: TinyConfig,
     pub(crate) map: StageMap,
-    /// Transformer blocks per chunk hosted by this device.
-    pub(crate) blocks: Vec<StageBlocks>,
+    /// The parameters this device hosts.
+    pub(crate) params: DeviceParams,
     /// Whether this device's pass list splits `B`/`W` zero-bubble style.
     pub(crate) has_w: bool,
-    pub(crate) pos: Option<Param>,
-    pub(crate) full_input: Option<Embedding>,
-    pub(crate) full_output: Option<Param>,
-    /// This device's vocabulary shards (vocab mode only).
-    pub(crate) vocab: Option<VocabShard>,
     pub(crate) link: Link,
     pub(crate) c1_comm: Arc<Collective>,
     pub(crate) c1_stream: CommStream,
@@ -177,7 +261,7 @@ impl Device {
             let (src, _) = self.map.device_of(vs - 1);
             self.link.recv(src, stage_tag(TAG_ACT, vs, k))?
         };
-        let (h, caches) = self.blocks[chunk as usize].forward(&x0)?;
+        let (h, caches) = self.params.blocks[chunk as usize].forward(&x0)?;
         self.acts.insert(k, chunk, caches);
         if vs < self.map.last_vs() {
             let (dst, _) = self.map.device_of(vs + 1);
@@ -186,6 +270,7 @@ impl Device {
             match self.mode {
                 Mode::Baseline => {
                     let w = self
+                        .params
                         .full_output
                         .as_ref()
                         .expect("baseline hosts the output layer");
@@ -219,7 +304,11 @@ impl Device {
                         .take()
                         .expect("last stage stored the loss gradient");
                     let h = st.h_last.take().expect("last stage stored its output");
-                    let w = self.full_output.as_mut().expect("baseline output layer");
+                    let w = self
+                        .params
+                        .full_output
+                        .as_mut()
+                        .expect("baseline output layer");
                     let dw = grad.dlogits.matmul_tn(&h)?;
                     w.accumulate(&dw)?;
                     grad.dlogits.matmul(w.value())?
@@ -246,7 +335,7 @@ impl Device {
             self.link.recv(src, stage_tag(TAG_GRAD, vs, k))?
         };
         let caches = self.acts.remove(k, chunk).expect("F stored caches");
-        let blocks = &mut self.blocks[chunk as usize];
+        let blocks = &mut self.params.blocks[chunk as usize];
         let dx0 = if self.has_w {
             // Zero-bubble split: the weight gradients wait for the W pass.
             let (dx0, grads) = blocks.backward_shadow(&caches, &dy)?;
@@ -259,7 +348,8 @@ impl Device {
             let (dst, _) = self.map.device_of(vs - 1);
             self.link.send(dst, stage_tag(TAG_GRAD, vs - 1, k), &dx0)?;
         } else {
-            self.pos
+            self.params
+                .pos
                 .as_mut()
                 .expect("first-stage device owns pos")
                 .accumulate(&dx0)?;
@@ -272,7 +362,8 @@ impl Device {
                         .emb_cache
                         .take()
                         .expect("F cached ids");
-                    self.full_input
+                    self.params
+                        .full_input
                         .as_mut()
                         .expect("baseline input layer")
                         .backward(&cache, &dx0)?;
@@ -295,32 +386,13 @@ impl Device {
             .w_stash
             .remove(k, chunk)
             .expect("B stashed the weight gradients");
-        self.blocks[chunk as usize].accumulate_stash(&grads)
-    }
-
-    /// All trainable parameters on this device, in a deterministic order
-    /// (shared by the optimizer step, data-parallel gradient sync and the
-    /// checkpoint shard layout).
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut params: Vec<&mut Param> = Vec::new();
-        for blocks in &mut self.blocks {
-            params.extend(blocks.params_mut());
-        }
-        params.extend(&mut self.pos);
-        if let Some(e) = &mut self.full_input {
-            params.extend(e.params_mut());
-        }
-        params.extend(&mut self.full_output);
-        if let Some(shard) = &mut self.vocab {
-            params.extend(shard.params_mut());
-        }
-        params
+        self.params.blocks[chunk as usize].accumulate_stash(&grads)
     }
 
     /// Data-parallel gradient synchronization: sum-all-reduce every
     /// parameter gradient across this stage's replicas.
     fn sync_grads(&mut self, comm: &Collective) -> Result<()> {
-        for p in self.params_mut() {
+        for p in self.params.params_mut() {
             comm.all_reduce(p.grad_mut().data_mut(), ReduceOp::Sum)
                 .map_err(|e| TensorError::InvalidArgument(format!("gradient sync failed: {e}")))?;
         }
@@ -328,38 +400,22 @@ impl Device {
     }
 
     fn optimizer_step(&mut self, adam: &mut Adam) -> Result<()> {
-        for p in self.params_mut() {
+        for p in self.params.params_mut() {
             adam.step(p)?;
         }
         adam.next_iteration();
         Ok(())
     }
-
-    /// Serializes this device's parameter state (Adam timestep, then values
-    /// and moments in `params_mut` order) — one shard of a
-    /// [`crate::PipelineCheckpoint`].
-    fn save_state(&mut self, adam_timestep: i32) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_u32(&mut buf, adam_timestep as u32);
-        write_params(&mut buf, self.params_mut());
-        buf
-    }
-
-    /// Restores this device's parameter state from a shard produced by
-    /// [`Self::save_state`]. Returns the Adam timestep to resume from.
-    fn load_state(&mut self, mut blob: &[u8]) -> Result<i32> {
-        let timestep = read_u32(&mut blob)? as i32;
-        read_params(&mut blob, self.params_mut())?;
-        Ok(timestep)
-    }
 }
 
 /// What one device thread hands back: its loss trajectory (empty off the
-/// reporter rank), checkpoint shard, the wall-clock span of every pass in
-/// the final iteration, and the observed activation peak.
+/// reporter rank), its final parameters by move (serialized only when a
+/// checkpoint is asked for), the wall-clock span of every pass in the final
+/// iteration, and the observed activation peak.
 pub(crate) struct DeviceOutcome {
     pub(crate) losses: Vec<f64>,
-    pub(crate) shard: Vec<u8>,
+    params: DeviceParams,
+    adam_timestep: i32,
     /// Per-pass `(start, end)` wall-clock seconds relative to the shared
     /// epoch, indexed like `schedule.passes(rank)` (final iteration).
     pub(crate) spans: Vec<(f64, f64)>,
@@ -369,6 +425,13 @@ pub(crate) struct DeviceOutcome {
     pub(crate) iter_spans: Vec<(f64, f64)>,
     /// Peak simultaneously-resident microbatch-chunk activations.
     pub(crate) peak_resident: usize,
+}
+
+impl DeviceOutcome {
+    /// This device's shard of a [`crate::PipelineCheckpoint`].
+    pub(crate) fn checkpoint_shard(&mut self) -> Vec<u8> {
+        self.params.save(self.adam_timestep)
+    }
 }
 
 /// Everything one device thread is launched with: the validated run, its
@@ -426,13 +489,7 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
         tracer,
         epoch,
     } = ctx;
-    let map = StageMap {
-        devices: schedule.devices(),
-        chunks: schedule.chunks(),
-        placement: schedule.placement(),
-    };
-    let full = FullModel::build(config);
-    let first_dev = map.device_of(0).0;
+    let map = StageMap::of(schedule);
     let last_dev = map.device_of(map.last_vs()).0;
     // The rank whose per-microbatch losses form the reported trajectory:
     // the last virtual stage's host in baseline mode (it computes the
@@ -443,16 +500,7 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
         Mode::Vocab(_) => 0,
     };
     let reports = rank == reporter && row.as_ref().is_none_or(|(_, part)| part.rank() == 0);
-    let per_stage = config.layers / schedule.virtual_stages();
-    let blocks = (0..map.chunks)
-        .map(|c| {
-            let vs = map.vs_of(rank, c);
-            StageBlocks::new(
-                &full.blocks[vs * per_stage..(vs + 1) * per_stage],
-                row.clone(),
-            )
-        })
-        .collect();
+    let params = DeviceParams::build(config, schedule, mode, rank, row.as_ref())?;
     // The device thread, its p2p endpoint and its communication stream all
     // write the same per-device timeline: blocking receives show up as
     // comm-wait spans, overlapped barrier jobs as comm-stream spans.
@@ -464,24 +512,13 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
         c1_stream.submit(move || pool::set_lane_budget(lanes));
     }
     c1_stream.set_tracer(tracer.clone());
-    let baseline = mode == Mode::Baseline;
     let mut device = Device {
         rank,
         mode,
         config: config.clone(),
         map,
-        blocks,
+        params,
         has_w: schedule.count_kind(rank, PassKind::W) > 0,
-        pos: (rank == first_dev).then(|| Param::new(full.pos_weight.clone())),
-        full_input: (baseline && rank == first_dev)
-            .then(|| Embedding::from_weight(full.input_weight.clone())),
-        full_output: (baseline && rank == last_dev).then(|| Param::new(full.output_weight.clone())),
-        vocab: (!baseline)
-            .then(|| {
-                let part = VocabPartition::new(config.vocab, map.devices);
-                VocabShard::from_full(&full, config.tied, part, rank)
-            })
-            .transpose()?,
         link,
         c1_comm: Arc::new(c1),
         c1_stream,
@@ -493,7 +530,7 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
     let mut adam = Adam::new(config.lr);
     let mut start_iter = 0u64;
     if let Some((blob, done)) = restore {
-        adam.set_timestep(device.load_state(blob)?);
+        adam.set_timestep(device.params.load(blob)?);
         start_iter = done;
     }
     let (replica, replicas) = dp.as_ref().map_or((0, 1), |c| (c.rank(), c.world()));
@@ -570,10 +607,11 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
     }
     Ok(DeviceOutcome {
         losses: iteration_losses,
-        shard: device.save_state(adam.timestep()),
+        peak_resident: device.acts.peak_resident(),
+        params: device.params,
+        adam_timestep: adam.timestep(),
         spans,
         iter_spans,
-        peak_resident: device.acts.peak_resident(),
     })
 }
 

@@ -71,19 +71,48 @@ impl<'a> TrainSpec<'a> {
 }
 
 /// What a [`train`] run hands back.
-#[derive(Debug)]
 pub struct TrainOutcome {
     /// Losses and real timings (of replica 0, tensor column 0: rows and
     /// replicas are symmetric, so one column carries the pipeline shape the
     /// schedule describes).
     pub report: TrainReport,
-    /// Every device's end-of-run state; pass it as [`TrainSpec::resume`].
-    pub checkpoint: PipelineCheckpoint,
     /// Per-device events of the final iteration (`F`/`B`/`W`/`S`/`T` pass
     /// spans, blocking p2p waits, overlapped communication-stream jobs),
     /// tracks indexed by global rank; `Some` exactly when
     /// [`TrainSpec::trace`] was set.
     pub trace: Option<TraceLog>,
+    /// Every device's outcome, its end-of-run parameters included.
+    devices: Vec<DeviceOutcome>,
+    iterations_done: u64,
+}
+
+impl TrainOutcome {
+    /// Serializes every device's end-of-run state into a checkpoint; pass it
+    /// as [`TrainSpec::resume`]. Devices hand their parameters back by
+    /// move, and nothing is serialized until this is called. It takes
+    /// `&mut self` because it walks the parameters in the optimizer's
+    /// order, which is a mutable walk; it changes nothing.
+    pub fn checkpoint(&mut self) -> PipelineCheckpoint {
+        PipelineCheckpoint {
+            shards: self
+                .devices
+                .iter_mut()
+                .map(DeviceOutcome::checkpoint_shard)
+                .collect(),
+            iterations_done: self.iterations_done,
+        }
+    }
+}
+
+impl std::fmt::Debug for TrainOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrainOutcome")
+            .field("report", &self.report)
+            .field("trace", &self.trace)
+            .field("devices", &self.devices.len())
+            .field("iterations_done", &self.iterations_done)
+            .finish()
+    }
 }
 
 /// The per-iteration mean loss trajectory plus a real-timing execution
@@ -239,11 +268,9 @@ pub fn train(
     };
     Ok(TrainOutcome {
         report,
-        checkpoint: PipelineCheckpoint {
-            shards: outcomes.into_iter().map(|o| o.shard).collect(),
-            iterations_done: resume.map_or(0, |c| c.iterations_done) + iterations as u64,
-        },
         trace: log,
+        devices: outcomes,
+        iterations_done: resume.map_or(0, |c| c.iterations_done) + iterations as u64,
     })
 }
 
@@ -481,8 +508,8 @@ mod tests {
             dp: 2,
             ..TrainSpec::new(&schedule)
         };
-        let outcome = run(&config, &spec, 4).unwrap();
-        assert_eq!(outcome.checkpoint.shards.len(), 8);
+        let mut outcome = run(&config, &spec, 4).unwrap();
+        assert_eq!(outcome.checkpoint().shards.len(), 8);
         assert_close(&reference, &outcome.report.losses, 1e-3);
     }
 
@@ -554,9 +581,9 @@ mod tests {
             tp: 2,
             ..TrainSpec::new(&schedule)
         };
-        let outcome = run(&config, &spec, 5).unwrap();
+        let mut outcome = run(&config, &spec, 5).unwrap();
         assert_close(&reference, &outcome.report.losses, 1e-3);
-        let shards = &outcome.checkpoint.shards;
+        let shards = &outcome.checkpoint().shards;
         let blocks_per_stage = config.layers / grid.pp();
         for pp_rank in 0..grid.pp() {
             let a = shard_params(&shards[grid.global(pp_rank, 0)]);

@@ -13,9 +13,9 @@
 //!
 //! * [`data`] — deterministic synthetic corpora (the stand-in for the
 //!   paper's customized C4 dataset; both sides see identical tokens).
-//! * [`model`] — full-model construction from a seed, shared by the
-//!   reference and the sharded runtimes so initial weights are
-//!   bit-identical.
+//! * [`model`] — model construction from a seed: the whole model for the
+//!   reference, and each piece a device hosts from its place on the same
+//!   initialization stream, so initial weights are bit-identical.
 //! * [`mod@reference`] / [`checkpoint`] — the single-device
 //!   [`ReferenceTrainer`], resumable with exact save/restore of weights,
 //!   Adam moments and step count.
@@ -27,7 +27,8 @@
 //!   [`PipelineCheckpoint`] to resume from, whether to trace), and the
 //!   [`TrainOutcome`] carries the [`TrainReport`] (losses plus real pass
 //!   timings in the simulator's `ExecReport` shape), the end-of-run
-//!   checkpoint ([`distributed_ckpt`]) and the optional [`TraceLog`].
+//!   parameters, serialized into a checkpoint ([`distributed_ckpt`]) only
+//!   on request, and the optional [`TraceLog`].
 //!   [`train_schedule`] / [`train_schedule_traced`] are its flat-pipeline
 //!   projections.
 //! * [`engine`] — the generic schedule interpreter (pass-VM) every device

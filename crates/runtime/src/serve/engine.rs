@@ -60,7 +60,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use vp_collectives::{Collective, CollectiveGroup, CommStream, JobHandle, P2pNetwork};
+use vp_collectives::{Collective, CollectiveGroup, CommStream, JobHandle, P2pEndpoint, P2pNetwork};
 use vp_core::{merge_decode, InputShard, OutputShard, TokenChoice};
 use vp_model::block::TransformerBlock;
 use vp_model::partition::VocabPartition;
@@ -265,16 +265,19 @@ struct Counters {
 }
 
 impl ServeEngine {
-    /// Builds the sharded model, generates and statically verifies the
-    /// decode pass list of every possible batch size (of the inline or the
-    /// overlapped family, as `config.overlap` selects), and spawns the
-    /// device threads that will walk exactly those lists.
+    /// Generates and statically verifies the decode pass list of every
+    /// possible batch size (of the inline or the overlapped family, as
+    /// `config.overlap` selects), and spawns the device threads that will
+    /// walk exactly those lists. Each thread builds only its own share of
+    /// the model, in parallel with the others; no thread holds a whole
+    /// vocabulary table.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] on an invalid
-    /// configuration (zero devices/slots/chunk/block sizes, indivisible
-    /// layers, a decode schedule that fails [`vp_check::check_decode`]).
+    /// configuration (zero devices/slots/chunk/block sizes, heads that do
+    /// not divide the hidden width, indivisible layers, a decode schedule
+    /// that fails [`vp_check::check_decode`]).
     ///
     /// # Panics
     ///
@@ -290,6 +293,12 @@ impl ServeEngine {
             return Err(TensorError::InvalidArgument(
                 "kv_block and prefill_chunk must both be nonzero".into(),
             ));
+        }
+        if !config.model.hidden.is_multiple_of(config.model.heads) {
+            return Err(TensorError::InvalidArgument(format!(
+                "{} heads do not divide the hidden width {}",
+                config.model.heads, config.model.hidden
+            )));
         }
         if !config.model.layers.is_multiple_of(p) {
             return Err(TensorError::InvalidArgument(format!(
@@ -326,8 +335,6 @@ impl ServeEngine {
                 "kv_capacity_blocks must be nonzero".into(),
             ));
         }
-        let full = FullModel::build(&config.model);
-        let partition = VocabPartition::new(config.model.vocab, p);
         let endpoints = P2pNetwork::new(p);
         let comms = CollectiveGroup::new(p);
         let (res_tx, res_rx) = channel();
@@ -338,36 +345,22 @@ impl ServeEngine {
         let mut cmds = Vec::with_capacity(p);
         let mut handles = Vec::with_capacity(p);
         for (endpoint, comm) in endpoints.into_iter().zip(comms) {
-            let rank = comm.rank();
             let (tx, rx) = channel();
             cmds.push(tx);
-            let (b0, b1) = full.stage_blocks(rank, p);
-            let kv_pool =
-                KvBlockPool::bounded(config.model.hidden, config.kv_block, per_device_blocks);
-            let device = DeviceState {
-                rank,
-                world: p,
-                schedules: Arc::clone(&schedules),
-                blocks: full.blocks[b0..b1].to_vec(),
-                input: InputShard::from_full(&full.input_weight, partition, rank)
-                    .expect("partition matches the weight"),
-                output: OutputShard::from_full(&full.output_weight, partition, rank)
-                    .expect("partition matches the weight"),
-                pos: (rank == 0).then(|| full.pos_weight.clone()),
-                partition,
-                kv: (0..config.max_batch)
-                    .map(|_| (0..b1 - b0).map(|_| KvCache::with_pool(&kv_pool)).collect())
-                    .collect(),
-                top_k: config.top_k,
-                overlap: config.overlap,
-                link: Link::new(endpoint, 0, 1),
-                comm: Arc::new(comm),
-                stream: CommStream::new(),
-                counters: Arc::clone(&counters),
-            };
-            let res_tx = res_tx.clone();
+            let (config, schedules) = (config.clone(), Arc::clone(&schedules));
+            let (counters, res_tx) = (Arc::clone(&counters), res_tx.clone());
             handles.push(std::thread::spawn(move || {
+                // Each device builds its own share of the model on its own
+                // lanes, in parallel with the others.
                 pool::set_lane_budget(lanes);
+                let device = DeviceState::new(
+                    &config,
+                    per_device_blocks,
+                    schedules,
+                    endpoint,
+                    comm,
+                    counters,
+                );
                 device.stream.submit(move || pool::set_lane_budget(lanes));
                 device.run(&rx, &res_tx);
             }));
@@ -609,6 +602,50 @@ struct DeviceState {
 }
 
 impl DeviceState {
+    /// Builds one device's share of the model — its stage's blocks, its
+    /// rows of both vocabulary tables, the positional embedding on stage 0
+    /// — and its slots' KV caches over one bounded pool.
+    fn new(
+        config: &ServeConfig,
+        per_device_blocks: usize,
+        schedules: Arc<Vec<Schedule>>,
+        endpoint: P2pEndpoint,
+        comm: Collective,
+        counters: Arc<Counters>,
+    ) -> Self {
+        let (model, world, rank) = (&config.model, config.devices, comm.rank());
+        let layers = model.stage_blocks(rank, world);
+        let partition = VocabPartition::new(model.vocab, world);
+        let rows = partition.real_range(rank);
+        let kv_pool = KvBlockPool::bounded(model.hidden, config.kv_block, per_device_blocks);
+        DeviceState {
+            rank,
+            world,
+            schedules,
+            kv: (0..config.max_batch)
+                .map(|_| {
+                    layers
+                        .clone()
+                        .map(|_| KvCache::with_pool(&kv_pool))
+                        .collect()
+                })
+                .collect(),
+            blocks: layers.map(|i| FullModel::block(model, i)).collect(),
+            input: InputShard::new(FullModel::input_rows(model, rows.clone()), partition, rank)
+                .expect("rows match the partition"),
+            output: OutputShard::new(FullModel::output_rows(model, rows), partition, rank)
+                .expect("rows match the partition"),
+            pos: (rank == 0).then(|| FullModel::pos(model)),
+            partition,
+            top_k: config.top_k,
+            overlap: config.overlap,
+            link: Link::new(endpoint, 0, 1),
+            comm: Arc::new(comm),
+            stream: CommStream::new(),
+            counters,
+        }
+    }
+
     fn run(mut self, rx: &Receiver<Cmd>, results: &Sender<Vec<TokenChoice>>) {
         while let Ok(Cmd::Step(plan)) = rx.recv() {
             let choices = self.step(&plan).expect("decode step failed");

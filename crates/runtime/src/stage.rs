@@ -72,14 +72,14 @@ pub(crate) struct StageBlocks {
 }
 
 impl StageBlocks {
-    /// Slices `blocks` for one device: unsharded without a row, else this
+    /// Takes `blocks` for one device: unsharded without a row, else this
     /// rank's head-aligned column/row shards. The shards *replace* the full
     /// blocks, so a device holds `1/tp` of the matmul weights (plus the
     /// replicated LayerNorms and biases), exactly as the simulator's grid
     /// memory model counts.
-    pub(crate) fn new(blocks: &[TransformerBlock], row: Option<(TpRow, TpPartition)>) -> Self {
+    pub(crate) fn new(blocks: Vec<TransformerBlock>, row: Option<(TpRow, TpPartition)>) -> Self {
         let (blocks, row) = match row {
-            None => (blocks.to_vec(), None),
+            None => (blocks, None),
             Some((row, part)) => (blocks.iter().map(|b| b.shard(&part)).collect(), Some(row)),
         };
         StageBlocks { blocks, row }

@@ -19,7 +19,7 @@
 use crate::comm::{TAG_C0, TAG_C2, TAG_INGRAD, TAG_INPART};
 use crate::data::Microbatch;
 use crate::engine::{Device, Mode};
-use crate::model::FullModel;
+use crate::model::{FullModel, TinyConfig};
 use crate::state::BarrierSlot;
 use std::sync::Arc;
 use vp_core::output::{BarrierOutput, OutputShard, SState};
@@ -42,18 +42,16 @@ pub(crate) enum VocabShard {
 }
 
 impl VocabShard {
-    pub(crate) fn from_full(
-        full: &FullModel,
-        tied: bool,
-        part: VocabPartition,
-        rank: usize,
-    ) -> Result<Self> {
-        Ok(if tied {
-            VocabShard::Tied(TiedShard::from_full(&full.output_weight, part, rank)?)
+    /// Builds `rank`'s rows of the vocabulary layers and nothing else.
+    pub(crate) fn new(config: &TinyConfig, part: VocabPartition, rank: usize) -> Result<Self> {
+        let rows = part.real_range(rank);
+        let output = FullModel::output_rows(config, rows.clone());
+        Ok(if config.tied {
+            VocabShard::Tied(TiedShard::new(output, part, rank)?)
         } else {
             VocabShard::Split {
-                input: InputShard::from_full(&full.input_weight, part, rank)?,
-                output: OutputShard::from_full(&full.output_weight, part, rank)?,
+                input: InputShard::new(FullModel::input_rows(config, rows), part, rank)?,
+                output: OutputShard::new(output, part, rank)?,
             }
         })
     }
@@ -108,7 +106,7 @@ impl VocabShard {
 
 impl Device {
     fn shard(&mut self) -> Result<&mut VocabShard> {
-        self.vocab.as_mut().ok_or_else(|| {
+        self.params.vocab.as_mut().ok_or_else(|| {
             TensorError::InvalidArgument(
                 "vocabulary pass in a schedule without vocabulary shards".into(),
             )
@@ -131,6 +129,7 @@ impl Device {
         let mut x = match self.mode {
             Mode::Baseline => {
                 let input = self
+                    .params
                     .full_input
                     .as_ref()
                     .expect("baseline hosts the input layer");
@@ -149,6 +148,7 @@ impl Device {
             }
         };
         let pos = self
+            .params
             .pos
             .as_ref()
             .expect("first-stage device owns the positional embedding");

@@ -201,7 +201,15 @@ fn engine_rejects_bad_configurations() {
     // 4 layers do not divide over 3 devices.
     assert!(ServeEngine::start(config.clone()).is_err());
     config.devices = 0;
-    assert!(ServeEngine::start(config).is_err());
+    assert!(ServeEngine::start(config.clone()).is_err());
+    // Heads that do not divide the hidden width: refused before any device
+    // thread builds a block.
+    config.devices = 2;
+    config.model.heads = 3;
+    let err = ServeEngine::start(config)
+        .err()
+        .expect("3 heads over hidden 32");
+    assert!(err.to_string().contains("heads"), "{err}");
 }
 
 #[test]

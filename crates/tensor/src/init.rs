@@ -4,13 +4,46 @@
 //! instances so that the pipeline-parallel runtime and the single-device
 //! reference build *bit-identical* initial weights (a precondition for the
 //! paper's convergence-equivalence evaluation, Appendix E).
+//!
+//! # Stream layout
+//!
+//! [`normal`] takes exactly two draws per element (Box–Muller's two
+//! uniforms; the second variate is discarded), so Gaussian element `e` of a
+//! seed's stream starts at draw `2e`, and [`seeded_rng_at`] reaches it in
+//! O(1) ([`StdRng::advance`]). The runtime's model (`vp_runtime::FullModel`)
+//! fixes where each of its tensors sits on its seed's stream, row-major,
+//! for vocabulary `V`, hidden width `h`, sequence length `s`, FFN
+//! multiplier `f` and `L` layers:
+//!
+//! | tensor | first element |
+//! |---|---|
+//! | input embedding `[V, h]` | `0` |
+//! | positional embedding `[s, h]` | `V·h` |
+//! | block `i` (`W_q`, `W_k`, `W_v`, `W_o`, `fc1`, `fc2`) | `(V+s)·h + i·(4+2f)·h²` |
+//! | output embedding `[V, h]` (untied) | `(V+s)·h + L·(4+2f)·h²` |
+//!
+//! A tied output embedding is the input table. Row `r` of a table starts
+//! `r·h` elements after the table, so a device that builds only the rows
+//! it hosts draws exactly the single-device model's values, bit for bit.
 
 use crate::rng::{Rng, StdRng};
 use crate::Tensor;
 
+/// Draws one [`normal`] element takes from its generator.
+const DRAWS_PER_ELEMENT: u64 = 2;
+
 /// Returns a deterministic RNG for the given seed.
 pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
+}
+
+/// [`seeded_rng`] positioned at Gaussian element `element` of the seed's
+/// stream: [`normal`] then draws what it would after `element` earlier
+/// elements.
+pub fn seeded_rng_at(seed: u64, element: u64) -> StdRng {
+    let mut rng = seeded_rng(seed);
+    rng.advance(element.wrapping_mul(DRAWS_PER_ELEMENT));
+    rng
 }
 
 /// Samples a `rows×cols` tensor from `N(0, std²)` using the Box–Muller
@@ -51,6 +84,13 @@ mod tests {
         let a = normal(&mut seeded_rng(1), 4, 4, 1.0);
         let b = normal(&mut seeded_rng(2), 4, 4, 1.0);
         assert!(a.max_abs_diff(&b).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn seeded_rng_at_addresses_the_stream() {
+        let whole = normal(&mut seeded_rng(9), 5, 3, 0.5);
+        let tail = normal(&mut seeded_rng_at(9, 2 * 3), 3, 3, 0.5);
+        assert_eq!(whole.slice_rows(2, 5).unwrap(), tail);
     }
 
     #[test]

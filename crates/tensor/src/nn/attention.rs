@@ -162,19 +162,35 @@ impl MultiHeadAttention {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != hidden`, the
-    /// cache's row width does not match or the layer is a tensor-parallel
-    /// shard (decode completes no partial sums), and
+    /// Returns [`TensorError::InvalidArgument`] if the layer is a
+    /// tensor-parallel shard (decode completes no partial sums),
+    /// [`TensorError::ShapeMismatch`] naming `x` against `W_q`
+    /// (`attention_decode`) or the cache against `W_k`
+    /// (`attention_decode_kv`) if either is not `hidden` wide, and
     /// [`TensorError::Exhausted`] if the cache's block pool is bounded and
     /// cannot hold the whole chunk — the cache is unchanged in that case,
     /// so the call can be retried once other requests retire.
     pub fn forward_decode(&self, x: &Tensor, kv: &mut KvCache) -> Result<Tensor> {
         let h = self.hidden();
-        if x.cols() != h || kv.hidden() != h || self.inner() != h {
+        if self.inner() != h {
+            return Err(TensorError::InvalidArgument(format!(
+                "attention_decode: a tensor-parallel shard ({} of {h} attention columns) \
+                 completes no partial sums; decode runs unsharded layers",
+                self.inner()
+            )));
+        }
+        if x.cols() != h {
             return Err(TensorError::ShapeMismatch {
                 op: "attention_decode",
-                lhs: (x.rows(), x.cols().max(kv.hidden())),
-                rhs: (x.rows(), h),
+                lhs: x.shape(),
+                rhs: self.wq.value().shape(),
+            });
+        }
+        if kv.hidden() != h {
+            return Err(TensorError::ShapeMismatch {
+                op: "attention_decode_kv",
+                lhs: (kv.len(), kv.hidden()),
+                rhs: self.wk.value().shape(),
             });
         }
         let [q, k, v] = self.project(x)?;
@@ -667,6 +683,46 @@ mod tests {
         let attn = MultiHeadAttention::new(&mut rng, 8, 2);
         let x = normal(&mut rng, 1, 8, 1.0);
         let mut kv = KvCache::new(4);
-        assert!(attn.forward_decode(&x, &mut kv).is_err());
+        let err = attn.forward_decode(&x, &mut kv).unwrap_err();
+        assert_eq!(
+            err,
+            TensorError::ShapeMismatch {
+                op: "attention_decode_kv",
+                lhs: (0, 4),
+                rhs: (8, 8),
+            }
+        );
+        assert_eq!(kv.len(), 0, "a refused chunk appends nothing");
+    }
+
+    #[test]
+    fn decode_names_a_mismatched_input() {
+        let mut rng = seeded_rng(79);
+        let attn = MultiHeadAttention::new(&mut rng, 8, 2);
+        let x = normal(&mut rng, 3, 6, 1.0);
+        let err = attn.forward_decode(&x, &mut KvCache::new(8)).unwrap_err();
+        assert_eq!(
+            err,
+            TensorError::ShapeMismatch {
+                op: "attention_decode",
+                lhs: (3, 6),
+                rhs: (8, 8),
+            }
+        );
+    }
+
+    #[test]
+    fn decode_refuses_a_tensor_parallel_shard() {
+        // A shard whose input and cache are both the right width: only the
+        // layer's inner width is wrong, and the error says so.
+        let mut rng = seeded_rng(80);
+        let mut w = |rows, cols| normal(&mut rng, rows, cols, 1.0);
+        let shard = MultiHeadAttention::from_parts(w(8, 4), w(8, 4), w(8, 4), w(4, 8), 1);
+        let x = w(1, 8);
+        let err = shard.forward_decode(&x, &mut KvCache::new(8)).unwrap_err();
+        assert!(
+            matches!(&err, TensorError::InvalidArgument(m) if m.contains("tensor-parallel shard")),
+            "{err}"
+        );
     }
 }

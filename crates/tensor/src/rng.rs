@@ -7,6 +7,12 @@
 //! SplitMix64 stream: tiny, fast, statistically solid for test-sized draws,
 //! and — crucially for an offline-reproducible artifact — implemented here
 //! with no external dependencies.
+//!
+//! SplitMix64's state is a counter, so [`StdRng::advance`] jumps any number
+//! of draws ahead in O(1). That makes a stream *addressable*: a device can
+//! start at its own rows' positions in the single-device initialization
+//! stream and draw exactly the values the single device would (the stream
+//! layout is in [`crate::init`]).
 
 /// Types that can be sampled uniformly from a half-open range by an [`Rng`].
 pub trait SampleUniform: Sized + Copy + PartialOrd {
@@ -109,12 +115,21 @@ pub struct StdRng {
     state: u64,
 }
 
+/// SplitMix64's state increment (the golden-ratio gamma).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl StdRng {
+    /// Skips `draws` calls of [`RngCore::next_u64`] in O(1): the stream
+    /// continues exactly as if they had been made.
+    pub fn advance(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
+    }
+
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from_u64(seed: u64) -> Self {
         // One warm-up step decorrelates small seeds.
         let mut rng = StdRng {
-            state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
+            state: seed.wrapping_add(GAMMA),
         };
         let _ = rng.next_u64();
         rng
@@ -129,7 +144,7 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
 
 impl RngCore for StdRng {
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -185,6 +200,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         assert!((2200..2800).contains(&hits), "{hits}");
+    }
+
+    #[test]
+    fn advance_skips_exactly_that_many_draws() {
+        for n in [0u64, 1, 2, 1000] {
+            let mut stepped = StdRng::seed_from_u64(5);
+            for _ in 0..n {
+                stepped.next_u64();
+            }
+            let mut jumped = StdRng::seed_from_u64(5);
+            jumped.advance(n);
+            assert_eq!(jumped.next_u64(), stepped.next_u64(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn advances_compose_across_the_wrap() {
+        // A state just below the wrap, and jump lengths whose product with
+        // the increment overflows `u64` many times.
+        for (a, b) in [(3, 4), (u64::MAX, 2), (1 << 63, (1 << 63) + 7)] {
+            let mut start = StdRng {
+                state: u64::MAX - 1,
+            };
+            start.next_u64();
+            let (mut split, mut whole) = (start.clone(), start);
+            split.advance(a);
+            split.advance(b);
+            whole.advance(a.wrapping_add(b));
+            assert_eq!(split.next_u64(), whole.next_u64(), "{a} + {b}");
+        }
     }
 
     #[test]

@@ -320,7 +320,7 @@ fn vocab_training_is_pinned_bitwise() {
         let m = config.microbatches as u32;
         let schedule =
             schedule_for(Mode::Vocab(VocabAlgo::Alg2), ScheduleFamily::OneFOneB, 2, m).unwrap();
-        let out = train(
+        let mut out = train(
             &config,
             &TrainSpec::new(&schedule),
             3,
@@ -328,7 +328,7 @@ fn vocab_training_is_pinned_bitwise() {
         )
         .unwrap();
         out.report.losses.iter().for_each(|l| h.word(l.to_bits()));
-        out.checkpoint.shards.iter().for_each(|s| h.bytes(s));
+        out.checkpoint().shards.iter().for_each(|s| h.bytes(s));
     }
     let want = if vp_tensor::mathx::fast_math() {
         0xf550_a7c9_e38c_3b3f
@@ -365,9 +365,9 @@ fn tp_grid_training_is_pinned_bitwise() {
             tp: 2,
             ..TrainSpec::new(schedule)
         };
-        let out = train(&config, &spec, 3, &DataSource::synthetic(&config)).unwrap();
+        let mut out = train(&config, &spec, 3, &DataSource::synthetic(&config)).unwrap();
         out.report.losses.iter().for_each(|l| h.word(l.to_bits()));
-        out.checkpoint.shards.iter().for_each(|s| h.bytes(s));
+        out.checkpoint().shards.iter().for_each(|s| h.bytes(s));
     }
     let want = if vp_tensor::mathx::fast_math() {
         0xd66d_aa00_0f50_ede5

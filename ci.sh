@@ -2,8 +2,9 @@
 # Local CI gate, fail-fast ordered: the cheap source-level checks (format,
 # unsafe audit, single-launcher audit) run before anything compiles, lint
 # (clippy) runs before the release build it shares artifacts with, then the
-# test suites (the workspace, vp-tensor and vp-core again on the portable
-# and AVX2 register tiles, and benchmark/ against crates/*), and last the `repro`
+# test suites (the workspace, vp-tensor, vp-core, vp-model and the root
+# `*_pinned_bitwise` digests again on the portable and AVX2 register tiles,
+# and benchmark/ against crates/*), and last the `repro`
 # experiments that gate themselves. Every structural fact is asserted once, in Rust: by
 # `cargo test --workspace`, and by the exit status of `repro check`
 # (static verification sweep), `repro tpsweep` (every PP x TP
@@ -136,11 +137,17 @@ portable_tile_test() {
     # sweep's chunking (vp-core), and the tiled chunk attention under the
     # block decode pins (vp-model). RUSTFLAGS replaces the config's flags:
     # baseline x86-64 selects the portable 4x8 tile, x86-64-v3 the AVX2
-    # 6x16 intrinsics kernel (simd.rs), each in its own target dir.
+    # 6x16 intrinsics kernel (simd.rs), each in its own target dir. The
+    # root `*_pinned_bitwise` digests run on each tile too: the kernels have
+    # one numeric path, so a pin holds one digest on every tile.
     RUSTFLAGS="-C target-cpu=x86-64" \
         cargo test -p vp-tensor -p vp-core -p vp-model --release --quiet --target-dir target/portable
+    RUSTFLAGS="-C target-cpu=x86-64" \
+        cargo test -p vocab-parallelism --release --quiet --target-dir target/portable --test integration pinned_bitwise
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
         cargo test -p vp-tensor -p vp-core -p vp-model --release --quiet --target-dir target/avx2
+    RUSTFLAGS="-C target-cpu=x86-64-v3" \
+        cargo test -p vocab-parallelism --release --quiet --target-dir target/avx2 --test integration pinned_bitwise
 }
 
 benchmark_test() {
@@ -189,7 +196,7 @@ stage "init audit (FullModel::build only on the single-device reference paths)" 
 stage "cargo clippy --workspace --all-targets -- -D warnings (+ pedantic subset)" clippy_lint
 stage "cargo build --workspace --release" build_release
 stage "cargo test --workspace --release" test_release
-stage "cargo test -p vp-tensor -p vp-core -p vp-model, target-cpu=x86-64 and x86-64-v3 (the portable and AVX2 register tiles)" portable_tile_test
+stage "cargo test -p vp-tensor -p vp-core -p vp-model and the root pins, target-cpu=x86-64 and x86-64-v3 (the portable and AVX2 register tiles)" portable_tile_test
 stage "cargo test --manifest-path benchmark/Cargo.toml (the frozen benchmark against crates/*)" benchmark_test
 stage "repro check x2 (static schedule verification sweep)" rerun_identical check CHECK
 stage "repro tpsweep (PP x TP crossover)" repro tpsweep --json --out target/TPSWEEP.json

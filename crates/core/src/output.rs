@@ -779,8 +779,7 @@ impl OutputShard {
     /// logits are then swept a group of [`EXP_SUM_ROWS`] rows at a time,
     /// while the group is in cache: a top-`k` sweep per row that skips
     /// 16-wide chunks holding no contender, then training's exp-sum
-    /// ([`exp_sum_rows`]: the row max, the exp under the accuracy policy in
-    /// place, the group's ascending sums as interleaved chains). A `NaN`
+    /// ([`exp_sum_rows`]: the row max, the polynomial exp in place, the group's ascending sums as interleaved chains). A `NaN`
     /// logit is never a candidate, and a row with no logit above `−∞` gets the
     /// identity statistics `(−∞, 0)`, which the merge weighs as nothing.
     ///
@@ -1254,17 +1253,13 @@ pub(crate) mod tests {
             cands.truncate(k);
             cands.resize(k, (f32::NEG_INFINITY, 0));
             max.push(m);
-            // Policy exp, ascending sum: the production exp-sum, fused. A
-            // row with no logit above `−∞` (an empty shard's included) has
-            // the identity sum, or `NaN` if it holds one.
-            let exp = |v: f32| match vp_tensor::mathx::fast_math() {
-                true => vp_tensor::mathx::exp(v - m),
-                false => (v - m).exp(),
-            };
+            // Polynomial exp, ascending sum: the production exp-sum, fused.
+            // A row with no logit above `−∞` (an empty shard's included)
+            // has the identity sum, or `NaN` if it holds one.
             sum.push(match m {
                 f32::NEG_INFINITY if row.iter().any(|v| v.is_nan()) => f32::NAN,
                 f32::NEG_INFINITY => 0.0,
-                _ => row.iter().map(|&v| exp(v)).sum(),
+                _ => row.iter().map(|&v| vp_tensor::mathx::exp(v - m)).sum(),
             });
             topk.extend(cands);
         }

@@ -67,10 +67,15 @@ pub fn mode_of_schedule(schedule: &Schedule) -> Result<Mode> {
 }
 
 /// Validates a `(config, schedule, dp)` triple for numeric execution and
-/// returns the derived [`Mode`]: the schedule must pass the §5.1 dependency
-/// validation, each of the `dp` replicas must run an equal share of the
-/// config's microbatches, the layer count must split evenly over the
-/// virtual stages, and tied embeddings require Vocabulary Parallelism.
+/// returns the derived [`Mode`]: each of the `dp` replicas must run an equal
+/// share of the config's microbatches, the layer count must split evenly
+/// over the virtual stages, tied embeddings require Vocabulary Parallelism,
+/// and the schedule must pass every `vp-check` analysis. That last gate is
+/// the one verdict on the schedule: it includes the §5.1 dependency
+/// structure and cycles (`VP0001`–`VP0003`, what
+/// `vp_schedule::deps::validate` rejects) and also refuses coverage holes
+/// and mismatched collectives (`VP0004`, `VP0005`, …), which a device
+/// thread would otherwise run to a wrong loss without an error.
 pub(crate) fn check_schedule(config: &TinyConfig, schedule: &Schedule, dp: usize) -> Result<Mode> {
     let mode = mode_of_schedule(schedule)?;
     let virtual_stages = schedule.virtual_stages();
@@ -100,8 +105,14 @@ pub(crate) fn check_schedule(config: &TinyConfig, schedule: &Schedule, dp: usize
                 .into(),
         ));
     }
-    vp_schedule::deps::validate(schedule)
-        .map_err(|e| TensorError::InvalidArgument(format!("schedule invalid: {e}")))?;
+    let report = vp_check::check(schedule);
+    if !report.is_clean() {
+        let codes: Vec<String> = report.codes().iter().map(ToString::to_string).collect();
+        return Err(TensorError::InvalidArgument(format!(
+            "schedule failed vp-check: {}",
+            codes.join(", ")
+        )));
+    }
     Ok(mode)
 }
 
@@ -761,6 +772,36 @@ mod tests {
         let err =
             train_schedule(&config, &schedule, 1, &DataSource::synthetic(&config)).unwrap_err();
         assert!(err.to_string().contains("microbatch"));
+    }
+
+    /// A schedule `vp-check` rejects never reaches a device thread. Device
+    /// 1 of a Vocab-2 1F1B schedule drops its `T` (or its `InputB`) of
+    /// microbatch 0: a coverage hole (`VP0004`) and a collective that
+    /// device 1 never joins (`VP0005`). The dependency rules alone accept
+    /// it, and on the devices it trains to a wrong loss without an error.
+    #[test]
+    fn schedules_vp_check_rejects_are_refused() {
+        use vp_schedule::pass::{PassKind, Schedule, VocabVariant};
+        let config = TinyConfig::default();
+        let m = config.microbatches as u32;
+        let base = generators::vocab_1f1b(2, m, VocabVariant::Alg2, PassTimes::default(), true);
+        for kind in [PassKind::T, PassKind::InputB] {
+            let mut passes: Vec<_> = (0..2).map(|d| base.passes(d).to_vec()).collect();
+            let len = passes[1].len();
+            passes[1].retain(|p| !(p.kind == kind && p.microbatch == 0));
+            assert_eq!(passes[1].len(), len - 1, "{kind:?} 0 is on device 1");
+            let mutant = Schedule::new(base.kind(), m, base.chunks(), passes)
+                .with_placement(base.placement());
+            vp_schedule::deps::validate(&mutant).expect("the dependency rules accept it");
+            let err = train_schedule(&config, &mutant, 2, &DataSource::synthetic(&config))
+                .map(|_| ())
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("vp-check") && err.contains("VP0004") && err.contains("VP0005"),
+                "{kind:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -143,6 +143,54 @@ fn chunked_prefill_matches_the_reference_at_every_chunk_size() {
 }
 
 #[test]
+fn completions_are_bitwise_independent_of_batch_size_and_prefill_chunk() {
+    // Rows are independent through every kernel, so neither how many
+    // requests share a step nor how many prompt tokens a step feeds may
+    // move a token or a logprob bit. Compared within each p only: the
+    // vocabulary shards reduce the softmax statistics per shard, so the
+    // logprob bits still depend on p.
+    let requests = WorkloadSpec {
+        requests: 8,
+        rate: None,
+        prompt_len: (2, 12),
+        output_len: (1, 8),
+        seed: 5,
+    }
+    .generate(TinyConfig::default().vocab, TinyConfig::default().seq_len);
+    for devices in [1, 2, 4] {
+        let mut want = None;
+        for max_batch in [1, 3, 8] {
+            for prefill_chunk in [1, 4, 16] {
+                let config = ServeConfig {
+                    prefill_chunk,
+                    ..serve_config(devices, max_batch)
+                };
+                let mut engine = ServeEngine::start(config).unwrap();
+                let mut run = engine.serve(&requests);
+                engine.shutdown();
+                run.completions.sort_by_key(|c| c.id);
+                let got: Vec<(Vec<usize>, Vec<u32>)> = run
+                    .completions
+                    .iter()
+                    .map(|c| {
+                        (
+                            c.tokens.clone(),
+                            c.logprobs.iter().map(|l| l.to_bits()).collect(),
+                        )
+                    })
+                    .collect();
+                assert_eq!(got.len(), requests.len());
+                let want = want.get_or_insert(got.clone());
+                assert_eq!(
+                    &got, want,
+                    "p={devices} max_batch={max_batch} prefill_chunk={prefill_chunk}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn tiny_kv_pool_applies_backpressure_and_still_completes_every_request() {
     // A pool that fits roughly one request at a time turns admission into
     // backpressure: requests queue for blocks instead of a device pool

@@ -18,8 +18,9 @@
 //!
 //! # Configuration and observability
 //!
-//! * `VP_ARENA=0` (or [`set_enabled`]`(false)`) bypasses the arena entirely:
-//!   allocations come straight from the system allocator and releases drop.
+//! * [`set_enabled`]`(false)` bypasses the arena entirely: allocations come
+//!   straight from the system allocator and releases drop. It exists as the
+//!   fresh-allocation oracle that the pooled-vs-fresh tests compare against.
 //! * [`stats`] exposes monotone `fresh` / `reuse` counters plus the live
 //!   `outstanding` and `cached` buffer counts; [`reset_counters`] rebases
 //!   the monotone counters (the pool contents survive) so a test or the
@@ -77,7 +78,6 @@ struct Arena {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
-static ENV_CHECKED: OnceLock<()> = OnceLock::new();
 
 fn arena() -> &'static Arena {
     static ARENA: OnceLock<Arena> = OnceLock::new();
@@ -91,29 +91,16 @@ fn arena() -> &'static Arena {
     })
 }
 
-/// Whether the arena is currently recycling buffers.
-///
-/// Resolves `VP_ARENA` on first use: `0`/`off`/`false` disables recycling
-/// process-wide (useful for the pooled-vs-fresh equivalence gates).
+/// Whether the arena is currently recycling buffers (on unless
+/// [`set_enabled`]`(false)`).
 pub fn enabled() -> bool {
-    ENV_CHECKED.get_or_init(|| {
-        if let Ok(v) = std::env::var("VP_ARENA") {
-            let v = v.trim().to_ascii_lowercase();
-            if v == "0" || v == "off" || v == "false" {
-                ENABLED.store(false, Ordering::Release);
-            }
-        }
-    });
     ENABLED.load(Ordering::Acquire)
 }
 
-/// Enables or disables recycling process-wide (overrides `VP_ARENA`).
+/// Enables or disables recycling process-wide.
 ///
 /// Disabling does not drop already-cached buffers; call [`trim`] for that.
 pub fn set_enabled(on: bool) {
-    // Resolve the env var first so a later `enabled()` cannot overwrite
-    // this explicit setting.
-    enabled();
     ENABLED.store(on, Ordering::Release);
 }
 

@@ -28,9 +28,9 @@
 //!   rows — bitwise identical to the serial kernels for every thread count
 //!   (configure with [`set_num_threads`] or `VP_THREADS`; `1` is exactly the
 //!   serial code path).
-//! * Polynomial vector math behind an explicit accuracy policy ([`mathx`]):
-//!   the fast default swaps libm `exp`/`tanh` for bounded, auto-vectorizable
-//!   approximations; `VP_FAST_MATH=0` pins the bitwise libm reference path.
+//! * Polynomial vector math ([`mathx`]): every elementwise `exp`/`tanh` in
+//!   the kernels is a bounded, auto-vectorizable approximation whose bits
+//!   are a property of the source; libm is only its test oracle.
 //!
 //! # Example
 //!

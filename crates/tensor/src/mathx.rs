@@ -1,40 +1,26 @@
-//! Polynomial vector math (`exp`, `tanh`) behind an explicit accuracy
-//! policy.
+//! Polynomial vector math (`exp`, `tanh`): the one definition of every
+//! elementwise transcendental in the kernels.
 //!
 //! The transcendental kernels (GELU's `tanh`, softmax's `exp`) used to call
 //! libm once per element — the kernel bench measured GELU at 0.37 GFLOP/s
 //! with scalar `tanh` taking ~25 ns/element, 4× slower than a 256³ matmul.
 //! This module provides branch-free polynomial approximations that the
-//! compiler auto-vectorizes (the workspace builds with `target-cpu=native`),
-//! plus the process-wide policy that decides which path kernels take.
+//! compiler auto-vectorizes (the workspace builds with `target-cpu=native`).
 //!
-//! # Accuracy policy
+//! # Numerics
 //!
-//! Two paths, selected once per process:
+//! The approximations are bounded against libm, which is their test oracle
+//! only (`crates/tensor/tests/mathx.rs`): [`exp`] within [`EXP_MAX_ULP`]
+//! ULP over the full finite range (exact at `0`, `−∞`, `∞`, `NaN`),
+//! [`tanh`] within [`TANH_MAX_ABS_ERROR`] absolute error with
+//! `|tanh(x)| ≤ 1` everywhere and NaN propagated.
 //!
-//! * **Reference** (`VP_FAST_MATH=0` or [`set_fast_math`]`(Some(false))`):
-//!   kernels call `f32::exp` / `f32::tanh` exactly as they always have.
-//!   This path is *bitwise-pinned*: outputs are byte-identical to the
-//!   pre-fast-math implementation (pinned by
-//!   `crates/tensor/tests/mathx.rs`), so the paper's Fig-17 equivalence
-//!   protocol and every existing `bitwise_identical` invariant are
-//!   unaffected by this module's existence.
-//! * **Fast** (the default): kernels call [`exp`] / [`tanh`] below. The
-//!   approximations are bounded against libm by property tests:
-//!   `exp` within [`EXP_MAX_ULP`] ULP over the full finite range (exact at
-//!   `0`, `−∞`, `∞`, `NaN`), `tanh` within [`TANH_MAX_ABS_ERROR`] absolute
-//!   error with `|tanh(x)| ≤ 1` everywhere and NaN propagated.
-//!
-//! Whichever path is active, it is **deterministic and elementwise**, so
-//! threaded kernels remain bitwise identical to serial kernels, and two
-//! training runs under the same policy are byte-identical — only the
-//! *reference* path additionally matches the historical bytes.
-//!
-//! The policy is process-global on purpose: forward caches (e.g. GELU's
-//! cached tanh term) must be produced by the same function the backward
-//! pass uses, or the hoisted-vs-recomputed bitwise identity breaks.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! Both are plain f32 arithmetic, which rustc neither contracts into FMA
+//! nor reassociates, so their bits are a property of the source, not of
+//! the host's libm or of the register tile. They are **deterministic and
+//! elementwise**, so threaded kernels stay bitwise identical to serial
+//! kernels, and a forward cache (GELU's tanh term) is bitwise what the
+//! backward pass would recompute.
 
 /// Documented bound for [`exp`] vs `f32::exp`, in units in the last place.
 ///
@@ -48,50 +34,12 @@ pub const EXP_MAX_ULP: u32 = 4;
 /// the meaningful one; property-tested alongside [`EXP_MAX_ULP`].
 pub const TANH_MAX_ABS_ERROR: f32 = 5e-7;
 
-/// Policy cell: 0 = unresolved, 1 = reference, 2 = fast.
-static POLICY: AtomicU8 = AtomicU8::new(0);
-
-/// Whether kernels take the fast polynomial path (`true`) or the
-/// bitwise-pinned libm reference path (`false`).
+/// Always `true`: the kernels have one numeric path, [`exp`] and [`tanh`].
 ///
-/// Resolved once from `VP_FAST_MATH` (`0`/`false`/`off` → reference,
-/// anything else or unset → fast) unless overridden by [`set_fast_math`].
-pub fn fast_math() -> bool {
-    match POLICY.load(Ordering::Acquire) {
-        0 => {
-            let fast = default_policy();
-            let v = if fast { 2 } else { 1 };
-            // A racing `set_fast_math` wins; only fill in the default once.
-            let _ = POLICY.compare_exchange(0, v, Ordering::AcqRel, Ordering::Acquire);
-            POLICY.load(Ordering::Acquire) == 2
-        }
-        v => v == 2,
-    }
-}
-
-fn default_policy() -> bool {
-    match std::env::var("VP_FAST_MATH") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "false" || v == "off")
-        }
-        Err(_) => true,
-    }
-}
-
-/// Overrides the accuracy policy process-wide (`None` restores resolution
-/// from the `VP_FAST_MATH` environment variable on next use).
-///
-/// Takes effect for subsequent kernel calls. Tests use this to pin both
-/// paths; mixing policies *within* one forward/backward pair is the one
-/// thing the policy exists to prevent, so flip it only between steps.
-pub fn set_fast_math(fast: Option<bool>) {
-    let v = match fast {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    POLICY.store(v, Ordering::Release);
+/// Kept only because the frozen benchmark's environment record
+/// (`benchmark/src/env.rs`) reads it; ROADMAP item 1a retires it.
+pub const fn fast_math() -> bool {
+    true
 }
 
 // Cody–Waite split of ln 2 for the range reduction `x = n·ln2 + r`:
@@ -210,16 +158,6 @@ pub fn tanh(x: f32) -> f32 {
     v.clamp(-1.0, 1.0)
 }
 
-/// Serializes in-crate tests that flip the process-global policy against
-/// tests whose bitwise assertions depend on the policy staying put.
-#[cfg(test)]
-pub(crate) fn test_policy_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,15 +251,5 @@ mod tests {
         assert!(tanh(f32::NAN).is_nan());
         assert!(tanh(50.0) <= 1.0 && tanh(50.0) > 0.999_999);
         assert!(tanh(-50.0) >= -1.0 && tanh(-50.0) < -0.999_999);
-    }
-
-    #[test]
-    fn policy_override_round_trips() {
-        let _guard = test_policy_guard();
-        set_fast_math(Some(false));
-        assert!(!fast_math());
-        set_fast_math(Some(true));
-        assert!(fast_math());
-        set_fast_math(None);
     }
 }

@@ -3,26 +3,12 @@ use crate::{mathx, Result, Tensor, TensorError};
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 const GELU_C: f32 = 0.044_715;
 
-/// The policy-resolved tanh every GELU entry point shares: libm on the
-/// bitwise-pinned reference path, the bounded polynomial [`mathx::tanh`]
-/// on the fast path. One function for forward *and* backward, so the
-/// cached-tanh bitwise identity holds under either policy.
-#[inline]
-fn gelu_tanh(u: f32) -> f32 {
-    if mathx::fast_math() {
-        mathx::tanh(u)
-    } else {
-        u.tanh()
-    }
-}
-
-/// GELU activation (tanh approximation), applied elementwise.
-///
-/// The tanh follows the process accuracy policy ([`crate::mathx`]).
+/// GELU activation (tanh approximation, the bounded polynomial
+/// [`mathx::tanh`]), applied elementwise.
 #[inline]
 pub fn gelu(x: f32) -> f32 {
     let inner = SQRT_2_OVER_PI * (x + GELU_C * x * x * x);
-    0.5 * x * (1.0 + gelu_tanh(inner))
+    0.5 * x * (1.0 + mathx::tanh(inner))
 }
 
 /// Derivative of [`gelu`] given the input `x` and the cached
@@ -38,12 +24,11 @@ pub fn gelu_backward_with_tanh(x: f32, t: f32) -> f32 {
 }
 
 /// Derivative of [`gelu`] with respect to its input (standalone form;
-/// recomputes the tanh — under the same accuracy policy — that
-/// [`gelu_backward_with_tanh`] takes cached).
+/// recomputes the tanh that [`gelu_backward_with_tanh`] takes cached).
 #[inline]
 pub fn gelu_backward(x: f32) -> f32 {
     let u = SQRT_2_OVER_PI * (x + GELU_C * x * x * x);
-    gelu_backward_with_tanh(x, gelu_tanh(u))
+    gelu_backward_with_tanh(x, mathx::tanh(u))
 }
 
 /// Activations cached by [`Gelu::forward`]: the input and the tanh term,
@@ -78,14 +63,12 @@ impl Gelu {
     /// Applies GELU elementwise, caching the input and the tanh term.
     ///
     /// Elementwise, so row-parallel execution (see [`crate::pool`]) is
-    /// trivially bitwise identical to the serial path. On the fast policy
-    /// path the branch-free polynomial tanh auto-vectorizes; the reference
-    /// path calls libm per element exactly as before.
+    /// trivially bitwise identical to the serial path; the branch-free
+    /// polynomial tanh auto-vectorizes.
     pub fn forward(&self, x: &Tensor) -> (Tensor, GeluCache) {
         let (rows, cols) = x.shape();
         let mut y = Tensor::zeros(rows, cols);
         let mut t = Tensor::zeros(rows, cols);
-        let fast = mathx::fast_math();
         crate::pool::par_rows_mut2(
             rows,
             x.len().saturating_mul(16),
@@ -93,20 +76,11 @@ impl Gelu {
             t.data_mut(),
             |r0, _r1, yc, tc| {
                 let src = &x.data()[r0 * cols..r0 * cols + yc.len()];
-                if fast {
-                    for ((yo, to), &v) in yc.iter_mut().zip(tc.iter_mut()).zip(src) {
-                        let inner = SQRT_2_OVER_PI * (v + GELU_C * v * v * v);
-                        let th = mathx::tanh(inner);
-                        *to = th;
-                        *yo = 0.5 * v * (1.0 + th);
-                    }
-                } else {
-                    for ((yo, to), &v) in yc.iter_mut().zip(tc.iter_mut()).zip(src) {
-                        let inner = SQRT_2_OVER_PI * (v + GELU_C * v * v * v);
-                        let th = inner.tanh();
-                        *to = th;
-                        *yo = 0.5 * v * (1.0 + th);
-                    }
+                for ((yo, to), &v) in yc.iter_mut().zip(tc.iter_mut()).zip(src) {
+                    let inner = SQRT_2_OVER_PI * (v + GELU_C * v * v * v);
+                    let th = mathx::tanh(inner);
+                    *to = th;
+                    *yo = 0.5 * v * (1.0 + th);
                 }
             },
         );
@@ -189,33 +163,26 @@ mod tests {
     fn cached_tanh_backward_pins_standalone_derivative() {
         // The hoisted (cached-tanh) derivative must be bitwise equal to the
         // standalone form for every input — including non-finite ones —
-        // since both evaluate the identical expression chain. Holds under
-        // either accuracy policy because forward and backward share
-        // `gelu_tanh`; check both explicitly.
-        let _guard = mathx::test_policy_guard();
+        // since both evaluate the identical expression chain.
         let mut vals: Vec<f32> = (-400..=400).map(|i| i as f32 * 0.025).collect();
         vals.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-30]);
-        for policy in [false, true] {
-            mathx::set_fast_math(Some(policy));
-            for &x in &vals {
-                let u = 0.797_884_6_f32 * (x + 0.044_715 * x * x * x);
-                let hoisted = gelu_backward_with_tanh(x, gelu_tanh(u));
-                assert_eq!(
-                    gelu_backward(x).to_bits(),
-                    hoisted.to_bits(),
-                    "derivative diverged at x={x} (fast_math={policy})"
-                );
-            }
-            // And the layer path (cached tanh from forward) matches applying
-            // the standalone derivative to the same input.
-            let x = normal(&mut seeded_rng(17), 5, 7, 1.5);
-            let layer = Gelu::new();
-            let (_, cache) = layer.forward(&x);
-            let dx = layer.backward(&cache, &Tensor::ones(5, 7)).unwrap();
-            for (o, &xv) in dx.data().iter().zip(x.data()) {
-                assert_eq!(o.to_bits(), gelu_backward(xv).to_bits());
-            }
+        for &x in &vals {
+            let u = 0.797_884_6_f32 * (x + 0.044_715 * x * x * x);
+            let hoisted = gelu_backward_with_tanh(x, mathx::tanh(u));
+            assert_eq!(
+                gelu_backward(x).to_bits(),
+                hoisted.to_bits(),
+                "derivative diverged at x={x}"
+            );
         }
-        mathx::set_fast_math(None);
+        // And the layer path (cached tanh from forward) matches applying
+        // the standalone derivative to the same input.
+        let x = normal(&mut seeded_rng(17), 5, 7, 1.5);
+        let layer = Gelu::new();
+        let (_, cache) = layer.forward(&x);
+        let dx = layer.backward(&cache, &Tensor::ones(5, 7)).unwrap();
+        for (o, &xv) in dx.data().iter().zip(x.data()) {
+            assert_eq!(o.to_bits(), gelu_backward(xv).to_bits());
+        }
     }
 }

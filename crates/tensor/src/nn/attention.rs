@@ -453,9 +453,7 @@ mod tests {
     #[test]
     fn paged_kernel_is_bitwise_the_gather_oracle() {
         use crate::gemm::MR;
-        use crate::mathx;
         use crate::nn::kv::KvBlockPool;
-        let _guard = mathx::test_policy_guard();
         // Head widths 80 and 20: whole column strips plus a ragged one
         // under every register tile.
         let hidden = 80;
@@ -473,82 +471,78 @@ mod tests {
         let bits = |row: &[f32]| -> Vec<u32> { row.iter().map(|v| v.to_bits()).collect() };
         let mut rng = seeded_rng(81);
         let mut cases = 0;
-        for fast in [false, true] {
-            mathx::set_fast_math(Some(fast));
-            for heads in [1, 4] {
-                let attn = MultiHeadAttention::new(&mut rng, hidden, heads);
-                for kv_block in [1, 3, 16] {
-                    for base in [0, 1, 15, 16, 17, 70] {
-                        for n in chunks {
-                            let x = normal(&mut rng, n, hidden, 0.9);
-                            let prefix_k = normal(&mut rng, base, hidden, 0.9);
-                            let prefix_v = normal(&mut rng, base, hidden, 0.9);
-                            let q = normal(&mut rng, n, hidden, 0.9);
-                            let chunk_k = normal(&mut rng, n, hidden, 0.9);
-                            let chunk_v = normal(&mut rng, n, hidden, 0.9);
-                            for poison in poisons {
-                                // Poison needs a cached row to sit in.
-                                let (mut pk, mut pv) = (prefix_k.clone(), prefix_v.clone());
-                                if let (Some(p), true) = (poison, base > 0) {
-                                    *pk.at_mut(0, hidden - 1) = p;
-                                    *pv.at_mut(base - 1, 0) = p;
-                                }
-                                let pool = KvBlockPool::new(hidden, kv_block);
-                                let mut paged = KvCache::with_pool(&pool);
-                                let mut gathered = KvCache::with_pool(&pool);
-                                paged.append_rows(pk.data(), pv.data()).unwrap();
-                                gathered.append_rows(pk.data(), pv.data()).unwrap();
-                                let got = attn.forward_decode(&x, &mut paged).unwrap();
-                                let want = decode_oracle(&attn, &x, &mut gathered);
-                                let what = format!(
-                                    "fast={fast} heads={heads} kv_block={kv_block} \
-                                     base={base} n={n} poison={poison:?}"
-                                );
-                                for (a, b) in got.data().iter().zip(want.data()) {
-                                    assert_eq!(a.to_bits(), b.to_bits(), "{what}");
-                                }
-                                // Chunk append ≡ row-at-a-time append.
-                                assert_eq!(paged.len(), gathered.len(), "{what}");
-                                for j in 0..paged.len() {
-                                    assert_eq!(bits(&paged.k_row(j)), bits(&gathered.k_row(j)));
-                                    assert_eq!(bits(paged.v_row(j)), bits(gathered.v_row(j)));
-                                }
-
-                                // Poison in the chunk's own rows, which only
-                                // the rows at or past them may see: values
-                                // one position past each register tile's
-                                // shared horizon, and the last row's key.
-                                let (mut ck, mut cv) = (chunk_k.clone(), chunk_v.clone());
-                                if let Some(p) = poison {
-                                    for i in (1..n).step_by(MR) {
-                                        *cv.at_mut(i, 0) = p;
-                                        *cv.at_mut(i, hidden - 1) = p;
-                                    }
-                                    *ck.at_mut(n - 1, hidden / 2) = p;
-                                }
-                                let mut paged = KvCache::with_pool(&pool);
-                                let mut gathered = KvCache::with_pool(&pool);
-                                for kv in [&mut paged, &mut gathered] {
-                                    kv.append_rows(pk.data(), pv.data()).unwrap();
-                                }
-                                paged.append_rows(ck.data(), cv.data()).unwrap();
-                                for i in 0..n {
-                                    gathered.append(ck.row(i), cv.row(i)).unwrap();
-                                }
-                                let got = paged.attend(&q, heads);
-                                let want = attend_oracle(&gathered, &q, heads);
-                                for (a, b) in got.data().iter().zip(want.data()) {
-                                    assert_eq!(a.to_bits(), b.to_bits(), "chunk poison {what}");
-                                }
-                                cases += 1;
+        for heads in [1, 4] {
+            let attn = MultiHeadAttention::new(&mut rng, hidden, heads);
+            for kv_block in [1, 3, 16] {
+                for base in [0, 1, 15, 16, 17, 70] {
+                    for n in chunks {
+                        let x = normal(&mut rng, n, hidden, 0.9);
+                        let prefix_k = normal(&mut rng, base, hidden, 0.9);
+                        let prefix_v = normal(&mut rng, base, hidden, 0.9);
+                        let q = normal(&mut rng, n, hidden, 0.9);
+                        let chunk_k = normal(&mut rng, n, hidden, 0.9);
+                        let chunk_v = normal(&mut rng, n, hidden, 0.9);
+                        for poison in poisons {
+                            // Poison needs a cached row to sit in.
+                            let (mut pk, mut pv) = (prefix_k.clone(), prefix_v.clone());
+                            if let (Some(p), true) = (poison, base > 0) {
+                                *pk.at_mut(0, hidden - 1) = p;
+                                *pv.at_mut(base - 1, 0) = p;
                             }
+                            let pool = KvBlockPool::new(hidden, kv_block);
+                            let mut paged = KvCache::with_pool(&pool);
+                            let mut gathered = KvCache::with_pool(&pool);
+                            paged.append_rows(pk.data(), pv.data()).unwrap();
+                            gathered.append_rows(pk.data(), pv.data()).unwrap();
+                            let got = attn.forward_decode(&x, &mut paged).unwrap();
+                            let want = decode_oracle(&attn, &x, &mut gathered);
+                            let what = format!(
+                                "heads={heads} kv_block={kv_block} base={base} n={n} \
+                                 poison={poison:?}"
+                            );
+                            for (a, b) in got.data().iter().zip(want.data()) {
+                                assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+                            }
+                            // Chunk append ≡ row-at-a-time append.
+                            assert_eq!(paged.len(), gathered.len(), "{what}");
+                            for j in 0..paged.len() {
+                                assert_eq!(bits(&paged.k_row(j)), bits(&gathered.k_row(j)));
+                                assert_eq!(bits(paged.v_row(j)), bits(gathered.v_row(j)));
+                            }
+
+                            // Poison in the chunk's own rows, which only
+                            // the rows at or past them may see: values
+                            // one position past each register tile's
+                            // shared horizon, and the last row's key.
+                            let (mut ck, mut cv) = (chunk_k.clone(), chunk_v.clone());
+                            if let Some(p) = poison {
+                                for i in (1..n).step_by(MR) {
+                                    *cv.at_mut(i, 0) = p;
+                                    *cv.at_mut(i, hidden - 1) = p;
+                                }
+                                *ck.at_mut(n - 1, hidden / 2) = p;
+                            }
+                            let mut paged = KvCache::with_pool(&pool);
+                            let mut gathered = KvCache::with_pool(&pool);
+                            for kv in [&mut paged, &mut gathered] {
+                                kv.append_rows(pk.data(), pv.data()).unwrap();
+                            }
+                            paged.append_rows(ck.data(), cv.data()).unwrap();
+                            for i in 0..n {
+                                gathered.append(ck.row(i), cv.row(i)).unwrap();
+                            }
+                            let got = paged.attend(&q, heads);
+                            let want = attend_oracle(&gathered, &q, heads);
+                            for (a, b) in got.data().iter().zip(want.data()) {
+                                assert_eq!(a.to_bits(), b.to_bits(), "chunk poison {what}");
+                            }
+                            cases += 1;
                         }
                     }
                 }
             }
         }
-        mathx::set_fast_math(None);
-        assert_eq!(cases, 2 * 2 * 3 * 6 * chunks.len() * 4);
+        assert_eq!(cases, 2 * 3 * 6 * chunks.len() * 4);
     }
 
     #[test]

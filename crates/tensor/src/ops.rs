@@ -55,9 +55,8 @@ pub const EXP_SUM_ROWS: usize = 8;
 /// grow by one position per row). Row `r` gets its maximum `max[r] = m`,
 /// every element `v` of its width replaced in place by `e^{v − m}`, and
 /// `sum[r]`, the sum of those `e` in ascending column order; what lies
-/// past a row's width is not touched. The exponential follows the process
-/// accuracy policy ([`crate::mathx`]): the reference path calls `f32::exp`,
-/// the fast path the bounded polynomial [`mathx::exp`].
+/// past a row's width is not touched. The exponential is the bounded
+/// polynomial [`mathx::exp`].
 ///
 /// An empty or all-`−∞` row gets the identity statistics `(−∞, 0)` and a
 /// *defined zero row* rather than `NaN` from `e^{−∞ − (−∞)}`; a `NaN`
@@ -141,16 +140,10 @@ pub fn exp_sum_rows(
     }
 }
 
-/// `v ← e^{v − m}` for every element, under the accuracy policy.
+/// `v ← e^{v − m}` for every element, through the polynomial [`mathx::exp`].
 fn exp_in_place(row: &mut [f32], m: f32) {
-    if mathx::fast_math() {
-        for v in row.iter_mut() {
-            *v = mathx::exp(*v - m);
-        }
-    } else {
-        for v in row.iter_mut() {
-            *v = (*v - m).exp();
-        }
+    for v in row.iter_mut() {
+        *v = mathx::exp(*v - m);
     }
 }
 
@@ -236,7 +229,7 @@ pub fn local_exp_sum_in_place(t: &mut Tensor) -> SoftmaxStats {
 /// Overwrites `t` with its locally-normalized softmax and returns the
 /// per-row statistics: [`local_exp_sum_in_place`], then every row scaled
 /// by its [`softmax_norm`] while its group is still in cache. This is the
-/// one safe softmax — max, policy exp, ascending sum, scale by the
+/// one safe softmax — max, polynomial exp, ascending sum, scale by the
 /// reciprocal — which the paged attention applies to its causal score
 /// rows through the same two functions.
 ///

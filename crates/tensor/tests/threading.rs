@@ -127,7 +127,14 @@ fn softmax_family_is_bitwise_identical_across_thread_counts() {
     let _guard = config_lock();
     let before = num_threads();
     let mut rng = seeded_rng(11);
-    for &(rows, cols) in &[(0usize, 4usize), (3, 0), (1, 129), (65, 1), (37, 257)] {
+    for &(rows, cols) in &[
+        (0usize, 4usize),
+        (3, 0),
+        (1, 129),
+        (65, 1),
+        (37, 257),
+        (67, 96),
+    ] {
         let mut t = normal(&mut rng, rows, cols, 3.0);
         if rows > 2 && cols > 1 {
             // Exercise the fully-masked-row path too.
@@ -172,44 +179,6 @@ fn softmax_family_is_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
-fn both_accuracy_policies_keep_threaded_bitwise_identical_to_serial() {
-    // The determinism contract is policy-independent: whichever exp/tanh
-    // the kernels use (libm reference or the fast polynomials), threading
-    // splits only independent rows / column panels, so serial and threaded
-    // outputs must match bit for bit under *either* policy.
-    let _guard = config_lock();
-    let before = num_threads();
-    let mut rng = seeded_rng(29);
-    let x = normal(&mut rng, 67, 96, 2.5);
-    let logits = normal(&mut rng, 67, 96, 4.0);
-    let gelu = Gelu::new();
-    for policy in [false, true] {
-        vp_tensor::mathx::set_fast_math(Some(policy));
-        set_num_threads(1);
-        let (gelu_ref, _) = gelu.forward(&x);
-        let (sm_ref, stats_ref) = local_softmax(&logits);
-        for &t in THREAD_COUNTS {
-            set_num_threads(t);
-            let (g, _) = gelu.forward(&x);
-            assert_bits_eq(&g, &gelu_ref, &format!("gelu fast={policy} t={t}"));
-            let (sm, stats) = local_softmax(&logits);
-            assert_bits_eq(&sm, &sm_ref, &format!("softmax fast={policy} t={t}"));
-            assert_eq!(
-                stats.sum.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                stats_ref
-                    .sum
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "softmax sums fast={policy} t={t}"
-            );
-        }
-    }
-    vp_tensor::mathx::set_fast_math(None);
-    set_num_threads(before);
-}
-
-#[test]
 fn layer_norm_and_gelu_are_bitwise_identical_across_thread_counts() {
     let _guard = config_lock();
     let before = num_threads();
@@ -237,7 +206,7 @@ fn layer_norm_and_gelu_are_bitwise_identical_across_thread_counts() {
 }
 
 /// The per-row softmax body the grouped exp-sum replaced, kept as its
-/// oracle: max, policy exp, one ascending chain from `−0.0`, scale by the
+/// oracle: max, polynomial exp, one ascending chain from `−0.0`, scale by the
 /// reciprocal of a positive sum; an empty or all-`−∞` row gets `(−∞, 0)`
 /// (or its `NaN`) and a zero row. Returns the row's exponentials, its
 /// softmax and `(max, sum)`.
@@ -251,13 +220,7 @@ fn oracle_row(row: &[f32]) -> (Vec<f32>, Vec<f32>, (f32, f32)) {
         };
         return (vec![s; row.len()], vec![s; row.len()], (m, s));
     }
-    let exps: Vec<f32> = row
-        .iter()
-        .map(|&v| match vp_tensor::mathx::fast_math() {
-            true => vp_tensor::mathx::exp(v - m),
-            false => (v - m).exp(),
-        })
-        .collect();
+    let exps: Vec<f32> = row.iter().map(|&v| vp_tensor::mathx::exp(v - m)).collect();
     let mut s = -0.0f32;
     for &e in &exps {
         s += e;
@@ -312,50 +275,46 @@ fn grouped_exp_sum_is_bitwise_the_per_row_softmax() {
     let before = num_threads();
     let g = EXP_SUM_ROWS;
     let words = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    for policy in [false, true] {
-        vp_tensor::mathx::set_fast_math(Some(policy));
-        for rows in [1, g - 1, g, g + 1, 33] {
-            // 2053 columns: a ragged last 8-column block, and wide enough
-            // for the pool to split the rows.
-            for cols in [0, 3, 2053] {
-                let logits = exp_sum_rows_tensor(rows, cols, 61 + rows as u64);
-                let mut want_e = Vec::new();
-                let mut want_p = Vec::new();
-                let (mut want_m, mut want_s) = (Vec::new(), Vec::new());
-                for r in 0..rows {
-                    let (e, p, (m, s)) = oracle_row(logits.row(r));
-                    want_e.extend(e);
-                    want_p.extend(p);
-                    want_m.push(m);
-                    want_s.push(s);
-                }
-                let what = |t: usize| format!("fast={policy} rows={rows} cols={cols} t={t}");
-                if cols > 0 {
-                    // The tripwire really holds its sum at exactly 1.0.
-                    assert_eq!(want_s[0], 1.0);
-                }
-                for &t in THREAD_COUNTS {
-                    set_num_threads(t);
-                    let mut e = logits.clone();
-                    let stats = local_exp_sum_in_place(&mut e);
-                    assert_eq!(words(e.data()), words(&want_e), "exps {}", what(t));
-                    assert_eq!(words(&stats.max), words(&want_m), "max {}", what(t));
-                    assert_eq!(words(&stats.sum), words(&want_s), "sum {}", what(t));
-                    let mut p = logits.clone();
-                    let stats = local_softmax_in_place(&mut p);
-                    assert_eq!(words(p.data()), words(&want_p), "softmax {}", what(t));
-                    assert_eq!(words(&stats.sum), words(&want_s), "sum {}", what(t));
-                }
-                // The slice entry point, on the whole block at once.
-                let mut e = logits.clone();
-                let (mut m, mut s) = (vec![0.0; rows], vec![0.0; rows]);
-                exp_sum_rows(e.data_mut(), cols, |_| cols, &mut m, &mut s);
-                assert_eq!(words(e.data()), words(&want_e), "exps {}", what(0));
-                assert_eq!(words(&s), words(&want_s), "slice sum {}", what(0));
+    for rows in [1, g - 1, g, g + 1, 33] {
+        // 2053 columns: a ragged last 8-column block, and wide enough
+        // for the pool to split the rows.
+        for cols in [0, 3, 2053] {
+            let logits = exp_sum_rows_tensor(rows, cols, 61 + rows as u64);
+            let mut want_e = Vec::new();
+            let mut want_p = Vec::new();
+            let (mut want_m, mut want_s) = (Vec::new(), Vec::new());
+            for r in 0..rows {
+                let (e, p, (m, s)) = oracle_row(logits.row(r));
+                want_e.extend(e);
+                want_p.extend(p);
+                want_m.push(m);
+                want_s.push(s);
             }
+            let what = |t: usize| format!("rows={rows} cols={cols} t={t}");
+            if cols > 0 {
+                // The tripwire really holds its sum at exactly 1.0.
+                assert_eq!(want_s[0], 1.0);
+            }
+            for &t in THREAD_COUNTS {
+                set_num_threads(t);
+                let mut e = logits.clone();
+                let stats = local_exp_sum_in_place(&mut e);
+                assert_eq!(words(e.data()), words(&want_e), "exps {}", what(t));
+                assert_eq!(words(&stats.max), words(&want_m), "max {}", what(t));
+                assert_eq!(words(&stats.sum), words(&want_s), "sum {}", what(t));
+                let mut p = logits.clone();
+                let stats = local_softmax_in_place(&mut p);
+                assert_eq!(words(p.data()), words(&want_p), "softmax {}", what(t));
+                assert_eq!(words(&stats.sum), words(&want_s), "sum {}", what(t));
+            }
+            // The slice entry point, on the whole block at once.
+            let mut e = logits.clone();
+            let (mut m, mut s) = (vec![0.0; rows], vec![0.0; rows]);
+            exp_sum_rows(e.data_mut(), cols, |_| cols, &mut m, &mut s);
+            assert_eq!(words(e.data()), words(&want_e), "exps {}", what(0));
+            assert_eq!(words(&s), words(&want_s), "slice sum {}", what(0));
         }
     }
-    vp_tensor::mathx::set_fast_math(None);
     set_num_threads(before);
 }
 
@@ -369,27 +328,23 @@ fn ragged_exp_sum_is_bitwise_the_per_row_softmax() {
     let _guard = config_lock();
     let g = EXP_SUM_ROWS;
     let words = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    for policy in [false, true] {
-        vp_tensor::mathx::set_fast_math(Some(policy));
-        for rows in [1, g - 1, g, g + 1, 33] {
-            for base in [0, 6, 2040] {
-                let stride = (base + rows).next_multiple_of(16) + 3;
-                let width = |r: usize| base + r + 1;
-                let logits = exp_sum_rows_tensor(rows, stride, 71 + rows as u64);
-                let mut got = logits.clone();
-                let (mut m, mut s) = (vec![0.0; rows], vec![0.0; rows]);
-                exp_sum_rows(got.data_mut(), stride, width, &mut m, &mut s);
-                for r in 0..rows {
-                    let what = format!("fast={policy} rows={rows} base={base} row={r}");
-                    let (e, _, (want_m, want_s)) = oracle_row(&logits.row(r)[..width(r)]);
-                    assert_eq!(words(&got.row(r)[..width(r)]), words(&e), "exps {what}");
-                    assert_eq!(m[r].to_bits(), want_m.to_bits(), "max {what}");
-                    assert_eq!(s[r].to_bits(), want_s.to_bits(), "sum {what}");
-                    let past = |t: &Tensor| words(&t.row(r)[width(r)..]);
-                    assert_eq!(past(&got), past(&logits), "past the width {what}");
-                }
+    for rows in [1, g - 1, g, g + 1, 33] {
+        for base in [0, 6, 2040] {
+            let stride = (base + rows).next_multiple_of(16) + 3;
+            let width = |r: usize| base + r + 1;
+            let logits = exp_sum_rows_tensor(rows, stride, 71 + rows as u64);
+            let mut got = logits.clone();
+            let (mut m, mut s) = (vec![0.0; rows], vec![0.0; rows]);
+            exp_sum_rows(got.data_mut(), stride, width, &mut m, &mut s);
+            for r in 0..rows {
+                let what = format!("rows={rows} base={base} row={r}");
+                let (e, _, (want_m, want_s)) = oracle_row(&logits.row(r)[..width(r)]);
+                assert_eq!(words(&got.row(r)[..width(r)]), words(&e), "exps {what}");
+                assert_eq!(m[r].to_bits(), want_m.to_bits(), "max {what}");
+                assert_eq!(s[r].to_bits(), want_s.to_bits(), "sum {what}");
+                let past = |t: &Tensor| words(&t.row(r)[width(r)..]);
+                assert_eq!(past(&got), past(&logits), "past the width {what}");
             }
         }
     }
-    vp_tensor::mathx::set_fast_math(None);
 }

@@ -303,8 +303,8 @@ fn simulator_reports_are_pinned_bitwise() {
 /// h = 16, two devices), untied and tied, digested over every loss bit and
 /// every device's final checkpoint (the vocabulary-shard weights and their
 /// Adam moments among them). Any drift in `S`, `T` or the input backward
-/// fails here. One digest per accuracy policy (`VP_FAST_MATH`), computed
-/// before the vocabulary passes were reworked.
+/// fails here. The digest was computed before the vocabulary passes were
+/// reworked, and holds on every register tile.
 #[test]
 fn vocab_training_is_pinned_bitwise() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
@@ -330,21 +330,15 @@ fn vocab_training_is_pinned_bitwise() {
         out.report.losses.iter().for_each(|l| h.word(l.to_bits()));
         out.checkpoint().shards.iter().for_each(|s| h.bytes(s));
     }
-    let want = if vp_tensor::mathx::fast_math() {
-        0xf550_a7c9_e38c_3b3f
-    } else {
-        0x7f03_fb9a_c990_36b0
-    };
-    assert_eq!(h.0, want, "digest {:#018x}", h.0);
+    assert_eq!(h.0, 0xf550_a7c9_e38c_3b3f, "digest {:#018x}", h.0);
 }
 
 /// Tensor-parallel training is pinned bit for bit: three iterations of a
 /// `pp 2 × tp 2` grid on Vocab-2 1F1B and on zero-bubble Vocab-2 1F1B (whose
 /// `B` is the shadow backward and whose `W` folds the stashed gradients),
 /// digested over every loss bit and every device's final checkpoint (the
-/// sharded block weights and their Adam moments among them). One digest per
-/// accuracy policy (`VP_FAST_MATH`), computed while a shard was still its
-/// own block type.
+/// sharded block weights and their Adam moments among them). The digest was
+/// computed while a shard was still its own block type.
 #[test]
 fn tp_grid_training_is_pinned_bitwise() {
     let config = TinyConfig::default();
@@ -369,12 +363,7 @@ fn tp_grid_training_is_pinned_bitwise() {
         out.report.losses.iter().for_each(|l| h.word(l.to_bits()));
         out.checkpoint().shards.iter().for_each(|s| h.bytes(s));
     }
-    let want = if vp_tensor::mathx::fast_math() {
-        0xd66d_aa00_0f50_ede5
-    } else {
-        0xb4dd_8456_dba9_d51d
-    };
-    assert_eq!(h.0, want, "digest {:#018x}", h.0);
+    assert_eq!(h.0, 0xd66d_aa00_0f50_ede5, "digest {:#018x}", h.0);
 }
 
 /// Chunked prefill is pinned bit for bit, end to end and inside the
@@ -384,9 +373,8 @@ fn tp_grid_training_is_pinned_bitwise() {
 /// in request order. A random-init model's logprobs round away a last-bit
 /// change in the hidden state, so the digest also covers the hidden-state
 /// bits of the same model's blocks run over a 70-row sequence in 16-row
-/// `forward_decode` chunks. One digest per accuracy policy
-/// (`VP_FAST_MATH`), computed before the block forward ran on pre-packed
-/// weights and tiled chunk attention.
+/// `forward_decode` chunks. The digest was computed before the block
+/// forward ran on pre-packed weights and tiled chunk attention.
 #[test]
 fn chunked_prefill_is_pinned_bitwise() {
     use vp_runtime::serve::{ServeConfig, ServeEngine, WorkloadSpec};
@@ -437,10 +425,5 @@ fn chunked_prefill_is_pinned_bitwise() {
         }
         y.data().iter().for_each(|v| h.word(u64::from(v.to_bits())));
     }
-    let want = if vp_tensor::mathx::fast_math() {
-        0x6aa5_3243_40c4_3a2e
-    } else {
-        0xa7b1_30bb_59e8_004b
-    };
-    assert_eq!(h.0, want, "digest {:#018x}", h.0);
+    assert_eq!(h.0, 0x6aa5_3243_40c4_3a2e, "digest {:#018x}", h.0);
 }

@@ -74,19 +74,24 @@ unsafe_audit() {
 }
 
 launcher_audit() {
-    # One launcher: `device_loop` is called from one place and one
-    # `std::thread::scope` spawns training device threads, so a second
-    # launcher cannot grow back beside `vp_runtime::train` unnoticed.
-    local calls scopes
+    # One launcher: `device_loop` is called from one place, and outside
+    # tests crates/runtime/src starts device threads (`thread::spawn`,
+    # `thread::scope`, `thread::Builder`) at one site, in the device group
+    # (group.rs), so a second launcher cannot grow back beside it unnoticed.
+    local calls sites
     calls=$(grep -rhE '\bdevice_loop\(' crates/runtime/src | grep -vc 'fn device_loop(' || true)
-    scopes=$(for f in crates/runtime/src/*.rs crates/runtime/src/serve/*.rs; do
-        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
-    done | grep -c 'std::thread::scope' || true)
-    if [ "$calls" != 1 ] || [ "$scopes" != 1 ]; then
-        echo "crates/runtime/src: $calls device_loop call sites and $scopes thread scopes, want 1 and 1" >&2
+    sites=$(for f in crates/runtime/src/*.rs crates/runtime/src/serve/*.rs; do
+        awk -v file="${f#crates/runtime/src/}" '
+            /^#\[cfg\(test\)\]/ { exit }
+            /thread::(spawn|scope|Builder)/ { print file ":" FNR }' "$f"
+    done)
+    if [ "$calls" != 1 ] || [ "$(printf '%s\n' "$sites" | grep -c .)" != 1 ] \
+        || [[ "$sites" != group.rs:* ]]; then
+        echo "crates/runtime/src: $calls device_loop call sites and thread spawn sites [" $sites "]," \
+            "want 1 call site and 1 spawn site, in group.rs" >&2
         exit 1
     fi
-    echo "launcher audit OK: one device_loop call site, one thread scope"
+    echo "launcher audit OK: one device_loop call site, one spawn site ($sites)"
 }
 
 init_audit() {
@@ -191,7 +196,7 @@ determinism_gate() {
 
 stage "cargo fmt --check" fmt_check
 stage "unsafe audit (token match, allowlisted files only)" unsafe_audit
-stage "launcher audit (one device_loop call site, one thread scope)" launcher_audit
+stage "launcher audit (one device_loop call site, one device-thread spawn site: the device group)" launcher_audit
 stage "init audit (FullModel::build only on the single-device reference paths)" init_audit
 stage "cargo clippy --workspace --all-targets -- -D warnings (+ pedantic subset)" clippy_lint
 stage "cargo build --workspace --release" build_release

@@ -18,7 +18,6 @@
 use vp_collectives::{P2pEndpoint, Packet};
 use vp_schedule::pass::{placement_device_of, placement_stage_of, ChunkPlacement, Schedule};
 use vp_tensor::{Result, Tensor, TensorError};
-use vp_trace::Tracer;
 
 /// Stage-boundary activation traffic.
 pub(crate) const TAG_ACT: u64 = 1 << 40;
@@ -70,11 +69,6 @@ impl Link {
             base,
             stride,
         }
-    }
-
-    /// Records blocking receives and sends on `tracer`'s comm-wait track.
-    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
-        self.endpoint.set_tracer(tracer);
     }
 
     pub(crate) fn send(&self, stage: usize, tag: u64, t: &Tensor) -> Result<()> {

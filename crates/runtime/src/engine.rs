@@ -6,9 +6,9 @@
 //! schedule whose kind maps to a supported [`Mode`] (plain → baseline,
 //! Vocab-1/2 → Vocabulary Parallelism) executes numerically, which is how
 //! the zero-bubble and interleaved extensions train without new runtime
-//! code. Nor does it know the device layout: [`crate::train`]'s launcher
-//! hands every thread a `DeviceCtx` with its communicators already cut
-//! along the `dp × pp × tp` axes.
+//! code. Nor does it know the device layout: [`crate::train`] hands every
+//! thread of its device group a `DeviceCtx` with its communicators already
+//! cut along the `dp × pp × tp` axes.
 
 use crate::checkpoint::{read_params, write_params};
 use crate::comm::{stage_tag, Link, StageMap, TAG_ACT, TAG_C0, TAG_C2, TAG_GRAD, TAG_INGRAD};
@@ -18,8 +18,10 @@ use crate::stage::{StageBlocks, TpRow};
 use crate::state::{ActivationStore, MbState, WGradStash};
 use crate::vocab::VocabShard;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::sync::Arc;
 use std::time::Instant;
+use vp_check::CheckReport;
 use vp_collectives::{Collective, CommStream, ReduceOp};
 use vp_core::VocabAlgo;
 use vp_model::partition::VocabPartition;
@@ -28,7 +30,7 @@ use vp_schedule::pass::{PassKind, Schedule, ScheduleKind, VocabVariant};
 use vp_tensor::io::{read_u32, write_u32};
 use vp_tensor::nn::{softmax_cross_entropy, Embedding};
 use vp_tensor::optim::{Adam, Optimizer, Param};
-use vp_tensor::{pool, Result, Tensor, TensorError};
+use vp_tensor::{Result, Tensor, TensorError};
 use vp_trace::{Tracer, Track};
 
 /// How the vocabulary layers are placed and executed.
@@ -105,15 +107,21 @@ pub(crate) fn check_schedule(config: &TinyConfig, schedule: &Schedule, dp: usize
                 .into(),
         ));
     }
-    let report = vp_check::check(schedule);
-    if !report.is_clean() {
-        let codes: Vec<String> = report.codes().iter().map(ToString::to_string).collect();
-        return Err(TensorError::InvalidArgument(format!(
-            "schedule failed vp-check: {}",
-            codes.join(", ")
-        )));
-    }
+    refuse_flagged("schedule", &vp_check::check(schedule))?;
     Ok(mode)
+}
+
+/// The one refusal of training's and serving's vp-check gates: an error
+/// naming the stable codes (`VP0004`, …) of every finding in `report`.
+pub(crate) fn refuse_flagged(schedule: impl Display, report: &CheckReport) -> Result<()> {
+    if report.is_clean() {
+        return Ok(());
+    }
+    let codes: Vec<String> = report.codes().iter().map(ToString::to_string).collect();
+    Err(TensorError::InvalidArgument(format!(
+        "{schedule} failed vp-check: {}",
+        codes.join(", ")
+    )))
 }
 
 /// The parameters one device hosts, and nothing more: each piece is built
@@ -184,24 +192,6 @@ impl DeviceParams {
             params.extend(shard.params_mut());
         }
         params
-    }
-
-    /// Serializes the parameter state (Adam timestep, then values and
-    /// moments in `params_mut` order) — one shard of a
-    /// [`crate::PipelineCheckpoint`].
-    fn save(&mut self, adam_timestep: i32) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_u32(&mut buf, adam_timestep as u32);
-        write_params(&mut buf, self.params_mut());
-        buf
-    }
-
-    /// Restores the parameter state from a shard produced by
-    /// [`Self::save`]. Returns the Adam timestep to resume from.
-    fn load(&mut self, mut blob: &[u8]) -> Result<i32> {
-        let timestep = read_u32(&mut blob)? as i32;
-        read_params(&mut blob, self.params_mut())?;
-        Ok(timestep)
     }
 }
 
@@ -439,28 +429,34 @@ pub(crate) struct DeviceOutcome {
 }
 
 impl DeviceOutcome {
-    /// This device's shard of a [`crate::PipelineCheckpoint`].
+    /// This device's shard of a [`crate::PipelineCheckpoint`]: the Adam
+    /// timestep, then values and moments in `params_mut` order.
     pub(crate) fn checkpoint_shard(&mut self) -> Vec<u8> {
-        self.params.save(self.adam_timestep)
+        let mut buf = Vec::new();
+        write_u32(&mut buf, self.adam_timestep as u32);
+        write_params(&mut buf, self.params.params_mut());
+        buf
     }
 }
 
-/// Everything one device thread is launched with: the validated run, its
-/// place on each axis of the `dp × pp × tp` layout as the communicators
-/// cut along that axis, and the run-wide clock.
-pub(crate) struct DeviceCtx<'a> {
-    pub(crate) config: &'a TinyConfig,
-    pub(crate) schedule: &'a Schedule,
+/// Everything one device thread is launched with, owned: the validated run,
+/// its place on each axis of the `dp × pp × tp` layout as the communicators
+/// cut along that axis, its device-group slot and the run-wide clock.
+pub(crate) struct DeviceCtx {
+    pub(crate) config: TinyConfig,
+    pub(crate) schedule: Arc<Schedule>,
     /// `check_schedule`'s verdict on `(config, schedule)`.
     pub(crate) mode: Mode,
     pub(crate) iterations: usize,
-    pub(crate) corpus: &'a DataSource,
+    pub(crate) corpus: DataSource,
     /// Pipeline rank: which of the schedule's pass lists this thread walks.
     pub(crate) rank: usize,
     /// p2p channel to the stages of this device's pipeline column.
     pub(crate) link: Link,
     /// `C1` communicator of the column's vocabulary shards.
     pub(crate) c1: Collective,
+    /// The stream the `C1` barrier overlaps on.
+    pub(crate) c1_stream: CommStream,
     /// Grid row and this device's shard of it (`None` exactly when
     /// `tp == 1`).
     pub(crate) row: Option<(TpRow, TpPartition)>,
@@ -468,9 +464,8 @@ pub(crate) struct DeviceCtx<'a> {
     /// replica (`None` exactly when `dp == 1`).
     pub(crate) dp: Option<Collective>,
     /// Checkpoint shard to resume from and the iterations it completed.
-    pub(crate) restore: Option<(&'a [u8], u64)>,
-    /// This device's measured-run recording handle ([`Tracer::off`] when no
-    /// trace is wanted).
+    pub(crate) restore: Option<(Vec<u8>, u64)>,
+    /// The recording handle the link and the stream already write to.
     pub(crate) tracer: Tracer,
     /// Anchors the wall-clock pass spans across devices.
     pub(crate) epoch: Instant,
@@ -484,7 +479,7 @@ pub(crate) struct DeviceCtx<'a> {
 /// loop disarms the tracer for warm-up iterations and arms it for the final
 /// one, so a trace captures exactly one steady iteration — the same slice
 /// of the run the `spans` report covers.
-pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
+pub(crate) fn device_loop(ctx: DeviceCtx) -> Result<DeviceOutcome> {
     let DeviceCtx {
         config,
         schedule,
@@ -492,15 +487,16 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
         iterations,
         corpus,
         rank,
-        mut link,
+        link,
         c1,
+        c1_stream,
         row,
         dp,
         restore,
         tracer,
         epoch,
     } = ctx;
-    let map = StageMap::of(schedule);
+    let map = StageMap::of(&schedule);
     let last_dev = map.device_of(map.last_vs()).0;
     // The rank whose per-microbatch losses form the reported trajectory:
     // the last virtual stage's host in baseline mode (it computes the
@@ -511,22 +507,12 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
         Mode::Vocab(_) => 0,
     };
     let reports = rank == reporter && row.as_ref().is_none_or(|(_, part)| part.rank() == 0);
-    let params = DeviceParams::build(config, schedule, mode, rank, row.as_ref())?;
-    // The device thread, its p2p endpoint and its communication stream all
-    // write the same per-device timeline: blocking receives show up as
-    // comm-wait spans, overlapped barrier jobs as comm-stream spans.
-    link.set_tracer(tracer.clone());
-    let mut c1_stream = CommStream::new();
-    // The stream's jobs (the barrier's reductions and corrections) run on
-    // this device's kernel lanes, not on lanes of their own.
-    if let Some(lanes) = pool::lane_budget() {
-        c1_stream.submit(move || pool::set_lane_budget(lanes));
-    }
-    c1_stream.set_tracer(tracer.clone());
+    let params = DeviceParams::build(&config, &schedule, mode, rank, row.as_ref())?;
+    let mut adam = Adam::new(config.lr);
     let mut device = Device {
         rank,
         mode,
-        config: config.clone(),
+        config,
         map,
         params,
         has_w: schedule.count_kind(rank, PassKind::W) > 0,
@@ -538,10 +524,11 @@ pub(crate) fn device_loop(ctx: DeviceCtx<'_>) -> Result<DeviceOutcome> {
         states: HashMap::new(),
         losses: Vec::new(),
     };
-    let mut adam = Adam::new(config.lr);
     let mut start_iter = 0u64;
     if let Some((blob, done)) = restore {
-        adam.set_timestep(device.params.load(blob)?);
+        let mut blob = blob.as_slice();
+        adam.set_timestep(read_u32(&mut blob)? as i32);
+        read_params(&mut blob, device.params.params_mut())?;
         start_iter = done;
     }
     let (replica, replicas) = dp.as_ref().map_or((0, 1), |c| (c.rank(), c.world()));

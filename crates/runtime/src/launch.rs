@@ -2,9 +2,8 @@
 //! schedule out over a `dp × pp × tp` device layout, cuts the communicators
 //! along each axis, and runs one [`device_loop`] thread per device — the
 //! front-end/runtime split of `torch.distributed.pipelining`, with the
-//! PTD-P rank layout (tensor ranks innermost, replicas outermost). As a
-//! PTD-P rank owns its execution resources, each device thread owns
-//! [`vp_tensor::pool::lanes_per_device`] kernel lanes.
+//! PTD-P rank layout (tensor ranks innermost, replicas outermost), on one
+//! [`DeviceGroup`] run to completion.
 //!
 //! * the **pipeline** axis is the schedule itself: each column of `pp`
 //!   devices runs its pass lists verbatim, vocabulary `S`/`T` passes and
@@ -24,18 +23,19 @@ use crate::comm::Link;
 use crate::data::DataSource;
 use crate::distributed_ckpt::PipelineCheckpoint;
 use crate::engine::{check_schedule, device_loop, DeviceCtx, DeviceOutcome};
+use crate::group::DeviceGroup;
 use crate::model::TinyConfig;
 use crate::stage::TpRow;
 use std::sync::Arc;
 use std::time::Instant;
-use vp_collectives::{Collective, CollectiveGroup, P2pNetwork};
+use vp_collectives::{Collective, CollectiveGroup};
 use vp_model::tp::TpPartition;
 use vp_schedule::analysis::ScheduleAnalysis;
 use vp_schedule::exec::ExecReport;
 use vp_schedule::grid::DeviceGrid;
 use vp_schedule::pass::Schedule;
-use vp_tensor::{pool, Result, TensorError};
-use vp_trace::{TraceLog, Tracer};
+use vp_tensor::{Result, TensorError};
+use vp_trace::TraceLog;
 
 /// What to run: a schedule and its place in the `dp × pp × tp` layout.
 /// [`TrainSpec::new`] is the flat pipeline; set the other axes with struct
@@ -172,11 +172,8 @@ fn take(groups: &mut [Vec<Option<Collective>>], group: usize, member: usize) -> 
 /// by the virtual stage count, microbatches not an equal share per replica,
 /// unsupported schedule kind, failed dependency validation, a `tp` that
 /// does not divide the head count and FFN width, a checkpoint of a
-/// different layout) or if any shard fails numerically.
-///
-/// # Panics
-///
-/// Panics if a device thread panics.
+/// different layout) or if any shard fails numerically, and names the
+/// global rank of a device thread that panics.
 pub fn train(
     config: &TinyConfig,
     spec: &TrainSpec<'_>,
@@ -215,48 +212,34 @@ pub fn train(
     let mut rows = comm_groups(if tp > 1 { dp * pp } else { 0 }, tp);
     let mut syncs = comm_groups(if dp > 1 { per_replica } else { 0 }, dp);
     let epoch = Instant::now();
-    // The launcher owns the core count: every device thread gets an equal
-    // share of the kernel lanes instead of the whole pool each.
-    let lanes = pool::lanes_per_device(world);
-    let results: Vec<Result<DeviceOutcome>> = std::thread::scope(|scope| {
-        let joins: Vec<_> = P2pNetwork::new(world)
-            .into_iter()
-            .map(|endpoint| {
-                let global = endpoint.rank();
-                let (replica, local) = (global / per_replica, global % per_replica);
-                let (rank, tp_rank) = grid.coords(local);
-                let ctx = DeviceCtx {
-                    config,
-                    schedule,
-                    mode,
-                    iterations,
-                    corpus,
-                    rank,
-                    link: Link::new(endpoint, replica * per_replica + tp_rank, tp),
-                    c1: take(&mut c1s, replica * tp + tp_rank, rank)
-                        .expect("one C1 handle per device"),
-                    row: take(&mut rows, replica * pp + rank, tp_rank).map(|comm| {
-                        let comm = Arc::new(comm);
-                        let part = TpPartition::new(tp, tp_rank, config.heads, config.hidden, ffn);
-                        (TpRow { comm }, part)
-                    }),
-                    dp: take(&mut syncs, local, replica),
-                    restore: resume.map(|c| (c.shards[global].as_slice(), c.iterations_done)),
-                    tracer: log.as_ref().map_or_else(Tracer::off, |l| l.tracer(global)),
-                    epoch,
-                };
-                scope.spawn(move || {
-                    pool::set_lane_budget(lanes);
-                    device_loop(ctx)
-                })
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("device thread panicked"))
-            .collect()
+    let shared = Arc::new(schedule.clone());
+    let group = DeviceGroup::spawn(world, log.as_ref(), |slot| {
+        let global = slot.endpoint.rank();
+        let (replica, local) = (global / per_replica, global % per_replica);
+        let (rank, tp_rank) = grid.coords(local);
+        let ctx = DeviceCtx {
+            config: config.clone(),
+            schedule: Arc::clone(&shared),
+            mode,
+            iterations,
+            corpus: corpus.clone(),
+            rank,
+            link: Link::new(slot.endpoint, replica * per_replica + tp_rank, tp),
+            c1: take(&mut c1s, replica * tp + tp_rank, rank).expect("one C1 handle per device"),
+            c1_stream: slot.stream,
+            row: take(&mut rows, replica * pp + rank, tp_rank).map(|comm| {
+                let comm = Arc::new(comm);
+                let part = TpPartition::new(tp, tp_rank, config.heads, config.hidden, ffn);
+                (TpRow { comm }, part)
+            }),
+            dp: take(&mut syncs, local, replica),
+            restore: resume.map(|c| (c.shards[global].clone(), c.iterations_done)),
+            tracer: slot.tracer,
+            epoch,
+        };
+        move || device_loop(ctx)
     });
-    let outcomes = results.into_iter().collect::<Result<Vec<_>>>()?;
+    let outcomes = group.join().into_iter().collect::<Result<Vec<_>>>()?;
     let column0: Vec<&DeviceOutcome> = outcomes.iter().step_by(tp).take(pp).collect();
     let report = TrainReport {
         losses: column0
@@ -280,10 +263,6 @@ pub fn train(
 /// # Errors
 ///
 /// As [`train`].
-///
-/// # Panics
-///
-/// Panics if a device thread panics.
 pub fn train_schedule(
     config: &TinyConfig,
     schedule: &Schedule,
@@ -300,10 +279,6 @@ pub fn train_schedule(
 /// # Errors
 ///
 /// As [`train`].
-///
-/// # Panics
-///
-/// Panics if a device thread panics.
 pub fn train_schedule_traced(
     config: &TinyConfig,
     schedule: &Schedule,
@@ -321,23 +296,13 @@ pub fn train_schedule_traced(
 /// Collapses the devices' per-iteration spans into one wall time per
 /// iteration: earliest start to latest end across all device threads.
 fn assemble_iter_wall(outcomes: &[&DeviceOutcome]) -> Vec<f64> {
-    let iterations = outcomes
-        .iter()
-        .map(|o| o.iter_spans.len())
-        .max()
-        .unwrap_or(0);
-    (0..iterations)
+    let iterations = outcomes.iter().map(|o| o.iter_spans.len()).max();
+    (0..iterations.unwrap_or(0))
         .map(|i| {
-            let start = outcomes
-                .iter()
-                .filter_map(|o| o.iter_spans.get(i))
-                .map(|&(s, _)| s)
-                .fold(f64::INFINITY, f64::min);
-            let end = outcomes
-                .iter()
-                .filter_map(|o| o.iter_spans.get(i))
-                .map(|&(_, e)| e)
-                .fold(f64::NEG_INFINITY, f64::max);
+            let spans = outcomes.iter().filter_map(|o| o.iter_spans.get(i));
+            let (start, end) = spans.fold((f64::INFINITY, f64::NEG_INFINITY), |(s, e), &(a, b)| {
+                (s.min(a), e.max(b))
+            });
             (end - start).max(0.0)
         })
         .collect()
@@ -354,27 +319,27 @@ fn assemble_report(schedule: &Schedule, outcomes: &[&DeviceOutcome]) -> ExecRepo
         .flat_map(|o| o.spans.iter().map(|&(s, _)| s))
         .fold(f64::INFINITY, f64::min);
     let t0 = if t0.is_finite() { t0 } else { 0.0 };
-    let mut start = Vec::with_capacity(outcomes.len());
-    let mut end = Vec::with_capacity(outcomes.len());
-    let mut busy = Vec::with_capacity(outcomes.len());
-    let mut peak_units = Vec::with_capacity(outcomes.len());
-    let mut peak_resident = Vec::with_capacity(outcomes.len());
     let chunks = schedule.chunks().max(1) as f64;
-    for o in outcomes {
-        start.push(o.spans.iter().map(|&(s, _)| s - t0).collect::<Vec<_>>());
-        end.push(o.spans.iter().map(|&(_, e)| e - t0).collect::<Vec<_>>());
-        busy.push(o.spans.iter().map(|&(s, e)| e - s).sum());
-        peak_units.push(o.peak_resident as f64 / chunks);
-        peak_resident.push(o.peak_resident);
-    }
-    let makespan = end.iter().flatten().fold(0.0f64, |a, &b| a.max(b));
+    let rebased = |pick: fn(&(f64, f64)) -> f64| -> Vec<Vec<f64>> {
+        outcomes
+            .iter()
+            .map(|o| o.spans.iter().map(|s| pick(s) - t0).collect())
+            .collect()
+    };
+    let end = rebased(|s| s.1);
     ExecReport {
-        start,
+        start: rebased(|s| s.0),
+        makespan: end.iter().flatten().fold(0.0f64, |a, &b| a.max(b)),
         end,
-        busy,
-        makespan,
-        peak_activation_units: peak_units,
-        peak_resident_microbatches: peak_resident,
+        busy: outcomes
+            .iter()
+            .map(|o| o.spans.iter().map(|&(s, e)| e - s).sum())
+            .collect(),
+        peak_activation_units: outcomes
+            .iter()
+            .map(|o| o.peak_resident as f64 / chunks)
+            .collect(),
+        peak_resident_microbatches: outcomes.iter().map(|o| o.peak_resident).collect(),
     }
 }
 

@@ -43,11 +43,11 @@
 //!   layer repurposed as a single-barrier sampling merge, bitwise equal
 //!   to a single-device full-context reference under greedy decoding.
 //!
-//! Internal modules: `launch` (the device-thread launcher behind
-//! [`train`]), `stage` (full or tensor-parallel transformer blocks behind
-//! one type), `comm` (tag spaces, stage geometry, the p2p `Link`), `state`
-//! (activation/vocabulary stores, barrier slots), `vocab`
-//! (vocabulary-layer pass handlers).
+//! Internal modules: `group` (the device group that starts every device
+//! thread of [`train`] and [`ServeEngine`]), `launch` ([`train`]), `stage`
+//! (full or tensor-parallel transformer blocks behind one type), `comm`
+//! (tag spaces, stage geometry, the p2p `Link`), `state` (activation and
+//! vocabulary stores, barrier slots), `vocab` (vocabulary-layer passes).
 
 pub mod checkpoint;
 mod comm;
@@ -55,6 +55,7 @@ pub mod data;
 pub mod distributed_ckpt;
 pub mod engine;
 pub mod eval;
+mod group;
 mod launch;
 pub mod model;
 pub mod pipeline;

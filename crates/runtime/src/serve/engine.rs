@@ -48,19 +48,17 @@
 //! communication pattern is statically known deadlock- and race-free before
 //! the first request arrives.
 //!
-//! Each device thread (and its communication stream) runs its kernels on
-//! [`vp_tensor::pool::lanes_per_device`] lanes: the engine owns the core
-//! count and shares it out, so `p` devices do not each dispatch into the
-//! whole kernel pool.
+//! The engine is vp-runtime's one device group fed commands: the group
+//! starts each device thread with its endpoint, its stream and its share of
+//! the kernel lanes, and joins it at [`ServeEngine::shutdown`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use vp_collectives::{Collective, CollectiveGroup, CommStream, JobHandle, P2pEndpoint, P2pNetwork};
+use vp_collectives::{Collective, CollectiveGroup, CommStream, JobHandle};
 use vp_core::{merge_decode, InputShard, OutputShard, TokenChoice};
 use vp_model::block::TransformerBlock;
 use vp_model::partition::VocabPartition;
@@ -68,9 +66,11 @@ use vp_schedule::generators::{decode_pipeline, decode_pipeline_overlap};
 use vp_schedule::pass::PassKind;
 use vp_schedule::Schedule;
 use vp_tensor::nn::{KvBlockPool, KvCache, DEFAULT_BLOCK_TOKENS};
-use vp_tensor::{pool, Result, Tensor, TensorError};
+use vp_tensor::{Result, Tensor, TensorError};
 
 use crate::comm::{stage_tag, Link, TAG_ACT, TAG_C0, TAG_INPART};
+use crate::engine::refuse_flagged;
+use crate::group::{DeviceGroup, DeviceSlot};
 use crate::model::{FullModel, TinyConfig};
 use crate::serve::workload::Request;
 
@@ -252,7 +252,7 @@ pub struct ServeEngine {
     per_device_blocks: usize,
     cmds: Vec<Sender<Cmd>>,
     results: Receiver<Vec<TokenChoice>>,
-    handles: Vec<JoinHandle<()>>,
+    group: DeviceGroup<()>,
     counters: Arc<Counters>,
 }
 
@@ -278,10 +278,6 @@ impl ServeEngine {
     /// configuration (zero devices/slots/chunk/block sizes, heads that do
     /// not divide the hidden width, indivisible layers, a decode schedule
     /// that fails [`vp_check::check_decode`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a device thread dies (a bug, not an input condition).
     pub fn start(config: ServeConfig) -> Result<Self> {
         let p = config.devices;
         if p == 0 || config.max_batch == 0 || config.top_k == 0 {
@@ -317,12 +313,7 @@ impl ServeEngine {
         for m in 1..=config.max_batch {
             let schedule = generate(p, m as u32);
             let report = vp_check::check_decode(&schedule);
-            if !report.is_clean() {
-                return Err(TensorError::InvalidArgument(format!(
-                    "{name} schedule (p={p}, m={m}) failed vp-check: {:?}",
-                    report.codes()
-                )));
-            }
+            refuse_flagged(format_args!("{name} schedule (p={p}, m={m})"), &report)?;
             schedules.push(schedule);
         }
         let schedules = Arc::new(schedules);
@@ -335,42 +326,29 @@ impl ServeEngine {
                 "kv_capacity_blocks must be nonzero".into(),
             ));
         }
-        let endpoints = P2pNetwork::new(p);
-        let comms = CollectiveGroup::new(p);
+        let mut comms = CollectiveGroup::new(p).into_iter();
         let (res_tx, res_rx) = channel();
         let counters = Arc::new(Counters::default());
-        // The engine owns the core count: every device thread (and its
-        // comm stream) gets an equal share of the kernel lanes.
-        let lanes = pool::lanes_per_device(p);
         let mut cmds = Vec::with_capacity(p);
-        let mut handles = Vec::with_capacity(p);
-        for (endpoint, comm) in endpoints.into_iter().zip(comms) {
+        let group = DeviceGroup::spawn(p, None, |slot| {
             let (tx, rx) = channel();
             cmds.push(tx);
+            let comm = comms.next().expect("one communicator per device");
             let (config, schedules) = (config.clone(), Arc::clone(&schedules));
             let (counters, res_tx) = (Arc::clone(&counters), res_tx.clone());
-            handles.push(std::thread::spawn(move || {
-                // Each device builds its own share of the model on its own
-                // lanes, in parallel with the others.
-                pool::set_lane_budget(lanes);
-                let device = DeviceState::new(
-                    &config,
-                    per_device_blocks,
-                    schedules,
-                    endpoint,
-                    comm,
-                    counters,
-                );
-                device.stream.submit(move || pool::set_lane_budget(lanes));
-                device.run(&rx, &res_tx);
-            }));
-        }
+            // Each device builds its own share of the model on its own
+            // lanes, in parallel with the others.
+            move || {
+                DeviceState::new(&config, per_device_blocks, schedules, slot, comm, counters)
+                    .run(&rx, &res_tx)
+            }
+        });
         Ok(ServeEngine {
             config,
             per_device_blocks,
             cmds,
             results: res_rx,
-            handles,
+            group,
             counters,
         })
     }
@@ -564,13 +542,14 @@ impl ServeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if a device thread panicked.
+    /// Panics with the error of a device that failed, naming its rank if
+    /// it panicked.
     pub fn shutdown(self) {
         for tx in &self.cmds {
             let _ = tx.send(Cmd::Stop);
         }
-        for h in self.handles {
-            h.join().expect("device thread panicked");
+        for device in self.group.join() {
+            device.unwrap_or_else(|e| panic!("{e}"));
         }
     }
 }
@@ -609,7 +588,7 @@ impl DeviceState {
         config: &ServeConfig,
         per_device_blocks: usize,
         schedules: Arc<Vec<Schedule>>,
-        endpoint: P2pEndpoint,
+        slot: DeviceSlot,
         comm: Collective,
         counters: Arc<Counters>,
     ) -> Self {
@@ -639,16 +618,16 @@ impl DeviceState {
             partition,
             top_k: config.top_k,
             overlap: config.overlap,
-            link: Link::new(endpoint, 0, 1),
+            link: Link::new(slot.endpoint, 0, 1),
             comm: Arc::new(comm),
-            stream: CommStream::new(),
+            stream: slot.stream,
             counters,
         }
     }
 
-    fn run(mut self, rx: &Receiver<Cmd>, results: &Sender<Vec<TokenChoice>>) {
+    fn run(mut self, rx: &Receiver<Cmd>, results: &Sender<Vec<TokenChoice>>) -> Result<()> {
         while let Ok(Cmd::Step(plan)) = rx.recv() {
-            let choices = self.step(&plan).expect("decode step failed");
+            let choices = self.step(&plan)?;
             // Every rank merged identically; one report suffices — except
             // for retire-only plans, where each rank acks so the driver
             // can wait for full quiescence.
@@ -656,6 +635,7 @@ impl DeviceState {
                 let _ = results.send(choices);
             }
         }
+        Ok(())
     }
 
     /// Executes one decode step by walking this device's pass list of the

@@ -15,68 +15,46 @@ use vp_model::block::BlockCache;
 use vp_tensor::nn::{CrossEntropyGrad, EmbeddingCache};
 use vp_tensor::{Result, Tensor, TensorError};
 
-/// Resident transformer activations, keyed `(microbatch, chunk)`: filled
-/// by `F`, drained by `B`, with the peak population recorded for the
-/// memory-equivalence property tests.
+/// Buffers one pass parks for a later pass of the same `(microbatch,
+/// chunk)`: block caches from `F` to `B`, weight gradients from a
+/// zero-bubble `B` to its `W`.
 #[derive(Default)]
-pub(crate) struct ActivationStore {
-    caches: HashMap<(u32, u8), Vec<BlockCache>>,
+pub(crate) struct Parked<T> {
+    items: HashMap<(u32, u8), T>,
     peak: usize,
 }
 
-impl ActivationStore {
-    /// Parks the block caches produced by an `F` pass.
-    pub(crate) fn insert(&mut self, microbatch: u32, chunk: u8, caches: Vec<BlockCache>) {
-        self.caches.insert((microbatch, chunk), caches);
-        self.peak = self.peak.max(self.caches.len());
+/// Resident transformer activations, with the peak population recorded
+/// for the memory-equivalence property tests.
+pub(crate) type ActivationStore = Parked<Vec<BlockCache>>;
+/// Deferred weight gradients between `B` and `W`.
+pub(crate) type WGradStash = Parked<Vec<Tensor>>;
+
+impl<T> Parked<T> {
+    /// Parks what a pass produced.
+    pub(crate) fn insert(&mut self, microbatch: u32, chunk: u8, item: T) {
+        self.items.insert((microbatch, chunk), item);
+        self.peak = self.peak.max(self.items.len());
     }
 
-    /// Takes the caches for the matching `B` pass.
-    pub(crate) fn remove(&mut self, microbatch: u32, chunk: u8) -> Option<Vec<BlockCache>> {
-        self.caches.remove(&(microbatch, chunk))
+    /// Takes it for the matching pass.
+    pub(crate) fn remove(&mut self, microbatch: u32, chunk: u8) -> Option<T> {
+        self.items.remove(&(microbatch, chunk))
     }
 
-    /// Drops any leftover caches at the end of an iteration.
+    /// Drops leftovers at the end of an iteration. A validated schedule
+    /// drains both stores exactly, so this is normally a no-op, but it
+    /// puts any leftover buffers back into the tensor arena, keeping
+    /// steady-state iterations allocation-free even for schedules that
+    /// skip some `W` passes.
     pub(crate) fn clear(&mut self) {
-        self.caches.clear();
+        self.items.clear();
     }
 
-    /// The maximum number of simultaneously resident microbatch-chunk
-    /// activations observed so far — the runtime counterpart of the
-    /// executor's `peak_resident_microbatches`.
+    /// The most entries resident at once so far — for activations, the
+    /// runtime counterpart of the executor's `peak_resident_microbatches`.
     pub(crate) fn peak_resident(&self) -> usize {
         self.peak
-    }
-}
-
-/// Weight-gradient stash for zero-bubble `B`/`W` splitting: the `B` pass
-/// computes activation gradients into fresh weight gradients and parks
-/// them here; the deferred `W` pass folds them into the real parameters.
-#[derive(Default)]
-pub(crate) struct WGradStash {
-    grads: HashMap<(u32, u8), Vec<Tensor>>,
-}
-
-impl WGradStash {
-    /// Parks the weight gradients of one `(microbatch, chunk)` backward.
-    pub(crate) fn insert(&mut self, microbatch: u32, chunk: u8, grads: Vec<Tensor>) {
-        self.grads.insert((microbatch, chunk), grads);
-    }
-
-    /// Takes the gradients for the matching `W` pass.
-    pub(crate) fn remove(&mut self, microbatch: u32, chunk: u8) -> Option<Vec<Tensor>> {
-        self.grads.remove(&(microbatch, chunk))
-    }
-
-    /// Drops any unconsumed stash entries at the end of an iteration.
-    ///
-    /// A validated zero-bubble schedule drains the stash exactly (every `B`
-    /// has its `W`), so this is normally a no-op — but clearing here puts
-    /// any leftover gradient buffers back into the tensor arena alongside
-    /// the activation stores, keeping steady-state iterations
-    /// allocation-free even for schedules that skip some `W` passes.
-    pub(crate) fn clear(&mut self) {
-        self.grads.clear();
     }
 }
 

@@ -22,6 +22,10 @@
 //! into the `#[target_feature]` kernel that the build's `cfg` vouches for.
 
 /// One register-resident kernel: `$mr` rows of two `$lanes`-wide vectors.
+#[cfg(all(
+    target_arch = "x86_64",
+    any(target_feature = "avx2", target_feature = "avx512f")
+))]
 macro_rules! tile_kernel {
     ($feature:literal, $vec:ident, $lanes:literal, $mr:literal,
      $load:ident, $store:ident, $set1:ident, $mul:ident, $add:ident) => {

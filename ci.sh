@@ -114,7 +114,20 @@ init_audit() {
         echo "crates/runtime/src: FullModel::build off the reference paths:" $bad >&2
         exit 1
     fi
-    echo "init audit OK: FullModel::build only in" $sites
+    # Serving holds each output-table shard once, as the pack its logits
+    # GEMM reads (`PackedB::pack_nt_rows` over `FullModel::output_rows`
+    # slabs): decode never reads the value an `OutputShard` would keep.
+    local held
+    held=$(for f in crates/runtime/src/serve/*.rs; do
+        awk -v file="${f#crates/runtime/src/}" '
+            /^#\[cfg\(test\)\]/ { exit }
+            /OutputShard::(new|from_full)\(/ { print file ":" FNR }' "$f"
+    done)
+    if [ -n "$held" ]; then
+        echo "crates/runtime/src/serve: an OutputShard built for serving:" $held >&2
+        exit 1
+    fi
+    echo "init audit OK: FullModel::build only in" $sites "; serving builds no OutputShard"
 }
 
 # --- lint, build, test -----------------------------------------------------
@@ -197,7 +210,7 @@ determinism_gate() {
 stage "cargo fmt --check" fmt_check
 stage "unsafe audit (token match, allowlisted files only)" unsafe_audit
 stage "launcher audit (one device_loop call site, one device-thread spawn site: the device group)" launcher_audit
-stage "init audit (FullModel::build only on the single-device reference paths)" init_audit
+stage "init audit (FullModel::build only on the single-device reference paths; serving keeps its output table as a pack, no OutputShard)" init_audit
 stage "cargo clippy --workspace --all-targets -- -D warnings (+ pedantic subset)" clippy_lint
 stage "cargo build --workspace --release" build_release
 stage "cargo test --workspace --release" test_release

@@ -33,6 +33,8 @@ pub mod tied;
 pub mod verify;
 
 pub use input::InputShard;
-pub use output::{merge_decode, DecodeSState, OutputShard, SState, TokenChoice};
+pub use output::{
+    decode_s_pass, merge_decode, DecodeSState, OutputShard, SState, TokenChoice, DECODE_VOCAB_LIMIT,
+};
 pub use tied::TiedShard;
 pub use vp_model::cost::VocabAlgo;

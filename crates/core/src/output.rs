@@ -24,7 +24,7 @@ use vp_tensor::ops::{
     softmax_corrections, softmax_norm, SoftmaxGrad, SoftmaxStats, EXP_SUM_ROWS,
 };
 use vp_tensor::optim::Param;
-use vp_tensor::{Result, Tensor, TensorError};
+use vp_tensor::{PackedB, Result, Tensor, TensorError};
 
 /// One device's shard of the output vocabulary layer.
 ///
@@ -645,11 +645,16 @@ impl OutputShard {
 // stats → single-barrier merge → sampling
 // ---------------------------------------------------------------------------
 
+/// The largest vocabulary a decode can sample from: [`DecodeSState::payload`]
+/// ships every candidate's token id as an `f32`, which is exact only below
+/// `2^24`.
+pub const DECODE_VOCAB_LIMIT: usize = 1 << 24;
+
 /// Decode-time `S`-pass state: per row, the shard's local softmax
 /// statistics `(m', sum')` and its top-`k` logit candidates. This is
 /// Algorithm 2's pre-barrier phase with the gradient matmuls deleted —
 /// the single `C1` barrier then merges statistics *and* candidates in one
-/// rendezvous ([`OutputShard::barrier_decode`]).
+/// rendezvous ([`merge_decode`]).
 #[derive(Debug, Clone)]
 pub struct DecodeSState {
     /// Per-row local max `m'`.
@@ -689,9 +694,9 @@ impl DecodeSState {
             payload.push(self.sum[r]);
             for &(logit, id) in &self.topk[r * self.k..(r + 1) * self.k] {
                 payload.push(logit);
-                // Token ids are exact in f32 for any realistic vocabulary
-                // (< 2^24); debug-checked below.
-                debug_assert!(id < (1 << 24), "token id {id} not exact in f32");
+                // Ids below `DECODE_VOCAB_LIMIT` are exact in f32; a
+                // serving engine refuses larger vocabularies at start.
+                debug_assert!(id < DECODE_VOCAB_LIMIT, "token id {id} not exact in f32");
                 payload.push(id as f32);
             }
         }
@@ -769,80 +774,77 @@ fn select_topk(row: &[f32], start: usize, best: &mut [(f32, usize)]) {
     }
 }
 
+/// The forward-only `S` pass against a packed vocabulary shard whose first
+/// token id is `start`: sharded logits `y = X·Wᵀ` plus local softmax
+/// statistics and the shard's top-`k` candidates. No labels, no gradients —
+/// this is the decode half of §4.2's `S` pass, and it reads nothing of the
+/// shard but its pack ([`PackedB::pack_nt`] of `W`, or the same bytes built
+/// slab by slab with [`PackedB::pack_nt_rows`]), which is all a serving
+/// device holds of its output table.
+///
+/// Rows are independent: `m` stacked rows give bitwise the states of
+/// `m` one-row calls, from one GEMM against the pack. The
+/// logits are then swept a group of [`EXP_SUM_ROWS`] rows at a time,
+/// while the group is in cache: a top-`k` sweep per row that skips
+/// 16-wide chunks holding no contender, then training's exp-sum
+/// ([`exp_sum_rows`]: the row max, the polynomial exp in place, the group's ascending sums as interleaved chains). A `NaN`
+/// logit is never a candidate, and a row with no logit above `−∞` gets the
+/// identity statistics `(−∞, 0)`, which the merge weighs as nothing.
+///
+/// # Errors
+///
+/// Returns a shape error if `x` does not match the pack's hidden
+/// width, or [`TensorError::InvalidArgument`] if `k == 0`.
+pub fn decode_s_pass(pack: &PackedB, start: usize, x: &Tensor, k: usize) -> Result<DecodeSState> {
+    if k == 0 {
+        return Err(TensorError::InvalidArgument(
+            "decode needs at least one candidate per shard".into(),
+        ));
+    }
+    let mut y = x.matmul_packed(pack, None)?;
+    let (n, cols) = (y.rows(), y.cols());
+    // A zero-width shard has no group to visit: identity statistics.
+    let mut max = vec![f32::NEG_INFINITY; n];
+    let mut sum = vec![0.0; n];
+    let mut topk = vec![(f32::NEG_INFINITY, 0); n * k];
+    let groups = y.data_mut().chunks_mut(EXP_SUM_ROWS * cols.max(1)).zip(
+        topk.chunks_mut(EXP_SUM_ROWS * k).zip(
+            max.chunks_mut(EXP_SUM_ROWS)
+                .zip(sum.chunks_mut(EXP_SUM_ROWS)),
+        ),
+    );
+    for (rows, (best, (max, sum))) in groups {
+        for (row, best) in rows.chunks_exact(cols).zip(best.chunks_exact_mut(k)) {
+            select_topk(row, start, best);
+        }
+        // The stats feed only the logprob metric; the token choice
+        // never touches them.
+        exp_sum_rows(rows, cols, |_| cols, max, sum);
+    }
+    Ok(DecodeSState { max, sum, topk, k })
+}
+
 impl OutputShard {
-    /// The forward-only `S` pass: sharded logits `y = X·Wᵀ` plus local
-    /// softmax statistics and the shard's top-`k` candidates. No labels,
-    /// no gradients — this is the decode half of §4.2's `S` pass.
-    ///
-    /// Rows are independent: `m` stacked rows give bitwise the states of
-    /// `m` one-row calls, from one GEMM against the packed shard. The
-    /// logits are then swept a group of [`EXP_SUM_ROWS`] rows at a time,
-    /// while the group is in cache: a top-`k` sweep per row that skips
-    /// 16-wide chunks holding no contender, then training's exp-sum
-    /// ([`exp_sum_rows`]: the row max, the polynomial exp in place, the group's ascending sums as interleaved chains). A `NaN`
-    /// logit is never a candidate, and a row with no logit above `−∞` gets the
-    /// identity statistics `(−∞, 0)`, which the merge weighs as nothing.
+    /// [`decode_s_pass`] against this shard's packed weight, packing it on
+    /// first use.
     ///
     /// # Errors
     ///
     /// Returns a shape error if `x` does not match the weight's hidden
     /// width, or [`TensorError::InvalidArgument`] if `k == 0`.
     pub fn s_pass_decode(&self, x: &Tensor, k: usize) -> Result<DecodeSState> {
-        if k == 0 {
-            return Err(TensorError::InvalidArgument(
-                "decode needs at least one candidate per shard".into(),
-            ));
-        }
-        let mut y = self.logits(x)?;
-        let (start, n, cols) = (self.shard_start(), y.rows(), y.cols());
-        // A zero-width shard has no group to visit: identity statistics.
-        let mut max = vec![f32::NEG_INFINITY; n];
-        let mut sum = vec![0.0; n];
-        let mut topk = vec![(f32::NEG_INFINITY, 0); n * k];
-        let groups = y.data_mut().chunks_mut(EXP_SUM_ROWS * cols.max(1)).zip(
-            topk.chunks_mut(EXP_SUM_ROWS * k).zip(
-                max.chunks_mut(EXP_SUM_ROWS)
-                    .zip(sum.chunks_mut(EXP_SUM_ROWS)),
-            ),
-        );
-        for (rows, (best, (max, sum))) in groups {
-            for (row, best) in rows.chunks_exact(cols).zip(best.chunks_exact_mut(k)) {
-                select_topk(row, start, best);
-            }
-            // The stats feed only the logprob metric; the token choice
-            // never touches them.
-            exp_sum_rows(rows, cols, |_| cols, max, sum);
-        }
-        Ok(DecodeSState { max, sum, topk, k })
-    }
-
-    /// Algorithm 2's **single** decode barrier: one `all_gather` carries
-    /// every rank's `(m', sum')` statistics *and* top-`k` candidates;
-    /// every rank then merges them identically — global max/sum by the
-    /// standard safe-softmax combination, the greedy token as the best
-    /// candidate under [`vp_tensor::ops::argmax_rows`]'s tie rule — so no
-    /// second communication round is needed to agree on the sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] if the gathered payloads
-    /// disagree in shape (ranks ran different step plans).
-    pub fn barrier_decode(
-        &self,
-        comm: &Collective,
-        state: &DecodeSState,
-    ) -> Result<Vec<TokenChoice>> {
-        let gathered = comm.all_gather(&state.payload());
-        merge_decode(&gathered, state.rows(), state.k)
+        decode_s_pass(self.weight.packed_nt(), self.shard_start(), x, k)
     }
 }
 
-/// The post-gather half of the decode barrier: merges every rank's
-/// [`DecodeSState::payload`] identically — global max/sum by the standard
-/// safe-softmax combination, the greedy token as the best candidate under
-/// [`vp_tensor::ops::argmax_rows`]'s tie rule. Pure function of the
-/// gathered shards, so the overlapping engine can run it in a `T` pass
-/// long after the `S` pass that submitted the all-gather.
+/// Algorithm 2's **single** decode barrier, after its one `all_gather` of
+/// every rank's [`DecodeSState::payload`] (`(m', sum')` statistics *and*
+/// top-`k` candidates): merges them identically on every rank — global
+/// max/sum by the standard safe-softmax combination, the greedy token as
+/// the best candidate under [`vp_tensor::ops::argmax_rows`]'s tie rule — so
+/// no second communication round is needed to agree on the sample. Pure
+/// function of the gathered shards, so the overlapping engine can run it
+/// in a `T` pass long after the `S` pass that submitted the all-gather.
 ///
 /// # Errors
 ///
@@ -1162,7 +1164,8 @@ pub(crate) mod tests {
                 joins.push(scope.spawn(move || {
                     let shard = OutputShard::from_full(full_w, part, rank).unwrap();
                     let state = shard.s_pass_decode(x, k).unwrap();
-                    (rank, shard.barrier_decode(&comm, &state).unwrap())
+                    let gathered = comm.all_gather(&state.payload());
+                    (rank, merge_decode(&gathered, x.rows(), k).unwrap())
                 }));
             }
             let mut results: Vec<_> = joins.into_iter().map(|j| j.join().unwrap()).collect();
@@ -1373,6 +1376,32 @@ pub(crate) mod tests {
         let y = chunk_rows(6, 8, 91).matmul_nt(&late_winner_weight(200, 8, 90));
         let winners = vp_tensor::ops::argmax_rows(&y.unwrap());
         assert!(winners.iter().all(|&c| c >= 2 * SWEEP_CHUNK), "{winners:?}");
+    }
+
+    #[test]
+    fn decode_from_a_slab_built_pack_is_bitwise_the_shard_s_pass() {
+        // The serving path: the pack is built one slab at a time from the
+        // shard's rows and the shard value never exists.
+        let (w, x) = (late_winner_weight(200, 8, 90), chunk_rows(6, 8, 91));
+        for p in [1, 2, 4] {
+            let part = VocabPartition::new(w.rows(), p);
+            for rank in 0..p {
+                let shard = OutputShard::from_full(&w, part, rank).unwrap();
+                let rows = part.real_range(rank);
+                let pack = PackedB::pack_nt_rows(rows.len(), w.cols(), |slab| {
+                    w.slice_rows(rows.start + slab.start, rows.start + slab.end)
+                        .unwrap()
+                });
+                let start = part.shard_range(rank).0;
+                for k in [1, 3, 17] {
+                    assert_eq!(
+                        state_bits(&decode_s_pass(&pack, start, &x, k).unwrap()),
+                        state_bits(&shard.s_pass_decode(&x, k).unwrap()),
+                        "p={p} rank={rank} k={k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! (with one paged, arena-backed [`KvCache`] per slot per hosted layer,
 //! all drawing blocks from a single bounded per-device [`KvBlockPool`]),
 //! its vocabulary shard of the input embedding (Appendix C) and its shard
-//! of the output layer. A decode step walks the forward-only §4.2 pass
-//! structure for the active slots:
+//! of the output layer — held only as the pack its logits GEMM reads,
+//! filled slab by slab from the init stream, since decode reads the table
+//! no other way. A decode step walks the forward-only §4.2 pass structure
+//! for the active slots:
 //!
 //! * `InputF k` — every shard that owns at least one token of the slot's
 //!   chunk embeds its owned tokens (packed, in chunk order) and hands the
@@ -21,10 +23,10 @@
 //!   pass samples ([`Schedule::s_groups`]; the engine's schedules run one
 //!   `S` over the whole batch) and computes their sharded logits, local
 //!   softmax stats and local top-k in one GEMM
-//!   ([`OutputShard::s_pass_decode`]: Algorithm 2's single-barrier decode,
-//!   the shard read once per step). Inline mode completes the merge
-//!   immediately ([`OutputShard::barrier_decode`], one all-gather of all
-//!   the rows); overlap mode only *submits* that `all_gather` to the
+//!   ([`decode_s_pass`]: Algorithm 2's single-barrier decode, the shard
+//!   read once per step). Inline mode completes the merge immediately (one
+//!   all-gather of all the rows, then [`merge_decode`]); overlap mode
+//!   only *submits* that `all_gather` to the
 //!   device's [`CommStream`] (§6.1's stream trick);
 //! * `T k` — overlap mode only: joins the stream job of `S k` and runs
 //!   the deterministic merge ([`merge_decode`]) on the gathered payloads.
@@ -59,14 +61,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vp_collectives::{Collective, CollectiveGroup, CommStream, JobHandle};
-use vp_core::{merge_decode, InputShard, OutputShard, TokenChoice};
+use vp_core::{decode_s_pass, merge_decode, InputShard, TokenChoice, DECODE_VOCAB_LIMIT};
 use vp_model::block::TransformerBlock;
 use vp_model::partition::VocabPartition;
 use vp_schedule::generators::{decode_pipeline, decode_pipeline_overlap};
 use vp_schedule::pass::PassKind;
 use vp_schedule::Schedule;
 use vp_tensor::nn::{KvBlockPool, KvCache, DEFAULT_BLOCK_TOKENS};
-use vp_tensor::{Result, Tensor, TensorError};
+use vp_tensor::{PackedB, Result, Tensor, TensorError};
 
 use crate::comm::{stage_tag, Link, TAG_ACT, TAG_C0, TAG_INPART};
 use crate::engine::refuse_flagged;
@@ -173,7 +175,7 @@ pub struct ServeRun {
     /// Sum over steps of `active slots / max_batch`; divide by `steps`
     /// for mean batch occupancy.
     pub occupancy_sum: f64,
-    /// Output-layer GEMMs ([`OutputShard::s_pass_decode`] calls), summed
+    /// Output-layer GEMMs ([`decode_s_pass`] calls), summed
     /// over devices: one per step per device.
     pub s_passes: usize,
     /// Sampling all-gathers entered (inline) or submitted (overlap),
@@ -275,9 +277,10 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] on an invalid
-    /// configuration (zero devices/slots/chunk/block sizes, heads that do
-    /// not divide the hidden width, indivisible layers, a decode schedule
-    /// that fails [`vp_check::check_decode`]).
+    /// configuration (zero devices/slots/chunk/block sizes, a vocabulary
+    /// past [`DECODE_VOCAB_LIMIT`], heads that do not divide the hidden
+    /// width, indivisible layers, a decode schedule that fails
+    /// [`vp_check::check_decode`]).
     pub fn start(config: ServeConfig) -> Result<Self> {
         let p = config.devices;
         if p == 0 || config.max_batch == 0 || config.top_k == 0 {
@@ -289,6 +292,16 @@ impl ServeEngine {
             return Err(TensorError::InvalidArgument(
                 "kv_block and prefill_chunk must both be nonzero".into(),
             ));
+        }
+        // Candidates cross the decode barrier as f32 token ids; past the
+        // limit some ids would round to their neighbours. Refused before any
+        // device builds its table.
+        if config.model.vocab > DECODE_VOCAB_LIMIT {
+            return Err(TensorError::InvalidArgument(format!(
+                "vocabulary {} exceeds the decode limit of {DECODE_VOCAB_LIMIT} \
+                 (token ids cross the sampling barrier as exact f32)",
+                config.model.vocab
+            )));
         }
         if !config.model.hidden.is_multiple_of(config.model.heads) {
             return Err(TensorError::InvalidArgument(format!(
@@ -564,7 +577,10 @@ struct DeviceState {
     schedules: Arc<Vec<Schedule>>,
     blocks: Vec<TransformerBlock>,
     input: InputShard,
-    output: OutputShard,
+    /// This device's rows of the output table, held only as the `Bᵀ` pack
+    /// of the logits GEMM ([`PackedB::pack_nt_rows`]): decode reads the
+    /// table no other way.
+    output: PackedB,
     /// Positional embedding, stage 0 only (§6.4).
     pos: Option<Tensor>,
     partition: VocabPartition,
@@ -612,8 +628,9 @@ impl DeviceState {
             blocks: layers.map(|i| FullModel::block(model, i)).collect(),
             input: InputShard::new(FullModel::input_rows(model, rows.clone()), partition, rank)
                 .expect("rows match the partition"),
-            output: OutputShard::new(FullModel::output_rows(model, rows), partition, rank)
-                .expect("rows match the partition"),
+            output: PackedB::pack_nt_rows(rows.len(), model.hidden, |slab| {
+                FullModel::output_rows(model, rows.start + slab.start..rows.start + slab.end)
+            }),
             pos: (rank == 0).then(|| FullModel::pos(model)),
             partition,
             top_k: config.top_k,
@@ -731,7 +748,8 @@ impl DeviceState {
                         h.row_mut(r).copy_from_slice(row.row(0));
                     }
                     self.counters.s_passes.fetch_add(1, Ordering::Relaxed);
-                    let state = self.output.s_pass_decode(&h, self.top_k)?;
+                    let start = self.partition.shard_range(self.rank).0;
+                    let state = decode_s_pass(&self.output, start, &h, self.top_k)?;
                     self.counters.gathers.fetch_add(1, Ordering::Relaxed);
                     if self.overlap {
                         // Submit the single Algorithm-2 barrier to the
@@ -744,7 +762,8 @@ impl DeviceState {
                         let comm = Arc::clone(&self.comm);
                         pending[k] = Some(self.stream.submit(move || comm.all_gather(&payload)));
                     } else {
-                        let merged = self.output.barrier_decode(&self.comm, &state)?;
+                        let gathered = self.comm.all_gather(&state.payload());
+                        let merged = merge_decode(&gathered, slots.len(), self.top_k)?;
                         choices[slots].copy_from_slice(&merged);
                     }
                 }

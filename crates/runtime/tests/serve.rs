@@ -43,6 +43,20 @@ fn greedy_decode_is_bitwise_equal_to_reference_across_shard_counts() {
 }
 
 #[test]
+fn tied_greedy_decode_is_bitwise_equal_to_reference_across_shard_counts() {
+    // Tied, each device's output pack is built from the input table's rows.
+    for devices in [1, 2, 4] {
+        let mut config = serve_config(devices, 3);
+        config.model.tied = true;
+        let requests = closed_loop(6, 200 + devices as u64);
+        assert!(
+            greedy_matches_reference(&config, &requests).unwrap(),
+            "tied tokens diverged from reference at p={devices}"
+        );
+    }
+}
+
+#[test]
 fn overlapped_decode_is_bitwise_equal_to_reference_across_shard_counts() {
     // Splitting S from T moves *when* the sampling barrier resolves, not
     // what it computes: tokens must stay bitwise pinned to the reference.
@@ -254,10 +268,18 @@ fn engine_rejects_bad_configurations() {
     // thread builds a block.
     config.devices = 2;
     config.model.heads = 3;
-    let err = ServeEngine::start(config)
+    let err = ServeEngine::start(config.clone())
         .err()
         .expect("3 heads over hidden 32");
     assert!(err.to_string().contains("heads"), "{err}");
+    // Token ids past 2^24 are not exact in the barrier's f32 payload:
+    // refused by name, before any device builds a > 1 GiB table.
+    config.model.heads = 4;
+    config.model.vocab = (1 << 24) + 1;
+    let err = ServeEngine::start(config)
+        .err()
+        .expect("vocabulary past 2^24");
+    assert!(err.to_string().contains("16777216"), "{err}");
 }
 
 #[test]

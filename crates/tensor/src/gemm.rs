@@ -83,6 +83,7 @@
 
 use crate::ops::SoftmaxGrad;
 use crate::{alloc, pool};
+use std::ops::Range;
 
 /// Cache-block depth over the shared (`k`) dimension: one packed panel of
 /// the right operand covers `KC` consecutive `p` values.
@@ -369,22 +370,28 @@ fn pack_b(
                     dst[w..].fill(0.0);
                 }
             }
-            Layout::Nt => {
-                // b is [n, k] used as Bᵀ: read each of the `w` rows of b
-                // contiguously, scattering into the p-major tile — this is
-                // the transposing copy that de-strides the nt layout.
-                for jr in 0..w {
-                    let src = &b[(jbase + jr) * g.k + p0..(jbase + jr) * g.k + p0 + pc];
-                    for (p, &v) in src.iter().enumerate() {
-                        tile[p * NR + jr] = v;
-                    }
-                }
-                for jr in w..NR {
-                    for p in 0..pc {
-                        tile[p * NR + jr] = 0.0;
-                    }
-                }
-            }
+            Layout::Nt => pack_nt_tile(&b[jbase * g.k..(jbase + w) * g.k], g.k, p0, pc, tile),
+        }
+    }
+}
+
+/// Packs one `NR`-wide column tile of an `Nt` right operand: `rows` holds
+/// the tile's `w ≤ NR` rows of `b` (`[n, k]` used as `Bᵀ`), each `k` wide,
+/// and the tile takes their `k` range `[p0, p0+pc)`, `p`-major, the
+/// `NR − w` ragged columns zeroed. Each row is read contiguously and
+/// scattered into the tile — the transposing copy that de-strides the nt
+/// layout. The per-call packer ([`pack_b`]) and [`PackedB::pack_nt_rows`]
+/// both pack `Nt` tiles through here.
+fn pack_nt_tile(rows: &[f32], k: usize, p0: usize, pc: usize, tile: &mut [f32]) {
+    let w = rows.len() / k.max(1);
+    for (jr, row) in rows.chunks_exact(k.max(1)).enumerate() {
+        for (p, &v) in row[p0..p0 + pc].iter().enumerate() {
+            tile[p * NR + jr] = v;
+        }
+    }
+    for jr in w..NR {
+        for p in 0..pc {
+            tile[p * NR + jr] = 0.0;
         }
     }
 }
@@ -416,28 +423,58 @@ pub struct PackedB {
 }
 
 impl PackedB {
-    /// Packs `rhs` (`[n, k]`) as the `Bᵀ` operand of `x.matmul_nt(rhs)`.
+    /// Packs `rhs` (`[n, k]`) as the `Bᵀ` operand of `x.matmul_nt(rhs)`:
+    /// [`Self::pack_nt_rows`] over the value's own rows, borrowed in place.
     pub fn pack_nt(rhs: &crate::Tensor) -> PackedB {
         let (n, k) = rhs.shape();
-        PackedB::pack(rhs, k, n, Layout::Nt)
+        PackedB::pack_nt_rows(n, k, |rows| &rhs.data()[rows.start * k..rows.end * k])
     }
 
-    /// Packs `rhs` (`[k, n]`) as the `B` operand of `x.matmul(rhs)`.
+    /// Packs the `[n, k]` operand `Bᵀ` of `x.matmul_nt(b)` from its rows,
+    /// one column tile at a time, without `b` ever existing whole:
+    /// `slab(rows)` returns rows `rows` of `b`, row-major, for consecutive
+    /// `NR`-row ranges (the last may be shorter) covering `0..n`. Each slab
+    /// is scattered into its tile of every `k` panel and dropped before the
+    /// next is asked for, so a caller that builds slabs on demand holds one
+    /// at a time beside the pack. The bytes are the per-call packer's, so
+    /// [`crate::Tensor::matmul_packed`] against the result is bitwise
+    /// `x.matmul_nt(b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slab is not `rows.len() · k` floats.
+    pub fn pack_nt_rows<S: AsRef<[f32]>>(
+        n: usize,
+        k: usize,
+        mut slab: impl FnMut(Range<usize>) -> S,
+    ) -> PackedB {
+        let tiles = n.div_ceil(NR);
+        let mut buf = alloc::take_zeroed(k * tiles * NR);
+        for jt in 0..tiles {
+            let rows = jt * NR..n.min((jt + 1) * NR);
+            let held = slab(rows.clone());
+            let held = held.as_ref();
+            assert_eq!(held.len(), rows.len() * k, "slab of rows {rows:?}");
+            for p0 in (0..k).step_by(KC) {
+                let pc = KC.min(k - p0);
+                let tile = &mut buf[p0 * tiles * NR + jt * pc * NR..][..pc * NR];
+                pack_nt_tile(held, k, p0, pc, tile);
+            }
+        }
+        PackedB { k, n, buf }
+    }
+
+    /// Packs `rhs` (`[k, n]`) as the `B` operand of `x.matmul(rhs)`, every
+    /// `k` panel through the per-call packer.
     pub fn pack_nn(rhs: &crate::Tensor) -> PackedB {
         let (k, n) = rhs.shape();
-        PackedB::pack(rhs, k, n, Layout::Nn)
-    }
-
-    /// Every `k` panel of the `[k, n]` operand `rhs` holds in `layout`,
-    /// through the per-call packer.
-    fn pack(rhs: &crate::Tensor, k: usize, n: usize, layout: Layout) -> PackedB {
         let g = Gemm {
             a: Lhs::Rows(&[]),
             b: Rhs::Rows(rhs.data()),
             k,
             n,
             m: 0,
-            layout,
+            layout: Layout::Nn,
             accumulate: false,
         };
         let tiles = n.div_ceil(NR);
@@ -730,4 +767,71 @@ fn gemm_chunk<O: OutRows>(
     }
     alloc::release(scratch);
     alloc::release(ablock);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::init::{normal, seeded_rng};
+    use crate::Tensor;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// [`PackedB`]'s documented layout, element by element: the `KC`
+    /// panel at `p0`, then tile `jt`, then `p · NR + jr`; ragged columns 0.
+    fn layout_oracle(b: &Tensor) -> Vec<f32> {
+        let (n, k) = b.shape();
+        let tiles = n.div_ceil(NR);
+        let mut out = vec![0.0; k * tiles * NR];
+        for p0 in (0..k).step_by(KC) {
+            let pc = KC.min(k - p0);
+            for jt in 0..tiles {
+                for p in 0..pc {
+                    for jr in 0..NR.min(n - jt * NR) {
+                        let at = p0 * tiles * NR + jt * pc * NR + p * NR + jr;
+                        out[at] = b.at(jt * NR + jr, p0 + p);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn slab_packer_is_bitwise_pack_nt_and_the_layout() {
+        // `k` past `KC` gives multi-panel packs; `n` around `NR` multiples
+        // gives full, ragged and single-column tiles.
+        for n in [1, 31, 32, 33, 97] {
+            for k in [1, 127, 128, 129, 300] {
+                let mut b = normal(&mut seeded_rng((n * 1000 + k) as u64), n, k, 1.0);
+                let planted = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+                for (i, v) in planted.into_iter().enumerate() {
+                    let at = (i * 7919) % (n * k);
+                    b.data_mut()[at] = v;
+                }
+                let whole = PackedB::pack_nt(&b);
+                let mut asked = Vec::new();
+                let slabs = PackedB::pack_nt_rows(n, k, |rows| {
+                    asked.push(rows.clone());
+                    b.slice_rows(rows.start, rows.end).unwrap()
+                });
+                let want: Vec<_> = (0..n).step_by(NR).map(|r| r..n.min(r + NR)).collect();
+                assert_eq!(asked, want, "n={n} k={k}: one slab per tile, in order");
+                assert_eq!((slabs.k(), slabs.n()), (k, n));
+                let oracle = bits(&layout_oracle(&b));
+                assert_eq!(bits(&whole.buf), oracle, "pack_nt n={n} k={k}");
+                assert_eq!(bits(&slabs.buf), oracle, "slabs n={n} k={k}");
+                for m in [1, MR + 1] {
+                    let x = normal(&mut seeded_rng(m as u64), m, k, 1.0);
+                    let reference = bits(x.matmul_nt(&b).unwrap().data());
+                    for pack in [&whole, &slabs] {
+                        let y = x.matmul_packed(pack, None).unwrap();
+                        assert_eq!(bits(y.data()), reference, "n={n} k={k} m={m}");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -16,16 +16,18 @@ use std::sync::OnceLock;
 /// the value's shape until something first reads or writes it
 /// ([`Self::grad`], [`Self::accumulate`], [`Self::moments`], an optimizer
 /// step), and only then is it allocated. A parameter that only ever serves
-/// forward passes — every weight of a serving engine — holds nothing but
-/// its value and the value's pack.
+/// forward passes — a serving engine's block weights and input table —
+/// holds nothing but its value and (the block weights) the value's pack. A
+/// serving engine's output table is no `Param`: decode reads it only
+/// packed, so it is held as a bare [`PackedB`], built without the value.
 ///
 /// # Weight-stationary pack
 ///
 /// The value is also kept packed as a GEMM right operand ([`PackedB`]),
 /// made by the first forward product that reads it ([`Self::left_matmul`],
 /// [`Self::packed_nt`]) and reused by every later one: a serving engine
-/// packs each weight once, training once per iteration rather than once per
-/// microbatch. Every `&mut` path to the value drops the pack —
+/// packs each block weight once, training once per iteration rather than
+/// once per microbatch. Every `&mut` path to the value drops the pack —
 /// [`Self::value_mut`], the optimizer steps, and replacing the parameter
 /// wholesale ([`Self::from_state`] builds a fresh one) — so a pack never
 /// outlives the value it was packed from. Gradient-only writes

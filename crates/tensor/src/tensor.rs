@@ -68,6 +68,14 @@ impl Drop for Tensor {
     }
 }
 
+/// The row-major elements, as [`Tensor::data`]: a tensor serves wherever
+/// borrowed rows do (a row slab of [`PackedB::pack_nt_rows`]).
+impl AsRef<[f32]> for Tensor {
+    fn as_ref(&self) -> &[f32] {
+        &self.data
+    }
+}
+
 impl Tensor {
     /// Creates a tensor of the given shape filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {

@@ -7,8 +7,8 @@
 # and benchmark/ against crates/*), and last the `repro`
 # experiments that gate themselves. Every structural fact is asserted once, in Rust: by
 # `cargo test --workspace`, and by the exit status of `repro check`
-# (static verification sweep), `repro tpsweep` (every PP x TP
-# grid point verified) and `repro timeline`
+# (static verification sweep), `repro tpsweep` (each PP x TP point's
+# schedule gated by `vp-check` only) and `repro timeline`
 # (sim-vs-measured drift bound, no dropped events, finite loss). This
 # script adds only what needs two processes: `check --json` rerun
 # byte-identical, and training rerun byte-identical. Speed is not gated here; it is measured, with
@@ -217,7 +217,7 @@ stage "cargo test --workspace --release" test_release
 stage "cargo test -p vp-tensor -p vp-core -p vp-model and the root pins, target-cpu=x86-64 and x86-64-v3 (the portable and AVX2 register tiles)" portable_tile_test
 stage "cargo test --manifest-path benchmark/Cargo.toml (the frozen benchmark against crates/*)" benchmark_test
 stage "repro check x2 (static schedule verification sweep)" rerun_identical check CHECK
-stage "repro tpsweep (PP x TP crossover)" repro tpsweep --json --out target/TPSWEEP.json
+stage "repro tpsweep (PP x TP crossover, gated by vp-check only)" repro tpsweep --json --out target/TPSWEEP.json
 stage "training determinism (two identical runs, VP_THREADS=4)" determinism_gate
 stage "repro trace (simulated Chrome trace exports to target/traces)" repro trace
 stage "repro csv (Figure 11-14 data series to target/csv)" repro csv

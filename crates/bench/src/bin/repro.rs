@@ -16,7 +16,7 @@
 //! and with `--json` write an artifact (`--out <path>` redirects it; a
 //! failed write also exits 1): `check` (`CHECK.json`: any diagnostic on
 //! the static verification sweep), `tpsweep` (`TPSWEEP.json`: a PP × TP
-//! configuration `vp-check` or its grid lints reject) and `timeline`
+//! configuration whose schedule `vp-check` rejects) and `timeline`
 //! (`TIMELINE.json`, plus `target/traces/measured-<name>.trace.json`:
 //! simulated vs measured busy shares drifting past the bound, dropped
 //! trace events or a non-finite loss).

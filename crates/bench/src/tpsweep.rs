@@ -1,27 +1,25 @@
 //! `repro tpsweep` — the PP × TP composition study on the 2D device grid.
 //!
 //! For a fixed device budget, sweeps every `pp × tp` factorization (PTD-P
-//! style, Narayanan et al. 2021 §5.4) across methods, TP synchronization
-//! styles and microbatch counts, and reports where the crossover sits:
+//! style, Narayanan et al. 2021 §5.4) across methods and microbatch
+//! counts, and reports where the crossover sits:
 //! with few microbatches the pipeline fill/drain bubble dominates and a
 //! wider tensor axis wins; with many microbatches the fill amortizes and
 //! the deep pipeline's full-width kernels win.
 //!
 //! Every point is gated by `vp-check`: its schedule must pass the full
-//! static analysis *and* the grid lints (`VP0013`–`VP0015`) on its
-//! `pp × tp` grid. The `tp = 1` column is the flat pipeline itself — the
-//! simulator has one path, whose reports a golden test pins bit for bit.
+//! static analysis, which covers the whole grid because every tensor rank
+//! of a row walks its stage's pass list. The `tp = 1` column is the flat
+//! pipeline itself — the simulator has one path, whose reports a golden
+//! test pins bit for bit.
 //!
 //! `ci.sh` runs `repro tpsweep --json` and fails if any point is
-//! unverified; this module's tests also assert that the vocab-2/all-reduce
-//! crossover flips with the microbatch count.
+//! unverified; this module's tests also assert that the vocab-2 crossover
+//! flips with the microbatch count.
 
-use std::collections::HashMap;
-
-use vp_check::{check, check_grid};
+use vp_check::check;
 use vp_model::config::ModelPreset;
 use vp_model::cost::Hardware;
-use vp_model::TpSyncStyle;
 use vp_schedule::block::PassTimes;
 use vp_sim::{tp_crossover_sweep, Method};
 
@@ -42,18 +40,16 @@ pub struct TpSweepPoint {
     pub peak_gb: f64,
     /// Mean idle fraction across devices, percent.
     pub bubble_pct: f64,
-    /// Whether `vp-check` plus the grid lints accept this configuration.
+    /// Whether `vp-check` accepts this configuration's schedule.
     pub check_clean: bool,
 }
 
-/// One sweep series: a (method, sync style, microbatch count) row of the
-/// crossover table, covering every factorization.
+/// One sweep series: a (method, microbatch count) row of the crossover
+/// table, covering every factorization.
 #[derive(Debug, Clone)]
 pub struct TpSweepSeries {
     /// Simulated method.
     pub method: Method,
-    /// TP synchronization scenario (Megatron all-reduce or PSA).
-    pub sync: TpSyncStyle,
     /// Microbatches per iteration (the crossover's control variable).
     pub microbatches: usize,
     /// Points ordered by increasing `tp` (so `points[0]` is `tp = 1`).
@@ -75,14 +71,6 @@ impl TpSweepSeries {
     }
 }
 
-/// Lower-case name of a sync style, as used in reports and JSON.
-pub fn sync_name(sync: TpSyncStyle) -> &'static str {
-    match sync {
-        TpSyncStyle::AllReduce => "all-reduce",
-        TpSyncStyle::Psa => "psa",
-    }
-}
-
 fn mean_pct(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -91,47 +79,36 @@ fn mean_pct(values: &[f64]) -> f64 {
 }
 
 /// Runs the full crossover sweep on `total_devices` devices (4B model):
-/// {baseline, vocab-2} × {all-reduce, PSA} × {4, 16, 128} microbatches.
+/// {baseline, vocab-2} × {4, 16, 128} microbatches.
 pub fn run(total_devices: usize) -> Vec<TpSweepSeries> {
     let hw = Hardware::default();
-    // The static checks depend only on (method, pp, tp, m) — not on the
-    // sync style — so share verdicts across series.
-    let mut verdicts: HashMap<(&'static str, usize, usize, usize), bool> = HashMap::new();
     let mut out = Vec::new();
     for method in [Method::Baseline, Method::Vocab2] {
-        for sync in [TpSyncStyle::AllReduce, TpSyncStyle::Psa] {
-            for m in [4usize, 16, 128] {
-                let config = ModelPreset::Gpt4B.config().with_num_microbatches(m);
-                let points = tp_crossover_sweep(method, &config, total_devices, &hw, sync)
-                    .into_iter()
-                    .map(|p| {
-                        let (pp, tp) = (p.grid.pp(), p.grid.tp());
-                        let check_clean = *verdicts
-                            .entry((method.name(), pp, tp, m))
-                            .or_insert_with(|| {
-                                // Pass times only set priorities; the
-                                // analyses ignore them.
-                                let sched = method.schedule(pp, m as u32, PassTimes::default());
-                                check(&sched).is_clean() && check_grid(&sched, &p.grid).is_empty()
-                            });
-                        TpSweepPoint {
-                            pp,
-                            tp,
-                            mfu_pct: p.report.mfu_pct(),
-                            iteration_ms: 1e3 * p.report.iteration_seconds,
-                            peak_gb: p.report.max_memory_gb(),
-                            bubble_pct: mean_pct(&p.report.bubble_fraction),
-                            check_clean,
-                        }
-                    })
-                    .collect();
-                out.push(TpSweepSeries {
-                    method,
-                    sync,
-                    microbatches: m,
-                    points,
-                });
-            }
+        for m in [4usize, 16, 128] {
+            let config = ModelPreset::Gpt4B.config().with_num_microbatches(m);
+            let points = tp_crossover_sweep(method, &config, total_devices, &hw)
+                .into_iter()
+                .map(|p| {
+                    let (pp, tp) = (p.grid.pp(), p.grid.tp());
+                    // Pass times only set priorities; the analyses ignore
+                    // them.
+                    let sched = method.schedule(pp, m as u32, PassTimes::default());
+                    TpSweepPoint {
+                        pp,
+                        tp,
+                        mfu_pct: p.report.mfu_pct(),
+                        iteration_ms: 1e3 * p.report.iteration_seconds,
+                        peak_gb: p.report.max_memory_gb(),
+                        bubble_pct: mean_pct(&p.report.bubble_fraction),
+                        check_clean: check(&sched).is_clean(),
+                    }
+                })
+                .collect();
+            out.push(TpSweepSeries {
+                method,
+                microbatches: m,
+                points,
+            });
         }
     }
     out
@@ -146,7 +123,6 @@ pub fn render(total_devices: usize, series: &[TpSweepSeries]) -> String {
         for p in &s.points {
             rows.push(vec![
                 s.method.name().to_string(),
-                sync_name(s.sync).to_string(),
                 s.microbatches.to_string(),
                 format!("{}x{}{}", p.pp, p.tp, if p.tp == best { " *" } else { "" }),
                 format!("{:.2}", p.mfu_pct),
@@ -160,7 +136,6 @@ pub fn render(total_devices: usize, series: &[TpSweepSeries]) -> String {
     let mut out = crate::table::render(
         &[
             "method",
-            "sync",
             "microbatches",
             "pp x tp",
             "MFU %",
@@ -188,9 +163,8 @@ pub fn to_json(total_devices: usize, series: &[TpSweepSeries]) -> String {
     out.push_str("  \"series\": [\n");
     for (i, s) in series.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"method\": \"{}\", \"sync\": \"{}\", \"microbatches\": {}, \"best_tp\": {},\n",
+            "    {{\"method\": \"{}\", \"microbatches\": {}, \"best_tp\": {},\n",
             s.method.name(),
-            sync_name(s.sync),
             s.microbatches,
             s.best_tp()
         ));
@@ -225,28 +199,19 @@ mod tests {
     #[test]
     fn sweep_is_clean_and_crosses_over() {
         let series = run(16);
-        // 2 methods x 2 syncs x 3 microbatch counts.
-        assert_eq!(series.len(), 12);
+        // 2 methods x 3 microbatch counts.
+        assert_eq!(series.len(), 6);
         for s in &series {
             assert_eq!(s.points.len(), 4, "16 devices have 4 factorizations");
             assert_eq!(s.points[0].tp, 1);
-            assert!(
-                s.all_clean(),
-                "{}/{}: unverified point",
-                s.method.name(),
-                sync_name(s.sync)
-            );
+            assert!(s.all_clean(), "{}: unverified point", s.method.name());
         }
-        // The headline crossover (vocab-2, all-reduce): TP wins when the
-        // bubble dominates, deep PP when the fill amortizes.
+        // The headline crossover (vocab-2): TP wins when the bubble
+        // dominates, deep PP when the fill amortizes.
         let find = |m: usize| {
             series
                 .iter()
-                .find(|s| {
-                    s.method == Method::Vocab2
-                        && s.sync == TpSyncStyle::AllReduce
-                        && s.microbatches == m
-                })
+                .find(|s| s.method == Method::Vocab2 && s.microbatches == m)
                 .expect("series present")
         };
         assert!(find(4).best_tp() > 1, "bubble-bound: TP must win");

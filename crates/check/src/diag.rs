@@ -5,9 +5,9 @@ use std::fmt;
 use vp_schedule::pass::ScheduledPass;
 
 /// Stable diagnostic codes. The numeric part never changes meaning; new
-/// checks append new codes. `vp_schedule::deps::DepError` embeds the same
-/// codes for the defect classes dynamic validation can also hit
-/// (`VP0001`–`VP0003`).
+/// checks append new codes, and a retired code (`VP0013`–`VP0015`) is
+/// never reused. `vp_schedule::deps::DepError` embeds the same codes for
+/// the defect classes dynamic validation can also hit (`VP0001`–`VP0003`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// `VP0001` — a set of passes wait on each other in a happens-before
@@ -47,18 +47,6 @@ pub enum Code {
     /// `VP0012` — two passes touch the same logical buffer, at least one
     /// writing, with no happens-before path ordering them correctly.
     UnsyncedAccess,
-    /// `VP0013` — a grid entry enters a tensor collective under a group it
-    /// is not a member of (or is not a grid rank at all); the rendezvous
-    /// either hangs or silently mixes rows.
-    WrongGroupMember,
-    /// `VP0014` — row peers of one tensor group enter the same set of
-    /// collectives in different orders; rendezvous collectives on in-order
-    /// streams deadlock under such skew.
-    GroupOrderSkew,
-    /// `VP0015` — a grid entry participates in fewer (or other) tensor
-    /// collectives than its row peers: some rendezvous waits forever on
-    /// the missing member.
-    GridCoverageHole,
     /// `VP0016` — a forward-only (decode) schedule contains a
     /// backward-family pass (`B`, `W`, `T`, `S2`, `InputB`); inference
     /// never produces gradients, so such a pass would wait forever on a
@@ -88,9 +76,6 @@ impl Code {
             Code::DoubleFree => "VP0010",
             Code::PeakActivations => "VP0011",
             Code::UnsyncedAccess => "VP0012",
-            Code::WrongGroupMember => "VP0013",
-            Code::GroupOrderSkew => "VP0014",
-            Code::GridCoverageHole => "VP0015",
             Code::BackwardInDecode => "VP0016",
             Code::RendezvousDeadlock => "VP0017",
         }
@@ -112,16 +97,14 @@ impl Code {
             Code::DoubleFree => "activation double-free",
             Code::PeakActivations => "peak activations exceed the 1F1B bound",
             Code::UnsyncedAccess => "conflicting buffer accesses without happens-before order",
-            Code::WrongGroupMember => "collective entered under the wrong tensor group",
-            Code::GroupOrderSkew => "tensor-group rendezvous order diverges across row peers",
-            Code::GridCoverageHole => "tensor-group participation differs across row peers",
             Code::BackwardInDecode => "backward-family pass in a forward-only decode schedule",
             Code::RendezvousDeadlock => "deadlock under rendezvous (blocking-send) semantics",
         }
     }
 
-    /// Every defined code, in numeric order.
-    pub fn all() -> [Code; 17] {
+    /// Every defined code, in numeric order (`VP0013`–`VP0015` are
+    /// retired).
+    pub fn all() -> [Code; 14] {
         [
             Code::Deadlock,
             Code::MissingPass,
@@ -135,9 +118,6 @@ impl Code {
             Code::DoubleFree,
             Code::PeakActivations,
             Code::UnsyncedAccess,
-            Code::WrongGroupMember,
-            Code::GroupOrderSkew,
-            Code::GridCoverageHole,
             Code::BackwardInDecode,
             Code::RendezvousDeadlock,
         ]
@@ -387,10 +367,13 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        let all = Code::all();
-        for (i, code) in all.iter().enumerate() {
-            assert_eq!(code.as_str(), format!("VP{:04}", i + 1));
-        }
+        let codes: Vec<&str> = Code::all().iter().map(|c| c.as_str()).collect();
+        let expected: Vec<String> = (1..=12)
+            .chain([16, 17])
+            .map(|i| format!("VP{i:04}"))
+            .collect();
+        assert_eq!(codes, expected);
+        assert!(codes.windows(2).all(|w| w[0] < w[1]), "{codes:?}");
     }
 
     #[test]

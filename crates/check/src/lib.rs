@@ -5,7 +5,8 @@
 //!
 //! Proves properties of any [`vp_schedule::pass::Schedule`] without
 //! running it on the runtime, reporting violations as rustc-style
-//! diagnostics with stable codes (`VP0001`–`VP0017`):
+//! diagnostics with stable codes (`VP0001`–`VP0012`, `VP0016`, `VP0017`;
+//! `VP0013`–`VP0015` are retired):
 //!
 //! * **Deadlock freedom** ([`deadlock`]) — the happens-before graph
 //!   (program order + §5.1 dependency edges) is acyclic; a violation is
@@ -26,12 +27,6 @@
 //!   logical buffer ([`vp_schedule::facts`]) is ordered by a
 //!   happens-before path (`VP0012`); on valid schedules this *proves*
 //!   race freedom, including Algorithm 2's freely-deferrable `T` pass.
-//! * **Grid participation** ([`grid`]) — on a `pp × tp` device grid, every
-//!   tensor-group (grid row) collective is entered by exactly its row's
-//!   members (`VP0013`), in the same order on every peer (`VP0014`), with
-//!   identical participation multisets (`VP0015`). [`check_grid`] runs
-//!   these on top of [`check`] for grid configurations; `tp = 1` is
-//!   vacuously clean.
 //! * **Decode schedules** ([`check_decode`]) — forward-only serving pass
 //!   lists swap the training liveness rules for `VP0016`: no
 //!   backward-family pass may appear (inference produces no gradients);
@@ -47,18 +42,17 @@
 //!   every blocked device, what it waits for and the unsent row.
 //!
 //! The `repro check` subcommand sweeps every built-in generator family
-//! through [`check`] (and `repro tpsweep` gates its grid configurations
-//! through [`check_grid`]); `ci.sh` fails on any diagnostic.
+//! through [`check`] (and `repro tpsweep` gates each grid configuration's
+//! schedule through it, since every tensor rank of a row runs its stage's
+//! pass list); `ci.sh` fails on any diagnostic.
 
 pub mod comm;
 pub mod deadlock;
 pub mod diag;
-pub mod grid;
 pub mod liveness;
 pub mod race;
 
 pub use diag::{render_human, render_json, Code, Diagnostic, Severity, Site};
-pub use grid::{check_grid, check_grid_facts};
 
 use vp_schedule::block::PassTimes;
 use vp_schedule::deps::{build_deps, sync_collectives};

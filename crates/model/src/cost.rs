@@ -357,21 +357,10 @@ impl CostModel {
     /// direction (forward *or* backward): the two Megatron `f`/`g`
     /// all-reduces of the boundary activation (`[b·s, h]` bf16) over the
     /// `tp`-wide group. Zero at `tp = 1`.
-    ///
-    /// The PSA variant replaces each all-reduce with a reduce-scatter +
-    /// all-gather of the same total ring volume but exposes only about
-    /// half of it (the gather half overlaps the next GEMM); callers apply
-    /// that factor via `psa_exposed_fraction`.
     pub fn tp_comm_seconds_per_layer(&self, tp: usize) -> f64 {
         2.0 * self
             .hardware
             .all_reduce_seconds(self.boundary_activation_bytes(), tp)
-    }
-
-    /// Fraction of [`Self::tp_comm_seconds_per_layer`] left on the
-    /// critical path under the PSA (reduce-scatter + all-gather) variant.
-    pub fn psa_exposed_fraction(&self) -> f64 {
-        0.5
     }
 
     // ---- Communication volumes ------------------------------------------
@@ -573,6 +562,5 @@ mod tests {
         let four = m.tp_comm_seconds_per_layer(4);
         assert!(two > 0.0);
         assert!(four > two);
-        assert!(m.psa_exposed_fraction() > 0.0 && m.psa_exposed_fraction() < 1.0);
     }
 }

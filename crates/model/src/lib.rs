@@ -35,6 +35,6 @@ pub mod tp;
 pub use block::{BlockCache, TransformerBlock};
 pub use config::{ModelConfig, ModelPreset};
 pub use cost::Hardware;
-pub use memory::{estimate_1f1b, MemoryEstimate, PlacementKind, TpSyncStyle};
+pub use memory::{estimate_1f1b, tp_activation_scale, MemoryEstimate, PlacementKind};
 pub use partition::{StageLayout, VocabPartition};
 pub use tp::{TpPartition, TpReduce};

@@ -57,35 +57,17 @@ pub enum PlacementKind {
     Interlaced,
 }
 
-/// How tensor-parallel shards synchronize activations within a layer,
-/// which determines how much of the activation footprint TP divides.
+/// Fraction of the per-layer activation bytes resident on one tensor rank
+/// of a `tp`-wide Megatron group.
 ///
-/// With classic Megatron all-reduces the residual stream (attention and
+/// With the `f`/`g` all-reduce pairs the residual stream (attention and
 /// MLP inputs/outputs, 10 of the 34 per-layer activation bytes in the
 /// Korthikanti et al. accounting) is fully replicated on every tensor
-/// rank, so only the remaining 24 bytes shard: the per-layer scale is
-/// `(10 + 24/tp) / 34`. The PSA (reduce-scatter + all-gather) variant
-/// keeps even the residual stream sequence-sharded between the two
-/// collectives, dividing everything: scale `1/tp`. Both are exactly `1`
-/// at `tp = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TpSyncStyle {
-    /// Classic Megatron `f`/`g` all-reduce pairs.
-    AllReduce,
-    /// Reduce-scatter + all-gather with sequence-sharded residuals.
-    Psa,
-}
-
-impl TpSyncStyle {
-    /// Fraction of the per-layer activation bytes resident on one tensor
-    /// rank.
-    pub fn activation_scale(self, tp: usize) -> f64 {
-        assert!(tp > 0, "tensor-parallel width must be positive");
-        match self {
-            TpSyncStyle::AllReduce => (10.0 + 24.0 / tp as f64) / 34.0,
-            TpSyncStyle::Psa => 1.0 / tp as f64,
-        }
-    }
+/// rank, so only the remaining 24 bytes shard: the scale is
+/// `(10 + 24/tp) / 34`, exactly `1` at `tp = 1`.
+pub fn tp_activation_scale(tp: usize) -> f64 {
+    assert!(tp > 0, "tensor-parallel width must be positive");
+    (10.0 + 24.0 / tp as f64) / 34.0
 }
 
 /// Estimates per-device peak memory for a 1F1B-family schedule over
@@ -214,22 +196,11 @@ mod tests {
 
     #[test]
     fn activation_scale_orders_styles_and_widths() {
-        for tp in [1usize, 2, 4, 8] {
-            let ar = TpSyncStyle::AllReduce.activation_scale(tp);
-            let psa = TpSyncStyle::Psa.activation_scale(tp);
-            if tp == 1 {
-                assert_eq!(ar, 1.0);
-                assert_eq!(psa, 1.0);
-            } else {
-                // PSA shards the residual stream too, so it is strictly
-                // leaner; all-reduce keeps the replicated 10/34 floor.
-                assert!(psa < ar);
-                assert!(ar > 10.0 / 34.0);
-            }
+        assert_eq!(tp_activation_scale(1), 1.0);
+        for tp in [2usize, 4, 8] {
+            assert!(tp_activation_scale(tp) > 10.0 / 34.0);
         }
-        assert!(
-            TpSyncStyle::AllReduce.activation_scale(4) < TpSyncStyle::AllReduce.activation_scale(2)
-        );
+        assert!(tp_activation_scale(4) < tp_activation_scale(2));
     }
 
     #[test]

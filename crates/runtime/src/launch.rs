@@ -504,6 +504,49 @@ mod tests {
         assert_eq!(tracks.len(), 4, "every replica's devices record events");
     }
 
+    /// Every tensor rank of a grid row executes its stage's pass list: on
+    /// a traced `2 × 2` grid, the final iteration's compute spans of both
+    /// ranks of each row are exactly `schedule.passes(row)`, in order.
+    #[test]
+    fn tp_rows_execute_their_stage_pass_list() {
+        let config = TinyConfig::default();
+        let grid = DeviceGrid::new(2, 2);
+        for schedule in [
+            vocab_schedule(2, config.microbatches),
+            zb_vocab_schedule(2, config.microbatches),
+        ] {
+            let spec = TrainSpec {
+                tp: 2,
+                trace: true,
+                ..TrainSpec::new(&schedule)
+            };
+            let log = run(&config, &spec, 2).unwrap().trace.expect("traced");
+            assert_eq!(log.dropped(), 0);
+            let events = log.events();
+            let executed = |global: usize| -> Vec<(&str, u32, u8)> {
+                events
+                    .iter()
+                    .filter(|e| e.device as usize == global && e.track == vp_trace::Track::Compute)
+                    .map(|e| (e.name, e.microbatch, e.chunk))
+                    .collect()
+            };
+            for row in 0..grid.pp() {
+                let planned: Vec<(&str, u32, u8)> = schedule
+                    .passes(row)
+                    .iter()
+                    .map(|p| (p.kind.name(), p.microbatch, p.chunk))
+                    .collect();
+                for tp_rank in 0..grid.tp() {
+                    assert_eq!(
+                        executed(grid.global(row, tp_rank)),
+                        planned,
+                        "row {row}, tensor rank {tp_rank}"
+                    );
+                }
+            }
+        }
+    }
+
     fn shard_params(blob: &[u8]) -> Vec<(Tensor, Tensor, Tensor)> {
         use vp_tensor::io::{read_tensor, read_u32};
         let mut input = blob;

@@ -7,25 +7,16 @@
 //! `pp × tp` entries, where each *pipeline stage* is replicated across a
 //! row of `tp` devices that shard every attention/MLP layer column- and
 //! row-wise, rendezvousing in the classic `f`/`g` conjugate all-reduce
-//! pairs. This module is the schedule-level half of that composition:
+//! pairs. [`DeviceGrid`] is the schedule-level half of that composition:
+//! the layout, with global rank `pp_rank · tp + tp_rank` (tensor ranks
+//! innermost, matching Megatron's order so that a TP group always sits
+//! inside one node where the fast links are). Every tensor rank of a row
+//! walks its stage's pass list unchanged.
 //!
-//! * [`DeviceGrid`] — the layout. Global rank `pp_rank · tp + tp_rank`
-//!   (tensor ranks innermost, matching Megatron's order so that a TP group
-//!   always sits inside one node where the fast links are).
-//! * [`ProcessGroup`] — an explicit member list for one collective
-//!   communicator, tagged with its axis ([`GroupKind`]). Formed once from
-//!   the grid; runtimes build one communicator per group.
-//! * [`tp_ops`] — the derived per-pass TP collective metadata: which
-//!   grid entries enter which group, in which order, for every scheduled
-//!   `F`/`B` pass. `vp-check`'s grid lints consume this table, and seeded
-//!   mutations of it drive the grid mutation suite.
-//!
-//! A 1D schedule is exactly the `tp = 1` column of the grid: every group
-//! has a single member, every collective degenerates to a no-op, and the
+//! A 1D schedule is exactly the `tp = 1` column of the grid: every row
+//! has a single member, every TP collective degenerates to a no-op, and the
 //! runtime/simulator are required (and tested) to be bitwise identical to
 //! the pre-grid code paths.
-
-use crate::pass::{PassKind, Schedule};
 
 /// A `pp × tp` device grid.
 ///
@@ -38,8 +29,6 @@ use crate::pass::{PassKind, Schedule};
 /// assert_eq!(grid.devices(), 8);
 /// assert_eq!(grid.global(1, 0), 2); // tp innermost
 /// assert_eq!(grid.coords(5), (2, 1));
-/// assert_eq!(grid.tp_group(1).ranks, vec![2, 3]);
-/// assert_eq!(grid.pp_group(1).ranks, vec![1, 3, 5, 7]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeviceGrid {
@@ -94,200 +83,11 @@ impl DeviceGrid {
         assert!(global < self.devices(), "global rank out of range");
         (global / self.tp, global % self.tp)
     }
-
-    /// The tensor-parallel group (one grid *row*): all tensor ranks of
-    /// pipeline stage `pp_rank`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pp_rank` is out of range.
-    pub fn tp_group(&self, pp_rank: usize) -> ProcessGroup {
-        assert!(pp_rank < self.pp, "pp_rank out of range");
-        ProcessGroup {
-            kind: GroupKind::Tensor,
-            index: pp_rank,
-            ranks: (0..self.tp).map(|t| self.global(pp_rank, t)).collect(),
-        }
-    }
-
-    /// The pipeline group (one grid *column*): the full pipeline seen by
-    /// tensor rank `tp_rank`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tp_rank` is out of range.
-    pub fn pp_group(&self, tp_rank: usize) -> ProcessGroup {
-        assert!(tp_rank < self.tp, "tp_rank out of range");
-        ProcessGroup {
-            kind: GroupKind::Pipeline,
-            index: tp_rank,
-            ranks: (0..self.pp).map(|p| self.global(p, tp_rank)).collect(),
-        }
-    }
-
-    /// All tensor groups, one per pipeline stage.
-    pub fn tp_groups(&self) -> Vec<ProcessGroup> {
-        (0..self.pp).map(|p| self.tp_group(p)).collect()
-    }
-
-    /// All pipeline groups, one per tensor rank.
-    pub fn pp_groups(&self) -> Vec<ProcessGroup> {
-        (0..self.tp).map(|t| self.pp_group(t)).collect()
-    }
-}
-
-/// Which grid axis a [`ProcessGroup`] spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GroupKind {
-    /// A grid row: the tensor ranks of one pipeline stage.
-    Tensor,
-    /// A grid column: one full pipeline at a fixed tensor rank.
-    Pipeline,
-}
-
-impl GroupKind {
-    /// Stable lower-case name for diagnostics and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            GroupKind::Tensor => "tensor",
-            GroupKind::Pipeline => "pipeline",
-        }
-    }
-}
-
-/// An explicit process group: the member list of one collective
-/// communicator, as NCCL would form it from the grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcessGroup {
-    /// The axis this group spans.
-    pub kind: GroupKind,
-    /// Row index (tensor groups) or column index (pipeline groups).
-    pub index: usize,
-    /// Global ranks of the members, in group-rank order.
-    pub ranks: Vec<usize>,
-}
-
-impl ProcessGroup {
-    /// Number of members.
-    pub fn world(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// Whether `global` is a member.
-    pub fn contains(&self, global: usize) -> bool {
-        self.ranks.contains(&global)
-    }
-
-    /// The member's rank *within* the group, if it is a member.
-    pub fn local_rank(&self, global: usize) -> Option<usize> {
-        self.ranks.iter().position(|&r| r == global)
-    }
-}
-
-/// One TP collective a sharded transformer pass enters — the Megatron
-/// `f`/`g` pattern gives two per forward (post-attention, post-MLP) and
-/// two per backward, in reverse order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TpOp {
-    /// Forward all-reduce after the attention output projection (`g`).
-    AttnForward,
-    /// Forward all-reduce after the MLP down-projection (`g`).
-    MlpForward,
-    /// Backward all-reduce of the MLP input gradient (`f` conjugate).
-    MlpBackward,
-    /// Backward all-reduce of the attention input gradient (`f` conjugate).
-    AttnBackward,
-}
-
-impl TpOp {
-    /// Stable name for diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            TpOp::AttnForward => "attn-fwd",
-            TpOp::MlpForward => "mlp-fwd",
-            TpOp::MlpBackward => "mlp-bwd",
-            TpOp::AttnBackward => "attn-bwd",
-        }
-    }
-
-    /// The collectives a pass of `kind` enters, in execution order.
-    pub fn of_pass(kind: PassKind) -> &'static [TpOp] {
-        match kind {
-            PassKind::F => &[TpOp::AttnForward, TpOp::MlpForward],
-            PassKind::B => &[TpOp::MlpBackward, TpOp::AttnBackward],
-            // W recomputes weight gradients from stashed activations —
-            // no cross-rank rendezvous (Megatron's wgrad is local too).
-            _ => &[],
-        }
-    }
-}
-
-/// One row of the derived TP collective table: grid entry `global`
-/// (claiming membership of tensor group `group`) enters collective `op`
-/// for `(microbatch, chunk)` as its `seq`-th TP rendezvous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TpCollective {
-    /// Global rank of the participant.
-    pub global: usize,
-    /// Tensor-group (row) index the participant enters under.
-    pub group: usize,
-    /// Position in this participant's TP rendezvous sequence.
-    pub seq: usize,
-    /// The collective's role in the block.
-    pub op: TpOp,
-    /// Microbatch of the originating pass.
-    pub microbatch: u32,
-    /// Model chunk of the originating pass.
-    pub chunk: u8,
-}
-
-/// Derives the full TP collective participation table for `schedule`
-/// replicated across the rows of `grid`.
-///
-/// The schedule's device axis is the *pipeline* axis (`schedule.devices()`
-/// must equal `grid.pp()`); every tensor rank of a row executes the same
-/// pass list, so each sharded pass contributes one entry per tensor rank
-/// per collective. With `tp == 1` the table is the degenerate one-member
-/// case every lint must accept.
-///
-/// # Panics
-///
-/// Panics if the schedule's device count does not match the grid's
-/// pipeline depth.
-pub fn tp_ops(schedule: &Schedule, grid: &DeviceGrid) -> Vec<TpCollective> {
-    assert_eq!(
-        schedule.devices(),
-        grid.pp(),
-        "schedule devices must equal the grid's pipeline depth"
-    );
-    let mut table = Vec::new();
-    for pp_rank in 0..grid.pp() {
-        for tp_rank in 0..grid.tp() {
-            let global = grid.global(pp_rank, tp_rank);
-            let mut seq = 0;
-            for pass in schedule.passes(pp_rank) {
-                for &op in TpOp::of_pass(pass.kind) {
-                    table.push(TpCollective {
-                        global,
-                        group: pp_rank,
-                        seq,
-                        op,
-                        microbatch: pass.microbatch,
-                        chunk: pass.chunk,
-                    });
-                    seq += 1;
-                }
-            }
-        }
-    }
-    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-    use crate::pass::VocabVariant;
 
     #[test]
     fn global_and_coords_roundtrip() {
@@ -306,91 +106,24 @@ mod tests {
     fn groups_partition_the_grid() {
         let grid = DeviceGrid::new(3, 4);
         let mut seen = vec![0usize; grid.devices()];
-        for g in grid.tp_groups() {
-            assert_eq!(g.kind, GroupKind::Tensor);
-            assert_eq!(g.world(), 4);
-            for &r in &g.ranks {
-                seen[r] += 1;
+        for p in 0..grid.pp() {
+            for t in 0..grid.tp() {
+                seen[grid.global(p, t)] += 1;
             }
         }
-        assert!(seen.iter().all(|&c| c == 1), "rows must tile the grid");
-        let mut seen = vec![0usize; grid.devices()];
-        for g in grid.pp_groups() {
-            assert_eq!(g.kind, GroupKind::Pipeline);
-            assert_eq!(g.world(), 3);
-            for &r in &g.ranks {
-                seen[r] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "columns must tile the grid");
-    }
-
-    #[test]
-    fn local_rank_matches_position() {
-        let grid = DeviceGrid::new(2, 3);
-        let row = grid.tp_group(1);
-        assert_eq!(row.local_rank(grid.global(1, 2)), Some(2));
-        assert_eq!(row.local_rank(grid.global(0, 0)), None);
-        assert!(row.contains(grid.global(1, 0)));
-        assert!(!row.contains(grid.global(0, 1)));
+        assert!(
+            seen.iter().all(|&c| c == 1),
+            "rows and columns must tile the grid"
+        );
     }
 
     #[test]
     fn degenerate_tp1_grid_is_the_flat_pipeline() {
         let grid = DeviceGrid::new(4, 1);
+        assert_eq!(grid.devices(), 4);
         for p in 0..4 {
             assert_eq!(grid.global(p, 0), p);
-            assert_eq!(grid.tp_group(p).ranks, vec![p]);
+            assert_eq!(grid.coords(p), (p, 0));
         }
-        assert_eq!(grid.pp_group(0).ranks, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn tp_ops_replicates_passes_across_rows() {
-        let sched = generators::one_f_one_b(2, 3, Default::default());
-        let grid = DeviceGrid::new(2, 2);
-        let table = tp_ops(&sched, &grid);
-        // Row peers see identical (op, microbatch, seq) sequences.
-        let per_global = |g: usize| -> Vec<(usize, TpOp, u32)> {
-            table
-                .iter()
-                .filter(|e| e.global == g)
-                .map(|e| (e.seq, e.op, e.microbatch))
-                .collect()
-        };
-        assert_eq!(per_global(0), per_global(1));
-        assert_eq!(per_global(2), per_global(3));
-        // Each F contributes 2 entries, each B contributes 2: per device
-        // 3 microbatches × 4 = 12 entries.
-        assert_eq!(per_global(0).len(), 12);
-        // seq is dense per participant.
-        let seqs: Vec<usize> = per_global(0).iter().map(|e| e.0).collect();
-        assert_eq!(seqs, (0..12).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn tp_ops_skips_non_sharded_passes() {
-        let sched = generators::vocab_1f1b(2, 2, VocabVariant::Alg2, Default::default(), true);
-        let grid = DeviceGrid::new(2, 1);
-        let table = tp_ops(&sched, &grid);
-        // S/T/InputF/InputB passes contribute nothing; only F and B do.
-        let expected: usize = (0..2)
-            .map(|d| {
-                sched
-                    .passes(d)
-                    .iter()
-                    .map(|p| TpOp::of_pass(p.kind).len())
-                    .sum::<usize>()
-            })
-            .sum();
-        assert_eq!(table.len(), expected);
-        assert!(table.iter().all(|e| e.group == grid.coords(e.global).0));
-    }
-
-    #[test]
-    #[should_panic(expected = "pipeline depth")]
-    fn tp_ops_rejects_mismatched_grid() {
-        let sched = generators::one_f_one_b(4, 2, Default::default());
-        let _ = tp_ops(&sched, &DeviceGrid::new(2, 2));
     }
 }

@@ -27,9 +27,8 @@
 //! * [`facts`] — static buffer/communication facts: what each pass reads
 //!   and writes, and which collective class each edge realizes. Consumed
 //!   by the `vp-check` static analyzer.
-//! * [`grid`] — the 2D `pp × tp` device grid ([`grid::DeviceGrid`]) with
-//!   explicit process groups and the derived per-pass tensor-parallel
-//!   collective table, composing the paper's vocabulary passes with
+//! * [`grid`] — the 2D `pp × tp` device grid layout
+//!   ([`grid::DeviceGrid`]), composing the paper's vocabulary passes with
 //!   Megatron-style tensor parallelism (PTD-P).
 //! * [`exec`] — a deterministic executor that replays a schedule under a
 //!   [`exec::Costs`] provider, yielding per-pass times, iteration time,
@@ -61,5 +60,5 @@ pub use block::{BuildingBlock, PassTimes};
 pub use deps::{validate, DepError};
 pub use exec::{ExecReport, Executor, UnitCosts};
 pub use generators::{interlaced_1f1b, one_f_one_b, vhalf, vhalf_vocab, vocab_1f1b};
-pub use grid::{DeviceGrid, GroupKind, ProcessGroup};
+pub use grid::DeviceGrid;
 pub use pass::{PassKind, Schedule, ScheduledPass, VocabVariant};

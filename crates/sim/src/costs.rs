@@ -4,7 +4,7 @@
 use vp_model::config::ModelConfig;
 use vp_model::cost::CostModel;
 use vp_model::partition::{StageLayout, VocabPartition, VocabPlacement};
-use vp_model::TpSyncStyle;
+use vp_model::tp_activation_scale;
 use vp_schedule::deps::EdgeKind;
 use vp_schedule::exec::Costs;
 use vp_schedule::pass::{PassKind, ScheduledPass, VocabVariant};
@@ -36,8 +36,6 @@ pub struct SimCosts {
     split_w: bool,
     /// Tensor-parallel width of each stage's grid row (1 = flat pipeline).
     tp: usize,
-    /// How the grid row synchronizes sharded blocks (all-reduce vs. PSA).
-    tp_sync: TpSyncStyle,
 }
 
 impl SimCosts {
@@ -54,7 +52,6 @@ impl SimCosts {
             disable_sync_collectives: false,
             split_w: false,
             tp: 1,
-            tp_sync: TpSyncStyle::AllReduce,
         }
     }
 
@@ -136,16 +133,15 @@ impl SimCosts {
     }
 
     /// Shards every transformer chunk over a grid row of `tp` tensor
-    /// ranks synchronized with `sync`: matmul time divides by `tp` (at the
-    /// narrower shard's kernel efficiency) and each sharded layer pays the
-    /// exposed Megatron `f`/`g` collective time per direction. `tp = 1`
-    /// leaves every cost bitwise unchanged. Vocabulary and full input /
-    /// output layers are *not* sharded — as in the runtime grid, each
-    /// pipeline column replicates them.
-    pub fn with_tp(mut self, tp: usize, sync: TpSyncStyle) -> Self {
+    /// ranks: matmul time divides by `tp` (at the narrower shard's kernel
+    /// efficiency) and each sharded layer pays the exposed Megatron `f`/`g`
+    /// all-reduce time per direction. `tp = 1` leaves every cost bitwise
+    /// unchanged. Vocabulary and full input / output layers are *not*
+    /// sharded — as in the runtime grid, each pipeline column replicates
+    /// them.
+    pub fn with_tp(mut self, tp: usize) -> Self {
         assert!(tp > 0, "tensor-parallel width must be positive");
         self.tp = tp;
-        self.tp_sync = sync;
         self
     }
 
@@ -158,14 +154,10 @@ impl SimCosts {
     /// transients the executor does not count. A tensor rank holds `1/tp`
     /// of its transformer weights; full vocabulary layers and vocabulary
     /// shards replicate across the grid row. A full output layer holds its
-    /// fp32 logits + softmax during F/B, which PSA shards across the row.
+    /// fp32 logits + softmax during F/B.
     pub(crate) fn static_memory(&self) -> (Vec<f64>, Vec<f64>) {
         let c = &self.model.config;
         let tokens = (c.microbatch * c.seq_len) as f64;
-        let logits_scale = match self.tp_sync {
-            TpSyncStyle::AllReduce => 1.0,
-            TpSyncStyle::Psa => 1.0 / self.tp as f64,
-        };
         self.chunks
             .iter()
             .map(|chunks| {
@@ -178,7 +170,7 @@ impl SimCosts {
                     }
                     if spec.full_output {
                         params += c.vocab_layer_params();
-                        transient += 4.0 * tokens * c.vocab as f64 * logits_scale;
+                        transient += 4.0 * tokens * c.vocab as f64;
                     }
                 }
                 if self.algo.is_some() {
@@ -189,18 +181,13 @@ impl SimCosts {
             .unzip()
     }
 
-    /// Exposed TP collective seconds per sharded layer in one direction
-    /// (zero at `tp = 1`; PSA keeps only its exposed fraction on the
-    /// critical path).
+    /// Exposed TP all-reduce seconds per sharded layer in one direction
+    /// (zero at `tp = 1`).
     fn tp_comm_layer_seconds(&self) -> f64 {
         if self.tp <= 1 {
             return 0.0;
         }
-        let base = self.model.tp_comm_seconds_per_layer(self.tp);
-        match self.tp_sync {
-            TpSyncStyle::AllReduce => base,
-            TpSyncStyle::Psa => base * self.model.psa_exposed_fraction(),
-        }
+        self.model.tp_comm_seconds_per_layer(self.tp)
     }
 
     /// The underlying cost model.
@@ -364,9 +351,7 @@ impl Costs for SimCosts {
         let spec = self.chunk(device, chunk);
         // Sharded layers stash smaller activations (§5.2's accounting
         // extended to the grid); the scale is exactly 1 at tp = 1.
-        spec.layers as f64
-            * self.model.act_bytes_per_layer()
-            * self.tp_sync.activation_scale(self.tp)
+        spec.layers as f64 * self.model.act_bytes_per_layer() * tp_activation_scale(self.tp)
     }
 
     fn vocab_buffer_units(&self, _device: usize) -> f64 {
@@ -449,30 +434,28 @@ mod tests {
         let m = model(64 * 1024);
         let layout = StageLayout::vocab_parallel(&m.config, 8);
         let flat = SimCosts::for_layout(m, &layout, Some(VocabVariant::Alg2));
-        for sync in [TpSyncStyle::AllReduce, TpSyncStyle::Psa] {
-            let grid = flat.clone().with_tp(1, sync);
-            for kind in [
-                PassKind::F,
-                PassKind::B,
-                PassKind::W,
-                PassKind::S,
-                PassKind::T,
-            ] {
-                assert_eq!(
-                    grid.pass_seconds(3, &ScheduledPass::new(kind, 0)).to_bits(),
-                    flat.pass_seconds(3, &ScheduledPass::new(kind, 0)).to_bits(),
-                    "{kind:?}"
-                );
-            }
-            let (a, b) = (flat.pass_times(), grid.pass_times());
-            assert_eq!(a.f.to_bits(), b.f.to_bits());
-            assert_eq!(a.b.to_bits(), b.b.to_bits());
-            assert_eq!(a.w.to_bits(), b.w.to_bits());
+        let grid = flat.clone().with_tp(1);
+        for kind in [
+            PassKind::F,
+            PassKind::B,
+            PassKind::W,
+            PassKind::S,
+            PassKind::T,
+        ] {
             assert_eq!(
-                flat.activation_units(3, 0).to_bits(),
-                grid.activation_units(3, 0).to_bits()
+                grid.pass_seconds(3, &ScheduledPass::new(kind, 0)).to_bits(),
+                flat.pass_seconds(3, &ScheduledPass::new(kind, 0)).to_bits(),
+                "{kind:?}"
             );
         }
+        let (a, b) = (flat.pass_times(), grid.pass_times());
+        assert_eq!(a.f.to_bits(), b.f.to_bits());
+        assert_eq!(a.b.to_bits(), b.b.to_bits());
+        assert_eq!(a.w.to_bits(), b.w.to_bits());
+        assert_eq!(
+            flat.activation_units(3, 0).to_bits(),
+            grid.activation_units(3, 0).to_bits()
+        );
     }
 
     #[test]
@@ -480,23 +463,20 @@ mod tests {
         let m = model(64 * 1024);
         let layout = StageLayout::vocab_parallel(&m.config, 8);
         let flat = SimCosts::for_layout(m, &layout, Some(VocabVariant::Alg1));
-        let tp4 = flat.clone().with_tp(4, TpSyncStyle::AllReduce);
-        let psa4 = flat.clone().with_tp(4, TpSyncStyle::Psa);
+        let tp4 = flat.clone().with_tp(4);
         let f = |c: &SimCosts| c.pass_seconds(3, &ScheduledPass::new(PassKind::F, 0));
         assert!(f(&tp4) < f(&flat), "sharding must pay off");
         assert!(
             f(&tp4) > f(&flat) / 4.0,
             "narrower shards and exposed collectives make it sublinear"
         );
-        assert!(f(&psa4) < f(&tp4), "PSA hides part of the collective");
         // W pays no collective: exactly the sharded compute.
         let w = |c: &SimCosts| c.pass_seconds(3, &ScheduledPass::new(PassKind::W, 0));
         let w_flat = flat.clone().with_split_w();
-        let w_tp = w_flat.clone().with_tp(4, TpSyncStyle::AllReduce);
+        let w_tp = w_flat.clone().with_tp(4);
         assert!(w(&w_tp) < w(&w_flat));
-        // Sharded layers stash smaller activations; PSA shards more.
+        // Sharded layers stash smaller activations.
         assert!(tp4.activation_units(3, 0) < flat.activation_units(3, 0));
-        assert!(psa4.activation_units(3, 0) < tp4.activation_units(3, 0));
         // Vocabulary passes replicate per column: unchanged under TP.
         let s = |c: &SimCosts| c.pass_seconds(3, &ScheduledPass::new(PassKind::S, 0));
         assert_eq!(s(&tp4).to_bits(), s(&flat).to_bits());

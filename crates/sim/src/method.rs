@@ -9,7 +9,6 @@ use crate::report::SimReport;
 use vp_model::config::ModelConfig;
 use vp_model::cost::{CostModel, Hardware};
 use vp_model::partition::StageLayout;
-use vp_model::TpSyncStyle;
 use vp_schedule::block::PassTimes;
 use vp_schedule::exec::Executor;
 use vp_schedule::generators;
@@ -164,21 +163,15 @@ pub fn run_1f1b(
     devices: usize,
     hardware: Hardware,
 ) -> SimReport {
-    run_1f1b_grid(
-        method,
-        config,
-        DeviceGrid::new(devices, 1),
-        TpSyncStyle::AllReduce,
-        hardware,
-    )
+    run_1f1b_grid(method, config, DeviceGrid::new(devices, 1), hardware)
 }
 
 /// Simulates one method on the 1F1B schedule over a `pp × tp` device
 /// grid: the schedule's device axis is the grid's pipeline axis, and each
 /// stage's transformer layers shard across its row of `tp` tensor ranks
-/// (Megatron `f`/`g`, or the PSA variant, per `sync`). Vocabulary shards
-/// and full input/output layers replicate per column, exactly as the
-/// runtime grid executes them.
+/// (Megatron `f`/`g` all-reduce pairs). Vocabulary shards and full
+/// input/output layers replicate per column, exactly as the runtime grid
+/// executes them.
 ///
 /// # Panics
 ///
@@ -187,12 +180,11 @@ pub fn run_1f1b_grid(
     method: Method,
     config: &ModelConfig,
     grid: DeviceGrid,
-    sync: TpSyncStyle,
     hardware: Hardware,
 ) -> SimReport {
     let model = CostModel::new(config.clone(), hardware);
     let (layout, algo) = method.layout(config, grid.pp());
-    let costs = SimCosts::for_layout(model, &layout, algo).with_tp(grid.tp(), sync);
+    let costs = SimCosts::for_layout(model, &layout, algo).with_tp(grid.tp());
     let m = config.num_microbatches as u32;
     let schedule = method.schedule(grid.pp(), m, costs.pass_times());
     simulate(method.name(), &costs, &schedule)
@@ -533,25 +525,14 @@ mod tests {
         assert!((naive.mfu - alg2.mfu).abs() < 0.05 * alg2.mfu);
     }
 
-    /// Widening the tensor axis shards parameters and shortens stage
-    /// passes; PSA exposes less collective time than all-reduce.
+    /// Widening the tensor axis shards parameters: a grid device holds far
+    /// less static state than the 4-deep flat pipeline's (transformer
+    /// weights divide by tp).
     #[test]
-    fn grid_tp_shards_memory_and_psa_is_faster() {
+    fn grid_tp_shards_memory() {
         let hw = Hardware::default();
         let config = cfg(ModelPreset::Gpt4B, 128, 2048);
-        let grid = DeviceGrid::new(4, 4);
-        let ar = run_1f1b_grid(
-            Method::Vocab2,
-            &config,
-            grid,
-            TpSyncStyle::AllReduce,
-            hw.clone(),
-        );
-        let psa = run_1f1b_grid(Method::Vocab2, &config, grid, TpSyncStyle::Psa, hw.clone());
-        assert!(psa.iteration_seconds < ar.iteration_seconds);
-        assert!(psa.max_memory_gb() < ar.max_memory_gb());
-        // Both hold far less static state per device than the 4-deep
-        // flat pipeline (transformer weights divide by tp).
+        let ar = run_1f1b_grid(Method::Vocab2, &config, DeviceGrid::new(4, 4), hw.clone());
         let flat = run_1f1b(Method::Vocab2, &config, 4, hw);
         assert!(ar.param_bytes[1] < 0.5 * flat.param_bytes[1]);
         assert_eq!(ar.devices, 16);

@@ -5,7 +5,6 @@ use crate::method::{run_1f1b, run_1f1b_grid, run_vhalf, Method, VHalfMethod};
 use crate::report::SimReport;
 use vp_model::config::ModelConfig;
 use vp_model::cost::Hardware;
-use vp_model::TpSyncStyle;
 use vp_schedule::grid::DeviceGrid;
 
 /// One point of a sweep: the varied value and the simulation result.
@@ -107,7 +106,6 @@ pub fn tp_crossover_sweep(
     config: &ModelConfig,
     total_devices: usize,
     hardware: &Hardware,
-    sync: TpSyncStyle,
 ) -> Vec<GridSweepPoint> {
     (1..=total_devices)
         .filter(|tp| total_devices.is_multiple_of(*tp) && total_devices / tp >= 2)
@@ -115,7 +113,7 @@ pub fn tp_crossover_sweep(
             let grid = DeviceGrid::new(total_devices / tp, tp);
             GridSweepPoint {
                 grid,
-                report: run_1f1b_grid(method, config, grid, sync, hardware.clone()),
+                report: run_1f1b_grid(method, config, grid, hardware.clone()),
             }
         })
         .collect()
@@ -209,7 +207,7 @@ mod tests {
     #[test]
     fn tp_crossover_covers_factorizations() {
         let hw = Hardware::default();
-        let pts = tp_crossover_sweep(Method::Vocab2, &cfg(), 16, &hw, TpSyncStyle::AllReduce);
+        let pts = tp_crossover_sweep(Method::Vocab2, &cfg(), 16, &hw);
         let shapes: Vec<(usize, usize)> = pts.iter().map(|p| (p.grid.pp(), p.grid.tp())).collect();
         assert_eq!(shapes, vec![(16, 1), (8, 2), (4, 4), (2, 8)]);
     }
@@ -222,7 +220,7 @@ mod tests {
         let hw = Hardware::default();
         let best = |m: usize| {
             let config = cfg().with_num_microbatches(m);
-            tp_crossover_sweep(Method::Vocab2, &config, 16, &hw, TpSyncStyle::AllReduce)
+            tp_crossover_sweep(Method::Vocab2, &config, 16, &hw)
                 .into_iter()
                 .min_by(|a, b| {
                     a.report
